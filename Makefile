@@ -1,14 +1,16 @@
 # Developer entry points. `make check` is the tier-1 gate (build + vet +
 # tests); `make bench` refreshes the current BENCH_*.json performance
 # snapshot at the repo root and `make bench-compare` diffs it against the
-# previous one; `make race` exercises the parallel experiment engine under
-# the race detector.
+# previous one; `make race` exercises the parallel experiment engine, the
+# sharded tick path and the goroutine runtime under the race detector;
+# `make benchmark-check` compiles and smoke-runs the repository benchmark
+# (benchmark/, a module of its own that `make check` does not see).
 
 GO ?= go
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= BENCH_8.json
 
-.PHONY: check vet race bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
+.PHONY: check vet race benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
 
 check:
 	$(GO) build ./...
@@ -18,6 +20,15 @@ check:
 race:
 	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestRunContext' ./internal/harness/
 	$(GO) test -race -run 'TestShard' ./internal/sim/
+	$(GO) test -race ./internal/livenet/
+
+# benchmark-check keeps the frozen benchmark honest on every PR: its own
+# tests (metric selection, seam transparency, golden statistics,
+# BENCHMARK.json against the program), then a two-second untraced pass of
+# the two wall-clock workloads, which fails on any incorrect outcome.
+benchmark-check:
+	cd benchmark && $(GO) test .
+	bash benchmark/run.sh -workload live,serve -reps 1 -seconds 2 -notrace
 
 # bench regenerates the committed benchmark snapshot. Seeds are kept small
 # so the refresh stays in the tens of seconds; the snapshot records the
@@ -100,4 +111,4 @@ serve-soak:
 # benchmem runs the substrate micro-benchmarks with allocation accounting,
 # the numbers PERF.md tracks.
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkApproxFuncs|BenchmarkContractionSearch|BenchmarkWire|BenchmarkSimLoop|BenchmarkScenarioE12|BenchmarkRunReused|BenchmarkShardedTick' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkApproxFuncs|BenchmarkContractionSearch|BenchmarkWire|BenchmarkSimLoop|BenchmarkScenarioE12|BenchmarkRunReused|BenchmarkShardedTick|BenchmarkLiveRun' -benchmem .

@@ -16,7 +16,7 @@
 //
 // Use Simulate to run a protocol on the deterministic discrete-event
 // simulator under a chosen adversary, or RunLive to run it on a real
-// goroutine-per-party runtime with channel transports.
+// goroutine-per-party runtime with per-party mailboxes.
 //
 // Both runtimes can degrade the network — per-send Bernoulli loss and
 // duplication, regional outages, and flapping parties (scenario axes

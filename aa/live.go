@@ -11,8 +11,9 @@ import (
 
 // LiveOptions tunes RunLive.
 type LiveOptions struct {
-	// MaxJitter is the maximum random per-message delivery delay
-	// (default 2ms).
+	// MaxJitter bounds the injected delivery delay: each message is held
+	// for a uniform draw from [0, MaxJitter). Zero selects the 2ms
+	// default; a negative value injects no delay at all.
 	MaxJitter time.Duration
 	// Seed drives the jitter randomness.
 	Seed int64
@@ -34,7 +35,7 @@ type LiveOptions struct {
 }
 
 // RunLive executes the protocol on a real goroutine-per-party runtime with
-// channel transports and jittered delivery, and returns the checked
+// per-party mailboxes and jittered delivery, and returns the checked
 // outcome. The context bounds the run; a generous timeout should be used
 // since the runtime is only as fast as its timers.
 //

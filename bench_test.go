@@ -277,6 +277,14 @@ func BenchmarkRunReused(b *testing.B) {
 	microbench.RunReused(b)
 }
 
+// BenchmarkLiveRun measures one whole crash-protocol run at n=32 on the
+// goroutine runtime with 200 µs injected jitter, reporting ns/msg and
+// allocs/msg next to the per-run figures (shared with the snapshot as
+// "livenet/run-n32").
+func BenchmarkLiveRun(b *testing.B) {
+	microbench.LiveRun(b)
+}
+
 // BenchmarkShardedTick measures the sharded tick-execution path A/B — the
 // same dense-tick crash run at shards=1 (sequential reference) and
 // shards=4 (partitioned workers + barrier merge). On a single-core host

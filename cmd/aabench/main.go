@@ -103,6 +103,9 @@ type microBench struct {
 	NsOp     float64 `json:"ns_op"`
 	AllocsOp int64   `json:"allocs_op"`
 	BytesOp  int64   `json:"bytes_op"`
+	// Extra carries what the case reported through b.ReportMetric, keyed
+	// by unit (livenet/run-n32: "ns/msg", "allocs/msg").
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 func run(args []string) error {
@@ -421,6 +424,7 @@ func microBenches() []microBench {
 			NsOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsOp: r.AllocsPerOp(),
 			BytesOp:  r.AllocedBytesPerOp(),
+			Extra:    r.Extra,
 		})
 	}
 	return out

@@ -15,8 +15,8 @@
 // byte-identical across runs, the E15 configuration; "sim" runs wall-clock
 // with simulator-backed instances; "live" runs wall-clock with real
 // goroutine parties over internal/livenet, propagating each request's
-// deadline into the run context and SendTimeout, with -loss/-dup/-flap/
-// -restart injecting live faults.
+// deadline into the run context, with -loss/-dup/-flap/-restart injecting
+// live faults.
 //
 // -saturate rescales the workload's base rate to the worker pool's
 // analytic saturation rate before applying -mult, so "-mult 4 -saturate"

@@ -111,7 +111,7 @@
 // bounded priority queue that evicts strictly-lower-priority work
 // before shedding arrivals (guard order breaker, bucket, queue).
 // Admitted requests carry a deadline into every attempt — in live mode
-// it propagates down to livenet's per-send timeout — and failed
+// it bounds the livenet run's context — and failed
 // attempts retry with exponential backoff, never past the deadline.
 // Each request resolves to exactly one structured outcome (decided,
 // shed, deadline-exceeded, breaker-open, degraded-partial) and both

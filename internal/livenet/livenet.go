@@ -1,19 +1,21 @@
 // Package livenet runs the same protocol state machines as the simulator on
-// a real concurrent runtime: one goroutine per party, channel transports,
-// and wall-clock timers with random message jitter. It is the
-// production-shaped deployment path — the discrete-event simulator proves
-// properties under adversarial schedules, livenet demonstrates the code
-// running under genuine concurrency.
+// a real concurrent runtime: one goroutine per party, a timed mailbox per
+// party as the transport, and wall-clock timers with random message jitter.
+// It is the production-shaped deployment path — the discrete-event
+// simulator proves properties under adversarial schedules, livenet
+// demonstrates the code running under genuine concurrency.
 //
 // Each party's process is driven by a single goroutine, so process
 // implementations need no internal locking (the same single-threaded
-// contract the simulator provides). Timer callbacks are serialized onto the
-// same goroutine through a dedicated per-party timer channel, which is
-// never shed.
+// contract the simulator provides). A send pushes the message, stamped
+// with its jittered due time, into the recipient's mailbox (mailbox.go);
+// the recipient's goroutine sleeps on one reusable timer until the earliest
+// due time and takes what has landed. Timer callbacks ride the same
+// mailbox, are handed over before data, and are never shed.
 //
 // The network degrades gracefully rather than wedging: senders never block
-// (a full inbox sheds its oldest data item, counted per party; a delivery
-// that still cannot land within SendTimeout is abandoned, counted), the
+// (a push always lands; a full inbox sheds its oldest data item, counted
+// per party, even while its owner is wedged or down), the
 // loss/dup/flap options inject wall-clock network faults for soak testing,
 // and Reliable routes every send through the ack/retransmit transport
 // (internal/relnet) — the same sublayer the simulator's lossy scenario
@@ -28,7 +30,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/relnet"
@@ -37,9 +38,10 @@ import (
 
 // Options configures a live run.
 type Options struct {
-	// MaxJitter is the maximum random delivery delay per message
-	// (default 2ms). Zero jitter still yields nondeterministic ordering
-	// from goroutine scheduling.
+	// MaxJitter bounds the injected delivery delay: each message is held
+	// for a uniform draw from [0, MaxJitter). Zero selects the 2ms
+	// default; a negative value injects no delay at all (ordering is then
+	// still nondeterministic, from goroutine scheduling).
 	MaxJitter time.Duration
 	// Tick converts protocol timer ticks (sim.Time) to wall time
 	// (default 1ms per tick).
@@ -50,15 +52,11 @@ type Options struct {
 	// WaitFor is how many parties must decide before the run completes
 	// (default: all).
 	WaitFor int
-	// InboxDepth is the per-party channel buffer (default 4096). When a
-	// data inbox is full the oldest queued item is shed (counted in
+	// InboxDepth bounds how many delivered data messages may wait for a
+	// party (default 4096; the buffer grows on demand up to it). When the
+	// inbox is full the oldest waiting message is shed (counted in
 	// Result.Shed) so that senders never block.
 	InboxDepth int
-	// SendTimeout bounds how long an in-flight delivery may contend for
-	// inbox space before it is abandoned (default 50ms, counted in
-	// Result.SendTimeouts). Senders themselves return immediately either
-	// way; the timeout applies to the delivery goroutine.
-	SendTimeout time.Duration
 	// Loss is the per-send probability that the network silently drops
 	// the message (counted in Result.Dropped).
 	Loss float64
@@ -128,11 +126,12 @@ type Result struct {
 	// Shed counts data items discarded from full inboxes to keep senders
 	// unblocked.
 	Shed int64
-	// SendTimeouts counts deliveries abandoned after SendTimeout of inbox
-	// contention.
+	// SendTimeouts is always zero: a push into a mailbox always lands, so
+	// no delivery is ever abandoned. The field stays only because the
+	// frozen benchmark/ reads it; remove it with the next benchmark PR.
 	SendTimeouts int64
-	// Degraded lists the parties that lost traffic to shedding, send
-	// timeouts, or ack/retransmit give-ups on their links, ascending. A
+	// Degraded lists the parties that lost traffic to shedding or to
+	// ack/retransmit give-ups on their links, ascending. A
 	// run can degrade and still converge — that is the point of the
 	// reliable transport; a give-up, though, means a frame was abandoned
 	// for good, so give-up rows deserve scrutiny even in converged runs.
@@ -151,12 +150,6 @@ type Result struct {
 // ErrTimeout is returned when the context expires before enough parties
 // decide. The accompanying Result is still valid partial progress.
 var ErrTimeout = errors.New("livenet: context done before enough parties decided")
-
-type item struct {
-	from sim.PartyID
-	data []byte
-	tag  uint64 // timer channel only
-}
 
 // ctlKind is a restart-supervision control message, processed on the
 // party's owning goroutine so snapshots and restores never race protocol
@@ -179,19 +172,12 @@ type snapshotter interface {
 type network struct {
 	opts    Options
 	start   time.Time
-	inboxes []chan item // data; shed-oldest on overflow
-	timers  []chan item // timer callbacks; never shed
+	boxes   []mailbox // one per party, indexed by recipient
+	parties []liveAPI
 	ctx     context.Context
 	cancel  context.CancelFunc
 
 	ctls []chan ctlKind // restart supervision; nil without RestartParties
-
-	messages     atomic.Int64
-	dropped      atomic.Int64
-	duped        atomic.Int64
-	shed         []atomic.Int64 // per recipient
-	sendTimeouts []atomic.Int64 // per recipient
-	restarted    []atomic.Int64 // completed kill/rejoin cycles per party
 
 	mu         sync.Mutex
 	decisions  map[sim.PartyID]float64
@@ -199,6 +185,27 @@ type network struct {
 	doneCh     chan struct{}
 	doneOnce   sync.Once
 	restartErr error
+}
+
+// newNetwork builds the mailboxes and party handles of an n-party run; opts
+// has its defaults filled in. The run's clock starts when start is set.
+func newNetwork(n int, opts Options) *network {
+	net := &network{
+		opts:      opts,
+		boxes:     make([]mailbox, n),
+		parties:   make([]liveAPI, n),
+		decisions: make(map[sim.PartyID]float64, n),
+		want:      opts.WaitFor,
+		doneCh:    make(chan struct{}),
+	}
+	for i := range net.boxes {
+		net.boxes[i].init(opts.InboxDepth)
+		a := &net.parties[i]
+		a.net, a.id = net, sim.PartyID(i)
+		a.src.Seed(opts.Seed ^ (int64(i+1) * 0x5851F42D4C957F2D))
+		a.rng = rand.New(&a.src)
+	}
+	return net
 }
 
 // undecide withdraws a killed party's decision so its rejoin must re-earn
@@ -221,56 +228,52 @@ func (n *network) fail(err error) {
 	n.mu.Unlock()
 }
 
-// dark reports whether a party is inside its flap window at time t.
-func (n *network) dark(id sim.PartyID, t time.Time) bool {
+// now is the run's clock: the monotonic offset from start that every due
+// time and flap window is measured on.
+func (n *network) now() time.Duration { return time.Since(n.start) }
+
+// dark reports whether a party is inside its flap window at clock time t.
+func (n *network) dark(id sim.PartyID, t time.Duration) bool {
 	if int(id) >= n.opts.FlapParties {
 		return false
 	}
 	open := n.opts.FlapAfter + time.Duration(id)*n.opts.FlapStagger
-	since := t.Sub(n.start)
-	return since >= open && since < open+n.opts.FlapLen
+	return t >= open && t < open+n.opts.FlapLen
 }
 
-// deliverData lands one message in a party's inbox without ever blocking a
-// sender: it runs on the delivery timer's goroutine, sheds the oldest
-// queued item when the inbox is full, and gives up (counted) if the inbox
-// is still contended after SendTimeout.
-func (n *network) deliverData(to sim.PartyID, msg item) {
-	ch := n.inboxes[to]
-	deadline := time.NewTimer(n.opts.SendTimeout)
-	defer deadline.Stop()
-	for {
-		select {
-		case ch <- msg:
-			return
-		case <-n.ctx.Done():
-			return
-		case <-deadline.C:
-			n.sendTimeouts[to].Add(1)
-			return
-		default:
-		}
-		// Inbox full: shed the oldest data item to make room. Timer
-		// callbacks live on their own channel, so nothing protocol-fatal
-		// is ever discarded here.
-		select {
-		case <-ch:
-			n.shed[to].Add(1)
-		default:
-		}
-	}
+// splitmix is the per-party random source behind sim.API.Rand(): eight
+// bytes of state and no seeding pass, against math/rand's 4.9 KB
+// lagged-Fibonacci source that takes ~13 µs to seed, once per party per run.
+type splitmix struct{ s uint64 }
+
+var _ rand.Source64 = (*splitmix)(nil)
+
+func (r *splitmix) Seed(seed int64) { r.s = uint64(seed) }
+func (r *splitmix) Int63() int64    { return int64(r.Uint64() >> 1) }
+func (r *splitmix) Uint64() uint64 {
+	r.s += 0x9E3779B97F4A7C15
+	z := r.s
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
 }
 
+// liveAPI is one party's handle on the network. Everything in it is
+// touched only by the party's own goroutine; Run reads the counters after
+// that goroutine has exited.
 type liveAPI struct {
 	net *network
 	id  sim.PartyID
+	src splitmix
 	rng *rand.Rand
+
+	messages, dropped, duped, restarts int64
 }
 
 var _ sim.API = (*liveAPI)(nil)
 
 func (a *liveAPI) ID() sim.PartyID  { return a.id }
-func (a *liveAPI) N() int           { return len(a.net.inboxes) }
+func (a *liveAPI) N() int           { return len(a.net.boxes) }
 func (a *liveAPI) Rand() *rand.Rand { return a.rng }
 
 func (a *liveAPI) jitter() time.Duration {
@@ -280,51 +283,56 @@ func (a *liveAPI) jitter() time.Duration {
 	return time.Duration(a.rng.Int63n(int64(a.net.opts.MaxJitter)))
 }
 
-func (a *liveAPI) Send(to sim.PartyID, data []byte) {
+// post is one point-to-point send at clock time now: counted, subjected to
+// the loss, flap and dup draws from the sender's rng, and pushed into the
+// recipient's mailbox. The mailbox keeps the slice, so post copies data
+// unless the caller hands it a copy to share; it returns the copy in use.
+func (a *liveAPI) post(to sim.PartyID, now time.Duration, data, shared []byte) []byte {
 	net := a.net
-	if to < 0 || int(to) >= len(net.inboxes) {
-		return
-	}
-	net.messages.Add(1)
+	a.messages++
 	if net.opts.Loss > 0 && a.rng.Float64() < net.opts.Loss {
-		net.dropped.Add(1)
-		return
+		a.dropped++
+		return shared
 	}
-	if now := time.Now(); net.dark(a.id, now) || net.dark(to, now) {
-		net.dropped.Add(1)
-		return
+	if net.dark(a.id, now) || net.dark(to, now) {
+		a.dropped++
+		return shared
 	}
-	// Copy so the sender may reuse its buffer after Send returns. A
-	// duplicated delivery shares the copy: deliveries are read-only.
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	msg := item{from: a.id, data: buf}
-	time.AfterFunc(a.jitter(), func() { net.deliverData(to, msg) })
+	if shared == nil {
+		// Copy so the sender may reuse its buffer after the send returns.
+		// Every delivery of it — to each recipient of a multicast, and an
+		// injected duplicate — shares the copy: deliveries are read-only.
+		shared = make([]byte, len(data))
+		copy(shared, data)
+	}
+	msg := item{from: a.id, data: shared}
+	box := &net.boxes[to]
+	box.push(now, now+a.jitter(), msg)
 	if net.opts.Dup > 0 && a.rng.Float64() < net.opts.Dup {
-		net.duped.Add(1)
-		extra := a.jitter() + a.jitter()
-		time.AfterFunc(extra, func() { net.deliverData(to, msg) })
+		a.duped++
+		box.push(now, now+a.jitter()+a.jitter(), msg)
 	}
+	return shared
+}
+
+func (a *liveAPI) Send(to sim.PartyID, data []byte) {
+	if to < 0 || int(to) >= len(a.net.boxes) {
+		return
+	}
+	a.post(to, a.net.now(), data, nil)
 }
 
 func (a *liveAPI) Multicast(data []byte) {
-	for to := range a.net.inboxes {
-		a.Send(sim.PartyID(to), data)
+	now := a.net.now()
+	var shared []byte
+	for to := range a.net.boxes {
+		shared = a.post(sim.PartyID(to), now, data, shared)
 	}
 }
 
 func (a *liveAPI) SetTimer(delay sim.Time, tag uint64) {
-	net := a.net
-	id := a.id
-	d := time.Duration(delay) * net.opts.Tick
-	time.AfterFunc(d, func() {
-		// Timers are never shed; the timer goroutine may wait for space,
-		// but no protocol sender is ever behind this channel.
-		select {
-		case net.timers[id] <- item{tag: tag}:
-		case <-net.ctx.Done():
-		}
-	})
+	now := a.net.now()
+	a.net.boxes[a.id].push(now, now+time.Duration(delay)*a.net.opts.Tick, item{tag: tag, timer: true})
 }
 
 func (a *liveAPI) Decide(value float64) {
@@ -337,6 +345,127 @@ func (a *liveAPI) Decide(value float64) {
 	net.decisions[a.id] = value
 	if len(net.decisions) >= net.want {
 		net.doneOnce.Do(func() { close(net.doneCh) })
+	}
+}
+
+// run is a party's goroutine: it owns the process and is the only taker
+// from the party's mailbox. It returns when the run's context is done.
+func (a *liveAPI) run(p sim.Process) {
+	net, id := a.net, a.id
+	done, box := net.ctx.Done(), &net.boxes[id]
+	p.Init(a)
+	th, _ := p.(sim.TimerHandler)
+	// A nil ctl channel blocks forever in the select, so parties outside
+	// restart supervision pay nothing for the extra case.
+	var ctl chan ctlKind
+	var sp snapshotter
+	var snap []byte
+	if net.ctls != nil && net.ctls[id] != nil {
+		ctl = net.ctls[id]
+		sp = p.(snapshotter)
+		// The post-Init state is the fallback checkpoint: a kill that
+		// outruns its checkpoint message restarts from zero, like the
+		// simulator's amnesia axis.
+		b, err := sp.Snapshot(nil)
+		if err != nil {
+			net.fail(fmt.Errorf("livenet: party %d initial checkpoint: %w", id, err))
+			net.cancel()
+			return
+		}
+		snap = b
+	}
+	// control handles one supervision message; false means the party is done.
+	control := func(c ctlKind) bool {
+		switch c {
+		case ctlCheckpoint:
+			b, err := sp.Snapshot(snap[:0])
+			if err != nil {
+				net.fail(fmt.Errorf("livenet: party %d checkpoint: %w", id, err))
+				net.cancel()
+				return false
+			}
+			snap = b
+		case ctlKill:
+			// Crash: withdraw the decision, go dark for RestartDown (the
+			// inbox sheds behind our back), then restart from the
+			// checkpoint.
+			net.undecide(id)
+			down := time.NewTimer(net.opts.RestartDown)
+			select {
+			case <-done:
+				down.Stop()
+				return false
+			case <-down.C:
+			}
+			// The dead process's socket buffers are gone: discard every
+			// message that landed while it was down. Timer callbacks
+			// survive (stale tags are ignored by their handlers), so
+			// retransmit schedules keep their cadence across the restart.
+			box.crash(net.now())
+			if err := sp.Restore(snap); err != nil {
+				net.fail(fmt.Errorf("livenet: party %d restore: %w", id, err))
+				net.cancel()
+				return false
+			}
+			sp.Rejoin()
+			a.restarts++
+		}
+		return true
+	}
+
+	// One timer per party, re-armed for the earliest due time whenever the
+	// party runs out of landed work.
+	var sleep *time.Timer
+	defer func() {
+		if sleep != nil {
+			sleep.Stop()
+		}
+	}()
+	for {
+		it, ok, wait := box.next(net.now())
+		if ok {
+			if !it.timer {
+				p.Deliver(it.from, it.data)
+			} else if th != nil {
+				th.OnTimer(it.tag)
+			}
+			// A busy party never reaches the blocking select below, so it
+			// polls for cancellation and supervision between items.
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if ctl != nil {
+				select {
+				case c := <-ctl:
+					if !control(c) {
+						return
+					}
+				default:
+				}
+			}
+			continue
+		}
+		var due <-chan time.Time
+		if wait >= 0 {
+			if sleep == nil {
+				sleep = time.NewTimer(wait)
+			} else {
+				sleep.Reset(wait)
+			}
+			due = sleep.C
+		}
+		select {
+		case <-done:
+			return
+		case c := <-ctl:
+			if !control(c) {
+				return
+			}
+		case <-box.wake:
+		case <-due:
+		}
 	}
 }
 
@@ -363,9 +492,6 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 	}
 	if opts.InboxDepth <= 0 {
 		opts.InboxDepth = 4096
-	}
-	if opts.SendTimeout <= 0 {
-		opts.SendTimeout = 50 * time.Millisecond
 	}
 	if opts.FlapParties > len(procs) {
 		opts.FlapParties = len(procs)
@@ -410,26 +536,12 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	net := &network{
-		opts:         opts,
-		inboxes:      make([]chan item, len(procs)),
-		timers:       make([]chan item, len(procs)),
-		ctx:          runCtx,
-		cancel:       cancel,
-		shed:         make([]atomic.Int64, len(procs)),
-		sendTimeouts: make([]atomic.Int64, len(procs)),
-		restarted:    make([]atomic.Int64, len(procs)),
-		decisions:    make(map[sim.PartyID]float64, len(procs)),
-		want:         opts.WaitFor,
-		doneCh:       make(chan struct{}),
-	}
-	for i := range net.inboxes {
-		net.inboxes[i] = make(chan item, opts.InboxDepth)
-		net.timers[i] = make(chan item, opts.InboxDepth)
-	}
+	net := newNetwork(len(procs), opts)
+	net.ctx, net.cancel = runCtx, cancel
 	if opts.RestartParties > 0 {
 		net.ctls = make([]chan ctlKind, len(procs))
 		for i := 0; i < opts.RestartParties; i++ {
+			// Room for a checkpoint and a kill with the party still busy.
 			net.ctls[i] = make(chan ctlKind, 4)
 		}
 	}
@@ -438,88 +550,10 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 	var wg sync.WaitGroup
 	for i, proc := range procs {
 		wg.Add(1)
-		go func(id sim.PartyID, p sim.Process) {
+		go func() {
 			defer wg.Done()
-			api := &liveAPI{
-				net: net,
-				id:  id,
-				rng: rand.New(rand.NewSource(opts.Seed ^ (int64(id+1) * 0x5851F42D4C957F2D))),
-			}
-			p.Init(api)
-			// A nil ctl channel blocks forever in the select, so parties
-			// outside restart supervision pay nothing for the extra case.
-			var ctl chan ctlKind
-			var sp snapshotter
-			var snap []byte
-			if net.ctls != nil && net.ctls[id] != nil {
-				ctl = net.ctls[id]
-				sp = p.(snapshotter)
-				// The post-Init state is the fallback checkpoint: a kill
-				// that outruns its checkpoint message restarts from zero,
-				// like the simulator's amnesia axis.
-				b, err := sp.Snapshot(nil)
-				if err != nil {
-					net.fail(fmt.Errorf("livenet: party %d initial checkpoint: %w", id, err))
-					net.cancel()
-					return
-				}
-				snap = b
-			}
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case c := <-ctl:
-					switch c {
-					case ctlCheckpoint:
-						b, err := sp.Snapshot(snap[:0])
-						if err != nil {
-							net.fail(fmt.Errorf("livenet: party %d checkpoint: %w", id, err))
-							net.cancel()
-							return
-						}
-						snap = b
-					case ctlKill:
-						// Crash: withdraw the decision, go dark for
-						// RestartDown (the inbox sheds behind our back),
-						// then restart from the checkpoint.
-						net.undecide(id)
-						down := time.NewTimer(opts.RestartDown)
-						select {
-						case <-runCtx.Done():
-							down.Stop()
-							return
-						case <-down.C:
-						}
-						// The dead process's socket buffers are gone:
-						// discard everything queued while it was down.
-						// Timer callbacks survive (stale tags are ignored
-						// by their handlers), so retransmit schedules keep
-						// their cadence across the restart.
-						for drained := false; !drained; {
-							select {
-							case <-net.inboxes[id]:
-							default:
-								drained = true
-							}
-						}
-						if err := sp.Restore(snap); err != nil {
-							net.fail(fmt.Errorf("livenet: party %d restore: %w", id, err))
-							net.cancel()
-							return
-						}
-						sp.Rejoin()
-						net.restarted[id].Add(1)
-					}
-				case it := <-net.timers[id]:
-					if th, ok := p.(sim.TimerHandler); ok {
-						th.OnTimer(it.tag)
-					}
-				case it := <-net.inboxes[id]:
-					p.Deliver(it.from, it.data)
-				}
-			}
-		}(sim.PartyID(i), proc)
+			net.parties[i].run(proc)
+		}()
 	}
 
 	// Restart supervision: checkpoint and kill messages land on the party's
@@ -555,18 +589,16 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 	case <-ctx.Done():
 		err = fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
 	}
-	elapsed := time.Since(net.start)
+	elapsed := net.now()
 	cancel()
 	wg.Wait()
 
+	// Every party has exited, so their counters and mailboxes are quiescent.
 	net.mu.Lock()
 	defer net.mu.Unlock()
 	res := &Result{
 		Decisions: make(map[sim.PartyID]float64, len(net.decisions)),
 		Elapsed:   elapsed,
-		Messages:  net.messages.Load(),
-		Dropped:   net.dropped.Load(),
-		Duped:     net.duped.Load(),
 	}
 	for id, v := range net.decisions {
 		res.Decisions[id] = v
@@ -576,10 +608,13 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 		if _, ok := net.decisions[id]; !ok {
 			res.Undecided = append(res.Undecided, id)
 		}
-		shed, timedOut := net.shed[i].Load(), net.sendTimeouts[i].Load()
+		a := &net.parties[i]
+		res.Messages += a.messages
+		res.Dropped += a.dropped
+		res.Duped += a.duped
+		shed := net.boxes[i].shed
 		res.Shed += shed
-		res.SendTimeouts += timedOut
-		degraded := shed > 0 || timedOut > 0
+		degraded := shed > 0
 		if rel != nil {
 			ts := rel[i].TransportStats()
 			res.Transport.DataSent += ts.DataSent
@@ -597,8 +632,8 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 		if degraded {
 			res.Degraded = append(res.Degraded, id)
 		}
-		if r := net.restarted[i].Load(); r > 0 {
-			res.Restarts += r
+		if a.restarts > 0 {
+			res.Restarts += a.restarts
 			res.Restarted = append(res.Restarted, id)
 		}
 	}

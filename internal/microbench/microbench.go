@@ -5,10 +5,14 @@
 package microbench
 
 import (
+	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/livenet"
 	"repro/internal/multiset"
 	"repro/internal/rbc"
 	"repro/internal/scenario"
@@ -55,7 +59,47 @@ func Cases() []Case {
 		{"shardedtick/s1", func(b *testing.B) { ShardedTick(b, 1) }},
 		{"shardedtick/s4", func(b *testing.B) { ShardedTick(b, 4) }},
 		{"harness/run-reused", RunReused},
+		{"livenet/run-n32", LiveRun},
 	}
+}
+
+// LiveRun measures one whole run on the goroutine runtime: crash protocol,
+// n=32 t=10, every message held for a uniform draw from [0, 200 µs), party
+// construction included (livenet has no recycled form). A run is ~10 240
+// messages, so besides ns/op and allocs/op it reports ns/msg and
+// allocs/msg — the units the simulator rows are quoted in. ns/msg is wall
+// time: at this size the run is processor-bound, but a round can never
+// finish faster than its jitter draws allow.
+func LiveRun(b *testing.B) {
+	const n = 32
+	p := core.Params{Protocol: core.ProtoCrash, N: n, T: 10, Eps: 1e-3, Lo: 0, Hi: 1}
+	inputs := harness.UniformInputs(n, 0, 1, 17)
+	procs := make([]sim.Process, n)
+	var msgs int64
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range procs {
+			proc, err := core.NewAsyncAA(p, inputs[j])
+			if err != nil {
+				b.Fatal(err)
+			}
+			procs[j] = proc
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		res, err := livenet.Run(ctx, procs, livenet.Options{MaxJitter: 200 * time.Microsecond, Seed: int64(i)})
+		cancel()
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs += res.Messages
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs), "allocs/msg")
 }
 
 // stormProc is a protocol-free message storm: every delivery triggers one

@@ -24,9 +24,9 @@ const (
 	// service time so overload behaves like overload.
 	BackendSim Backend = iota
 	// BackendLive runs each instance as real goroutine parties over
-	// internal/livenet channels; the instance's own wall-clock duration is
+	// internal/livenet mailboxes; the instance's own wall-clock duration is
 	// its service time, and the request deadline propagates into the
-	// context deadline and livenet's SendTimeout.
+	// run's context deadline.
 	BackendLive
 )
 
@@ -278,7 +278,7 @@ func runSimAttempt(cfg Config, lc LiveConfig, scen scenario.Spec, p *pending, st
 }
 
 // runLiveAttempt runs the instance as real goroutine parties over livenet,
-// propagating the request deadline into the run context and SendTimeout.
+// propagating the request deadline into the run context.
 func runLiveAttempt(cfg Config, lc LiveConfig, p *pending, start time.Time) (bool, bool, int64, error) {
 	inputs := harness.UniformInputs(cfg.N, cfg.Lo, cfg.Hi, p.seed)
 	procs := make([]sim.Process, cfg.N)
@@ -290,16 +290,8 @@ func runLiveAttempt(cfg Config, lc LiveConfig, p *pending, start time.Time) (boo
 		procs[i] = proc
 	}
 	deadline := start.Add(time.Duration(p.absDeadline()) * lc.TickDur)
-	remaining := time.Until(deadline)
-	if remaining <= 0 {
+	if time.Until(deadline) <= 0 {
 		return false, false, 0, nil
-	}
-	// SendTimeout gets a quarter of the remaining budget: a request with
-	// little deadline left abandons contended sends quickly instead of
-	// burning its budget blocked on a full inbox.
-	st := remaining / 4
-	if st < time.Millisecond {
-		st = time.Millisecond
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
@@ -307,7 +299,6 @@ func runLiveAttempt(cfg Config, lc LiveConfig, p *pending, start time.Time) (boo
 		MaxJitter:      lc.MaxJitter,
 		Tick:           lc.ProtoTick,
 		Seed:           p.seed,
-		SendTimeout:    st,
 		Loss:           lc.Loss,
 		Dup:            lc.Dup,
 		FlapParties:    lc.FlapParties,
