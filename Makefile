@@ -24,10 +24,13 @@ race:
 
 # benchmark-check keeps the frozen benchmark honest on every PR: its own
 # tests (metric selection, seam transparency, golden statistics,
-# BENCHMARK.json against the program), then a two-second untraced pass of
-# the two wall-clock workloads, which fails on any incorrect outcome.
+# BENCHMARK.json against the program), a one-second untraced pass of the
+# four simulated workloads at the golden seed, whose statistics must match
+# golden.json, then a two-second untraced pass of the two wall-clock
+# workloads. Any incorrect outcome fails the target.
 benchmark-check:
 	cd benchmark && $(GO) test .
+	bash benchmark/run.sh -workload sim-scale,sim-witness,sim-lossy,sweep-small -seed 1 -reps 1 -seconds 1 -notrace
 	bash benchmark/run.sh -workload live,serve -reps 1 -seconds 2 -notrace
 
 # bench regenerates the committed benchmark snapshot. Seeds are kept small

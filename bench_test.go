@@ -1,5 +1,5 @@
 // Benchmark harness: one benchmark per evaluation artifact (experiments
-// E1–E14 in DESIGN.md — every table and figure), plus micro-benchmarks of
+// E1–E15 in DESIGN.md — every table and figure), plus micro-benchmarks of
 // the substrates. Each experiment benchmark regenerates its table per
 // iteration; run with -v to see a rendered table. cmd/aabench prints all
 // tables with more seeds.

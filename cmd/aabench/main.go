@@ -1,4 +1,4 @@
-// Command aabench regenerates every evaluation artifact (experiments E1–E13
+// Command aabench regenerates every evaluation artifact (experiments E1–E15
 // in DESIGN.md) and prints them as aligned tables, optionally also writing
 // CSV files and a machine-readable benchmark snapshot. This is the
 // one-command reproduction of the paper's claims; EXPERIMENTS.md records a
@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	aabench [-seeds N] [-only E4] [-csv DIR] [-parallel N] [-shards N] [-core calendar|heap] [-batch on|off] [-xl] [-json FILE] [-micro=false]
+//	aabench [-seeds N] [-only E4] [-csv DIR] [-parallel N] [-shards N] [-core calendar|heap] [-batch on|off] [-xl] [-json FILE] [-micro=false] [-cpuprofile FILE] [-memprofile FILE]
 //	aabench -compare OLD.json NEW.json
 //
 // Experiments run on the parallel engine (internal/harness worker pool) by
@@ -22,6 +22,9 @@
 // committed full snapshots carry its rows. Every run executes on a recycled
 // harness run context, so per-run state construction is off the measured
 // path (see PERF.md "Run-context recycling").
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles of
+// the whole run (experiments and micro-benchmarks), for `go tool pprof`.
 //
 // -compare diffs two BENCH_*.json snapshots: a per-experiment delta table
 // (ns/run, msgs/run, bytes/run) and a per-micro delta table (ns/op,
@@ -42,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"text/tabwriter"
@@ -108,7 +112,7 @@ type microBench struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("aabench", flag.ContinueOnError)
 	seeds := fs.Int("seeds", 3, "seeds per configuration")
 	only := fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
@@ -121,6 +125,8 @@ func run(args []string) error {
 	jsonPath := fs.String("json", "", "file to write a BENCH_*.json benchmark snapshot into")
 	micro := fs.Bool("micro", true, "include the micro-benchmarks in the -json snapshot (disable for fast CI smoke runs)")
 	compareMode := fs.Bool("compare", false, "compare two BENCH_*.json snapshots (args: OLD.json NEW.json) instead of running; exits non-zero when msgs/bytes per run drift")
+	cpuProfile := fs.String("cpuprofile", "", "file to write a CPU profile of the run into")
+	memProfile := fs.String("memprofile", "", "file to write a heap profile into when the run ends")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -129,6 +135,23 @@ func run(args []string) error {
 			return errors.New("-compare needs exactly two snapshot files: OLD.json NEW.json")
 		}
 		return compare(os.Stdout, fs.Arg(0), fs.Arg(1))
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
+	}
+	if *memProfile != "" {
+		defer func() { err = errors.Join(err, writeHeapProfile(*memProfile)) }()
 	}
 	harness.SetParallelism(*parallel)
 	defer harness.SetParallelism(0)
@@ -246,6 +269,16 @@ func run(args []string) error {
 		return err
 	}
 	return os.WriteFile(*jsonPath, append(data, '\n'), 0o644)
+}
+
+// writeHeapProfile writes a heap profile of the live objects after a GC.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	return errors.Join(pprof.WriteHeapProfile(f), f.Close())
 }
 
 func perRun(total float64, runs int64) float64 {

@@ -221,3 +221,24 @@ func TestRunUnknownExperimentIsSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	if err := run([]string{"-seeds", "1", "-only", "E3", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(path))
+		}
+	}
+	if err := run([]string{"-only", "E99", "-cpuprofile", filepath.Join(dir, "missing", "cpu.pprof")}); err == nil {
+		t.Error("unwritable -cpuprofile path accepted")
+	}
+}

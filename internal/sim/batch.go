@@ -352,19 +352,15 @@ func (n *Network) runTickUnbatched(batch []event, events *int, budget int) error
 
 // flushPending schedules the tick's deferred ops: Seq assignment,
 // scheduler delay draws, honest-delay tracking, and queue pushes happen
-// here, in trigger order (a stable in-place sort — multicast coalescing
-// keeps the op count proportional to protocol actions, so a comparison
-// sort stays cheap), which makes the Seq and rng streams identical to the
-// unbatched loop's. Ops with trig > maxTrig were triggered after the
-// run-completing event: the unbatched loop never reached them, so they are
-// dropped and their send-time stats backed out.
+// here, in trigger order (see sortPend), which makes the Seq and rng
+// streams identical to the unbatched loop's. Ops with trig > maxTrig were
+// triggered after the run-completing event: the unbatched loop never
+// reached them, so they are dropped and their send-time stats backed out.
 func (n *Network) flushPending(maxTrig int32) {
 	if len(n.pend) == 0 {
 		return
 	}
-	slices.SortStableFunc(n.pend, func(a, b pendingOp) int {
-		return int(a.trig) - int(b.trig)
-	})
+	n.sortPend()
 	for i := range n.pend {
 		op := &n.pend[i]
 		if op.trig > maxTrig {
@@ -405,6 +401,44 @@ func (n *Network) flushPending(maxTrig int32) {
 		op.data = nil
 	}
 	n.pend = n.pend[:0]
+}
+
+// sortPend orders n.pend by trigger, stably. Triggers index the tick's
+// batch, so a counting sort over [0, max trig] is linear in the tick. Each
+// party's ops arrive in trigger order and parties are concatenated one
+// after another, so the list is already sorted whenever each party's
+// triggers follow the previous party's (always, with one receiving party);
+// it is then left as it is.
+func (n *Network) sortPend() {
+	maxTrig, sorted := int32(0), true
+	for i := range n.pend {
+		if k := n.pend[i].trig; k < maxTrig {
+			sorted = false
+		} else {
+			maxTrig = k
+		}
+	}
+	if sorted {
+		return
+	}
+	count := slices.Grow(n.pendCount[:0], int(maxTrig)+1)[:maxTrig+1]
+	clear(count)
+	for i := range n.pend {
+		count[n.pend[i].trig]++
+	}
+	pos := int32(0)
+	for k, c := range count {
+		count[k] = pos
+		pos += c
+	}
+	out := slices.Grow(n.pendSorted[:0], len(n.pend))[:len(n.pend)]
+	for i := range n.pend {
+		op := &n.pend[i]
+		out[count[op.trig]] = *op
+		count[op.trig]++
+	}
+	clear(n.pend) // the ops live on in out; drop the duplicate payload references
+	n.pend, n.pendSorted, n.pendCount = out, n.pend[:0], count
 }
 
 // scheduleSend assigns the next Seq, draws the scheduler decision, and

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -305,5 +306,72 @@ func TestBatchPartialConsumerDrained(t *testing.T) {
 	}
 	if res.Stats.MessagesDelivered != n*n {
 		t.Fatalf("MessagesDelivered = %d, want %d", res.Stats.MessagesDelivered, n*n)
+	}
+}
+
+// TestFlushPendingOrder pins the flush's trigger sort against the stable
+// comparison sort it replaces: per-party runs of ascending triggers
+// interleaved the way shard workers concatenate them, plus ops triggered
+// past the completion point, which the flush must drop.
+func TestFlushPendingOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 20; round++ {
+		net, _ := newEchoNet(t, 8, nil)
+		const tick = 64
+		var ops []pendingOp
+		for p := PartyID(0); p < 8; p++ {
+			// Each party's ops come out in ascending trigger order, with
+			// several ops sharing a trigger.
+			trig := int32(rng.Intn(8))
+			for k := rng.Intn(12); k > 0 && trig < tick; k-- {
+				op := pendingOp{from: p, to: PartyID(rng.Intn(8)), trig: trig, data: []byte{byte(len(ops))}}
+				if rng.Intn(4) == 0 {
+					op = pendingOp{from: p, trig: trig, timer: true, delay: 5, tag: uint64(len(ops))}
+				}
+				ops = append(ops, op)
+				trig += int32(rng.Intn(3)) * int32(rng.Intn(6))
+			}
+		}
+		if round == 0 {
+			slices.SortFunc(ops, func(a, b pendingOp) int { return int(a.trig) - int(b.trig) })
+		}
+		want := slices.Clone(ops)
+		slices.SortStableFunc(want, func(a, b pendingOp) int { return int(a.trig) - int(b.trig) })
+		maxTrig := int32(tick)
+		if round%2 == 1 {
+			maxTrig = int32(rng.Intn(tick))
+		}
+		net.pend = append(net.pend[:0], ops...)
+		net.flushPending(maxTrig)
+		if len(net.pend) != 0 {
+			t.Fatalf("round %d: %d ops left pending", round, len(net.pend))
+		}
+		var got []event
+		for net.queue.Len() > 0 {
+			got = net.queue.PopTick(got)
+		}
+		i := 0
+		for _, op := range want {
+			if op.trig > maxTrig {
+				continue
+			}
+			if i == len(got) {
+				t.Fatalf("round %d: %d events flushed, want more", round, len(got))
+			}
+			ev := got[i]
+			same := ev.timer == op.timer && ev.env.From == op.from
+			if op.timer {
+				same = same && ev.tag == op.tag
+			} else {
+				same = same && ev.env.To == op.to && ev.env.Data[0] == op.data[0]
+			}
+			if !same {
+				t.Fatalf("round %d: flushed event %d is %+v, want op %+v", round, i, ev, op)
+			}
+			i++
+		}
+		if i != len(got) {
+			t.Fatalf("round %d: %d events flushed, want %d", round, len(got), i)
+		}
 	}
 }

@@ -3,11 +3,15 @@ package sim
 import "math/bits"
 
 // calendarQueue is the simulator's default event core: a timing wheel of
-// one-tick buckets over the near future, an overflow min-heap for events
-// beyond the wheel horizon, and a flat event arena recycled through a free
-// list. Push and PopTick are amortized O(1) per event, versus the binary
-// heap's O(log M) — the difference is the dominant cost of large-n sweeps,
-// where M (messages in flight) grows with n².
+// one-tick buckets over the near future and an overflow min-heap for events
+// beyond the wheel horizon. Each bucket is a chain of fixed-size event
+// chunks: Push writes the event once into the tail chunk of its bucket, and
+// PopTick appends each chunk of the tick to the caller's buffer with one
+// bulk copy before returning the chunks to a free list. Both paths walk
+// memory sequentially, and a fixed chunk size fits any bucket, so recycled
+// chunks serve sparse and dense ticks alike. Push and PopTick are amortized
+// O(1) per event, versus the binary heap's O(log M) — the difference is the
+// dominant cost of large-n sweeps, where M (messages in flight) grows with n².
 //
 // Ordering invariant. Deliveries must happen in strict (at, Seq) order,
 // and Seq is assigned monotonically at push time, so a bucket's FIFO chain
@@ -26,24 +30,27 @@ const (
 	// bigger — up to MaxDelayCap — overflows to the heap.
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
+
+	// chunkEvents is the bucket chunk capacity (10 KB of 80-byte events).
+	chunkEvents = 128
 )
 
-// calNode is one arena slot: an event plus its intrusive bucket-chain link.
-type calNode struct {
-	ev   event
-	next int32
+// calChunk is one link of a bucket chain: ev[:n] in push order.
+type calChunk struct {
+	ev   [chunkEvents]event
+	n    int
+	next *calChunk
 }
 
-// calBucket is a FIFO chain of arena indices; -1 means empty.
+// calBucket is a FIFO chain of chunks; nil when empty.
 type calBucket struct {
-	head, tail int32
+	head, tail *calChunk
 }
 
 type calendarQueue struct {
-	arena    []calNode
-	freeHead int32 // free-list head into arena; -1 when exhausted
 	wheel    [wheelSize]calBucket
 	occupied [wheelSize / 64]uint64 // one bit per non-empty bucket
+	free     *calChunk              // recycled chunks, linked through next
 	// base is the earliest tick the wheel window [base, base+wheelSize)
 	// can hold. It only advances within a run; Reset rewinds it to 0.
 	base     Time
@@ -51,54 +58,38 @@ type calendarQueue struct {
 	overflow eventHeap
 }
 
-func newCalendarQueue() *calendarQueue {
-	q := &calendarQueue{freeHead: -1}
-	for i := range q.wheel {
-		q.wheel[i] = calBucket{head: -1, tail: -1}
-	}
-	return q
-}
+func newCalendarQueue() *calendarQueue { return &calendarQueue{} }
 
 // Len implements eventQueue.
 func (q *calendarQueue) Len() int { return q.inWheel + q.overflow.Len() }
 
-// alloc takes a node from the free list (or grows the arena) and stores e.
-func (q *calendarQueue) alloc(e event) int32 {
-	if q.freeHead >= 0 {
-		idx := q.freeHead
-		q.freeHead = q.arena[idx].next
-		q.arena[idx] = calNode{ev: e, next: -1}
-		return idx
+// release empties a bucket's chain onto the free list, dropping the payload
+// references its events hold.
+func (q *calendarQueue) release(b *calBucket) {
+	for c := b.head; c != nil; {
+		next := c.next
+		clear(c.ev[:c.n])
+		c.n, c.next = 0, q.free
+		q.free = c
+		c = next
 	}
-	q.arena = append(q.arena, calNode{ev: e, next: -1})
-	return int32(len(q.arena) - 1)
+	b.head, b.tail = nil, nil
 }
 
 // Reset implements eventQueue: it empties the wheel and overflow heap and
-// rewinds the window to tick zero, keeping the arena (and its free list)
-// for the next run. Cost is O(events still pending), not O(arena): only
-// the occupied buckets — found through the occupancy bitmap — are walked,
-// their nodes freed and payload references dropped, so a context recycled
-// from a large-n run resets in constant time for small-n runs. Free-list
-// order after a reset differs from a fresh queue's, but arena indices are
-// invisible to delivery order (buckets chain FIFO and ties break on Seq),
-// so the two are observably identical.
+// rewinds the window to tick zero, keeping every chunk on the free list for
+// the next run. Cost is O(events still pending), not O(chunks): only the
+// occupied buckets — found through the occupancy bitmap — are released, so
+// a context recycled from a large-n run resets in constant time for small-n
+// runs. Which chunk backs which bucket is invisible to delivery order, so a
+// reset queue and a fresh one are observably identical.
 func (q *calendarQueue) Reset() {
 	if q.inWheel > 0 {
 		for wi, word := range q.occupied {
 			for word != 0 {
 				slot := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				b := &q.wheel[slot]
-				for idx := b.head; idx >= 0; {
-					n := &q.arena[idx]
-					next := n.next
-					n.ev = event{}
-					n.next = q.freeHead
-					q.freeHead = idx
-					idx = next
-				}
-				b.head, b.tail = -1, -1
+				q.release(&q.wheel[slot])
 			}
 			q.occupied[wi] = 0
 		}
@@ -114,21 +105,32 @@ func (q *calendarQueue) Push(e event) {
 		q.overflow.Push(e)
 		return
 	}
-	q.insert(e)
+	q.insert(&e)
 }
 
-// insert appends e to its wheel bucket. e.at must lie inside the window.
-func (q *calendarQueue) insert(e event) {
-	idx := q.alloc(e)
+// insert appends *e to its wheel bucket. e.at must lie inside the window.
+func (q *calendarQueue) insert(e *event) {
 	slot := int(e.at) & wheelMask
 	b := &q.wheel[slot]
-	if b.tail >= 0 {
-		q.arena[b.tail].next = idx
-	} else {
-		b.head = idx
-		q.occupied[slot>>6] |= 1 << uint(slot&63)
+	c := b.tail
+	if c == nil || c.n == chunkEvents {
+		c = q.free
+		if c != nil {
+			q.free = c.next
+			c.next = nil
+		} else {
+			c = new(calChunk)
+		}
+		if b.tail == nil {
+			b.head = c
+			q.occupied[slot>>6] |= 1 << uint(slot&63)
+		} else {
+			b.tail.next = c
+		}
+		b.tail = c
 	}
-	b.tail = idx
+	c.ev[c.n] = *e
+	c.n++
 	q.inWheel++
 }
 
@@ -137,7 +139,8 @@ func (q *calendarQueue) insert(e event) {
 // Seq-ordered (see the ordering invariant above).
 func (q *calendarQueue) drainOverflow() {
 	for q.overflow.Len() > 0 && q.overflow.items[0].at < q.base+wheelSize {
-		q.insert(q.overflow.Pop())
+		e := q.overflow.Pop()
+		q.insert(&e)
 	}
 }
 
@@ -177,17 +180,11 @@ func (q *calendarQueue) PopTick(buf []event) []event {
 	q.drainOverflow()
 	slot := int(t) & wheelMask
 	b := &q.wheel[slot]
-	for idx := b.head; idx >= 0; {
-		n := &q.arena[idx]
-		buf = append(buf, n.ev)
-		next := n.next
-		n.ev = event{} // release the payload reference to the GC
-		n.next = q.freeHead
-		q.freeHead = idx
-		idx = next
-		q.inWheel--
+	for c := b.head; c != nil; c = c.next {
+		buf = append(buf, c.ev[:c.n]...)
+		q.inWheel -= c.n
 	}
-	b.head, b.tail = -1, -1
+	q.release(b)
 	q.occupied[slot>>6] &^= 1 << uint(slot&63)
 	return buf
 }

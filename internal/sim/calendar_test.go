@@ -106,26 +106,102 @@ func TestCalendarSameTickFIFO(t *testing.T) {
 	}
 }
 
-// TestCalendarArenaRecycles pins the free list: pushing and popping in
-// waves must not grow the arena past the high-water mark of live events.
-func TestCalendarArenaRecycles(t *testing.T) {
+// chunkCounts returns the chunks live in wheel buckets and the chunks on
+// the free list.
+func chunkCounts(q *calendarQueue) (live, free int) {
+	for i := range q.wheel {
+		for c := q.wheel[i].head; c != nil; c = c.next {
+			live++
+		}
+	}
+	for c := q.free; c != nil; c = c.next {
+		free++
+	}
+	return live, free
+}
+
+// TestCalendarChunksRecycle pins the chunk free list: pushing and popping in
+// waves must not allocate more chunks than the high-water mark of chunks
+// live at once.
+func TestCalendarChunksRecycle(t *testing.T) {
 	q := newCalendarQueue()
 	seq := uint64(0)
 	now := Time(0)
+	highWater := 0
 	for wave := 0; wave < 50; wave++ {
-		for i := 0; i < 40; i++ {
+		// Dense ticks (several chunks each) next to sparse ones, with the
+		// spread changing per wave so buckets land on different slots.
+		for i := 0; i < 600; i++ {
 			seq++
-			q.Push(event{at: now + 1 + Time(i%5), env: Envelope{Seq: seq}})
+			q.Push(event{at: now + 1 + Time(i%(2+wave%7)), env: Envelope{Seq: seq}})
 		}
+		live, _ := chunkCounts(q)
+		highWater = max(highWater, live)
 		var buf []event
 		for q.Len() > 0 {
 			buf = q.PopTick(buf[:0])
 			now = buf[0].at
 		}
+		live, free := chunkCounts(q)
+		if live != 0 {
+			t.Fatalf("wave %d: %d chunks still in the wheel after draining", wave, live)
+		}
+		if free > highWater {
+			t.Fatalf("wave %d: %d chunks allocated, high-water mark of live chunks is %d", wave, free, highWater)
+		}
 	}
-	if len(q.arena) > 40 {
-		t.Fatalf("arena grew to %d nodes for 40 concurrent events", len(q.arena))
+}
+
+// TestCalendarMultiChunkTickAndMigration pins the chunk boundaries against
+// the heap core: one tick spanning more than three chunks, and overflow
+// events migrating into a bucket whose tail chunk is partly filled.
+func TestCalendarMultiChunkTickAndMigration(t *testing.T) {
+	h := eventQueue(&eventHeap{})
+	c := newCalendarQueue()
+	seq := uint64(0)
+	push := func(at Time) {
+		seq++
+		e := event{at: at, env: Envelope{Seq: seq}}
+		h.Push(e)
+		c.Push(e)
 	}
+	// Far-future events for tick wheelSize+5, pushed first so they are the
+	// older ones: they sit in the overflow heap until the window reaches
+	// them, behind nothing.
+	for i := 0; i < chunkEvents/2; i++ {
+		push(wheelSize + 5)
+	}
+	// One dense tick spanning 3.5 chunks.
+	for i := 0; i < 3*chunkEvents+chunkEvents/2; i++ {
+		push(3)
+	}
+	if live, _ := chunkCounts(c); live != 4 {
+		t.Fatalf("dense tick occupies %d chunks, want 4", live)
+	}
+	// Popping tick 3 moves the window to [3, wheelSize+3): the far events
+	// are still out of reach. A push at tick 10 makes the next pop advance
+	// the window past wheelSize+5, migrating them into their bucket, whose
+	// tail chunk then takes more direct pushes until it spills over.
+	hb := h.PopTick(nil)
+	cb := c.PopTick(nil)
+	if len(hb) != len(cb) || len(cb) != 3*chunkEvents+chunkEvents/2 {
+		t.Fatalf("dense tick: heap %d, calendar %d events", len(hb), len(cb))
+	}
+	for i := range hb {
+		if hb[i].env.Seq != cb[i].env.Seq {
+			t.Fatalf("dense tick[%d]: heap seq %d, calendar seq %d", i, hb[i].env.Seq, cb[i].env.Seq)
+		}
+	}
+	push(10)
+	h.PopTick(nil)
+	c.PopTick(nil)
+	if c.overflow.Len() != 0 {
+		t.Fatalf("overflow holds %d events after the window passed them", c.overflow.Len())
+	}
+	for i := 0; i < chunkEvents; i++ {
+		push(wheelSize + 5)
+	}
+	drainCompare(t, h, c)
 }
 
 // TestNetworkCoresAgree runs the same echo execution on both cores and

@@ -150,6 +150,9 @@ type Network struct {
 	shards    int            // resolved worker count for this run
 	ws        []*shardWorker // worker fleet; only ws[:shards] run a tick
 	shardWG   *sync.WaitGroup
+	// pendSorted and pendCount are flushPending's counting-sort scratch.
+	pendSorted []pendingOp
+	pendCount  []int32
 
 	maxHonestDelay Time
 	pendingHonest  int // honest parties that have not decided yet
