@@ -1,8 +1,8 @@
 # Developer entry points. `make check` is the tier-1 gate (build + vet +
 # tests); `make bench` refreshes the current BENCH_*.json performance
 # snapshot at the repo root and `make bench-compare` diffs it against the
-# previous one; `make race` exercises the parallel experiment engine, the
-# sharded tick path and the goroutine runtime under the race detector;
+# previous one; `make race` exercises the parallel experiment engine and
+# the goroutine runtime under the race detector;
 # `make benchmark-check` compiles and smoke-runs the repository benchmark
 # (benchmark/, a module of its own that `make check` does not see).
 
@@ -19,7 +19,6 @@ check:
 
 race:
 	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestRunContext' ./internal/harness/
-	$(GO) test -race -run 'TestShard' ./internal/sim/
 	$(GO) test -race ./internal/livenet/
 
 # benchmark-check keeps the frozen benchmark honest on every PR: its own
@@ -63,9 +62,9 @@ bench-smoke-refresh:
 e12-smoke:
 	E12_LARGE_SMOKE=1 $(GO) test -run TestE12LargeN512Smoke -v -timeout 20m ./internal/harness/
 
-# e12-xl exercises the n=1024 scale axis the intra-run sharding layer
-# unlocks: the reduced E12-XL slice (E12XLSizes([]int{1024})) at shards=4,
-# ~10M messages per fault-free run, asserting full invariant success.
+# e12-xl exercises the n=1024 scale axis: the reduced E12-XL slice
+# (E12XLSizes([]int{1024})), ~10M messages per fault-free run, asserting
+# full invariant success.
 # The full n=4096 sweep lives in the committed BENCH snapshot (aabench -xl).
 e12-xl:
 	E12_XL_SMOKE=1 $(GO) test -run TestE12XL1024Smoke -v -timeout 30m ./internal/harness/
@@ -114,4 +113,4 @@ serve-soak:
 # benchmem runs the substrate micro-benchmarks with allocation accounting,
 # the numbers PERF.md tracks.
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkApproxFuncs|BenchmarkContractionSearch|BenchmarkWire|BenchmarkSimLoop|BenchmarkScenarioE12|BenchmarkRunReused|BenchmarkShardedTick|BenchmarkLiveRun' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkApproxFuncs|BenchmarkContractionSearch|BenchmarkWire|BenchmarkSimLoop|BenchmarkScenarioE12|BenchmarkRunReused|BenchmarkLiveRun' -benchmem .

@@ -284,14 +284,3 @@ func BenchmarkRunReused(b *testing.B) {
 func BenchmarkLiveRun(b *testing.B) {
 	microbench.LiveRun(b)
 }
-
-// BenchmarkShardedTick measures the sharded tick-execution path A/B — the
-// same dense-tick crash run at shards=1 (sequential reference) and
-// shards=4 (partitioned workers + barrier merge). On a single-core host
-// the s4 number reports the merge overhead; the wall-clock win needs
-// GOMAXPROCS > 1 (shared with the snapshot as "shardedtick/s1" and
-// "shardedtick/s4").
-func BenchmarkShardedTick(b *testing.B) {
-	b.Run("s1", func(b *testing.B) { microbench.ShardedTick(b, 1) })
-	b.Run("s4", func(b *testing.B) { microbench.ShardedTick(b, 4) })
-}

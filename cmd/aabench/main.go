@@ -7,18 +7,15 @@
 //
 // Usage:
 //
-//	aabench [-seeds N] [-only E4] [-csv DIR] [-parallel N] [-shards N] [-core calendar|heap] [-batch on|off] [-xl] [-json FILE] [-micro=false] [-cpuprofile FILE] [-memprofile FILE]
+//	aabench [-seeds N] [-only E4] [-csv DIR] [-parallel N] [-core calendar|heap] [-batch on|off] [-xl] [-json FILE] [-micro=false] [-cpuprofile FILE] [-memprofile FILE]
 //	aabench -compare OLD.json NEW.json
 //
 // Experiments run on the parallel engine (internal/harness worker pool) by
 // default, fanning independent simulation runs across GOMAXPROCS cores;
 // -parallel 1 forces the sequential path (the rendered tables are identical
-// by construction — the determinism tests pin this). -shards controls the
-// second parallelism axis, intra-run sharding (sim.Config.Shards): 0 (the
-// default) auto-sizes per run, 1 forces the sequential reference path, and
-// any count produces identical tables (the shard equivalence tests pin
-// this). -xl appends the E12-XL sharded scaling slice (n ∈ {1024, 4096}) to
-// the experiment set — hours of sequential work, so it is opt-in and the
+// by construction — the determinism tests pin this). Each run itself is
+// single-threaded. -xl appends the E12-XL large-n scaling slice (n ∈ {1024,
+// 4096}) to the experiment set — hours of work, so it is opt-in and the
 // committed full snapshots carry its rows. Every run executes on a recycled
 // harness run context, so per-run state construction is off the measured
 // path (see PERF.md "Run-context recycling").
@@ -73,7 +70,6 @@ type snapshot struct {
 	GoVersion   string       `json:"go"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	Parallelism int          `json:"parallelism"`
-	Shards      int          `json:"shards"`
 	Core        string       `json:"core,omitempty"`
 	Batch       string       `json:"batch,omitempty"`
 	Seeds       int          `json:"seeds"`
@@ -118,10 +114,9 @@ func run(args []string) (err error) {
 	only := fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
 	csvDir := fs.String("csv", "", "directory to also write CSV tables into")
 	parallel := fs.Int("parallel", 0, "engine worker count (0 = GOMAXPROCS, 1 = sequential)")
-	shards := fs.Int("shards", 0, "intra-run shard count per simulation (0 = auto, 1 = sequential reference path)")
 	coreName := fs.String("core", "", "simulator event core: calendar | heap (default: the build's default core)")
 	batchName := fs.String("batch", "", "tick delivery mode: on (batched, the default) | off (per-envelope reference loop)")
-	xl := fs.Bool("xl", false, "append the E12-XL sharded scaling slice (n in {1024, 4096}) to the experiment set")
+	xl := fs.Bool("xl", false, "append the E12-XL large-n scaling slice (n in {1024, 4096}) to the experiment set")
 	jsonPath := fs.String("json", "", "file to write a BENCH_*.json benchmark snapshot into")
 	micro := fs.Bool("micro", true, "include the micro-benchmarks in the -json snapshot (disable for fast CI smoke runs)")
 	compareMode := fs.Bool("compare", false, "compare two BENCH_*.json snapshots (args: OLD.json NEW.json) instead of running; exits non-zero when msgs/bytes per run drift")
@@ -155,11 +150,6 @@ func run(args []string) (err error) {
 	}
 	harness.SetParallelism(*parallel)
 	defer harness.SetParallelism(0)
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d: want >= 0 (0 = auto)", *shards)
-	}
-	harness.SetSharding(*shards)
-	defer harness.SetSharding(0)
 	switch *coreName {
 	case "":
 	case "calendar":
@@ -196,7 +186,6 @@ func run(args []string) (err error) {
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Parallelism: harness.Parallelism(),
-		Shards:      harness.Sharding(),
 		Core:        harness.EventCore().Resolve().String(),
 		Batch:       harness.Batching().Resolve().String(),
 		Seeds:       *seeds,
@@ -213,7 +202,7 @@ func run(args []string) (err error) {
 	if *xl {
 		exps = append(exps, harness.Experiment{
 			ID:    "E12XL",
-			Title: "Sharded large-n scaling slice",
+			Title: "Large-n scaling slice",
 			Run:   harness.E12XL,
 		})
 	}
@@ -317,8 +306,8 @@ func compare(w io.Writer, oldPath, newPath string) error {
 		oldPath, oldSnap.GoVersion, oldSnap.Seeds, oldSnap.Parallelism,
 		newPath, newSnap.GoVersion, newSnap.Seeds, newSnap.Parallelism)
 	if oldSnap.Seeds != newSnap.Seeds || oldSnap.Parallelism != newSnap.Parallelism ||
-		oldSnap.GOMAXPROCS != newSnap.GOMAXPROCS || oldSnap.Shards != newSnap.Shards {
-		fmt.Fprintln(w, "warning: seeds/parallelism/shards/gomaxprocs differ; per-run ratios may not be comparable")
+		oldSnap.GOMAXPROCS != newSnap.GOMAXPROCS {
+		fmt.Fprintln(w, "warning: seeds/parallelism/gomaxprocs differ; per-run ratios may not be comparable")
 	}
 
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)

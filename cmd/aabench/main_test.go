@@ -178,6 +178,29 @@ func TestCompareFlagsTrafficDrift(t *testing.T) {
 	}
 }
 
+// TestReadCommittedSnapshots pins that the committed baselines still load:
+// they carry keys the schema no longer has (the retired "shards" field),
+// which decoding must ignore.
+func TestReadCommittedSnapshots(t *testing.T) {
+	for _, name := range []string{"BENCH_8.json", "BENCH_SMOKE.json"} {
+		path := filepath.Join("..", "..", name)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(raw), `"shards"`) {
+			t.Errorf("%s no longer carries a \"shards\" key; this test no longer covers it", name)
+		}
+		s, err := readSnapshot(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(s.Experiments) == 0 {
+			t.Errorf("%s: no experiments decoded", name)
+		}
+	}
+}
+
 func TestRunJSONSnapshot(t *testing.T) {
 	// Stub the micro-benchmark runner: testing.Benchmark calibrates for
 	// about a second per case, which this shape check does not need.

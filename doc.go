@@ -33,28 +33,14 @@
 // sends emitted mid-tick are deferred and flushed in trigger order so the
 // batched loop's Seq and scheduler-rng streams are exactly the
 // per-envelope loop's. The heap remains as the reference core behind
-// sim.Config.Core (build default switchable with `-tags simheap`) and the
-// per-envelope loop as the reference delivery mode behind
-// sim.Config.Batch; equivalence tests pin event-for-event identical
-// delivery traces and byte-identical experiment tables across both
-// switches, and cmd/aabench -core / -batch benchmark them against each
-// other.
+// sim.Config.Core and the per-envelope loop as the reference delivery
+// mode behind sim.Config.Batch; equivalence tests pin event-for-event
+// identical delivery traces and byte-identical experiment tables across
+// both switches, and cmd/aabench -core / -batch benchmark them against
+// each other.
 //
-// Within a batched tick the destination groups are independent work
-// units, and internal/sim shards them: parties partition into S
-// contiguous shards (sim.Config.Shards / harness.SetSharding / aabench
-// -shards; auto picks min(GOMAXPROCS, n/128)) and S workers drain their
-// shard's groups concurrently, each staging sends, timers, decisions,
-// stats, and payload snapshots into worker-local state. A tick-end
-// barrier merges the per-worker op lists by global trigger index and
-// feeds the same stable trigger-ordered flush, so Seq assignment,
-// scheduler-rng draws, and fate decisions replay the sequential streams
-// exactly — experiment tables are byte-identical at every shard count,
-// which is what makes the E12-XL sizes (n = 1024 and 4096, ~170M
-// messages for one fault-free n=4096 run) tractable on multi-core
-// hosts. Warm sharded runs keep the zero-allocation steady state: the
-// worker fleet, its pend lists, and its payload arenas all recycle
-// through Network.Reset.
+// Each simulation run is single-threaded; engine parallelism is across
+// runs, never within one.
 //
 // Adversary wiring is declarative: internal/scenario turns a scheduler, a
 // fault composition, and a run shape into one registry-validated

@@ -79,6 +79,40 @@ func TestBatchDeliveryByteIdentical(t *testing.T) {
 	}
 }
 
+// TestShardedTablesByteIdentical keeps its name from when it compared the
+// tables across shard counts; the shard workers' merge (deferred-op
+// concatenation, stats folding, completion trigger, payload arena) is now
+// the one batched tick body. The reduced sizes above keep ticks small, so
+// this renders the E12 driver at n=64, where multicast storms are
+// 4096-event ticks, with batching on (at one and eight workers) and off,
+// and requires byte-identical tables.
+func TestShardedTablesByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders a large-n E12 sweep three times; run without -short")
+	}
+	render := func(mode sim.BatchMode, workers int) string {
+		SetBatching(mode)
+		SetParallelism(workers)
+		defer SetBatching(sim.BatchDefault)
+		defer SetParallelism(0)
+		tbl, err := E12LargeNSizes([]int{64})
+		if err != nil {
+			t.Fatalf("E12 n=64 (batch=%v, workers=%d): %v", mode, workers, err)
+		}
+		var sb strings.Builder
+		if err := tbl.Render(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	want := render(sim.BatchOff, 1)
+	for _, workers := range []int{1, 8} {
+		if got := render(sim.BatchOn, workers); got != want {
+			t.Errorf("E12 n=64 diverges (workers=%d):\n--- reference ---\n%s\n--- batched ---\n%s", workers, want, got)
+		}
+	}
+}
+
 // TestE12LargeN512Smoke exercises the n=512 scale axis the batched
 // delivery + SoA work unlocks: a reduced scenario slice (one benign and
 // two adversarial schedulers, fault-free and crash-storm) at n=512 on the
@@ -118,4 +152,26 @@ func TestE12LargeN512Smoke(t *testing.T) {
 		t.Logf("%s: %d msgs, %d delivered, rounds %.2f",
 			labels[i], rep.Result.Stats.MessagesSent, rep.Result.Stats.MessagesDelivered, rep.Result.Rounds())
 	}
+}
+
+// TestE12XL1024Smoke exercises the n=1024 scale axis: the reduced E12-XL
+// slice with full invariant success. It runs from the CI bench-smoke job
+// (make e12-xl); locally it is opt-in via E12_XL_SMOKE=1 because a single
+// fault-free n=1024 run pushes ~10M messages.
+func TestE12XL1024Smoke(t *testing.T) {
+	if os.Getenv("E12_XL_SMOKE") == "" {
+		t.Skip("set E12_XL_SMOKE=1 to run the n=1024 smoke")
+	}
+	tbl, err := E12XLSizes([]int{1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := tbl.Render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "false") {
+		t.Errorf("E12-XL row failed invariants:\n%s", sb.String())
+	}
+	t.Logf("E12-XL n=1024:\n%s", sb.String())
 }

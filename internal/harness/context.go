@@ -229,7 +229,6 @@ func (c *RunContext) run(spec Spec, rep *Report) error {
 		MaxEvents: spec.MaxEvents,
 		Core:      EventCore(),
 		Batch:     Batching(),
-		Shards:    Sharding(),
 	}
 	// Park the previous run's Byzantine processes in the pool before
 	// clearing the map (the start-of-run point also covers error returns,

@@ -13,7 +13,7 @@ import (
 // reference: event-for-event identical delivery traces across the full
 // scheduler × fault matrix, and byte-identical experiment tables. It is
 // the contract that let the calendar queue replace the heap on the hot
-// path (and what keeps the `simheap` escape hatch honest).
+// path (and what keeps sim.CoreHeap a faithful reference).
 
 // deliveryRecord is one observed delivery, in observer order.
 type deliveryRecord struct {

@@ -78,29 +78,6 @@ func SetBatching(m sim.BatchMode) { batchMode.Store(int32(m)) }
 // Batching reports the delivery mode currently in effect.
 func Batching() sim.BatchMode { return sim.BatchMode(batchMode.Load()) }
 
-// sharding selects the intra-run shard count for every engine run
-// (sim.Config.Shards). All shard counts are observably equivalent (pinned
-// by the shard equivalence tests); the switch exists for those tests and
-// for scaling benchmarks (cmd/aabench -shards). Note the two parallelism
-// axes compose: Parallelism() fans independent runs across workers, while
-// sharding splits the ticks of each single run — the auto heuristic keeps
-// small runs sequential so the axes don't fight over cores on the mixed
-// sweeps.
-var sharding atomic.Int32
-
-// SetSharding sets the intra-run shard count used by Run (and therefore
-// every experiment). 1 forces the sequential reference path; 0 restores
-// the default (auto: min(GOMAXPROCS, n/128)).
-func SetSharding(n int) {
-	if n < 0 {
-		n = 0
-	}
-	sharding.Store(int32(n))
-}
-
-// Sharding reports the intra-run shard count currently in effect.
-func Sharding() int { return int(sharding.Load()) }
-
 // EngineStats aggregates run-level accounting across every engine-executed
 // simulation since the last reset. cmd/aabench snapshots it around each
 // experiment to report msgs/run and allocs/run in the BENCH_*.json

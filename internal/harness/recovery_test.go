@@ -14,8 +14,8 @@ import (
 //   - Equivalence: a recovery run — snapshot mid-run, crash, darkness,
 //     restore, catch-up — produces identical decisions, stats, finish time,
 //     and checkpoint digests across {heap, calendar} event cores × batch
-//     {on, off} × shards {1, 4}. Restart actions fire at tick boundaries,
-//     which the batching/sharding equivalence contracts keep mode-invariant.
+//     {on, off}. Restart actions fire at tick boundaries, which the
+//     batching equivalence contract keeps mode-invariant.
 //   - Economy: warm runs with recovery enabled stay 0 allocs/run — the
 //     snapshot appends into recycled per-plan buffers and the restore pulls
 //     protocol state from the existing free lists.
@@ -71,36 +71,31 @@ func TestRecoveryRunConverges(t *testing.T) {
 }
 
 // TestRecoveryEquivalenceAcrossModes runs the same recovery spec on every
-// engine configuration — {calendar, heap} event core × batch {on, off} ×
-// shards {1, 4} — and requires identical decisions, message stats, finish
-// time, and checkpoint digests. A restart action observing mid-tick state
-// in one mode and tick-boundary state in another would surface here as a
-// digest or decision diff.
+// engine configuration — {calendar, heap} event core × batch {on, off} —
+// and requires identical decisions, message stats, finish time, and
+// checkpoint digests. A restart action observing mid-tick state in one
+// mode and tick-boundary state in another would surface here as a digest
+// or decision diff.
 func TestRecoveryEquivalenceAcrossModes(t *testing.T) {
 	spec := recoverySpec(t)
 	type cfg struct {
-		core   sim.EventCore
-		mode   sim.BatchMode
-		shards int
+		core sim.EventCore
+		mode sim.BatchMode
 	}
 	var cfgs []cfg
 	for _, ec := range []sim.EventCore{sim.CoreDefault, sim.CoreHeap} {
 		for _, bm := range []sim.BatchMode{sim.BatchOn, sim.BatchOff} {
-			for _, sh := range []int{1, 4} {
-				cfgs = append(cfgs, cfg{ec, bm, sh})
-			}
+			cfgs = append(cfgs, cfg{ec, bm})
 		}
 	}
 	run := func(c cfg) *Report {
 		SetEventCore(c.core)
 		SetBatching(c.mode)
-		SetSharding(c.shards)
 		defer SetEventCore(sim.CoreDefault)
 		defer SetBatching(sim.BatchDefault)
-		defer SetSharding(0)
 		rep, err := Run(spec)
 		if err != nil {
-			t.Fatalf("core=%v batch=%v shards=%d: %v", c.core, c.mode, c.shards, err)
+			t.Fatalf("core=%v batch=%v: %v", c.core, c.mode, err)
 		}
 		return rep
 	}
@@ -119,24 +114,24 @@ func TestRecoveryEquivalenceAcrossModes(t *testing.T) {
 		}
 		if got.FinalSpread != want.FinalSpread || got.Result.FinishTime != want.Result.FinishTime ||
 			got.Result.Stats != want.Result.Stats {
-			t.Errorf("%s shards=%d diverges: spread %v finish %d stats %+v, want %v %d %+v",
-				label(), c.shards, got.FinalSpread, got.Result.FinishTime, got.Result.Stats,
+			t.Errorf("%s diverges: spread %v finish %d stats %+v, want %v %d %+v",
+				label(), got.FinalSpread, got.Result.FinishTime, got.Result.Stats,
 				want.FinalSpread, want.Result.FinishTime, want.Result.Stats)
 		}
 		if len(got.Checkpoints) != len(want.Checkpoints) {
-			t.Errorf("%s shards=%d checkpoint count %d, want %d", label(), c.shards, len(got.Checkpoints), len(want.Checkpoints))
+			t.Errorf("%s checkpoint count %d, want %d", label(), len(got.Checkpoints), len(want.Checkpoints))
 			continue
 		}
 		for i := range want.Checkpoints {
 			if got.Checkpoints[i] != want.Checkpoints[i] {
-				t.Errorf("%s shards=%d checkpoint %d digest %#x, want %#x",
-					label(), c.shards, i, got.Checkpoints[i], want.Checkpoints[i])
+				t.Errorf("%s checkpoint %d digest %#x, want %#x",
+					label(), i, got.Checkpoints[i], want.Checkpoints[i])
 			}
 		}
 		for id, at := range want.Result.DecidedAt {
 			if got.Result.DecidedAt[id] != at {
-				t.Errorf("%s shards=%d party %d decided at %d, want %d",
-					label(), c.shards, id, got.Result.DecidedAt[id], at)
+				t.Errorf("%s party %d decided at %d, want %d",
+					label(), id, got.Result.DecidedAt[id], at)
 			}
 		}
 	}

@@ -167,6 +167,69 @@ func TestRunReusedAllocs(t *testing.T) {
 	}
 }
 
+// TestShardedRunReusedAllocs keeps its name from when a dense tick was
+// split across shard workers; their scratch (deferred ops, delivery
+// triggers, Batch iterator, payload arena) is now Network state recycled
+// by Reset. "dispatch" pins the dense shape at zero steady-state
+// allocations (n=34 multicast storms are 1156-event ticks). Each "inline"
+// case first runs that dense shape on its context, so the small run must
+// settle to zero on scratch a dense tick grew, after one warm-up.
+func TestShardedRunReusedAllocs(t *testing.T) {
+	denseP := core.Params{Protocol: core.ProtoCrash, N: 34, T: 16, Eps: 1e-3, Lo: 0, Hi: 1}
+	dense, err := SpecFrom(denseP, BimodalInputs(denseP.N, 0, 1), scenario.MustParse("random+crash/n=34,t=16"), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		p    core.Params
+		scen string
+		runs int
+	}{
+		{"crash-inline", core.Params{Protocol: core.ProtoCrash, N: 10, T: 4, Eps: 1e-3, Lo: 0, Hi: 1},
+			"splitviews+crash/n=10,t=4", 200},
+		{"byztrim-inline", core.Params{Protocol: core.ProtoByzTrim, N: 15, T: 2, Eps: 1e-3, Lo: 0, Hi: 1},
+			"splitviews/n=15,t=2", 200},
+		{"crash-dispatch", denseP, "random+crash/n=34,t=16", 50},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec, err := SpecFrom(c.p, BimodalInputs(c.p.N, 0, 1), scenario.MustParse(c.scen), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := NewRunContext()
+			for _, warm := range []Spec{dense, spec} {
+				if rep, err := ctx.Run(warm); err != nil {
+					t.Fatalf("warm-up failed: %v", err)
+				} else if !rep.OK() {
+					t.Fatalf("warm-up run failed: %s", rep.Failure())
+				}
+			}
+			var runErr error
+			var runFail string
+			allocs := testing.AllocsPerRun(c.runs, func() {
+				rep, err := ctx.Run(spec)
+				switch {
+				case err != nil:
+					runErr = err
+				case !rep.OK():
+					runFail = rep.Failure()
+				}
+			})
+			if runErr != nil {
+				t.Fatalf("run failed: %v", runErr)
+			}
+			if runFail != "" {
+				t.Fatalf("run failed: %s", runFail)
+			}
+			if allocs != 0 {
+				t.Errorf("warm steady state allocates %.2f/run, want 0", allocs)
+			}
+		})
+	}
+}
+
 // TestByzRunReusedAllocs pins the Byzantine arm of the economy claim:
 // behavior processes are pooled through the run context (fault.Renewer)
 // and encode into reusable scratch, so a warm Byzantine run — scripted

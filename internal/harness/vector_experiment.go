@@ -68,7 +68,6 @@ func runVectorOnce(base core.Params, dim int, seed int64) (msgs, bytes int, spre
 		Seed:      seed,
 		Core:      EventCore(),
 		Batch:     Batching(),
-		Shards:    Sharding(),
 	})
 	if err != nil {
 		return 0, 0, 0, false, err

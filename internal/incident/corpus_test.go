@@ -16,14 +16,11 @@ func corpusDir() string {
 
 // TestIncidentCorpusReplayMatrix is the CI regression gate: every committed
 // bundle must replay with zero divergence across {calendar, heap} event
-// cores × batch {on, off} × engine parallelism {1, 8} × intra-run shards
-// {1, 4}. A regression in any equivalence-sensitive path (send sequencing,
-// rng draw order, mid-tick completion, stats repair, trim/quorum logic, the
-// sharded barrier merge) perturbs some episode's schedule and fails here
-// with the episode name, the matrix cell, and the first divergent send
-// sequence. The shards axis also pins that the shard count cannot leak into
-// a bundle digest: delay logs are keyed by send Seq, whose stream is
-// identical at every shard count.
+// cores × batch {on, off} × engine parallelism {1, 8}. A regression in any
+// equivalence-sensitive path (send sequencing, rng draw order, mid-tick
+// completion, stats repair, trim/quorum logic) perturbs some episode's
+// schedule and fails here with the episode name, the matrix cell, and the
+// first divergent send sequence.
 //
 // Set INCIDENT_REGEN=1 to re-capture the corpus from the episode
 // definitions before the matrix runs (used when an episode is added, never
@@ -57,35 +54,31 @@ func TestIncidentCorpusReplayMatrix(t *testing.T) {
 	defer harness.SetEventCore(sim.CoreDefault)
 	defer harness.SetBatching(sim.BatchDefault)
 	defer harness.SetParallelism(0)
-	defer harness.SetSharding(0)
 	for _, core := range []sim.EventCore{sim.CoreCalendar, sim.CoreHeap} {
 		for _, batch := range []sim.BatchMode{sim.BatchOn, sim.BatchOff} {
 			for _, workers := range []int{1, 8} {
-				for _, shards := range []int{1, 4} {
-					cell := fmt.Sprintf("core=%v batch=%v workers=%d shards=%d", core, batch, workers, shards)
-					harness.SetEventCore(core)
-					harness.SetBatching(batch)
-					harness.SetParallelism(workers)
-					harness.SetSharding(shards)
+				cell := fmt.Sprintf("core=%v batch=%v workers=%d", core, batch, workers)
+				harness.SetEventCore(core)
+				harness.SetBatching(batch)
+				harness.SetParallelism(workers)
 
-					prepared := make([]*Prepared, len(bundles))
-					specs := make([]harness.Spec, len(bundles))
-					for i, b := range bundles {
-						p, err := Prepare(b)
-						if err != nil {
-							t.Fatalf("%s: prepare %s: %v", cell, b.Name, err)
-						}
-						prepared[i] = p
-						specs[i] = p.Spec
-					}
-					reps, err := harness.RunAll(specs)
+				prepared := make([]*Prepared, len(bundles))
+				specs := make([]harness.Spec, len(bundles))
+				for i, b := range bundles {
+					p, err := Prepare(b)
 					if err != nil {
-						t.Fatalf("%s: %v", cell, err)
+						t.Fatalf("%s: prepare %s: %v", cell, b.Name, err)
 					}
-					for i, rep := range reps {
-						if div := prepared[i].Diff(rep); div != nil {
-							t.Errorf("%s: %s: %v", cell, bundles[i].Name, div.Error())
-						}
+					prepared[i] = p
+					specs[i] = p.Spec
+				}
+				reps, err := harness.RunAll(specs)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				for i, rep := range reps {
+					if div := prepared[i].Diff(rep); div != nil {
+						t.Errorf("%s: %s: %v", cell, bundles[i].Name, div.Error())
 					}
 				}
 			}

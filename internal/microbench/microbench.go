@@ -56,8 +56,6 @@ func Cases() []Case {
 		{"scenario/e12", ScenarioE12},
 		{"deliverbatch/on", func(b *testing.B) { DeliverBatch(b, sim.BatchOn) }},
 		{"deliverbatch/off", func(b *testing.B) { DeliverBatch(b, sim.BatchOff) }},
-		{"shardedtick/s1", func(b *testing.B) { ShardedTick(b, 1) }},
-		{"shardedtick/s4", func(b *testing.B) { ShardedTick(b, 4) }},
 		{"harness/run-reused", RunReused},
 		{"livenet/run-n32", LiveRun},
 	}
@@ -199,43 +197,6 @@ func DeliverBatch(b *testing.B, mode sim.BatchMode) {
 	}
 	for i := 0; i < b.N; i++ {
 		rep, err := harness.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.OK() {
-			b.Fatalf("run failed: %s", rep.Failure())
-		}
-	}
-}
-
-// ShardedTick measures the intra-run sharding A/B: the same E12-style
-// crash-protocol run at n=256 (dense multicast ticks well past the worker
-// dispatch threshold) at the given shard count, on a warm recycled run
-// context so the delta is pure tick-execution cost. shards=1 is the
-// sequential reference; shards=4 engages the concurrent worker phase and
-// the barrier merge. The runs are observably identical — pinned by the
-// shard equivalence tests — so on multi-core hardware the s4/s1 ratio is
-// the intra-run speedup, and on a single core it is the sharding overhead.
-func ShardedTick(b *testing.B, shards int) {
-	harness.SetSharding(shards)
-	defer harness.SetSharding(0)
-	scen := scenario.MustParse("splitviews+crash/n=256,t=127")
-	p := core.Params{Protocol: core.ProtoCrash, N: 256, T: 127, Eps: 1e-3, Lo: 0, Hi: 1}
-	spec, err := harness.SpecFrom(p, harness.BimodalInputs(256, 0, 1), scen, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec.MaxEvents = 20_000_000
-	ctx := harness.NewRunContext()
-	if rep, err := ctx.Run(spec); err != nil {
-		b.Fatalf("warm-up failed: %v", err)
-	} else if !rep.OK() {
-		b.Fatalf("warm-up run failed: %s", rep.Failure())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := ctx.Run(spec)
 		if err != nil {
 			b.Fatal(err)
 		}

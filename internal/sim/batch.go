@@ -120,7 +120,6 @@ type Batch struct {
 // per-delivery cost to index arithmetic (no envelope copy).
 func (b *Batch) Next() *Envelope {
 	n := b.net
-	w := b.ps.w
 	for b.pos < len(b.idxs) {
 		i := b.idxs[b.pos]
 		b.pos++
@@ -131,15 +130,15 @@ func (b *Batch) Next() *Envelope {
 			continue
 		}
 		ev := &b.events[i]
-		w.curTrig = i
+		n.curTrig = i
 		if ev.timer {
 			if th, ok := b.ps.proc.(TimerHandler); ok {
 				th.OnTimer(ev.tag)
 			}
 			continue
 		}
-		w.stats.MessagesDelivered++
-		w.delivTrig = append(w.delivTrig, i)
+		n.stats.MessagesDelivered++
+		n.delivTrig = append(n.delivTrig, i)
 		return &ev.env
 	}
 	return nil
@@ -220,18 +219,56 @@ func (n *Network) runBatched(budget int) error {
 			n.runTickSmall(batch)
 			continue
 		}
-		// Dense tick: stage by destination and drain through the shard
-		// workers — one worker when Shards resolves to 1 (the sequential
-		// body), S concurrent workers with a deterministic barrier merge
-		// otherwise (see shard.go).
 		events += len(batch)
-		n.runTickSharded(batch)
+		n.runTickBatched(batch)
 		if n.pendingHonest == 0 {
 			break
 		}
 	}
 	n.batch = batch[:0]
 	return err
+}
+
+// runTickBatched processes one dense tick: it stages the events by
+// destination, hands each party its group with sends, timers, and observer
+// callbacks deferred, then flushes the deferred ops and replays the
+// observer in trigger order, cut at the completing event if the run ends
+// mid-tick.
+func (n *Network) runTickBatched(batch []event) {
+	// Staging stores indices into the tick slice (not copies); batch is
+	// stable until the next PopTick. Parties are drained in first-
+	// appearance order.
+	for i := range batch {
+		to := batch[i].env.To
+		if len(n.stage[to]) == 0 {
+			n.touched = append(n.touched, int32(to))
+		}
+		n.stage[to] = append(n.stage[to], int32(i))
+	}
+	n.deferOps = true
+	n.decideTrig = -1
+	n.delivTrig = n.delivTrig[:0]
+	for _, pi := range n.touched {
+		n.deliverPartyBatch(n.parties[pi], batch)
+		n.stage[pi] = n.stage[pi][:0]
+	}
+	n.touched = n.touched[:0]
+	n.deferOps = false
+
+	maxTrig := int32(len(batch))
+	if n.pendingHonest == 0 {
+		// The run completed mid-tick: the unbatched loop would have stopped
+		// at the completing event. Back out deliveries of later-triggered
+		// events and flush only ops triggered at or before it.
+		maxTrig = n.decideTrig
+		for _, trig := range n.delivTrig {
+			if trig > maxTrig {
+				n.stats.MessagesDelivered--
+			}
+		}
+	}
+	n.flushPending(maxTrig)
+	n.fireObservers(batch, maxTrig)
 }
 
 // fireObservers replays the tick's deliveries to the observer, in trigger
@@ -260,7 +297,7 @@ func (n *Network) fireObservers(batch []event, maxTrig int32) {
 func (n *Network) deliverPartyBatch(ps *partyState, events []event) {
 	idxs := n.stage[ps.id]
 	if bp, ok := ps.proc.(BatchProcess); ok {
-		b := &ps.w.bat
+		b := &n.bat
 		*b = Batch{net: n, ps: ps, events: events, idxs: idxs}
 		bp.DeliverBatch(b)
 		b.drain()
@@ -278,16 +315,15 @@ func (n *Network) deliverEvent(ps *partyState, ev *event, trig int32) {
 	if n.crashed[ps.id] {
 		return
 	}
-	w := ps.w
-	w.curTrig = trig
+	n.curTrig = trig
 	if ev.timer {
 		if th, ok := ps.proc.(TimerHandler); ok {
 			th.OnTimer(ev.tag)
 		}
 		return
 	}
-	w.stats.MessagesDelivered++
-	w.delivTrig = append(w.delivTrig, trig)
+	n.stats.MessagesDelivered++
+	n.delivTrig = append(n.delivTrig, trig)
 	ps.proc.Deliver(ev.env.From, ev.env.Data)
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -89,13 +90,45 @@ func runBatchTrace(t *testing.T, sched Scheduler, mode BatchMode, mut func(*Conf
 	return trace, res, runErr
 }
 
+// requireSameRun asserts two (trace, result, error) triples are identical.
+func requireSameRun(t *testing.T, label string,
+	refTrace []batchRecord, refRes *Result, refErr error,
+	gotTrace []batchRecord, gotRes *Result, gotErr error,
+) {
+	t.Helper()
+	if !errors.Is(gotErr, refErr) && !(gotErr == nil && refErr == nil) {
+		t.Fatalf("%s: errors diverge: ref %v, got %v", label, refErr, gotErr)
+	}
+	if len(refTrace) != len(gotTrace) {
+		t.Fatalf("%s: trace lengths diverge: ref %d, got %d", label, len(refTrace), len(gotTrace))
+	}
+	for i := range refTrace {
+		if refTrace[i] != gotTrace[i] {
+			t.Fatalf("%s: delivery %d diverges: ref %+v, got %+v", label, i, refTrace[i], gotTrace[i])
+		}
+	}
+	if refRes.Stats != gotRes.Stats {
+		t.Fatalf("%s: stats diverge: ref %+v, got %+v", label, refRes.Stats, gotRes.Stats)
+	}
+	if refRes.FinishTime != gotRes.FinishTime || refRes.MaxHonestDelay != gotRes.MaxHonestDelay {
+		t.Fatalf("%s: timing diverges: ref (%d,%d), got (%d,%d)", label,
+			refRes.FinishTime, refRes.MaxHonestDelay, gotRes.FinishTime, gotRes.MaxHonestDelay)
+	}
+	if len(refRes.Decisions) != len(gotRes.Decisions) {
+		t.Fatalf("%s: decision counts diverge", label)
+	}
+	for id, v := range refRes.Decisions {
+		if gotRes.Decisions[id] != v || gotRes.DecidedAt[id] != refRes.DecidedAt[id] {
+			t.Fatalf("%s: party %d decision diverges", label, id)
+		}
+	}
+}
+
 // TestBatchModeTraceEquivalence asserts event-for-event identical delivery
 // traces, stats, and decisions between batched and unbatched delivery
 // across a scheduler matrix that includes shared-rng draws (UniformRandom-
 // style) and crash plans that truncate multicasts mid-tick.
 func TestBatchModeTraceEquivalence(t *testing.T) {
-	randSched := func(Envelope, Time, *rand.Rand) Time { return 0 } // placeholder
-	_ = randSched
 	scheds := map[string]func() Scheduler{
 		"const":  func() Scheduler { return constDelay{d: 5} },
 		"random": func() Scheduler { return rngSched{max: 9} },
@@ -112,34 +145,162 @@ func TestBatchModeTraceEquivalence(t *testing.T) {
 			t.Run(sname+"/"+mname, func(t *testing.T) {
 				offTrace, offRes, offErr := runBatchTrace(t, mk(), BatchOff, mut)
 				onTrace, onRes, onErr := runBatchTrace(t, mk(), BatchOn, mut)
-				if !errors.Is(onErr, offErr) && !(onErr == nil && offErr == nil) {
-					t.Fatalf("errors diverge: off %v, on %v", offErr, onErr)
-				}
-				if len(offTrace) != len(onTrace) {
-					t.Fatalf("trace lengths diverge: off %d, on %d", len(offTrace), len(onTrace))
-				}
-				for i := range offTrace {
-					if offTrace[i] != onTrace[i] {
-						t.Fatalf("delivery %d diverges: off %+v, on %+v", i, offTrace[i], onTrace[i])
+				requireSameRun(t, sname+"/"+mname, offTrace, offRes, offErr, onTrace, onRes, onErr)
+			})
+		}
+	}
+}
+
+// The Shard* tests below keep the names they had when a dense tick was
+// split across shard workers. What each worker held — its deferred-op
+// list, delivery triggers, stats deltas, completion trigger, payload arena
+// and Batch iterator — is now plain Network state driven by one tick body,
+// and these tests pin that body against the per-envelope reference loop at
+// the shapes the shard matrix used: N=12 meshes on both event cores, N=64
+// dense ticks, budget aborts, same-tick completion, and recycled networks.
+
+// TestShardTraceEquivalence runs the scheduler × crash matrix at N=12 and
+// compares the batched tick body on both event cores, event for event,
+// against the per-envelope loop on the heap reference core.
+func TestShardTraceEquivalence(t *testing.T) {
+	scheds := map[string]func() Scheduler{
+		"const":  func() Scheduler { return constDelay{d: 5} },
+		"random": func() Scheduler { return rngSched{max: 9} },
+		"skewed": func() Scheduler { return fromSched{} },
+	}
+	muts := map[string]func(*Config){
+		"fault-free": nil,
+		"crash": func(cfg *Config) {
+			cfg.Crashes = []CrashPlan{{Party: 1, AfterSends: 9}, {Party: 4, AfterSends: 20}}
+		},
+	}
+	for sname, mk := range scheds {
+		for mname, mut := range muts {
+			t.Run(sname+"/"+mname, func(t *testing.T) {
+				shape := func(core EventCore) func(*Config) {
+					return func(cfg *Config) {
+						cfg.N = 12
+						cfg.Core = core
+						if mut != nil {
+							mut(cfg)
+						}
 					}
 				}
-				if offRes.Stats != onRes.Stats {
-					t.Fatalf("stats diverge: off %+v, on %+v", offRes.Stats, onRes.Stats)
-				}
-				if offRes.FinishTime != onRes.FinishTime || offRes.MaxHonestDelay != onRes.MaxHonestDelay {
-					t.Fatalf("timing diverges: off (%d,%d), on (%d,%d)",
-						offRes.FinishTime, offRes.MaxHonestDelay, onRes.FinishTime, onRes.MaxHonestDelay)
-				}
-				if len(offRes.Decisions) != len(onRes.Decisions) {
-					t.Fatal("decision counts diverge")
-				}
-				for id, v := range offRes.Decisions {
-					if onRes.Decisions[id] != v || onRes.DecidedAt[id] != offRes.DecidedAt[id] {
-						t.Fatalf("party %d decision diverges", id)
-					}
+				refTrace, refRes, refErr := runBatchTrace(t, mk(), BatchOff, shape(CoreHeap))
+				for _, core := range []EventCore{CoreCalendar, CoreHeap} {
+					gotTrace, gotRes, gotErr := runBatchTrace(t, mk(), BatchOn, shape(core))
+					requireSameRun(t, fmt.Sprintf("%s/%s core=%v", sname, mname, core),
+						refTrace, refRes, refErr, gotTrace, gotRes, gotErr)
 				}
 			})
 		}
+	}
+}
+
+// TestShardTraceEquivalenceParallel runs a mesh large enough that dense
+// ticks hold thousands of events from dozens of receiving parties (N=64
+// multicast storms are 4096-event ticks), so the tick-end trigger sort
+// reorders long interleaved per-party op runs, with crash plans truncating
+// multicasts inside them.
+func TestShardTraceEquivalenceParallel(t *testing.T) {
+	for _, mk := range []struct {
+		name  string
+		sched func() Scheduler
+	}{
+		{"const", func() Scheduler { return constDelay{d: 5} }},
+		{"random", func() Scheduler { return rngSched{max: 4} }},
+	} {
+		t.Run(mk.name, func(t *testing.T) {
+			mut := func(cfg *Config) {
+				cfg.N = 64
+				cfg.Crashes = []CrashPlan{{Party: 3, AfterSends: 70}, {Party: 40, AfterSends: 130}}
+			}
+			offTrace, offRes, offErr := runBatchTrace(t, mk.sched(), BatchOff, mut)
+			onTrace, onRes, onErr := runBatchTrace(t, mk.sched(), BatchOn, mut)
+			requireSameRun(t, mk.name, offTrace, offRes, offErr, onTrace, onRes, onErr)
+		})
+	}
+}
+
+// TestShardBudgetEquivalence pins the event-budget abort at N=12, where the
+// budget-tripping tick is dense: the batched body hands that tick to the
+// reference loop, so the aborted prefix, partial stats, and decisions must
+// match the per-envelope run exactly.
+func TestShardBudgetEquivalence(t *testing.T) {
+	for _, budget := range []int{7, 23, 50, 400} {
+		mut := func(cfg *Config) {
+			cfg.N = 12
+			cfg.MaxEvents = budget
+		}
+		refTrace, refRes, refErr := runBatchTrace(t, constDelay{d: 3}, BatchOff, mut)
+		if !errors.Is(refErr, ErrEventBudget) {
+			t.Fatalf("budget %d: reference run did not trip the budget: %v", budget, refErr)
+		}
+		gotTrace, gotRes, gotErr := runBatchTrace(t, constDelay{d: 3}, BatchOn, mut)
+		requireSameRun(t, fmt.Sprintf("budget %d", budget), refTrace, refRes, refErr, gotTrace, gotRes, gotErr)
+	}
+}
+
+// TestShardMidTickCompletion pins the completion repair across mesh sizes:
+// under a constant-delay scheduler every party decides in the same dense
+// tick, and the completion trigger must cut the flush at the event where
+// the per-envelope loop stops, leaving identical traces and stats.
+func TestShardMidTickCompletion(t *testing.T) {
+	for _, n := range []int{8, 12, 16} {
+		mut := func(cfg *Config) {
+			cfg.N = n
+			cfg.Seed = 3
+		}
+		refTrace, refRes, refErr := runBatchTrace(t, constDelay{d: 4}, BatchOff, mut)
+		if refErr != nil {
+			t.Fatalf("n=%d: reference run failed: %v", n, refErr)
+		}
+		for id, at := range refRes.DecidedAt {
+			if at != refRes.FinishTime {
+				t.Fatalf("n=%d: party %d decided at %d, want every party at the final tick %d", n, id, at, refRes.FinishTime)
+			}
+		}
+		gotTrace, gotRes, gotErr := runBatchTrace(t, constDelay{d: 4}, BatchOn, mut)
+		requireSameRun(t, fmt.Sprintf("n=%d", n), refTrace, refRes, refErr, gotTrace, gotRes, gotErr)
+	}
+}
+
+// TestShardRecycledNetworkEquivalence pins Reset's recycling of the batched
+// tick scratch: a network that just finished a dense batched run (under a
+// different shape, scheduler, and crash plan) and is Reset must reproduce a
+// fresh network's run exactly — pend list, staging, delivery triggers, and
+// payload arena all rewound.
+func TestShardRecycledNetworkEquivalence(t *testing.T) {
+	net, err := New(Config{N: 16, Scheduler: rngSched{max: 4}, Seed: 5, Batch: BatchOn,
+		Crashes: []CrashPlan{{Party: 2, AfterSends: 30}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := net.SetProcess(PartyID(i), &chattyProc{need: 40}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{N: 12, Scheduler: constDelay{d: 5}, Seed: 11, Batch: BatchOn}
+	for round := 0; round < 3; round++ {
+		if err := net.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var trace []batchRecord
+		net.SetObserver(func(now Time, env Envelope) {
+			trace = append(trace, batchRecord{Now: now, From: env.From, To: env.To, Seq: env.Seq, Len: len(env.Data)})
+		})
+		for i := 0; i < cfg.N; i++ {
+			if err := net.SetProcess(PartyID(i), &chattyProc{need: 40}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, runErr := net.Run()
+		refTrace, refRes, refErr := runBatchTrace(t, constDelay{d: 5}, BatchOn, func(c *Config) { c.N = cfg.N })
+		requireSameRun(t, "recycled", refTrace, refRes, refErr, trace, res, runErr)
 	}
 }
 
@@ -311,8 +472,8 @@ func TestBatchPartialConsumerDrained(t *testing.T) {
 
 // TestFlushPendingOrder pins the flush's trigger sort against the stable
 // comparison sort it replaces: per-party runs of ascending triggers
-// interleaved the way shard workers concatenate them, plus ops triggered
-// past the completion point, which the flush must drop.
+// concatenated the way the per-party tick drain emits them, plus ops
+// triggered past the completion point, which the flush must drop.
 func TestFlushPendingOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 20; round++ {

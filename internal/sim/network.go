@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // Stats aggregates message-level accounting for one execution.
@@ -138,21 +137,29 @@ type Network struct {
 	decision   []float64
 	decidedAt  []Time
 
-	// Batched tick delivery state (see batch.go, shard.go): per-destination
-	// staging of the tick's event indices, the shard workers that drain it,
-	// and the run-global merge targets for the deferred send/timer ops and
-	// delivery triggers (fed from the per-worker lists at the tick barrier).
+	// Batched tick delivery state (see batch.go): per-destination staging
+	// of the tick's event indices, the staged destinations in first-
+	// appearance (Seq) order, the deferred send/timer ops, and the trigger
+	// index of every delivery (for the tick-end observer replay and
+	// completion repair).
 	batching  bool
 	stage     [][]int32
+	touched   []int32
 	pend      []pendingOp
 	delivTrig []int32
 	deferOps  bool
-	shards    int            // resolved worker count for this run
-	ws        []*shardWorker // worker fleet; only ws[:shards] run a tick
-	shardWG   *sync.WaitGroup
+	// curTrig is the trigger index of the tick event being processed;
+	// decideTrig is the largest trigger that produced an honest decision
+	// this tick (-1 if none).
+	curTrig    int32
+	decideTrig int32
+	// bat is the reusable Batch iterator handed to DeliverBatch.
+	bat Batch
 	// pendSorted and pendCount are flushPending's counting-sort scratch.
 	pendSorted []pendingOp
 	pendCount  []int32
+	// arena snapshots every payload sent during the run.
+	arena payloadArena
 
 	maxHonestDelay Time
 	pendingHonest  int // honest parties that have not decided yet
@@ -181,10 +188,7 @@ const arenaBlock = 1 << 16
 // one copy. A payload slice is valid only while its envelope is in flight
 // (until the delivery callback returns): exhausted blocks are kept and
 // recycled by reset, so memory is bounded by the peak per-run payload volume
-// rather than churned per run. Each shard worker owns one arena — snapshots
-// happen while a party's tick is being delivered, which under sharding runs
-// on the worker goroutine — so a party always snapshots through its worker
-// (partyState.w), never through shared Network state.
+// rather than churned per run.
 type payloadArena struct {
 	blocks [][]byte
 	cur    []byte // blocks[blk], the block currently being carved
@@ -242,17 +246,12 @@ func (a *payloadArena) reset() {
 
 // partyState is a party's cold identity record and its API implementation.
 // The hot flags and values (crashed/decided, send budget, decision) live in
-// the Network's parallel arrays, indexed by id. w is the shard worker that
-// delivers this party's ticks: the party's API calls route their deferred
-// ops, stats deltas, and payload snapshots through it, so under sharding a
-// delivering party touches only per-party and worker-local state (the
-// ownership argument in shard.go).
+// the Network's parallel arrays, indexed by id.
 type partyState struct {
 	id   PartyID
 	proc Process
 	net  *Network
 	rng  *rand.Rand
-	w    *shardWorker
 }
 
 var _ API = (*partyState)(nil)
@@ -262,14 +261,14 @@ func (p *partyState) N() int           { return p.net.cfg.N }
 func (p *partyState) Rand() *rand.Rand { return p.rng }
 
 func (p *partyState) Send(to PartyID, data []byte) {
-	p.net.send(p, to, p.w.arena.snapshot(data))
+	p.net.send(p, to, p.net.arena.snapshot(data))
 }
 
 func (p *partyState) Multicast(data []byte) {
 	// One snapshot shared by all n envelopes: the sender may reuse its
 	// buffer immediately, and the n recipients alias a single copy.
 	n := p.net
-	buf := p.w.arena.snapshot(data)
+	buf := n.arena.snapshot(data)
 	if n.deferOps {
 		// Batched tick in progress: the whole multicast coalesces into one
 		// pending op (expanded recipient-by-recipient at the flush, in the
@@ -292,14 +291,13 @@ func (p *partyState) Multicast(data []byte) {
 		if k == 0 {
 			return
 		}
-		w := p.w
-		w.stats.MessagesSent += k
-		w.stats.BytesSent += k * len(buf)
+		n.stats.MessagesSent += k
+		n.stats.BytesSent += k * len(buf)
 		if !n.faulty[id] {
-			w.stats.HonestMessagesSent += k
-			w.stats.HonestBytesSent += k * len(buf)
+			n.stats.HonestMessagesSent += k
+			n.stats.HonestBytesSent += k * len(buf)
 		}
-		w.pend = append(w.pend, pendingOp{data: buf, from: id, trig: w.curTrig, mcastTo: int32(k)})
+		n.pend = append(n.pend, pendingOp{data: buf, from: id, trig: n.curTrig, mcastTo: int32(k)})
 		return
 	}
 	for to := 0; to < n.cfg.N; to++ {
@@ -316,9 +314,8 @@ func (p *partyState) SetTimer(delay Time, tag uint64) {
 		delay = 1
 	}
 	if net.deferOps {
-		w := p.w
-		w.pend = append(w.pend, pendingOp{
-			from: p.id, delay: delay, tag: tag, trig: w.curTrig, timer: true,
+		net.pend = append(net.pend, pendingOp{
+			from: p.id, delay: delay, tag: tag, trig: net.curTrig, timer: true,
 		})
 		return
 	}
@@ -342,23 +339,16 @@ func (p *partyState) Decide(value float64) {
 	if net.faulty[p.id] {
 		return
 	}
-	if net.deferOps {
-		// Batched tick in progress: record the decision against the worker;
-		// the tick barrier folds the pending-honest decrement and the
-		// finish-time update (now is tick-constant, so folding is exact) and
-		// tracks the latest trigger that produced an honest decision — if
-		// this tick completes the run, the unbatched loop would have stopped
-		// exactly there (the mid-tick completion repair).
-		w := p.w
-		w.honestDecided++
-		if w.curTrig > w.decideTrig {
-			w.decideTrig = w.curTrig
-		}
-		return
-	}
 	net.pendingHonest--
 	if net.now > net.finishTime {
 		net.finishTime = net.now
+	}
+	if net.deferOps && net.curTrig > net.decideTrig {
+		// Batched tick in progress: track the latest trigger that produced
+		// an honest decision — if this tick completes the run, the unbatched
+		// loop would have stopped exactly there (the mid-tick completion
+		// repair in runTickBatched).
+		net.decideTrig = net.curTrig
 	}
 }
 
@@ -433,16 +423,10 @@ func (n *Network) Reset(cfg Config) error {
 		ps.proc = nil
 	}
 	n.resizeSoA(cfg.N)
-	// Resolve the worker count and (re)partition the parties into contiguous
-	// shards. The fleet only grows; assignment is fixed per Reset so warm-run
-	// allocation high-water marks stay deterministic (no work stealing).
-	n.shards = resolveShards(cfg.Shards, cfg.N)
-	n.ensureWorkers(n.shards)
 	for i, ps := range n.parties {
 		if i < recycled {
 			ps.rng.Seed(partySeed(cfg.Seed, i))
 		}
-		ps.w = n.ws[i*n.shards/cfg.N]
 		ps.proc = nil
 		n.faulty[i] = false
 		n.byz[i] = false
@@ -476,16 +460,10 @@ func (n *Network) Reset(cfg Config) error {
 		n.pend[i].data = nil
 	}
 	n.pend = n.pend[:0]
+	n.touched = n.touched[:0]
 	n.delivTrig = n.delivTrig[:0]
 	n.deferOps = false
-	// Reset every worker ever built (not just this run's ws[:shards]): their
-	// tick scratch, pend lists, and payload arenas are recycled in place so
-	// warm sharded runs stay allocation-free, and workers idled by a smaller
-	// shard count must not pin the previous run's payload blocks' contents
-	// as live data.
-	for _, w := range n.ws {
-		w.resetRun()
-	}
+	n.arena.reset()
 	return nil
 }
 
@@ -566,26 +544,18 @@ func (n *Network) send(from *partyState, to PartyID, data []byte) {
 	if n.sendBudget[id] > 0 {
 		n.sendBudget[id]--
 	}
-	if n.deferOps {
-		// Batched tick in progress: record the send (and its accounting)
-		// against the sender's shard worker, tagged with the event being
-		// processed; Seq assignment and the delay draw happen in trigger
-		// order at the tick-end flush (see batch.go, shard.go).
-		w := from.w
-		w.stats.MessagesSent++
-		w.stats.BytesSent += len(data)
-		if !n.faulty[id] {
-			w.stats.HonestMessagesSent++
-			w.stats.HonestBytesSent += len(data)
-		}
-		w.pend = append(w.pend, pendingOp{data: data, from: id, to: to, trig: w.curTrig})
-		return
-	}
 	n.stats.MessagesSent++
 	n.stats.BytesSent += len(data)
 	if !n.faulty[id] {
 		n.stats.HonestMessagesSent++
 		n.stats.HonestBytesSent += len(data)
+	}
+	if n.deferOps {
+		// Batched tick in progress: record the send tagged with the event
+		// being processed; Seq assignment and the delay draw happen in
+		// trigger order at the tick-end flush (see batch.go).
+		n.pend = append(n.pend, pendingOp{data: data, from: id, to: to, trig: n.curTrig})
+		return
 	}
 	n.scheduleSend(id, to, data)
 }

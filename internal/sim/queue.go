@@ -5,13 +5,12 @@ package sim
 // trace-equivalent: the core-equivalence tests in internal/harness pin
 // event-for-event identical delivery orders and byte-identical experiment
 // tables across the two. The calendar queue is the default (amortized O(1)
-// per event); the binary heap is kept as the reference implementation and
-// can be restored as the default with the `simheap` build tag.
+// per event); the binary heap is kept as the reference implementation,
+// selected through Config.Core.
 type EventCore int
 
 const (
-	// CoreDefault resolves to the build's default core: the calendar queue,
-	// or the heap when built with `-tags simheap`.
+	// CoreDefault resolves to the default core, the calendar queue.
 	CoreDefault EventCore = iota
 	// CoreCalendar is the bucketed calendar queue (timing wheel over Time
 	// ticks with an overflow heap and a flat event arena).
@@ -20,7 +19,10 @@ const (
 	CoreHeap
 )
 
-// Resolve maps CoreDefault to the build's default core, so callers that
+// defaultEventCore is the event core used when Config.Core is CoreDefault.
+const defaultEventCore = CoreCalendar
+
+// Resolve maps CoreDefault to the default core, so callers that
 // record or compare the core in effect (the BENCH snapshots) name the
 // concrete implementation.
 func (c EventCore) Resolve() EventCore {

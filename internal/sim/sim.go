@@ -149,18 +149,6 @@ type Config struct {
 	// both modes). The switch exists for the equivalence tests and A/B
 	// benchmarks, like Core.
 	Batch BatchMode
-	// Shards selects intra-run sharding of batched tick delivery: parties
-	// are partitioned into this many contiguous shards and a dense tick's
-	// per-destination groups are drained by one worker per shard, merged
-	// deterministically at the tick-end barrier (see shard.go). 0 means
-	// auto — min(GOMAXPROCS, N/shardAutoParties), so small runs stay on
-	// the sequential path — and 1 forces the sequential reference path.
-	// Tables, stats, delivery traces, and rng streams are identical at
-	// every shard count; the switch exists for the equivalence tests and
-	// scaling benchmarks, like Core and Batch. Sharding applies only to
-	// batched delivery (Batch on): the per-envelope reference loop is
-	// always sequential.
-	Shards int
 }
 
 // Sentinel errors returned by Run.
@@ -186,9 +174,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Batch < BatchDefault || c.Batch > BatchOff {
 		return fmt.Errorf("sim: config: unknown batch mode %d", c.Batch)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("sim: config: Shards = %d, need >= 0 (0 = auto)", c.Shards)
 	}
 	// The duplicate-fault scan is quadratic in the crash count instead of
 	// building a set: fault lists are bounded by the protocol fault bound,
