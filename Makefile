@@ -10,7 +10,7 @@ GO ?= go
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= BENCH_8.json
 
-.PHONY: check vet race benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
+.PHONY: check vet race fuzz-relnet benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
 
 check:
 	$(GO) build ./...
@@ -20,6 +20,15 @@ check:
 race:
 	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestRunContext' ./internal/harness/
 	$(GO) test -race ./internal/livenet/
+
+# fuzz-relnet runs the native fuzz target for relnet's frame parser and
+# link windows (FuzzDeliver: arbitrary frames from arbitrary senders,
+# interleaved with sends and retransmit timers). A failing input is saved
+# under internal/relnet/testdata/fuzz/FuzzDeliver/, where plain `go test`
+# replays it from then on; commit it with the fix.
+FUZZTIME ?= 30s
+fuzz-relnet:
+	$(GO) test -run '^$$' -fuzz '^FuzzDeliver$$' -fuzztime $(FUZZTIME) ./internal/relnet/
 
 # benchmark-check keeps the frozen benchmark honest on every PR: its own
 # tests (metric selection, seam transparency, golden statistics,

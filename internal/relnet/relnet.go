@@ -7,10 +7,15 @@
 // a per-link sequence number and retransmitted on an exponential-backoff
 // schedule (with rng jitter from the party's seeded source) until the
 // receiver acknowledges them or the retry budget is exhausted; inbound
-// frames are acknowledged and deduplicated (watermark + sparse set), so
-// the inner process sees every honest payload exactly once no matter how
-// often the network drops or duplicates it. Frames from senders that do
-// not speak the framing (Byzantine raw traffic) pass through untouched.
+// frames are acknowledged and deduplicated, so the inner process sees
+// every honest payload exactly once no matter how often the network
+// drops or duplicates it. Frames from senders that do not speak the
+// framing (Byzantine raw traffic) pass through untouched.
+//
+// Link state is dense, indexed by party: a send ring of packet slots per
+// destination, a watermark plus a bitset ring above it per source, and
+// retransmit timer tags that name their packet. No map is touched per
+// frame; only seqs implausibly far above a watermark go to a spill set.
 //
 // The wrapper is runtime-agnostic: it uses only the sim.API surface
 // (Send, SetTimer, Rand), so the same code runs under the deterministic
@@ -24,6 +29,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -50,8 +56,16 @@ const (
 
 // timerTagBit marks the wrapper's own retransmit timers; inner-process
 // timer tags pass through SetTimer unmodified and must not set it (the
-// protocols here use small tags).
-const timerTagBit uint64 = 1 << 63
+// protocols here use small tags). Below it a retransmit tag carries
+// to<<seqBits | seq; 2^48 sends on one link is far beyond any run. Send
+// rings start at minSendRing slots; receive bitsets grow up to
+// maxRcvWords words, and seqs further ahead spill.
+const (
+	timerTagBit uint64 = 1 << 63
+	seqBits            = 48
+	minSendRing        = 8
+	maxRcvWords        = 64
+)
 
 // Stats counts the wrapper's transport work for one run.
 type Stats struct {
@@ -68,20 +82,30 @@ type Stats struct {
 	GiveUps int64
 }
 
-// packet is one unacknowledged outbound payload.
+// packet is one slot of a send ring: an outbound payload awaiting its
+// ack and its retransmit timer, or a retired slot (seq 0).
 type packet struct {
-	to      sim.PartyID
 	seq     uint64
-	payload []byte // owned copy; reused via the free list
+	payload []byte // owned copy; the buffer is reused run to run
 	tries   int
 	acked   bool
 }
 
+// sndLink is the per-destination send window: seqs (1-based) up to base
+// are retired, and each seq in (base, next] has slot seq&(len(ring)-1).
+// The ring doubles when next - base reaches its length.
+type sndLink struct {
+	next, base uint64
+	ring       []packet
+}
+
 // rcvLink is the per-source dedup state: every seq <= watermark has been
-// delivered, plus a sparse set of delivered seqs above it.
+// delivered, as has each seq in spill and each seq above the watermark
+// whose bit (seq mod 64·len(bits)) is set in the bits ring.
 type rcvLink struct {
 	watermark uint64
-	above     map[uint64]struct{}
+	bits      []uint64
+	spill     map[uint64]struct{}
 }
 
 // Proc is the reliable-transport wrapper. It implements sim.Process (and
@@ -91,13 +115,8 @@ type Proc struct {
 	inner sim.Process
 	api   sim.API
 
-	nextSeq []uint64           // per-destination next link seq (1-based)
-	out     map[uint64]*packet // outstanding, keyed by link key (to, seq)
-	rcv     []rcvLink          // per-source dedup
-	free    []*packet          // recycled packet records
-
-	timers map[uint64]uint64 // retransmit timer id -> link key
-	nextID uint64
+	snd []sndLink // per destination
+	rcv []rcvLink // per source
 
 	buf   []byte // frame scratch (Send paths)
 	stats Stats
@@ -118,29 +137,24 @@ func Wrap(inner sim.Process) *Proc {
 }
 
 // Reset re-arms the wrapper around a (possibly different) inner process,
-// recycling its link state, packet records, and scratch — the pool-
+// recycling its link windows, payload buffers, and scratch — the pool-
 // friendly contract harness run contexts rely on.
 func (p *Proc) Reset(inner sim.Process) {
 	p.inner = inner
 	p.api = nil
-	p.nextSeq = p.nextSeq[:0]
-	if p.out == nil {
-		p.out = make(map[uint64]*packet)
+	for i := range p.snd {
+		for j := range p.snd[i].ring {
+			p.snd[i].ring[j].seq = 0
+		}
+		p.snd[i].next, p.snd[i].base = 0, 0
 	}
-	for k, pk := range p.out {
-		p.recycle(pk)
-		delete(p.out, k)
-	}
+	p.snd = p.snd[:0]
 	for i := range p.rcv {
 		p.rcv[i].watermark = 0
-		clear(p.rcv[i].above)
+		clear(p.rcv[i].bits)
+		clear(p.rcv[i].spill)
 	}
 	p.rcv = p.rcv[:0]
-	if p.timers == nil {
-		p.timers = make(map[uint64]uint64)
-	}
-	clear(p.timers)
-	p.nextID = 0
 	p.stats = Stats{}
 }
 
@@ -151,17 +165,108 @@ func (p *Proc) Inner() sim.Process { return p.inner }
 // TransportStats returns the wrapper's transport counters.
 func (p *Proc) TransportStats() Stats { return p.stats }
 
-func (p *Proc) recycle(pk *packet) {
-	pk.payload = pk.payload[:0]
-	pk.tries = 0
-	pk.acked = false
-	p.free = append(p.free, pk)
+// link returns &(*links)[i], growing the slice within its capacity first
+// so links Reset truncated come back with their (cleared) storage.
+func link[L any](links *[]L, i sim.PartyID) *L {
+	for int(i) >= len(*links) {
+		*links = slices.Grow(*links, 1)[:len(*links)+1]
+	}
+	return &(*links)[i]
 }
 
-func linkKey(to sim.PartyID, seq uint64) uint64 {
-	// Link seqs are per-destination counters; 2^48 sends per link is far
-	// beyond any run, so the key packs without collision.
-	return uint64(to)<<48 | seq&(1<<48-1)
+// outstanding returns the send link to `to` and the live slot holding
+// seq, or a nil slot when seq was never sent on that link or is retired.
+func (p *Proc) outstanding(to sim.PartyID, seq uint64) (*sndLink, *packet) {
+	if int(to) >= len(p.snd) {
+		return nil, nil
+	}
+	l := &p.snd[to]
+	if seq <= l.base || seq > l.next {
+		return l, nil
+	}
+	if pk := &l.ring[seq&uint64(len(l.ring)-1)]; pk.seq == seq {
+		return l, pk
+	}
+	return l, nil
+}
+
+// retire frees pk's slot and moves base past every retired seq.
+func (l *sndLink) retire(pk *packet) {
+	pk.seq = 0
+	mask := uint64(len(l.ring) - 1)
+	for l.base < l.next && l.ring[(l.base+1)&mask].seq == 0 {
+		l.base++
+	}
+}
+
+// grow doubles a full send ring: each live seq moves from slot i to i or
+// i+len(old), and retired slots keep their payload buffers at i.
+func (l *sndLink) grow() {
+	old := l.ring
+	l.ring = make([]packet, max(minSendRing, 2*len(old)))
+	mask := uint64(len(l.ring) - 1)
+	for i, pk := range old {
+		j := uint64(i)
+		if pk.seq != 0 {
+			j = pk.seq & mask
+		}
+		l.ring[j] = pk
+	}
+}
+
+// bitOf returns the word and mask of seq's bit in a receive ring.
+func bitOf(bits []uint64, seq uint64) (*uint64, uint64) {
+	i := seq & uint64(64*len(bits)-1)
+	return &bits[i/64], 1 << (i % 64)
+}
+
+// spilled reports whether seq is in the spill set. Callers check the
+// set's length first, which keeps the map off the path while it is empty.
+func (l *rcvLink) spilled(seq uint64) bool {
+	_, ok := l.spill[seq]
+	return ok
+}
+
+// add records seq as delivered and reports whether it is new.
+func (l *rcvLink) add(seq uint64) bool {
+	if seq <= l.watermark || len(l.spill) > 0 && l.spilled(seq) {
+		return false
+	}
+	if seq-l.watermark > 64*maxRcvWords {
+		// Beyond the largest ring: the watermark catches up via spill.
+		if l.spill == nil {
+			l.spill = make(map[uint64]struct{})
+		}
+		l.spill[seq] = struct{}{}
+		return true
+	}
+	for seq-l.watermark > uint64(64*len(l.bits)) {
+		old := l.bits
+		l.bits = make([]uint64, max(1, 2*len(old)))
+		for s := l.watermark + 1; s <= l.watermark+uint64(64*len(old)); s++ {
+			if w, b := bitOf(old, s); *w&b != 0 {
+				w, b = bitOf(l.bits, s)
+				*w |= b
+			}
+		}
+	}
+	w, b := bitOf(l.bits, seq)
+	if *w&b != 0 {
+		return false
+	}
+	*w |= b
+	for {
+		next := l.watermark + 1
+		if w, b := bitOf(l.bits, next); *w&b != 0 {
+			*w &^= b
+		} else if len(l.spill) > 0 && l.spilled(next) {
+			delete(l.spill, next)
+		} else {
+			break
+		}
+		l.watermark = next
+	}
+	return true
 }
 
 // --- sim.Process toward the runtime ---
@@ -202,44 +307,17 @@ func (p *Proc) deliverData(from sim.PartyID, seq uint64, payload []byte) {
 	p.stats.AcksSent++
 	p.api.Send(from, p.buf)
 
-	// Grow by reslicing within capacity: Reset leaves the recycled links
-	// zeroed but with their dedup maps retained, and append(…, rcvLink{})
-	// would overwrite those maps and re-allocate them every run.
-	for int(from) >= len(p.rcv) {
-		if len(p.rcv) < cap(p.rcv) {
-			p.rcv = p.rcv[:len(p.rcv)+1]
-		} else {
-			p.rcv = append(p.rcv, rcvLink{})
-		}
-	}
-	link := &p.rcv[from]
-	if seq <= link.watermark {
+	if !link(&p.rcv, from).add(seq) {
 		p.stats.DupsSuppressed++
 		return
-	}
-	if link.above == nil {
-		link.above = make(map[uint64]struct{})
-	}
-	if _, dup := link.above[seq]; dup {
-		p.stats.DupsSuppressed++
-		return
-	}
-	link.above[seq] = struct{}{}
-	for {
-		if _, ok := link.above[link.watermark+1]; !ok {
-			break
-		}
-		link.watermark++
-		delete(link.above, link.watermark)
 	}
 	p.inner.Deliver(from, payload)
 }
 
 func (p *Proc) deliverAck(from sim.PartyID, seq uint64) {
-	key := linkKey(from, seq)
-	if pk, ok := p.out[key]; ok {
-		// Mark rather than delete: the pending retransmit timer still
-		// references the key and retires the record when it fires.
+	if _, pk := p.outstanding(from, seq); pk != nil {
+		// Mark rather than retire: the pending retransmit timer still
+		// names the slot and retires it when it fires.
 		pk.acked = true
 	}
 }
@@ -253,44 +331,33 @@ func (p *Proc) OnTimer(tag uint64) {
 		}
 		return
 	}
-	key, ok := p.timers[tag&^timerTagBit]
-	if !ok {
-		return
-	}
-	delete(p.timers, tag&^timerTagBit)
-	pk, ok := p.out[key]
-	if !ok {
-		return
-	}
-	if pk.acked {
-		delete(p.out, key)
-		p.recycle(pk)
-		return
-	}
-	if pk.tries > maxRetries {
+	to := sim.PartyID((tag &^ timerTagBit) >> seqBits)
+	l, pk := p.outstanding(to, tag&(1<<seqBits-1))
+	switch {
+	case pk == nil:
+	case pk.acked:
+		l.retire(pk)
+	case pk.tries > maxRetries:
 		p.stats.GiveUps++
-		delete(p.out, key)
-		p.recycle(pk)
-		return
+		l.retire(pk)
+	default:
+		p.stats.Retransmits++
+		p.sendFrame(to, pk)
 	}
-	p.stats.Retransmits++
-	p.sendFrame(pk)
 }
 
 // sendFrame (re)transmits a packet and arms its next retransmit timer
 // with exponential backoff and seeded jitter.
-func (p *Proc) sendFrame(pk *packet) {
+func (p *Proc) sendFrame(to sim.PartyID, pk *packet) {
 	p.buf = append(p.buf[:0], frameData)
 	p.buf = binary.AppendUvarint(p.buf, pk.seq)
 	p.buf = append(p.buf, pk.payload...)
-	p.api.Send(pk.to, p.buf)
+	p.api.Send(to, p.buf)
 
 	rto := baseRTO << pk.tries
 	rto += sim.Time(p.api.Rand().Int63n(int64(baseRTO/2) + 1))
 	pk.tries++
-	p.nextID++
-	p.timers[p.nextID] = linkKey(pk.to, pk.seq)
-	p.api.SetTimer(rto, timerTagBit|p.nextID)
+	p.api.SetTimer(rto, timerTagBit|uint64(to)<<seqBits|pk.seq)
 }
 
 // --- sim.API toward the inner process ---
@@ -313,26 +380,19 @@ func (p *Proc) SetTimer(delay sim.Time, tag uint64) { p.api.SetTimer(delay, tag)
 // Send implements sim.API: frame the payload with the link's next seq,
 // record it for retransmission, and transmit the first copy.
 func (p *Proc) Send(to sim.PartyID, data []byte) {
-	for int(to) >= len(p.nextSeq) {
-		p.nextSeq = append(p.nextSeq, 0)
+	l := link(&p.snd, to)
+	if l.next-l.base == uint64(len(l.ring)) {
+		l.grow()
 	}
-	p.nextSeq[to]++
-	seq := p.nextSeq[to]
-
-	var pk *packet
-	if n := len(p.free); n > 0 {
-		pk = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		pk = &packet{}
-	}
-	pk.to = to
-	pk.seq = seq
+	l.next++
+	pk := &l.ring[l.next&uint64(len(l.ring)-1)]
+	pk.seq = l.next
 	pk.payload = append(pk.payload[:0], data...)
-	p.out[linkKey(to, seq)] = pk
+	pk.tries = 0
+	pk.acked = false
 
 	p.stats.DataSent++
-	p.sendFrame(pk)
+	p.sendFrame(to, pk)
 }
 
 // Multicast implements sim.API. Frames carry per-link sequence numbers,

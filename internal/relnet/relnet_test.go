@@ -1,8 +1,10 @@
 package relnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sched"
@@ -36,9 +38,17 @@ func (c *chatterProc) Deliver(from sim.PartyID, data []byte) {
 	c.got[[2]int{int(from), int(data[1])}]++
 }
 
+// lossyChatter is the 20% loss + 20% dup schedule the chatter tests run.
+func lossyChatter() sim.Scheduler {
+	var scheduler sim.Scheduler = &sched.UniformRandom{Min: 1, Max: 10}
+	scheduler = &sched.Loss{Inner: scheduler, P: 0.2}
+	return &sched.Dup{Inner: scheduler, P: 0.2, MaxExtra: 20}
+}
+
 // runChatter executes n relnet-wrapped chatter processes under the given
-// scheduler and returns the wrappers for inspection.
-func runChatter(t *testing.T, n, k int, seed int64, scheduler sim.Scheduler) ([]*Proc, []*chatterProc) {
+// scheduler and returns the wrappers for inspection. A non-nil rec sees
+// every call the wrappers make into the runtime's API.
+func runChatter(t *testing.T, n, k int, seed int64, scheduler sim.Scheduler, rec *apiRecorder) ([]*Proc, []*chatterProc) {
 	t.Helper()
 	inner := make([]*chatterProc, n)
 	wrapped := make([]*Proc, n)
@@ -49,7 +59,11 @@ func runChatter(t *testing.T, n, k int, seed int64, scheduler sim.Scheduler) ([]
 	for i := 0; i < n; i++ {
 		inner[i] = &chatterProc{k: k}
 		wrapped[i] = Wrap(inner[i])
-		if err := net.SetProcess(sim.PartyID(i), wrapped[i]); err != nil {
+		var proc sim.Process = wrapped[i]
+		if rec != nil {
+			proc = &recordingProc{Proc: wrapped[i], rec: rec}
+		}
+		if err := net.SetProcess(sim.PartyID(i), proc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,10 +85,7 @@ func TestExactlyOnceUnderLossAndDup(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			var scheduler sim.Scheduler = &sched.UniformRandom{Min: 1, Max: 10}
-			scheduler = &sched.Loss{Inner: scheduler, P: 0.2}
-			scheduler = &sched.Dup{Inner: scheduler, P: 0.2, MaxExtra: 20}
-			wrapped, inner := runChatter(t, n, k, seed, scheduler)
+			wrapped, inner := runChatter(t, n, k, seed, lossyChatter(), nil)
 
 			var total Stats
 			for i, w := range wrapped {
@@ -123,7 +134,7 @@ func TestExactlyOnceUnderLossAndDup(t *testing.T) {
 func TestRawPassthrough(t *testing.T) {
 	inner := &chatterProc{}
 	p := Wrap(inner)
-	p.Init(&nullAPI{n: 2})
+	p.Init(&tapeAPI{n: 2})
 	raw := []byte{3, 1, 4, 1, 5}
 	p.Deliver(1, raw)
 	if inner.junk != 1 {
@@ -136,38 +147,271 @@ func TestRawPassthrough(t *testing.T) {
 func TestResetRecycles(t *testing.T) {
 	a := &chatterProc{}
 	p := Wrap(a)
-	api := &nullAPI{n: 2}
+	api := &tapeAPI{n: 2}
 	p.Init(api)
 	p.Send(1, []byte{9, 9})
-	if len(p.out) != 1 || p.nextSeq[1] != 1 {
-		t.Fatalf("send not tracked: out=%d nextSeq=%v", len(p.out), p.nextSeq)
+	p.Deliver(1, dataFrame(1, 7))
+	p.Deliver(1, dataFrame(3, 7))
+	if l := p.snd[1]; l.next != 1 || l.base != 0 || l.ring[1].seq != 1 {
+		t.Fatalf("send not tracked: next=%d base=%d slot seq=%d", l.next, l.base, l.ring[1].seq)
 	}
+	if l := p.rcv[1]; l.watermark != 1 || l.bits[0] != 1<<3 {
+		t.Fatalf("receive not tracked: watermark=%d bits=%b", l.watermark, l.bits[0])
+	}
+	ring, bits := p.snd[1].ring, p.rcv[1].bits
 	b := &chatterProc{}
 	p.Reset(b)
 	if p.Inner() != b {
 		t.Fatal("Reset did not swap the inner process")
 	}
-	if len(p.out) != 0 || len(p.nextSeq) != 0 || len(p.timers) != 0 || p.stats != (Stats{}) {
-		t.Fatalf("Reset leaked state: out=%d nextSeq=%v timers=%d stats=%+v",
-			len(p.out), p.nextSeq, len(p.timers), p.stats)
+	if len(p.snd) != 0 || len(p.rcv) != 0 || p.stats != (Stats{}) {
+		t.Fatalf("Reset leaked state: snd=%d rcv=%d stats=%+v", len(p.snd), len(p.rcv), p.stats)
+	}
+	// The truncated links come back zeroed, with their storage.
+	p.Init(api)
+	snd, rcv := link(&p.snd, 1), link(&p.rcv, 1)
+	if snd.next != 0 || snd.base != 0 || rcv.watermark != 0 {
+		t.Fatalf("recycled link not zeroed: next=%d base=%d watermark=%d", snd.next, snd.base, rcv.watermark)
+	}
+	if &snd.ring[0] != &ring[0] || &rcv.bits[0] != &bits[0] {
+		t.Fatal("Reset dropped a link's ring or bitset instead of recycling it")
+	}
+	for i, pk := range snd.ring {
+		if pk.seq != 0 {
+			t.Fatalf("recycled slot %d still holds seq %d", i, pk.seq)
+		}
+	}
+	if rcv.bits[0] != 0 {
+		t.Fatalf("recycled bitset not cleared: %b", rcv.bits[0])
 	}
 }
 
-// nullAPI satisfies sim.API for direct wrapper unit tests.
-type nullAPI struct {
-	n   int
-	rng *rand.Rand
+// dataFrame builds the data frame a wrapper sends for (seq, payload...).
+func dataFrame(seq uint64, payload ...byte) []byte {
+	return append(binary.AppendUvarint([]byte{frameData}, seq), payload...)
 }
 
-func (a *nullAPI) ID() sim.PartyID { return 0 }
-func (a *nullAPI) N() int          { return a.n }
-func (a *nullAPI) Rand() *rand.Rand {
+// ackFrame builds the ack frame for seq.
+func ackFrame(seq uint64) []byte {
+	return binary.AppendUvarint([]byte{frameAck}, seq)
+}
+
+// tapeAPI satisfies sim.API for direct wrapper unit tests. It counts the
+// frames sent and keeps the armed timer tags, in order, for the test to
+// fire (or not) by hand.
+type tapeAPI struct {
+	n      int
+	rng    *rand.Rand
+	sends  int
+	timers []uint64
+}
+
+func (a *tapeAPI) ID() sim.PartyID { return 0 }
+func (a *tapeAPI) N() int          { return a.n }
+func (a *tapeAPI) Rand() *rand.Rand {
 	if a.rng == nil {
 		a.rng = rand.New(rand.NewSource(1))
 	}
 	return a.rng
 }
-func (a *nullAPI) Send(sim.PartyID, []byte)  {}
-func (a *nullAPI) Multicast([]byte)          {}
-func (a *nullAPI) SetTimer(sim.Time, uint64) {}
-func (a *nullAPI) Decide(float64)            {}
+func (a *tapeAPI) Send(sim.PartyID, []byte)           { a.sends++ }
+func (a *tapeAPI) Multicast([]byte)                   {}
+func (a *tapeAPI) SetTimer(_ sim.Time, tag uint64)    { a.timers = append(a.timers, tag) }
+func (a *tapeAPI) Decide(float64)                     {}
+func (a *tapeAPI) reset()                             { a.sends, a.timers = 0, a.timers[:0] }
+func retransmitTag(to sim.PartyID, seq uint64) uint64 { return timerTagBit | uint64(to)<<seqBits | seq }
+
+// countProc is an inner process that counts what reaches it and keeps
+// the last payload (aliased, not copied).
+type countProc struct {
+	got  int
+	last []byte
+}
+
+func (c *countProc) Init(sim.API)                    { c.got = 0 }
+func (c *countProc) Deliver(_ sim.PartyID, b []byte) { c.got, c.last = c.got+1, b }
+
+// TestForgedAckIgnored: an ack for a seq never sent on the link — just
+// past next, 2^47, or 2^48+1 (which the old 48-bit link key aliased to
+// seq 1) — and an ack from a party never sent to leave the packet
+// outstanding, so its timer retransmits it.
+func TestForgedAckIgnored(t *testing.T) {
+	p := Wrap(&countProc{})
+	api := &tapeAPI{n: 3}
+	p.Init(api)
+	p.Send(1, []byte{1, 1})
+	for _, seq := range []uint64{2, 1 << 47, 1<<48 + 1} {
+		p.Deliver(1, ackFrame(seq))
+	}
+	p.Deliver(2, ackFrame(1))
+	if _, pk := p.outstanding(1, 1); pk == nil || pk.acked {
+		t.Fatalf("forged ack touched the outstanding packet: %+v", pk)
+	}
+	p.OnTimer(api.timers[0])
+	if st := p.TransportStats(); st.Retransmits != 1 || st.GiveUps != 0 || api.sends != 2 {
+		t.Fatalf("timer after forged acks: %+v, %d frames sent; want one retransmit", st, api.sends)
+	}
+	if p.snd[1].next != 1 || len(p.snd) != 2 {
+		t.Fatalf("forged acks changed the send links: next=%d links=%d", p.snd[1].next, len(p.snd))
+	}
+}
+
+// TestFarAheadDataBounded: a data frame far above the watermark (forged,
+// or absurdly reordered) is delivered once, deduplicated afterwards, and
+// lands in the spill set without growing the receive ring past its cap;
+// the watermark later catches up through the spill.
+func TestFarAheadDataBounded(t *testing.T) {
+	inner := &countProc{}
+	p := Wrap(inner)
+	p.Init(&tapeAPI{n: 2})
+	const edge = 64*maxRcvWords + 1 // first seq past the largest ring
+	for _, seq := range []uint64{1 << 40, edge, 1 << 40, edge} {
+		p.Deliver(1, dataFrame(seq, 5))
+	}
+	l := &p.rcv[1]
+	if inner.got != 2 || p.stats.DupsSuppressed != 2 {
+		t.Fatalf("delivered %d, suppressed %d; want 2 and 2", inner.got, p.stats.DupsSuppressed)
+	}
+	if len(l.bits) > maxRcvWords || len(l.spill) != 2 {
+		t.Fatalf("ring %d words (cap %d), spill %d; want spill 2", len(l.bits), maxRcvWords, len(l.spill))
+	}
+	for seq := uint64(1); seq < edge; seq++ {
+		p.Deliver(1, dataFrame(seq, 5))
+	}
+	if l.watermark != edge || len(l.spill) != 1 || inner.got != edge+1 {
+		t.Fatalf("watermark %d spill %d delivered %d; want %d, 1, %d", l.watermark, len(l.spill), inner.got, edge, edge+1)
+	}
+	p.Deliver(1, dataFrame(edge, 5))
+	if inner.got != edge+1 {
+		t.Fatal("a spilled seq was delivered twice after the watermark passed it")
+	}
+}
+
+// TestLostTimerDoesNotBlockRetirement: a packet whose retransmit timer is
+// never delivered — its sender crashed, or sat in a restart down-window
+// when it fired — stays outstanding forever. Later seqs still retire, the
+// ring grows around the stuck slot, and a late firing releases it.
+func TestLostTimerDoesNotBlockRetirement(t *testing.T) {
+	p := Wrap(&countProc{})
+	api := &tapeAPI{n: 2}
+	p.Init(api)
+	const sends = 40
+	for i := 0; i < sends; i++ {
+		p.Send(1, []byte{byte(i)})
+		p.Deliver(1, ackFrame(uint64(i+1)))
+	}
+	lost := api.timers[0]
+	for _, tag := range api.timers[1:] {
+		p.OnTimer(tag)
+	}
+	l := &p.snd[1]
+	if _, pk := p.outstanding(1, 1); pk == nil {
+		t.Fatal("the packet whose timer was lost is no longer outstanding")
+	}
+	for seq := uint64(2); seq <= sends; seq++ {
+		if _, pk := p.outstanding(1, seq); pk != nil {
+			t.Fatalf("seq %d acked and timed out but not retired", seq)
+		}
+	}
+	if l.base != 0 || len(l.ring) < sends {
+		t.Fatalf("base %d ring %d; want 0 and a ring grown past %d", l.base, len(l.ring), sends)
+	}
+	p.OnTimer(lost)
+	if l.base != sends || p.stats.Retransmits != 0 {
+		t.Fatalf("late timer: base %d retransmits %d; want %d and 0", l.base, p.stats.Retransmits, sends)
+	}
+}
+
+// TestSendRingOutOfOrderRetirement drives one send link against a set
+// model with seeded random sends and out-of-order retirements, across
+// ring wraps and doublings: every live seq stays reachable from its tag,
+// retired ones do not, and base is always one below the oldest live seq.
+func TestSendRingOutOfOrderRetirement(t *testing.T) {
+	p := Wrap(&countProc{})
+	api := &tapeAPI{n: 2}
+	p.Init(api)
+	rng := rand.New(rand.NewSource(27))
+	l := link(&p.snd, 1)
+	var live []uint64 // the model: seqs sent and not yet retired
+	var next uint64
+	wraps, doublings := 0, 0
+	for step := 0; step < 4000; step++ {
+		if len(live) < 40 && (len(live) == 0 || rng.Intn(5) < 3) {
+			before := len(l.ring)
+			p.Send(1, []byte{byte(step)})
+			next++
+			live = append(live, next)
+			if before > 0 && len(l.ring) > before {
+				doublings++
+			} else if next&uint64(len(l.ring)-1) == 0 {
+				wraps++
+			}
+			continue
+		}
+		i := rng.Intn(len(live))
+		seq := live[i]
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		p.Deliver(1, ackFrame(seq))
+		p.OnTimer(retransmitTag(1, seq))
+
+		want := next
+		for _, s := range live {
+			want = min(want, s-1)
+		}
+		if l.base != want || l.next != next {
+			t.Fatalf("step %d: base %d next %d; want %d and %d", step, l.base, l.next, want, next)
+		}
+		for s := l.base + 1; s <= next; s++ {
+			_, pk := p.outstanding(1, s)
+			if isLive := slices.Contains(live, s); (pk != nil) != isLive {
+				t.Fatalf("step %d: seq %d outstanding=%v, model says %v", step, s, pk != nil, isLive)
+			}
+		}
+	}
+	if wraps < 10 || doublings < 2 {
+		t.Fatalf("walk too tame: %d wraps, %d doublings", wraps, doublings)
+	}
+	if p.stats.Retransmits != 0 || p.stats.GiveUps != 0 {
+		t.Fatalf("acked packets were retransmitted or abandoned: %+v", p.stats)
+	}
+}
+
+// TestWarmCycleAllocs pins the recycled wrapper at zero allocations: a
+// Reset followed by sends, received data, acks and retransmit timers
+// reuses the rings, bitsets, payload buffers and frame scratch.
+func TestWarmCycleAllocs(t *testing.T) {
+	inner := &countProc{}
+	p := Wrap(inner)
+	api := &tapeAPI{n: 4}
+	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	const rounds = 12
+	var data, acks [rounds + 1][]byte
+	for seq := range data {
+		data[seq], acks[seq] = dataFrame(uint64(seq), payload...), ackFrame(uint64(seq))
+	}
+	cycle := func() {
+		p.Reset(inner)
+		api.reset()
+		p.Init(api)
+		for round := 1; round <= rounds; round++ {
+			for to := sim.PartyID(0); to < 4; to++ {
+				p.Send(to, payload)
+				p.Deliver(to, data[rounds+1-round]) // newest first
+			}
+		}
+		for i, tag := range api.timers {
+			if i%3 != 0 {
+				p.Deliver(sim.PartyID(tag>>seqBits&0xff), acks[tag&(1<<seqBits-1)])
+			}
+			p.OnTimer(tag)
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(50, cycle); got != 0 {
+		t.Fatalf("warm Reset/send/ack/timer cycle allocates %.1f times, want 0", got)
+	}
+	if inner.got != 48 || p.stats.Retransmits == 0 {
+		t.Fatalf("cycle did not exercise delivery and retransmission: got %d, %+v", inner.got, p.stats)
+	}
+}
