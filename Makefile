@@ -1,5 +1,5 @@
-# Developer entry points. `make check` is the tier-1 gate (build + vet +
-# tests); `make bench` refreshes the current BENCH_*.json performance
+# Developer entry points. `make check` is the tier-1 gate (gofmt + build +
+# vet + tests); `make bench` refreshes the current BENCH_*.json performance
 # snapshot at the repo root and `make bench-compare` diffs it against the
 # previous one; `make race` exercises the parallel experiment engine and
 # the goroutine runtime under the race detector;
@@ -12,7 +12,10 @@ BENCH_NEW ?= BENCH_8.json
 
 .PHONY: check vet race fuzz-relnet benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
 
+# check fails first on any file gofmt would rewrite, listing them.
 check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...

@@ -98,9 +98,11 @@ func NewAsyncAA(p Params, input float64) (*AsyncAA, error) {
 // Reset re-initializes the party for a new run, performing exactly the
 // validation NewAsyncAA performs but recycling the round buckets, the
 // dense INIT/DECIDED stores, and the scratch buffers — the recycled-run-
-// context form of fresh construction. After a same-shape warm-up run it
-// allocates nothing; a shape change (different N) drops the shape-bound
-// pools.
+// context form of fresh construction. The ring's length does not depend on
+// N, and a change of N re-fits the stores and the pooled buckets by
+// capacity (reslicing when it suffices, allocating only when it does not),
+// so once a party has run at the largest N of a sweep, cycling through the
+// sweep's N values allocates nothing.
 func (a *AsyncAA) Reset(p Params, input float64) error {
 	if p.Protocol != ProtoCrash && p.Protocol != ProtoByzTrim {
 		return fmt.Errorf("%w: AsyncAA does not implement %s", ErrBadParams, p.Protocol)
@@ -115,32 +117,16 @@ func (a *AsyncAA) Reset(p Params, input float64) error {
 		return fmt.Errorf("%w: input %v outside promised range [%v, %v]",
 			ErrBadParams, input, p.Lo, p.Hi)
 	}
-	sameShape := p.N == a.p.N && a.ring != nil
-	if sameShape {
-		for i, b := range a.ring {
-			if b != nil {
-				b.clear()
-				a.freeBuckets = append(a.freeBuckets, b)
-				a.ring[i] = nil
-			}
-		}
-		for r, b := range a.spill {
-			b.clear()
-			a.freeBuckets = append(a.freeBuckets, b)
-			delete(a.spill, r)
-		}
-		clear(a.initSeen)
-		clear(a.frozenSeen)
-	} else {
-		words := (p.N + 63) / 64
+	if a.ring == nil {
 		a.ring = make([]*roundBucket, roundRingLen)
-		a.spill = nil
-		clear(a.freeBuckets) // shape-bound: drop old-size buckets entirely
-		a.freeBuckets = a.freeBuckets[:0]
-		a.initVals = make([]float64, p.N)
-		a.initSeen = make([]uint64, words)
-		a.frozenVals = make([]float64, p.N)
-		a.frozenSeen = make([]uint64, words)
+	}
+	a.recycle()
+	if p.N != a.p.N {
+		for _, b := range a.freeBuckets {
+			b.vals, b.seen = fitStore(b.vals, b.seen, p.N)
+		}
+		a.initVals, a.initSeen = fitStore(a.initVals, a.initSeen, p.N)
+		a.frozenVals, a.frozenSeen = fitStore(a.frozenVals, a.frozenSeen, p.N)
 	}
 	a.initCnt, a.frozenCnt = 0, 0
 	a.initLo, a.initHi = 0, 0
@@ -152,6 +138,26 @@ func (a *AsyncAA) Reset(p Params, input float64) error {
 	a.started, a.decided = false, false
 	a.err = nil
 	return nil
+}
+
+// recycle drops the run's volatile reception state: every live round
+// bucket returns cleared to the free list, and the INIT/DECIDED seen
+// bitsets are zeroed.
+func (a *AsyncAA) recycle() {
+	for i, b := range a.ring {
+		if b != nil {
+			b.clear()
+			a.freeBuckets = append(a.freeBuckets, b)
+			a.ring[i] = nil
+		}
+	}
+	for r, b := range a.spill {
+		b.clear()
+		a.freeBuckets = append(a.freeBuckets, b)
+		delete(a.spill, r)
+	}
+	clear(a.initSeen)
+	clear(a.frozenSeen)
 }
 
 // Init implements sim.Process.

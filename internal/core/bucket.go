@@ -31,6 +31,22 @@ func newRoundBucket(n int) *roundBucket {
 	}
 }
 
+// fitStore re-fits a per-origin value store and its seen bitset to n
+// parties by capacity: it reslices when the capacity suffices and allocates
+// only when it does not. The seen words are zeroed over the full capacity,
+// so a later regrow by reslicing exposes only zero words.
+func fitStore(vals []float64, seen []uint64, n int) ([]float64, []uint64) {
+	if cap(vals) < n {
+		vals = make([]float64, n)
+	}
+	words := (n + 63) / 64
+	if cap(seen) < words {
+		seen = make([]uint64, words)
+	}
+	clear(seen[:cap(seen)])
+	return vals[:n], seen[:words]
+}
+
 // add records from's value; it reports false for a duplicate sender.
 func (b *roundBucket) add(from sim.PartyID, v float64) bool {
 	wd, bit := int(from)>>6, uint64(1)<<(uint(from)&63)

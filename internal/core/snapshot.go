@@ -134,20 +134,7 @@ func (a *AsyncAA) Restore(data []byte) error {
 			ErrBadParams, n, t, adaptive, a.p.N, a.p.T, a.p.Adaptive)
 	}
 	// Drop the current volatile state exactly as a same-shape Reset does.
-	for i, b := range a.ring {
-		if b != nil {
-			b.clear()
-			a.freeBuckets = append(a.freeBuckets, b)
-			a.ring[i] = nil
-		}
-	}
-	for r, b := range a.spill {
-		b.clear()
-		a.freeBuckets = append(a.freeBuckets, b)
-		delete(a.spill, r)
-	}
-	clear(a.initSeen)
-	clear(a.frozenSeen)
+	a.recycle()
 
 	a.input = d.F64()
 	a.v = d.F64()

@@ -23,11 +23,12 @@ func newRecorder(id sim.PartyID, n int) *recorder {
 	return &recorder{id: id, n: n, sent: map[sim.PartyID][][]byte{}, rng: rand.New(rand.NewSource(1))}
 }
 
-func (r *recorder) ID() sim.PartyID               { return r.id }
-func (r *recorder) N() int                        { return r.n }
-func (r *recorder) Rand() *rand.Rand              { return r.rng }
-func (r *recorder) Decide(float64)                {}
-func (r *recorder) SetTimer(sim.Time, uint64)     {}
+func (r *recorder) ID() sim.PartyID           { return r.id }
+func (r *recorder) N() int                    { return r.n }
+func (r *recorder) Rand() *rand.Rand          { return r.rng }
+func (r *recorder) Decide(float64)            {}
+func (r *recorder) SetTimer(sim.Time, uint64) {}
+
 // Send snapshots the payload, as every real runtime does (behavior procs
 // encode into reusable scratch buffers and rely on it).
 func (r *recorder) Send(to sim.PartyID, d []byte) {

@@ -27,13 +27,15 @@ import (
 //
 // Equivalence argument. A run must remain a pure function of its Spec, so
 // Reset must be indistinguishable from fresh construction. Every Reset in
-// the stack re-derives all run-visible state from its arguments (reseeded
-// rand sources produce identical streams; cleared maps and re-zeroed
-// bitsets are observably empty; recycled slabs are re-zeroed before
-// reuse) — the same deferred-quiescent style of argument PR 2 used for
-// rbc.ReleaseRound. TestRunContextReuseByteIdentical pins it end to end:
-// every experiment table renders byte-identically with recycling on and
-// off, at engine parallelism 1 and 8.
+// the stack re-derives all run-visible state from its arguments (a party's
+// rand source is reseeded from the run's seed on its first draw of the run,
+// and a stream depends only on its seed, so it is identical to a fresh
+// source's; cleared maps and re-zeroed bitsets are observably empty;
+// recycled slabs are re-zeroed before reuse) — the same deferred-quiescent
+// style of argument used for rbc.ReleaseRound.
+// TestRunContextReuseByteIdentical pins it end to end: every experiment
+// table renders byte-identically with recycling on and off, at engine
+// parallelism 1 and 8.
 
 // noRecycling, when set, makes the package-level Run build a fresh
 // RunContext per run instead of drawing from the pool — the

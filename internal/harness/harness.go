@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -297,13 +298,20 @@ func BimodalInputs(n int, lo, hi float64) []float64 {
 	return out
 }
 
+// inputRngPool recycles UniformInputs' sources: reseeding a pooled source
+// yields the stream a fresh one would, without allocating the ~5 KB
+// rngSource on every call.
+var inputRngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // UniformInputs draws n inputs uniformly from [lo, hi].
 func UniformInputs(n int, lo, hi float64, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = lo + rng.Float64()*(hi-lo)
 	}
+	inputRngPool.Put(rng)
 	return out
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -323,5 +324,27 @@ func TestInputGenerators(t *testing.T) {
 	sc := SortedCopy([]float64{3, 1, 2})
 	if sc[0] != 1 || sc[2] != 3 {
 		t.Errorf("SortedCopy = %v", sc)
+	}
+}
+
+// TestUniformInputsPooledSource pins that UniformInputs' pooled, reseeded
+// source draws exactly what a freshly built source draws, interleaving
+// seeds and sizes so every call reseeds a source a different call left
+// mid-stream, and that the output slice is its only allocation.
+func TestUniformInputsPooledSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7, -3, 2025, 1 << 40} {
+		for _, n := range []int{1, 8, 13, 100} {
+			rng := rand.New(rand.NewSource(seed))
+			got := UniformInputs(n, -2, 6, seed)
+			for i, v := range got {
+				if want := -2 + rng.Float64()*8; v != want {
+					t.Fatalf("seed %d n %d: input %d = %v, want the fresh source's %v", seed, n, i, v, want)
+				}
+			}
+		}
+	}
+	UniformInputs(16, 0, 1, 5)
+	if allocs := testing.AllocsPerRun(100, func() { UniformInputs(16, 0, 1, 5) }); allocs != 1 {
+		t.Errorf("UniformInputs allocates %.2f/call, want 1 (the output slice)", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -282,6 +283,59 @@ func TestByzRunReusedAllocs(t *testing.T) {
 				t.Errorf("warm Byzantine steady state allocates %.2f/run, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestRunReusedAllocsAcrossN pins the small-sweep shape: one context
+// cycling through n ∈ {8, 10, 13, 16} for the crash and trim protocols,
+// each at its own resilience bound, as table regeneration does. Once every
+// n has been warmed, the parties re-fit their stores and pooled round
+// buckets to each n by capacity, so a whole further cycle allocates
+// nothing on the reused-report path.
+func TestRunReusedAllocsAcrossN(t *testing.T) {
+	var cycle []Spec
+	for _, n := range []int{8, 10, 13, 16} {
+		for _, c := range []struct {
+			proto core.Protocol
+			t     int
+			scen  string
+		}{
+			{core.ProtoCrash, (n - 1) / 2, "splitviews+crash"},
+			{core.ProtoByzTrim, (n - 1) / 7, "random+equivocate"},
+		} {
+			p := core.Params{Protocol: c.proto, N: n, T: c.t, Eps: 1e-3, Lo: 0, Hi: 1}
+			scen := scenario.MustParse(fmt.Sprintf("%s/n=%d,t=%d", c.scen, n, c.t))
+			spec, err := SpecFrom(p, UniformInputs(n, 0, 1, int64(n)), scen, int64(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cycle = append(cycle, spec)
+		}
+	}
+	ctx := NewRunContext()
+	var runErr error
+	var runFail string
+	runCycle := func() {
+		for _, spec := range cycle {
+			rep, err := ctx.Run(spec)
+			switch {
+			case err != nil:
+				runErr = err
+			case !rep.OK():
+				runFail = rep.Failure()
+			}
+		}
+	}
+	runCycle()
+	allocs := testing.AllocsPerRun(50, runCycle)
+	if runErr != nil {
+		t.Fatalf("run failed: %v", runErr)
+	}
+	if runFail != "" {
+		t.Fatalf("run failed: %s", runFail)
+	}
+	if allocs != 0 {
+		t.Errorf("warm n-cycling sweep allocates %.2f/cycle of %d runs, want 0", allocs, len(cycle))
 	}
 }
 

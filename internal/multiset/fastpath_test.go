@@ -92,8 +92,8 @@ func TestApplyStillValidates(t *testing.T) {
 // fallbackFunc has no trusted fast path; ApplySorted must fall back to Apply.
 type fallbackFunc struct{}
 
-func (fallbackFunc) Name() string      { return "fallback" }
-func (fallbackFunc) MinInputs() int    { return 1 }
+func (fallbackFunc) Name() string   { return "fallback" }
+func (fallbackFunc) MinInputs() int { return 1 }
 func (fallbackFunc) Apply(s []float64) (float64, error) {
 	if err := checkSorted(s); err != nil {
 		return 0, err

@@ -104,12 +104,13 @@ func (r *Result) HonestSpread() float64 {
 //
 // A Network is resettable: Reset reconfigures it for a new execution while
 // recycling every piece of run state — the event queue's arena, the payload
-// blocks, the per-party records and their random sources. After a warm-up
-// run of the same shape, a Reset + Run cycle performs zero steady-state
-// heap allocations. Reset is provably equivalent to fresh construction
-// (every field a run can observe is re-derived from the new Config), which
-// the harness pins by comparing recycled and freshly-built experiment
-// tables byte for byte.
+// blocks, the per-party records and their random sources. A party's source
+// is seeded lazily, on its first Rand call in a run, so a run whose
+// processes never draw pays no seeding. After a warm-up run of the same
+// shape, a Reset + Run cycle performs zero steady-state heap allocations.
+// Reset is provably equivalent to fresh construction (every field a run can
+// observe is re-derived from the new Config), which the harness pins by
+// comparing recycled and freshly-built experiment tables byte for byte.
 type Network struct {
 	cfg        Config
 	parties    []*partyState // the run's parties: allParties[:cfg.N]
@@ -128,7 +129,7 @@ type Network struct {
 	// (struct-of-arrays): the per-event loops touch only the field they
 	// need, walking contiguous memory instead of chasing partyState
 	// pointers — the cache-density move for n >= 256 sweeps. The partyState
-	// records keep the cold identity (process, rand source).
+	// records keep the cold identity (process, lazily seeded rand source).
 	crashed    []bool
 	faulty     []bool // any fault assignment (crash or byzantine)
 	byz        []bool
@@ -251,14 +252,35 @@ type partyState struct {
 	id   PartyID
 	proc Process
 	net  *Network
-	rng  *rand.Rand
+	// rng is the party's random source, built on the record's first draw
+	// and kept across runs; seeded reports whether it has been seeded from
+	// partySeed in the current run (Reset clears it).
+	rng    *rand.Rand
+	seeded bool
 }
 
 var _ API = (*partyState)(nil)
 
-func (p *partyState) ID() PartyID      { return p.id }
-func (p *partyState) N() int           { return p.net.cfg.N }
-func (p *partyState) Rand() *rand.Rand { return p.rng }
+func (p *partyState) ID() PartyID { return p.id }
+func (p *partyState) N() int      { return p.net.cfg.N }
+
+// Rand returns the party's random source, seeding it on the first call of
+// the run. A stream depends only on its seed, not on when it is seeded, so
+// the draws equal those of a source seeded at construction; the ~1 800-step
+// rngSource seeding is paid only by parties that draw (relnet jitter, the
+// spam behavior, vector's child API), not by every party of every run.
+func (p *partyState) Rand() *rand.Rand {
+	if !p.seeded {
+		s := partySeed(p.net.cfg.Seed, int(p.id))
+		if p.rng == nil {
+			p.rng = rand.New(rand.NewSource(s))
+		} else {
+			p.rng.Seed(s)
+		}
+		p.seeded = true
+	}
+	return p.rng
+}
 
 func (p *partyState) Send(to PartyID, data []byte) {
 	p.net.send(p, to, p.net.arena.snapshot(data))
@@ -371,9 +393,12 @@ func New(cfg Config) (*Network, error) {
 // queue, the payload arena, and the party records of earlier runs. It is
 // observably equivalent to New(cfg): every run-visible field — virtual
 // time, sequence counter, stats, party fault assignments, random sources —
-// is re-derived from cfg, and the reseeded sources produce the same streams
-// a fresh construction would. Attached processes and the observer are
-// cleared; reattach with SetProcess (and SetObserver) before Run.
+// is re-derived from cfg. Party sources are not reseeded here: Reset marks
+// them unseeded, and each is seeded from cfg at most once per run, on its
+// first draw, so it produces the stream a fresh construction would. The
+// scheduler's own source is reseeded eagerly. Attached processes and the
+// observer are cleared; reattach with SetProcess (and SetObserver) before
+// Run.
 func (n *Network) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -399,34 +424,19 @@ func (n *Network) Reset(cfg Config) error {
 		copy(grown, n.allParties)
 		n.allParties = grown
 	}
-	// recycled counts the parties whose random source must be re-seeded;
-	// parties created below are seeded at construction (rngSource seeding
-	// is the dominant cost of building a network, so it must happen exactly
-	// once per party per run).
-	recycled := len(n.allParties)
-	if recycled > cfg.N {
-		recycled = cfg.N
-	}
 	for len(n.allParties) < cfg.N {
-		i := len(n.allParties)
-		n.allParties = append(n.allParties, &partyState{
-			id:  PartyID(i),
-			net: n,
-			rng: rand.New(rand.NewSource(partySeed(cfg.Seed, i))),
-		})
+		n.allParties = append(n.allParties, &partyState{id: PartyID(len(n.allParties)), net: n})
 	}
 	n.parties = n.allParties[:cfg.N]
-	// Parties beyond the new N keep their records (and warm rand sources)
-	// for later larger runs, but must not pin the previous run's process
-	// objects (a Byzantine process graph can be sizable).
+	// Parties beyond the new N keep their records (and rand sources) for
+	// later larger runs, but must not pin the previous run's process objects
+	// (a Byzantine process graph can be sizable).
 	for _, ps := range n.allParties[cfg.N:] {
 		ps.proc = nil
 	}
 	n.resizeSoA(cfg.N)
 	for i, ps := range n.parties {
-		if i < recycled {
-			ps.rng.Seed(partySeed(cfg.Seed, i))
-		}
+		ps.seeded = false
 		ps.proc = nil
 		n.faulty[i] = false
 		n.byz[i] = false
