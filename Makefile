@@ -20,8 +20,12 @@ check:
 	$(GO) vet ./...
 	$(GO) test ./...
 
+# race's -run alternatives must each match a test: one that matches nothing
+# passes silently. Check with `go test -list` after renaming a test.
+# TestProductionMatchesReference runs a reference and a production engine
+# concurrently, sharing the run-context pool.
 race:
-	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestRunContext' ./internal/harness/
+	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestProductionMatchesReference' ./internal/harness/
 	$(GO) test -race ./internal/livenet/
 
 # fuzz-relnet runs the native fuzz target for relnet's frame parser and
@@ -82,9 +86,9 @@ e12-xl:
 	E12_XL_SMOKE=1 $(GO) test -run TestE12XL1024Smoke -v -timeout 30m ./internal/harness/
 
 # incident-replay replays every committed incident bundle in
-# testdata/incidents/ across the {heap, calendar} x {batch on, off} x
-# {1, 8 workers} matrix and diffs each run against the recorded digest.
-# Any divergence reports the episode, the matrix cell, and the first
+# testdata/incidents/ on three engines (production at 1 and 8 workers, and
+# the reference) and diffs each run against the recorded digest.
+# Any divergence reports the episode, the engine, and the first
 # divergent send sequence. Runs in well under a second; wired into CI.
 incident-replay:
 	$(GO) test -run 'TestIncidentCorpusReplayMatrix|TestCorpusMutationDetected' -count=1 -v ./internal/incident/

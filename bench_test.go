@@ -15,18 +15,23 @@ import (
 	"repro/internal/multiset"
 	"repro/internal/sched"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// runExperiment drives one experiment per iteration and logs the final
-// table under -v.
-func runExperiment(b *testing.B, run func() (*trace.Table, error)) {
+// runExperiment drives one experiment per iteration on a production engine
+// at GOMAXPROCS workers and logs the final table under -v.
+func runExperiment(b *testing.B, run func(e *harness.Engine) (*trace.Table, error)) {
+	b.Helper()
+	runExperimentOn(b, &harness.Engine{}, run)
+}
+
+// runExperimentOn is runExperiment on the given engine.
+func runExperimentOn(b *testing.B, e *harness.Engine, run func(e *harness.Engine) (*trace.Table, error)) {
 	b.Helper()
 	var tbl *trace.Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		tbl, err = run()
+		tbl, err = run(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,12 +47,12 @@ func runExperiment(b *testing.B, run func() (*trace.Table, error)) {
 
 // BenchmarkE1Resilience regenerates Table E1 (resilience thresholds).
 func BenchmarkE1Resilience(b *testing.B) {
-	runExperiment(b, func() (*trace.Table, error) { return harness.E1Resilience(1) })
+	runExperiment(b, func(e *harness.Engine) (*trace.Table, error) { return harness.E1Resilience(e, 1) })
 }
 
 // BenchmarkE2Convergence regenerates Table E2 (per-round convergence rate).
 func BenchmarkE2Convergence(b *testing.B) {
-	runExperiment(b, func() (*trace.Table, error) { return harness.E2Convergence(1) })
+	runExperiment(b, func(e *harness.Engine) (*trace.Table, error) { return harness.E2Convergence(e, 1) })
 }
 
 // BenchmarkE3Rounds regenerates Table E3 (round complexity vs spread).
@@ -72,38 +77,37 @@ func BenchmarkE5Trajectories(b *testing.B) {
 // compare against BenchmarkE6ScalingSequential for the engine's speedup
 // (~GOMAXPROCS on a multi-core machine).
 func BenchmarkE6Scaling(b *testing.B) {
-	runExperiment(b, func() (*trace.Table, error) {
-		return harness.E6ScalingSizes([]int{8, 16, 32})
-	})
+	runExperiment(b, e6Small)
+}
+
+// e6Small is the E6 sweep capped at n=32.
+func e6Small(e *harness.Engine) (*trace.Table, error) {
+	return harness.E6ScalingSizes(e, []int{8, 16, 32})
 }
 
 // BenchmarkE6ScalingSequential is BenchmarkE6Scaling pinned to one engine
 // worker: the sequential baseline for the parallel-speedup acceptance
 // criterion (the tables rendered by both are byte-identical).
 func BenchmarkE6ScalingSequential(b *testing.B) {
-	harness.SetParallelism(1)
-	defer harness.SetParallelism(0)
-	runExperiment(b, func() (*trace.Table, error) {
-		return harness.E6ScalingSizes([]int{8, 16, 32})
-	})
+	runExperimentOn(b, &harness.Engine{Workers: 1}, e6Small)
 }
 
 // BenchmarkE7Functions regenerates Table E7 (approximation-function
 // ablation).
 func BenchmarkE7Functions(b *testing.B) {
-	runExperiment(b, func() (*trace.Table, error) { return harness.E7Functions(1) })
+	runExperiment(b, func(e *harness.Engine) (*trace.Table, error) { return harness.E7Functions(e, 1) })
 }
 
 // BenchmarkE8Adaptive regenerates Table E8 (adaptive vs fixed-range
 // termination).
 func BenchmarkE8Adaptive(b *testing.B) {
-	runExperiment(b, func() (*trace.Table, error) { return harness.E8Adaptive(1) })
+	runExperiment(b, func(e *harness.Engine) (*trace.Table, error) { return harness.E8Adaptive(e, 1) })
 }
 
 // BenchmarkE9Attacks regenerates Table E9 (Byzantine strategy
 // effectiveness).
 func BenchmarkE9Attacks(b *testing.B) {
-	runExperiment(b, func() (*trace.Table, error) { return harness.E9Attacks(1) })
+	runExperiment(b, func(e *harness.Engine) (*trace.Table, error) { return harness.E9Attacks(e, 1) })
 }
 
 // BenchmarkE10Vector regenerates Table E10 (coordinate-wise agreement in
@@ -121,8 +125,8 @@ func BenchmarkE11FIFO(b *testing.B) {
 // capped at n=64 to keep the iteration in the hundreds of milliseconds;
 // aabench runs the full sweep up to n=256.
 func BenchmarkE12LargeN(b *testing.B) {
-	runExperiment(b, func() (*trace.Table, error) {
-		return harness.E12LargeNSizes([]int{32, 64})
+	runExperiment(b, func(e *harness.Engine) (*trace.Table, error) {
+		return harness.E12LargeNSizes(e, []int{32, 64})
 	})
 }
 
@@ -142,7 +146,7 @@ func BenchmarkE14Recovery(b *testing.B) {
 // sweep: offered-load multiplier x fault mix through the admission
 // envelope).
 func BenchmarkE15Overload(b *testing.B) {
-	runExperiment(b, serve.E15Overload)
+	runExperiment(b, func(*harness.Engine) (*trace.Table, error) { return serve.E15Overload() })
 }
 
 // --- micro-benchmarks of the substrates and a single protocol run ---
@@ -245,13 +249,11 @@ func BenchmarkContractionSearch(b *testing.B) {
 	microbench.ContractionSearch(b)
 }
 
-// BenchmarkSimLoop measures the raw simulator event loop on each event
-// core — the calendar-queue-vs-heap comparison the large-n sweeps ride on.
-// The bodies live in internal/microbench (shared with cmd/aabench's -json
-// snapshot as "simloop/calendar" and "simloop/heap").
+// BenchmarkSimLoop measures the raw simulator event loop. The body lives
+// in internal/microbench (shared with cmd/aabench's -json snapshot as
+// "simloop/calendar").
 func BenchmarkSimLoop(b *testing.B) {
-	b.Run("calendar", func(b *testing.B) { microbench.SimLoop(b, sim.CoreCalendar) })
-	b.Run("heap", func(b *testing.B) { microbench.SimLoop(b, sim.CoreHeap) })
+	microbench.SimLoop(b)
 }
 
 // BenchmarkScenarioE12 measures one representative E12 unit: a full
@@ -259,15 +261,6 @@ func BenchmarkSimLoop(b *testing.B) {
 // (shared with the snapshot as "scenario/e12").
 func BenchmarkScenarioE12(b *testing.B) {
 	microbench.ScenarioE12(b)
-}
-
-// BenchmarkDeliverBatch measures the tick-delivery core A/B — batched
-// destination-grouped delivery versus the per-envelope reference loop on
-// the same (observably identical) E12-style run (shared with the snapshot
-// as "deliverbatch/on" and "deliverbatch/off").
-func BenchmarkDeliverBatch(b *testing.B) {
-	b.Run("on", func(b *testing.B) { microbench.DeliverBatch(b, sim.BatchOn) })
-	b.Run("off", func(b *testing.B) { microbench.DeliverBatch(b, sim.BatchOff) })
 }
 
 // BenchmarkRunReused measures a full crash-protocol run on a warm recycled

@@ -7,16 +7,17 @@
 //
 // Usage:
 //
-//	aabench [-seeds N] [-only E4] [-csv DIR] [-parallel N] [-core calendar|heap] [-batch on|off] [-xl] [-json FILE] [-micro=false] [-cpuprofile FILE] [-memprofile FILE]
+//	aabench [-seeds N] [-only E4] [-csv DIR] [-parallel N] [-xl] [-json FILE] [-micro=false] [-cpuprofile FILE] [-memprofile FILE]
 //	aabench -compare OLD.json NEW.json
 //
-// Experiments run on the parallel engine (internal/harness worker pool) by
-// default, fanning independent simulation runs across GOMAXPROCS cores;
-// -parallel 1 forces the sequential path (the rendered tables are identical
-// by construction — the determinism tests pin this). Each run itself is
-// single-threaded. -xl appends the E12-XL large-n scaling slice (n ∈ {1024,
-// 4096}) to the experiment set — hours of work, so it is opt-in and the
-// committed full snapshots carry its rows. Every run executes on a recycled
+// Each experiment runs on a production harness.Engine of its own, fanning
+// independent simulation runs across GOMAXPROCS cores by default; -parallel
+// sets the engine's worker count, and -parallel 1 forces the sequential
+// path (the rendered tables are identical by construction — the
+// determinism tests pin this). Each run itself is single-threaded. -xl
+// appends the E12-XL large-n scaling slice (n ∈ {1024, 4096}) to the
+// experiment set — hours of work, so it is opt-in and the committed full
+// snapshots carry its rows. Every run executes on a recycled
 // harness run context, so per-run state construction is off the measured
 // path (see PERF.md "Run-context recycling").
 //
@@ -51,7 +52,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/microbench"
 	"repro/internal/serve"
-	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -70,8 +71,6 @@ type snapshot struct {
 	GoVersion   string       `json:"go"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	Parallelism int          `json:"parallelism"`
-	Core        string       `json:"core,omitempty"`
-	Batch       string       `json:"batch,omitempty"`
 	Seeds       int          `json:"seeds"`
 	Generated   string       `json:"generated"`
 	Experiments []expBench   `json:"experiments"`
@@ -114,8 +113,6 @@ func run(args []string) (err error) {
 	only := fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
 	csvDir := fs.String("csv", "", "directory to also write CSV tables into")
 	parallel := fs.Int("parallel", 0, "engine worker count (0 = GOMAXPROCS, 1 = sequential)")
-	coreName := fs.String("core", "", "simulator event core: calendar | heap (default: the build's default core)")
-	batchName := fs.String("batch", "", "tick delivery mode: on (batched, the default) | off (per-envelope reference loop)")
 	xl := fs.Bool("xl", false, "append the E12-XL large-n scaling slice (n in {1024, 4096}) to the experiment set")
 	jsonPath := fs.String("json", "", "file to write a BENCH_*.json benchmark snapshot into")
 	micro := fs.Bool("micro", true, "include the micro-benchmarks in the -json snapshot (disable for fast CI smoke runs)")
@@ -148,28 +145,6 @@ func run(args []string) (err error) {
 	if *memProfile != "" {
 		defer func() { err = errors.Join(err, writeHeapProfile(*memProfile)) }()
 	}
-	harness.SetParallelism(*parallel)
-	defer harness.SetParallelism(0)
-	switch *coreName {
-	case "":
-	case "calendar":
-		harness.SetEventCore(sim.CoreCalendar)
-	case "heap":
-		harness.SetEventCore(sim.CoreHeap)
-	default:
-		return fmt.Errorf("unknown event core %q (want calendar or heap)", *coreName)
-	}
-	defer harness.SetEventCore(sim.CoreDefault)
-	switch *batchName {
-	case "":
-	case "on":
-		harness.SetBatching(sim.BatchOn)
-	case "off":
-		harness.SetBatching(sim.BatchOff)
-	default:
-		return fmt.Errorf("unknown batch mode %q (want on or off)", *batchName)
-	}
-	defer harness.SetBatching(sim.BatchDefault)
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
 		if id = strings.TrimSpace(id); id != "" {
@@ -181,43 +156,35 @@ func run(args []string) (err error) {
 			return err
 		}
 	}
+	workers := *parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	snap := snapshot{
 		Schema:      "aabench/v1",
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Parallelism: harness.Parallelism(),
-		Core:        harness.EventCore().Resolve().String(),
-		Batch:       harness.Batching().Resolve().String(),
+		Parallelism: workers,
 		Seeds:       *seeds,
 		Generated:   time.Now().UTC().Format(time.RFC3339),
 	}
-	exps := harness.Experiments(*seeds)
-	// E15 lives in internal/serve (it drives the serving layer over the
-	// harness, so it cannot register from inside the harness package).
-	exps = append(exps, harness.Experiment{
-		ID:    "E15",
-		Title: "Overload sweep: offered load x fault mix",
-		Run:   serve.E15Overload,
-	})
-	if *xl {
-		exps = append(exps, harness.Experiment{
-			ID:    "E12XL",
-			Title: "Large-n scaling slice",
-			Run:   harness.E12XL,
-		})
-	}
-	for _, exp := range exps {
+	for i := range experiments(&harness.Engine{}, *seeds, *xl) {
+		// A fresh engine per experiment: its counters are the experiment's
+		// runs alone.
+		e := &harness.Engine{Workers: *parallel}
+		exp := experiments(e, *seeds, *xl)[i]
 		if len(want) > 0 && !want[exp.ID] {
 			continue
 		}
-		harness.ResetEngineStats()
+		mallocs := readMallocs()
 		start := time.Now()
 		tbl, err := exp.Run()
 		if err != nil {
 			return fmt.Errorf("%s (%s): %w", exp.ID, exp.Title, err)
 		}
 		wall := time.Since(start)
-		stats := harness.SnapshotEngineStats()
+		allocs := readMallocs() - mallocs
+		stats := e.Stats()
 		fmt.Printf("== %s: %s (%.1fs, %d runs) ==\n", exp.ID, exp.Title, wall.Seconds(), stats.Runs)
 		if err := tbl.Render(os.Stdout); err != nil {
 			return err
@@ -231,7 +198,7 @@ func run(args []string) (err error) {
 			NsPerRun:     perRun(float64(wall.Nanoseconds()), stats.Runs),
 			MsgsPerRun:   perRun(float64(stats.MessagesSent), stats.Runs),
 			BytesPerRun:  perRun(float64(stats.BytesSent), stats.Runs),
-			AllocsPerRun: perRun(float64(stats.Mallocs), stats.Runs),
+			AllocsPerRun: perRun(float64(allocs), stats.Runs),
 		})
 		if *csvDir != "" {
 			f, err := os.Create(filepath.Join(*csvDir, strings.ToLower(exp.ID)+".csv"))
@@ -258,6 +225,36 @@ func run(args []string) (err error) {
 		return err
 	}
 	return os.WriteFile(*jsonPath, append(data, '\n'), 0o644)
+}
+
+// experiments lists what aabench runs, in order, bound to engine e: the
+// harness registry, then E15, then (with -xl) E12-XL.
+func experiments(e *harness.Engine, seeds int, xl bool) []harness.Experiment {
+	exps := harness.Experiments(e, seeds)
+	// E15 lives in internal/serve (it drives the serving layer over the
+	// harness, so it cannot register from inside the harness package). It
+	// runs through the package-level harness.Run, so its runs never reach
+	// e's counters and its stats row reads zero.
+	exps = append(exps, harness.Experiment{
+		ID:    "E15",
+		Title: "Overload sweep: offered load x fault mix",
+		Run:   serve.E15Overload,
+	})
+	if xl {
+		exps = append(exps, harness.Experiment{
+			ID:    "E12XL",
+			Title: "Large-n scaling slice",
+			Run:   func() (*trace.Table, error) { return harness.E12XL(e) },
+		})
+	}
+	return exps
+}
+
+// readMallocs reads the process-wide heap-allocation count.
+func readMallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }
 
 // writeHeapProfile writes a heap profile of the live objects after a GC.

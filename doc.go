@@ -32,12 +32,17 @@
 // simulator state lives in flat struct-of-arrays on the Network, and
 // sends emitted mid-tick are deferred and flushed in trigger order so the
 // batched loop's Seq and scheduler-rng streams are exactly the
-// per-envelope loop's. The heap remains as the reference core behind
-// sim.Config.Core and the per-envelope loop as the reference delivery
-// mode behind sim.Config.Batch; equivalence tests pin event-for-event
-// identical delivery traces and byte-identical experiment tables across
-// both switches, and cmd/aabench -core / -batch benchmark them against
-// each other.
+// per-envelope loop's. That is the production configuration. The one
+// other configuration is the reference: the binary heap, per-envelope
+// delivery of every tick, and a fresh run context per run
+// (sim.Config.Reference, harness.Engine{Reference: true}). Equivalence
+// tests pin event-for-event identical delivery traces and byte-identical
+// experiment tables between the two.
+//
+// The engine is a value, not process state: every experiment driver takes
+// a *harness.Engine, whose Workers field sets the worker count and whose
+// Stats method counts that engine's runs alone, so a production and a
+// reference engine can run side by side in one process.
 //
 // Each simulation run is single-threaded; engine parallelism is across
 // runs, never within one.
@@ -60,8 +65,8 @@
 // harness.RunContext whose simulator (sim.Network.Reset), protocol
 // parties (core.*.Reset), and reliable-broadcast slabs
 // (rbc.Broadcaster.Reset) are reset in place — provably equivalent to
-// fresh construction, pinned by byte-identical experiment tables with
-// recycling on and off — so a warm worker executes an entire
+// fresh construction, pinned by byte-identical experiment tables against
+// the reference engine's fresh contexts — so a warm worker executes an entire
 // scheduler×seed×n sweep with zero steady-state heap allocations on the
 // reused-report path (testing.AllocsPerRun pins exactly 0 for the crash,
 // trim, and witness protocols).
@@ -131,8 +136,8 @@
 // the drop/dup fate log for lossy runs, v3 adds per-party checkpoint
 // digests for recovery runs, and fate-free bundles stay byte-identical
 // to v1. The
-// committed corpus under testdata/incidents/ replays in CI across both
-// event cores, both delivery modes, and 1/8 workers (`make
+// committed corpus under testdata/incidents/ replays in CI on production
+// at 1 and 8 workers and on the reference (`make
 // incident-replay`), so a schedule-equivalence regression anywhere in the
 // stack surfaces with the episode name and the exact send where the
 // execution first forked.

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -33,49 +31,20 @@ import (
 // source's; cleared maps and re-zeroed bitsets are observably empty;
 // recycled slabs are re-zeroed before reuse) — the same deferred-quiescent
 // style of argument used for rbc.ReleaseRound.
-// TestRunContextReuseByteIdentical pins it end to end: every experiment
-// table renders byte-identically with recycling on and off, at engine
-// parallelism 1 and 8.
-
-// noRecycling, when set, makes the package-level Run build a fresh
-// RunContext per run instead of drawing from the pool — the
-// fresh-construction baseline the equivalence tests compare against.
-var noRecycling atomic.Bool
-
-// SetStateRecycling toggles run-context recycling for the package-level
-// Run (and therefore RunAll and every experiment driver). It is on by
-// default; the byte-identity tests switch it off to regenerate tables with
-// per-run fresh construction.
-func SetStateRecycling(on bool) { noRecycling.Store(!on) }
-
-// StateRecycling reports whether run-context recycling is enabled.
-func StateRecycling() bool { return !noRecycling.Load() }
-
-// ctxPool recycles run contexts across runs and across the engine's worker
-// goroutines. sync.Pool's per-P caching gives each pool worker an
-// effectively private context without explicit worker slots, and lets the
-// GC drop contexts (with their arenas) under memory pressure.
-var ctxPool = sync.Pool{New: func() any { return NewRunContext() }}
-
-func acquireContext() *RunContext {
-	if noRecycling.Load() {
-		return NewRunContext()
-	}
-	return ctxPool.Get().(*RunContext)
-}
-
-func releaseContext(c *RunContext) {
-	if !noRecycling.Load() {
-		ctxPool.Put(c)
-	}
-}
+// The tests in equivalence_test.go pin it end to end: every experiment
+// table renders byte-identically on production engines (recycled
+// contexts) and on a reference engine (a fresh context per run).
 
 // RunContext is a reusable execution context: a resettable simulator, a
 // pool of resettable protocol parties per protocol family, and reusable
-// report/result/estimator storage. A context is single-threaded; the
-// engine recycles one per worker via the package pool. The zero value is
-// not ready; use NewRunContext.
+// report/result/estimator storage. A context is single-threaded; a
+// production engine recycles one per worker via the package pool. The
+// zero value is not ready; use NewRunContext.
 type RunContext struct {
+	// reference runs the simulator in its reference configuration; only a
+	// reference Engine sets it, on the fresh context it builds per run.
+	reference bool
+
 	net    *sim.Network
 	asyncs []*core.AsyncAA
 	wits   []*core.WitnessAA
@@ -121,7 +90,7 @@ func NewRunContext() *RunContext { return &RunContext{} }
 // Run executes a spec on the context and returns the context-owned report,
 // which is valid until the next Run call on the same context. This is the
 // zero-steady-state-allocation form; callers that retain reports across
-// runs (the engine's RunAll) use the package-level Run instead.
+// runs use Engine.Run (or the package-level Run) instead.
 func (c *RunContext) Run(spec Spec) (*Report, error) {
 	c.rep.Result = &c.res
 	if err := c.run(spec, &c.rep); err != nil {
@@ -229,8 +198,7 @@ func (c *RunContext) run(spec Spec, rep *Report) error {
 		Crashes:   spec.Crashes,
 		Restarts:  spec.Restarts,
 		MaxEvents: spec.MaxEvents,
-		Core:      EventCore(),
-		Batch:     Batching(),
+		Reference: c.reference,
 	}
 	// Park the previous run's Byzantine processes in the pool before
 	// clearing the map (the start-of-run point also covers error returns,

@@ -17,15 +17,15 @@ import (
 // Every row is one scenario.Spec, printed in its canonical string form —
 // the same strings aarun -scenario accepts, so any row can be re-run (or
 // varied) from the command line verbatim.
-func E12LargeN() (*trace.Table, error) {
-	return E12LargeNSizes([]int{64, 128, 256})
+func E12LargeN(e *Engine) (*trace.Table, error) {
+	return E12LargeNSizes(e, []int{64, 128, 256})
 }
 
 // E12LargeNSizes is E12LargeN with a custom size sweep (the benchmark
-// suite and the core-equivalence tests use smaller sizes to keep iteration
+// suite and the equivalence test use smaller sizes to keep iteration
 // time sane). One seed per scenario: the point is scale and composition
 // coverage, not seed statistics — E1–E9 own those.
-func E12LargeNSizes(sizes []int) (*trace.Table, error) {
+func E12LargeNSizes(e *Engine, sizes []int) (*trace.Table, error) {
 	tbl := trace.NewTable("E12: large-n scenario sweep (crash-aa at (n-1)/2 + composite scenarios on byztrim-aa, eps=1e-3, bimodal inputs over [0,1])",
 		"scenario", "protocol", "virt-rounds", "msgs", "deliveries", "final-spread", "ok")
 
@@ -69,7 +69,7 @@ func E12LargeNSizes(sizes []int) (*trace.Table, error) {
 		specs = append(specs, spec)
 	}
 
-	reps, err := RunAllLabeled(specs, func(i int) string { return "E12 " + rows[i].scen.String() })
+	reps, err := e.RunAllLabeled(specs, func(i int) string { return "E12 " + rows[i].scen.String() })
 	if err != nil {
 		return nil, err
 	}
@@ -88,15 +88,15 @@ func E12LargeNSizes(sizes []int) (*trace.Table, error) {
 // messages, far past the CI and equivalence-matrix budgets — and is reached
 // through aabench -xl (the committed BENCH snapshots carry its rows) and
 // the reduced `make e12-xl` CI slice, which runs E12XLSizes([]int{1024}).
-func E12XL() (*trace.Table, error) {
-	return E12XLSizes([]int{1024, 4096})
+func E12XL(e *Engine) (*trace.Table, error) {
+	return E12XLSizes(e, []int{1024, 4096})
 }
 
 // E12XLSizes is E12XL with a custom size sweep. The scenario slice is
 // deliberately thin — one fault-free and one crash-storm row per size on
 // two schedulers — because at these sizes each row is minutes of sequential
 // work; breadth lives in E12LargeN, this sweep measures scale.
-func E12XLSizes(sizes []int) (*trace.Table, error) {
+func E12XLSizes(e *Engine, sizes []int) (*trace.Table, error) {
 	tbl := trace.NewTable("E12-XL: large-n scaling slice (crash-aa at (n-1)/2, eps=1e-3, bimodal inputs over [0,1])",
 		"scenario", "protocol", "virt-rounds", "msgs", "deliveries", "final-spread", "ok")
 
@@ -118,7 +118,7 @@ func E12XLSizes(sizes []int) (*trace.Table, error) {
 		specs = append(specs, spec)
 	}
 
-	reps, err := RunAllLabeled(specs, func(i int) string { return "E12-XL " + rows[i].String() })
+	reps, err := e.RunAllLabeled(specs, func(i int) string { return "E12-XL " + rows[i].String() })
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ import (
 // in aarun -scenario, and the loss/dup decisions are drawn from the run's
 // seeded scheduler rng, so each cell records and replays bit-for-bit
 // through internal/incident.
-func E13Resilience() (*trace.Table, error) {
+func E13Resilience(e *Engine) (*trace.Table, error) {
 	tbl := trace.NewTable("E13: lossy-network resilience — raw vs reliable transport (crash-aa, n=16, t=3, eps=1e-3, bimodal inputs over [0,100])",
 		"scenario", "transport", "decided", "ok", "verdict", "drops", "dups", "retransmits", "giveups", "msgs")
 
@@ -70,7 +70,7 @@ func E13Resilience() (*trace.Table, error) {
 		}
 	}
 
-	reps, err := RunAllLabeled(specs, func(i int) string {
+	reps, err := e.RunAllLabeled(specs, func(i int) string {
 		tr := "raw"
 		if rows[i].reliable {
 			tr = "rel"

@@ -30,7 +30,7 @@ import (
 // Every scenario string is canonical and replayable: the same tokens work
 // in aarun -scenario, and recovery runs record and replay bit-for-bit
 // (checkpoint digests included) through internal/incident bundle v3.
-func E14Recovery() (*trace.Table, error) {
+func E14Recovery(e *Engine) (*trace.Table, error) {
 	tbl := trace.NewTable("E14: crash-recovery sweep — checkpoint lag vs transport (crash-aa adaptive, n=9, t=2, eps=1e-3, bimodal inputs over [0,100])",
 		"scenario", "transport", "decided", "ok", "verdict", "ckpts", "retransmits", "giveups", "msgs")
 
@@ -72,7 +72,7 @@ func E14Recovery() (*trace.Table, error) {
 		}
 	}
 
-	reps, err := RunAllLabeled(specs, func(i int) string {
+	reps, err := e.RunAllLabeled(specs, func(i int) string {
 		tr := "raw"
 		if rows[i].reliable {
 			tr = "rel"

@@ -19,25 +19,25 @@ type Experiment struct {
 	Run   func() (*trace.Table, error)
 }
 
-// Experiments returns every experiment in DESIGN.md order. Seeds is the
-// number of seeds per configuration (the benchmark suite uses a smaller
-// count than cmd/aabench).
-func Experiments(seeds int) []Experiment {
+// Experiments returns every experiment in DESIGN.md order, each bound to
+// the engine e. Seeds is the number of seeds per configuration (the
+// benchmark suite uses a smaller count than cmd/aabench).
+func Experiments(e *Engine, seeds int) []Experiment {
 	return []Experiment{
-		{ID: "E1", Title: "Resilience thresholds", Run: func() (*trace.Table, error) { return E1Resilience(seeds) }},
-		{ID: "E2", Title: "Per-round convergence rate", Run: func() (*trace.Table, error) { return E2Convergence(seeds) }},
-		{ID: "E3", Title: "Round complexity vs initial spread", Run: func() (*trace.Table, error) { return E3Rounds() }},
-		{ID: "E4", Title: "Message and bit complexity", Run: func() (*trace.Table, error) { return E4Messages() }},
-		{ID: "E5", Title: "Diameter trajectories under attack", Run: func() (*trace.Table, error) { return E5Trajectories() }},
-		{ID: "E6", Title: "Scaling with n", Run: func() (*trace.Table, error) { return E6Scaling() }},
-		{ID: "E7", Title: "Approximation-function ablation", Run: func() (*trace.Table, error) { return E7Functions(seeds) }},
-		{ID: "E8", Title: "Adaptive vs fixed-range termination", Run: func() (*trace.Table, error) { return E8Adaptive(seeds) }},
-		{ID: "E9", Title: "Byzantine strategy effectiveness", Run: func() (*trace.Table, error) { return E9Attacks(seeds) }},
-		{ID: "E10", Title: "Coordinate-wise agreement in R^d", Run: E10Vector},
-		{ID: "E11", Title: "FIFO vs unordered channels", Run: E11FIFO},
-		{ID: "E12", Title: "Large-n scenario sweep", Run: func() (*trace.Table, error) { return E12LargeN() }},
-		{ID: "E13", Title: "Lossy-network resilience", Run: E13Resilience},
-		{ID: "E14", Title: "Crash-recovery sweep", Run: E14Recovery},
+		{ID: "E1", Title: "Resilience thresholds", Run: func() (*trace.Table, error) { return E1Resilience(e, seeds) }},
+		{ID: "E2", Title: "Per-round convergence rate", Run: func() (*trace.Table, error) { return E2Convergence(e, seeds) }},
+		{ID: "E3", Title: "Round complexity vs initial spread", Run: func() (*trace.Table, error) { return E3Rounds(e) }},
+		{ID: "E4", Title: "Message and bit complexity", Run: func() (*trace.Table, error) { return E4Messages(e) }},
+		{ID: "E5", Title: "Diameter trajectories under attack", Run: func() (*trace.Table, error) { return E5Trajectories(e) }},
+		{ID: "E6", Title: "Scaling with n", Run: func() (*trace.Table, error) { return E6Scaling(e) }},
+		{ID: "E7", Title: "Approximation-function ablation", Run: func() (*trace.Table, error) { return E7Functions(e, seeds) }},
+		{ID: "E8", Title: "Adaptive vs fixed-range termination", Run: func() (*trace.Table, error) { return E8Adaptive(e, seeds) }},
+		{ID: "E9", Title: "Byzantine strategy effectiveness", Run: func() (*trace.Table, error) { return E9Attacks(e, seeds) }},
+		{ID: "E10", Title: "Coordinate-wise agreement in R^d", Run: func() (*trace.Table, error) { return E10Vector(e) }},
+		{ID: "E11", Title: "FIFO vs unordered channels", Run: func() (*trace.Table, error) { return E11FIFO(e) }},
+		{ID: "E12", Title: "Large-n scenario sweep", Run: func() (*trace.Table, error) { return E12LargeN(e) }},
+		{ID: "E13", Title: "Lossy-network resilience", Run: func() (*trace.Table, error) { return E13Resilience(e) }},
+		{ID: "E14", Title: "Crash-recovery sweep", Run: func() (*trace.Table, error) { return E14Recovery(e) }},
 	}
 }
 
@@ -109,14 +109,14 @@ func (j *sweepJob) aggregate(reps []*Report) sweepOutcome {
 
 // runSweeps flattens the jobs into one engine batch and hands each job its
 // slice of the ordered reports.
-func runSweeps(jobs []*sweepJob) ([]sweepOutcome, error) {
+func runSweeps(e *Engine, jobs []*sweepJob) ([]sweepOutcome, error) {
 	var all []Spec
 	var labels []string
 	for _, j := range jobs {
 		all = append(all, j.specs...)
 		labels = append(labels, j.labels...)
 	}
-	reps, err := RunAllLabeled(all, func(i int) string { return "sweep " + labels[i] })
+	reps, err := e.RunAllLabeled(all, func(i int) string { return "sweep " + labels[i] })
 	if err != nil {
 		return nil, err
 	}
@@ -127,19 +127,6 @@ func runSweeps(jobs []*sweepJob) ([]sweepOutcome, error) {
 		off += len(j.specs)
 	}
 	return outs, nil
-}
-
-// sweep runs a single configuration's sweep through the engine.
-func sweep(p core.Params, inputs []float64, seeds int, faultKeys ...string) (sweepOutcome, error) {
-	job, err := newSweepJob(p, inputs, seeds, faultKeys...)
-	if err != nil {
-		return sweepOutcome{}, err
-	}
-	outs, err := runSweeps([]*sweepJob{job})
-	if err != nil {
-		return sweepOutcome{}, err
-	}
-	return outs[0], nil
 }
 
 // gammaEff computes the effective per-round contraction of a finished run.
@@ -171,7 +158,7 @@ func stdSchedule(n int) sched.Named {
 // E1Resilience demonstrates each protocol at its fault bound and the loss of
 // liveness or safety one fault past it (the protocol is configured for its
 // bound t, and the adversary injects t+1 faults).
-func E1Resilience(seeds int) (*trace.Table, error) {
+func E1Resilience(e *Engine, seeds int) (*trace.Table, error) {
 	tbl := trace.NewTable("E1: resilience thresholds (protocol at bound t, then overloaded with t+1 faults)",
 		"protocol", "n", "t", "faults", "bound", "live", "valid", "eps-agreed", "note")
 	type cfg struct {
@@ -222,11 +209,11 @@ func E1Resilience(seeds int) (*trace.Table, error) {
 	}
 	overloads = append(overloads, under)
 
-	outs, err := runSweeps(jobs)
+	outs, err := runSweeps(e, jobs)
 	if err != nil {
 		return nil, err
 	}
-	overloadOuts := runAllOutcomes(overloads)
+	overloadOuts := e.runAllOutcomes(overloads)
 
 	for i, c := range cases {
 		p, out := params[i], outs[i]
@@ -311,7 +298,7 @@ func uncheckedSpec(p core.Params, inputs []float64, scen scenario.Spec, seed int
 // bound, the single-round adversarial-search contraction (multiset layer),
 // and the worst end-to-end effective rate across the scheduler and fault
 // suite.
-func E2Convergence(seeds int) (*trace.Table, error) {
+func E2Convergence(e *Engine, seeds int) (*trace.Table, error) {
 	tbl := trace.NewTable("E2: per-round convergence rate gamma (lower is faster; budget is what the round count assumes)",
 		"protocol", "n", "t", "bound", "search-1round", "measured-e2e", "all-ok")
 	type cfg struct {
@@ -346,13 +333,13 @@ func E2Convergence(seeds int) (*trace.Table, error) {
 		}
 		jobs[i] = job
 	}
-	outs, err := runSweeps(jobs)
+	outs, err := runSweeps(e, jobs)
 	if err != nil {
 		return nil, err
 	}
 	// The single-round adversarial searches are engine work too: one per
 	// non-witness case, fanned across the workers.
-	searches, err := mapOrdered(len(cases), func(i int) (string, error) {
+	searches, err := mapOrdered(e.workers(), len(cases), func(i int) (string, error) {
 		c := cases[i]
 		if c.proto == core.ProtoWitness {
 			return "-", nil
@@ -379,7 +366,7 @@ func E2Convergence(seeds int) (*trace.Table, error) {
 
 // E3Rounds shows the logarithmic dependence of the round count on the
 // initial spread, and the measured asynchronous rounds of real executions.
-func E3Rounds() (*trace.Table, error) {
+func E3Rounds(e *Engine) (*trace.Table, error) {
 	tbl := trace.NewTable("E3: rounds to eps-agreement vs initial spread (crash-aa, n=10 t=4, eps=1e-3)",
 		"spread", "log2(S/eps)", "budget-R", "measured-rounds", "final-spread", "ok")
 	spreads := []float64{1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
@@ -401,7 +388,7 @@ func E3Rounds() (*trace.Table, error) {
 		}
 		specs = append(specs, spec)
 	}
-	reps, err := RunAll(specs)
+	reps, err := e.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -424,8 +411,8 @@ type E4Case struct {
 // E4Messages measures total and per-round message/byte counts, and
 // normalizes by n² to expose the quadratic (crash, trim) versus cubic
 // (witness) scaling.
-func E4Messages() (*trace.Table, error) {
-	return E4MessagesFor([]E4Case{
+func E4Messages(e *Engine) (*trace.Table, error) {
+	return E4MessagesFor(e, []E4Case{
 		{core.ProtoCrash, []int{5, 9, 17, 33}},
 		{core.ProtoByzTrim, []int{8, 15, 29, 43}},
 		{core.ProtoWitness, []int{4, 7, 13, 25}},
@@ -435,7 +422,7 @@ func E4Messages() (*trace.Table, error) {
 // E4MessagesFor is E4Messages restricted to the given protocol sweeps; the
 // witness determinism test uses it to pin the cubic-message protocol's
 // table at several engine parallelism levels.
-func E4MessagesFor(cases []E4Case) (*trace.Table, error) {
+func E4MessagesFor(e *Engine, cases []E4Case) (*trace.Table, error) {
 	tbl := trace.NewTable("E4: message and bit complexity (bimodal inputs over [0,1], eps=1e-3, splitviews scheduler)",
 		"protocol", "n", "t", "R", "msgs", "msgs/round", "msgs/round/n^2", "bytes", "ok")
 	var specs []Spec
@@ -456,7 +443,7 @@ func E4MessagesFor(cases []E4Case) (*trace.Table, error) {
 			specs = append(specs, spec)
 		}
 	}
-	reps, err := RunAll(specs)
+	reps, err := e.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +478,7 @@ func maxT(p core.Protocol, n int) int {
 // visible round by round (the witness protocol's views are near-identical
 // once its reports align, so it collapses in about one round — E2 covers
 // it).
-func E5Trajectories() (*trace.Table, error) {
+func E5Trajectories(e *Engine) (*trace.Table, error) {
 	n, t := 15, 2
 	p := core.Params{Protocol: core.ProtoByzTrim, N: n, T: t, Eps: 1e-3, Lo: 0, Hi: 1}
 	rounds, err := p.FixedRounds()
@@ -511,7 +498,7 @@ func E5Trajectories() (*trace.Table, error) {
 		spec.RecordTrajectory = true
 		specs[i] = spec
 	}
-	reps, err := RunAllLabeled(specs, func(i int) string { return "E5 " + behaviors[i] })
+	reps, err := e.RunAllLabeled(specs, func(i int) string { return "E5 " + behaviors[i] })
 	if err != nil {
 		return nil, err
 	}
@@ -566,19 +553,19 @@ func sampleTrajectory(rep *Report, rounds int) []float64 {
 
 // E6Scaling sweeps n at the maximum witness fault ratio and reports
 // virtual-time, message, and byte scaling for all three protocols.
-func E6Scaling() (*trace.Table, error) {
-	return E6ScalingSizes([]int{8, 16, 32, 64})
+func E6Scaling(e *Engine) (*trace.Table, error) {
+	return E6ScalingSizes(e, []int{8, 16, 32, 64})
 }
 
 // E6ScalingSizes is E6Scaling with a custom size sweep (the benchmark suite
 // uses smaller sizes to keep iteration time sane).
-func E6ScalingSizes(sizes []int) (*trace.Table, error) {
-	return E6ScalingFor([]core.Protocol{core.ProtoCrash, core.ProtoByzTrim, core.ProtoWitness}, sizes)
+func E6ScalingSizes(e *Engine, sizes []int) (*trace.Table, error) {
+	return E6ScalingFor(e, []core.Protocol{core.ProtoCrash, core.ProtoByzTrim, core.ProtoWitness}, sizes)
 }
 
 // E6ScalingFor is the scaling sweep restricted to the given protocols and
 // sizes; the witness determinism test pins the witness rows on their own.
-func E6ScalingFor(protos []core.Protocol, sizes []int) (*trace.Table, error) {
+func E6ScalingFor(e *Engine, protos []core.Protocol, sizes []int) (*trace.Table, error) {
 	tbl := trace.NewTable("E6: scaling with n (eps=1e-3, inputs linear over [0,1], random scheduler)",
 		"protocol", "n", "t", "virt-rounds", "msgs", "bytes", "deliveries", "ok")
 	var specs []Spec
@@ -594,7 +581,7 @@ func E6ScalingFor(protos []core.Protocol, sizes []int) (*trace.Table, error) {
 			specs = append(specs, spec)
 		}
 	}
-	reps, err := RunAll(specs)
+	reps, err := e.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -613,7 +600,7 @@ func E6ScalingFor(protos []core.Protocol, sizes []int) (*trace.Table, error) {
 // E7Functions compares approximation functions in the crash protocol: the
 // single-round adversarial-search contraction and whether end-to-end runs
 // meet the eps deadline within the default (halving) round budget.
-func E7Functions(seeds int) (*trace.Table, error) {
+func E7Functions(e *Engine, seeds int) (*trace.Table, error) {
 	n, t := 10, 4
 	tbl := trace.NewTable("E7: approximation-function ablation (crash-aa, n=10 t=4, round budget assumes gamma=0.5)",
 		"function", "search-1round", "measured-e2e", "eps-met", "note")
@@ -638,11 +625,11 @@ func E7Functions(seeds int) (*trace.Table, error) {
 		}
 		jobs[i] = job
 	}
-	outs, err := runSweeps(jobs)
+	outs, err := runSweeps(e, jobs)
 	if err != nil {
 		return nil, err
 	}
-	searches, err := mapOrdered(len(funcs), func(i int) (multiset.ContractionReport, error) {
+	searches, err := mapOrdered(e.workers(), len(funcs), func(i int) (multiset.ContractionReport, error) {
 		return multiset.WorstContraction(funcs[i].fn, multiset.ViewModel{N: n, T: t}, 4000, 11)
 	})
 	if err != nil {
@@ -662,7 +649,7 @@ func E7Functions(seeds int) (*trace.Table, error) {
 // mode should finish in a fraction of the rounds. It also stresses adaptive
 // mode with crash-truncated multicasts and skewed scheduling, where its
 // guarantee is only conditional.
-func E8Adaptive(seeds int) (*trace.Table, error) {
+func E8Adaptive(e *Engine, seeds int) (*trace.Table, error) {
 	n, t := 10, 4
 	tbl := trace.NewTable("E8: adaptive vs fixed-range termination (crash-aa, n=10 t=4, eps=1e-3, range [0,1e6], true spread 10)",
 		"mode", "scheduler", "rounds", "msgs", "final-spread", "eps-met")
@@ -694,7 +681,7 @@ func E8Adaptive(seeds int) (*trace.Table, error) {
 			}
 		}
 	}
-	reps, err := RunAll(specs)
+	reps, err := e.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -719,7 +706,7 @@ func E8Adaptive(seeds int) (*trace.Table, error) {
 
 // E9Attacks measures what each Byzantine behavior costs the two Byzantine
 // protocols: the worst final spread and whether all invariants held.
-func E9Attacks(seeds int) (*trace.Table, error) {
+func E9Attacks(e *Engine, seeds int) (*trace.Table, error) {
 	tbl := trace.NewTable("E9: Byzantine strategy effectiveness (bimodal inputs over [0,1], eps=1e-3)",
 		"behavior", "protocol", "n", "t", "worst-final-spread", "all-ok", "first-failure")
 	cases := []struct {
@@ -747,7 +734,7 @@ func E9Attacks(seeds int) (*trace.Table, error) {
 			metas = append(metas, rowMeta{behavior: b, proto: c.proto, n: c.n, t: c.t})
 		}
 	}
-	outs, err := runSweeps(jobs)
+	outs, err := runSweeps(e, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 // TestExperimentsRun executes every experiment driver end to end with a
 // small seed count and sanity-checks the tables they produce.
 func TestExperimentsRun(t *testing.T) {
-	for _, exp := range Experiments(1) {
+	for _, exp := range Experiments(&Engine{}, 1) {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
 			tbl, err := exp.Run()

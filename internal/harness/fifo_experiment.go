@@ -13,7 +13,7 @@ import (
 // with per-link FIFO ("fifo"), and compares invariants and costs. The
 // scenario layer resolves a fresh scheduler per spec, which is what makes
 // the stateful FIFO wrapper safe to fan across engine workers.
-func E11FIFO() (*trace.Table, error) {
+func E11FIFO(e *Engine) (*trace.Table, error) {
 	tbl := trace.NewTable("E11: FIFO vs unordered channels (linear inputs over [0,1], eps=1e-3)",
 		"protocol", "n", "t", "channels", "rounds", "msgs", "final-spread", "ok")
 	cases := []struct {
@@ -36,7 +36,7 @@ func E11FIFO() (*trace.Table, error) {
 			specs = append(specs, spec)
 		}
 	}
-	reps, err := RunAll(specs)
+	reps, err := e.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}

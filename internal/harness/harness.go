@@ -8,12 +8,13 @@
 // the scenario registry owns every scheduler parameterization, crash
 // schedule, and Byzantine behavior the drivers used to hand-roll.
 //
-// Experiments run on the parallel engine in pool.go: drivers enumerate
-// their independent simulation runs as []Spec and submit them via RunAll
-// (or mapOrdered for non-Spec work), which fans them across
-// Parallelism() worker goroutines and returns results in spec order.
-// Aggregation happens strictly after the barrier, in index order, so the
-// rendered tables are byte-identical at any worker count.
+// Experiments run on an Engine (pool.go), which every driver takes as its
+// first argument: drivers enumerate their independent simulation runs as
+// []Spec and submit them via Engine.RunAll (or mapOrdered for non-Spec
+// work), which fans them across Engine.Workers goroutines and returns
+// results in spec order. Aggregation happens strictly after the barrier,
+// in index order, so the rendered tables are byte-identical at any worker
+// count, and in the production and the reference configuration alike.
 package harness
 
 import (
@@ -55,10 +56,10 @@ type Spec struct {
 	RecordTrajectory bool
 	// Observer, when non-nil, sees every delivery (before the trajectory
 	// sampler). The core-equivalence tests use it to record full traces.
-	// Under batched delivery (the default) a dense tick's callbacks
-	// replay at tick end in delivery order, so an observer reading live
-	// protocol state sees end-of-tick state; the callback sequence itself
-	// is identical across delivery modes.
+	// In production a dense tick's callbacks replay at tick end in
+	// delivery order, so an observer reading live protocol state sees
+	// end-of-tick state; the callback sequence itself is identical to the
+	// reference configuration's.
 	Observer func(now sim.Time, env sim.Envelope)
 	// MaxEvents overrides the simulator's default event budget.
 	MaxEvents int
@@ -151,21 +152,6 @@ func SpecFrom(p core.Params, inputs []float64, scen scenario.Spec, seed int64) (
 		Restarts:  res.Restarts,
 		Seed:      seed,
 	}, nil
-}
-
-// Run executes a spec and checks the invariants. It draws a recycled run
-// context from the package pool (see context.go), so the simulator wheel,
-// protocol party state, and RBC slabs of earlier runs are reused rather
-// than rebuilt; the returned Report is freshly allocated and safe to
-// retain. SetStateRecycling(false) switches to per-run fresh construction.
-func Run(spec Spec) (*Report, error) {
-	c := acquireContext()
-	defer releaseContext(c)
-	rep := &Report{Result: &sim.Result{}}
-	if err := c.run(spec, rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
 }
 
 // check fills the invariant verdicts. It is allocation-free: the spreads

@@ -10,9 +10,9 @@ import (
 )
 
 // This file is the parallel experiment engine: a worker pool that fans
-// independent simulation runs across GOMAXPROCS goroutines while keeping
-// every observable output — tables, aggregates, error messages — byte-for-
-// byte identical to a sequential execution.
+// independent simulation runs across goroutines while keeping every
+// observable output — tables, aggregates, error messages — byte-for-byte
+// identical to a sequential execution.
 //
 // Determinism argument. Every run is a pure function of its Spec: the
 // simulator's randomness comes from Spec.Seed alone, the scheduler suite is
@@ -22,66 +22,35 @@ import (
 // per index, and all aggregation happens after the barrier in index order —
 // so scheduling nondeterminism can never reach an experiment table.
 //
-// Each run executes on a recycled RunContext (context.go) drawn from a
-// sync.Pool, whose per-P caching effectively gives every worker goroutine
-// its own warm context: the simulator wheel, party state, and RBC slabs
-// are reset — provably equivalent to fresh construction — instead of
+// A production engine executes each run on a recycled RunContext (context.go)
+// drawn from a sync.Pool, whose per-P caching effectively gives every worker
+// goroutine its own warm context: the simulator wheel, party state, and RBC
+// slabs are reset — provably equivalent to fresh construction — instead of
 // rebuilt, which removes the per-run allocation load (and the cross-worker
-// GC pressure that used to scale with Parallelism()).
+// GC pressure that used to scale with the worker count).
 
-// parallelism overrides the worker count; 0 means runtime.GOMAXPROCS(0).
-// It is read atomically because experiments may run while a test flips it.
-var parallelism atomic.Int32
+// Engine executes runs and batches of runs. It has exactly two
+// configurations: production (the zero value: calendar queue, batched dense
+// ticks, pooled run contexts) and reference (heap queue, per-envelope
+// ticks, a fresh run context per run). The two render byte-identical tables;
+// the reference exists to be compared against production. An Engine holds
+// its own run counters, so several engines can run side by side in one
+// process. The package-level Run, RunAll and RunAllLabeled use a shared
+// production engine at GOMAXPROCS workers.
+type Engine struct {
+	// Workers is the worker count for batches; 0 (or negative) means
+	// runtime.GOMAXPROCS(0), and 1 runs every batch on the calling
+	// goroutine with no goroutines at all.
+	Workers int
+	// Reference selects the reference configuration (sim.Config.Reference
+	// and fresh run contexts).
+	Reference bool
 
-// SetParallelism sets the engine's worker count. 1 forces the sequential
-// path (no goroutines at all); 0 restores the default of GOMAXPROCS.
-// The determinism tests compare the two settings byte for byte.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelism.Store(int32(n))
+	runs, msgsSent, msgsDelivered, bytesSent atomic.Int64
 }
 
-// Parallelism reports the engine's current worker count.
-func Parallelism() int {
-	if n := int(parallelism.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// eventCore selects the simulator event queue for every engine run. The
-// cores are trace-equivalent (pinned by the core-equivalence tests); the
-// switch exists for those tests and for cross-core benchmarking
-// (cmd/aabench -core).
-var eventCore atomic.Int32
-
-// SetEventCore selects the simulator event core used by Run (and therefore
-// every experiment). sim.CoreDefault restores the build's default.
-func SetEventCore(c sim.EventCore) { eventCore.Store(int32(c)) }
-
-// EventCore reports the event core currently in effect.
-func EventCore() sim.EventCore { return sim.EventCore(eventCore.Load()) }
-
-// batchMode selects batched versus per-envelope tick delivery for every
-// engine run. The modes are observably equivalent (pinned by the batch
-// equivalence tests); the switch exists for those tests and for A/B
-// benchmarking (cmd/aabench -batch).
-var batchMode atomic.Int32
-
-// SetBatching selects the simulator delivery mode used by Run (and
-// therefore every experiment). sim.BatchDefault restores the default
-// (batched).
-func SetBatching(m sim.BatchMode) { batchMode.Store(int32(m)) }
-
-// Batching reports the delivery mode currently in effect.
-func Batching() sim.BatchMode { return sim.BatchMode(batchMode.Load()) }
-
-// EngineStats aggregates run-level accounting across every engine-executed
-// simulation since the last reset. cmd/aabench snapshots it around each
-// experiment to report msgs/run and allocs/run in the BENCH_*.json
-// trajectory.
+// EngineStats is the run-level accounting of one Engine: every simulation
+// it completed, summed.
 type EngineStats struct {
 	// Runs counts completed simulation runs.
 	Runs int64
@@ -90,75 +59,70 @@ type EngineStats struct {
 	MessagesSent      int64
 	MessagesDelivered int64
 	BytesSent         int64
-	// Mallocs is the process-wide heap-allocation count since the last
-	// ResetEngineStats (runtime.MemStats.Mallocs delta). Divided by Runs it
-	// tracks the run-context recycling contract: a warm sweep should sit
-	// near zero allocations per run. It is process-wide, so concurrent
-	// non-engine work (or the table renderer) inflates it slightly.
-	Mallocs int64
 }
 
-var engineRuns, engineMsgsSent, engineMsgsDelivered, engineBytes atomic.Int64
-
-// engineMallocsBase is the MemStats.Mallocs baseline captured at reset.
-var engineMallocsBase atomic.Uint64
-
-func readMallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
-
-// ResetEngineStats zeroes the cumulative engine counters and re-baselines
-// the allocation counter.
-func ResetEngineStats() {
-	engineRuns.Store(0)
-	engineMsgsSent.Store(0)
-	engineMsgsDelivered.Store(0)
-	engineBytes.Store(0)
-	engineMallocsBase.Store(readMallocs())
-}
-
-// SnapshotEngineStats reads the cumulative engine counters.
-func SnapshotEngineStats() EngineStats {
+// Stats reads the engine's cumulative counters.
+func (e *Engine) Stats() EngineStats {
 	return EngineStats{
-		Runs:              engineRuns.Load(),
-		MessagesSent:      engineMsgsSent.Load(),
-		MessagesDelivered: engineMsgsDelivered.Load(),
-		BytesSent:         engineBytes.Load(),
-		Mallocs:           int64(readMallocs() - engineMallocsBase.Load()),
+		Runs:              e.runs.Load(),
+		MessagesSent:      e.msgsSent.Load(),
+		MessagesDelivered: e.msgsDelivered.Load(),
+		BytesSent:         e.bytesSent.Load(),
 	}
 }
 
-func countRun(rep *Report) {
-	if rep.Result == nil {
-		engineRuns.Add(1)
-		return
+// count credits one completed simulation run to the engine's counters.
+// Spec runs are counted by Run; non-Spec experiments that drive the
+// simulator directly (the vector extension) call it themselves.
+func (e *Engine) count(stats sim.Stats) {
+	e.runs.Add(1)
+	e.msgsSent.Add(int64(stats.MessagesSent))
+	e.msgsDelivered.Add(int64(stats.MessagesDelivered))
+	e.bytesSent.Add(int64(stats.BytesSent))
+}
+
+// workers resolves the engine's worker count.
+func (e *Engine) workers() int {
+	if e.Workers > 0 {
+		return e.Workers
 	}
-	countStats(rep.Result.Stats)
+	return runtime.GOMAXPROCS(0)
 }
 
-// countStats credits one completed simulation run to the engine counters.
-// Spec-based runs are counted by RunAll; non-Spec experiments that drive
-// the simulator directly (the vector extension) call it themselves.
-func countStats(stats sim.Stats) {
-	engineRuns.Add(1)
-	engineMsgsSent.Add(int64(stats.MessagesSent))
-	engineMsgsDelivered.Add(int64(stats.MessagesDelivered))
-	engineBytes.Add(int64(stats.BytesSent))
+// ctxPool recycles production run contexts across runs, engines and worker
+// goroutines. sync.Pool's per-P caching gives each pool worker an
+// effectively private context without explicit worker slots, and lets the
+// GC drop contexts (with their arenas) under memory pressure.
+var ctxPool = sync.Pool{New: func() any { return NewRunContext() }}
+
+// Run executes a spec on the engine and checks the invariants. The
+// returned Report is freshly allocated and safe to retain.
+func (e *Engine) Run(spec Spec) (*Report, error) {
+	var c *RunContext
+	if e.Reference {
+		c = &RunContext{reference: true}
+	} else {
+		c = ctxPool.Get().(*RunContext)
+		defer ctxPool.Put(c)
+	}
+	rep := &Report{Result: &sim.Result{}}
+	if err := c.run(spec, rep); err != nil {
+		return nil, err
+	}
+	e.count(rep.Result.Stats)
+	return rep, nil
 }
 
-// mapOrdered evaluates fn(0..n-1) across the worker pool and returns the
-// results indexed by input order. With Parallelism() == 1 (or n < 2) it
-// degenerates to a plain loop on the calling goroutine. Every index is
+// mapOrdered evaluates fn(0..n-1) across the given number of workers and
+// returns the results indexed by input order. With one worker (or n < 2)
+// it degenerates to a plain loop on the calling goroutine. Every index is
 // evaluated even when an earlier one fails, and the error reported is
 // always the lowest-index one — both properties keep the parallel and
 // sequential paths observably identical (a sequential loop would have
 // surfaced exactly that error first).
-func mapOrdered[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+func mapOrdered[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	workers := Parallelism()
 	if workers > n {
 		workers = n
 	}
@@ -195,24 +159,20 @@ func mapOrdered[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 // RunAll executes every spec on the engine and returns the reports in spec
 // order. A spec-level error (bad inputs, fault budget exceeded, ...) aborts
 // the batch; protocol-level failures are part of the Report, as with Run.
-func RunAll(specs []Spec) ([]*Report, error) {
-	return RunAllLabeled(specs, nil)
+func (e *Engine) RunAll(specs []Spec) ([]*Report, error) {
+	return e.RunAllLabeled(specs, nil)
 }
 
 // RunAllLabeled is RunAll with an error-context labeler: when spec i fails,
 // label(i) prefixes the error so callers keep the per-run context the old
 // inline loops had.
-func RunAllLabeled(specs []Spec, label func(i int) string) ([]*Report, error) {
-	return mapOrdered(len(specs), func(i int) (*Report, error) {
-		rep, err := Run(specs[i])
-		if err != nil {
-			if label != nil {
-				return nil, fmt.Errorf("%s: %w", label(i), err)
-			}
-			return nil, err
+func (e *Engine) RunAllLabeled(specs []Spec, label func(i int) string) ([]*Report, error) {
+	return mapOrdered(e.workers(), len(specs), func(i int) (*Report, error) {
+		rep, err := e.Run(specs[i])
+		if err != nil && label != nil {
+			return nil, fmt.Errorf("%s: %w", label(i), err)
 		}
-		countRun(rep)
-		return rep, nil
+		return rep, err
 	})
 }
 
@@ -226,13 +186,28 @@ type runOutcome struct {
 
 // runAllOutcomes executes every spec on the engine, never aborting: each
 // slot carries its own (report, error) pair, in spec order.
-func runAllOutcomes(specs []Spec) []runOutcome {
-	outs, _ := mapOrdered(len(specs), func(i int) (runOutcome, error) {
-		rep, err := Run(specs[i])
-		if err == nil {
-			countRun(rep)
-		}
+func (e *Engine) runAllOutcomes(specs []Spec) []runOutcome {
+	outs, _ := mapOrdered(e.workers(), len(specs), func(i int) (runOutcome, error) {
+		rep, err := e.Run(specs[i])
 		return runOutcome{rep: rep, err: err}, nil
 	})
 	return outs
+}
+
+// defaultEngine backs the package-level Run, RunAll and RunAllLabeled.
+var defaultEngine Engine
+
+// Run executes a spec on the shared production engine and checks the
+// invariants. It draws a recycled run context from the package pool (see
+// context.go), so the simulator wheel, protocol party state, and RBC slabs
+// of earlier runs are reused rather than rebuilt; the returned Report is
+// freshly allocated and safe to retain.
+func Run(spec Spec) (*Report, error) { return defaultEngine.Run(spec) }
+
+// RunAll is Engine.RunAll on the shared production engine.
+func RunAll(specs []Spec) ([]*Report, error) { return defaultEngine.RunAll(specs) }
+
+// RunAllLabeled is Engine.RunAllLabeled on the shared production engine.
+func RunAllLabeled(specs []Spec, label func(i int) string) ([]*Report, error) {
+	return defaultEngine.RunAllLabeled(specs, label)
 }

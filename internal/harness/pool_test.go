@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,12 +12,11 @@ import (
 	"repro/internal/trace"
 )
 
-// renderAt renders one experiment table at a given engine parallelism.
-func renderAt(t *testing.T, workers int, run func() (*trace.Table, error)) string {
+// renderAt renders one experiment table on a production engine with the
+// given worker count.
+func renderAt(t *testing.T, workers int, run func(e *Engine) (*trace.Table, error)) string {
 	t.Helper()
-	SetParallelism(workers)
-	defer SetParallelism(0)
-	tbl, err := run()
+	tbl, err := run(&Engine{Workers: workers})
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -34,11 +34,11 @@ func renderAt(t *testing.T, workers int, run func() (*trace.Table, error)) strin
 func TestEngineDeterminism(t *testing.T) {
 	cases := []struct {
 		id  string
-		run func() (*trace.Table, error)
+		run func(e *Engine) (*trace.Table, error)
 	}{
-		{"E1", func() (*trace.Table, error) { return E1Resilience(2) }},
-		{"E2", func() (*trace.Table, error) { return E2Convergence(1) }},
-		{"E7", func() (*trace.Table, error) { return E7Functions(1) }},
+		{"E1", func(e *Engine) (*trace.Table, error) { return E1Resilience(e, 2) }},
+		{"E2", func(e *Engine) (*trace.Table, error) { return E2Convergence(e, 1) }},
+		{"E7", func(e *Engine) (*trace.Table, error) { return E7Functions(e, 1) }},
 	}
 	for _, c := range cases {
 		c := c
@@ -59,10 +59,8 @@ func TestEngineDeterminism(t *testing.T) {
 
 // TestMapOrderedPreservesOrder checks slot assignment under heavy fan-out.
 func TestMapOrderedPreservesOrder(t *testing.T) {
-	SetParallelism(8)
-	defer SetParallelism(0)
 	const n = 500
-	out, err := mapOrdered(n, func(i int) (int, error) { return i * i, nil })
+	out, err := mapOrdered(8, n, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +75,7 @@ func TestMapOrderedPreservesOrder(t *testing.T) {
 // one a sequential loop would have hit first, regardless of completion
 // order.
 func TestMapOrderedLowestIndexError(t *testing.T) {
-	SetParallelism(8)
-	defer SetParallelism(0)
-	_, err := mapOrdered(100, func(i int) (int, error) {
+	_, err := mapOrdered(8, 100, func(i int) (int, error) {
 		if i%30 == 7 { // fails at 7, 37, 67, 97
 			return 0, fmt.Errorf("boom %d", i)
 		}
@@ -102,9 +98,7 @@ func TestRunAllMatchesRun(t *testing.T) {
 			Seed:      seed,
 		})
 	}
-	SetParallelism(4)
-	got, err := RunAll(specs)
-	SetParallelism(0)
+	got, err := (&Engine{Workers: 4}).RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,20 +131,24 @@ func TestRunAllSpecError(t *testing.T) {
 	}
 }
 
-// TestEngineStats checks the cumulative counters see every engine run.
+// TestEngineStats checks an engine's counters see every run it executed
+// and only those: runs on another engine leave them untouched.
 func TestEngineStats(t *testing.T) {
-	ResetEngineStats()
+	e := &Engine{Workers: 8}
 	spec := Spec{
 		Params:    core.Params{Protocol: core.ProtoCrash, N: 7, T: 3, Eps: 1e-3, Lo: 0, Hi: 1},
 		Inputs:    LinearInputs(7, 0, 1),
 		Scheduler: sched.Named{Name: "sync", Scheduler: sched.NewSynchronous(1)},
 		Seed:      1,
 	}
-	reps, err := RunAll([]Spec{spec, spec, spec})
+	reps, err := e.RunAll([]Spec{spec, spec, spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := SnapshotEngineStats()
+	if _, err := RunAll([]Spec{spec}); err != nil {
+		t.Fatal(err)
+	}
+	s := e.Stats()
 	if s.Runs != 3 {
 		t.Fatalf("Runs = %d, want 3", s.Runs)
 	}
@@ -161,26 +159,22 @@ func TestEngineStats(t *testing.T) {
 	if s.MessagesSent != wantMsgs {
 		t.Fatalf("MessagesSent = %d, want %d", s.MessagesSent, wantMsgs)
 	}
-	ResetEngineStats()
-	if s := SnapshotEngineStats(); s.Runs != 0 || s.MessagesSent != 0 {
-		t.Fatalf("reset left %+v", s)
+	if s := (&Engine{Workers: 1}).Stats(); s != (EngineStats{}) {
+		t.Fatalf("fresh engine counters %+v, want zero", s)
 	}
 }
 
-// TestSetParallelism pins the knob's semantics.
+// TestSetParallelism keeps its name from the process-global knob Engine
+// replaced; it pins Engine.Workers' semantics: a positive count is used as
+// is, and zero or negative means GOMAXPROCS.
 func TestSetParallelism(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(3)
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism() = %d, want 3", got)
-	}
-	SetParallelism(0)
-	if got := Parallelism(); got < 1 {
-		t.Fatalf("default Parallelism() = %d, want >= 1", got)
-	}
-	SetParallelism(-5)
-	if got := Parallelism(); got < 1 {
-		t.Fatalf("negative reset Parallelism() = %d, want >= 1", got)
+	for _, c := range []struct{ workers, want int }{
+		{1, 1}, {3, 3}, {8, 8},
+		{0, runtime.GOMAXPROCS(0)}, {-5, runtime.GOMAXPROCS(0)},
+	} {
+		if got := (&Engine{Workers: c.workers}).workers(); got != c.want {
+			t.Errorf("Engine{Workers: %d} runs %d workers, want %d", c.workers, got, c.want)
+		}
 	}
 }
 
@@ -188,7 +182,7 @@ func TestSetParallelism(t *testing.T) {
 var errSentinel = errors.New("sentinel")
 
 func TestRunAllUnlabeledError(t *testing.T) {
-	_, err := mapOrdered(1, func(int) (struct{}, error) { return struct{}{}, errSentinel })
+	_, err := mapOrdered(1, 1, func(int) (struct{}, error) { return struct{}{}, errSentinel })
 	if !errors.Is(err, errSentinel) {
 		t.Fatalf("got %v, want sentinel", err)
 	}

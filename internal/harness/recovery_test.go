@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // This file pins the crash-recovery path (scenario recover/amnesia axes →
@@ -13,9 +12,9 @@ import (
 //
 //   - Equivalence: a recovery run — snapshot mid-run, crash, darkness,
 //     restore, catch-up — produces identical decisions, stats, finish time,
-//     and checkpoint digests across {heap, calendar} event cores × batch
-//     {on, off}. Restart actions fire at tick boundaries, which the
-//     batching equivalence contract keeps mode-invariant.
+//     and checkpoint digests in production and the reference
+//     configuration. Restart actions fire at tick boundaries, which the
+//     batching equivalence contract keeps identical in both.
 //   - Economy: warm runs with recovery enabled stay 0 allocs/run — the
 //     snapshot appends into recycled per-plan buffers and the restore pulls
 //     protocol state from the existing free lists.
@@ -70,69 +69,44 @@ func TestRecoveryRunConverges(t *testing.T) {
 	}
 }
 
-// TestRecoveryEquivalenceAcrossModes runs the same recovery spec on every
-// engine configuration — {calendar, heap} event core × batch {on, off} —
-// and requires identical decisions, message stats, finish time, and
-// checkpoint digests. A restart action observing mid-tick state in one
-// mode and tick-boundary state in another would surface here as a digest
-// or decision diff.
+// TestRecoveryEquivalenceAcrossModes runs the same recovery spec on the
+// reference and the production engine and requires identical decisions,
+// message stats, finish time, and checkpoint digests. A restart action
+// observing mid-tick state in one configuration and tick-boundary state in
+// the other would surface here as a digest or decision diff.
 func TestRecoveryEquivalenceAcrossModes(t *testing.T) {
 	spec := recoverySpec(t)
-	type cfg struct {
-		core sim.EventCore
-		mode sim.BatchMode
+	want, err := (&Engine{Reference: true}).Run(spec)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
 	}
-	var cfgs []cfg
-	for _, ec := range []sim.EventCore{sim.CoreDefault, sim.CoreHeap} {
-		for _, bm := range []sim.BatchMode{sim.BatchOn, sim.BatchOff} {
-			cfgs = append(cfgs, cfg{ec, bm})
-		}
-	}
-	run := func(c cfg) *Report {
-		SetEventCore(c.core)
-		SetBatching(c.mode)
-		defer SetEventCore(sim.CoreDefault)
-		defer SetBatching(sim.BatchDefault)
-		rep, err := Run(spec)
-		if err != nil {
-			t.Fatalf("core=%v batch=%v: %v", c.core, c.mode, err)
-		}
-		return rep
-	}
-	want := run(cfgs[0])
 	if !want.OK() {
 		t.Fatalf("reference recovery run failed: %s", want.Failure())
 	}
 	if len(want.Checkpoints) != 2 {
 		t.Fatalf("reference checkpoints %v, want 2", want.Checkpoints)
 	}
-	for _, c := range cfgs[1:] {
-		got := run(c)
-		label := func() string {
-			return "core=" + map[sim.EventCore]string{sim.CoreDefault: "calendar", sim.CoreHeap: "heap"}[c.core] +
-				" batch=" + map[sim.BatchMode]string{sim.BatchOn: "on", sim.BatchOff: "off"}[c.mode]
+	got, err := (&Engine{}).Run(spec)
+	if err != nil {
+		t.Fatalf("production: %v", err)
+	}
+	if got.FinalSpread != want.FinalSpread || got.Result.FinishTime != want.Result.FinishTime ||
+		got.Result.Stats != want.Result.Stats {
+		t.Errorf("production diverges: spread %v finish %d stats %+v, want %v %d %+v",
+			got.FinalSpread, got.Result.FinishTime, got.Result.Stats,
+			want.FinalSpread, want.Result.FinishTime, want.Result.Stats)
+	}
+	if len(got.Checkpoints) != len(want.Checkpoints) {
+		t.Fatalf("production checkpoint count %d, want %d", len(got.Checkpoints), len(want.Checkpoints))
+	}
+	for i := range want.Checkpoints {
+		if got.Checkpoints[i] != want.Checkpoints[i] {
+			t.Errorf("production checkpoint %d digest %#x, want %#x", i, got.Checkpoints[i], want.Checkpoints[i])
 		}
-		if got.FinalSpread != want.FinalSpread || got.Result.FinishTime != want.Result.FinishTime ||
-			got.Result.Stats != want.Result.Stats {
-			t.Errorf("%s diverges: spread %v finish %d stats %+v, want %v %d %+v",
-				label(), got.FinalSpread, got.Result.FinishTime, got.Result.Stats,
-				want.FinalSpread, want.Result.FinishTime, want.Result.Stats)
-		}
-		if len(got.Checkpoints) != len(want.Checkpoints) {
-			t.Errorf("%s checkpoint count %d, want %d", label(), len(got.Checkpoints), len(want.Checkpoints))
-			continue
-		}
-		for i := range want.Checkpoints {
-			if got.Checkpoints[i] != want.Checkpoints[i] {
-				t.Errorf("%s checkpoint %d digest %#x, want %#x",
-					label(), i, got.Checkpoints[i], want.Checkpoints[i])
-			}
-		}
-		for id, at := range want.Result.DecidedAt {
-			if got.Result.DecidedAt[id] != at {
-				t.Errorf("%s party %d decided at %d, want %d",
-					label(), id, got.Result.DecidedAt[id], at)
-			}
+	}
+	for id, at := range want.Result.DecidedAt {
+		if got.Result.DecidedAt[id] != at {
+			t.Errorf("production party %d decided at %d, want %d", id, got.Result.DecidedAt[id], at)
 		}
 	}
 }

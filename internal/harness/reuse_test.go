@@ -3,109 +3,17 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/trace"
 )
 
-// This file pins the run-context recycling contract from two sides:
-//
-//   - Equivalence: every experiment table renders byte-identically whether
-//     runs execute on recycled contexts or on per-run fresh construction,
-//     at engine parallelism 1 and 8. Together with the determinism tests
-//     this proves Reset is observably equivalent to New across the whole
-//     stack (simulator, protocols, RBC).
-//   - Economy: a warm context executes full protocol runs with zero
-//     steady-state heap allocations on the reused-report path.
-
-// renderRecycled renders the listed experiments (plus a reduced E12) with
-// the given recycling setting and worker count.
-func renderRecycled(t *testing.T, recycle bool, workers int) map[string]string {
-	t.Helper()
-	SetStateRecycling(recycle)
-	SetParallelism(workers)
-	defer SetStateRecycling(true)
-	defer SetParallelism(0)
-	out := make(map[string]string)
-	for _, exp := range Experiments(1) {
-		run := exp.Run
-		if exp.ID == "E12" {
-			// The full E12 sweep exists to measure large n, not to gate it;
-			// the reduced sizes exercise the same driver and aggregation.
-			run = func() (*trace.Table, error) { return E12LargeNSizes([]int{16, 32}) }
-		}
-		tbl, err := run()
-		if err != nil {
-			t.Fatalf("%s (recycle=%v, workers=%d): %v", exp.ID, recycle, workers, err)
-		}
-		var sb strings.Builder
-		if err := tbl.Render(&sb); err != nil {
-			t.Fatal(err)
-		}
-		out[exp.ID] = sb.String()
-	}
-	return out
-}
-
-// TestRunContextReuseByteIdentical regenerates the full E1–E12 table set
-// with run-context recycling on and off, at one worker and at eight, and
-// asserts byte-identical renderings. Any state leaking across a Reset —
-// in the simulator, a protocol party, or an RBC slab — would perturb some
-// run's delivery schedule or decision and surface as a table diff.
-func TestRunContextReuseByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders every experiment table four times; run without -short")
-	}
-	want := renderRecycled(t, false, 1) // fresh construction, sequential: the reference
-	for _, cfg := range []struct {
-		recycle bool
-		workers int
-	}{
-		{true, 1},
-		{true, 8},
-		{false, 8},
-	} {
-		got := renderRecycled(t, cfg.recycle, cfg.workers)
-		for id, ref := range want {
-			if got[id] != ref {
-				t.Errorf("%s diverges (recycle=%v, workers=%d):\n--- reference ---\n%s\n--- got ---\n%s",
-					id, cfg.recycle, cfg.workers, ref, got[id])
-			}
-		}
-	}
-}
-
-// TestRunContextReuseByteIdenticalLargeN is the large-n arm of the
-// equivalence pin: the reduced sizes above never engage the calendar
-// queue's overflow migration, multi-block payload turnover, or the
-// party-pool shrink path the way n ≥ 64 message volumes do, so one
-// render of the E12 driver at n ∈ {64, 128} (mixed shapes force contexts
-// to grow and shrink mid-sweep) is compared recycled-vs-fresh at the
-// full worker count.
-func TestRunContextReuseByteIdenticalLargeN(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders a large-n E12 sweep twice; run without -short")
-	}
-	render := func(recycle bool) string {
-		SetStateRecycling(recycle)
-		defer SetStateRecycling(true)
-		tbl, err := E12LargeNSizes([]int{64, 128})
-		if err != nil {
-			t.Fatalf("E12 large-n (recycle=%v): %v", recycle, err)
-		}
-		var sb strings.Builder
-		if err := tbl.Render(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	if fresh, recycled := render(false), render(true); fresh != recycled {
-		t.Errorf("large-n E12 diverges:\n--- fresh ---\n%s\n--- recycled ---\n%s", fresh, recycled)
-	}
-}
+// This file pins the run-context recycling contract's economy side: a warm
+// context executes full protocol runs with zero steady-state heap
+// allocations on the reused-report path. Its equivalence side — recycled
+// contexts render the same tables as fresh ones — is in equivalence_test.go
+// (TestRunContextReuseByteIdentical and its LargeN arm).
 
 // TestRunReusedAllocs pins the tentpole economy claim: after a one-run
 // warm-up, a context's reused-report Run performs zero steady-state heap

@@ -16,7 +16,7 @@ import (
 // instances), with per-coordinate ε-agreement and box validity intact. The
 // vector runs are not Spec-based (they drive the simulator directly), so
 // they fan out through the engine's ordered map rather than RunAll.
-func E10Vector() (*trace.Table, error) {
+func E10Vector(e *Engine) (*trace.Table, error) {
 	tbl := trace.NewTable("E10: coordinate-wise agreement in R^d (crash-aa base, n=7 t=3, eps=1e-3)",
 		"d", "msgs", "bytes", "msgs/d", "max-spread", "ok")
 	base := core.Params{Protocol: core.ProtoCrash, N: 7, T: 3, Eps: 1e-3, Lo: -1, Hi: 1}
@@ -26,8 +26,8 @@ func E10Vector() (*trace.Table, error) {
 		spread      float64
 		ok          bool
 	}
-	results, err := mapOrdered(len(dims), func(i int) (vecResult, error) {
-		msgs, bytes, spread, ok, err := runVectorOnce(base, dims[i], 21)
+	results, err := mapOrdered(e.workers(), len(dims), func(i int) (vecResult, error) {
+		msgs, bytes, spread, ok, err := runVectorOnce(e, base, dims[i], 21)
 		return vecResult{msgs: msgs, bytes: bytes, spread: spread, ok: ok}, err
 	})
 	if err != nil {
@@ -43,7 +43,7 @@ func E10Vector() (*trace.Table, error) {
 
 // runVectorOnce executes one d-dimensional crash-model run under the
 // split-views scheduler and verifies the vector invariants.
-func runVectorOnce(base core.Params, dim int, seed int64) (msgs, bytes int, spread float64, ok bool, err error) {
+func runVectorOnce(e *Engine, base core.Params, dim int, seed int64) (msgs, bytes int, spread float64, ok bool, err error) {
 	vp := vector.Params{Base: base, Dim: dim}
 	if err := vp.Validate(); err != nil {
 		return 0, 0, 0, false, err
@@ -66,8 +66,7 @@ func runVectorOnce(base core.Params, dim int, seed int64) (msgs, bytes int, spre
 		N:         base.N,
 		Scheduler: scen.Scheduler.Scheduler,
 		Seed:      seed,
-		Core:      EventCore(),
-		Batch:     Batching(),
+		Reference: e.Reference,
 	})
 	if err != nil {
 		return 0, 0, 0, false, err
@@ -88,7 +87,7 @@ func runVectorOnce(base core.Params, dim int, seed int64) (msgs, bytes int, spre
 		return res.Stats.MessagesSent, res.Stats.BytesSent, 0, false,
 			fmt.Errorf("vector run: %w", runErr)
 	}
-	countStats(res.Stats)
+	e.count(res.Stats)
 	ok = true
 	for d := 0; d < dim; d++ {
 		lo, hi := math.Inf(1), math.Inf(-1)

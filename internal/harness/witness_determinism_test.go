@@ -17,13 +17,13 @@ import (
 func TestWitnessDeterminism(t *testing.T) {
 	cases := []struct {
 		id  string
-		run func() (*trace.Table, error)
+		run func(e *Engine) (*trace.Table, error)
 	}{
-		{"E4-witness", func() (*trace.Table, error) {
-			return E4MessagesFor([]E4Case{{Proto: core.ProtoWitness, Sizes: []int{4, 7, 13}}})
+		{"E4-witness", func(e *Engine) (*trace.Table, error) {
+			return E4MessagesFor(e, []E4Case{{Proto: core.ProtoWitness, Sizes: []int{4, 7, 13}}})
 		}},
-		{"E6-witness", func() (*trace.Table, error) {
-			return E6ScalingFor([]core.Protocol{core.ProtoWitness}, []int{8, 16})
+		{"E6-witness", func(e *Engine) (*trace.Table, error) {
+			return E6ScalingFor(e, []core.Protocol{core.ProtoWitness}, []int{8, 16})
 		}},
 	}
 	for _, c := range cases {

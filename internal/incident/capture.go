@@ -40,8 +40,9 @@ func sendSum(env sim.Envelope, now sim.Time) uint32 {
 }
 
 // digester is the Spec.Observer that folds every delivery into a running
-// hash. Observer callbacks replay in identical order across batch modes
-// (see sim.Config.Batch), so the hash is mode-invariant.
+// hash. Observer callbacks replay in identical order in production and in
+// the reference configuration (see sim.Config.Reference), so the hash is
+// the same in both.
 type digester struct {
 	deliveries int64
 	hash       uint64

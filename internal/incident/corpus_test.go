@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/harness"
-	"repro/internal/sim"
 )
 
 func corpusDir() string {
@@ -15,8 +14,8 @@ func corpusDir() string {
 }
 
 // TestIncidentCorpusReplayMatrix is the CI regression gate: every committed
-// bundle must replay with zero divergence across {calendar, heap} event
-// cores × batch {on, off} × engine parallelism {1, 8}. A regression in any
+// bundle must replay with zero divergence on three engines — production at
+// one worker and at eight, and the reference. A regression in any
 // equivalence-sensitive path (send sequencing, rng draw order, mid-tick
 // completion, stats repair, trim/quorum logic) perturbs some episode's
 // schedule and fails here with the episode name, the matrix cell, and the
@@ -51,36 +50,25 @@ func TestIncidentCorpusReplayMatrix(t *testing.T) {
 		t.Fatalf("corpus has %d bundles, episode list has %d", len(bundles), want)
 	}
 
-	defer harness.SetEventCore(sim.CoreDefault)
-	defer harness.SetBatching(sim.BatchDefault)
-	defer harness.SetParallelism(0)
-	for _, core := range []sim.EventCore{sim.CoreCalendar, sim.CoreHeap} {
-		for _, batch := range []sim.BatchMode{sim.BatchOn, sim.BatchOff} {
-			for _, workers := range []int{1, 8} {
-				cell := fmt.Sprintf("core=%v batch=%v workers=%d", core, batch, workers)
-				harness.SetEventCore(core)
-				harness.SetBatching(batch)
-				harness.SetParallelism(workers)
-
-				prepared := make([]*Prepared, len(bundles))
-				specs := make([]harness.Spec, len(bundles))
-				for i, b := range bundles {
-					p, err := Prepare(b)
-					if err != nil {
-						t.Fatalf("%s: prepare %s: %v", cell, b.Name, err)
-					}
-					prepared[i] = p
-					specs[i] = p.Spec
-				}
-				reps, err := harness.RunAll(specs)
-				if err != nil {
-					t.Fatalf("%s: %v", cell, err)
-				}
-				for i, rep := range reps {
-					if div := prepared[i].Diff(rep); div != nil {
-						t.Errorf("%s: %s: %v", cell, bundles[i].Name, div.Error())
-					}
-				}
+	for _, e := range []*harness.Engine{{Workers: 1}, {Workers: 8}, {Workers: 8, Reference: true}} {
+		cell := fmt.Sprintf("reference=%v workers=%d", e.Reference, e.Workers)
+		prepared := make([]*Prepared, len(bundles))
+		specs := make([]harness.Spec, len(bundles))
+		for i, b := range bundles {
+			p, err := Prepare(b)
+			if err != nil {
+				t.Fatalf("%s: prepare %s: %v", cell, b.Name, err)
+			}
+			prepared[i] = p
+			specs[i] = p.Spec
+		}
+		reps, err := e.RunAll(specs)
+		if err != nil {
+			t.Fatalf("%s: %v", cell, err)
+		}
+		for i, rep := range reps {
+			if div := prepared[i].Diff(rep); div != nil {
+				t.Errorf("%s: %s: %v", cell, bundles[i].Name, div.Error())
 			}
 		}
 	}

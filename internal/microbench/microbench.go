@@ -51,11 +51,9 @@ func Cases() []Case {
 		{"wire/value-roundtrip", WireRoundtrip},
 		{"wire/value-append-reuse", WireAppendReuse},
 		{"rbc/round", RBCRound},
-		{"simloop/calendar", func(b *testing.B) { SimLoop(b, sim.CoreCalendar) }},
-		{"simloop/heap", func(b *testing.B) { SimLoop(b, sim.CoreHeap) }},
+		// benchmark/ looks this case up by name (sim.storm_ns_per_event).
+		{"simloop/calendar", SimLoop},
 		{"scenario/e12", ScenarioE12},
-		{"deliverbatch/on", func(b *testing.B) { DeliverBatch(b, sim.BatchOn) }},
-		{"deliverbatch/off", func(b *testing.B) { DeliverBatch(b, sim.BatchOff) }},
 		{"harness/run-reused", RunReused},
 		{"livenet/run-n32", LiveRun},
 	}
@@ -129,19 +127,16 @@ func (p *stormProc) send(k int) {
 
 func (p *stormProc) Deliver(sim.PartyID, []byte) { p.send(1) }
 
-// SimLoop measures the raw simulator event loop on the selected core: 64
-// parties, ~19k messages per iteration, delays spread over two hundred
-// ticks so the calendar queue's wheel (and the heap's depth) both see
-// realistic occupancy. This is the microbenchmark behind the calendar-
-// versus-heap acceptance numbers in PERF.md.
-func SimLoop(b *testing.B, eventCore sim.EventCore) {
+// SimLoop measures the raw simulator event loop: 64 parties, ~19k
+// messages per iteration, delays spread over two hundred ticks so the
+// calendar queue's wheel sees realistic occupancy.
+func SimLoop(b *testing.B) {
 	const n, budget = 64, 300
 	for i := 0; i < b.N; i++ {
 		net, err := sim.New(sim.Config{
 			N:         n,
 			Scheduler: &sched.UniformRandom{Min: 1, Max: 200},
 			Seed:      1,
-			Core:      eventCore,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -170,32 +165,6 @@ func ScenarioE12(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := harness.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.OK() {
-			b.Fatalf("run failed: %s", rep.Failure())
-		}
-	}
-}
-
-// DeliverBatch measures the tick-delivery core A/B: the same E12-style
-// crash-protocol run at n=64 with batched destination-grouped delivery
-// (sim.BatchOn, the default) versus the per-envelope reference loop
-// (sim.BatchOff). The runs are observably identical — pinned by the batch
-// equivalence tests — so the delta is pure delivery-path cost.
-func DeliverBatch(b *testing.B, mode sim.BatchMode) {
-	harness.SetBatching(mode)
-	defer harness.SetBatching(sim.BatchDefault)
-	scen := scenario.MustParse("splitviews+crash/n=64,t=31")
-	p := core.Params{Protocol: core.ProtoCrash, N: 64, T: 31, Eps: 1e-3, Lo: 0, Hi: 1}
-	inputs := harness.BimodalInputs(64, 0, 1)
-	spec, err := harness.SpecFrom(p, inputs, scen, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
 		rep, err := harness.Run(spec)
 		if err != nil {
 			b.Fatal(err)

@@ -33,12 +33,13 @@ func buildRun(t *testing.T, scheduler sim.Scheduler, seed int64) *sim.Result {
 	return res
 }
 
-// buildRunN assembles a crash-protocol network of the given size and batch
-// mode over the given scheduler.
-func buildRunN(t *testing.T, n int, scheduler sim.Scheduler, seed int64, batch sim.BatchMode) *sim.Result {
+// buildRunN assembles a crash-protocol network of the given size over the
+// given scheduler, in the simulator's reference configuration or in
+// production.
+func buildRunN(t *testing.T, n int, scheduler sim.Scheduler, seed int64, reference bool) *sim.Result {
 	t.Helper()
 	p := core.Params{Protocol: core.ProtoCrash, N: n, T: (n - 1) / 2, Eps: 1e-3, Lo: 0, Hi: 1}
-	net, err := sim.New(sim.Config{N: n, Scheduler: scheduler, Seed: seed, Batch: batch})
+	net, err := sim.New(sim.Config{N: n, Scheduler: scheduler, Seed: seed, Reference: reference})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,52 +82,53 @@ func TestRecordReplayReproducesExecution(t *testing.T) {
 }
 
 // TestRecorderBatchModeIdentity pins the batch-awareness contract: a run
-// dense enough to trigger batched tick delivery (n=24 synchronous, so every
-// tick carries hundreds of deliveries) records byte-for-byte the same delay
-// log under batch on and batch off, and a log recorded in either mode
-// replays the execution exactly in the other. This holds because batched
-// delivery defers sends as trigger-ordered pending ops and assigns sequence
-// numbers and scheduler draws at flush in exactly the unbatched order.
+// dense enough to trigger batched tick delivery (n=24, so ticks carry
+// hundreds of deliveries) records byte-for-byte the same delay log in
+// production and in the reference configuration (per-envelope delivery),
+// and a log recorded in either replays the execution exactly in the other.
+// This holds because batched delivery defers sends as trigger-ordered
+// pending ops and assigns sequence numbers and scheduler draws at flush in
+// exactly the per-envelope order.
 func TestRecorderBatchModeIdentity(t *testing.T) {
 	const n, seed = 24, 77
 	sched := &UniformRandom{Min: 1, Max: 9}
 
-	recOff := NewRecorder(sched)
-	resOff := buildRunN(t, n, recOff, seed, sim.BatchOff)
-	recOn := NewRecorder(sched)
-	resOn := buildRunN(t, n, recOn, seed, sim.BatchOn)
+	recRef := NewRecorder(sched)
+	resRef := buildRunN(t, n, recRef, seed, true)
+	recProd := NewRecorder(sched)
+	resProd := buildRunN(t, n, recProd, seed, false)
 
-	logOff, logOn := recOff.Dense(), recOn.Dense()
-	if len(logOff) != len(logOn) {
-		t.Fatalf("log length %d (batch off) vs %d (batch on)", len(logOff), len(logOn))
+	logRef, logProd := recRef.Dense(), recProd.Dense()
+	if len(logRef) != len(logProd) {
+		t.Fatalf("log length %d (reference) vs %d (production)", len(logRef), len(logProd))
 	}
-	if len(logOff) == 0 {
+	if len(logRef) == 0 {
 		t.Fatal("empty recorded log")
 	}
-	for seq := range logOff {
-		if logOff[seq] != logOn[seq] {
-			t.Fatalf("seq %d: delay %d (batch off) vs %d (batch on)", seq, logOff[seq], logOn[seq])
+	for seq := range logRef {
+		if logRef[seq] != logProd[seq] {
+			t.Fatalf("seq %d: delay %d (reference) vs %d (production)", seq, logRef[seq], logProd[seq])
 		}
 	}
-	if resOff.Stats != resOn.Stats {
-		t.Errorf("stats %+v vs %+v", resOff.Stats, resOn.Stats)
+	if resRef.Stats != resProd.Stats {
+		t.Errorf("stats %+v vs %+v", resRef.Stats, resProd.Stats)
 	}
 
-	// Cross-replay: a log recorded under batch off drives a batch-on run
-	// (and vice versa) to the identical execution.
-	crossOn := buildRunN(t, n, NewReplayDense(logOff, 1), seed+1, sim.BatchOn)
-	crossOff := buildRunN(t, n, NewReplayDense(logOn, 1), seed+2, sim.BatchOff)
+	// Cross-replay: a log recorded in the reference drives a production
+	// run (and vice versa) to the identical execution.
+	crossProd := buildRunN(t, n, NewReplayDense(logRef, 1), seed+1, false)
+	crossRef := buildRunN(t, n, NewReplayDense(logProd, 1), seed+2, true)
 	for _, pair := range []struct {
 		name string
 		got  *sim.Result
-	}{{"off-log under batch on", crossOn}, {"on-log under batch off", crossOff}} {
-		if pair.got.FinishTime != resOff.FinishTime {
-			t.Errorf("%s: finish time %d vs %d", pair.name, pair.got.FinishTime, resOff.FinishTime)
+	}{{"reference log in production", crossProd}, {"production log in the reference", crossRef}} {
+		if pair.got.FinishTime != resRef.FinishTime {
+			t.Errorf("%s: finish time %d vs %d", pair.name, pair.got.FinishTime, resRef.FinishTime)
 		}
-		if pair.got.Stats != resOff.Stats {
-			t.Errorf("%s: stats %+v vs %+v", pair.name, pair.got.Stats, resOff.Stats)
+		if pair.got.Stats != resRef.Stats {
+			t.Errorf("%s: stats %+v vs %+v", pair.name, pair.got.Stats, resRef.Stats)
 		}
-		for id, v := range resOff.Decisions {
+		for id, v := range resRef.Decisions {
 			if pair.got.Decisions[id] != v {
 				t.Errorf("%s: party %d decided %v vs %v", pair.name, id, pair.got.Decisions[id], v)
 			}

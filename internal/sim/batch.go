@@ -2,20 +2,22 @@ package sim
 
 import "slices"
 
-// This file is the batched tick-delivery core. The run loop already drains
-// one virtual-time tick per PopTick; here the tick's events are grouped by
-// destination in a reusable staging arena and each party receives its whole
-// tick in one DeliverBatch call, so a party's protocol state is touched once
-// per tick (cache-dense at large n) instead of being round-robined against
-// every other party's state per envelope.
+// This file holds the two tick bodies of the run loop. The per-envelope
+// body (runTickUnbatched) is the reference semantics. The batched body
+// (runTickBatched) groups a dense tick's events by destination in a
+// reusable staging arena and hands each party its whole tick in one
+// DeliverBatch call, so a party's protocol state is touched once per tick
+// (cache-dense at large n) instead of being round-robined against every
+// other party's state per envelope.
 //
-// Equivalence contract. Batched delivery is observably IDENTICAL to the
-// per-envelope loop (sim.BatchOff): every experiment table, delivery trace,
-// and stats counter matches byte for byte. Grouping by destination reorders
-// processing across parties within a tick, which is invisible to the
-// parties themselves (messages have delay >= 1, so no party can observe
-// another party's same-tick processing) but WOULD leak through three global
-// channels, each of which is closed explicitly:
+// Equivalence contract. Batched delivery is observably IDENTICAL to
+// per-envelope delivery (the reference configuration, Config.Reference):
+// every experiment table, delivery trace, and stats counter matches byte
+// for byte. Grouping by destination reorders processing across parties
+// within a tick, which is invisible to the parties themselves (messages
+// have delay >= 1, so no party can observe another party's same-tick
+// processing) but WOULD leak through three global channels, each of which
+// is closed explicitly:
 //
 //  1. The scheduler's rng stream and the Seq counter. Unbatched, sends are
 //     scheduled (Seq assigned, delay drawn) in the order deliveries trigger
@@ -37,48 +39,8 @@ import "slices"
 //  3. The event budget. MaxEvents aborts mid-tick at an exact event count,
 //     and the delivered prefix would differ under grouping — so a tick that
 //     cannot complete without tripping the budget is handed to the
-//     unbatched loop verbatim (state entering the tick is identical by
+//     per-envelope body verbatim (state entering the tick is identical by
 //     induction, so the abort prefix is too).
-
-// BatchMode selects between batched tick delivery (the default) and the
-// per-envelope reference loop. The two are observably equivalent — pinned
-// by delivery-trace tests in this package and byte-identical experiment
-// tables in internal/harness — so the switch exists for the equivalence
-// tests and A/B benchmarks, like the EventCore switch.
-type BatchMode int
-
-const (
-	// BatchDefault resolves to batched delivery.
-	BatchDefault BatchMode = iota
-	// BatchOn groups each tick's envelopes by destination and delivers
-	// them through one DeliverBatch call per party (with a compatibility
-	// shim for processes that don't implement BatchProcess).
-	BatchOn
-	// BatchOff is the per-envelope reference loop.
-	BatchOff
-)
-
-// Resolve maps BatchDefault to the concrete default mode.
-func (m BatchMode) Resolve() BatchMode {
-	if m == BatchDefault {
-		return BatchOn
-	}
-	return m
-}
-
-// String implements fmt.Stringer.
-func (m BatchMode) String() string {
-	switch m {
-	case BatchDefault:
-		return "default"
-	case BatchOn:
-		return "on"
-	case BatchOff:
-		return "off"
-	default:
-		return "unknown"
-	}
-}
 
 // BatchProcess is an optional Process extension: a process that implements
 // it receives each tick's envelopes in one DeliverBatch call instead of one
@@ -171,63 +133,12 @@ type pendingOp struct {
 	timer   bool
 }
 
-// batchTickMin is the tick size below which grouping is skipped: a sparse
-// tick (most parties receive at most one envelope) gains nothing from
-// destination grouping, so it runs through the reference body instead of
-// paying the staging and deferred-flush bookkeeping. The modes are
-// equivalent per tick, so the choice is free per tick.
+// batchTickMin is the tick size below which production skips grouping: a
+// sparse tick (most parties receive at most one envelope) gains nothing
+// from destination grouping, so it runs through the per-envelope body
+// instead of paying the staging and deferred-flush bookkeeping. The bodies
+// are equivalent per tick, so the choice is free per tick.
 const batchTickMin = 16
-
-// runBatched is the batched run loop body. budget is the resolved MaxEvents.
-func (n *Network) runBatched(budget int) error {
-	var err error
-	events := 0
-	batch := n.batch[:0]
-	for n.pendingHonest > 0 {
-		if n.queue.Len() == 0 {
-			// Mirror the unbatched stall branch: pending restart actions
-			// fire (a rejoin can re-seed the queue) before the stall
-			// verdict is final.
-			if n.restartsPending() {
-				if err = n.advanceToRestart(); err != nil {
-					break
-				}
-				continue
-			}
-			err = ErrStalled
-			break
-		}
-		batch = n.queue.PopTick(batch[:0])
-		n.now = batch[0].at
-		if n.restartsPending() {
-			if err = n.fireRestarts(); err != nil {
-				break
-			}
-		}
-		if events+len(batch) > budget {
-			// The budget trips inside this tick (or the run completes
-			// first): process it with the reference loop so the aborted
-			// prefix is event-for-event identical.
-			err = n.runTickUnbatched(batch, &events, budget)
-			break
-		}
-		if len(batch) < batchTickMin {
-			// Sparse tick: reference body, immediate scheduling. The event
-			// count can only overshoot when the run completes mid-tick, in
-			// which case it is never read again.
-			events += len(batch)
-			n.runTickSmall(batch)
-			continue
-		}
-		events += len(batch)
-		n.runTickBatched(batch)
-		if n.pendingHonest == 0 {
-			break
-		}
-	}
-	n.batch = batch[:0]
-	return err
-}
 
 // runTickBatched processes one dense tick: it stages the events by
 // destination, hands each party its group with sends, timers, and observer
@@ -327,36 +238,11 @@ func (n *Network) deliverEvent(ps *partyState, ev *event, trig int32) {
 	ps.proc.Deliver(ev.env.From, ev.env.Data)
 }
 
-// runTickSmall processes one sparse tick with the reference body (Seq
-// order, immediate scheduling, inline observer) — runTickUnbatched minus
-// the budget checks, which the caller has already cleared for the tick.
-func (n *Network) runTickSmall(batch []event) {
-	for bi := range batch {
-		if n.pendingHonest == 0 {
-			return
-		}
-		ev := &batch[bi]
-		if n.crashed[ev.env.To] {
-			continue
-		}
-		dst := n.parties[ev.env.To]
-		if ev.timer {
-			if th, ok := dst.proc.(TimerHandler); ok {
-				th.OnTimer(ev.tag)
-			}
-			continue
-		}
-		n.stats.MessagesDelivered++
-		dst.proc.Deliver(ev.env.From, ev.env.Data)
-		if n.observer != nil {
-			n.observer(n.now, ev.env)
-		}
-	}
-}
-
-// runTickUnbatched processes one tick with the reference loop semantics:
-// per-event budget and termination checks in Seq order. It is used for the
-// (at most one) tick in which the event budget can trip.
+// runTickUnbatched processes one tick with the reference semantics: Seq
+// order, immediate scheduling, inline observer, and per-event budget and
+// termination checks. Every tick of the reference configuration runs here,
+// and so do production's sparse ticks and the (at most one) tick in which
+// the event budget can trip.
 func (n *Network) runTickUnbatched(batch []event, events *int, budget int) error {
 	for bi := range batch {
 		if n.pendingHonest == 0 {

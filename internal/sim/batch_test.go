@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// This file pins the batched tick-delivery core to the per-envelope
-// reference loop: identical delivery traces, stats, decisions, and errors
-// across schedulers (including rng-consuming ones), crash plans, timers,
-// mid-tick run completion, and event-budget aborts — the simulator-level
-// form of the byte-identical-tables contract in internal/harness.
+// This file pins production (calendar queue, batched dense ticks) to the
+// reference configuration (heap, per-envelope delivery): identical delivery
+// traces, stats, decisions, and errors across schedulers (including
+// rng-consuming ones), crash plans, timers, mid-tick run completion, and
+// event-budget aborts — the simulator-level form of the byte-identical-
+// tables contract in internal/harness.
 
 // chattyProc reacts to every delivery with a point-to-point reply and a
 // periodic multicast, uses a timer, and decides after a message quota — a
@@ -62,11 +63,12 @@ type batchRecord struct {
 	Len      int
 }
 
-// runBatchTrace executes a chatty mesh under the given scheduler and batch
-// mode and returns the delivery trace, result, and run error.
-func runBatchTrace(t *testing.T, sched Scheduler, mode BatchMode, mut func(*Config)) ([]batchRecord, *Result, error) {
+// runBatchTrace executes a chatty mesh under the given scheduler, in the
+// reference configuration or in production, and returns the delivery
+// trace, result, and run error.
+func runBatchTrace(t *testing.T, sched Scheduler, reference bool, mut func(*Config)) ([]batchRecord, *Result, error) {
 	t.Helper()
-	cfg := Config{N: 6, Scheduler: sched, Seed: 11, Batch: mode}
+	cfg := Config{N: 6, Scheduler: sched, Seed: 11, Reference: reference}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -125,7 +127,7 @@ func requireSameRun(t *testing.T, label string,
 }
 
 // TestBatchModeTraceEquivalence asserts event-for-event identical delivery
-// traces, stats, and decisions between batched and unbatched delivery
+// traces, stats, and decisions between production and the reference
 // across a scheduler matrix that includes shared-rng draws (UniformRandom-
 // style) and crash plans that truncate multicasts mid-tick.
 func TestBatchModeTraceEquivalence(t *testing.T) {
@@ -143,9 +145,9 @@ func TestBatchModeTraceEquivalence(t *testing.T) {
 	for sname, mk := range scheds {
 		for mname, mut := range muts {
 			t.Run(sname+"/"+mname, func(t *testing.T) {
-				offTrace, offRes, offErr := runBatchTrace(t, mk(), BatchOff, mut)
-				onTrace, onRes, onErr := runBatchTrace(t, mk(), BatchOn, mut)
-				requireSameRun(t, sname+"/"+mname, offTrace, offRes, offErr, onTrace, onRes, onErr)
+				refTrace, refRes, refErr := runBatchTrace(t, mk(), true, mut)
+				gotTrace, gotRes, gotErr := runBatchTrace(t, mk(), false, mut)
+				requireSameRun(t, sname+"/"+mname, refTrace, refRes, refErr, gotTrace, gotRes, gotErr)
 			})
 		}
 	}
@@ -155,13 +157,12 @@ func TestBatchModeTraceEquivalence(t *testing.T) {
 // split across shard workers. What each worker held — its deferred-op
 // list, delivery triggers, stats deltas, completion trigger, payload arena
 // and Batch iterator — is now plain Network state driven by one tick body,
-// and these tests pin that body against the per-envelope reference loop at
-// the shapes the shard matrix used: N=12 meshes on both event cores, N=64
-// dense ticks, budget aborts, same-tick completion, and recycled networks.
+// and these tests pin that body against the reference configuration at
+// the shapes the shard matrix used: N=12 meshes, N=64 dense ticks, budget
+// aborts, same-tick completion, and recycled networks.
 
 // TestShardTraceEquivalence runs the scheduler × crash matrix at N=12 and
-// compares the batched tick body on both event cores, event for event,
-// against the per-envelope loop on the heap reference core.
+// compares production, event for event, against the reference.
 func TestShardTraceEquivalence(t *testing.T) {
 	scheds := map[string]func() Scheduler{
 		"const":  func() Scheduler { return constDelay{d: 5} },
@@ -177,21 +178,15 @@ func TestShardTraceEquivalence(t *testing.T) {
 	for sname, mk := range scheds {
 		for mname, mut := range muts {
 			t.Run(sname+"/"+mname, func(t *testing.T) {
-				shape := func(core EventCore) func(*Config) {
-					return func(cfg *Config) {
-						cfg.N = 12
-						cfg.Core = core
-						if mut != nil {
-							mut(cfg)
-						}
+				shape := func(cfg *Config) {
+					cfg.N = 12
+					if mut != nil {
+						mut(cfg)
 					}
 				}
-				refTrace, refRes, refErr := runBatchTrace(t, mk(), BatchOff, shape(CoreHeap))
-				for _, core := range []EventCore{CoreCalendar, CoreHeap} {
-					gotTrace, gotRes, gotErr := runBatchTrace(t, mk(), BatchOn, shape(core))
-					requireSameRun(t, fmt.Sprintf("%s/%s core=%v", sname, mname, core),
-						refTrace, refRes, refErr, gotTrace, gotRes, gotErr)
-				}
+				refTrace, refRes, refErr := runBatchTrace(t, mk(), true, shape)
+				gotTrace, gotRes, gotErr := runBatchTrace(t, mk(), false, shape)
+				requireSameRun(t, sname+"/"+mname, refTrace, refRes, refErr, gotTrace, gotRes, gotErr)
 			})
 		}
 	}
@@ -215,28 +210,28 @@ func TestShardTraceEquivalenceParallel(t *testing.T) {
 				cfg.N = 64
 				cfg.Crashes = []CrashPlan{{Party: 3, AfterSends: 70}, {Party: 40, AfterSends: 130}}
 			}
-			offTrace, offRes, offErr := runBatchTrace(t, mk.sched(), BatchOff, mut)
-			onTrace, onRes, onErr := runBatchTrace(t, mk.sched(), BatchOn, mut)
-			requireSameRun(t, mk.name, offTrace, offRes, offErr, onTrace, onRes, onErr)
+			refTrace, refRes, refErr := runBatchTrace(t, mk.sched(), true, mut)
+			gotTrace, gotRes, gotErr := runBatchTrace(t, mk.sched(), false, mut)
+			requireSameRun(t, mk.name, refTrace, refRes, refErr, gotTrace, gotRes, gotErr)
 		})
 	}
 }
 
 // TestShardBudgetEquivalence pins the event-budget abort at N=12, where the
-// budget-tripping tick is dense: the batched body hands that tick to the
-// reference loop, so the aborted prefix, partial stats, and decisions must
-// match the per-envelope run exactly.
+// budget-tripping tick is dense: production hands that tick to the
+// per-envelope body, so the aborted prefix, partial stats, and decisions
+// must match the reference run exactly.
 func TestShardBudgetEquivalence(t *testing.T) {
 	for _, budget := range []int{7, 23, 50, 400} {
 		mut := func(cfg *Config) {
 			cfg.N = 12
 			cfg.MaxEvents = budget
 		}
-		refTrace, refRes, refErr := runBatchTrace(t, constDelay{d: 3}, BatchOff, mut)
+		refTrace, refRes, refErr := runBatchTrace(t, constDelay{d: 3}, true, mut)
 		if !errors.Is(refErr, ErrEventBudget) {
 			t.Fatalf("budget %d: reference run did not trip the budget: %v", budget, refErr)
 		}
-		gotTrace, gotRes, gotErr := runBatchTrace(t, constDelay{d: 3}, BatchOn, mut)
+		gotTrace, gotRes, gotErr := runBatchTrace(t, constDelay{d: 3}, false, mut)
 		requireSameRun(t, fmt.Sprintf("budget %d", budget), refTrace, refRes, refErr, gotTrace, gotRes, gotErr)
 	}
 }
@@ -251,7 +246,7 @@ func TestShardMidTickCompletion(t *testing.T) {
 			cfg.N = n
 			cfg.Seed = 3
 		}
-		refTrace, refRes, refErr := runBatchTrace(t, constDelay{d: 4}, BatchOff, mut)
+		refTrace, refRes, refErr := runBatchTrace(t, constDelay{d: 4}, true, mut)
 		if refErr != nil {
 			t.Fatalf("n=%d: reference run failed: %v", n, refErr)
 		}
@@ -260,7 +255,7 @@ func TestShardMidTickCompletion(t *testing.T) {
 				t.Fatalf("n=%d: party %d decided at %d, want every party at the final tick %d", n, id, at, refRes.FinishTime)
 			}
 		}
-		gotTrace, gotRes, gotErr := runBatchTrace(t, constDelay{d: 4}, BatchOn, mut)
+		gotTrace, gotRes, gotErr := runBatchTrace(t, constDelay{d: 4}, false, mut)
 		requireSameRun(t, fmt.Sprintf("n=%d", n), refTrace, refRes, refErr, gotTrace, gotRes, gotErr)
 	}
 }
@@ -269,9 +264,11 @@ func TestShardMidTickCompletion(t *testing.T) {
 // tick scratch: a network that just finished a dense batched run (under a
 // different shape, scheduler, and crash plan) and is Reset must reproduce a
 // fresh network's run exactly — pend list, staging, delivery triggers, and
-// payload arena all rewound.
+// payload arena all rewound. The recycled runs alternate between
+// production and the reference, so Reset also swaps the event queue both
+// ways.
 func TestShardRecycledNetworkEquivalence(t *testing.T) {
-	net, err := New(Config{N: 16, Scheduler: rngSched{max: 4}, Seed: 5, Batch: BatchOn,
+	net, err := New(Config{N: 16, Scheduler: rngSched{max: 4}, Seed: 5,
 		Crashes: []CrashPlan{{Party: 2, AfterSends: 30}}})
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +281,9 @@ func TestShardRecycledNetworkEquivalence(t *testing.T) {
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{N: 12, Scheduler: constDelay{d: 5}, Seed: 11, Batch: BatchOn}
+	cfg := Config{N: 12, Scheduler: constDelay{d: 5}, Seed: 11}
 	for round := 0; round < 3; round++ {
+		cfg.Reference = round == 1
 		if err := net.Reset(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +297,7 @@ func TestShardRecycledNetworkEquivalence(t *testing.T) {
 			}
 		}
 		res, runErr := net.Run()
-		refTrace, refRes, refErr := runBatchTrace(t, constDelay{d: 5}, BatchOn, func(c *Config) { c.N = cfg.N })
+		refTrace, refRes, refErr := runBatchTrace(t, constDelay{d: 5}, false, func(c *Config) { c.N = cfg.N })
 		requireSameRun(t, "recycled", refTrace, refRes, refErr, trace, res, runErr)
 	}
 }
@@ -320,44 +318,44 @@ func (fromSched) Delay(env Envelope, _ Time, _ *rand.Rand) Time {
 	return 1 + Time(env.From)*2
 }
 
-// TestBatchModeBudgetEquivalence pins the event-budget abort: the batched
-// loop must abort at the exact same event, with identical partial stats,
-// which it does by handing the budget-tripping tick to the reference loop.
+// TestBatchModeBudgetEquivalence pins the event-budget abort: production
+// must abort at the exact same event, with identical partial stats, which
+// it does by handing the budget-tripping tick to the per-envelope body.
 func TestBatchModeBudgetEquivalence(t *testing.T) {
 	for _, budget := range []int{1, 7, 23, 50} {
 		mut := func(cfg *Config) { cfg.MaxEvents = budget }
-		offTrace, offRes, offErr := runBatchTrace(t, constDelay{d: 3}, BatchOff, mut)
-		onTrace, onRes, onErr := runBatchTrace(t, constDelay{d: 3}, BatchOn, mut)
-		if !errors.Is(offErr, ErrEventBudget) {
-			t.Fatalf("budget %d: reference run did not trip the budget: %v", budget, offErr)
+		refTrace, refRes, refErr := runBatchTrace(t, constDelay{d: 3}, true, mut)
+		gotTrace, gotRes, gotErr := runBatchTrace(t, constDelay{d: 3}, false, mut)
+		if !errors.Is(refErr, ErrEventBudget) {
+			t.Fatalf("budget %d: reference run did not trip the budget: %v", budget, refErr)
 		}
-		if !errors.Is(onErr, ErrEventBudget) {
-			t.Fatalf("budget %d: batched run error %v, want ErrEventBudget", budget, onErr)
+		if !errors.Is(gotErr, ErrEventBudget) {
+			t.Fatalf("budget %d: production run error %v, want ErrEventBudget", budget, gotErr)
 		}
-		if len(offTrace) != len(onTrace) {
-			t.Fatalf("budget %d: trace lengths diverge: off %d, on %d", budget, len(offTrace), len(onTrace))
+		if len(refTrace) != len(gotTrace) {
+			t.Fatalf("budget %d: trace lengths diverge: reference %d, production %d", budget, len(refTrace), len(gotTrace))
 		}
-		for i := range offTrace {
-			if offTrace[i] != onTrace[i] {
+		for i := range refTrace {
+			if refTrace[i] != gotTrace[i] {
 				t.Fatalf("budget %d: delivery %d diverges", budget, i)
 			}
 		}
-		if offRes.Stats != onRes.Stats {
-			t.Fatalf("budget %d: partial stats diverge: off %+v, on %+v", budget, offRes.Stats, onRes.Stats)
+		if refRes.Stats != gotRes.Stats {
+			t.Fatalf("budget %d: partial stats diverge: reference %+v, production %+v", budget, refRes.Stats, gotRes.Stats)
 		}
 	}
 }
 
 // lateDecider decides on its quota like chattyProc but keeps talking
 // afterward only through messages already in flight, so runs routinely end
-// in the middle of a dense tick — exercising the completion repair (the
-// batched loop's stats and send stream must match the reference loop's
-// early exit exactly). The scenario already occurs in the equivalence
-// matrix above; this test makes the mid-tick ending certain by having all
-// parties decide at the same tick under a constant-delay scheduler.
+// in the middle of a dense tick — exercising the completion repair
+// (production's stats and send stream must match the reference's early
+// exit exactly). The scenario already occurs in the equivalence matrix
+// above; this test makes the mid-tick ending certain by having all parties
+// decide at the same tick under a constant-delay scheduler.
 func TestBatchModeMidTickCompletion(t *testing.T) {
-	run := func(mode BatchMode) (*Result, Stats) {
-		cfg := Config{N: 8, Scheduler: constDelay{d: 4}, Seed: 3, Batch: mode}
+	run := func(reference bool) (*Result, Stats) {
+		cfg := Config{N: 8, Scheduler: constDelay{d: 4}, Seed: 3, Reference: reference}
 		net, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -373,16 +371,16 @@ func TestBatchModeMidTickCompletion(t *testing.T) {
 		}
 		return res, res.Stats
 	}
-	offRes, offStats := run(BatchOff)
-	onRes, onStats := run(BatchOn)
-	if offStats != onStats {
-		t.Fatalf("stats diverge: off %+v, on %+v", offStats, onStats)
+	refRes, refStats := run(true)
+	gotRes, gotStats := run(false)
+	if refStats != gotStats {
+		t.Fatalf("stats diverge: reference %+v, production %+v", refStats, gotStats)
 	}
-	if offRes.FinishTime != onRes.FinishTime {
-		t.Fatalf("finish time diverges: off %d, on %d", offRes.FinishTime, onRes.FinishTime)
+	if refRes.FinishTime != gotRes.FinishTime {
+		t.Fatalf("finish time diverges: reference %d, production %d", refRes.FinishTime, gotRes.FinishTime)
 	}
-	for id, v := range offRes.Decisions {
-		if onRes.Decisions[id] != v {
+	for id, v := range refRes.Decisions {
+		if gotRes.Decisions[id] != v {
 			t.Fatalf("party %d decision diverges", id)
 		}
 	}

@@ -204,19 +204,20 @@ func TestCalendarMultiChunkTickAndMigration(t *testing.T) {
 	drainCompare(t, h, c)
 }
 
-// TestNetworkCoresAgree runs the same echo execution on both cores and
-// compares results field for field.
+// TestNetworkCoresAgree runs the same echo execution on the reference
+// configuration (heap) and in production (calendar queue) and compares
+// results field for field.
 func TestNetworkCoresAgree(t *testing.T) {
-	run := func(core EventCore) *Result {
+	run := func(reference bool) *Result {
 		t.Helper()
-		net, _ := newEchoNet(t, 5, func(cfg *Config) { cfg.Core = core })
+		net, _ := newEchoNet(t, 5, func(cfg *Config) { cfg.Reference = reference })
 		res, err := net.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(CoreHeap), run(CoreCalendar)
+	a, b := run(true), run(false)
 	if a.FinishTime != b.FinishTime || a.Stats != b.Stats || len(a.Decisions) != len(b.Decisions) {
 		t.Fatalf("core results diverge: heap %+v, calendar %+v", a, b)
 	}

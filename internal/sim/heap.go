@@ -13,9 +13,9 @@ type event struct {
 // scheduler and seed. A hand-rolled heap (rather than container/heap) avoids
 // per-operation interface allocations in the simulator's hot loop.
 //
-// The heap is the reference event core (sim.CoreHeap); the calendar queue
-// in calendar.go replaces it on the hot path and is pinned trace-equivalent
-// by the core-equivalence tests.
+// The heap is the reference configuration's event core (Config.Reference);
+// the calendar queue in calendar.go replaces it in production and is
+// pinned trace-equivalent by the equivalence tests.
 type eventHeap struct {
 	items []event
 }
@@ -47,7 +47,7 @@ func (h *eventHeap) Reset() {
 }
 
 func (h *eventHeap) less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+	a, b := &h.items[i], &h.items[j] // pointers: an event copy costs more than the compare
 	if a.at != b.at {
 		return a.at < b.at
 	}

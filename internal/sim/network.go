@@ -116,7 +116,6 @@ type Network struct {
 	parties    []*partyState // the run's parties: allParties[:cfg.N]
 	allParties []*partyState // every party record ever built, for recycling
 	queue      eventQueue
-	queueCore  EventCore     // resolved core the queue implements
 	batch      []event       // reusable same-tick delivery batch (Run loop)
 	fate       FateScheduler // cfg.Scheduler when it decides drops/dups; nil otherwise
 	rng        *rand.Rand
@@ -143,7 +142,6 @@ type Network struct {
 	// appearance (Seq) order, the deferred send/timer ops, and the trigger
 	// index of every delivery (for the tick-end observer replay and
 	// completion repair).
-	batching  bool
 	stage     [][]int32
 	touched   []int32
 	pend      []pendingOp
@@ -408,9 +406,8 @@ func (n *Network) Reset(cfg Config) error {
 	// would put an interface check on the hot path for the common
 	// (fate-free) case.
 	n.fate, _ = cfg.Scheduler.(FateScheduler)
-	if core := cfg.Core.Resolve(); n.queue == nil || core != n.queueCore {
-		n.queue = newEventQueue(core)
-		n.queueCore = core
+	if _, heap := n.queue.(*eventHeap); n.queue == nil || heap != cfg.Reference {
+		n.queue = newEventQueue(cfg.Reference)
 	} else {
 		n.queue.Reset()
 	}
@@ -456,7 +453,6 @@ func (n *Network) Reset(cfg Config) error {
 		n.parties[id].proc = proc
 	}
 	n.resetRestarts()
-	n.batching = cfg.Batch.Resolve() == BatchOn
 	n.now = 0
 	n.seq = 0
 	n.stats = Stats{}
@@ -619,71 +615,53 @@ func (n *Network) runInto(res *Result) error {
 	if budget <= 0 {
 		budget = n.defaultMaxEvents
 	}
-	var err error
-	if n.batching {
-		err = n.runBatched(budget)
-	} else {
-		err = n.runUnbatched(budget)
-	}
+	err := n.runLoop(budget)
 	n.resultInto(res)
 	return err
 }
 
-// runUnbatched is the per-envelope reference loop (sim.BatchOff). The loop
-// drains the queue one virtual-time tick at a time: PopTick hands over
-// every event of the earliest tick in one batch (delays are >= 1, so
-// deliveries can never append to the tick in flight), and the inner
-// consumption runs straight through the batch in (at, Seq) order. The
-// batched loop in batch.go is pinned observably equivalent to this one.
-func (n *Network) runUnbatched(budget int) error {
+// runLoop is the one run loop. It drains the queue one virtual-time tick at
+// a time: PopTick hands over every event of the earliest tick in one batch
+// (delays are >= 1, so deliveries can never append to the tick in flight).
+// A tick runs through one of two bodies, observably identical (batch.go):
+// runTickUnbatched, the per-envelope body in (at, Seq) order, and
+// runTickBatched, which groups a dense tick by destination. The reference
+// configuration takes the per-envelope body for every tick. Production
+// takes it for sparse ticks, where grouping gains nothing, and for the tick
+// in which the event budget can trip, so that the aborted prefix is event
+// for event the reference one.
+func (n *Network) runLoop(budget int) error {
 	var err error
 	events := 0
-	batch, bi := n.batch[:0], 0
+	batch := n.batch[:0]
 	for n.pendingHonest > 0 {
-		if bi == len(batch) {
-			if n.queue.Len() == 0 {
-				// A pending restart can revive a drained run: a rejoin
-				// re-sends, so the stall verdict is only final once no
-				// actions remain.
-				if n.restartsPending() {
-					if err = n.advanceToRestart(); err != nil {
-						break
-					}
-					continue
-				}
-				err = ErrStalled
-				break
-			}
-			batch, bi = n.queue.PopTick(batch[:0]), 0
-			n.now = batch[0].at
+		if n.queue.Len() == 0 {
+			// A pending restart can revive a drained run: a rejoin re-sends,
+			// so the stall verdict is only final once no actions remain.
 			if n.restartsPending() {
-				if err = n.fireRestarts(); err != nil {
+				if err = n.advanceToRestart(); err != nil {
 					break
 				}
+				continue
 			}
-		}
-		if events >= budget {
-			err = ErrEventBudget
+			err = ErrStalled
 			break
 		}
-		events++
-		ev := batch[bi]
-		bi++
-		if n.crashed[ev.env.To] {
-			continue
+		batch = n.queue.PopTick(batch[:0])
+		n.now = batch[0].at
+		if n.restartsPending() {
+			if err = n.fireRestarts(); err != nil {
+				break
+			}
 		}
-		dst := n.parties[ev.env.To]
-		if ev.timer {
-			if th, ok := dst.proc.(TimerHandler); ok {
-				th.OnTimer(ev.tag)
+		if n.cfg.Reference || len(batch) < batchTickMin || events+len(batch) > budget {
+			if err = n.runTickUnbatched(batch, &events, budget); err != nil {
+				break
 			}
 			continue
 		}
-		n.stats.MessagesDelivered++
-		dst.proc.Deliver(ev.env.From, ev.env.Data)
-		if n.observer != nil {
-			n.observer(n.now, ev.env)
-		}
+		events += len(batch)
+		n.runTickBatched(batch)
 	}
 	n.batch = batch[:0]
 	return err

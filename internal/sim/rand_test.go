@@ -81,11 +81,11 @@ func TestLazyRandFirstDrawInInit(t *testing.T) {
 
 // TestLazyRandFirstDrawAtLateTick draws from party 2 only when its timer
 // fires at t=50, after the other parties' traffic (and the scheduler's
-// own draws) has run, on both delivery loops.
+// own draws) has run, in production and in the reference configuration.
 func TestLazyRandFirstDrawAtLateTick(t *testing.T) {
 	const n, k, seed = 4, 6, 99
-	for _, mode := range []BatchMode{BatchOn, BatchOff} {
-		net, err := New(Config{N: n, Scheduler: randomSched{}, Seed: seed, Batch: mode})
+	for _, reference := range []bool{false, true} {
+		net, err := New(Config{N: n, Scheduler: randomSched{}, Seed: seed, Reference: reference})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,10 +112,10 @@ func TestLazyRandFirstDrawAtLateTick(t *testing.T) {
 			t.Fatal(err)
 		}
 		if late != 50 {
-			t.Fatalf("%v: party 2's timer fired at %d, want 50", mode, late)
+			t.Fatalf("reference=%v: party 2's timer fired at %d, want 50", reference, late)
 		}
 		if want := freshDraws(seed, 2, k); !slices.Equal(got, want) {
-			t.Errorf("%v: late first draw %v, want the fresh source's %v", mode, got, want)
+			t.Errorf("reference=%v: late first draw %v, want the fresh source's %v", reference, got, want)
 		}
 	}
 }

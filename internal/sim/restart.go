@@ -106,11 +106,11 @@ func restartActionLess(a, b restartAction) bool {
 }
 
 // fireRestarts runs every pending restart action scheduled at or before
-// the current virtual time. Both run loops call it right after advancing
+// the current virtual time. The run loop calls it right after advancing
 // n.now to a new tick (before the tick's deliveries) and from the stall
-// branch, so actions fire at identical state points in the batched and
-// unbatched loops — tick-boundary state is mode-invariant by the batching
-// equivalence contract.
+// branch, so actions fire at identical state points in production and the
+// reference — tick-boundary state is identical by the batching equivalence
+// contract.
 func (n *Network) fireRestarts() error {
 	for n.rnext < len(n.ractions) && n.ractions[n.rnext].at <= n.now {
 		a := n.ractions[n.rnext]

@@ -46,13 +46,14 @@ func (p *rollProc) Restore(data []byte) error {
 func (p *rollProc) Rejoin() { p.api.Multicast([]byte{1}) }
 
 // restartRun executes three rollProc parties where party 0 checkpoints at
-// t=0, crashes at t=2, and rejoins at t=4.
-func restartRun(t *testing.T, batch BatchMode) (*Network, *Result) {
+// t=0, crashes at t=2, and rejoins at t=4, in the reference configuration
+// or in production.
+func restartRun(t *testing.T, reference bool) (*Network, *Result) {
 	t.Helper()
 	cfg := Config{
 		N:         3,
 		Scheduler: constDelay{1},
-		Batch:     batch,
+		Reference: reference,
 		Restarts:  []RestartPlan{{Party: 0, Checkpoint: 0, Down: 2, Rejoin: 4}},
 	}
 	n, err := New(cfg)
@@ -66,45 +67,45 @@ func restartRun(t *testing.T, batch BatchMode) (*Network, *Result) {
 	n.SetProcess(2, &rollProc{need: 4})
 	res, err := n.Run()
 	if err != nil {
-		t.Fatalf("run (batch=%v): %v", batch, err)
+		t.Fatalf("run (reference=%v): %v", reference, err)
 	}
 	return n, res
 }
 
 func TestRestartRevivesAndRollsBack(t *testing.T) {
-	for _, batch := range []BatchMode{BatchOff, BatchOn} {
-		n, res := restartRun(t, batch)
+	for _, reference := range []bool{true, false} {
+		n, res := restartRun(t, reference)
 		if len(res.Decisions) != 3 {
-			t.Fatalf("batch=%v: %d decisions, want 3", batch, len(res.Decisions))
+			t.Fatalf("reference=%v: %d decisions, want 3", reference, len(res.Decisions))
 		}
 		// Party 0 decided sum=3 at t=1, was un-decided by the crash, and
 		// re-decided after the rollback with sum=1: the decision value
 		// proves the restore ran (an un-restored party would report 4).
 		if res.Decisions[0] != 1 {
-			t.Errorf("batch=%v: party 0 decision %v, want 1 (rolled-back sum)", batch, res.Decisions[0])
+			t.Errorf("reference=%v: party 0 decision %v, want 1 (rolled-back sum)", reference, res.Decisions[0])
 		}
 		if res.DecidedAt[0] != 5 {
-			t.Errorf("batch=%v: party 0 re-decided at t=%d, want 5", batch, res.DecidedAt[0])
+			t.Errorf("reference=%v: party 0 re-decided at t=%d, want 5", reference, res.DecidedAt[0])
 		}
 		if res.Decisions[1] != 4 || res.Decisions[2] != 4 {
-			t.Errorf("batch=%v: peer decisions %v %v, want 4 4", batch, res.Decisions[1], res.Decisions[2])
+			t.Errorf("reference=%v: peer decisions %v %v, want 4 4", reference, res.Decisions[1], res.Decisions[2])
 		}
 		if res.FinishTime != 5 {
-			t.Errorf("batch=%v: finish time %d, want 5", batch, res.FinishTime)
+			t.Errorf("reference=%v: finish time %d, want 5", reference, res.FinishTime)
 		}
 		dg := n.CheckpointDigests()
 		if len(dg) != 1 || dg[0] == 0 {
-			t.Errorf("batch=%v: digests %v, want one nonzero entry", batch, dg)
+			t.Errorf("reference=%v: digests %v, want one nonzero entry", reference, dg)
 		}
 	}
 }
 
 func TestRestartDigestsDeterministic(t *testing.T) {
-	n1, _ := restartRun(t, BatchOff)
-	n2, _ := restartRun(t, BatchOn)
+	n1, _ := restartRun(t, true)
+	n2, _ := restartRun(t, false)
 	d1, d2 := n1.CheckpointDigests(), n2.CheckpointDigests()
 	if len(d1) != 1 || len(d2) != 1 || d1[0] != d2[0] {
-		t.Errorf("digest streams differ across delivery modes: %v vs %v", d1, d2)
+		t.Errorf("digest streams differ between reference and production: %v vs %v", d1, d2)
 	}
 }
 
@@ -168,7 +169,7 @@ func TestRestartConfigValidate(t *testing.T) {
 // A restart axis left empty must not change the run at all; the recycled
 // network must also behave identically after a restart-bearing run.
 func TestRestartResetRecycles(t *testing.T) {
-	n, first := restartRun(t, BatchOff)
+	n, first := restartRun(t, true)
 	// Re-run the same config on the recycled network.
 	cfg := n.cfg
 	if err := n.Reset(cfg); err != nil {

@@ -135,20 +135,16 @@ type Config struct {
 	Restarts []RestartPlan
 	// MaxEvents aborts runaway executions; 0 means a generous default.
 	MaxEvents int
-	// Core selects the event-queue implementation (CoreDefault resolves to
-	// the build's default). The cores are trace-equivalent; the switch
-	// exists for the equivalence tests and performance comparisons.
-	Core EventCore
-	// Batch selects between batched tick delivery (the default: each
-	// party receives its whole tick through one DeliverBatch call) and
-	// the per-envelope reference loop. Results, stats, and the observed
-	// delivery sequence are identical across the modes; the one nuance is
-	// that a dense tick's observer callbacks replay at tick end, so an
-	// observer that reads live simulation state sees end-of-tick state
-	// (see Network.fireObservers — tick-boundary state is identical in
-	// both modes). The switch exists for the equivalence tests and A/B
-	// benchmarks, like Core.
-	Batch BatchMode
+	// Reference selects the reference configuration: a binary-heap event
+	// queue and per-envelope delivery of every tick, instead of production's
+	// calendar queue and batched dense ticks (each party receives such a
+	// tick through one DeliverBatch call). Results, stats, and the observed
+	// delivery sequence are identical; the one nuance is that production
+	// replays a dense tick's observer callbacks at tick end, so an observer
+	// that reads live simulation state sees end-of-tick state (see
+	// Network.fireObservers — tick-boundary state is identical in both).
+	// The reference exists only to be compared against production.
+	Reference bool
 }
 
 // Sentinel errors returned by Run.
@@ -168,12 +164,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Scheduler == nil {
 		return errors.New("sim: config: nil Scheduler")
-	}
-	if c.Core < CoreDefault || c.Core > CoreHeap {
-		return fmt.Errorf("sim: config: unknown event core %d", c.Core)
-	}
-	if c.Batch < BatchDefault || c.Batch > BatchOff {
-		return fmt.Errorf("sim: config: unknown batch mode %d", c.Batch)
 	}
 	// The duplicate-fault scan is quadratic in the crash count instead of
 	// building a set: fault lists are bounded by the protocol fault bound,
