@@ -10,7 +10,7 @@ GO ?= go
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= BENCH_8.json
 
-.PHONY: check vet race fuzz-relnet benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
+.PHONY: check vet race fuzz-relnet fuzz-parse benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
 
 # check fails first on any file gofmt would rewrite, listing them.
 check:
@@ -36,6 +36,15 @@ race:
 FUZZTIME ?= 30s
 fuzz-relnet:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeliver$$' -fuzztime $(FUZZTIME) ./internal/relnet/
+
+# fuzz-parse runs the native fuzz targets for the two spec parsers
+# (scenario.Parse and workload.Parse, both FuzzParse), FUZZTIME each: no
+# panic, and every spec that parses renders to a String() that parses back
+# to the same rendering. Findings land under each package's
+# testdata/fuzz/FuzzParse/; commit them with the fix.
+fuzz-parse:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/workload/
 
 # benchmark-check keeps the frozen benchmark honest on every PR: its own
 # tests (metric selection, seam transparency, golden statistics,

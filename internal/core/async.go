@@ -213,8 +213,8 @@ func (a *AsyncAA) Deliver(from sim.PartyID, data []byte) {
 // at the same per-envelope points as unbatched delivery, so the two paths
 // are observably identical.
 func (a *AsyncAA) DeliverBatch(b *sim.Batch) {
-	for env := b.Next(); env != nil; env = b.Next() {
-		a.deliver(env.From, env.Data)
+	for from, data, ok := b.Next(); ok; from, data, ok = b.Next() {
+		a.deliver(from, data)
 	}
 }
 

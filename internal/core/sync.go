@@ -137,8 +137,8 @@ func (s *SyncAA) Deliver(from sim.PartyID, data []byte) {
 // timers fire from inside Next at their exact tick positions, so the
 // round-boundary view reduce happens once per round in both modes.
 func (s *SyncAA) DeliverBatch(b *sim.Batch) {
-	for env := b.Next(); env != nil; env = b.Next() {
-		s.deliver(env.From, env.Data)
+	for from, data, ok := b.Next(); ok; from, data, ok = b.Next() {
+		s.deliver(from, data)
 	}
 }
 

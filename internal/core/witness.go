@@ -229,8 +229,8 @@ func (w *WitnessAA) Deliver(from sim.PartyID, data []byte) {
 // keeps its exact per-envelope points; the batching win is the warm
 // per-party state across the tick's messages.
 func (w *WitnessAA) DeliverBatch(b *sim.Batch) {
-	for env := b.Next(); env != nil; env = b.Next() {
-		w.deliver(env.From, env.Data)
+	for from, data, ok := b.Next(); ok; from, data, ok = b.Next() {
+		w.deliver(from, data)
 	}
 }
 

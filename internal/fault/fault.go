@@ -382,8 +382,8 @@ func (a *amplifierProc) Deliver(_ sim.PartyID, data []byte) {
 // per-envelope trigger points, so batched and unbatched runs are
 // observably identical.
 func (a *amplifierProc) DeliverBatch(b *sim.Batch) {
-	for env := b.Next(); env != nil; env = b.Next() {
-		a.ingest(env.Data)
+	for _, data, ok := b.Next(); ok; _, data, ok = b.Next() {
+		a.ingest(data)
 	}
 }
 

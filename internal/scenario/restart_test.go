@@ -9,14 +9,17 @@ import (
 	"repro/internal/sim"
 )
 
+// recoverRoundTripSpecs are canonical specs with restart axes.
+var recoverRoundTripSpecs = []string{
+	"random+recover/n=9,t=2",
+	"sync+recover:2:300:50/n=9,t=3",
+	"random+amnesia/n=9,t=1",
+	"random+amnesia:1:250/n=9,t=2",
+	"random+loss:0.05+recover:1:400:100/n=9,t=2",
+}
+
 func TestRecoverParseRoundTrip(t *testing.T) {
-	for _, raw := range []string{
-		"random+recover/n=9,t=2",
-		"sync+recover:2:300:50/n=9,t=3",
-		"random+amnesia/n=9,t=1",
-		"random+amnesia:1:250/n=9,t=2",
-		"random+loss:0.05+recover:1:400:100/n=9,t=2",
-	} {
+	for _, raw := range recoverRoundTripSpecs {
 		s, err := Parse(raw)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", raw, err)
@@ -82,22 +85,24 @@ func TestRecoverResolvePlans(t *testing.T) {
 	}
 }
 
+// recoverRejectSpecs maps restart specs Parse must reject to the reason.
+var recoverRejectSpecs = map[string]string{
+	"random+recover/n=9":                 "restart without explicit t",
+	"random+recover/n=9,t=0":             "restart with zero fault slots",
+	"random+recover:3:400:100/n=9,t=2":   "k exceeds t",
+	"random+recover:0:400:100/n=9,t=2":   "k below 1",
+	"random+recover:1:0:100/n=9,t=2":     "down below 1",
+	"random+recover:1:400:-1/n=9,t=2":    "negative lag",
+	"random+recover:1:400/n=9,t=2":       "recover arg arity",
+	"random+amnesia:1:400:100/n=9,t=2":   "amnesia arg arity",
+	"random+recover:x:400:100/n=9,t=2":   "garbage k",
+	"random+crash+recover/n=9,t=2":       "party faults compose with restarts",
+	"random+recover+amnesia/n=9,t=2":     "two restart axes",
+	"random+recover:1:2000000:0/n=9,t=2": "down past the delay cap",
+}
+
 func TestRecoverParseRejects(t *testing.T) {
-	cases := map[string]string{
-		"random+recover/n=9":                 "restart without explicit t",
-		"random+recover/n=9,t=0":             "restart with zero fault slots",
-		"random+recover:3:400:100/n=9,t=2":   "k exceeds t",
-		"random+recover:0:400:100/n=9,t=2":   "k below 1",
-		"random+recover:1:0:100/n=9,t=2":     "down below 1",
-		"random+recover:1:400:-1/n=9,t=2":    "negative lag",
-		"random+recover:1:400/n=9,t=2":       "recover arg arity",
-		"random+amnesia:1:400:100/n=9,t=2":   "amnesia arg arity",
-		"random+recover:x:400:100/n=9,t=2":   "garbage k",
-		"random+crash+recover/n=9,t=2":       "party faults compose with restarts",
-		"random+recover+amnesia/n=9,t=2":     "two restart axes",
-		"random+recover:1:2000000:0/n=9,t=2": "down past the delay cap",
-	}
-	for raw, why := range cases {
+	for raw, why := range recoverRejectSpecs {
 		if _, err := Parse(raw); err == nil {
 			t.Errorf("Parse(%q) accepted (%s)", raw, why)
 		}

@@ -70,6 +70,12 @@ type Spec struct {
 // derives it from the protocol's resilience when the string omits t=).
 const TUnset = -1
 
+// maxN bounds a spec's party count. Builders size per-party state from n
+// and t (skew's victim list holds t IDs), so without a bound a spec string
+// could demand any allocation. 1<<16 is far above the largest simulated
+// size (E12-XL's 4096).
+const maxN = 1 << 16
+
 // String renders the spec in its canonical parseable form.
 func (s Spec) String() string {
 	var b strings.Builder
@@ -244,6 +250,9 @@ func (s Spec) validateShape() error {
 	}
 	if s.N < 1 {
 		return fmt.Errorf("scenario: %s: n = %d, need >= 1", s.Sched, s.N)
+	}
+	if s.N > maxN {
+		return fmt.Errorf("scenario: %s: n = %d, need <= %d", s.Sched, s.N, maxN)
 	}
 	// Network-fault and restart tokens occupy no fault slots, so only
 	// party faults count against T (and a net-only composition is fine

@@ -10,16 +10,19 @@ import (
 	"repro/internal/sim"
 )
 
+// parseRoundTripSpecs are canonical specs; FuzzParse seeds from these
+// tables too.
+var parseRoundTripSpecs = []string{
+	"sync/n=9,t=4",
+	"sync:5+crash/n=10,t=4",
+	"skew+equivocate/n=64,t=9",
+	"splitviews/n=64",
+	"random+crash+equivocate/n=13,t=6",
+	"fifo/n=7,t=2",
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	cases := []string{
-		"sync/n=9,t=4",
-		"sync:5+crash/n=10,t=4",
-		"skew+equivocate/n=64,t=9",
-		"splitviews/n=64",
-		"random+crash+equivocate/n=13,t=6",
-		"fifo/n=7,t=2",
-	}
-	for _, raw := range cases {
+	for _, raw := range parseRoundTripSpecs {
 		s, err := Parse(raw)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", raw, err)
@@ -34,27 +37,50 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// parseRejectSpecs maps specs Parse must reject to the reason.
+var parseRejectSpecs = map[string]string{
+	"warp/n=9,t=2":                 "unknown scheduler",
+	"sync/n=9,t=2,x=1":             "unknown parameter",
+	"sync/n=0,t=0":                 "n out of range",
+	"sync/n=65537":                 "n above maxN",
+	"sync/n=9,t=9":                 "t out of range",
+	"sync+gremlin/n=9,t=2":         "unknown fault",
+	"sync+crash":                   "faults without n",
+	"sync+crash/n=9":               "faults without t",
+	"sync+crash+spam+spam/n=9,t=2": "more fault kinds than slots",
+	"sync:0/n=9,t=2":               "bad scheduler argument",
+	"sync/n=9,t=-1":                "explicit negative t (TUnset sentinel collision)",
+	"unordered:3/n=9,t=2":          "argument on arg-less scheduler",
+	"sync/n=":                      "empty parameter value",
+	"":                             "empty spec",
+}
+
 func TestParseRejects(t *testing.T) {
-	cases := map[string]string{
-		"warp/n=9,t=2":                 "unknown scheduler",
-		"sync/n=9,t=2,x=1":             "unknown parameter",
-		"sync/n=0,t=0":                 "n out of range",
-		"sync/n=9,t=9":                 "t out of range",
-		"sync+gremlin/n=9,t=2":         "unknown fault",
-		"sync+crash":                   "faults without n",
-		"sync+crash/n=9":               "faults without t",
-		"sync+crash+spam+spam/n=9,t=2": "more fault kinds than slots",
-		"sync:0/n=9,t=2":               "bad scheduler argument",
-		"sync/n=9,t=-1":                "explicit negative t (TUnset sentinel collision)",
-		"unordered:3/n=9,t=2":          "argument on arg-less scheduler",
-		"sync/n=":                      "empty parameter value",
-		"":                             "empty spec",
-	}
-	for raw, why := range cases {
+	for raw, why := range parseRejectSpecs {
 		if _, err := Parse(raw); err == nil {
 			t.Errorf("Parse(%q) accepted (%s)", raw, why)
 		}
 	}
+}
+
+// parseErrorCases pairs rejected specs with what their errors must say.
+var parseErrorCases = []struct {
+	raw  string
+	want []string
+}{
+	{"warp/n=9,t=2", []string{`token 1 "warp"`, `(char 0)`, `unknown scheduler "warp"`}},
+	{"sync:0/n=9,t=2", []string{`token 1 "sync:0"`, `(char 0)`}},
+	{"sync+gremlin/n=9,t=2", []string{`token 2 "gremlin"`, `(char 5)`, `unknown fault "gremlin"`}},
+	{"random+crash+gremlin/n=9,t=2", []string{`token 3 "gremlin"`, `(char 13)`}},
+	{"random+loss:2/n=9,t=2", []string{`token 2 "loss:2"`, `(char 7)`}},
+	{"random+crash+flap:0/n=9,t=2", []string{`token 3 "flap:0"`, `(char 13)`}},
+	{"random+outage:2:50:0/n=9,t=2", []string{`token 2 "outage:2:50:0"`, `(char 7)`}},
+	{"random+recover:1:9999999:0/n=9,t=2", []string{`token 2 "recover:1:9999999:0"`, `(char 7)`}},
+	{"sync/n=9,x=1", []string{`parameter "x=1"`, `(char 9)`}},
+	{"sync/n=", []string{`parameter "n="`, `(char 5)`}},
+	{"sync/n=9,t=-1", []string{`parameter "t=-1"`, `(char 9)`, "need >= 0"}},
+	// Shape errors stay positionless: both tokens are individually fine.
+	{"sync+crash+spam+spam/n=9,t=2", []string{"fault kinds for"}},
 }
 
 // TestParseErrorNamesToken pins the satellite contract: a parse error
@@ -63,25 +89,7 @@ func TestParseRejects(t *testing.T) {
 // fix. Cross-token shape errors (slot counts, restart composition) carry
 // no position — no single token owns them.
 func TestParseErrorNamesToken(t *testing.T) {
-	cases := []struct {
-		raw  string
-		want []string
-	}{
-		{"warp/n=9,t=2", []string{`token 1 "warp"`, `(char 0)`, `unknown scheduler "warp"`}},
-		{"sync:0/n=9,t=2", []string{`token 1 "sync:0"`, `(char 0)`}},
-		{"sync+gremlin/n=9,t=2", []string{`token 2 "gremlin"`, `(char 5)`, `unknown fault "gremlin"`}},
-		{"random+crash+gremlin/n=9,t=2", []string{`token 3 "gremlin"`, `(char 13)`}},
-		{"random+loss:2/n=9,t=2", []string{`token 2 "loss:2"`, `(char 7)`}},
-		{"random+crash+flap:0/n=9,t=2", []string{`token 3 "flap:0"`, `(char 13)`}},
-		{"random+outage:2:50:0/n=9,t=2", []string{`token 2 "outage:2:50:0"`, `(char 7)`}},
-		{"random+recover:1:9999999:0/n=9,t=2", []string{`token 2 "recover:1:9999999:0"`, `(char 7)`}},
-		{"sync/n=9,x=1", []string{`parameter "x=1"`, `(char 9)`}},
-		{"sync/n=", []string{`parameter "n="`, `(char 5)`}},
-		{"sync/n=9,t=-1", []string{`parameter "t=-1"`, `(char 9)`, "need >= 0"}},
-		// Shape errors stay positionless: both tokens are individually fine.
-		{"sync+crash+spam+spam/n=9,t=2", []string{"fault kinds for"}},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		_, err := Parse(tc.raw)
 		if err == nil {
 			t.Errorf("Parse(%q) accepted", tc.raw)

@@ -24,7 +24,7 @@ import "slices"
 //     them. Batched, sends and timers are DEFERRED: api.Send/SetTimer only
 //     record a pending op tagged with the index of the tick event being
 //     processed (its trigger), and a tick-end flush schedules the ops in
-//     trigger order — a stable in-place sort by trigger index — so the Seq
+//     trigger order — a stable counting sort by trigger index — so the Seq
 //     and rng streams are exactly the unbatched ones.
 //  2. Mid-tick termination. The unbatched loop stops at the exact event
 //     that decides the last pending honest party; later same-tick events
@@ -50,12 +50,12 @@ import "slices"
 type BatchProcess interface {
 	Process
 	// DeliverBatch consumes one tick's deliveries by calling batch.Next
-	// until it returns false. The implementation must process envelopes in
-	// the order Next yields them and must be observably equivalent to
-	// receiving each envelope through Deliver: sends, decisions, and timer
-	// registrations must happen at the same per-envelope points. Any
-	// envelopes left unconsumed when DeliverBatch returns are delivered
-	// through Deliver by the runtime.
+	// until its ok result is false. The implementation must process
+	// envelopes in the order Next yields them and must be observably
+	// equivalent to receiving each envelope through Deliver: sends,
+	// decisions, and timer registrations must happen at the same
+	// per-envelope points. Any envelopes left unconsumed when DeliverBatch
+	// returns are delivered through Deliver by the runtime.
 	DeliverBatch(batch *Batch)
 }
 
@@ -73,14 +73,15 @@ type Batch struct {
 	pos    int
 }
 
-// Next returns the next envelope of the batch, or nil when the batch is
-// exhausted. The pointer (and its Data) is valid until the next Next call
-// — copy anything retained past it. Interleaved timer expiries are
-// dispatched to the process's OnTimer from inside Next, at their exact
-// tick position, so a BatchProcess that also uses timers needs no extra
-// handling. Returning a pointer into the tick's event storage keeps the
-// per-delivery cost to index arithmetic (no envelope copy).
-func (b *Batch) Next() *Envelope {
+// Next returns the sender and payload of the batch's next envelope, with
+// ok false once the batch is exhausted. The payload aliases the payload
+// arena, like Process.Deliver's, and is valid until the DeliverBatch call
+// returns — copy anything retained past it. Interleaved timer expiries are
+// dispatched to the process's OnTimer from inside Next, at their exact tick
+// position, so a BatchProcess that also uses timers needs no extra
+// handling. Returning the two values a delivery needs, rather than an
+// envelope, keeps the per-delivery cost to index arithmetic.
+func (b *Batch) Next() (from PartyID, data []byte, ok bool) {
 	n := b.net
 	for b.pos < len(b.idxs) {
 		i := b.idxs[b.pos]
@@ -93,17 +94,17 @@ func (b *Batch) Next() *Envelope {
 		}
 		ev := &b.events[i]
 		n.curTrig = i
-		if ev.timer {
+		if ev.timer() {
 			if th, ok := b.ps.proc.(TimerHandler); ok {
-				th.OnTimer(ev.tag)
+				th.OnTimer(ev.ref)
 			}
 			continue
 		}
 		n.stats.MessagesDelivered++
 		n.delivTrig = append(n.delivTrig, i)
-		return &ev.env
+		return PartyID(ev.from), n.arena.bytes(ev.ref, ev.n), true
 	}
-	return nil
+	return 0, nil, false
 }
 
 // drain delivers whatever the process left unconsumed (trailing timers, or
@@ -121,16 +122,16 @@ func (b *Batch) drain() {
 // recorded during batched tick processing and scheduled by flushPending in
 // trigger order. A multicast coalesces into a single op (mcastTo > 0: the
 // truncation-adjusted recipient count) so the pending volume scales with
-// protocol actions, not fan-out.
+// protocol actions, not fan-out. Like event, it holds no pointers: ref and
+// n are a send's payload handle and length, or a timer's tag and -1.
 type pendingOp struct {
-	data    []byte
-	tag     uint64
+	ref     uint64
 	delay   Time
 	from    PartyID
 	to      PartyID
 	trig    int32
 	mcastTo int32
-	timer   bool
+	n       int32
 }
 
 // batchTickMin is the tick size below which production skips grouping: a
@@ -150,7 +151,7 @@ func (n *Network) runTickBatched(batch []event) {
 	// stable until the next PopTick. Parties are drained in first-
 	// appearance order.
 	for i := range batch {
-		to := batch[i].env.To
+		to := batch[i].to
 		if len(n.stage[to]) == 0 {
 			n.touched = append(n.touched, int32(to))
 		}
@@ -199,7 +200,15 @@ func (n *Network) fireObservers(batch []event, maxTrig int32) {
 		if trig > maxTrig {
 			break
 		}
-		n.observer(n.now, batch[trig].env)
+		n.observer(n.now, n.envOf(&batch[trig]))
+	}
+}
+
+// envOf builds the public Envelope of a message event for the observer.
+func (n *Network) envOf(ev *event) Envelope {
+	return Envelope{
+		From: PartyID(ev.from), To: PartyID(ev.to),
+		Data: n.arena.bytes(ev.ref, ev.n), Sent: ev.sent, Seq: ev.seq,
 	}
 }
 
@@ -212,7 +221,7 @@ func (n *Network) deliverPartyBatch(ps *partyState, events []event) {
 		*b = Batch{net: n, ps: ps, events: events, idxs: idxs}
 		bp.DeliverBatch(b)
 		b.drain()
-		*b = Batch{} // drop event and payload references
+		*b = Batch{} // drop the process and tick references
 		return
 	}
 	for _, i := range idxs {
@@ -227,15 +236,15 @@ func (n *Network) deliverEvent(ps *partyState, ev *event, trig int32) {
 		return
 	}
 	n.curTrig = trig
-	if ev.timer {
+	if ev.timer() {
 		if th, ok := ps.proc.(TimerHandler); ok {
-			th.OnTimer(ev.tag)
+			th.OnTimer(ev.ref)
 		}
 		return
 	}
 	n.stats.MessagesDelivered++
 	n.delivTrig = append(n.delivTrig, trig)
-	ps.proc.Deliver(ev.env.From, ev.env.Data)
+	ps.proc.Deliver(PartyID(ev.from), n.arena.bytes(ev.ref, ev.n))
 }
 
 // runTickUnbatched processes one tick with the reference semantics: Seq
@@ -253,20 +262,20 @@ func (n *Network) runTickUnbatched(batch []event, events *int, budget int) error
 		}
 		*events++
 		ev := &batch[bi]
-		if n.crashed[ev.env.To] {
+		if n.crashed[ev.to] {
 			continue
 		}
-		dst := n.parties[ev.env.To]
-		if ev.timer {
+		dst := n.parties[ev.to]
+		if ev.timer() {
 			if th, ok := dst.proc.(TimerHandler); ok {
-				th.OnTimer(ev.tag)
+				th.OnTimer(ev.ref)
 			}
 			continue
 		}
 		n.stats.MessagesDelivered++
-		dst.proc.Deliver(ev.env.From, ev.env.Data)
+		dst.proc.Deliver(PartyID(ev.from), n.arena.bytes(ev.ref, ev.n))
 		if n.observer != nil {
-			n.observer(n.now, ev.env)
+			n.observer(n.now, n.envOf(ev))
 		}
 	}
 	return nil
@@ -289,7 +298,7 @@ func (n *Network) flushPending(maxTrig int32) {
 			// Triggered past the completion point: the unbatched loop never
 			// emitted these; back out their send-time accounting. Timer
 			// registrations were never counted as sends — just drop them.
-			if op.timer {
+			if op.n < 0 {
 				continue
 			}
 			sends := 1
@@ -297,30 +306,25 @@ func (n *Network) flushPending(maxTrig int32) {
 				sends = int(op.mcastTo)
 			}
 			n.stats.MessagesSent -= sends
-			n.stats.BytesSent -= sends * len(op.data)
+			n.stats.BytesSent -= sends * int(op.n)
 			if !n.faulty[op.from] {
 				n.stats.HonestMessagesSent -= sends
-				n.stats.HonestBytesSent -= sends * len(op.data)
+				n.stats.HonestBytesSent -= sends * int(op.n)
 			}
-			op.data = nil
 			continue
 		}
-		if op.timer {
-			n.seq++
-			n.queue.Push(event{
-				at:    n.now + op.delay,
-				env:   Envelope{From: op.from, To: op.from, Seq: n.seq},
-				timer: true,
-				tag:   op.tag,
-			})
-		} else if op.mcastTo > 0 {
+		if op.n < 0 {
+			n.scheduleTimer(op.from, op.delay, op.ref)
+			continue
+		}
+		data := n.arena.bytes(op.ref, op.n)
+		if op.mcastTo > 0 {
 			for to := PartyID(0); to < PartyID(op.mcastTo); to++ {
-				n.scheduleSend(op.from, to, op.data)
+				n.scheduleSend(op.from, to, data, op.ref)
 			}
 		} else {
-			n.scheduleSend(op.from, op.to, op.data)
+			n.scheduleSend(op.from, op.to, data, op.ref)
 		}
-		op.data = nil
 	}
 	n.pend = n.pend[:0]
 }
@@ -359,20 +363,28 @@ func (n *Network) sortPend() {
 		out[count[op.trig]] = *op
 		count[op.trig]++
 	}
-	clear(n.pend) // the ops live on in out; drop the duplicate payload references
 	n.pend, n.pendSorted, n.pendCount = out, n.pend[:0], count
+}
+
+// scheduleTimer assigns the next Seq and queues a timer expiry on party p.
+func (n *Network) scheduleTimer(p PartyID, delay Time, tag uint64) {
+	n.seq++
+	n.queue.Push(event{at: n.now + delay, seq: n.seq, ref: tag, from: int32(p), to: int32(p), n: -1})
 }
 
 // scheduleSend assigns the next Seq, draws the scheduler decision, and
 // queues the send — the single tail of both the unbatched send path and
 // the batched flush, so the Seq/rng streams and any lossy-network fates
-// are identical across delivery modes. When the scheduler is a
-// FateScheduler the send can be dropped (no event queued) or duplicated
-// (a second event at Delay+DupExtra sharing the envelope); a plain
-// Scheduler takes the original delay-only path.
-func (n *Network) scheduleSend(from, to PartyID, data []byte) {
+// are identical across delivery modes. data is the arena payload of handle
+// ref; the scheduler sees it through the envelope, the queued event holds
+// only the handle. When the scheduler is a FateScheduler the send can be
+// dropped (no event queued) or duplicated (a second event at
+// Delay+DupExtra sharing the envelope); a plain Scheduler takes the
+// original delay-only path.
+func (n *Network) scheduleSend(from, to PartyID, data []byte, ref uint64) {
 	n.seq++
 	env := Envelope{From: from, To: to, Data: data, Sent: n.now, Seq: n.seq}
+	ev := event{seq: n.seq, sent: n.now, ref: ref, from: int32(from), to: int32(to), n: int32(len(data))}
 	if n.fate == nil {
 		delay := n.cfg.Scheduler.Delay(env, n.now, n.rng)
 		if delay < 1 {
@@ -384,7 +396,8 @@ func (n *Network) scheduleSend(from, to PartyID, data []byte) {
 		if !n.faulty[from] && !n.faulty[to] && delay > n.maxHonestDelay {
 			n.maxHonestDelay = delay
 		}
-		n.queue.Push(event{at: n.now + delay, env: env})
+		ev.at = n.now + delay
+		n.queue.Push(ev)
 		return
 	}
 	f := FateOf(n.fate, env, n.now, n.rng)
@@ -397,13 +410,15 @@ func (n *Network) scheduleSend(from, to PartyID, data []byte) {
 	if !n.faulty[from] && !n.faulty[to] && f.Delay > n.maxHonestDelay {
 		n.maxHonestDelay = f.Delay
 	}
-	n.queue.Push(event{at: n.now + f.Delay, env: env})
+	ev.at = n.now + f.Delay
+	n.queue.Push(ev)
 	if f.DupExtra > 0 {
-		// The duplicate shares the envelope (Seq and payload): arena
+		// The duplicate shares the envelope (Seq and payload handle): arena
 		// payload blocks are recycled only at Reset, so the bytes stay
 		// valid for the later delivery. The extra lag is not an honest
 		// delay — the primary copy already bounds eventual delivery.
 		n.stats.MessagesDuped++
-		n.queue.Push(event{at: n.now + f.Delay + f.DupExtra, env: env})
+		ev.at += f.DupExtra
+		n.queue.Push(ev)
 	}
 }

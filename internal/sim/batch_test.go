@@ -395,8 +395,8 @@ type batchEcho struct {
 
 func (p *batchEcho) DeliverBatch(b *Batch) {
 	p.batches++
-	for env := b.Next(); env != nil; env = b.Next() {
-		p.echoProc.Deliver(env.From, env.Data)
+	for from, data, ok := b.Next(); ok; from, data, ok = b.Next() {
+		p.echoProc.Deliver(from, data)
 	}
 }
 
@@ -440,8 +440,8 @@ func TestBatchProcessDispatch(t *testing.T) {
 type partialBatch struct{ echoProc }
 
 func (p *partialBatch) DeliverBatch(b *Batch) {
-	if env := b.Next(); env != nil {
-		p.echoProc.Deliver(env.From, env.Data)
+	if from, data, ok := b.Next(); ok {
+		p.echoProc.Deliver(from, data)
 	}
 }
 
@@ -483,9 +483,10 @@ func TestFlushPendingOrder(t *testing.T) {
 			// several ops sharing a trigger.
 			trig := int32(rng.Intn(8))
 			for k := rng.Intn(12); k > 0 && trig < tick; k-- {
-				op := pendingOp{from: p, to: PartyID(rng.Intn(8)), trig: trig, data: []byte{byte(len(ops))}}
+				_, ref := net.arena.snapshot([]byte{byte(len(ops))})
+				op := pendingOp{from: p, to: PartyID(rng.Intn(8)), trig: trig, ref: ref, n: 1}
 				if rng.Intn(4) == 0 {
-					op = pendingOp{from: p, trig: trig, timer: true, delay: 5, tag: uint64(len(ops))}
+					op = pendingOp{from: p, trig: trig, n: -1, delay: 5, ref: 1<<63 | uint64(len(ops))}
 				}
 				ops = append(ops, op)
 				trig += int32(rng.Intn(3)) * int32(rng.Intn(6))
@@ -518,11 +519,13 @@ func TestFlushPendingOrder(t *testing.T) {
 				t.Fatalf("round %d: %d events flushed, want more", round, len(got))
 			}
 			ev := got[i]
-			same := ev.timer == op.timer && ev.env.From == op.from
-			if op.timer {
-				same = same && ev.tag == op.tag
+			// Every op has its own payload handle or timer tag, so ref
+			// identifies the op.
+			same := ev.n == op.n && ev.ref == op.ref && PartyID(ev.from) == op.from
+			if op.n < 0 {
+				same = same && PartyID(ev.to) == op.from
 			} else {
-				same = same && ev.env.To == op.to && ev.env.Data[0] == op.data[0]
+				same = same && PartyID(ev.to) == op.to
 			}
 			if !same {
 				t.Fatalf("round %d: flushed event %d is %+v, want op %+v", round, i, ev, op)

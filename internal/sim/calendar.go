@@ -31,7 +31,7 @@ const (
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
 
-	// chunkEvents is the bucket chunk capacity (10 KB of 80-byte events).
+	// chunkEvents is the bucket chunk capacity (6 KB of 48-byte events).
 	chunkEvents = 128
 )
 
@@ -63,12 +63,11 @@ func newCalendarQueue() *calendarQueue { return &calendarQueue{} }
 // Len implements eventQueue.
 func (q *calendarQueue) Len() int { return q.inWheel + q.overflow.Len() }
 
-// release empties a bucket's chain onto the free list, dropping the payload
-// references its events hold.
+// release empties a bucket's chain onto the free list. Events hold no
+// pointers, so the chunks are reused without clearing.
 func (q *calendarQueue) release(b *calBucket) {
 	for c := b.head; c != nil; {
 		next := c.next
-		clear(c.ev[:c.n])
 		c.n, c.next = 0, q.free
 		q.free = c
 		c = next

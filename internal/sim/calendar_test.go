@@ -16,9 +16,8 @@ func drainCompare(t *testing.T, h, c eventQueue) {
 			t.Fatalf("batch size mismatch: heap %d, calendar %d", len(hb), len(cb))
 		}
 		for i := range hb {
-			if hb[i].at != cb[i].at || hb[i].env.Seq != cb[i].env.Seq {
-				t.Fatalf("batch[%d]: heap (at=%d seq=%d), calendar (at=%d seq=%d)",
-					i, hb[i].at, hb[i].env.Seq, cb[i].at, cb[i].env.Seq)
+			if hb[i] != cb[i] {
+				t.Fatalf("batch[%d]: heap %+v, calendar %+v", i, hb[i], cb[i])
 			}
 		}
 	}
@@ -27,7 +26,7 @@ func drainCompare(t *testing.T, h, c eventQueue) {
 // TestCalendarMatchesHeapRandom drives both cores with the same random
 // push/pop schedule — delays from 1 tick to past the wheel horizon (so the
 // overflow heap and its migration path are exercised) — and asserts
-// identical (at, Seq) pop orders.
+// identical (at, Seq) pop orders, every event field intact.
 func TestCalendarMatchesHeapRandom(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -54,7 +53,8 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 					delay = 1 + Time(rng.Int63n(int64(MaxDelayCap))) // worst case
 				}
 				seq++
-				e := event{at: now + delay, env: Envelope{Seq: seq}}
+				e := event{at: now + delay, seq: seq, sent: now, ref: rng.Uint64(),
+					from: int32(seq % 7), to: int32(seq % 5), n: int32(seq%9) - 1}
 				h.Push(e)
 				c.Push(e)
 			}
@@ -68,9 +68,8 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 				t.Fatalf("seed %d: batch size mismatch: heap %d, calendar %d", seed, len(hb), len(cb))
 			}
 			for i := range hb {
-				if hb[i].at != cb[i].at || hb[i].env.Seq != cb[i].env.Seq {
-					t.Fatalf("seed %d: batch[%d]: heap (at=%d seq=%d), calendar (at=%d seq=%d)",
-						seed, i, hb[i].at, hb[i].env.Seq, cb[i].at, cb[i].env.Seq)
+				if hb[i] != cb[i] {
+					t.Fatalf("seed %d: batch[%d]: heap %+v, calendar %+v", seed, i, hb[i], cb[i])
 				}
 			}
 			now = hb[0].at
@@ -90,15 +89,15 @@ func TestCalendarSameTickFIFO(t *testing.T) {
 	q := newCalendarQueue()
 	const k = 100
 	for i := 1; i <= k; i++ {
-		q.Push(event{at: 7, env: Envelope{Seq: uint64(i)}})
+		q.Push(event{at: 7, seq: uint64(i)})
 	}
 	batch := q.PopTick(nil)
 	if len(batch) != k {
 		t.Fatalf("got batch of %d, want %d", len(batch), k)
 	}
 	for i, e := range batch {
-		if e.env.Seq != uint64(i+1) {
-			t.Fatalf("batch[%d] has seq %d, want %d", i, e.env.Seq, i+1)
+		if e.seq != uint64(i+1) {
+			t.Fatalf("batch[%d] has seq %d, want %d", i, e.seq, i+1)
 		}
 	}
 	if q.Len() != 0 {
@@ -133,7 +132,7 @@ func TestCalendarChunksRecycle(t *testing.T) {
 		// spread changing per wave so buckets land on different slots.
 		for i := 0; i < 600; i++ {
 			seq++
-			q.Push(event{at: now + 1 + Time(i%(2+wave%7)), env: Envelope{Seq: seq}})
+			q.Push(event{at: now + 1 + Time(i%(2+wave%7)), seq: seq})
 		}
 		live, _ := chunkCounts(q)
 		highWater = max(highWater, live)
@@ -161,7 +160,7 @@ func TestCalendarMultiChunkTickAndMigration(t *testing.T) {
 	seq := uint64(0)
 	push := func(at Time) {
 		seq++
-		e := event{at: at, env: Envelope{Seq: seq}}
+		e := event{at: at, seq: seq, ref: seq << 32, from: int32(seq % 3), n: int32(seq % 4)}
 		h.Push(e)
 		c.Push(e)
 	}
@@ -188,8 +187,8 @@ func TestCalendarMultiChunkTickAndMigration(t *testing.T) {
 		t.Fatalf("dense tick: heap %d, calendar %d events", len(hb), len(cb))
 	}
 	for i := range hb {
-		if hb[i].env.Seq != cb[i].env.Seq {
-			t.Fatalf("dense tick[%d]: heap seq %d, calendar seq %d", i, hb[i].env.Seq, cb[i].env.Seq)
+		if hb[i] != cb[i] {
+			t.Fatalf("dense tick[%d]: heap %+v, calendar %+v", i, hb[i], cb[i])
 		}
 	}
 	push(10)

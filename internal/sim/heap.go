@@ -1,12 +1,21 @@
 package sim
 
-// event is a scheduled delivery or timer expiry.
+// event is a scheduled delivery or timer expiry: 48 bytes and no pointers,
+// so the queues copy events as plain memory and never clear them. A message
+// holds its payload as an arena handle (ref, with length n; see
+// payloadArena.bytes); a timer holds its tag in ref and has n == -1.
 type event struct {
-	at    Time
-	env   Envelope
-	timer bool
-	tag   uint64
+	at   Time
+	seq  uint64 // global send sequence number (the (at, seq) tiebreak)
+	sent Time
+	ref  uint64
+	from int32
+	to   int32
+	n    int32
 }
+
+// timer reports whether the event is a timer expiry.
+func (e *event) timer() bool { return e.n < 0 }
 
 // eventHeap is a binary min-heap ordered by (delivery time, send sequence).
 // The sequence tiebreak makes executions fully deterministic for a given
@@ -38,20 +47,15 @@ func (h *eventHeap) PopTick(buf []event) []event {
 func (h *eventHeap) Len() int { return len(h.items) }
 
 // Reset implements eventQueue: it empties the heap, keeping the backing
-// array but dropping the payload references of any still-pending events.
-func (h *eventHeap) Reset() {
-	for i := range h.items {
-		h.items[i] = event{}
-	}
-	h.items = h.items[:0]
-}
+// array.
+func (h *eventHeap) Reset() { h.items = h.items[:0] }
 
 func (h *eventHeap) less(i, j int) bool {
 	a, b := &h.items[i], &h.items[j] // pointers: an event copy costs more than the compare
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.env.Seq < b.env.Seq
+	return a.seq < b.seq
 }
 
 // Push inserts an event.

@@ -188,6 +188,10 @@ const arenaBlock = 1 << 16
 // (until the delivery callback returns): exhausted blocks are kept and
 // recycled by reset, so memory is bounded by the peak per-run payload volume
 // rather than churned per run.
+//
+// Events name a payload by a handle, blk<<32 | off, and its length, so they
+// hold no pointers. Blocks never move before reset, so a handle stays valid
+// exactly as long as the slice snapshot returned with it.
 type payloadArena struct {
 	blocks [][]byte
 	cur    []byte // blocks[blk], the block currently being carved
@@ -195,21 +199,33 @@ type payloadArena struct {
 	off    int    // write offset into cur
 }
 
-// snapshot copies data into the arena and returns the full-slice copy. The
-// copy is capacity-clipped so appends can never bleed into a neighboring
-// payload. The in-block fast path is kept small enough to inline into
-// Send/Multicast; block turnover is outlined in nextBlock.
-func (a *payloadArena) snapshot(data []byte) []byte {
+// snapshot copies data into the arena and returns the full-slice copy with
+// its handle (nil and 0 for an empty payload). The copy is capacity-clipped
+// so appends can never bleed into a neighboring payload. The in-block fast
+// path is kept small enough to inline into Send/Multicast; block turnover is
+// outlined in nextBlock.
+func (a *payloadArena) snapshot(data []byte) ([]byte, uint64) {
 	if len(data) == 0 {
-		return nil
+		return nil, 0
 	}
 	if a.off+len(data) > len(a.cur) {
 		a.nextBlock(len(data))
 	}
+	ref := uint64(a.blk)<<32 | uint64(a.off)
 	buf := a.cur[a.off : a.off+len(data) : a.off+len(data)]
 	a.off += len(data)
 	copy(buf, data)
-	return buf
+	return buf, ref
+}
+
+// bytes rebuilds the capacity-clipped payload slice of handle ref and
+// length n; a payload of length zero is nil.
+func (a *payloadArena) bytes(ref uint64, n int32) []byte {
+	if n <= 0 {
+		return nil
+	}
+	off, end := uint32(ref), uint32(ref)+uint32(n)
+	return a.blocks[ref>>32][off:end:end]
 }
 
 // nextBlock advances cur to the next pooled block that fits need bytes,
@@ -281,14 +297,15 @@ func (p *partyState) Rand() *rand.Rand {
 }
 
 func (p *partyState) Send(to PartyID, data []byte) {
-	p.net.send(p, to, p.net.arena.snapshot(data))
+	buf, ref := p.net.arena.snapshot(data)
+	p.net.send(p, to, buf, ref)
 }
 
 func (p *partyState) Multicast(data []byte) {
 	// One snapshot shared by all n envelopes: the sender may reuse its
 	// buffer immediately, and the n recipients alias a single copy.
 	n := p.net
-	buf := n.arena.snapshot(data)
+	buf, ref := n.arena.snapshot(data)
 	if n.deferOps {
 		// Batched tick in progress: the whole multicast coalesces into one
 		// pending op (expanded recipient-by-recipient at the flush, in the
@@ -317,11 +334,11 @@ func (p *partyState) Multicast(data []byte) {
 			n.stats.HonestMessagesSent += k
 			n.stats.HonestBytesSent += k * len(buf)
 		}
-		n.pend = append(n.pend, pendingOp{data: buf, from: id, trig: n.curTrig, mcastTo: int32(k)})
+		n.pend = append(n.pend, pendingOp{ref: ref, n: int32(len(buf)), from: id, trig: n.curTrig, mcastTo: int32(k)})
 		return
 	}
 	for to := 0; to < n.cfg.N; to++ {
-		n.send(p, PartyID(to), buf)
+		n.send(p, PartyID(to), buf, ref)
 	}
 }
 
@@ -335,17 +352,11 @@ func (p *partyState) SetTimer(delay Time, tag uint64) {
 	}
 	if net.deferOps {
 		net.pend = append(net.pend, pendingOp{
-			from: p.id, delay: delay, tag: tag, trig: net.curTrig, timer: true,
+			from: p.id, delay: delay, ref: tag, n: -1, trig: net.curTrig,
 		})
 		return
 	}
-	net.seq++
-	net.queue.Push(event{
-		at:    net.now + delay,
-		env:   Envelope{From: p.id, To: p.id, Seq: net.seq},
-		timer: true,
-		tag:   tag,
-	})
+	net.scheduleTimer(p.id, delay, tag)
 }
 
 func (p *partyState) Decide(value float64) {
@@ -460,11 +471,7 @@ func (n *Network) Reset(cfg Config) error {
 	n.maxHonestDelay = 0
 	n.pendingHonest = 0
 	n.observer = nil
-	// Batching scratch is empty between ticks by construction; clear
-	// defensively so an aborted run can never leak payload references.
-	for i := range n.pend {
-		n.pend[i].data = nil
-	}
+	// Batching scratch is empty between ticks by construction.
 	n.pend = n.pend[:0]
 	n.touched = n.touched[:0]
 	n.delivTrig = n.delivTrig[:0]
@@ -537,7 +544,7 @@ func (n *Network) Party(id PartyID) Process {
 // Now exposes the current virtual time (used by observers and tests).
 func (n *Network) Now() Time { return n.now }
 
-func (n *Network) send(from *partyState, to PartyID, data []byte) {
+func (n *Network) send(from *partyState, to PartyID, data []byte, ref uint64) {
 	id := from.id
 	if n.crashed[id] {
 		return
@@ -560,10 +567,10 @@ func (n *Network) send(from *partyState, to PartyID, data []byte) {
 		// Batched tick in progress: record the send tagged with the event
 		// being processed; Seq assignment and the delay draw happen in
 		// trigger order at the tick-end flush (see batch.go).
-		n.pend = append(n.pend, pendingOp{data: data, from: id, to: to, trig: n.curTrig})
+		n.pend = append(n.pend, pendingOp{ref: ref, n: int32(len(data)), from: id, to: to, trig: n.curTrig})
 		return
 	}
-	n.scheduleSend(id, to, data)
+	n.scheduleSend(id, to, data, ref)
 }
 
 // Run executes the simulation until every honest party has decided, the

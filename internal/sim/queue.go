@@ -19,7 +19,7 @@ type eventQueue interface {
 	PopTick(buf []event) []event
 	// Reset empties the queue and restores its initial ordering state
 	// (virtual time restarts at zero) while keeping its storage for the
-	// next run. Payload references held by pending events are released.
+	// next run.
 	Reset()
 }
 

@@ -454,14 +454,14 @@ func TestHeapOrdering(t *testing.T) {
 	var h eventHeap
 	times := []Time{9, 3, 7, 3, 1, 8, 1}
 	for i, at := range times {
-		h.Push(event{at: at, env: Envelope{Seq: uint64(i)}})
+		h.Push(event{at: at, seq: uint64(i)})
 	}
 	var got []Time
 	var seqs []uint64
 	for h.Len() > 0 {
 		e := h.Pop()
 		got = append(got, e.at)
-		seqs = append(seqs, e.env.Seq)
+		seqs = append(seqs, e.seq)
 	}
 	want := []Time{1, 1, 3, 3, 7, 8, 9}
 	for i := range want {

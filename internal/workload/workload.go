@@ -282,8 +282,12 @@ func (s Spec) String() string {
 	return b.String()
 }
 
-// ftoa renders a parameter float compactly ("40", "0.5").
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// ftoa renders a parameter float compactly ("40", "0.5", "1e06"). The
+// exponent's "+" is dropped: "+" separates tokens, and ParseFloat reads
+// "1e06" as 1e+06.
+func ftoa(v float64) string {
+	return strings.Replace(strconv.FormatFloat(v, 'g', -1, 64), "e+", "e", 1)
+}
 
 // tokenErr is the parse-error shape: every error names the offending
 // token, its 1-based index, and its byte position in the raw spec.
@@ -502,6 +506,11 @@ func floatArg(args []string, i int, what string) (float64, error) {
 	v, err := strconv.ParseFloat(args[i], 64)
 	if err != nil {
 		return 0, fmt.Errorf("%s %q: not a number", what, args[i])
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		// NaN slips past every range check, and +Inf renders with the
+		// token separator.
+		return 0, fmt.Errorf("%s %q: not finite", what, args[i])
 	}
 	return v, nil
 }

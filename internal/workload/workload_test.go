@@ -7,19 +7,23 @@ import (
 	"testing"
 )
 
+// parseRoundTripSpecs are canonical specs; FuzzParse seeds from these
+// tables too.
+var parseRoundTripSpecs = []string{
+	"const:40",
+	"poisson:12.5",
+	"poisson:1e06",
+	"diurnal:2000:10:80",
+	"burst:20:16:500",
+	"poisson:40+lognormal:4:0.5",
+	"poisson:40+bimodal:20:400:0.1",
+	"const:8+pareto:30:1.5",
+	"poisson:40+lognormal:4:0.5+cohort:web:0.75:300:1+cohort:batch:0.25:1200:0",
+	"poisson:40+cohort:web:1:300:2+outagewin:800:600+flapstorm:2000:800",
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	cases := []string{
-		"const:40",
-		"poisson:12.5",
-		"diurnal:2000:10:80",
-		"burst:20:16:500",
-		"poisson:40+lognormal:4:0.5",
-		"poisson:40+bimodal:20:400:0.1",
-		"const:8+pareto:30:1.5",
-		"poisson:40+lognormal:4:0.5+cohort:web:0.75:300:1+cohort:batch:0.25:1200:0",
-		"poisson:40+cohort:web:1:300:2+outagewin:800:600+flapstorm:2000:800",
-	}
-	for _, raw := range cases {
+	for _, raw := range parseRoundTripSpecs {
 		s, err := Parse(raw)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", raw, err)
@@ -34,27 +38,29 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// parseErrorCases pairs rejected specs with what their errors must say.
+var parseErrorCases = []struct {
+	raw  string
+	want []string
+}{
+	{"warp:4", []string{`token 1 "warp:4"`, `(char 0)`, "unknown arrival process"}},
+	{"poisson:x", []string{`token 1 "poisson:x"`, `(char 0)`, `rate "x": not a number`}},
+	{"poisson:40+gremlin:1", []string{`token 2 "gremlin:1"`, `(char 11)`, `unknown token "gremlin"`}},
+	{"poisson:40+lognormal:4", []string{`token 2 "lognormal:4"`, `(char 11)`, "wants 2 arguments"}},
+	{"poisson:40+lognormal:4:z", []string{`token 2 "lognormal:4:z"`, `(char 11)`, `sigma "z": not a number`}},
+	{"const:5+pareto:30:1.5+bimodal:1:2:0.5", []string{`token 3 "bimodal:1:2:0.5"`, `(char 22)`, "second latency model"}},
+	{"poisson:40+cohort::1:300", []string{`token 2`, `(char 11)`, "empty cohort name"}},
+	{"poisson:40+cohort:a:1:0", []string{`cohort a deadline 0, need >= 1`}},
+	{"burst:20:0:500", []string{`burst size 0`}},
+	{"poisson:40+outagewin:5", []string{`token 2 "outagewin:5"`, `(char 11)`, "wants 2 arguments"}},
+	{"poisson:40+flapstorm:-1:50", []string{"disturbance window"}},
+}
+
 // TestParseErrorMessages pins the satellite contract: every parse error
 // names the offending token, its index, and its byte position in the raw
 // spec — not just a wrapped sentinel.
 func TestParseErrorMessages(t *testing.T) {
-	cases := []struct {
-		raw  string
-		want []string
-	}{
-		{"warp:4", []string{`token 1 "warp:4"`, `(char 0)`, "unknown arrival process"}},
-		{"poisson:x", []string{`token 1 "poisson:x"`, `(char 0)`, `rate "x": not a number`}},
-		{"poisson:40+gremlin:1", []string{`token 2 "gremlin:1"`, `(char 11)`, `unknown token "gremlin"`}},
-		{"poisson:40+lognormal:4", []string{`token 2 "lognormal:4"`, `(char 11)`, "wants 2 arguments"}},
-		{"poisson:40+lognormal:4:z", []string{`token 2 "lognormal:4:z"`, `(char 11)`, `sigma "z": not a number`}},
-		{"const:5+pareto:30:1.5+bimodal:1:2:0.5", []string{`token 3 "bimodal:1:2:0.5"`, `(char 22)`, "second latency model"}},
-		{"poisson:40+cohort::1:300", []string{`token 2`, `(char 11)`, "empty cohort name"}},
-		{"poisson:40+cohort:a:1:0", []string{`cohort a deadline 0, need >= 1`}},
-		{"burst:20:0:500", []string{`burst size 0`}},
-		{"poisson:40+outagewin:5", []string{`token 2 "outagewin:5"`, `(char 11)`, "wants 2 arguments"}},
-		{"poisson:40+flapstorm:-1:50", []string{"disturbance window"}},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		_, err := Parse(tc.raw)
 		if err == nil {
 			t.Errorf("Parse(%q) accepted", tc.raw)
@@ -68,19 +74,23 @@ func TestParseErrorMessages(t *testing.T) {
 	}
 }
 
+// parseRejectSpecs maps specs Parse must reject to the reason.
+var parseRejectSpecs = map[string]string{
+	"":                        "empty spec",
+	"poisson:0":               "zero rate",
+	"poisson:-3":              "negative rate",
+	"diurnal:0:5:10":          "zero period",
+	"diurnal:100:10:5":        "peak below trough",
+	"pareto:30:1+poisson:4":   "latency token first",
+	"const:5+pareto:30:0.9":   "pareto alpha <= 1 (infinite mean)",
+	"const:5+bimodal:9:3:0.5": "bimodal slow < fast",
+	"poisson:4+cohort:a:0:10": "zero cohort weight",
+	"const:5+lognormal:4:NaN": "NaN sigma",
+	"diurnal:10:1:Inf":        "infinite peak",
+}
+
 func TestParseRejects(t *testing.T) {
-	cases := map[string]string{
-		"":                        "empty spec",
-		"poisson:0":               "zero rate",
-		"poisson:-3":              "negative rate",
-		"diurnal:0:5:10":          "zero period",
-		"diurnal:100:10:5":        "peak below trough",
-		"pareto:30:1+poisson:4":   "latency token first",
-		"const:5+pareto:30:0.9":   "pareto alpha <= 1 (infinite mean)",
-		"const:5+bimodal:9:3:0.5": "bimodal slow < fast",
-		"poisson:4+cohort:a:0:10": "zero cohort weight",
-	}
-	for raw, why := range cases {
+	for raw, why := range parseRejectSpecs {
 		if _, err := Parse(raw); err == nil {
 			t.Errorf("Parse(%q) accepted (%s)", raw, why)
 		}
