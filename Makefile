@@ -10,7 +10,7 @@ GO ?= go
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= BENCH_8.json
 
-.PHONY: check vet race fuzz-relnet fuzz-parse benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
+.PHONY: check vet race fuzz-relnet fuzz-parse fuzz-incident benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
 
 # check fails first on any file gofmt would rewrite, listing them.
 check:
@@ -45,6 +45,15 @@ fuzz-relnet:
 fuzz-parse:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/workload/
+
+# fuzz-incident runs the native fuzz target for the incident bundle decoder
+# (FuzzDecode, seeded with the committed corpus): no panic, every error
+# wraps a sentinel, and every bundle that decodes round-trips through
+# Encode. The corpus bundles run to 100 KB, so minimizing a new input is
+# capped at 5 s to leave the budget for fuzzing. Findings land under
+# internal/incident/testdata/fuzz/FuzzDecode/; commit them with the fix.
+fuzz-incident:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/incident/
 
 # benchmark-check keeps the frozen benchmark honest on every PR: its own
 # tests (metric selection, seam transparency, golden statistics,

@@ -125,8 +125,9 @@
 // Every claim above about equivalence is also enforced by data: the
 // internal/incident package defines a compact, versioned trace-bundle
 // format capturing one run bit-for-bit — canonical scenario string, seed,
-// protocol configuration, the per-send delivery log from sched.Recorder, a
-// per-send content checksum, and a digest of the observable outcome
+// protocol configuration, the per-send network fate (delay, drop,
+// duplication), a per-send content checksum, and a digest of the observable
+// outcome
 // (decisions, timing, message accounting, delivery-sequence hash). `aarun
 // -record out.bundle` captures a run, `aarun -replay in.bundle`
 // re-executes it and hard-fails on any divergence with the first divergent

@@ -14,7 +14,7 @@ type unitDelay struct{}
 
 var _ sim.Scheduler = unitDelay{}
 
-func (unitDelay) Delay(sim.Envelope, sim.Time, *rand.Rand) sim.Time { return 1 }
+func (unitDelay) Fate(*sim.Envelope, *rand.Rand) sim.Fate { return sim.Fate{Delay: 1} }
 
 // witnessNet builds an n-party witness network with the given adversarial
 // processes occupying the listed parties.

@@ -8,7 +8,7 @@ import (
 
 // This file holds the correlated network-fault wrappers: unlike the
 // Byzantine behaviors above, these do not replace a party's process —
-// they wrap the run's scheduler (sim.FateScheduler) and black out
+// they wrap the run's scheduler (sim.Scheduler) and black out
 // message traffic for windows of virtual time. A darkened party keeps
 // its state and its local timers; only the network drops its traffic,
 // which is exactly the "crash-then-recover with pre-crash state" model
@@ -42,20 +42,15 @@ type Outage struct {
 	Start, Len  sim.Time
 }
 
-var _ sim.FateScheduler = (*Outage)(nil)
+var _ sim.Scheduler = (*Outage)(nil)
 
 func (o *Outage) in(p sim.PartyID) bool { return p >= o.First && p <= o.Last }
 
-// Delay implements sim.Scheduler for callers that ignore fates.
-func (o *Outage) Delay(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Time {
-	return o.Fate(env, now, rng).Delay
-}
-
-// Fate implements sim.FateScheduler.
-func (o *Outage) Fate(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Fate {
-	f := sim.FateOf(o.Inner, env, now, rng)
+// Fate implements sim.Scheduler.
+func (o *Outage) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
+	f := sim.FateOf(o.Inner, env, rng)
 	w := window{start: o.Start, length: o.Len}
-	if (o.in(env.From) && w.dark(now)) || (o.in(env.To) && w.dark(now+f.Delay)) {
+	if (o.in(env.From) && w.dark(env.Sent)) || (o.in(env.To) && w.dark(env.Sent+f.Delay)) {
 		f.Drop = true
 	}
 	return f
@@ -76,17 +71,12 @@ type Flap struct {
 	Len     sim.Time
 }
 
-var _ sim.FateScheduler = (*Flap)(nil)
+var _ sim.Scheduler = (*Flap)(nil)
 
-// Delay implements sim.Scheduler for callers that ignore fates.
-func (f *Flap) Delay(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Time {
-	return f.Fate(env, now, rng).Delay
-}
-
-// Fate implements sim.FateScheduler.
-func (f *Flap) Fate(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Fate {
-	fa := sim.FateOf(f.Inner, env, now, rng)
-	if f.darkAt(env.From, now) || f.darkAt(env.To, now+fa.Delay) {
+// Fate implements sim.Scheduler.
+func (f *Flap) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
+	fa := sim.FateOf(f.Inner, env, rng)
+	if f.darkAt(env.From, env.Sent) || f.darkAt(env.To, env.Sent+fa.Delay) {
 		fa.Drop = true
 	}
 	return fa

@@ -14,7 +14,7 @@ import (
 // sendSum checksums a send's observable content: endpoints, send time, and
 // payload bytes (FNV-1a). The result is forced nonzero so a dense array can
 // use zero for "no send recorded at this sequence".
-func sendSum(env sim.Envelope, now sim.Time) uint32 {
+func sendSum(env *sim.Envelope) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -28,7 +28,7 @@ func sendSum(env sim.Envelope, now sim.Time) uint32 {
 	}
 	mix(uint64(env.From))
 	mix(uint64(env.To))
-	mix(uint64(now))
+	mix(uint64(env.Sent))
 	mix(uint64(len(env.Data)))
 	for _, c := range env.Data {
 		h = (h ^ uint32(c)) * prime32
@@ -73,12 +73,10 @@ func (d *digester) observe(now sim.Time, env sim.Envelope) {
 }
 
 // captureProbe wraps the real scheduler during capture: it records the
-// full network fate of every send — delay, drop verdict, duplication —
-// plus the per-send content checksum. It implements sim.FateScheduler, so
-// the simulator routes every send through Fate whether or not the wrapped
-// scheduler decides drops/dups; for a fate-free scheduler the recorded
-// fates are plain delays and the run is byte-identical to the historical
-// Delay-only capture path.
+// full network fate of every send — the clamped delay, the drop verdict,
+// the duplication — plus the per-send content checksum, dense by send
+// sequence. Together with replayProbe it is the repository's one
+// record/replay pair.
 type captureProbe struct {
 	inner  sim.Scheduler
 	delays []sim.Time
@@ -87,20 +85,16 @@ type captureProbe struct {
 	dups   []Dup
 }
 
-var _ sim.FateScheduler = (*captureProbe)(nil)
+var _ sim.Scheduler = (*captureProbe)(nil)
 
-func (p *captureProbe) Delay(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Time {
-	return p.Fate(env, now, rng).Delay
-}
-
-func (p *captureProbe) Fate(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Fate {
-	f := sim.FateOf(p.inner, env, now, rng)
+func (p *captureProbe) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
+	f := sim.FateOf(p.inner, env, rng)
 	for uint64(len(p.delays)) <= env.Seq {
 		p.delays = append(p.delays, 0)
 		p.sums = append(p.sums, 0)
 	}
 	p.delays[env.Seq] = f.Delay
-	p.sums[env.Seq] = sendSum(env, now)
+	p.sums[env.Seq] = sendSum(env)
 	// The simulator hands out send sequences in ascending order, so the
 	// fate lists are strictly ascending by construction (Validate pins it).
 	if f.Drop {
@@ -210,36 +204,51 @@ func (d *Divergence) Error() error {
 
 // replayProbe replays recorded network fates — delays plus the recorded
 // drop/dup decisions — and verifies every send against the recorded
-// checksums, tracking the first divergent sequence.
+// checksums, tracking the first divergent sequence. It draws nothing from
+// the rng, so a replay needs neither the recorded scheduler nor its seed.
 type replayProbe struct {
 	delays   []sim.Time
 	sums     []uint32
 	drops    map[uint64]struct{}
 	dups     map[uint64]sim.Time
-	fallback sim.Time
 	firstBad uint64
 	sends    uint64
 }
 
-var _ sim.FateScheduler = (*replayProbe)(nil)
+var _ sim.Scheduler = (*replayProbe)(nil)
 
-func (p *replayProbe) Delay(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Time {
-	return p.Fate(env, now, rng).Delay
+// newReplayProbe builds a probe over a recorded trace: delays and sums
+// dense by send sequence, drops and dups ascending by sequence.
+func newReplayProbe(delays []sim.Time, sums []uint32, drops []uint64, dups []Dup) *replayProbe {
+	p := &replayProbe{delays: delays, sums: sums, firstBad: NoDivergentSend}
+	if len(drops) > 0 {
+		p.drops = make(map[uint64]struct{}, len(drops))
+		for _, seq := range drops {
+			p.drops[seq] = struct{}{}
+		}
+	}
+	if len(dups) > 0 {
+		p.dups = make(map[uint64]sim.Time, len(dups))
+		for _, dup := range dups {
+			p.dups[dup.Seq] = dup.Extra
+		}
+	}
+	return p
 }
 
-func (p *replayProbe) Fate(env sim.Envelope, now sim.Time, _ *rand.Rand) sim.Fate {
+// Fate replays the recorded fate of env.Seq. A send the recording does not
+// hold gets delay 0, which the network clamps to 1.
+func (p *replayProbe) Fate(env *sim.Envelope, _ *rand.Rand) sim.Fate {
 	p.sends++
 	bad := env.Seq >= uint64(len(p.sums)) ||
 		p.sums[env.Seq] == 0 ||
-		p.sums[env.Seq] != sendSum(env, now)
+		p.sums[env.Seq] != sendSum(env)
 	if bad && env.Seq < p.firstBad {
 		p.firstBad = env.Seq
 	}
-	f := sim.Fate{Delay: p.fallback}
+	var f sim.Fate
 	if env.Seq < uint64(len(p.delays)) {
-		if d := p.delays[env.Seq]; d != 0 {
-			f.Delay = d
-		}
+		f.Delay = p.delays[env.Seq]
 	}
 	if _, ok := p.drops[env.Seq]; ok {
 		f.Drop = true
@@ -269,24 +278,7 @@ func Prepare(b *Bundle) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe := &replayProbe{
-		delays:   b.Delays,
-		sums:     b.SendSums,
-		fallback: 1,
-		firstBad: NoDivergentSend,
-	}
-	if len(b.Drops) > 0 {
-		probe.drops = make(map[uint64]struct{}, len(b.Drops))
-		for _, seq := range b.Drops {
-			probe.drops[seq] = struct{}{}
-		}
-	}
-	if len(b.Dups) > 0 {
-		probe.dups = make(map[uint64]sim.Time, len(b.Dups))
-		for _, dup := range b.Dups {
-			probe.dups[dup.Seq] = dup.Extra
-		}
-	}
+	probe := newReplayProbe(b.Delays, b.SendSums, b.Drops, b.Dups)
 	spec.Scheduler = sched.Named{Name: "replay:" + b.Scenario, Scheduler: probe}
 	dig := &digester{}
 	spec.Observer = dig.observe

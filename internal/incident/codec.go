@@ -234,11 +234,17 @@ func (d *decoder) str() string {
 	return string(d.take(int(n)))
 }
 
-// count reads a length prefix and enforces a cap.
+// count reads a length prefix and enforces a cap. Every element takes at
+// least one payload byte, so a count beyond the bytes left is truncation,
+// rejected before the caller allocates for it.
 func (d *decoder) count(cap uint64, what string) int {
 	n := d.uvar()
 	if n > cap {
 		d.fail(fmt.Errorf("%w: %s count %d exceeds cap %d", ErrMalformed, what, n, cap))
+		return 0
+	}
+	if n > uint64(len(d.buf)-d.off) {
+		d.fail(fmt.Errorf("%w: %s count %d exceeds the %d bytes left", ErrTruncated, what, n, len(d.buf)-d.off))
 		return 0
 	}
 	return int(n)

@@ -3,7 +3,9 @@ package incident
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -102,6 +104,45 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := Decode(bad); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("bad magic: got %v", err)
+	}
+}
+
+// TestDecodeRejectsHugeCounts pins that a length prefix larger than the
+// bytes left fails as truncation before Decode allocates for it: a payload
+// that claims the cap's 2^26 delays and ends there must not cost 512 MB.
+func TestDecodeRejectsHugeCounts(t *testing.T) {
+	b := sampleBundle()
+	e := &encoder{}
+	e.str(b.Name)
+	e.str(b.Scenario)
+	e.str(b.Protocol)
+	e.u8(0)
+	e.f64(b.Eps)
+	e.f64(b.Lo)
+	e.f64(b.Hi)
+	e.uvar(0)
+	e.uvar(0)
+	e.ivar(b.Seed)
+	e.uvar(0)
+	e.uvar(uint64(len(b.Inputs)))
+	for _, v := range b.Inputs {
+		e.f64(v)
+	}
+	e.uvar(0)
+	e.uvar(0)
+	e.uvar(maxSends)
+	data := append(append(bundleMagic[:], 1, 0), e.buf...)
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(e.buf))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Decode error %v, want ErrTruncated", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("Decode allocated %d bytes for a %d-byte bundle", grew, len(data))
 	}
 }
 

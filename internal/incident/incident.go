@@ -1,25 +1,29 @@
 // Package incident implements the record/replay corpus: a compact,
 // versioned trace-bundle format that captures everything needed to
 // re-execute one simulated run bit-for-bit — the canonical scenario string,
-// the seed and protocol configuration, the per-send delivery log from
-// sched.Recorder, a per-send content checksum, and a digest of the
+// the seed and protocol configuration, the per-send network fate (delay,
+// drop, duplication), a per-send content checksum, and a digest of the
 // execution's observable outcome (decisions, timing, message accounting,
 // and the full delivery sequence hash).
 //
 // A bundle is captured with Capture (wired into `aarun -record` and the
-// aafuzz failure-artifact path), persisted with Save/Load, and re-executed
-// with Replay, which drives the run through sched.Replay and diffs every
-// observable against the recorded digest. Any divergence — a send whose
-// content differs, a missing delivery, a moved decision — is reported with
-// the first divergent send sequence, which is the exact point to set a
-// breakpoint on. The committed corpus under testdata/incidents/ replays in
-// CI across {heap, calendar} event cores × batch on/off × parallelism 1/8,
+// aafuzz failure-artifact path), which records the fates through a probe
+// wrapping the run's scheduler; it is persisted with Save/Load, and
+// re-executed with Replay, which drives the run through a replay probe
+// that hands back the recorded fates and diffs every observable against
+// the recorded digest. The two probes are the repository's one
+// record/replay pair. Any divergence — a send whose content differs, a
+// missing delivery, a moved decision — is reported with the first
+// divergent send sequence, which is the exact point to set a breakpoint
+// on. The committed corpus under testdata/incidents/ replays in CI on
+// production at 1 and 8 workers and on the reference configuration,
 // turning every future perf refactor's equivalence argument into data.
 package incident
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -203,8 +207,9 @@ type Bundle struct {
 	// Byz, when non-empty, is an explicit Byzantine assignment (by registry
 	// behavior name) overriding the scenario's fault tokens.
 	Byz []ByzRef
-	// Delays is the recorded per-send delivery log, dense by send sequence
-	// (sched.Recorder.Dense). Zero entries mean "unrecorded".
+	// Delays is the recorded per-send delivery delay, clamped to
+	// [1, sim.MaxDelayCap], dense by send sequence. Zero entries mean
+	// "unrecorded".
 	Delays []sim.Time
 	// SendSums holds a per-send content checksum, dense by send sequence,
 	// so replay can name the first send whose bytes diverge. Zero entries
@@ -270,6 +275,21 @@ func (b *Bundle) Validate() error {
 	}
 	if len(b.Inputs) != p.N {
 		return fmt.Errorf("%w: %d inputs for n=%d", ErrMalformed, len(b.Inputs), p.N)
+	}
+	// Runs take finite inputs and decide finite values; a NaN, which equals
+	// nothing, not even itself, would also make the bundle undiffable.
+	if math.IsNaN(b.Lo) || math.IsNaN(b.Hi) {
+		return fmt.Errorf("%w: range [%v, %v]", ErrMalformed, b.Lo, b.Hi)
+	}
+	for i, v := range b.Inputs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: input %d is %v", ErrMalformed, i, v)
+		}
+	}
+	for _, dec := range b.Digest.Decisions {
+		if math.IsNaN(dec.Value) || math.IsInf(dec.Value, 0) {
+			return fmt.Errorf("%w: party %d decided %v", ErrMalformed, dec.Party, dec.Value)
+		}
 	}
 	// Only party-fault tokens conflict with explicit overrides; network-fault
 	// axes (loss/dup/outage/flap) live in the scheduler and restart axes

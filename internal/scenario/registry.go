@@ -307,7 +307,7 @@ func init() {
 	// The lossy-network axes. These wrap the spec's scheduler (they occupy
 	// no fault slots) and compose in token order: in "random+loss:0.05+dup:0.1"
 	// the base delay is drawn first, then loss rolls, then dup — the fixed
-	// rng-draw order the determinism contract (sim.FateScheduler) requires.
+	// rng-draw order the determinism contract (sim.Scheduler) requires.
 	RegisterNetFault("loss", func(_, _ int, arg string, inner sim.Scheduler) (sim.Scheduler, error) {
 		p, err := probArg(arg, 0.05)
 		if err != nil {

@@ -25,8 +25,8 @@
 // tick), "outage:k:start:len" (correlated blackout of the last k parties
 // over a virtual-time window), and "flap:len" (each fault slot goes dark
 // for one staggered window, then resumes with its pre-outage state).
-// These occupy no fault slots: they wrap the spec's scheduler as
-// sim.FateScheduler layers, composing in token order after the base
+// These occupy no fault slots: they wrap the spec's sim.Scheduler, each
+// layer adjusting the inner fate, composing in token order after the base
 // delay draw. All drop/dup decisions come from the run's seeded
 // scheduler rng (never wall clock), so lossy runs capture and replay
 // bit-for-bit like every other scenario (see internal/incident).

@@ -201,7 +201,7 @@ func TestSchedulerArg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res.Scheduler.Scheduler.Delay(sim.Envelope{}, 0, nil); d != 5 {
+	if d := res.Scheduler.Scheduler.Fate(&sim.Envelope{}, nil).Delay; d != 5 {
 		t.Fatalf("sync:5 delay = %d", d)
 	}
 	if res.Scheduler.Name != "sync:5" {

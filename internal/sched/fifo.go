@@ -31,18 +31,20 @@ func NewFIFO(inner sim.Scheduler) *FIFO {
 	return &FIFO{inner: inner, lastAt: make(map[linkKey]sim.Time)}
 }
 
-// Delay implements sim.Scheduler.
-func (f *FIFO) Delay(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Time {
-	d := f.inner.Delay(env, now, rng)
-	if d < 1 {
-		d = 1
+// Fate implements sim.Scheduler. The inner fate passes through, so FIFO
+// keeps an inner scheduler's drops and duplicates; a dropped send never
+// arrives and does not hold back the link.
+func (f *FIFO) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
+	fa := sim.FateOf(f.inner, env, rng)
+	if fa.Drop {
+		return fa
 	}
 	key := linkKey{from: env.From, to: env.To}
-	at := now + d
+	at := env.Sent + fa.Delay
 	if last, ok := f.lastAt[key]; ok && at <= last {
 		at = last + 1
-		d = at - now
+		fa.Delay = at - env.Sent
 	}
 	f.lastAt[key] = at
-	return d
+	return fa
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // reordering adversary.
 type reversing struct{ next sim.Time }
 
-func (r *reversing) Delay(sim.Envelope, sim.Time, *rand.Rand) sim.Time {
+func (r *reversing) Fate(*sim.Envelope, *rand.Rand) sim.Fate {
 	if r.next == 0 {
 		r.next = 100
 	}
@@ -19,17 +20,23 @@ func (r *reversing) Delay(sim.Envelope, sim.Time, *rand.Rand) sim.Time {
 	if r.next > 1 {
 		r.next--
 	}
-	return d
+	return sim.Fate{Delay: d}
+}
+
+// scripted returns its fates in order, one per send.
+type scripted struct{ fates []sim.Fate }
+
+func (s *scripted) Fate(*sim.Envelope, *rand.Rand) sim.Fate {
+	f := s.fates[0]
+	s.fates = s.fates[1:]
+	return f
 }
 
 func TestFIFOOrdersPerLink(t *testing.T) {
 	f := NewFIFO(&reversing{})
-	now := sim.Time(0)
 	var lastAt sim.Time
 	for i := 0; i < 50; i++ {
-		env := sim.Envelope{From: 1, To: 2, Seq: uint64(i)}
-		d := f.Delay(env, now, nil)
-		at := now + d
+		at := delay(f, 1, 2, nil)
 		if at <= lastAt {
 			t.Fatalf("send %d delivered at %d, not after %d", i, at, lastAt)
 		}
@@ -40,16 +47,64 @@ func TestFIFOOrdersPerLink(t *testing.T) {
 func TestFIFOIndependentLinks(t *testing.T) {
 	f := NewFIFO(NewSynchronous(10))
 	// Different links are not serialized against each other.
-	d1 := f.Delay(sim.Envelope{From: 1, To: 2}, 0, nil)
-	d2 := f.Delay(sim.Envelope{From: 1, To: 3}, 0, nil)
-	d3 := f.Delay(sim.Envelope{From: 2, To: 2}, 0, nil)
+	d1 := delay(f, 1, 2, nil)
+	d2 := delay(f, 1, 3, nil)
+	d3 := delay(f, 2, 2, nil)
 	if d1 != 10 || d2 != 10 || d3 != 10 {
 		t.Errorf("cross-link interference: %d %d %d", d1, d2, d3)
 	}
 	// Same link at the same instant is pushed strictly later.
-	d4 := f.Delay(sim.Envelope{From: 1, To: 2}, 0, nil)
+	d4 := delay(f, 1, 2, nil)
 	if d4 != 11 {
 		t.Errorf("same-link second delay %d, want 11", d4)
+	}
+}
+
+// TestFIFODropDoesNotHoldLink pins that FIFO passes its inner scheduler's
+// drop and dup verdicts through, and that a dropped send, which never
+// arrives, does not push later sends on its link back.
+func TestFIFODropDoesNotHoldLink(t *testing.T) {
+	f := NewFIFO(&scripted{fates: []sim.Fate{
+		{Delay: 100, Drop: true},
+		{Delay: 5, DupExtra: 3},
+	}})
+	env := &sim.Envelope{From: 1, To: 2}
+	if got := f.Fate(env, nil); !got.Drop {
+		t.Fatalf("first send: fate %+v, want the inner drop", got)
+	}
+	if got := f.Fate(env, nil); got != (sim.Fate{Delay: 5, DupExtra: 3}) {
+		t.Fatalf("second send: fate %+v, want delay 5 and the inner dup, unheld by the dropped send", got)
+	}
+}
+
+// greeter multicasts one greeting in Init and never decides, so its runs
+// end when the network has nothing left to deliver.
+type greeter struct{ got *int }
+
+func (g greeter) Init(api sim.API)            { api.Multicast([]byte{1}) }
+func (g greeter) Deliver(sim.PartyID, []byte) { *g.got++ }
+
+// TestFIFOKeepsInnerLoss runs FIFO over certain loss on the simulator:
+// every send is dropped and counted, and nothing is delivered.
+func TestFIFOKeepsInnerLoss(t *testing.T) {
+	const n = 4
+	scheduler := NewFIFO(&Loss{Inner: &UniformRandom{Min: 1, Max: 25}, P: 1})
+	net, err := sim.New(sim.Config{N: n, Scheduler: scheduler, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for i := 0; i < n; i++ {
+		if err := net.SetProcess(sim.PartyID(i), greeter{got: &got}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := net.Run()
+	if !errors.Is(err, sim.ErrStalled) {
+		t.Fatalf("run error %v, want ErrStalled", err)
+	}
+	if st := res.Stats; st.MessagesSent != n*n || st.MessagesDropped != n*n || st.MessagesDelivered != 0 || got != 0 {
+		t.Fatalf("stats %+v with %d deliveries, want all %d sends dropped", st, got, n*n)
 	}
 }
 

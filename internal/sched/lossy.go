@@ -1,11 +1,9 @@
 // Lossy-network fate wrappers: per-send Bernoulli loss and duplication
-// layered over any base scheduler. The wrappers implement
-// sim.FateScheduler, so they compose with every delay strategy in this
-// package (and with each other, and with the window wrappers in
-// internal/fault) while the fate-free schedulers keep their exact
-// pre-fate code path in the simulator.
+// layered over any base scheduler. They compose with every delay strategy
+// in this package, with each other, and with the window wrappers in
+// internal/fault.
 //
-// Determinism contract (see sim.FateScheduler): every drop/dup decision
+// Determinism contract (see sim.Scheduler): every drop/dup decision
 // is drawn from the seeded scheduler rng the simulator passes in — never
 // from wall clock — and each wrapper consumes its draws in a fixed order
 // after the inner scheduler's (innermost base delay first, then wrappers
@@ -31,16 +29,11 @@ type Loss struct {
 	P     float64
 }
 
-var _ sim.FateScheduler = (*Loss)(nil)
+var _ sim.Scheduler = (*Loss)(nil)
 
-// Delay implements sim.Scheduler for callers that ignore fates.
-func (l *Loss) Delay(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Time {
-	return l.Fate(env, now, rng).Delay
-}
-
-// Fate implements sim.FateScheduler.
-func (l *Loss) Fate(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Fate {
-	f := sim.FateOf(l.Inner, env, now, rng)
+// Fate implements sim.Scheduler.
+func (l *Loss) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
+	f := sim.FateOf(l.Inner, env, rng)
 	// The draw is unconditional — even for a send an inner wrapper already
 	// dropped — so stacking order never perturbs the rng stream shape.
 	if rng.Float64() < l.P {
@@ -59,16 +52,11 @@ type Dup struct {
 	MaxExtra sim.Time // upper bound on the duplicate's extra lag (>= 1)
 }
 
-var _ sim.FateScheduler = (*Dup)(nil)
+var _ sim.Scheduler = (*Dup)(nil)
 
-// Delay implements sim.Scheduler for callers that ignore fates.
-func (d *Dup) Delay(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Time {
-	return d.Fate(env, now, rng).Delay
-}
-
-// Fate implements sim.FateScheduler.
-func (d *Dup) Fate(env sim.Envelope, now sim.Time, rng *rand.Rand) sim.Fate {
-	f := sim.FateOf(d.Inner, env, now, rng)
+// Fate implements sim.Scheduler.
+func (d *Dup) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
+	f := sim.FateOf(d.Inner, env, rng)
 	if rng.Float64() < d.P && !f.Drop && f.DupExtra == 0 {
 		hi := d.MaxExtra
 		if hi < 1 {

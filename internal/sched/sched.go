@@ -18,6 +18,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/sim"
@@ -39,9 +40,9 @@ func NewSynchronous(delay sim.Time) *Synchronous {
 
 var _ sim.Scheduler = (*Synchronous)(nil)
 
-// Delay implements sim.Scheduler.
-func (s *Synchronous) Delay(_ sim.Envelope, _ sim.Time, _ *rand.Rand) sim.Time {
-	return s.delay
+// Fate implements sim.Scheduler.
+func (s *Synchronous) Fate(*sim.Envelope, *rand.Rand) sim.Fate {
+	return sim.Fate{Delay: s.delay}
 }
 
 // UniformRandom draws each delay independently and uniformly from
@@ -52,8 +53,8 @@ type UniformRandom struct {
 
 var _ sim.Scheduler = (*UniformRandom)(nil)
 
-// Delay implements sim.Scheduler.
-func (s *UniformRandom) Delay(_ sim.Envelope, _ sim.Time, rng *rand.Rand) sim.Time {
+// Fate implements sim.Scheduler.
+func (s *UniformRandom) Fate(_ *sim.Envelope, rng *rand.Rand) sim.Fate {
 	lo, hi := s.Min, s.Max
 	if lo < 1 {
 		lo = 1
@@ -61,7 +62,7 @@ func (s *UniformRandom) Delay(_ sim.Envelope, _ sim.Time, rng *rand.Rand) sim.Ti
 	if hi < lo {
 		hi = lo
 	}
-	return lo + sim.Time(rng.Int63n(int64(hi-lo)+1))
+	return sim.Fate{Delay: lo + sim.Time(rng.Int63n(int64(hi-lo)+1))}
 }
 
 // Skew delays every message sent by or to a victim set by SlowDelay while
@@ -96,12 +97,12 @@ func NewSkew(victims []sim.PartyID, fast, slow sim.Time) *Skew {
 	return &Skew{Victims: set, FastDelay: fast, SlowDelay: slow}
 }
 
-// Delay implements sim.Scheduler.
-func (s *Skew) Delay(env sim.Envelope, _ sim.Time, _ *rand.Rand) sim.Time {
+// Fate implements sim.Scheduler.
+func (s *Skew) Fate(env *sim.Envelope, _ *rand.Rand) sim.Fate {
 	if s.victim(env.From) || s.victim(env.To) {
-		return max1(s.SlowDelay)
+		return sim.Fate{Delay: s.SlowDelay}
 	}
-	return max1(s.FastDelay)
+	return sim.Fate{Delay: s.FastDelay}
 }
 
 func (s *Skew) victim(p sim.PartyID) bool {
@@ -119,14 +120,14 @@ type Partition struct {
 
 var _ sim.Scheduler = (*Partition)(nil)
 
-// Delay implements sim.Scheduler.
-func (s *Partition) Delay(env sim.Envelope, _ sim.Time, _ *rand.Rand) sim.Time {
+// Fate implements sim.Scheduler.
+func (s *Partition) Fate(env *sim.Envelope, _ *rand.Rand) sim.Fate {
 	a := env.From < s.Boundary
 	b := env.To < s.Boundary
 	if a == b {
-		return max1(s.Within)
+		return sim.Fate{Delay: s.Within}
 	}
-	return max1(s.Across)
+	return sim.Fate{Delay: s.Across}
 }
 
 // SplitViews is the convergence attack: the party set is split into a low
@@ -145,14 +146,14 @@ type SplitViews struct {
 
 var _ sim.Scheduler = (*SplitViews)(nil)
 
-// Delay implements sim.Scheduler.
-func (s *SplitViews) Delay(env sim.Envelope, _ sim.Time, _ *rand.Rand) sim.Time {
+// Fate implements sim.Scheduler.
+func (s *SplitViews) Fate(env *sim.Envelope, _ *rand.Rand) sim.Fate {
 	fromLow := env.From < s.Boundary
 	toLow := env.To < s.Boundary
 	if fromLow != toLow {
-		return max1(s.Slow)
+		return sim.Fate{Delay: s.Slow}
 	}
-	return max1(s.Fast)
+	return sim.Fate{Delay: s.Fast}
 }
 
 // Staggered delivers messages from party i with delay Base + i*Step, so
@@ -165,16 +166,49 @@ type Staggered struct {
 
 var _ sim.Scheduler = (*Staggered)(nil)
 
-// Delay implements sim.Scheduler.
-func (s *Staggered) Delay(env sim.Envelope, _ sim.Time, _ *rand.Rand) sim.Time {
-	return max1(s.Base + sim.Time(env.From)*s.Step)
+// Fate implements sim.Scheduler.
+func (s *Staggered) Fate(env *sim.Envelope, _ *rand.Rand) sim.Fate {
+	return sim.Fate{Delay: s.Base + sim.Time(env.From)*s.Step}
 }
 
-func max1(t sim.Time) sim.Time {
-	if t < 1 {
-		return 1
+// HeavyTail models real wide-area networks: most messages are fast, but a
+// Pareto-like tail is very slow. Alpha controls the tail weight (smaller =
+// heavier); Base scales the delay unit.
+type HeavyTail struct {
+	Base  sim.Time
+	Alpha float64
+	Cap   sim.Time
+}
+
+var _ sim.Scheduler = (*HeavyTail)(nil)
+
+// Fate implements sim.Scheduler.
+func (h *HeavyTail) Fate(_ *sim.Envelope, rng *rand.Rand) sim.Fate {
+	alpha := h.Alpha
+	if alpha <= 0 {
+		alpha = 1.5
 	}
-	return t
+	base := h.Base
+	if base < 1 {
+		base = 1
+	}
+	capd := h.Cap
+	if capd < base {
+		capd = 100 * base
+	}
+	// Inverse-CDF Pareto sample: base / U^(1/alpha).
+	u := rng.Float64()
+	if u <= 0 {
+		u = 1e-12
+	}
+	d := sim.Time(float64(base) * math.Pow(1/u, 1/alpha))
+	if d < base {
+		d = base
+	}
+	if d > capd {
+		d = capd
+	}
+	return sim.Fate{Delay: d}
 }
 
 // Named couples a scheduler with a label for experiment tables.

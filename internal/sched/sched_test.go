@@ -7,18 +7,18 @@ import (
 	"repro/internal/sim"
 )
 
-func env(from, to sim.PartyID) sim.Envelope {
-	return sim.Envelope{From: from, To: to}
+func delay(s sim.Scheduler, from, to sim.PartyID, rng *rand.Rand) sim.Time {
+	return sim.FateOf(s, &sim.Envelope{From: from, To: to}, rng).Delay
 }
 
 func TestSynchronous(t *testing.T) {
 	s := NewSynchronous(7)
 	for i := 0; i < 5; i++ {
-		if d := s.Delay(env(sim.PartyID(i), 0), 0, nil); d != 7 {
+		if d := delay(s, sim.PartyID(i), 0, nil); d != 7 {
 			t.Fatalf("delay = %d, want 7", d)
 		}
 	}
-	if d := NewSynchronous(0).Delay(env(0, 1), 0, nil); d != 1 {
+	if d := delay(NewSynchronous(0), 0, 1, nil); d != 1 {
 		t.Errorf("zero delay not clamped: %d", d)
 	}
 }
@@ -28,7 +28,7 @@ func TestUniformRandomBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	seen := map[sim.Time]bool{}
 	for i := 0; i < 500; i++ {
-		d := s.Delay(env(0, 1), 0, rng)
+		d := delay(s, 0, 1, rng)
 		if d < 3 || d > 9 {
 			t.Fatalf("delay %d outside [3,9]", d)
 		}
@@ -39,63 +39,63 @@ func TestUniformRandomBounds(t *testing.T) {
 	}
 	// Degenerate configurations are repaired.
 	bad := &UniformRandom{Min: 0, Max: 0}
-	if d := bad.Delay(env(0, 1), 0, rng); d != 1 {
+	if d := delay(bad, 0, 1, rng); d != 1 {
 		t.Errorf("degenerate range delay = %d", d)
 	}
 	inverted := &UniformRandom{Min: 5, Max: 2}
-	if d := inverted.Delay(env(0, 1), 0, rng); d != 5 {
+	if d := delay(inverted, 0, 1, rng); d != 5 {
 		t.Errorf("inverted range delay = %d", d)
 	}
 }
 
 func TestSkew(t *testing.T) {
 	s := NewSkew([]sim.PartyID{0, 1}, 1, 50)
-	if d := s.Delay(env(0, 3), 0, nil); d != 50 {
+	if d := delay(s, 0, 3, nil); d != 50 {
 		t.Errorf("victim sender delay = %d", d)
 	}
-	if d := s.Delay(env(3, 1), 0, nil); d != 50 {
+	if d := delay(s, 3, 1, nil); d != 50 {
 		t.Errorf("victim recipient delay = %d", d)
 	}
-	if d := s.Delay(env(2, 3), 0, nil); d != 1 {
+	if d := delay(s, 2, 3, nil); d != 1 {
 		t.Errorf("bystander delay = %d", d)
 	}
 }
 
 func TestPartition(t *testing.T) {
 	s := &Partition{Boundary: 2, Within: 1, Across: 40}
-	if d := s.Delay(env(0, 1), 0, nil); d != 1 {
+	if d := delay(s, 0, 1, nil); d != 1 {
 		t.Errorf("within-low delay = %d", d)
 	}
-	if d := s.Delay(env(2, 3), 0, nil); d != 1 {
+	if d := delay(s, 2, 3, nil); d != 1 {
 		t.Errorf("within-high delay = %d", d)
 	}
-	if d := s.Delay(env(1, 2), 0, nil); d != 40 {
+	if d := delay(s, 1, 2, nil); d != 40 {
 		t.Errorf("across delay = %d", d)
 	}
-	if d := s.Delay(env(3, 0), 0, nil); d != 40 {
+	if d := delay(s, 3, 0, nil); d != 40 {
 		t.Errorf("across delay = %d", d)
 	}
 }
 
 func TestSplitViews(t *testing.T) {
 	s := &SplitViews{Boundary: 2, Fast: 1, Slow: 30}
-	if d := s.Delay(env(0, 1), 0, nil); d != 1 {
+	if d := delay(s, 0, 1, nil); d != 1 {
 		t.Errorf("same-half delay = %d", d)
 	}
-	if d := s.Delay(env(0, 3), 0, nil); d != 30 {
+	if d := delay(s, 0, 3, nil); d != 30 {
 		t.Errorf("cross-half delay = %d", d)
 	}
-	if d := s.Delay(env(3, 1), 0, nil); d != 30 {
+	if d := delay(s, 3, 1, nil); d != 30 {
 		t.Errorf("cross-half delay = %d", d)
 	}
 }
 
 func TestStaggered(t *testing.T) {
 	s := &Staggered{Base: 2, Step: 3}
-	if d := s.Delay(env(0, 1), 0, nil); d != 2 {
+	if d := delay(s, 0, 1, nil); d != 2 {
 		t.Errorf("party 0 delay = %d", d)
 	}
-	if d := s.Delay(env(4, 1), 0, nil); d != 14 {
+	if d := delay(s, 4, 1, nil); d != 14 {
 		t.Errorf("party 4 delay = %d", d)
 	}
 }
@@ -118,7 +118,7 @@ func TestSuiteShape(t *testing.T) {
 		// Every scheduler must produce legal delays for arbitrary pairs.
 		for from := 0; from < 10; from++ {
 			for to := 0; to < 10; to++ {
-				d := nm.Scheduler.Delay(env(sim.PartyID(from), sim.PartyID(to)), 0, rng)
+				d := delay(nm.Scheduler, sim.PartyID(from), sim.PartyID(to), rng)
 				if d < 1 || d > sim.MaxDelayCap {
 					t.Fatalf("%s: illegal delay %d", nm.Name, d)
 				}

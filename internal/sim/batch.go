@@ -372,35 +372,21 @@ func (n *Network) scheduleTimer(p PartyID, delay Time, tag uint64) {
 	n.queue.Push(event{at: n.now + delay, seq: n.seq, ref: tag, from: int32(p), to: int32(p), n: -1})
 }
 
-// scheduleSend assigns the next Seq, draws the scheduler decision, and
+// scheduleSend assigns the next Seq, draws the scheduler's fate, and
 // queues the send — the single tail of both the unbatched send path and
 // the batched flush, so the Seq/rng streams and any lossy-network fates
 // are identical across delivery modes. data is the arena payload of handle
-// ref; the scheduler sees it through the envelope, the queued event holds
-// only the handle. When the scheduler is a FateScheduler the send can be
-// dropped (no event queued) or duplicated (a second event at
-// Delay+DupExtra sharing the envelope); a plain Scheduler takes the
-// original delay-only path.
+// ref; the scheduler sees it through the scratch envelope, the queued
+// event holds only the handle. The fate can drop the send (no event
+// queued) or duplicate it (a second event at Delay+DupExtra sharing the
+// envelope).
 func (n *Network) scheduleSend(from, to PartyID, data []byte, ref uint64) {
 	n.seq++
-	env := Envelope{From: from, To: to, Data: data, Sent: n.now, Seq: n.seq}
-	ev := event{seq: n.seq, sent: n.now, ref: ref, from: int32(from), to: int32(to), n: int32(len(data))}
-	if n.fate == nil {
-		delay := n.cfg.Scheduler.Delay(env, n.now, n.rng)
-		if delay < 1 {
-			delay = 1
-		}
-		if delay > MaxDelayCap {
-			delay = MaxDelayCap
-		}
-		if !n.faulty[from] && !n.faulty[to] && delay > n.maxHonestDelay {
-			n.maxHonestDelay = delay
-		}
-		ev.at = n.now + delay
-		n.queue.Push(ev)
-		return
-	}
-	f := FateOf(n.fate, env, n.now, n.rng)
+	// Field by field: a whole-struct store of a pointer-holding Envelope
+	// compiles to a typedmemmove with a bulk write barrier.
+	env := &n.env
+	env.From, env.To, env.Data, env.Sent, env.Seq = from, to, data, n.now, n.seq
+	f := FateOf(n.cfg.Scheduler, env, n.rng)
 	if f.Drop {
 		// Dropped sends never feed MaxHonestDelay: round complexity is
 		// measured on messages the network actually delivers.
@@ -410,7 +396,7 @@ func (n *Network) scheduleSend(from, to PartyID, data []byte, ref uint64) {
 	if !n.faulty[from] && !n.faulty[to] && f.Delay > n.maxHonestDelay {
 		n.maxHonestDelay = f.Delay
 	}
-	ev.at = n.now + f.Delay
+	ev := event{at: n.now + f.Delay, seq: n.seq, sent: n.now, ref: ref, from: int32(from), to: int32(to), n: int32(len(data))}
 	n.queue.Push(ev)
 	if f.DupExtra > 0 {
 		// The duplicate shares the envelope (Seq and payload handle): arena

@@ -306,16 +306,16 @@ func TestShardRecycledNetworkEquivalence(t *testing.T) {
 // that forces the batched loop to flush deferred sends in trigger order.
 type rngSched struct{ max int64 }
 
-func (s rngSched) Delay(_ Envelope, _ Time, rng *rand.Rand) Time {
-	return 1 + Time(rng.Int63n(s.max))
+func (s rngSched) Fate(_ *Envelope, rng *rand.Rand) Fate {
+	return Fate{Delay: 1 + Time(rng.Int63n(s.max))}
 }
 
 // fromSched gives each sender a different deterministic delay, spreading a
 // multicast's envelopes across many ticks (staggered-style).
 type fromSched struct{}
 
-func (fromSched) Delay(env Envelope, _ Time, _ *rand.Rand) Time {
-	return 1 + Time(env.From)*2
+func (fromSched) Fate(env *Envelope, _ *rand.Rand) Fate {
+	return Fate{Delay: 1 + Time(env.From)*2}
 }
 
 // TestBatchModeBudgetEquivalence pins the event-budget abort: production

@@ -58,9 +58,7 @@ type dupToOne struct {
 	bad    *int
 }
 
-func (s dupToOne) Delay(Envelope, Time, *rand.Rand) Time { return 2 }
-
-func (s dupToOne) Fate(env Envelope, _ Time, _ *rand.Rand) Fate {
+func (s dupToOne) Fate(env *Envelope, _ *rand.Rand) Fate {
 	f := Fate{Delay: 2}
 	if env.To != 1 {
 		return f

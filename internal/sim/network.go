@@ -104,8 +104,8 @@ func (r *Result) HonestSpread() float64 {
 //
 // A Network is resettable: Reset reconfigures it for a new execution while
 // recycling every piece of run state — the event queue's arena, the payload
-// blocks, the per-party records and their random sources. A party's source
-// is seeded lazily, on its first Rand call in a run, so a run whose
+// blocks, the per-party records and the random sources. Every source is
+// seeded lazily, on its first draw in a run, so a run whose scheduler and
 // processes never draw pays no seeding. After a warm-up run of the same
 // shape, a Reset + Run cycle performs zero steady-state heap allocations.
 // Reset is provably equivalent to fresh construction (every field a run can
@@ -116,9 +116,10 @@ type Network struct {
 	parties    []*partyState // the run's parties: allParties[:cfg.N]
 	allParties []*partyState // every party record ever built, for recycling
 	queue      eventQueue
-	batch      []event       // reusable same-tick delivery batch (Run loop)
-	fate       FateScheduler // cfg.Scheduler when it decides drops/dups; nil otherwise
-	rng        *rand.Rand
+	batch      []event    // reusable same-tick delivery batch (Run loop)
+	env        Envelope   // scratch envelope every send fills for the scheduler
+	rng        *rand.Rand // the scheduler's source, over src
+	src        lazySource
 	now        Time
 	seq        uint64
 	stats      Stats
@@ -266,35 +267,19 @@ type partyState struct {
 	id   PartyID
 	proc Process
 	net  *Network
-	// rng is the party's random source, built on the record's first draw
-	// and kept across runs; seeded reports whether it has been seeded from
-	// partySeed in the current run (Reset clears it).
-	rng    *rand.Rand
-	seeded bool
+	// rng is the party's random source over src, which Reset seeds from
+	// partySeed and which seeds itself on its first draw: only parties that
+	// draw (relnet jitter, the spam behavior, vector's child API) pay for
+	// seeding, not every party of every run.
+	rng *rand.Rand
+	src lazySource
 }
 
 var _ API = (*partyState)(nil)
 
-func (p *partyState) ID() PartyID { return p.id }
-func (p *partyState) N() int      { return p.net.cfg.N }
-
-// Rand returns the party's random source, seeding it on the first call of
-// the run. A stream depends only on its seed, not on when it is seeded, so
-// the draws equal those of a source seeded at construction; the ~1 800-step
-// rngSource seeding is paid only by parties that draw (relnet jitter, the
-// spam behavior, vector's child API), not by every party of every run.
-func (p *partyState) Rand() *rand.Rand {
-	if !p.seeded {
-		s := partySeed(p.net.cfg.Seed, int(p.id))
-		if p.rng == nil {
-			p.rng = rand.New(rand.NewSource(s))
-		} else {
-			p.rng.Seed(s)
-		}
-		p.seeded = true
-	}
-	return p.rng
-}
+func (p *partyState) ID() PartyID      { return p.id }
+func (p *partyState) N() int           { return p.net.cfg.N }
+func (p *partyState) Rand() *rand.Rand { return p.rng }
 
 func (p *partyState) Send(to PartyID, data []byte) {
 	buf, ref := p.net.arena.snapshot(data)
@@ -402,38 +387,34 @@ func New(cfg Config) (*Network, error) {
 // queue, the payload arena, and the party records of earlier runs. It is
 // observably equivalent to New(cfg): every run-visible field — virtual
 // time, sequence counter, stats, party fault assignments, random sources —
-// is re-derived from cfg. Party sources are not reseeded here: Reset marks
-// them unseeded, and each is seeded from cfg at most once per run, on its
-// first draw, so it produces the stream a fresh construction would. The
-// scheduler's own source is reseeded eagerly. Attached processes and the
-// observer are cleared; reattach with SetProcess (and SetObserver) before
-// Run.
+// is re-derived from cfg. The scheduler's and the parties' sources are
+// lazySources: Reset records their seeds, and each is seeded at most once
+// per run, on its first draw, so it produces the stream a fresh
+// construction would. Attached processes and the observer are cleared;
+// reattach with SetProcess (and SetObserver) before Run.
 func (n *Network) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	n.cfg = cfg
-	// Resolve the lossy-network extension once: per-send type assertions
-	// would put an interface check on the hot path for the common
-	// (fate-free) case.
-	n.fate, _ = cfg.Scheduler.(FateScheduler)
 	if _, heap := n.queue.(*eventHeap); n.queue == nil || heap != cfg.Reference {
 		n.queue = newEventQueue(cfg.Reference)
 	} else {
 		n.queue.Reset()
 	}
 	if n.rng == nil {
-		n.rng = rand.New(rand.NewSource(cfg.Seed))
-	} else {
-		n.rng.Seed(cfg.Seed)
+		n.rng = rand.New(&n.src)
 	}
+	n.rng.Seed(cfg.Seed)
 	if cap(n.allParties) < cfg.N {
 		grown := make([]*partyState, len(n.allParties), cfg.N)
 		copy(grown, n.allParties)
 		n.allParties = grown
 	}
 	for len(n.allParties) < cfg.N {
-		n.allParties = append(n.allParties, &partyState{id: PartyID(len(n.allParties)), net: n})
+		ps := &partyState{id: PartyID(len(n.allParties)), net: n}
+		ps.rng = rand.New(&ps.src)
+		n.allParties = append(n.allParties, ps)
 	}
 	n.parties = n.allParties[:cfg.N]
 	// Parties beyond the new N keep their records (and rand sources) for
@@ -444,7 +425,7 @@ func (n *Network) Reset(cfg Config) error {
 	}
 	n.resizeSoA(cfg.N)
 	for i, ps := range n.parties {
-		ps.seeded = false
+		ps.rng.Seed(partySeed(cfg.Seed, i))
 		ps.proc = nil
 		n.faulty[i] = false
 		n.byz[i] = false

@@ -12,6 +12,33 @@ import (
 // the stream of a source built from partySeed(seed, id) — whenever the
 // first draw happens and whatever earlier runs on the same Network drew.
 
+// TestLazySourceMatchesFresh pins lazySource against rand.NewSource across
+// reseeds: Int63 and Uint64 draws, mixed, and through rand.Rand's derived
+// draws, equal a fresh source's for each seed, whether the source has been
+// built yet, drew part of an earlier stream, or was reseeded without a draw.
+func TestLazySourceMatchesFresh(t *testing.T) {
+	var src lazySource
+	lazy := rand.New(&src)
+	for i, seed := range []int64{3, 3, -8, 1 << 40, 0, 77} {
+		lazy.Seed(seed)
+		if i == 4 {
+			continue // reseeded and never drawn: the next Seed must still win
+		}
+		fresh := rand.New(rand.NewSource(seed))
+		for k := 0; k < 2*i+3; k++ {
+			if got, want := lazy.Int63(), fresh.Int63(); got != want {
+				t.Fatalf("seed %d draw %d: Int63 %d, fresh source %d", seed, k, got, want)
+			}
+			if got, want := lazy.Uint64(), fresh.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: Uint64 %d, fresh source %d", seed, k, got, want)
+			}
+			if got, want := lazy.Float64(), fresh.Float64(); got != want {
+				t.Fatalf("seed %d draw %d: Float64 %v, fresh source %v", seed, k, got, want)
+			}
+		}
+	}
+}
+
 // freshDraws is the reference: k draws from a freshly built party source.
 func freshDraws(seed int64, id, k int) []int64 {
 	rng := rand.New(rand.NewSource(partySeed(seed, id)))
@@ -73,7 +100,7 @@ func TestLazyRandFirstDrawInInit(t *testing.T) {
 	}
 	checkDraws(t, "init", seed, got, k, 1)
 	for _, id := range []int{0, 2, 3} {
-		if net.parties[id].rng != nil {
+		if net.parties[id].src.src != nil {
 			t.Errorf("party %d never drew but its record holds a source", id)
 		}
 	}
@@ -152,7 +179,7 @@ func TestLazyRandAcrossRecycledRuns(t *testing.T) {
 		}
 		checkDraws(t, fmt.Sprintf("run %d", i), r.seed, got, k, r.draw...)
 	}
-	if net.allParties[3].rng != nil {
+	if net.allParties[3].src.src != nil {
 		t.Error("party 3 never drew in any run but its record holds a source")
 	}
 }

@@ -95,13 +95,25 @@ type Estimator interface {
 	Estimate() (float64, bool)
 }
 
-// Scheduler decides the delivery delay of every message and therefore the
-// entire asynchronous interleaving. Implementations live in internal/sched.
+// Scheduler decides the fate of every message — its delivery delay and, on
+// a lossy network, whether it is dropped or duplicated — and therefore the
+// entire asynchronous interleaving. Implementations live in internal/sched
+// (delay strategies, loss and dup) and internal/fault (outage and flap
+// windows); wrappers evaluate their inner scheduler through FateOf.
+//
+// Determinism contract: every decision must be drawn from the rng passed in
+// (the run's seeded scheduler stream), never from wall clock or global
+// state, and a wrapper must consume its draws in a fixed order per send
+// (innermost base delay first, then each wrapper in composition order), so
+// that capture/replay and both engine configurations observe identical
+// streams. The source is seeded on its first draw of a run, so a scheduler
+// that never draws costs no seeding.
 type Scheduler interface {
-	// Delay returns the delivery delay (>= 1 tick) for the envelope sent at
-	// the given time. The simulator clamps the result to [1, MaxDelayCap] to
-	// preserve eventual delivery.
-	Delay(env Envelope, now Time, rng *rand.Rand) Time
+	// Fate returns the decision for the send env, whose Sent field is the
+	// send time. The network fills and reuses one Envelope for every send:
+	// the pointer is valid only during the call. The network clamps the
+	// returned Delay to [1, MaxDelayCap] to preserve eventual delivery.
+	Fate(env *Envelope, rng *rand.Rand) Fate
 }
 
 // MaxDelayCap bounds any single message delay so that eventual delivery can

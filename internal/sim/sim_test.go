@@ -9,7 +9,7 @@ import (
 // constDelay is a trivial scheduler for tests.
 type constDelay struct{ d Time }
 
-func (c constDelay) Delay(Envelope, Time, *rand.Rand) Time { return c.d }
+func (c constDelay) Fate(*Envelope, *rand.Rand) Fate { return Fate{Delay: c.d} }
 
 // echoProc decides after receiving a fixed number of messages; on Init it
 // multicasts one greeting.
@@ -220,8 +220,8 @@ func TestDeterminism(t *testing.T) {
 
 type randomSched struct{}
 
-func (randomSched) Delay(_ Envelope, _ Time, rng *rand.Rand) Time {
-	return Time(rng.Int63n(20) + 1)
+func (randomSched) Fate(_ *Envelope, rng *rand.Rand) Fate {
+	return Fate{Delay: Time(rng.Int63n(20) + 1)}
 }
 
 func TestDelayClamping(t *testing.T) {
