@@ -10,7 +10,7 @@ GO ?= go
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= BENCH_8.json
 
-.PHONY: check vet race fuzz-relnet fuzz-parse fuzz-incident benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
+.PHONY: check vet race fuzz-relnet fuzz-parse fuzz-incident fuzz-wire benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
 
 # check fails first on any file gofmt would rewrite, listing them.
 check:
@@ -54,6 +54,14 @@ fuzz-parse:
 # internal/incident/testdata/fuzz/FuzzDecode/; commit them with the fix.
 fuzz-incident:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/incident/
+
+# fuzz-wire runs the native fuzz target for the protocol message decoders
+# (FuzzUnmarshal, seeded with wire's table tests): Peek and every Unmarshal*
+# never panic, every error is a wire decode error, and every message that
+# decodes re-encodes to the bytes it came from. Findings land under
+# internal/wire/testdata/fuzz/FuzzUnmarshal/; commit them with the fix.
+fuzz-wire:
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/wire/
 
 # benchmark-check keeps the frozen benchmark honest on every PR: its own
 # tests (metric selection, seam transparency, golden statistics,

@@ -3,9 +3,14 @@ package aa
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
+	"repro/internal/scenario"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -169,11 +174,72 @@ func TestSimulateOptionErrors(t *testing.T) {
 	if _, err := Simulate(cfg, inputs, WithScheduler("warp")); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
+	if _, err := Simulate(cfg, inputs, WithScheduler("sync:x")); err == nil {
+		t.Error("bad scheduler argument accepted")
+	}
 	if _, err := Simulate(cfg, inputs, WithByzantine(0, "gremlin")); err == nil {
 		t.Error("unknown behavior accepted")
 	}
+	if _, err := Simulate(cfg, inputs, WithByzantine(0, "crash")); err == nil {
+		t.Error("crash kind accepted as a byzantine behavior")
+	}
+	if _, err := Simulate(cfg, inputs, WithCrash(3, 1)); err == nil {
+		t.Error("out-of-range crash party accepted")
+	}
+	if _, err := Simulate(cfg, inputs, WithScenario("sync+crash/n=3,t=1"), WithCrash(0, 1)); err == nil {
+		t.Error("explicit crash alongside a scenario's party faults accepted")
+	}
 	if _, err := Simulate(cfg, inputs[:2]); err == nil {
 		t.Error("wrong input count accepted")
+	}
+}
+
+// TestFlagOptionsLowerToRegistry pins the one vocabulary: WithScheduler
+// and WithByzantine build exactly what the same names build in a scenario
+// spec, for every standard scheduler and behavior, down to the outcome.
+func TestFlagOptionsLowerToRegistry(t *testing.T) {
+	cfg := Config{Model: ModelByzantineWitness, N: 10, T: 3, Epsilon: 1e-3, Lo: -5, Hi: 5}
+	p, err := cfg.params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]float64, cfg.N)
+	for i := range inputs {
+		inputs[i] = -5 + float64(i)
+	}
+	for _, sched := range scenario.SuiteSchedulers() {
+		for _, byz := range scenario.ByzSuite() {
+			raw := fmt.Sprintf("%s+%s/n=10,t=3", sched, byz)
+			flags := []SimOption{WithScheduler(sched), WithByzantine(0, byz), WithByzantine(1, byz), WithByzantine(2, byz)}
+			s, err := newSettings(flags)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.lower(cfg, p, inputs)
+			if err != nil {
+				t.Fatalf("%s: %v", raw, err)
+			}
+			want, err := harness.SpecFrom(p, inputs, scenario.MustParse(raw), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Scheduler, want.Scheduler) || !reflect.DeepEqual(got.Byz, want.Byz) ||
+				len(got.Crashes)+len(want.Crashes) != 0 {
+				t.Errorf("%s: flags lower to %+v / %+v, registry builds %+v / %+v",
+					raw, got.Scheduler, got.Byz, want.Scheduler, want.Byz)
+			}
+			a, err := Simulate(cfg, inputs, flags...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Simulate(cfg, inputs, WithScenario(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: flag outcome %+v, scenario outcome %+v", raw, a, b)
+			}
+		}
 	}
 }
 

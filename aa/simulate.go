@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/fault"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -52,7 +51,9 @@ func (o *Outcome) SortedValues() []float64 {
 	return out
 }
 
-// Scheduler names accepted by WithScheduler.
+// Scheduler names accepted by WithScheduler: the standard suite's keys in
+// the scenario registry (internal/scenario), which accepts every other
+// registered scheduler and ":<arg>" form too.
 const (
 	SchedSynchronous = "sync"
 	SchedRandom      = "random"
@@ -62,7 +63,8 @@ const (
 	SchedStaggered   = "staggered"
 )
 
-// Behavior names accepted by WithByzantine.
+// Behavior names accepted by WithByzantine: the scenario registry's
+// Byzantine fault keys.
 const (
 	ByzSilent     = "silent"
 	ByzExtreme    = "extreme"
@@ -71,11 +73,13 @@ const (
 	ByzAmplifier  = "amplifier"
 )
 
+// simSettings records what the options name: a registry scheduler token
+// (or a whole scenario) plus explicit fault overrides. lower turns it into
+// the run.
 type simSettings struct {
 	seed      int64
 	scheduler string
-	crashes   []sim.CrashPlan
-	byz       map[sim.PartyID]fault.Behavior
+	overrides harness.Overrides
 	maxEvents int
 	scenario  *scenario.Spec
 	reliable  bool
@@ -92,17 +96,17 @@ func WithSeed(seed int64) SimOption {
 	}
 }
 
-// WithScheduler picks the adversarial scheduler by name (default
-// SchedRandom).
+// WithScheduler picks the adversarial scheduler by scenario-registry key
+// (default SchedRandom), optionally with its ":<arg>" parameter, e.g.
+// "sync:5" or "heavytail:1.5". It builds exactly what the same key builds
+// in a WithScenario spec.
 func WithScheduler(name string) SimOption {
 	return func(s *simSettings) error {
-		switch name {
-		case SchedSynchronous, SchedRandom, SchedSkew, SchedPartition, SchedSplitViews, SchedStaggered:
-			s.scheduler = name
-			return nil
-		default:
-			return fmt.Errorf("aa: unknown scheduler %q", name)
+		if err := scenario.CheckScheduler(name); err != nil {
+			return fmt.Errorf("aa: %w", err)
 		}
+		s.scheduler = name
+		return nil
 	}
 }
 
@@ -111,7 +115,7 @@ func WithScheduler(name string) SimOption {
 // truncate one part-way).
 func WithCrash(party, afterSends int) SimOption {
 	return func(s *simSettings) error {
-		s.crashes = append(s.crashes, sim.CrashPlan{
+		s.overrides.Crashes = append(s.overrides.Crashes, sim.CrashPlan{
 			Party:      sim.PartyID(party),
 			AfterSends: afterSends,
 		})
@@ -119,17 +123,22 @@ func WithCrash(party, afterSends int) SimOption {
 	}
 }
 
-// WithByzantine replaces a party with the named adversarial behavior.
+// WithByzantine replaces a party with the Byzantine behavior the scenario
+// registry registers under the given key (the Byz* constants); a later
+// assignment to the same party replaces an earlier one.
 func WithByzantine(party int, behavior string) SimOption {
 	return func(s *simSettings) error {
-		b, err := behaviorByName(behavior)
-		if err != nil {
-			return err
+		if kind, ok := scenario.Fault(behavior); !ok || kind.Behavior == nil {
+			return fmt.Errorf("aa: unknown byzantine behavior %q", behavior)
 		}
-		if s.byz == nil {
-			s.byz = make(map[sim.PartyID]fault.Behavior)
+		ref := harness.ByzRef{Party: sim.PartyID(party), Name: behavior}
+		for i, z := range s.overrides.Byz {
+			if z.Party == ref.Party {
+				s.overrides.Byz[i] = ref
+				return nil
+			}
 		}
-		s.byz[sim.PartyID(party)] = b
+		s.overrides.Byz = append(s.overrides.Byz, ref)
 		return nil
 	}
 }
@@ -158,8 +167,9 @@ func WithReliable() SimOption {
 // string — scheduler, crash plans, and Byzantine assignments in one value,
 // e.g. "skew+equivocate/n=64,t=9" (see internal/scenario for the registry
 // and grammar). The spec's n must match the config's N; a spec that omits
-// t inherits the protocol's fault bound. It overrides WithScheduler,
-// WithCrash, and WithByzantine.
+// t inherits the protocol's fault bound. It replaces WithScheduler.
+// WithCrash and WithByzantine still apply on top as explicit overrides,
+// which the spec may combine only with network and restart axes.
 func WithScenario(raw string) SimOption {
 	return func(s *simSettings) error {
 		spec, err := scenario.Parse(raw)
@@ -171,55 +181,35 @@ func WithScenario(raw string) SimOption {
 	}
 }
 
-// ScenarioShape parses a scenario spec string and reports the run shape it
-// demands: the party count, and the fault-slot count or -1 when the spec
-// leaves t to the protocol. cmd/aarun uses it to derive its -n/-t defaults
-// before building the Config.
-func ScenarioShape(raw string) (n, t int, err error) {
-	spec, err := scenario.Parse(raw)
-	if err != nil {
-		return 0, 0, err
-	}
-	return spec.N, spec.T, nil
-}
-
-func behaviorByName(name string) (fault.Behavior, error) {
-	switch name {
-	case ByzSilent:
-		return fault.Silent{}, nil
-	case ByzExtreme:
-		return fault.Extreme{Value: 1e9}, nil
-	case ByzEquivocate:
-		return fault.Equivocate{Stretch: 2}, nil
-	case ByzSpam:
-		return fault.Spam{}, nil
-	case ByzAmplifier:
-		return fault.Amplifier{Push: 1}, nil
-	default:
-		return nil, fmt.Errorf("aa: unknown byzantine behavior %q", name)
-	}
-}
-
-func schedulerByName(name string, n, t int) sched.Named {
-	half := sim.PartyID(n / 2)
-	switch name {
-	case SchedSynchronous:
-		return sched.Named{Name: name, Scheduler: sched.NewSynchronous(10)}
-	case SchedSkew:
-		victims := make([]sim.PartyID, 0, t)
-		for i := 0; i < t; i++ {
-			victims = append(victims, sim.PartyID(i))
+// newSettings applies the options over the defaults.
+func newSettings(opts []SimOption) (*simSettings, error) {
+	s := &simSettings{seed: 1, scheduler: SchedRandom}
+	for _, opt := range opts {
+		if err := opt(s); err != nil {
+			return nil, err
 		}
-		return sched.Named{Name: name, Scheduler: sched.NewSkew(victims, 1, 10)}
-	case SchedPartition:
-		return sched.Named{Name: name, Scheduler: &sched.Partition{Boundary: half, Within: 1, Across: 10}}
-	case SchedSplitViews:
-		return sched.Named{Name: name, Scheduler: &sched.SplitViews{Boundary: half, Fast: 1, Slow: 10}}
-	case SchedStaggered:
-		return sched.Named{Name: name, Scheduler: &sched.Staggered{Base: 1, Step: 2}}
-	default:
-		return sched.Named{Name: SchedRandom, Scheduler: &sched.UniformRandom{Min: 1, Max: 10}}
 	}
+	return s, nil
+}
+
+// lower turns the options into an executable spec: the WithScenario spec,
+// or the WithScheduler token at (N, T), through harness.Lower with the
+// explicit overrides — the one lowering every run the CLIs build takes.
+func (s *simSettings) lower(c Config, p core.Params, inputs []float64) (harness.Spec, error) {
+	scen := scenario.Spec{Sched: s.scheduler, N: c.N, T: c.T}
+	if s.scenario != nil {
+		if s.scenario.N != c.N {
+			return harness.Spec{}, fmt.Errorf("aa: scenario is for n=%d but config has N=%d", s.scenario.N, c.N)
+		}
+		scen = *s.scenario
+	}
+	spec, err := harness.Lower(p, inputs, scen, s.seed, s.overrides)
+	if err != nil {
+		return harness.Spec{}, err
+	}
+	spec.MaxEvents = s.maxEvents
+	spec.Reliable = s.reliable
+	return spec, nil
 }
 
 // Simulate runs one execution on the deterministic discrete-event simulator
@@ -237,36 +227,14 @@ func Simulate(c Config, inputs []float64, opts ...SimOption) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	settings := simSettings{seed: 1, scheduler: SchedRandom}
-	for _, opt := range opts {
-		if err := opt(&settings); err != nil {
-			return nil, err
-		}
+	settings, err := newSettings(opts)
+	if err != nil {
+		return nil, err
 	}
-	// A scenario fully replaces the flag-style scheduler/crash/byz wiring;
-	// only one of the two specs is ever built.
-	var spec harness.Spec
-	if settings.scenario != nil {
-		if settings.scenario.N != c.N {
-			return nil, fmt.Errorf("aa: scenario is for n=%d but config has N=%d", settings.scenario.N, c.N)
-		}
-		spec, err = harness.SpecFrom(p, inputs, *settings.scenario, settings.seed)
-		if err != nil {
-			return nil, err
-		}
-		spec.MaxEvents = settings.maxEvents
-	} else {
-		spec = harness.Spec{
-			Params:    p,
-			Inputs:    inputs,
-			Scheduler: schedulerByName(settings.scheduler, c.N, c.T),
-			Crashes:   settings.crashes,
-			Byz:       settings.byz,
-			Seed:      settings.seed,
-			MaxEvents: settings.maxEvents,
-		}
+	spec, err := settings.lower(c, p, inputs)
+	if err != nil {
+		return nil, err
 	}
-	spec.Reliable = settings.reliable
 	rep, err := harness.Run(spec)
 	if err != nil {
 		return nil, err

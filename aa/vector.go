@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/fault"
+	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/vector"
 	"repro/internal/wire"
@@ -58,32 +59,40 @@ func SimulateVector(c Config, inputs [][]float64, opts ...SimOption) (*VectorOut
 	if err := vp.Validate(); err != nil {
 		return nil, err
 	}
-	settings := simSettings{seed: 1, scheduler: SchedRandom}
-	for _, opt := range opts {
-		if err := opt(&settings); err != nil {
-			return nil, err
-		}
+	settings, err := newSettings(opts)
+	if err != nil {
+		return nil, err
+	}
+	if settings.reliable {
+		return nil, fmt.Errorf("aa: vector agreement does not support WithReliable")
+	}
+	spec, err := settings.lower(c, base, nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(spec.Restarts) > 0 {
+		return nil, fmt.Errorf("aa: vector agreement does not support restart axes")
+	}
+	if len(spec.Crashes)+len(spec.Byz) > c.T {
+		return nil, fmt.Errorf("aa: fault assignments exceed T")
 	}
 	cfg := sim.Config{
 		N:         c.N,
-		Scheduler: schedulerByName(settings.scheduler, c.N, c.T).Scheduler,
-		Seed:      settings.seed,
-		Crashes:   settings.crashes,
-		MaxEvents: settings.maxEvents,
+		Scheduler: spec.Scheduler.Scheduler,
+		Seed:      spec.Seed,
+		Crashes:   spec.Crashes,
+		MaxEvents: spec.MaxEvents,
 	}
 	rounds, err := base.FixedRounds()
 	if err != nil {
 		return nil, err
 	}
-	if len(settings.byz) > 0 {
-		cfg.Byzantine = make(map[sim.PartyID]sim.Process, len(settings.byz))
+	if len(spec.Byz) > 0 {
+		cfg.Byzantine = make(map[sim.PartyID]sim.Process, len(spec.Byz))
 		env := fault.Env{N: c.N, Rounds: rounds * dim, Lo: c.Lo, Hi: c.Hi}
-		for id, b := range settings.byz {
+		for id, b := range spec.Byz {
 			cfg.Byzantine[id] = wrapEachDim{inner: b, dim: dim}.New(env)
 		}
-	}
-	if len(settings.crashes)+len(settings.byz) > c.T {
-		return nil, fmt.Errorf("aa: fault assignments exceed T")
 	}
 	net, err := sim.New(cfg)
 	if err != nil {
@@ -92,7 +101,7 @@ func SimulateVector(c Config, inputs [][]float64, opts ...SimOption) (*VectorOut
 	procs := map[sim.PartyID]*vector.AA{}
 	for i := 0; i < c.N; i++ {
 		id := sim.PartyID(i)
-		if _, isByz := settings.byz[id]; isByz {
+		if _, isByz := spec.Byz[id]; isByz {
 			continue
 		}
 		if len(inputs[i]) != dim {
@@ -122,22 +131,22 @@ func SimulateVector(c Config, inputs [][]float64, opts ...SimOption) (*VectorOut
 			out.Points[int(id)] = pt
 		}
 	}
-	out.check(c, inputs, settings, dim)
+	out.check(c, inputs, spec, dim)
 	return out, nil
 }
 
 // check computes box validity and max-norm agreement over non-faulty
 // parties.
-func (o *VectorOutcome) check(c Config, inputs [][]float64, settings simSettings, dim int) {
+func (o *VectorOutcome) check(c Config, inputs [][]float64, spec harness.Spec, dim int) {
 	crashed := map[int]bool{}
-	for _, cp := range settings.crashes {
+	for _, cp := range spec.Crashes {
 		crashed[int(cp.Party)] = true
 	}
 	o.Valid = true
 	for d := 0; d < dim; d++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i, pt := range inputs {
-			if _, isByz := settings.byz[sim.PartyID(i)]; isByz {
+			if _, isByz := spec.Byz[sim.PartyID(i)]; isByz {
 				continue
 			}
 			lo = math.Min(lo, pt[d])

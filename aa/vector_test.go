@@ -52,6 +52,36 @@ func TestSimulateVectorByzantine(t *testing.T) {
 	}
 }
 
+// TestSimulateVectorScenario pins that the vector path runs the adversary
+// WithScenario names: the spec's crash slots (parties 0 and 1) die before
+// deciding, so they are absent from Points.
+func TestSimulateVectorScenario(t *testing.T) {
+	cfg := Config{Model: ModelCrash, N: 7, T: 2, Epsilon: 1e-3, Lo: 0, Hi: 1}
+	inputs := make([][]float64, cfg.N)
+	for i := range inputs {
+		f := float64(i) / 6
+		inputs[i] = []float64{f, 1 - f}
+	}
+	out, err := SimulateVector(cfg, inputs, WithSeed(5), WithScenario("splitviews+crash/n=7,t=2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.OK() {
+		t.Fatalf("vector scenario run failed: spread=%v valid=%v err=%v", out.MaxSpread, out.Valid, out.Err)
+	}
+	for _, id := range []int{0, 1} {
+		if _, ok := out.Points[id]; ok {
+			t.Errorf("crashed party %d has a point", id)
+		}
+	}
+	if len(out.Points) != 5 {
+		t.Errorf("got %d points, want the 5 surviving parties", len(out.Points))
+	}
+	if _, err := SimulateVector(cfg, inputs, WithReliable()); err == nil {
+		t.Error("WithReliable accepted on the vector path")
+	}
+}
+
 func TestSimulateVectorValidation(t *testing.T) {
 	cfg := Config{Model: ModelCrash, N: 3, T: 1, Epsilon: 0.1, Lo: 0, Hi: 1}
 	ok := [][]float64{{0, 0}, {1, 1}, {0.5, 0.5}}

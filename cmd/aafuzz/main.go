@@ -23,8 +23,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"repro/internal/harness"
@@ -32,13 +34,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "aafuzz:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("aafuzz", flag.ContinueOnError)
 	trials := fs.Int("trials", 1000, "number of randomized executions")
 	scenarioTrials := fs.Int("scenario-trials", 400, "number of randomized scenario-registry compositions")
@@ -48,42 +50,47 @@ func run(args []string) error {
 		return err
 	}
 	if *scenarioTrials > 0 {
-		fmt.Printf("fuzzing scenario registry: %d compositions with seed %d\n", *scenarioTrials, *seed)
+		fmt.Fprintf(w, "fuzzing scenario registry: %d compositions with seed %d\n", *scenarioTrials, *seed)
 		sres, err := harness.FuzzScenarios(*scenarioTrials, *seed)
 		if err != nil {
 			return fmt.Errorf("scenario registry contract: %w", err)
 		}
-		fmt.Printf("scenario specs: %d valid, %d rejected at spec time; %d run end-to-end\n",
+		fmt.Fprintf(w, "scenario specs: %d valid, %d rejected at spec time; %d run end-to-end\n",
 			sres.Registry.Valid, sres.Registry.Invalid, sres.Runs)
 		if len(sres.Violations) > 0 {
 			for _, v := range sres.Violations {
-				fmt.Println("VIOLATION:", v)
+				fmt.Fprintln(w, "VIOLATION:", v)
 			}
-			writeArtifacts(*artifacts, "scenario", sres.Failures)
+			writeArtifacts(w, *artifacts, "scenario", sres.Failures)
 			return fmt.Errorf("%d scenario invariant violations", len(sres.Violations))
 		}
 	}
-	fmt.Printf("fuzzing %d trials with seed %d\n", *trials, *seed)
+	fmt.Fprintf(w, "fuzzing %d trials with seed %d\n", *trials, *seed)
 	start := time.Now()
 	res, err := harness.Fuzz(*trials, *seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ran %d trials in %.1fs:", res.Trials, time.Since(start).Seconds())
-	for proto, count := range res.ByProtocol {
-		fmt.Printf(" %s=%d", proto, count)
+	fmt.Fprintf(w, "ran %d trials in %.1fs:", res.Trials, time.Since(start).Seconds())
+	protos := make([]string, 0, len(res.ByProtocol))
+	for proto := range res.ByProtocol {
+		protos = append(protos, proto)
 	}
-	fmt.Println()
-	fmt.Printf("rounds:   %s\n", res.Rounds)
-	fmt.Printf("messages: %s\n", res.Messages)
+	sort.Strings(protos)
+	for _, proto := range protos {
+		fmt.Fprintf(w, " %s=%d", proto, res.ByProtocol[proto])
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "rounds:   %s\n", res.Rounds)
+	fmt.Fprintf(w, "messages: %s\n", res.Messages)
 	if len(res.Violations) > 0 {
 		for _, v := range res.Violations {
-			fmt.Println("VIOLATION:", v)
+			fmt.Fprintln(w, "VIOLATION:", v)
 		}
-		writeArtifacts(*artifacts, "fuzz", res.Failures)
+		writeArtifacts(w, *artifacts, "fuzz", res.Failures)
 		return fmt.Errorf("%d invariant violations", len(res.Violations))
 	}
-	fmt.Println("no invariant violations")
+	fmt.Fprintln(w, "no invariant violations")
 	return nil
 }
 
@@ -91,7 +98,7 @@ func run(args []string) error {
 // dir and prints the replay command. Artifact failures are reported but
 // never mask the violation exit: the fuzzer's verdict stands even when a
 // repro cannot be written.
-func writeArtifacts(dir, kind string, failures []harness.FuzzViolation) {
+func writeArtifacts(w io.Writer, dir, kind string, failures []harness.FuzzViolation) {
 	if dir == "" || len(failures) == 0 {
 		return
 	}
@@ -105,7 +112,7 @@ func writeArtifacts(dir, kind string, failures []harness.FuzzViolation) {
 			fmt.Fprintf(os.Stderr, "aafuzz: artifact for trial %d: %v\n", v.Trial, err)
 			continue
 		}
-		fmt.Printf("reproduce: aarun -replay %s\n", path)
+		fmt.Fprintf(w, "reproduce: aarun -replay %s\n", path)
 	}
 }
 

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"regexp"
 	"testing"
 
 	"repro/internal/core"
@@ -9,19 +12,36 @@ import (
 )
 
 func TestRunSmallBudget(t *testing.T) {
-	if err := run([]string{"-trials", "20", "-scenario-trials", "40", "-seed", "1"}); err != nil {
+	if err := run([]string{"-trials", "20", "-scenario-trials", "40", "-seed", "1"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunScenarioTrialsOnly(t *testing.T) {
-	if err := run([]string{"-trials", "0", "-scenario-trials", "60", "-seed", "3"}); err != nil {
+	if err := run([]string{"-trials", "0", "-scenario-trials", "60", "-seed", "3"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRunDeterministicOutput pins that one seed prints one report: two
+// runs differ only in the elapsed time.
+func TestRunDeterministicOutput(t *testing.T) {
+	elapsed := regexp.MustCompile(`in [0-9.]+s`)
+	var out [2]string
+	for i := range out {
+		var buf bytes.Buffer
+		if err := run([]string{"-trials", "40", "-scenario-trials", "20", "-seed", "7"}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = elapsed.ReplaceAllString(buf.String(), "in Xs")
+	}
+	if out[0] != out[1] {
+		t.Errorf("same seed, different output:\n%s\n---\n%s", out[0], out[1])
+	}
+}
+
 func TestRunUnknownFlag(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil {
+	if err := run([]string{"-bogus"}, io.Discard); err == nil {
 		t.Error("unknown flag accepted")
 	}
 }
@@ -68,8 +88,8 @@ func TestArtifactFromForcedFailure(t *testing.T) {
 // TestWriteArtifactsBestEffort pins that artifact emission never panics on
 // an unwritable directory or a record that does not lower.
 func TestWriteArtifactsBestEffort(t *testing.T) {
-	writeArtifacts("", "fuzz", []harness.FuzzViolation{{Trial: 1}})
-	writeArtifacts(t.TempDir(), "fuzz", []harness.FuzzViolation{{
+	writeArtifacts(io.Discard, "", "fuzz", []harness.FuzzViolation{{Trial: 1}})
+	writeArtifacts(io.Discard, t.TempDir(), "fuzz", []harness.FuzzViolation{{
 		Trial: 2, Desc: "unresolvable", SchedToken: "warpdrive", N: 5, T: 1,
 	}})
 }

@@ -29,16 +29,13 @@
 //
 //	aarun -model trim -scenario "skew+spam/n=15,t=2" -record out.bundle
 //	aarun -replay out.bundle
-//
-// Under -record, Byzantine names resolve through the scenario registry
-// (e.g. "extreme" is the range-relative ExtremeRel, as in scenario specs),
-// so the captured run is exactly the one the bundle replays.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,13 +51,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "aarun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("aarun", flag.ContinueOnError)
 	model := fs.String("model", "crash", "crash | trim | witness | sync")
 	n := fs.Int("n", 7, "number of parties")
@@ -69,11 +66,11 @@ func run(args []string) error {
 	lo := fs.Float64("lo", 0, "promised input range low end")
 	hi := fs.Float64("hi", 100, "promised input range high end")
 	inputsFlag := fs.String("inputs", "", "comma-separated inputs (default: evenly spaced over the range)")
-	schedName := fs.String("sched", aa.SchedRandom, "scheduler: sync|random|skew|partition|splitviews|staggered")
+	schedName := fs.String("sched", aa.SchedRandom, "scheduler registry key, with an optional :arg: "+strings.Join(scenario.SchedulerNames(), "|"))
 	scenarioFlag := fs.String("scenario", "", `scenario spec, e.g. "skew+equivocate/n=64,t=9"; overrides -n/-t/-sched/-crash/-byz`)
 	seed := fs.Int64("seed", 1, "random seed")
 	crashFlag := fs.String("crash", "", "crash plans id:afterSends,id:afterSends,...")
-	byzFlag := fs.String("byz", "", "byzantine assignments id:behavior,... (silent|extreme|equivocate|spam|amplifier)")
+	byzFlag := fs.String("byz", "", "byzantine assignments id:behavior,... ("+strings.Join(scenario.ByzSuite(), "|")+")")
 	adaptive := fs.Bool("adaptive", false, "adaptive termination (estimate spread at runtime)")
 	reliable := fs.Bool("reliable", false, "wrap parties in the ack/retransmit transport (survives loss/outage/flap)")
 	live := fs.Bool("live", false, "run on the goroutine runtime instead of the simulator")
@@ -87,21 +84,21 @@ func run(args []string) error {
 	}
 
 	if *replayFlag != "" {
-		return doReplay(*replayFlag)
+		return doReplay(w, *replayFlag)
 	}
 	if *record != "" && *live {
 		return fmt.Errorf("-record needs the deterministic simulator; drop -live")
 	}
 
+	var scen scenario.Spec
 	if *scenarioFlag != "" {
-		sn, st, err := aa.ScenarioShape(*scenarioFlag)
-		if err != nil {
+		var err error
+		if scen, err = scenario.Parse(*scenarioFlag); err != nil {
 			return err
 		}
-		*n = sn
-		if st >= 0 {
-			*t = st
-		}
+		*n = scen.N
+		scen = scen.WithT(*t)
+		*t = scen.T
 	}
 	cfg := aa.Config{
 		N: *n, T: *t, Epsilon: *eps, Lo: *lo, Hi: *hi, Adaptive: *adaptive,
@@ -137,53 +134,63 @@ func run(args []string) error {
 		if err != nil {
 			// A timeout still reports the partial progress before failing.
 			if out != nil {
-				printOutcome(out, cfg)
+				printOutcome(w, out, cfg)
 			}
 			return err
 		}
-		printOutcome(out, cfg)
+		printOutcome(w, out, cfg)
 		return nil
 	}
 
-	crashes, err := parseCrashes(*crashFlag)
-	if err != nil {
-		return err
+	// One lowered adversary for plain and recorded runs alike: the scenario
+	// with t made explicit, or a fault-free scenario named by -sched with
+	// -crash/-byz as explicit overrides.
+	var over harness.Overrides
+	if *scenarioFlag == "" {
+		if err := scenario.CheckScheduler(*schedName); err != nil {
+			return err
+		}
+		scen = scenario.Spec{Sched: *schedName, N: *n, T: *t}
+		if over.Crashes, err = parseCrashes(*crashFlag); err != nil {
+			return err
+		}
+		if over.Byz, err = parseByz(*byzFlag); err != nil {
+			return err
+		}
 	}
-	byz, err := parseByz(*byzFlag)
-	if err != nil {
-		return err
-	}
-
 	if *record != "" {
-		return doRecord(*record, cfg, *model, inputs, recordShape{
-			scenario: *scenarioFlag, sched: *schedName,
-			n: *n, t: *t, seed: *seed,
-			crashes: crashes, byz: byz,
-			reliable: *reliable,
-		})
+		return doRecord(w, *record, &incident.Bundle{
+			Name:           strings.TrimSuffix(filepath.Base(*record), incident.BundleExt),
+			Scenario:       scen.String(),
+			Protocol:       *model,
+			Adaptive:       cfg.Adaptive,
+			Eps:            cfg.Epsilon,
+			Lo:             cfg.Lo,
+			Hi:             cfg.Hi,
+			SyncRoundTicks: sim.Time(cfg.SyncRoundTicks),
+			Seed:           *seed,
+			Inputs:         inputs,
+			Crashes:        over.Crashes,
+			Byz:            over.Byz,
+			Reliable:       *reliable,
+		}, cfg)
 	}
 
-	opts := []aa.SimOption{aa.WithSeed(*seed)}
+	opts := []aa.SimOption{aa.WithSeed(*seed), aa.WithScenario(scen.String())}
 	if *reliable {
 		opts = append(opts, aa.WithReliable())
 	}
-	if *scenarioFlag != "" {
-		opts = append(opts, aa.WithScenario(*scenarioFlag))
-	} else {
-		opts = append(opts, aa.WithScheduler(*schedName))
-		for _, c := range crashes {
-			opts = append(opts, aa.WithCrash(int(c.Party), c.AfterSends))
-		}
-		for _, z := range byz {
-			opts = append(opts, aa.WithByzantine(int(z.Party), z.Name))
-		}
+	for _, c := range over.Crashes {
+		opts = append(opts, aa.WithCrash(int(c.Party), c.AfterSends))
 	}
-
+	for _, z := range over.Byz {
+		opts = append(opts, aa.WithByzantine(int(z.Party), z.Name))
+	}
 	out, err := aa.Simulate(cfg, inputs, opts...)
 	if err != nil {
 		return err
 	}
-	printOutcome(out, cfg)
+	printOutcome(w, out, cfg)
 	if !out.OK() {
 		return fmt.Errorf("run failed: agreed=%v valid=%v err=%v", out.Agreed, out.Valid, out.Err)
 	}
@@ -232,11 +239,11 @@ func parseCrashes(s string) ([]sim.CrashPlan, error) {
 	return out, nil
 }
 
-func parseByz(s string) ([]incident.ByzRef, error) {
+func parseByz(s string) ([]harness.ByzRef, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var out []incident.ByzRef
+	var out []harness.ByzRef
 	for _, part := range strings.Split(s, ",") {
 		fields := strings.SplitN(strings.TrimSpace(part), ":", 2)
 		if len(fields) != 2 {
@@ -246,56 +253,13 @@ func parseByz(s string) ([]incident.ByzRef, error) {
 		if err != nil {
 			return nil, fmt.Errorf("byzantine assignment %q: %w", part, err)
 		}
-		out = append(out, incident.ByzRef{Party: sim.PartyID(id), Name: fields[1]})
+		out = append(out, harness.ByzRef{Party: sim.PartyID(id), Name: fields[1]})
 	}
 	return out, nil
 }
 
-// recordShape carries the adversary wiring -record needs to render a
-// canonical scenario string and fault overrides.
-type recordShape struct {
-	scenario string
-	sched    string
-	n, t     int
-	seed     int64
-	crashes  []sim.CrashPlan
-	byz      []incident.ByzRef
-	reliable bool
-}
-
-// doRecord captures the configured run into an incident bundle. With
-// -scenario, the spec string (t made explicit) is authoritative for the
-// adversary; otherwise a fault-free scenario is synthesized from -sched
-// and the -crash/-byz lists become explicit overrides — the flag-path
-// scheduler parameterizations match the scenario registry defaults
-// exactly, so the captured schedule is the one plain aarun would run.
-func doRecord(path string, cfg aa.Config, model string, inputs []float64, shape recordShape) error {
-	var scenStr string
-	if shape.scenario != "" {
-		spec, err := scenario.Parse(shape.scenario)
-		if err != nil {
-			return err
-		}
-		scenStr = spec.WithT(shape.t).String()
-		shape.crashes, shape.byz = nil, nil
-	} else {
-		scenStr = scenario.Spec{Sched: shape.sched, N: shape.n, T: shape.t}.String()
-	}
-	b := &incident.Bundle{
-		Name:           strings.TrimSuffix(filepath.Base(path), incident.BundleExt),
-		Scenario:       scenStr,
-		Protocol:       model,
-		Adaptive:       cfg.Adaptive,
-		Eps:            cfg.Epsilon,
-		Lo:             cfg.Lo,
-		Hi:             cfg.Hi,
-		SyncRoundTicks: sim.Time(cfg.SyncRoundTicks),
-		Seed:           shape.seed,
-		Inputs:         inputs,
-		Crashes:        shape.crashes,
-		Byz:            shape.byz,
-		Reliable:       shape.reliable,
-	}
+// doRecord captures the run b describes into an incident bundle at path.
+func doRecord(w io.Writer, path string, b *incident.Bundle, cfg aa.Config) error {
 	rep, err := incident.Capture(b)
 	if err != nil {
 		return err
@@ -303,9 +267,9 @@ func doRecord(path string, cfg aa.Config, model string, inputs []float64, shape 
 	if err := incident.Save(b, path); err != nil {
 		return err
 	}
-	printOutcome(outcomeFromReport(rep), cfg)
-	fmt.Printf("recorded  %s (%d sends, %s)\n", path, len(b.Delays), b.Scenario)
-	fmt.Printf("replay    aarun -replay %s\n", path)
+	printOutcome(w, outcomeFromReport(rep), cfg)
+	fmt.Fprintf(w, "recorded  %s (%d sends, %s)\n", path, len(b.Delays), b.Scenario)
+	fmt.Fprintf(w, "replay    aarun -replay %s\n", path)
 	if !rep.OK() {
 		return fmt.Errorf("recorded run failed: %s", rep.Failure())
 	}
@@ -313,22 +277,22 @@ func doRecord(path string, cfg aa.Config, model string, inputs []float64, shape 
 }
 
 // doReplay re-executes a bundle against its recorded trace and digest.
-func doReplay(path string) error {
+func doReplay(w io.Writer, path string) error {
 	b, err := incident.Load(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("bundle    %s (%s, %s, seed %d, %d sends)\n",
+	fmt.Fprintf(w, "bundle    %s (%s, %s, seed %d, %d sends)\n",
 		b.Name, b.Scenario, b.Protocol, b.Seed, len(b.Delays))
 	rep, div, err := incident.Replay(b)
 	if err != nil {
 		return err
 	}
-	printOutcome(outcomeFromReport(rep), aa.Config{Epsilon: b.Eps})
+	printOutcome(w, outcomeFromReport(rep), aa.Config{Epsilon: b.Eps})
 	if div != nil {
 		return div.Error()
 	}
-	fmt.Println("replay    matches recorded digest")
+	fmt.Fprintln(w, "replay    matches recorded digest")
 	return nil
 }
 
@@ -356,32 +320,32 @@ func outcomeFromReport(rep *harness.Report) *aa.Outcome {
 	return out
 }
 
-func printOutcome(out *aa.Outcome, cfg aa.Config) {
+func printOutcome(w io.Writer, out *aa.Outcome, cfg aa.Config) {
 	ids := make([]int, 0, len(out.Values))
 	for id := range out.Values {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		fmt.Printf("party %2d -> %.9g\n", id, out.Values[id])
+		fmt.Fprintf(w, "party %2d -> %.9g\n", id, out.Values[id])
 	}
-	fmt.Printf("spread    %.3g (eps %.3g)\n", out.Spread, cfg.Epsilon)
-	fmt.Printf("agreed    %v\n", out.Agreed)
-	fmt.Printf("valid     %v\n", out.Valid)
+	fmt.Fprintf(w, "spread    %.3g (eps %.3g)\n", out.Spread, cfg.Epsilon)
+	fmt.Fprintf(w, "agreed    %v\n", out.Agreed)
+	fmt.Fprintf(w, "valid     %v\n", out.Valid)
 	if out.Rounds > 0 {
-		fmt.Printf("rounds    %.1f\n", out.Rounds)
+		fmt.Fprintf(w, "rounds    %.1f\n", out.Rounds)
 	}
-	fmt.Printf("messages  %d\n", out.Messages)
+	fmt.Fprintf(w, "messages  %d\n", out.Messages)
 	if out.Bytes > 0 {
-		fmt.Printf("bytes     %d\n", out.Bytes)
+		fmt.Fprintf(w, "bytes     %d\n", out.Bytes)
 	}
 	if out.Dropped > 0 || out.Duped > 0 {
-		fmt.Printf("lossy     %d dropped, %d duplicated\n", out.Dropped, out.Duped)
+		fmt.Fprintf(w, "lossy     %d dropped, %d duplicated\n", out.Dropped, out.Duped)
 	}
 	if out.Retransmits > 0 {
-		fmt.Printf("reliable  %d retransmits\n", out.Retransmits)
+		fmt.Fprintf(w, "reliable  %d retransmits\n", out.Retransmits)
 	}
 	if out.Err != nil {
-		fmt.Printf("error     %v\n", out.Err)
+		fmt.Fprintf(w, "error     %v\n", out.Err)
 	}
 }

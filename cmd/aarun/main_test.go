@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/incident"
+	"repro/internal/scenario"
 )
 
 func TestParseInputsDefault(t *testing.T) {
@@ -67,58 +72,61 @@ func TestParseByz(t *testing.T) {
 
 func TestRunEndToEnd(t *testing.T) {
 	if err := run([]string{"-model", "crash", "-n", "5", "-t", "2", "-eps", "0.01",
-		"-hi", "10", "-sched", "splitviews", "-crash", "0:3"}); err != nil {
+		"-hi", "10", "-sched", "splitviews", "-crash", "0:3"}, io.Discard); err != nil {
 		t.Fatalf("crash run: %v", err)
 	}
 	if err := run([]string{"-model", "witness", "-n", "7", "-t", "2",
-		"-byz", "0:equivocate"}); err != nil {
+		"-byz", "0:equivocate"}, io.Discard); err != nil {
 		t.Fatalf("witness run: %v", err)
 	}
-	if err := run([]string{"-model", "trim", "-n", "8", "-t", "1"}); err != nil {
+	if err := run([]string{"-model", "trim", "-n", "8", "-t", "1"}, io.Discard); err != nil {
 		t.Fatalf("trim run: %v", err)
 	}
-	if err := run([]string{"-model", "sync", "-n", "7", "-t", "2", "-sched", "sync"}); err != nil {
+	if err := run([]string{"-model", "sync", "-n", "7", "-t", "2", "-sched", "sync"}, io.Discard); err != nil {
 		t.Fatalf("sync run: %v", err)
 	}
 }
 
 func TestRunScenario(t *testing.T) {
-	if err := run([]string{"-model", "trim", "-scenario", "skew+equivocate/n=15,t=2"}); err != nil {
+	if err := run([]string{"-model", "trim", "-scenario", "skew+equivocate/n=15,t=2"}, io.Discard); err != nil {
 		t.Fatalf("scenario run: %v", err)
 	}
 	// A spec without t inherits the -t flag's fault bound.
-	if err := run([]string{"-model", "crash", "-t", "3", "-scenario", "splitviews/n=9"}); err != nil {
+	if err := run([]string{"-model", "crash", "-t", "3", "-scenario", "splitviews/n=9"}, io.Discard); err != nil {
 		t.Fatalf("scenario without t: %v", err)
 	}
-	if err := run([]string{"-model", "crash", "-scenario", "warp/n=9,t=2"}); err == nil {
+	if err := run([]string{"-model", "crash", "-scenario", "warp/n=9,t=2"}, io.Discard); err == nil {
 		t.Error("unknown scenario scheduler accepted")
 	}
-	if err := run([]string{"-model", "crash", "-scenario", "sync+gremlin/n=9,t=2"}); err == nil {
+	if err := run([]string{"-model", "crash", "-scenario", "sync+gremlin/n=9,t=2"}, io.Discard); err == nil {
 		t.Error("unknown scenario fault accepted")
 	}
 	// More fault slots than the protocol tolerates must die at spec time.
-	if err := run([]string{"-model", "crash", "-scenario", "sync+equivocate/n=9,t=5"}); err == nil {
+	if err := run([]string{"-model", "crash", "-scenario", "sync+equivocate/n=9,t=5"}, io.Discard); err == nil {
 		t.Error("overfaulted scenario accepted")
 	}
 }
 
 func TestRunRejects(t *testing.T) {
-	if err := run([]string{"-model", "warp"}); err == nil {
+	if err := run([]string{"-model", "warp"}, io.Discard); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if err := run([]string{"-model", "crash", "-n", "4", "-t", "2"}); err == nil {
+	if err := run([]string{"-model", "crash", "-n", "4", "-t", "2"}, io.Discard); err == nil {
 		t.Error("bad resilience accepted")
 	}
-	if err := run([]string{"-model", "crash", "-inputs", "1,2"}); err == nil {
+	if err := run([]string{"-model", "crash", "-inputs", "1,2"}, io.Discard); err == nil {
 		t.Error("input count mismatch accepted")
 	}
-	if err := run([]string{"-model", "crash", "-sched", "warp"}); err == nil {
+	if err := run([]string{"-model", "crash", "-sched", "warp"}, io.Discard); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
-	if err := run([]string{"-model", "crash", "-byz", "0:gremlin"}); err == nil {
+	if err := run([]string{"-model", "crash", "-sched", "random+crash"}, io.Discard); err == nil {
+		t.Error("fault token accepted in -sched")
+	}
+	if err := run([]string{"-model", "crash", "-byz", "0:gremlin"}, io.Discard); err == nil {
 		t.Error("unknown behavior accepted")
 	}
-	if err := run([]string{"-model", "crash", "-crash", "zzz"}); err == nil {
+	if err := run([]string{"-model", "crash", "-crash", "zzz"}, io.Discard); err == nil {
 		t.Error("malformed crash plan accepted")
 	}
 }
@@ -127,28 +135,28 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	path := t.TempDir() + "/run.bundle"
 	// Flag-style adversary: synthesized scenario plus explicit overrides.
 	if err := run([]string{"-model", "crash", "-n", "7", "-t", "2", "-eps", "0.01",
-		"-sched", "splitviews", "-crash", "0:5", "-seed", "9", "-record", path}); err != nil {
+		"-sched", "splitviews", "-crash", "0:5", "-seed", "9", "-record", path}, io.Discard); err != nil {
 		t.Fatalf("record: %v", err)
 	}
-	if err := run([]string{"-replay", path}); err != nil {
+	if err := run([]string{"-replay", path}, io.Discard); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	// Scenario-style adversary.
 	if err := run([]string{"-model", "trim", "-scenario", "skew+equivocate/n=15,t=2",
-		"-eps", "0.01", "-record", path}); err != nil {
+		"-eps", "0.01", "-record", path}, io.Discard); err != nil {
 		t.Fatalf("scenario record: %v", err)
 	}
-	if err := run([]string{"-replay", path}); err != nil {
+	if err := run([]string{"-replay", path}, io.Discard); err != nil {
 		t.Fatalf("scenario replay: %v", err)
 	}
 }
 
 func TestRecordRejects(t *testing.T) {
 	path := t.TempDir() + "/run.bundle"
-	if err := run([]string{"-model", "crash", "-live", "-record", path}); err == nil {
+	if err := run([]string{"-model", "crash", "-live", "-record", path}, io.Discard); err == nil {
 		t.Error("-record -live accepted")
 	}
-	if err := run([]string{"-replay", t.TempDir() + "/missing.bundle"}); err == nil {
+	if err := run([]string{"-replay", t.TempDir() + "/missing.bundle"}, io.Discard); err == nil {
 		t.Error("replay of a missing bundle succeeded")
 	}
 }
@@ -156,7 +164,7 @@ func TestRecordRejects(t *testing.T) {
 func TestReplayDetectsTampering(t *testing.T) {
 	path := t.TempDir() + "/run.bundle"
 	if err := run([]string{"-model", "crash", "-n", "7", "-t", "2", "-eps", "0.01",
-		"-record", path}); err != nil {
+		"-record", path}, io.Discard); err != nil {
 		t.Fatalf("record: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -167,8 +175,39 @@ func TestReplayDetectsTampering(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = run([]string{"-replay", path})
+	err = run([]string{"-replay", path}, io.Discard)
 	if !errors.Is(err, incident.ErrMalformed) {
 		t.Fatalf("tampered bundle: got %v, want ErrMalformed", err)
+	}
+}
+
+// TestRecordMatchesPlainRun pins that -record captures the run plain aarun
+// prints: for every standard scheduler and Byzantine behavior, on trim and
+// witness at their fault bound, the outcome lines are identical with and
+// without -record. The promised range is wide enough that an absolute
+// extreme value like 1e9 lies inside it, so any disagreement about what a
+// Byzantine name sends moves the printed outputs.
+func TestRecordMatchesPlainRun(t *testing.T) {
+	dir := t.TempDir()
+	for _, m := range []struct{ model, n string }{{"trim", "22"}, {"witness", "10"}} {
+		for _, sched := range scenario.SuiteSchedulers() {
+			for _, byz := range scenario.ByzSuite() {
+				args := []string{"-model", m.model, "-n", m.n, "-t", "3", "-hi", "2e9", "-eps", "1e7", "-seed", "4",
+					"-sched", sched, "-byz", fmt.Sprintf("0:%s,1:%s,2:%s", byz, byz, byz)}
+				var plain, recorded bytes.Buffer
+				if err := run(args, &plain); err != nil {
+					t.Fatalf("%v: %v", args, err)
+				}
+				path := fmt.Sprintf("%s/%s-%s-%s.bundle", dir, m.model, sched, byz)
+				if err := run(append(args, "-record", path), &recorded); err != nil {
+					t.Fatalf("%v -record: %v", args, err)
+				}
+				got := recorded.String()
+				got = got[:strings.Index(got, "recorded  ")]
+				if got != plain.String() {
+					t.Errorf("%s %s %s: -record printed\n%s\nplain run printed\n%s", m.model, sched, byz, got, plain.String())
+				}
+			}
+		}
 	}
 }

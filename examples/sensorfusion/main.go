@@ -42,7 +42,7 @@ func main() {
 	out, err := aa.Simulate(cfg, readings,
 		aa.WithSeed(99),
 		aa.WithScheduler(aa.SchedSplitViews),
-		aa.WithByzantine(2, aa.ByzExtreme),    // reports +1e9 °C
+		aa.WithByzantine(2, aa.ByzExtreme),    // reports Hi + 100·(Hi−Lo) = 10 060 °C
 		aa.WithByzantine(5, aa.ByzEquivocate), // different lies to different peers
 		aa.WithByzantine(8, aa.ByzSpam),       // floods malformed traffic
 	)

@@ -427,18 +427,3 @@ func (a *amplifierProc) blast() {
 		}
 	}
 }
-
-// Suite returns the standard Byzantine behavior suite for the experiment
-// harness. The behaviors are range-relative (they read the promised range
-// from Env at instantiation), so the suite needs no parameters; the
-// historical (lo, hi) arguments are retained for callers that pin the
-// suite's identity against the scenario registry.
-func Suite(lo, hi float64) []Behavior {
-	return []Behavior{
-		Silent{},
-		ExtremeRel{Scale: 100},
-		Equivocate{Stretch: 2},
-		Spam{},
-		Amplifier{Push: 1},
-	}
-}

@@ -214,23 +214,3 @@ func countAll(r *recorder) int {
 	}
 	return total
 }
-
-func TestSuite(t *testing.T) {
-	suite := Suite(0, 1)
-	if len(suite) != 5 {
-		t.Fatalf("suite size %d", len(suite))
-	}
-	names := map[string]bool{}
-	for _, b := range suite {
-		if names[b.Name()] {
-			t.Fatalf("duplicate behavior %q", b.Name())
-		}
-		names[b.Name()] = true
-		proc := b.New(Env{N: 4, Rounds: 2, Lo: 0, Hi: 1})
-		if proc == nil {
-			t.Fatalf("%s: nil process", b.Name())
-		}
-		rec := newRecorder(0, 4)
-		proc.Init(rec) // must not panic
-	}
-}

@@ -3,24 +3,14 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// FuzzByz is one Byzantine assignment in a FuzzViolation, by scenario
-// registry behavior name.
-type FuzzByz struct {
-	Party sim.PartyID
-	Name  string
-}
 
 // FuzzViolation is the structured record of one failed trial: everything
 // needed to rebuild the execution (cmd/aafuzz turns these into incident
@@ -28,9 +18,9 @@ type FuzzByz struct {
 // (scenario-layer trials), or SchedToken names the scheduler and
 // Crashes/Byz carry the explicit fault assignments (protocol-fuzzer trials,
 // whose random crash timings are not expressible as registry fault kinds).
-// Both forms are faithful: the fuzzer draws schedulers from sched.Suite,
-// whose parameterizations are the scenario registry defaults, and heavytail
-// trials carry their alpha in the token ("heavytail:<alpha>").
+// Both forms are faithful: the fuzzer draws every scheduler and behavior
+// by registry name and lowers it with Lower, and heavytail trials carry
+// their alpha in the token ("heavytail:<alpha>").
 type FuzzViolation struct {
 	Trial      int
 	Desc       string
@@ -47,7 +37,7 @@ type FuzzViolation struct {
 	MaxEvents  int
 	Inputs     []float64
 	Crashes    []sim.CrashPlan
-	Byz        []FuzzByz
+	Byz        []ByzRef
 }
 
 // FuzzResult summarizes a randomized adversarial search.
@@ -78,7 +68,10 @@ func Fuzz(trials int, seed int64) (*FuzzResult, error) {
 	res := &FuzzResult{ByProtocol: map[string]int{}}
 	var rounds, messages []float64
 	for i := 0; i < trials; i++ {
-		spec, adaptive, desc := randomSpec(rng)
+		spec, o, adaptive, desc, err := randomSpec(rng)
+		if err != nil {
+			return res, fmt.Errorf("fuzz trial %d (%s): %w", i, desc, err)
+		}
 		rep, err := Run(spec)
 		if err != nil {
 			return res, fmt.Errorf("fuzz trial %d (%s): %w", i, desc, err)
@@ -97,7 +90,7 @@ func Fuzz(trials int, seed int64) (*FuzzResult, error) {
 		if bad {
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("trial %d: %s: %s", i, desc, rep.Failure()))
-			res.Failures = append(res.Failures, violationFrom(i, desc, rep, spec))
+			res.Failures = append(res.Failures, violationFrom(i, desc, rep, spec, o))
 		}
 	}
 	res.Rounds = trace.Summarize(rounds)
@@ -105,8 +98,9 @@ func Fuzz(trials int, seed int64) (*FuzzResult, error) {
 	return res, nil
 }
 
-// randomSpec draws one legal adversarial configuration.
-func randomSpec(rng *rand.Rand) (Spec, bool, string) {
+// randomSpec draws one legal adversarial configuration and lowers it
+// through the scenario registry, returning the fault overrides it drew.
+func randomSpec(rng *rand.Rand) (Spec, Overrides, bool, string, error) {
 	protos := []core.Protocol{core.ProtoCrash, core.ProtoCrash, core.ProtoByzTrim, core.ProtoWitness}
 	proto := protos[rng.Intn(len(protos))]
 	var n, t int
@@ -147,56 +141,44 @@ func randomSpec(rng *rand.Rand) (Spec, bool, string) {
 		inputs = UniformInputs(n, lo, hi, rng.Int63())
 	}
 
-	scheds := sched.Suite(n, t)
-	// The heavytail token carries its alpha ("heavytail:<alpha>") so a
-	// violation record resolves through the scenario registry to the same
-	// distribution; FormatFloat 'g'/-1 round-trips the float exactly.
+	// The heavytail token carries its alpha ("heavytail:<alpha>") so it
+	// resolves through the registry to the drawn distribution; FormatFloat
+	// 'g'/-1 round-trips the float exactly.
 	alpha := 1.2 + rng.Float64()
-	scheds = append(scheds, sched.Named{
-		Name:      "heavytail:" + strconv.FormatFloat(alpha, 'g', -1, 64),
-		Scheduler: &sched.HeavyTail{Base: 1, Alpha: alpha, Cap: 400},
-	})
-	sc := scheds[rng.Intn(len(scheds))]
+	scheds := append(scenario.SuiteSchedulers(), "heavytail:"+strconv.FormatFloat(alpha, 'g', -1, 64))
+	tok := scheds[rng.Intn(len(scheds))]
+	seed := rng.Int63()
 
-	spec := Spec{
-		Params:    p,
-		Inputs:    inputs,
-		Scheduler: sc,
-		Seed:      rng.Int63(),
-	}
+	var o Overrides
 	var faults []string
 	budget := rng.Intn(t + 1)
 	if proto == core.ProtoCrash {
 		for i := 0; i < budget; i++ {
 			after := rng.Intn(4 * n * 3)
-			spec.Crashes = append(spec.Crashes, sim.CrashPlan{
+			o.Crashes = append(o.Crashes, sim.CrashPlan{
 				Party:      sim.PartyID(i),
 				AfterSends: after,
 			})
 			faults = append(faults, fmt.Sprintf("crash%d@%d", i, after))
 		}
 	} else {
-		suite := fault.Suite(lo, hi)
+		byz := scenario.ByzSuite()
 		for i := 0; i < budget; i++ {
-			b := suite[rng.Intn(len(suite))]
-			if spec.Byz == nil {
-				spec.Byz = map[sim.PartyID]fault.Behavior{}
-			}
-			spec.Byz[sim.PartyID(i)] = b
-			faults = append(faults, fmt.Sprintf("byz%d:%s", i, b.Name()))
+			name := byz[rng.Intn(len(byz))]
+			o.Byz = append(o.Byz, ByzRef{Party: sim.PartyID(i), Name: name})
+			faults = append(faults, fmt.Sprintf("byz%d:%s", i, name))
 		}
 	}
 	desc := fmt.Sprintf("%s n=%d t=%d eps=%g adaptive=%v sched=%s inputs=%d faults=[%s] seed=%d",
-		p.Protocol, n, t, p.Eps, adaptive, sc.Name, inputKind, strings.Join(faults, ","), spec.Seed)
-	return spec, adaptive, desc
+		p.Protocol, n, t, p.Eps, adaptive, tok, inputKind, strings.Join(faults, ","), seed)
+	spec, err := Lower(p, inputs, scenario.Spec{Sched: tok, N: n, T: t}, seed, o)
+	return spec, o, adaptive, desc, err
 }
 
-// violationFrom snapshots a failed trial's full configuration. Byzantine
-// behaviors are recorded by name (sorted by party), which resolves back
-// through the scenario registry: the fuzzer assigns behaviors from
-// fault.Suite, whose instances the registry registers verbatim.
-func violationFrom(trial int, desc string, rep *Report, spec Spec) FuzzViolation {
-	v := FuzzViolation{
+// violationFrom snapshots a failed trial's full configuration: the lowered
+// spec plus the overrides it was lowered with.
+func violationFrom(trial int, desc string, rep *Report, spec Spec, o Overrides) FuzzViolation {
+	return FuzzViolation{
 		Trial:      trial,
 		Desc:       desc,
 		Failure:    rep.Failure(),
@@ -212,13 +194,9 @@ func violationFrom(trial int, desc string, rep *Report, spec Spec) FuzzViolation
 		Seed:       spec.Seed,
 		MaxEvents:  spec.MaxEvents,
 		Inputs:     append([]float64(nil), spec.Inputs...),
-		Crashes:    append([]sim.CrashPlan(nil), spec.Crashes...),
+		Crashes:    append([]sim.CrashPlan(nil), o.Crashes...),
+		Byz:        append([]ByzRef(nil), o.Byz...),
 	}
-	for id, b := range spec.Byz {
-		v.Byz = append(v.Byz, FuzzByz{Party: id, Name: b.Name()})
-	}
-	sort.Slice(v.Byz, func(i, j int) bool { return v.Byz[i].Party < v.Byz[j].Party })
-	return v
 }
 
 // ScenarioFuzzResult summarizes a scenario-layer fuzz campaign: the
@@ -276,10 +254,9 @@ func FuzzScenarios(trials int, seed int64) (*ScenarioFuzzResult, error) {
 		if !rep.OK() {
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("scenario %s seed=%d: %s", scen, spec.Seed, rep.Failure()))
-			v := violationFrom(i, scen.String(), rep, spec)
+			v := violationFrom(i, scen.String(), rep, spec, Overrides{})
 			v.Scenario = scen.WithT(p.T).String()
 			v.SchedToken = ""
-			v.Crashes, v.Byz = nil, nil
 			res.Failures = append(res.Failures, v)
 		}
 	}

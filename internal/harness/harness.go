@@ -154,6 +154,93 @@ func SpecFrom(p core.Params, inputs []float64, scen scenario.Spec, seed int64) (
 	}, nil
 }
 
+// ByzRef names one explicit Byzantine assignment by its scenario-registry
+// behavior key (e.g. "extreme").
+type ByzRef struct {
+	Party sim.PartyID
+	Name  string
+}
+
+// Overrides are explicit fault assignments that replace a scenario's
+// party-fault derivation: aa's WithCrash/WithByzantine (aarun's -crash and
+// -byz) and the protocol fuzzer's random crash timings, which registry
+// fault kinds cannot express.
+type Overrides struct {
+	Crashes []sim.CrashPlan
+	Byz     []ByzRef
+}
+
+// Check validates overrides against the scenario they ride on, for an
+// n-party run with fault bound t: parties in range and assigned at most
+// once, crash budgets non-negative, at most t faults, Byzantine names that
+// the registry knows as behaviors, and no party-fault tokens in scen.
+// Network and restart axes compose freely with overrides (a party overlap
+// with a restart plan is caught by sim.Config at run time).
+func (o Overrides) Check(scen scenario.Spec, n, t int) error {
+	if len(o.Crashes) == 0 && len(o.Byz) == 0 {
+		return nil
+	}
+	for _, f := range scen.Faults {
+		if !scenario.IsNetFault(f) && !scenario.IsRestartFault(f) {
+			return fmt.Errorf("harness: scenario %q carries party-fault tokens alongside explicit fault overrides", scen)
+		}
+	}
+	if len(o.Crashes)+len(o.Byz) > t {
+		return fmt.Errorf("harness: %d explicit faults exceed t=%d", len(o.Crashes)+len(o.Byz), t)
+	}
+	seen := make(map[sim.PartyID]bool, len(o.Crashes)+len(o.Byz))
+	claim := func(kind string, p sim.PartyID) error {
+		if p < 0 || int(p) >= n {
+			return fmt.Errorf("harness: %s party %d out of range [0,%d)", kind, p, n)
+		}
+		if seen[p] {
+			return fmt.Errorf("harness: party %d assigned two faults", p)
+		}
+		seen[p] = true
+		return nil
+	}
+	for _, c := range o.Crashes {
+		if err := claim("crash", c.Party); err != nil {
+			return err
+		}
+		if c.AfterSends < 0 {
+			return fmt.Errorf("harness: crash party %d has negative send budget", c.Party)
+		}
+	}
+	for _, z := range o.Byz {
+		if err := claim("byzantine", z.Party); err != nil {
+			return err
+		}
+		if kind, ok := scenario.Fault(z.Name); !ok || kind.Behavior == nil {
+			return fmt.Errorf("harness: unknown byzantine behavior %q", z.Name)
+		}
+	}
+	return nil
+}
+
+// Lower is SpecFrom followed by the overrides: when o is non-empty it
+// replaces the scenario's crash plans and Byzantine assignments. Every
+// adversary the CLIs, aa and the incident corpus build goes through here.
+func Lower(p core.Params, inputs []float64, scen scenario.Spec, seed int64, o Overrides) (Spec, error) {
+	if err := o.Check(scen, p.N, p.T); err != nil {
+		return Spec{}, err
+	}
+	spec, err := SpecFrom(p, inputs, scen, seed)
+	if err != nil || (len(o.Crashes) == 0 && len(o.Byz) == 0) {
+		return spec, err
+	}
+	spec.Crashes = append([]sim.CrashPlan(nil), o.Crashes...)
+	spec.Byz = nil
+	if len(o.Byz) > 0 {
+		spec.Byz = make(map[sim.PartyID]fault.Behavior, len(o.Byz))
+		for _, z := range o.Byz {
+			kind, _ := scenario.Fault(z.Name)
+			spec.Byz[z.Party] = kind.Behavior
+		}
+	}
+	return spec, nil
+}
+
 // check fills the invariant verdicts. It is allocation-free: the spreads
 // are single min/max passes (matching multiset.Spread and the sorted-
 // decisions diameter exactly), part of the recycled hot path's zero-alloc

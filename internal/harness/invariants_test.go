@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -47,12 +48,13 @@ func TestInvariantGrid(t *testing.T) {
 				byz     map[sim.PartyID]fault.Behavior
 			}
 			if pc.byz {
-				for _, b := range fault.Suite(-50, 50) {
+				for _, name := range scenario.ByzSuite() {
+					kind, _ := scenario.Fault(name)
 					faultPlans = append(faultPlans, struct {
 						name    string
 						crashes []sim.CrashPlan
 						byz     map[sim.PartyID]fault.Behavior
-					}{name: b.Name(), byz: byzAssign(pc.tf, b)})
+					}{name: name, byz: byzAssign(pc.tf, kind.Behavior)})
 				}
 			} else {
 				faultPlans = append(faultPlans,
@@ -76,8 +78,9 @@ func TestInvariantGrid(t *testing.T) {
 			for inputName, gen := range inputGens {
 				inputs := gen(pc.n)
 				for _, fp := range faultPlans {
-					for _, sc := range sched.Suite(pc.n, pc.tf) {
+					for _, scen := range scenario.Suite(pc.n, pc.tf) {
 						for seed := int64(1); seed <= 2; seed++ {
+							sc := resolveSched(t, scen)
 							rep, err := Run(Spec{
 								Params:    p,
 								Inputs:    inputs,
@@ -98,6 +101,17 @@ func TestInvariantGrid(t *testing.T) {
 			}
 		})
 	}
+}
+
+// resolveSched builds a fresh instance of a scenario's scheduler, for
+// tests that drive the raw Spec path with their own fault plans.
+func resolveSched(t *testing.T, scen scenario.Spec) sched.Named {
+	t.Helper()
+	res, err := scen.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Scheduler
 }
 
 // immediateCrashes kills t parties before they send anything at all.
@@ -217,8 +231,9 @@ func TestAdaptiveSavesRounds(t *testing.T) {
 // later quorums alive.
 func TestAdaptiveWithCrashes(t *testing.T) {
 	p := core.Params{Protocol: core.ProtoCrash, N: 9, T: 4, Eps: 1e-3, Adaptive: true}
-	for _, sc := range sched.Suite(9, 4) {
+	for _, scen := range scenario.Suite(9, 4) {
 		for seed := int64(1); seed <= 3; seed++ {
+			sc := resolveSched(t, scen)
 			rep, err := Run(Spec{
 				Params:    p,
 				Inputs:    UniformInputs(9, 0, 100, seed),

@@ -164,9 +164,7 @@ func FromFuzz(v harness.FuzzViolation, name string) (*Bundle, error) {
 		MaxEvents: v.MaxEvents,
 		Inputs:    append([]float64(nil), v.Inputs...),
 		Crashes:   append([]sim.CrashPlan(nil), v.Crashes...),
-	}
-	for _, z := range v.Byz {
-		b.Byz = append(b.Byz, ByzRef{Party: z.Party, Name: z.Name})
+		Byz:       append([]harness.ByzRef(nil), v.Byz...),
 	}
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("incident: violation %q does not lower to a bundle: %w", v.Desc, err)

@@ -148,7 +148,7 @@ func TestCaptureByzantineScenario(t *testing.T) {
 		Hi:       1,
 		Seed:     7,
 		Inputs:   harness.LinearInputs(15, 0, 1),
-		Byz:      []ByzRef{{Party: 0, Name: "equivocate"}, {Party: 1, Name: "spam"}},
+		Byz:      []harness.ByzRef{{Party: 0, Name: "equivocate"}, {Party: 1, Name: "spam"}},
 	}
 	rep, err := Capture(b)
 	if err != nil {

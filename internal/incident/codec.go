@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/harness"
 	"repro/internal/sim"
 )
 
@@ -328,9 +329,9 @@ func Decode(data []byte) (*Bundle, error) {
 		}
 	}
 	if n := d.count(maxFaults, "byzantine"); d.err == nil && n > 0 {
-		b.Byz = make([]ByzRef, n)
+		b.Byz = make([]harness.ByzRef, n)
 		for i := range b.Byz {
-			b.Byz[i] = ByzRef{Party: sim.PartyID(d.intField("byzantine party")), Name: d.str()}
+			b.Byz[i] = harness.ByzRef{Party: sim.PartyID(d.intField("byzantine party")), Name: d.str()}
 		}
 	}
 	if n := d.count(maxSends, "delay"); d.err == nil && n > 0 {

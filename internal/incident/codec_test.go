@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/sim"
 )
 
@@ -179,7 +180,7 @@ func TestDecodeRejectsSemanticNonsense(t *testing.T) {
 			b.Crashes = append(b.Crashes,
 				sim.CrashPlan{Party: 1, AfterSends: 1}, sim.CrashPlan{Party: 2, AfterSends: 1})
 		}},
-		{"unknown behavior", func(b *Bundle) { b.Byz = []ByzRef{{Party: 1, Name: "gremlin"}} }},
+		{"unknown behavior", func(b *Bundle) { b.Byz = []harness.ByzRef{{Party: 1, Name: "gremlin"}} }},
 		{"fault tokens plus overrides", func(b *Bundle) { b.Scenario = "random+crash/n=5,t=2" }},
 		{"sums/delays length skew", func(b *Bundle) { b.SendSums = b.SendSums[:2] }},
 		{"delay above cap", func(b *Bundle) { b.Delays[0] = sim.MaxDelayCap + 1 }},

@@ -26,7 +26,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -106,12 +105,6 @@ func protoFromToken(tok string) (core.Protocol, error) {
 	default:
 		return 0, fmt.Errorf("%w: unknown protocol token %q", ErrMalformed, tok)
 	}
-}
-
-// ByzRef names a Byzantine assignment by scenario-registry behavior key.
-type ByzRef struct {
-	Party sim.PartyID
-	Name  string
 }
 
 // Decision is one party's recorded output.
@@ -206,7 +199,7 @@ type Bundle struct {
 	Crashes []sim.CrashPlan
 	// Byz, when non-empty, is an explicit Byzantine assignment (by registry
 	// behavior name) overriding the scenario's fault tokens.
-	Byz []ByzRef
+	Byz []harness.ByzRef
 	// Delays is the recorded per-send delivery delay, clamped to
 	// [1, sim.MaxDelayCap], dense by send sequence. Zero entries mean
 	// "unrecorded".
@@ -291,46 +284,8 @@ func (b *Bundle) Validate() error {
 			return fmt.Errorf("%w: party %d decided %v", ErrMalformed, dec.Party, dec.Value)
 		}
 	}
-	// Only party-fault tokens conflict with explicit overrides; network-fault
-	// axes (loss/dup/outage/flap) live in the scheduler and restart axes
-	// (recover/amnesia) keep their parties honest, so both compose freely
-	// with the fuzzer's explicit crash plans (party overlap is caught by
-	// sim.Config validation at run time).
-	if len(b.Crashes) > 0 || len(b.Byz) > 0 {
-		for _, f := range scen.Faults {
-			if !scenario.IsNetFault(f) && !scenario.IsRestartFault(f) {
-				return fmt.Errorf("%w: scenario %q carries party-fault tokens alongside explicit fault overrides", ErrMalformed, b.Scenario)
-			}
-		}
-	}
-	if len(b.Crashes)+len(b.Byz) > p.T {
-		return fmt.Errorf("%w: %d explicit faults exceed t=%d", ErrMalformed, len(b.Crashes)+len(b.Byz), p.T)
-	}
-	seen := map[sim.PartyID]bool{}
-	for _, c := range b.Crashes {
-		if c.Party < 0 || int(c.Party) >= p.N {
-			return fmt.Errorf("%w: crash party %d out of range [0,%d)", ErrMalformed, c.Party, p.N)
-		}
-		if c.AfterSends < 0 {
-			return fmt.Errorf("%w: crash party %d has negative send budget", ErrMalformed, c.Party)
-		}
-		if seen[c.Party] {
-			return fmt.Errorf("%w: party %d assigned two faults", ErrMalformed, c.Party)
-		}
-		seen[c.Party] = true
-	}
-	for _, z := range b.Byz {
-		if z.Party < 0 || int(z.Party) >= p.N {
-			return fmt.Errorf("%w: byzantine party %d out of range [0,%d)", ErrMalformed, z.Party, p.N)
-		}
-		if seen[z.Party] {
-			return fmt.Errorf("%w: party %d assigned two faults", ErrMalformed, z.Party)
-		}
-		seen[z.Party] = true
-		kind, ok := scenario.Fault(z.Name)
-		if !ok || kind.Behavior == nil {
-			return fmt.Errorf("%w: unknown byzantine behavior %q", ErrMalformed, z.Name)
-		}
+	if err := b.overrides().Check(scen, p.N, p.T); err != nil {
+		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	if len(b.SendSums) != len(b.Delays) {
 		return fmt.Errorf("%w: %d send sums for %d delays", ErrMalformed, len(b.SendSums), len(b.Delays))
@@ -400,6 +355,11 @@ func (b *Bundle) resolveConfig() (scenario.Spec, core.Params, error) {
 	return scen, p, nil
 }
 
+// overrides returns the bundle's explicit fault assignments.
+func (b *Bundle) overrides() harness.Overrides {
+	return harness.Overrides{Crashes: b.Crashes, Byz: b.Byz}
+}
+
 // spec lowers the bundle to an executable harness.Spec. Explicit fault
 // overrides replace the scenario-derived assignments.
 func (b *Bundle) spec() (harness.Spec, error) {
@@ -410,23 +370,12 @@ func (b *Bundle) spec() (harness.Spec, error) {
 	if err != nil {
 		return harness.Spec{}, err
 	}
-	spec, err := harness.SpecFrom(p, b.Inputs, scen, b.Seed)
+	spec, err := harness.Lower(p, b.Inputs, scen, b.Seed, b.overrides())
 	if err != nil {
 		return harness.Spec{}, fmt.Errorf("%w: lower: %v", ErrMalformed, err)
 	}
 	spec.MaxEvents = b.MaxEvents
 	spec.Reliable = b.Reliable
-	if len(b.Crashes) > 0 || len(b.Byz) > 0 {
-		spec.Crashes = append([]sim.CrashPlan(nil), b.Crashes...)
-		spec.Byz = nil
-		if len(b.Byz) > 0 {
-			spec.Byz = make(map[sim.PartyID]fault.Behavior, len(b.Byz))
-			for _, z := range b.Byz {
-				kind, _ := scenario.Fault(z.Name)
-				spec.Byz[z.Party] = kind.Behavior
-			}
-		}
-	}
 	return spec, nil
 }
 

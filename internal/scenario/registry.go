@@ -117,6 +117,19 @@ func Fault(name string) (FaultKind, bool) {
 	return k, ok
 }
 
+// CheckScheduler validates a scheduler token — a registry key with an
+// optional ":<arg>" suffix, e.g. "random" or "sync:5" — without a run
+// shape, so callers that take a bare token can reject it up front.
+func CheckScheduler(token string) error {
+	name, arg, _ := strings.Cut(token, ":")
+	build, ok := schedulers[name]
+	if !ok {
+		return fmt.Errorf("scenario: unknown scheduler %q (have %s)", name, strings.Join(SchedulerNames(), ", "))
+	}
+	_, err := build(1, 0, arg)
+	return err
+}
+
 // SchedulerNames returns every registered scheduler key, sorted.
 func SchedulerNames() []string {
 	out := make([]string, 0, len(schedulers))
@@ -148,12 +161,13 @@ func NetFaultNames() []string {
 }
 
 // SuiteSchedulers lists the standard six-scheduler adversary suite in the
-// canonical experiment-table order (the order sched.Suite has always used).
+// canonical experiment-table order.
 func SuiteSchedulers() []string {
 	return []string{"sync", "random", "skew", "partition", "splitviews", "staggered"}
 }
 
-// ByzSuite lists the standard Byzantine behaviors in fault.Suite order.
+// ByzSuite lists the standard Byzantine behaviors in experiment-table
+// order.
 func ByzSuite() []string {
 	return []string{"silent", "extreme", "equivocate", "spam", "amplifier"}
 }
@@ -213,10 +227,10 @@ func firstT(t int) []sim.PartyID {
 	return out
 }
 
-// The built-in registry mirrors — exactly — the parameterizations the
-// experiment drivers have always used (sched.Suite, fault.Suite(0,1),
-// harness.maxCrashes), so converting a driver to scenarios cannot move a
-// table by a byte. Optional ":<arg>" suffixes expose the one knob each
+// The built-in registry is the one place the adversary's parameters live:
+// the experiment drivers, aa's WithScheduler/WithByzantine, aarun's flags
+// and the fuzzers all name these entries, and TestRegistryDefaults pins
+// the defaults. Optional ":<arg>" suffixes expose the one knob each
 // scheduler has (e.g. "sync:5" is lock-step with delay 5).
 func init() {
 	RegisterScheduler("sync", func(_, _ int, arg string) (sim.Scheduler, error) {
@@ -294,10 +308,9 @@ func init() {
 	RegisterFault("crashinit", FaultKind{Crash: func(n, _, slot int) sim.CrashPlan {
 		return sim.CrashPlan{Party: sim.PartyID(slot), AfterSends: n + slot}
 	}})
-	// The Byzantine kinds mirror fault.Suite — every behavior is
-	// range-relative, reading the run's true promised range through
-	// fault.Env at instantiation (extreme pushes 100 range-widths past the
-	// high end, whatever the range).
+	// Every Byzantine kind is range-relative, reading the run's true
+	// promised range through fault.Env at instantiation (extreme pushes 100
+	// range-widths past the high end, whatever the range).
 	RegisterFault("silent", FaultKind{Behavior: fault.Silent{}})
 	RegisterFault("extreme", FaultKind{Behavior: fault.ExtremeRel{Scale: 100}})
 	RegisterFault("equivocate", FaultKind{Behavior: fault.Equivocate{Stretch: 2}})

@@ -420,8 +420,7 @@ func (s Spec) Resolve() (*Resolved, error) {
 }
 
 // Suite returns the standard six-scheduler adversary sweep at (n, t), each
-// paired with the given fault composition — the scenario form of the old
-// sched.Suite × fault wiring every sweep experiment used.
+// paired with the given fault composition.
 func Suite(n, t int, faultKeys ...string) []Spec {
 	out := make([]Spec, 0, 6)
 	for _, name := range SuiteSchedulers() {

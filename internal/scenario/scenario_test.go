@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -103,33 +104,47 @@ func TestParseErrorNamesToken(t *testing.T) {
 	}
 }
 
-// TestResolveMirrorsLegacySuite pins the registry against the historical
-// wiring: the six-scheduler suite must produce exactly sched.Suite's
-// parameterizations, and the fault kinds exactly fault.Suite(0,1) plus the
-// harness's staggered crash plans.
-func TestResolveMirrorsLegacySuite(t *testing.T) {
+// TestRegistryDefaults pins the registry's default parameters, which every
+// adversary name in the repository resolves to: the six-scheduler suite,
+// the Byzantine behaviors, and the staggered crash schedule. Every suite
+// scheduler must also produce legal delays for arbitrary pairs.
+func TestRegistryDefaults(t *testing.T) {
 	n, tf := 15, 2
-	suite := Suite(n, tf)
-	legacy := sched.Suite(n, tf)
-	if len(suite) != len(legacy) {
-		t.Fatalf("suite size %d, legacy %d", len(suite), len(legacy))
+	half := sim.PartyID(n / 2)
+	wantSched := []sim.Scheduler{
+		sched.NewSynchronous(10),
+		&sched.UniformRandom{Min: 1, Max: 10},
+		sched.NewSkew([]sim.PartyID{0, 1}, 1, 10),
+		&sched.Partition{Boundary: half, Within: 1, Across: 10},
+		&sched.SplitViews{Boundary: half, Fast: 1, Slow: 10},
+		&sched.Staggered{Base: 1, Step: 2},
 	}
+	suite := Suite(n, tf)
+	if len(suite) != len(wantSched) {
+		t.Fatalf("suite size %d, want %d", len(suite), len(wantSched))
+	}
+	rng := rand.New(rand.NewSource(1))
 	for i, spec := range suite {
-		if spec.Sched != legacy[i].Name {
-			t.Fatalf("suite[%d] = %s, legacy %s", i, spec.Sched, legacy[i].Name)
+		if spec.Sched != SuiteSchedulers()[i] {
+			t.Fatalf("suite[%d] = %s, want %s", i, spec.Sched, SuiteSchedulers()[i])
 		}
 		res, err := spec.Resolve()
 		if err != nil {
 			t.Fatalf("resolve %s: %v", spec, err)
 		}
-		if res.Scheduler.Name != legacy[i].Name {
+		if res.Scheduler.Name != spec.Sched {
 			t.Errorf("%s: resolved name %q", spec, res.Scheduler.Name)
 		}
-		if got, want := reflect.TypeOf(res.Scheduler.Scheduler), reflect.TypeOf(legacy[i].Scheduler); got != want {
-			t.Errorf("%s: scheduler type %v, legacy %v", spec, got, want)
+		if !reflect.DeepEqual(res.Scheduler.Scheduler, wantSched[i]) {
+			t.Errorf("%s: scheduler %+v, want %+v", spec, res.Scheduler.Scheduler, wantSched[i])
 		}
-		if !reflect.DeepEqual(res.Scheduler.Scheduler, legacy[i].Scheduler) {
-			t.Errorf("%s: scheduler %+v, legacy %+v", spec, res.Scheduler.Scheduler, legacy[i].Scheduler)
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				env := sim.Envelope{From: sim.PartyID(from), To: sim.PartyID(to)}
+				if d := sim.FateOf(res.Scheduler.Scheduler, &env, rng).Delay; d < 1 || d > sim.MaxDelayCap {
+					t.Fatalf("%s: illegal delay %d", spec.Sched, d)
+				}
+			}
 		}
 	}
 
@@ -144,7 +159,13 @@ func TestResolveMirrorsLegacySuite(t *testing.T) {
 		}
 	}
 
-	legacyByz := fault.Suite(0, 1)
+	wantByz := []fault.Behavior{
+		fault.Silent{},
+		fault.ExtremeRel{Scale: 100},
+		fault.Equivocate{Stretch: 2},
+		fault.Spam{},
+		fault.Amplifier{Push: 1},
+	}
 	for i, name := range ByzSuite() {
 		res, err := Spec{Sched: "splitviews", Faults: []string{name}, N: 10, T: 3}.Resolve()
 		if err != nil {
@@ -153,8 +174,26 @@ func TestResolveMirrorsLegacySuite(t *testing.T) {
 		if len(res.Byz) != 3 || len(res.Crashes) != 0 {
 			t.Fatalf("%s: %d byz, %d crashes", name, len(res.Byz), len(res.Crashes))
 		}
-		if !reflect.DeepEqual(res.Byz[0], legacyByz[i]) {
-			t.Errorf("%s: behavior %+v, legacy %+v", name, res.Byz[0], legacyByz[i])
+		if !reflect.DeepEqual(res.Byz[0], wantByz[i]) {
+			t.Errorf("%s: behavior %+v, want %+v", name, res.Byz[0], wantByz[i])
+		}
+		if res.Byz[0].Name() != name {
+			t.Errorf("%s: behavior names itself %q", name, res.Byz[0].Name())
+		}
+	}
+}
+
+// TestCheckScheduler pins the bare-token check callers run before they
+// know the run shape.
+func TestCheckScheduler(t *testing.T) {
+	for _, tok := range append(SchedulerNames(), "sync:5", "heavytail:1.5", "staggered:3") {
+		if err := CheckScheduler(tok); err != nil {
+			t.Errorf("CheckScheduler(%q): %v", tok, err)
+		}
+	}
+	for _, tok := range []string{"", "warp", "sync:x", "fifo:1", "random+loss:0.1", "splitviews/n=4"} {
+		if err := CheckScheduler(tok); err == nil {
+			t.Errorf("CheckScheduler(%q) accepted", tok)
 		}
 	}
 }

@@ -216,23 +216,3 @@ type Named struct {
 	Name      string
 	Scheduler sim.Scheduler
 }
-
-// Suite returns the standard adversary-scheduler suite used by the
-// experiment harness. n is the number of parties; t the fault bound. The
-// suite always includes synchrony (as the best case) and the split-views
-// attack (as the empirically worst case).
-func Suite(n, t int) []Named {
-	half := sim.PartyID(n / 2)
-	victims := make([]sim.PartyID, 0, t)
-	for i := 0; i < t; i++ {
-		victims = append(victims, sim.PartyID(i))
-	}
-	return []Named{
-		{Name: "sync", Scheduler: NewSynchronous(10)},
-		{Name: "random", Scheduler: &UniformRandom{Min: 1, Max: 10}},
-		{Name: "skew", Scheduler: NewSkew(victims, 1, 10)},
-		{Name: "partition", Scheduler: &Partition{Boundary: half, Within: 1, Across: 10}},
-		{Name: "splitviews", Scheduler: &SplitViews{Boundary: half, Fast: 1, Slow: 10}},
-		{Name: "staggered", Scheduler: &Staggered{Base: 1, Step: 2}},
-	}
-}

@@ -99,35 +99,3 @@ func TestStaggered(t *testing.T) {
 		t.Errorf("party 4 delay = %d", d)
 	}
 }
-
-func TestSuiteShape(t *testing.T) {
-	suite := Suite(10, 3)
-	if len(suite) != 6 {
-		t.Fatalf("suite size %d", len(suite))
-	}
-	names := map[string]bool{}
-	rng := rand.New(rand.NewSource(1))
-	for _, nm := range suite {
-		if nm.Name == "" || nm.Scheduler == nil {
-			t.Fatalf("malformed entry %+v", nm)
-		}
-		if names[nm.Name] {
-			t.Fatalf("duplicate name %q", nm.Name)
-		}
-		names[nm.Name] = true
-		// Every scheduler must produce legal delays for arbitrary pairs.
-		for from := 0; from < 10; from++ {
-			for to := 0; to < 10; to++ {
-				d := delay(nm.Scheduler, sim.PartyID(from), sim.PartyID(to), rng)
-				if d < 1 || d > sim.MaxDelayCap {
-					t.Fatalf("%s: illegal delay %d", nm.Name, d)
-				}
-			}
-		}
-	}
-	for _, want := range []string{"sync", "random", "skew", "partition", "splitviews", "staggered"} {
-		if !names[want] {
-			t.Errorf("suite missing %q", want)
-		}
-	}
-}

@@ -63,23 +63,23 @@ func newNetwork(t *testing.T) *sim.Network {
 // draws, on a fresh Network and on one whose source an earlier random run
 // built: the source must stay unbuilt on the first and unseeded on both.
 func TestSchedSourceUnseededWithoutDraws(t *testing.T) {
-	const n, faults = 7, 3
+	const n = 7
 	fresh, used := newNetwork(t), newNetwork(t)
-	for _, nm := range sched.Suite(n, faults) {
-		if nm.Name == "random" {
+	for _, name := range scenario.SuiteSchedulers() {
+		if name == "random" {
 			continue
 		}
-		runChatter(t, fresh, n, 11, nm.Scheduler)
+		runChatter(t, fresh, n, 11, resolve(t, name, n))
 		if built, seeded := sim.SchedSourceState(fresh); built || seeded {
-			t.Errorf("%s on a fresh network: source built %v, seeded %v; want neither", nm.Name, built, seeded)
+			t.Errorf("%s on a fresh network: source built %v, seeded %v; want neither", name, built, seeded)
 		}
 		runChatter(t, used, n, 11, &sched.UniformRandom{Min: 1, Max: 10})
 		if built, seeded := sim.SchedSourceState(used); !built || !seeded {
 			t.Fatalf("random run left the source built %v, seeded %v", built, seeded)
 		}
-		runChatter(t, used, n, 12, nm.Scheduler)
+		runChatter(t, used, n, 12, resolve(t, name, n))
 		if _, seeded := sim.SchedSourceState(used); seeded {
-			t.Errorf("%s after a random run: source seeded", nm.Name)
+			t.Errorf("%s after a random run: source seeded", name)
 		}
 	}
 }

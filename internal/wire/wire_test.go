@@ -98,14 +98,18 @@ func TestPeek(t *testing.T) {
 	}
 }
 
+// sampleMsgs holds one encoding of each fixed-layout kind, in decoder
+// order; FuzzUnmarshal seeds from it too.
+var sampleMsgs = [][]byte{
+	MarshalInit(Init{Value: 1}),
+	MarshalValue(Value{Round: 1, Value: 1}),
+	MarshalDecided(Decided{Value: 1}),
+	MarshalRBC(RBC{Phase: RBCEcho, Origin: 1, Round: 1, Value: 1}),
+	MarshalReport(Report{Round: 1, Senders: []uint16{1}}),
+}
+
 func TestTruncation(t *testing.T) {
-	msgs := [][]byte{
-		MarshalInit(Init{Value: 1}),
-		MarshalValue(Value{Round: 1, Value: 1}),
-		MarshalDecided(Decided{Value: 1}),
-		MarshalRBC(RBC{Phase: RBCEcho, Origin: 1, Round: 1, Value: 1}),
-		MarshalReport(Report{Round: 1, Senders: []uint16{1}}),
-	}
+	msgs := sampleMsgs
 	decoders := []func([]byte) error{
 		func(b []byte) error { _, err := UnmarshalInit(b); return err },
 		func(b []byte) error { _, err := UnmarshalValue(b); return err },
