@@ -10,7 +10,7 @@ GO ?= go
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= BENCH_8.json
 
-.PHONY: check vet race fuzz-relnet fuzz-parse fuzz-incident fuzz-wire benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
+.PHONY: check vet race fuzz-relnet fuzz-parse fuzz-incident fuzz-wire fuzz-checkpoint benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
 
 # check fails first on any file gofmt would rewrite, listing them.
 check:
@@ -23,10 +23,12 @@ check:
 # race's -run alternatives must each match a test: one that matches nothing
 # passes silently. Check with `go test -list` after renaming a test.
 # TestProductionMatchesReference runs a reference and a production engine
-# concurrently, sharing the run-context pool.
+# concurrently, sharing the run-context pool. internal/serve's wall-clock
+# loop runs each instance attempt in a goroutine of its own.
 race:
 	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestProductionMatchesReference' ./internal/harness/
 	$(GO) test -race ./internal/livenet/
+	$(GO) test -race ./internal/serve/
 
 # fuzz-relnet runs the native fuzz target for relnet's frame parser and
 # link windows (FuzzDeliver: arbitrary frames from arbitrary senders,
@@ -62,6 +64,16 @@ fuzz-incident:
 # internal/wire/testdata/fuzz/FuzzUnmarshal/; commit them with the fix.
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/wire/
+
+# fuzz-checkpoint runs the native fuzz target for snapshot restore
+# (FuzzRestore, seeded with core's snapshot round-trip states, the CRC
+# re-sealed over every fuzzed body): Restore never panics on AsyncAA,
+# SyncAA or WitnessAA, every error wraps checkpoint.ErrMalformed or
+# ErrVersion, and snapshot -> restore -> snapshot reaches a fixed point.
+# Findings land under internal/core/testdata/fuzz/FuzzRestore/; commit
+# them with the fix.
+fuzz-checkpoint:
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 # benchmark-check keeps the frozen benchmark honest on every PR: its own
 # tests (metric selection, seam transparency, golden statistics,

@@ -12,11 +12,13 @@
 //	aaserve -scenario "random+loss:0.05+dup:0.02" -reliable -artifacts ./failures
 //
 // Modes: "virtual" (default) runs the deterministic virtual-time engine —
-// byte-identical across runs, the E15 configuration; "sim" runs wall-clock
-// with simulator-backed instances; "live" runs wall-clock with real
-// goroutine parties over internal/livenet, propagating each request's
-// deadline into the run context, with -loss/-dup/-flap/-restart injecting
-// live faults.
+// byte-identical across runs, the E15 configuration. "sim" and "live" run
+// the same serve loop on the wall clock, -tick per workload tick. "sim"
+// runs each instance on the simulator and holds its worker until the
+// request's drawn service time has passed, with no sleep. "live" runs real
+// goroutine parties over internal/livenet until they decide, propagating
+// each request's deadline into the run context, with
+// -loss/-dup/-flap/-restart injecting live faults.
 //
 // -saturate rescales the workload's base rate to the worker pool's
 // analytic saturation rate before applying -mult, so "-mult 4 -saturate"

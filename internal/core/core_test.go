@@ -211,7 +211,7 @@ func TestNewAsyncAARejects(t *testing.T) {
 }
 
 // feed delivers a VALUE message to the protocol.
-func feed(t *testing.T, a *AsyncAA, from sim.PartyID, round uint32, v float64) {
+func feed(t testing.TB, a *AsyncAA, from sim.PartyID, round uint32, v float64) {
 	t.Helper()
 	a.Deliver(from, wire.MarshalValue(wire.Value{Round: round, Value: v, Horizon: horizonOf(a)}))
 }

@@ -23,7 +23,9 @@ import (
 // round state through the party's free lists, so a warm recovery run
 // allocates nothing. Restore may only be applied to a party configured
 // with the identical shape (the snapshot carries n/t/mode for validation);
-// it never touches the party's API wiring, so it is safe mid-run.
+// it never touches the party's API wiring, so it is safe mid-run. Every
+// error Restore returns, a shape mismatch included, wraps
+// checkpoint.ErrMalformed or checkpoint.ErrVersion (FuzzRestore pins it).
 type Snapshotter interface {
 	Snapshot(buf []byte) ([]byte, error)
 	Restore(data []byte) error
@@ -65,7 +67,7 @@ func readSparseF64(d *checkpoint.Dec, seen []uint64, vals []float64) (int, error
 		for word != 0 {
 			idx := wi<<6 + bits.TrailingZeros64(word)
 			if idx >= len(vals) {
-				return 0, fmt.Errorf("core: snapshot origin %d out of range %d", idx, len(vals))
+				return 0, fmt.Errorf("%w: snapshot origin %d out of range %d", checkpoint.ErrMalformed, idx, len(vals))
 			}
 			vals[idx] = d.F64()
 			cnt++
@@ -131,7 +133,7 @@ func (a *AsyncAA) Restore(data []byte) error {
 	}
 	if int(n) != a.p.N || int(t) != a.p.T || adaptive != a.p.Adaptive {
 		return fmt.Errorf("%w: snapshot shape n=%d t=%d adaptive=%v does not match party n=%d t=%d adaptive=%v",
-			ErrBadParams, n, t, adaptive, a.p.N, a.p.T, a.p.Adaptive)
+			checkpoint.ErrMalformed, n, t, adaptive, a.p.N, a.p.T, a.p.Adaptive)
 	}
 	// Drop the current volatile state exactly as a same-shape Reset does.
 	a.recycle()
@@ -152,7 +154,7 @@ func (a *AsyncAA) Restore(data []byte) error {
 	}
 	nb := d.Uvarint()
 	if nb > maxSnapBuckets {
-		return fmt.Errorf("%w: snapshot declares %d round buckets", ErrBadParams, nb)
+		return fmt.Errorf("%w: snapshot declares %d round buckets", checkpoint.ErrMalformed, nb)
 	}
 	for i := uint64(0); i < nb; i++ {
 		r := uint32(d.Uvarint())
@@ -232,7 +234,7 @@ func (s *SyncAA) Restore(data []byte) error {
 	}
 	if int(n) != s.p.N || int(t) != s.p.T {
 		return fmt.Errorf("%w: snapshot shape n=%d t=%d does not match party n=%d t=%d",
-			ErrBadParams, n, t, s.p.N, s.p.T)
+			checkpoint.ErrMalformed, n, t, s.p.N, s.p.T)
 	}
 	v := d.F64()
 	round := uint32(d.Uvarint())
@@ -242,7 +244,7 @@ func (s *SyncAA) Restore(data []byte) error {
 		return err
 	}
 	if horizon != s.horizon {
-		return fmt.Errorf("%w: snapshot horizon %d, party horizon %d", ErrBadParams, horizon, s.horizon)
+		return fmt.Errorf("%w: snapshot horizon %d, party horizon %d", checkpoint.ErrMalformed, horizon, s.horizon)
 	}
 	for i, b := range s.rounds {
 		if b != nil {
@@ -254,7 +256,7 @@ func (s *SyncAA) Restore(data []byte) error {
 	s.v, s.round, s.decided = v, round, decided
 	count := d.Uvarint()
 	if count > uint64(len(s.rounds)) {
-		return fmt.Errorf("%w: snapshot declares %d round buckets for horizon %d", ErrBadParams, count, horizon)
+		return fmt.Errorf("%w: snapshot declares %d round buckets for horizon %d", checkpoint.ErrMalformed, count, horizon)
 	}
 	for i := uint64(0); i < count; i++ {
 		r := d.Uvarint()
@@ -262,7 +264,7 @@ func (s *SyncAA) Restore(data []byte) error {
 			return d.Err()
 		}
 		if r >= uint64(len(s.rounds)) {
-			return fmt.Errorf("%w: snapshot round %d beyond horizon %d", ErrBadParams, r, horizon)
+			return fmt.Errorf("%w: snapshot round %d beyond horizon %d", checkpoint.ErrMalformed, r, horizon)
 		}
 		var b *roundBucket
 		if k := len(s.freeBuckets); k > 0 {
@@ -360,7 +362,7 @@ func (w *WitnessAA) Restore(data []byte) error {
 	}
 	if int(n) != w.p.N || int(t) != w.p.T {
 		return fmt.Errorf("%w: snapshot shape n=%d t=%d does not match party n=%d t=%d",
-			ErrBadParams, n, t, w.p.N, w.p.T)
+			checkpoint.ErrMalformed, n, t, w.p.N, w.p.T)
 	}
 	v := d.F64()
 	round := uint32(d.Uvarint())
@@ -370,7 +372,7 @@ func (w *WitnessAA) Restore(data []byte) error {
 		return err
 	}
 	if horizon != w.horizon {
-		return fmt.Errorf("%w: snapshot horizon %d, party horizon %d", ErrBadParams, horizon, w.horizon)
+		return fmt.Errorf("%w: snapshot horizon %d, party horizon %d", checkpoint.ErrMalformed, horizon, w.horizon)
 	}
 	for i := range w.rounds {
 		if a := w.rounds[i].arr; a != nil {
@@ -381,7 +383,7 @@ func (w *WitnessAA) Restore(data []byte) error {
 	w.v, w.round, w.decided = v, round, decided
 	count := d.Uvarint()
 	if count > uint64(len(w.rounds)) {
-		return fmt.Errorf("%w: snapshot declares %d witness rounds for horizon %d", ErrBadParams, count, horizon)
+		return fmt.Errorf("%w: snapshot declares %d witness rounds for horizon %d", checkpoint.ErrMalformed, count, horizon)
 	}
 	for i := uint64(0); i < count; i++ {
 		if err := w.restoreRound(&d); err != nil {
@@ -406,7 +408,7 @@ func (w *WitnessAA) restoreRound(d *checkpoint.Dec) error {
 		return d.Err()
 	}
 	if r >= uint64(len(w.rounds)) {
-		return fmt.Errorf("%w: snapshot witness round %d beyond horizon %d", ErrBadParams, r, w.horizon)
+		return fmt.Errorf("%w: snapshot witness round %d beyond horizon %d", checkpoint.ErrMalformed, r, w.horizon)
 	}
 	rr := &w.rounds[r]
 	rr.sentRep = d.Bool()
@@ -435,7 +437,7 @@ func (w *WitnessAA) restoreRound(d *checkpoint.Dec) error {
 		for word != 0 {
 			f := wi<<6 + bits.TrailingZeros64(word)
 			if f >= w.p.N {
-				return fmt.Errorf("%w: pending reporter %d out of range", ErrBadParams, f)
+				return fmt.Errorf("%w: pending reporter %d out of range", checkpoint.ErrMalformed, f)
 			}
 			d.Words(a.pendMask[f*w.words : (f+1)*w.words])
 			word &= word - 1

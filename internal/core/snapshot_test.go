@@ -11,7 +11,7 @@ import (
 )
 
 // snap is a test helper: Snapshot with a fresh buffer, failing on error.
-func snap(t *testing.T, s Snapshotter) []byte {
+func snap(t testing.TB, s Snapshotter) []byte {
 	t.Helper()
 	b, err := s.Snapshot(nil)
 	if err != nil {
@@ -177,7 +177,7 @@ type witBus struct {
 	qFrom []sim.PartyID
 }
 
-func newWitBus(t *testing.T, n, faults int) *witBus {
+func newWitBus(t testing.TB, n, faults int) *witBus {
 	t.Helper()
 	par := Params{Protocol: ProtoWitness, N: n, T: faults, Eps: 0.25, Lo: 0, Hi: 1}
 	b := &witBus{}

@@ -119,12 +119,12 @@ func (b *Broadcaster) RestoreState(d *checkpoint.Dec) error {
 		return err
 	}
 	if int(n) != b.n || int(t) != b.t || uint32(maxRound) != b.maxRound {
-		return fmt.Errorf("rbc: snapshot shape n=%d t=%d max=%d, broadcaster n=%d t=%d max=%d",
-			n, t, maxRound, b.n, b.t, b.maxRound)
+		return fmt.Errorf("%w: rbc snapshot shape n=%d t=%d max=%d, broadcaster n=%d t=%d max=%d",
+			checkpoint.ErrMalformed, n, t, maxRound, b.n, b.t, b.maxRound)
 	}
 	count := d.Uvarint()
 	if count > maxSnapRounds {
-		return fmt.Errorf("rbc: snapshot declares %d rounds", count)
+		return fmt.Errorf("%w: rbc snapshot declares %d rounds", checkpoint.ErrMalformed, count)
 	}
 	for i := uint64(0); i < count; i++ {
 		if err := b.restoreRound(d); err != nil {
@@ -140,7 +140,7 @@ func (b *Broadcaster) restoreRound(d *checkpoint.Dec) error {
 		return err
 	}
 	if r == 0 || (b.maxRound > 0 && uint32(r) > b.maxRound) || r > maxSnapRounds {
-		return fmt.Errorf("rbc: snapshot round %d outside cap %d", r, b.maxRound)
+		return fmt.Errorf("%w: rbc snapshot round %d outside cap %d", checkpoint.ErrMalformed, r, b.maxRound)
 	}
 	rs := b.round(uint32(r))
 	rs.active = d.Int()
@@ -152,7 +152,7 @@ func (b *Broadcaster) restoreRound(d *checkpoint.Dec) error {
 		return err
 	}
 	if rs.active < 0 || rs.active > b.n || rs.complete < 0 || rs.complete > b.n {
-		return fmt.Errorf("rbc: snapshot round %d counters out of range", r)
+		return fmt.Errorf("%w: rbc snapshot round %d counters out of range", checkpoint.ErrMalformed, r)
 	}
 	if !materialized {
 		return nil
@@ -189,14 +189,14 @@ func restoreTally(d *checkpoint.Dec, t *tally, n int) error {
 		return err
 	}
 	if int(nv) > n {
-		return fmt.Errorf("%d distinct vote values for %d parties", nv, n)
+		return fmt.Errorf("%w: %d distinct vote values for %d parties", checkpoint.ErrMalformed, nv, n)
 	}
 	t.votes = t.votes[:0]
 	for i := uint64(0); i < nv; i++ {
 		val := d.F64()
 		count := d.Int()
 		if count < 0 || count > n {
-			return fmt.Errorf("vote count %d out of range", count)
+			return fmt.Errorf("%w: vote count %d out of range", checkpoint.ErrMalformed, count)
 		}
 		t.votes = append(t.votes, vote{val: val, count: int32(count)})
 	}
@@ -211,7 +211,7 @@ func restoreTally(d *checkpoint.Dec, t *tally, n int) error {
 		total += int(v.count)
 	}
 	if seen != total {
-		return fmt.Errorf("tally bitset has %d senders, votes total %d", seen, total)
+		return fmt.Errorf("%w: tally bitset has %d senders, votes total %d", checkpoint.ErrMalformed, seen, total)
 	}
 	return nil
 }

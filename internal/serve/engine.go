@@ -2,7 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -10,7 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Options are the robustness-envelope knobs shared by both engines.
+// Options are the robustness-envelope knobs of the serve loop, the same
+// in virtual and in wall-clock time; every tick-valued knob is in
+// workload ticks.
 type Options struct {
 	// Workers bounds concurrent agreement instances (the worker pool).
 	Workers int
@@ -185,8 +187,11 @@ func (s *Summary) Goodput() float64 {
 	return float64(s.Decided) * 1000 / float64(end)
 }
 
-// LatencyP returns the q-quantile (0 < q <= 1) of decided-request latency
-// in ticks, or 0 when nothing decided.
+// LatencyP returns a percentile of decided-request latency in ticks, or 0
+// when nothing decided. It is the ⌊q·n⌋-th smallest of the n decided
+// latencies (1-based, clamped to [1, n]), with no interpolation, so p50 of
+// an even count is the lower middle value. golden.json pins this rule
+// through the benchmark's serve.Simulate probe.
 func (s *Summary) LatencyP(q float64) int64 {
 	if len(s.decidedLat) == 0 {
 		return 0
@@ -201,16 +206,276 @@ func (s *Summary) LatencyP(q float64) int64 {
 	return s.decidedLat[i]
 }
 
-// runningInst is one instance occupying a worker until its virtual
-// completion tick. The agreement run itself executes synchronously at
-// dispatch (it is a simulation); the request's drawn service time is the
-// virtual duration the worker is held for.
-type runningInst struct {
-	p       *pending
-	done    int64
-	ok      bool
-	partial bool
+// server is the one admit/complete/dispatch loop that Simulate and
+// ServeLive both drive. It owns the envelope, the queue, the running set and
+// every terminal outcome. A single goroutine runs it, so none of that state
+// takes a lock; the clock decides how time advances and where an attempt
+// runs.
+type server struct {
+	cfg Config
+	// scens[i+1] is the composed scenario of requests arriving in
+	// disturbance window i, scens[0] that of every other request.
+	scens   []variant
+	env     *envelope
+	q       reqQueue
+	sum     Summary
+	reqs    []workload.Request
+	next    int       // index of the next arrival
+	free    int       // idle workers
+	running []verdict // reported attempts, each holding a worker until due
+	err     error
 }
+
+// variant is one composed instance scenario, by name and resolved.
+type variant struct {
+	name string
+	spec scenario.Spec
+}
+
+// verdict is one instance attempt's result; its worker stays busy until
+// tick due.
+type verdict struct {
+	p           *pending
+	due         int64
+	ran         bool // an instance started; false when the deadline passed first
+	ok, partial bool
+	msgs        int64
+	err         error
+}
+
+// clock is what the two engines differ in.
+type clock interface {
+	// wait blocks until the next pass and returns its tick: the loop's
+	// next event (-1 when it knows of none) or an attempt reporting
+	// earlier. It returns false once nothing is left to happen.
+	wait(s *server, now, event int64) (int64, bool)
+	// start runs an attempt dispatched at now. Its verdict reaches
+	// s.report, at once or from a later wait.
+	start(s *server, p *pending, now int64)
+}
+
+// newServer validates the configuration and resolves every scenario the
+// workload can demand, so a bad base scenario fails before the first
+// request.
+func newServer(w workload.Spec, cfg Config, opts Options) (*server, error) {
+	cfg = cfg.withDefaults()
+	opts = opts.withDefaults()
+	p := cfg.params()
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: config: %w", err)
+	}
+	s := &server{cfg: cfg, env: newEnvelope(opts, len(w.EffectiveCohorts())), free: opts.Workers}
+	for i := -1; i < len(w.Windows); i++ {
+		var kind workload.WindowKind
+		if i >= 0 {
+			kind = w.Windows[i].Kind
+		}
+		name := composeScenario(cfg, kind, i >= 0)
+		spec, err := scenario.Parse(name)
+		if err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+		s.scens = append(s.scens, variant{name, spec})
+	}
+	return s, nil
+}
+
+// serve runs the loop on clock c until every request has an outcome. Each
+// pass handles, in order, the attempts due by now, the arrivals due by
+// now, and dispatch onto free workers.
+func (s *server) serve(c clock) (*Summary, error) {
+	now := int64(0)
+	for s.err == nil {
+		var more bool
+		if now, more = c.wait(s, now, s.nextEvent(now)); !more {
+			break
+		}
+		for i := 0; i < len(s.running); {
+			if r := s.running[i]; r.due <= now {
+				s.running = slices.Delete(s.running, i, i+1)
+				s.free++
+				s.complete(r, now)
+			} else {
+				i++
+			}
+		}
+		for ; s.next < len(s.reqs) && s.reqs[s.next].Arrival <= now; s.next++ {
+			s.admit(s.reqs[s.next], now)
+		}
+		s.dispatch(c, now)
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	s.sum.Counters = s.env.c
+	slices.Sort(s.sum.decidedLat)
+	if !s.sum.Accounted() {
+		return nil, fmt.Errorf("serve: accounting violated: offered %d != outcomes %d+%d+%d+%d+%d",
+			s.sum.Offered, s.sum.Decided, s.sum.Shed, s.sum.DeadlineExceeded, s.sum.BreakerOpen, s.sum.Degraded)
+	}
+	return &s.sum, nil
+}
+
+// nextEvent is the soonest tick at which a pass has work: an arrival, a
+// running attempt falling due, or a ready queued request meeting a free
+// worker. It is -1 when there is none.
+func (s *server) nextEvent(now int64) int64 {
+	event := int64(-1)
+	if s.next < len(s.reqs) {
+		event = s.reqs[s.next].Arrival
+	}
+	for _, r := range s.running {
+		if event < 0 || r.due < event {
+			event = r.due
+		}
+	}
+	if s.free > 0 {
+		if at := s.q.earliestReady(); at >= 0 {
+			at = max(at, now)
+			if event < 0 || at < event {
+				event = at
+			}
+		}
+	}
+	return event
+}
+
+// report takes in an attempt's verdict. Only attempts that started an
+// instance count towards Instances.
+func (s *server) report(v verdict) {
+	if v.err != nil {
+		if s.err == nil {
+			s.err = v.err
+		}
+		return
+	}
+	if v.ran {
+		s.sum.Instances++
+		s.sum.InstanceMsgs += v.msgs
+	}
+	s.running = append(s.running, v)
+}
+
+// complete records a finished attempt with the cohort breaker, then
+// decides the request or schedules its retry.
+func (s *server) complete(r verdict, now int64) {
+	p := r.p
+	tripped := s.env.onAttempt(p.req.Cohort, r.ok, now)
+	switch {
+	case r.ok && now <= p.absDeadline():
+		s.finish(p, OutcomeDecided, now, false, false)
+	case r.ok:
+		// Decided, but past the deadline: the client is gone.
+		s.finish(p, OutcomeDeadline, now, false, false)
+	default:
+		p.partial = r.partial
+		canRetry := p.attempt < 1+s.env.retry.budget
+		nextStart := now + s.env.retry.backoff(p.attempt)
+		switch {
+		case canRetry && nextStart+p.req.Service <= p.absDeadline():
+			p.notBefore = nextStart
+			s.q.push(p)
+			s.env.c.Retries++
+		case canRetry:
+			// Budget remains but the deadline cuts the retry off.
+			s.finish(p, OutcomeDeadline, now, r.partial, tripped)
+		default:
+			// Budget exhausted with deadline room: serve the last
+			// attempt's partial result.
+			s.finish(p, OutcomeDegraded, now, r.partial, tripped)
+		}
+	}
+}
+
+// admit runs the admission chain for one arrival.
+func (s *server) admit(req workload.Request, now int64) {
+	ad := s.env.admit(now, req, &s.q)
+	if ad.victim != nil {
+		s.finish(ad.victim, OutcomeShed, now, false, false)
+	}
+	if ad.admitted {
+		s.q.push(&pending{req: req})
+	} else {
+		s.finish(&pending{req: req}, ad.outcome, now, false, false)
+	}
+}
+
+// dispatch starts ready requests on free workers. Requests already past
+// their deadline are finished without burning a worker.
+func (s *server) dispatch(c clock, now int64) {
+	for s.free > 0 && s.err == nil {
+		p := s.q.popReady(now)
+		if p == nil {
+			return
+		}
+		if now >= p.absDeadline() {
+			s.finish(p, OutcomeDeadline, now, p.partial, false)
+			continue
+		}
+		p.attempt++
+		p.scenario = s.scens[p.req.Window+1].name
+		p.seed = attemptSeed(s.cfg, p.req, p.attempt)
+		s.free--
+		c.start(s, p, now)
+	}
+}
+
+// finish records p's terminal outcome at tick now.
+func (s *server) finish(p *pending, o Outcome, now int64, partial, tripped bool) {
+	s.env.c.count(o)
+	ro := RequestOutcome{
+		ID: p.req.ID, Cohort: p.req.Cohort, Outcome: o,
+		Arrival: p.req.Arrival, Finish: now,
+		Attempts: p.attempt, Partial: partial, Tripped: tripped,
+	}
+	if p.attempt > 0 {
+		ro.Scenario = p.scenario
+		ro.Seed = p.seed
+	}
+	if o == OutcomeDecided || o == OutcomeDegraded {
+		ro.Latency = now - p.req.Arrival
+	}
+	if o == OutcomeDecided {
+		s.sum.decidedLat = append(s.sum.decidedLat, ro.Latency)
+	}
+	s.sum.Outcomes = append(s.sum.Outcomes, ro)
+	s.sum.End = max(s.sum.End, now)
+}
+
+// simAttempt runs p's instance on the simulator's pooled run contexts. The
+// worker is held for the request's drawn service time, so the attempt is
+// due at now+Service whatever the run took.
+func (s *server) simAttempt(p *pending, now int64) verdict {
+	v := verdict{p: p, due: now + p.req.Service}
+	inputs := harness.UniformInputs(s.cfg.N, s.cfg.Lo, s.cfg.Hi, p.seed)
+	spec, err := harness.SpecFrom(s.cfg.params(), inputs, s.scens[p.req.Window+1].spec, p.seed)
+	if err != nil {
+		v.err = fmt.Errorf("serve: request %d: %w", p.req.ID, err)
+		return v
+	}
+	spec.MaxEvents = s.cfg.MaxEvents
+	spec.Reliable = s.cfg.Reliable
+	rep, err := harness.Run(spec)
+	if err != nil {
+		v.err = fmt.Errorf("serve: request %d: %w", p.req.ID, err)
+		return v
+	}
+	v.ran = true
+	v.msgs = int64(rep.Result.Stats.MessagesSent)
+	v.ok = rep.OK()
+	v.partial = !v.ok && rep.Result != nil && len(rep.Result.Decisions) > 0
+	return v
+}
+
+// virtualClock jumps now straight to the next event and runs each attempt
+// inline: deterministic, single-threaded and byte-identical across runs.
+type virtualClock struct{}
+
+func (virtualClock) wait(_ *server, now, event int64) (int64, bool) {
+	return max(now, event), event >= 0
+}
+
+func (virtualClock) start(s *server, p *pending, now int64) { s.report(s.simAttempt(p, now)) }
 
 // Simulate runs the workload through the serving envelope in virtual time:
 // deterministic, single-threaded, byte-identical across runs for a given
@@ -218,207 +483,11 @@ type runningInst struct {
 // the pooled harness run contexts; scheduling, admission, deadlines,
 // retries, and breakers all advance on the workload's tick clock.
 func Simulate(w workload.Spec, cfg Config, opts Options, horizon int64) (*Summary, error) {
-	cfg = cfg.withDefaults()
-	opts = opts.withDefaults()
-	p := cfg.params()
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: config: %w", err)
+	s, err := newServer(w, cfg, opts)
+	if err != nil {
+		return nil, err
 	}
-	// Pre-resolve every scenario variant the workload can demand, so a bad
-	// base scenario fails before the first request.
-	variants := map[string]scenario.Spec{}
-	for _, s := range scenarioVariants(cfg, w) {
-		scen, err := scenario.Parse(s)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		variants[s] = scen
-	}
-
-	reqs := w.Generate(cfg.Seed, horizon)
-	env := newEnvelope(opts, len(w.EffectiveCohorts()))
-	q := &reqQueue{}
-	sum := &Summary{Horizon: horizon}
-	free := opts.Workers
-	var running []runningInst
-
-	finish := func(p *pending, o Outcome, now int64, partial, tripped bool) {
-		env.c.count(o)
-		ro := RequestOutcome{
-			ID: p.req.ID, Cohort: p.req.Cohort, Outcome: o,
-			Arrival: p.req.Arrival, Finish: now,
-			Attempts: p.attempt, Partial: partial, Tripped: tripped,
-		}
-		if p.attempt > 0 {
-			ro.Scenario = p.scenario
-			ro.Seed = p.seed
-		}
-		if o == OutcomeDecided || o == OutcomeDegraded {
-			ro.Latency = now - p.req.Arrival
-		}
-		if o == OutcomeDecided {
-			sum.decidedLat = append(sum.decidedLat, ro.Latency)
-		}
-		sum.Outcomes = append(sum.Outcomes, ro)
-		if now > sum.End {
-			sum.End = now
-		}
-	}
-
-	now := int64(0)
-	next := 0 // next arrival index
-	for {
-		// Choose the next event tick: arrival, completion, or a ready
-		// queued request meeting a free worker.
-		event := int64(-1)
-		if next < len(reqs) {
-			event = reqs[next].Arrival
-		}
-		for _, r := range running {
-			if event < 0 || r.done < event {
-				event = r.done
-			}
-		}
-		if free > 0 {
-			if er := q.earliestReady(); er >= 0 {
-				at := er
-				if at < now {
-					at = now
-				}
-				if event < 0 || at < event {
-					event = at
-				}
-			}
-		}
-		if event < 0 {
-			break
-		}
-		if event > now {
-			now = event
-		}
-
-		// 1. Completions due now: record verdicts, free workers, schedule
-		// retries.
-		for i := 0; i < len(running); {
-			r := running[i]
-			if r.done > now {
-				i++
-				continue
-			}
-			running = append(running[:i], running[i+1:]...)
-			free++
-			tripped := false
-			if !r.ok {
-				tripped = env.onAttempt(r.p.req.Cohort, false, r.done)
-			} else {
-				env.onAttempt(r.p.req.Cohort, true, r.done)
-			}
-			switch {
-			case r.ok && r.done <= r.p.absDeadline():
-				finish(r.p, OutcomeDecided, r.done, false, false)
-			case r.ok:
-				// Decided, but past the deadline: the client is gone.
-				finish(r.p, OutcomeDeadline, r.done, false, false)
-			default:
-				r.p.failed = true
-				r.p.partial = r.partial
-				canRetry := r.p.attempt < 1+env.retry.budget
-				nextStart := r.done + env.retry.backoff(r.p.attempt)
-				fits := nextStart+r.p.req.Service <= r.p.absDeadline()
-				switch {
-				case canRetry && fits:
-					r.p.notBefore = nextStart
-					q.push(r.p)
-					env.c.Retries++
-				case canRetry:
-					// Budget remains but the deadline cuts the retry off.
-					finish(r.p, OutcomeDeadline, r.done, r.partial, tripped)
-				default:
-					// Budget exhausted with deadline room: serve the last
-					// attempt's partial result.
-					finish(r.p, OutcomeDegraded, r.done, r.partial, tripped)
-				}
-			}
-		}
-
-		// 2. Arrivals due now: run the admission chain.
-		for next < len(reqs) && reqs[next].Arrival <= now {
-			req := reqs[next]
-			next++
-			ad := env.admit(req.Arrival, req, q)
-			if ad.victim != nil {
-				finish(ad.victim, OutcomeShed, req.Arrival, false, false)
-			}
-			if !ad.admitted {
-				finish(&pending{req: req}, ad.outcome, req.Arrival, false, false)
-				continue
-			}
-			q.push(&pending{req: req})
-		}
-
-		// 3. Dispatch ready requests onto free workers. Requests already
-		// past their deadline are finished without burning a worker.
-		for free > 0 {
-			p := q.popReady(now)
-			if p == nil {
-				break
-			}
-			if now >= p.absDeadline() {
-				finish(p, OutcomeDeadline, now, p.partial, false)
-				continue
-			}
-			p.attempt++
-			p.scenario = composeScenario(cfg, windowKind(w, p.req), p.req.Window >= 0)
-			p.seed = attemptSeed(cfg, p.req, p.attempt)
-			scen := variants[p.scenario]
-			inputs := harness.UniformInputs(cfg.N, cfg.Lo, cfg.Hi, p.seed)
-			spec, err := harness.SpecFrom(cfg.params(), inputs, scen, p.seed)
-			if err != nil {
-				return nil, fmt.Errorf("serve: request %d: %w", p.req.ID, err)
-			}
-			spec.MaxEvents = cfg.MaxEvents
-			spec.Reliable = cfg.Reliable
-			rep, err := harness.Run(spec)
-			if err != nil {
-				return nil, fmt.Errorf("serve: request %d: %w", p.req.ID, err)
-			}
-			sum.Instances++
-			sum.InstanceMsgs += int64(rep.Result.Stats.MessagesSent)
-			ok := rep.OK()
-			partial := !ok && rep.Result != nil && len(rep.Result.Decisions) > 0
-			free--
-			running = append(running, runningInst{p: p, done: now + p.req.Service, ok: ok, partial: partial})
-		}
-	}
-
-	sum.Counters = env.c
-	sort.Slice(sum.decidedLat, func(i, j int) bool { return sum.decidedLat[i] < sum.decidedLat[j] })
-	if !sum.Counters.Accounted() {
-		return nil, fmt.Errorf("serve: accounting violated: offered %d != outcomes %d+%d+%d+%d+%d",
-			sum.Offered, sum.Decided, sum.Shed, sum.DeadlineExceeded, sum.BreakerOpen, sum.Degraded)
-	}
-	return sum, nil
-}
-
-// windowKind maps a request's window tag back to its kind.
-func windowKind(w workload.Spec, req workload.Request) workload.WindowKind {
-	if req.Window < 0 || req.Window >= len(w.Windows) {
-		return 0
-	}
-	return w.Windows[req.Window].Kind
-}
-
-// scenarioVariants enumerates every composed scenario string the workload
-// can produce against this config.
-func scenarioVariants(cfg Config, w workload.Spec) []string {
-	out := []string{composeScenario(cfg, 0, false)}
-	seen := map[string]bool{out[0]: true}
-	for _, win := range w.Windows {
-		s := composeScenario(cfg, win.Kind, true)
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
+	s.reqs = w.Generate(s.cfg.Seed, horizon)
+	s.sum.Horizon = horizon
+	return s.serve(virtualClock{})
 }

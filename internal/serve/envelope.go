@@ -7,9 +7,9 @@
 //	Offered == Decided + Shed + DeadlineExceeded + BreakerOpen + Degraded
 //
 // holds by construction: no request is ever silently dropped. The guards
-// are pure state machines over a virtual "now" in ticks, which is what
-// lets the deterministic virtual-time engine (engine.go) and the
-// wall-clock engine (live.go) share them bit-for-bit.
+// are pure state machines over a "now" in ticks, which is what lets the
+// one serve loop (engine.go) drive them on the virtual clock and on the
+// wall clock (live.go) alike.
 package serve
 
 import (
@@ -242,7 +242,6 @@ type pending struct {
 	notBefore int64  // backoff gate; 0 = ready
 	seed      int64  // last attempt's instance seed
 	partial   bool   // last failed attempt still decided some parties
-	failed    bool   // at least one attempt ran and failed
 }
 
 func (p *pending) absDeadline() int64 { return p.req.Arrival + p.req.Deadline }
@@ -313,7 +312,7 @@ func (q *reqQueue) evictLowest(below int) *pending {
 	return q.remove(victim)
 }
 
-// envelope binds the guards and counters; both engines drive one.
+// envelope binds the guards and counters; the serve loop drives one.
 type envelope struct {
 	opts     Options
 	bucket   tokenBucket

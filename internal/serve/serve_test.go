@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -340,6 +341,59 @@ func TestServeLiveSimBackend(t *testing.T) {
 	}
 	if sum.Decided == 0 {
 		t.Fatalf("nothing decided: %+v", sum.Counters)
+	}
+}
+
+// TestServeLiveRetriesNoLeak runs the wall-clock loop through an outage
+// window that fails every attempt, so retries, degraded answers and the
+// breaker all engage, and checks the accounting identity and that every
+// attempt goroutine is gone once ServeLive returns.
+func TestServeLiveRetriesNoLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w := workload.MustParse("poisson:30+lognormal:3:0.3+cohort:web:1:600:1+outagewin:0:100000")
+	cfg := testConfig()
+	cfg.N, cfg.T = 10, 3
+	sum, err := ServeLive(w, cfg, Options{
+		Workers: 4, QueueDepth: 16, RetryBudget: 2, RetryBase: 16,
+		BreakerThreshold: 3, BreakerCooldown: 200,
+	}, LiveConfig{Backend: BackendSim, TickDur: 200 * time.Microsecond, Requests: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Offered != 24 || !sum.Accounted() {
+		t.Fatalf("live accounting identity broken: %+v", sum.Counters)
+	}
+	if sum.Retries == 0 || sum.BreakerTrips == 0 {
+		t.Fatalf("an all-outage run neither retried nor tripped: %+v", sum.Counters)
+	}
+	// An attempt goroutine that has reported may still be on its way out.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after ServeLive, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLiveAttemptPastDeadlineNotCounted checks that a live attempt whose
+// deadline passed before it started runs no instance and leaves
+// Instances, and so MsgsPerInstance, alone.
+func TestLiveAttemptPastDeadlineNotCounted(t *testing.T) {
+	w := workload.MustParse("poisson:30+lognormal:3:0.3+cohort:web:1:300:1")
+	s, err := newServer(w, testConfig(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &wallClock{lc: LiveConfig{Backend: BackendLive, TickDur: time.Millisecond},
+		begin: time.Now().Add(-time.Second)}
+	p := &pending{req: workload.Request{Arrival: 0, Deadline: 300, Service: 20}, attempt: 1}
+	v := c.liveAttempt(s, p)
+	if v.ran || v.ok || v.err != nil {
+		t.Fatalf("attempt past its deadline: %+v", v)
+	}
+	s.report(v)
+	if s.sum.Instances != 0 || s.sum.InstanceMsgs != 0 {
+		t.Fatalf("attempt that never ran counted: %d instances, %d msgs", s.sum.Instances, s.sum.InstanceMsgs)
 	}
 }
 
