@@ -4,13 +4,14 @@
 # previous one; `make race` exercises the parallel experiment engine and
 # the goroutine runtime under the race detector;
 # `make benchmark-check` compiles and smoke-runs the repository benchmark
-# (benchmark/, a module of its own that `make check` does not see).
+# (benchmark/, a module of its own that `make check` does not see), and
+# `make pairs` runs it in alternating pairs against a parent commit.
 
 GO ?= go
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= BENCH_8.json
 
-.PHONY: check vet race fuzz-relnet fuzz-parse fuzz-incident fuzz-wire fuzz-checkpoint benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
+.PHONY: pairs check vet race fuzz-relnet fuzz-parse fuzz-incident fuzz-wire fuzz-checkpoint benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
 
 # check fails first on any file gofmt would rewrite, listing them.
 check:
@@ -85,6 +86,25 @@ benchmark-check:
 	cd benchmark && $(GO) test .
 	bash benchmark/run.sh -workload sim-scale,sim-witness,sim-lossy,sweep-small -seed 1 -reps 1 -seconds 1 -notrace
 	bash benchmark/run.sh -workload live,serve -reps 1 -seconds 2 -notrace
+
+# pairs runs the repository benchmark on PARENT and on the working tree in
+# PAIRS alternating pairs (odd pairs run the parent first, each pair has a
+# seed of its own), SECONDS per run, on the comma-separated WORKLOADS. It
+# appends one JSON line per run to OUT and prints, per workload and
+# end-to-end metric, the median per-pair ratio (working tree / parent) and
+# the pairs in which the working tree read lower. The parent is exported
+# with git archive and built under .bench_build/. Needs jq. Example:
+#   make pairs PARENT=HEAD~1 WORKLOADS=sim-scale,sim-lossy OUT=BENCH_36_pairs.jsonl
+PARENT ?=
+WORKLOADS ?= sim-scale,sim-witness,sim-lossy,sweep-small,live,serve
+PAIRS ?= 10
+SECONDS ?= 10
+SEED ?= 1
+ROUND ?= main
+OUT ?= BENCH_pairs.jsonl
+pairs:
+	PARENT='$(PARENT)' WORKLOADS='$(WORKLOADS)' PAIRS='$(PAIRS)' RUN_SECONDS='$(SECONDS)' \
+		SEED='$(SEED)' ROUND='$(ROUND)' OUT='$(OUT)' bash scripts/pairs.sh
 
 # bench regenerates the committed benchmark snapshot. Seeds are kept small
 # so the refresh stays in the tens of seconds; the snapshot records the

@@ -97,9 +97,20 @@ func E12XL(e *Engine) (*trace.Table, error) {
 // two schedulers — because at these sizes each row is minutes of sequential
 // work; breadth lives in E12LargeN, this sweep measures scale.
 func E12XLSizes(e *Engine, sizes []int) (*trace.Table, error) {
-	tbl := trace.NewTable("E12-XL: large-n scaling slice (crash-aa at (n-1)/2, eps=1e-3, bimodal inputs over [0,1])",
-		"scenario", "protocol", "virt-rounds", "msgs", "deliveries", "final-spread", "ok")
+	rows, specs, err := e12XLSpecs(sizes)
+	if err != nil {
+		return nil, err
+	}
+	reps, err := e.RunAllLabeled(specs, func(i int) string { return "E12-XL " + rows[i].String() })
+	if err != nil {
+		return nil, err
+	}
+	return e12XLTable(rows, reps), nil
+}
 
+// e12XLSpecs returns E12-XL's scenario rows at the given sizes and the run
+// spec of each.
+func e12XLSpecs(sizes []int) ([]scenario.Spec, []Spec, error) {
 	crashT := func(n int) int { return (n - 1) / 2 }
 	scale := scenario.Cross([]string{"random", "splitviews"}, [][]string{nil, {"crash"}}, sizes, crashT)
 
@@ -109,7 +120,7 @@ func E12XLSizes(e *Engine, sizes []int) (*trace.Table, error) {
 		p := core.Params{Protocol: core.ProtoCrash, N: scen.N, T: scen.T, Eps: 1e-3, Lo: 0, Hi: 1}
 		spec, err := SpecFrom(p, BimodalInputs(scen.N, 0, 1), scen, 17)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// ~170M messages for one fault-free n=4096 run; the budget scales
 		// with the largest size requested.
@@ -117,11 +128,13 @@ func E12XLSizes(e *Engine, sizes []int) (*trace.Table, error) {
 		rows = append(rows, scen)
 		specs = append(specs, spec)
 	}
+	return rows, specs, nil
+}
 
-	reps, err := e.RunAllLabeled(specs, func(i int) string { return "E12-XL " + rows[i].String() })
-	if err != nil {
-		return nil, err
-	}
+// e12XLTable renders E12-XL's rows from their reports.
+func e12XLTable(rows []scenario.Spec, reps []*Report) *trace.Table {
+	tbl := trace.NewTable("E12-XL: large-n scaling slice (crash-aa at (n-1)/2, eps=1e-3, bimodal inputs over [0,1])",
+		"scenario", "protocol", "virt-rounds", "msgs", "deliveries", "final-spread", "ok")
 	for i, scen := range rows {
 		rep := reps[i]
 		tbl.AddRow(scen.String(), core.ProtoCrash.String(),
@@ -129,5 +142,5 @@ func E12XLSizes(e *Engine, sizes []int) (*trace.Table, error) {
 			trace.I(rep.Result.Stats.MessagesDelivered), trace.F(rep.FinalSpread),
 			trace.B(rep.OK()))
 	}
-	return tbl, nil
+	return tbl
 }

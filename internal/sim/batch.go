@@ -68,7 +68,7 @@ type BatchProcess interface {
 type Batch struct {
 	net    *Network
 	ps     *partyState
-	events []event
+	events []tickEntry
 	idxs   []int32
 	pos    int
 }
@@ -102,7 +102,8 @@ func (b *Batch) Next() (from PartyID, data []byte, ok bool) {
 		}
 		n.stats.MessagesDelivered++
 		n.delivTrig = append(n.delivTrig, i)
-		return PartyID(ev.from), n.arena.bytes(ev.ref, ev.n), true
+		from, data := n.arena.message(ev.ref)
+		return from, data, true
 	}
 	return 0, nil, false
 }
@@ -122,8 +123,9 @@ func (b *Batch) drain() {
 // recorded during batched tick processing and scheduled by flushPending in
 // trigger order. A multicast coalesces into a single op (mcastTo > 0: the
 // truncation-adjusted recipient count) so the pending volume scales with
-// protocol actions, not fan-out. Like event, it holds no pointers: ref and
-// n are a send's payload handle and length, or a timer's tag and -1.
+// protocol actions, not fan-out. Like tickEntry, it holds no pointers: ref
+// and n are a send's arena handle and payload length, or a timer's tag and
+// -1.
 type pendingOp struct {
 	ref     uint64
 	delay   Time
@@ -141,17 +143,17 @@ type pendingOp struct {
 // are equivalent per tick, so the choice is free per tick.
 const batchTickMin = 16
 
-// runTickBatched processes one dense tick: it stages the events by
+// runTickBatched processes one dense tick: it stages the entries by
 // destination, hands each party its group with sends, timers, and observer
 // callbacks deferred, then flushes the deferred ops and replays the
-// observer in trigger order, cut at the completing event if the run ends
+// observer in trigger order, cut at the completing entry if the run ends
 // mid-tick.
-func (n *Network) runTickBatched(batch []event) {
+func (n *Network) runTickBatched(batch []tickEntry) {
 	// Staging stores indices into the tick slice (not copies); batch is
 	// stable until the next PopTick. Parties are drained in first-
 	// appearance order.
 	for i := range batch {
-		to := batch[i].to
+		to := batch[i].party()
 		if len(n.stage[to]) == 0 {
 			n.touched = append(n.touched, int32(to))
 		}
@@ -191,7 +193,7 @@ func (n *Network) runTickBatched(batch []event) {
 // than each intermediate state; consumers rely only on tick-boundary state,
 // which is identical across modes (no party can observe another party's
 // same-tick processing).
-func (n *Network) fireObservers(batch []event, maxTrig int32) {
+func (n *Network) fireObservers(batch []tickEntry, maxTrig int32) {
 	if n.observer == nil || len(n.delivTrig) == 0 {
 		return
 	}
@@ -204,17 +206,16 @@ func (n *Network) fireObservers(batch []event, maxTrig int32) {
 	}
 }
 
-// envOf builds the public Envelope of a message event for the observer.
-func (n *Network) envOf(ev *event) Envelope {
-	return Envelope{
-		From: PartyID(ev.from), To: PartyID(ev.to),
-		Data: n.arena.bytes(ev.ref, ev.n), Sent: ev.sent, Seq: ev.seq,
-	}
+// envOf builds the public Envelope of a message copy for the observer:
+// Seq and Sent come from the send header the copy shares.
+func (n *Network) envOf(ev *tickEntry) Envelope {
+	seq0, sent, from, data := n.arena.header(ev.ref)
+	return Envelope{From: from, To: PartyID(ev.to), Data: data, Sent: sent, Seq: seq0 + uint64(ev.to)}
 }
 
 // deliverPartyBatch hands a party its staged tick, through DeliverBatch
 // when the process opts in and through the per-envelope shim otherwise.
-func (n *Network) deliverPartyBatch(ps *partyState, events []event) {
+func (n *Network) deliverPartyBatch(ps *partyState, events []tickEntry) {
 	idxs := n.stage[ps.id]
 	if bp, ok := ps.proc.(BatchProcess); ok {
 		b := &n.bat
@@ -231,7 +232,7 @@ func (n *Network) deliverPartyBatch(ps *partyState, events []event) {
 
 // deliverEvent is one per-envelope delivery step (shim and drain path).
 // Observer callbacks are deferred to the tick-end replay (fireObservers).
-func (n *Network) deliverEvent(ps *partyState, ev *event, trig int32) {
+func (n *Network) deliverEvent(ps *partyState, ev *tickEntry, trig int32) {
 	if n.crashed[ps.id] {
 		return
 	}
@@ -244,7 +245,7 @@ func (n *Network) deliverEvent(ps *partyState, ev *event, trig int32) {
 	}
 	n.stats.MessagesDelivered++
 	n.delivTrig = append(n.delivTrig, trig)
-	ps.proc.Deliver(PartyID(ev.from), n.arena.bytes(ev.ref, ev.n))
+	ps.proc.Deliver(n.arena.message(ev.ref))
 }
 
 // runTickUnbatched processes one tick with the reference semantics: Seq
@@ -252,7 +253,7 @@ func (n *Network) deliverEvent(ps *partyState, ev *event, trig int32) {
 // termination checks. Every tick of the reference configuration runs here,
 // and so do production's sparse ticks and the (at most one) tick in which
 // the event budget can trip.
-func (n *Network) runTickUnbatched(batch []event, events *int, budget int) error {
+func (n *Network) runTickUnbatched(batch []tickEntry, events *int, budget int) error {
 	for bi := range batch {
 		if n.pendingHonest == 0 {
 			return nil
@@ -262,10 +263,11 @@ func (n *Network) runTickUnbatched(batch []event, events *int, budget int) error
 		}
 		*events++
 		ev := &batch[bi]
-		if n.crashed[ev.to] {
+		to := ev.party()
+		if n.crashed[to] {
 			continue
 		}
-		dst := n.parties[ev.to]
+		dst := n.parties[to]
 		if ev.timer() {
 			if th, ok := dst.proc.(TimerHandler); ok {
 				th.OnTimer(ev.ref)
@@ -273,7 +275,7 @@ func (n *Network) runTickUnbatched(batch []event, events *int, budget int) error
 			continue
 		}
 		n.stats.MessagesDelivered++
-		dst.proc.Deliver(PartyID(ev.from), n.arena.bytes(ev.ref, ev.n))
+		dst.proc.Deliver(n.arena.message(ev.ref))
 		if n.observer != nil {
 			n.observer(n.now, n.envOf(ev))
 		}
@@ -317,13 +319,13 @@ func (n *Network) flushPending(maxTrig int32) {
 			n.scheduleTimer(op.from, op.delay, op.ref)
 			continue
 		}
-		data := n.arena.bytes(op.ref, op.n)
+		data := n.arena.payload(op.ref, op.n)
 		if op.mcastTo > 0 {
 			for to := PartyID(0); to < PartyID(op.mcastTo); to++ {
-				n.scheduleSend(op.from, to, data, op.ref)
+				n.scheduleSend(op.from, to, data, op.ref, to == 0)
 			}
 		} else {
-			n.scheduleSend(op.from, op.to, data, op.ref)
+			n.scheduleSend(op.from, op.to, data, op.ref, true)
 		}
 	}
 	n.pend = n.pend[:0]
@@ -366,22 +368,32 @@ func (n *Network) sortPend() {
 	n.pend, n.pendSorted, n.pendCount = out, n.pend[:0], count
 }
 
-// scheduleTimer assigns the next Seq and queues a timer expiry on party p.
+// scheduleTimer assigns the next Seq and queues a timer expiry on party p:
+// the tag rides in the entry itself, with no arena header.
 func (n *Network) scheduleTimer(p PartyID, delay Time, tag uint64) {
 	n.seq++
-	n.queue.Push(event{at: n.now + delay, seq: n.seq, ref: tag, from: int32(p), to: int32(p), n: -1})
+	n.queue.Push(n.now+delay, n.seq, tickEntry{ref: tag, to: ^int32(p)})
 }
 
 // scheduleSend assigns the next Seq, draws the scheduler's fate, and
 // queues the send — the single tail of both the unbatched send path and
 // the batched flush, so the Seq/rng streams and any lossy-network fates
 // are identical across delivery modes. data is the arena payload of handle
-// ref; the scheduler sees it through the scratch envelope, the queued
-// event holds only the handle. The fate can drop the send (no event
-// queued) or duplicate it (a second event at Delay+DupExtra sharing the
-// envelope).
-func (n *Network) scheduleSend(from, to PartyID, data []byte, ref uint64) {
+// ref; the scheduler sees it through the scratch envelope. A queued copy
+// holds only the handle and the recipient: the rest of the envelope is in
+// the send header, which the first copy of a send writes (first: every
+// unicast, and a multicast's copy to party 0). A multicast's later copies
+// share it, since Seq rises by one per recipient and seq0 = Seq - to stays
+// constant; a multicast always starts at party 0 and crash truncation
+// only cuts its tail. The header is written before the fate is drawn, so
+// a dropped first copy still leaves it for the rest. The fate can drop
+// the send (nothing queued) or duplicate it (a second copy at
+// Delay+DupExtra sharing the header).
+func (n *Network) scheduleSend(from, to PartyID, data []byte, ref uint64, first bool) {
 	n.seq++
+	if first {
+		n.arena.setHeader(ref, n.seq-uint64(to), n.now, from, len(data))
+	}
 	// Field by field: a whole-struct store of a pointer-holding Envelope
 	// compiles to a typedmemmove with a bulk write barrier.
 	env := &n.env
@@ -396,15 +408,14 @@ func (n *Network) scheduleSend(from, to PartyID, data []byte, ref uint64) {
 	if !n.faulty[from] && !n.faulty[to] && f.Delay > n.maxHonestDelay {
 		n.maxHonestDelay = f.Delay
 	}
-	ev := event{at: n.now + f.Delay, seq: n.seq, sent: n.now, ref: ref, from: int32(from), to: int32(to), n: int32(len(data))}
-	n.queue.Push(ev)
+	e := tickEntry{ref: ref, to: int32(to)}
+	n.queue.Push(n.now+f.Delay, n.seq, e)
 	if f.DupExtra > 0 {
-		// The duplicate shares the envelope (Seq and payload handle): arena
-		// payload blocks are recycled only at Reset, so the bytes stay
-		// valid for the later delivery. The extra lag is not an honest
-		// delay — the primary copy already bounds eventual delivery.
+		// The duplicate shares the header (Seq and payload): arena blocks
+		// are recycled only at Reset, so the bytes stay valid for the later
+		// delivery. The extra lag is not an honest delay — the primary copy
+		// already bounds eventual delivery.
 		n.stats.MessagesDuped++
-		ev.at += f.DupExtra
-		n.queue.Push(ev)
+		n.queue.Push(n.now+f.Delay+f.DupExtra, n.seq, e)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -55,12 +56,23 @@ func (p *chattyProc) OnTimer(tag uint64) {
 	}
 }
 
-// batchRecord is one observed delivery.
+// batchRecord is one observed delivery. Seq and Sent are derived from the
+// send header a copy shares with the rest of its multicast and with its
+// duplicates, so the record carries both, and a hash of the payload.
 type batchRecord struct {
 	Now      Time
 	From, To PartyID
 	Seq      uint64
+	Sent     Time
 	Len      int
+	Hash     uint64
+}
+
+// recordOf builds the batchRecord of an observed delivery.
+func recordOf(now Time, env Envelope) batchRecord {
+	h := fnv.New64a()
+	h.Write(env.Data)
+	return batchRecord{Now: now, From: env.From, To: env.To, Seq: env.Seq, Sent: env.Sent, Len: len(env.Data), Hash: h.Sum64()}
 }
 
 // runBatchTrace executes a chatty mesh under the given scheduler, in the
@@ -78,7 +90,7 @@ func runBatchTrace(t *testing.T, sched Scheduler, reference bool, mut func(*Conf
 	}
 	var trace []batchRecord
 	net.SetObserver(func(now Time, env Envelope) {
-		trace = append(trace, batchRecord{Now: now, From: env.From, To: env.To, Seq: env.Seq, Len: len(env.Data)})
+		trace = append(trace, recordOf(now, env))
 	})
 	for i := 0; i < cfg.N; i++ {
 		if _, isByz := cfg.Byzantine[PartyID(i)]; isByz {
@@ -129,12 +141,15 @@ func requireSameRun(t *testing.T, label string,
 // TestBatchModeTraceEquivalence asserts event-for-event identical delivery
 // traces, stats, and decisions between production and the reference
 // across a scheduler matrix that includes shared-rng draws (UniformRandom-
-// style) and crash plans that truncate multicasts mid-tick.
+// style), drops and duplicates (whose copies share a send header with the
+// rest of their multicast), and crash plans that truncate multicasts
+// mid-tick.
 func TestBatchModeTraceEquivalence(t *testing.T) {
 	scheds := map[string]func() Scheduler{
 		"const":  func() Scheduler { return constDelay{d: 5} },
 		"random": func() Scheduler { return rngSched{max: 9} },
 		"skewed": func() Scheduler { return fromSched{} },
+		"lossy":  func() Scheduler { return lossySched{} },
 	}
 	muts := map[string]func(*Config){
 		"fault-free": nil,
@@ -153,17 +168,14 @@ func TestBatchModeTraceEquivalence(t *testing.T) {
 	}
 }
 
-// The Shard* tests below keep the names they had when a dense tick was
-// split across shard workers. What each worker held — its deferred-op
-// list, delivery triggers, stats deltas, completion trigger, payload arena
-// and Batch iterator — is now plain Network state driven by one tick body,
-// and these tests pin that body against the reference configuration at
-// the shapes the shard matrix used: N=12 meshes, N=64 dense ticks, budget
-// aborts, same-tick completion, and recycled networks.
+// The tests below pin the batched tick body against the reference
+// configuration at the shapes the withdrawn shard matrix used: N=12
+// meshes, N=64 dense ticks, budget aborts, same-tick completion, and
+// recycled networks.
 
-// TestShardTraceEquivalence runs the scheduler × crash matrix at N=12 and
+// TestBatchTraceEquivalence runs the scheduler × crash matrix at N=12 and
 // compares production, event for event, against the reference.
-func TestShardTraceEquivalence(t *testing.T) {
+func TestBatchTraceEquivalence(t *testing.T) {
 	scheds := map[string]func() Scheduler{
 		"const":  func() Scheduler { return constDelay{d: 5} },
 		"random": func() Scheduler { return rngSched{max: 9} },
@@ -192,12 +204,12 @@ func TestShardTraceEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardTraceEquivalenceParallel runs a mesh large enough that dense
+// TestBatchTraceEquivalenceParallel runs a mesh large enough that dense
 // ticks hold thousands of events from dozens of receiving parties (N=64
 // multicast storms are 4096-event ticks), so the tick-end trigger sort
 // reorders long interleaved per-party op runs, with crash plans truncating
 // multicasts inside them.
-func TestShardTraceEquivalenceParallel(t *testing.T) {
+func TestBatchTraceEquivalenceParallel(t *testing.T) {
 	for _, mk := range []struct {
 		name  string
 		sched func() Scheduler
@@ -217,11 +229,11 @@ func TestShardTraceEquivalenceParallel(t *testing.T) {
 	}
 }
 
-// TestShardBudgetEquivalence pins the event-budget abort at N=12, where the
+// TestBatchBudgetEquivalence pins the event-budget abort at N=12, where the
 // budget-tripping tick is dense: production hands that tick to the
 // per-envelope body, so the aborted prefix, partial stats, and decisions
 // must match the reference run exactly.
-func TestShardBudgetEquivalence(t *testing.T) {
+func TestBatchBudgetEquivalence(t *testing.T) {
 	for _, budget := range []int{7, 23, 50, 400} {
 		mut := func(cfg *Config) {
 			cfg.N = 12
@@ -236,11 +248,11 @@ func TestShardBudgetEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardMidTickCompletion pins the completion repair across mesh sizes:
+// TestBatchMidTickCompletion pins the completion repair across mesh sizes:
 // under a constant-delay scheduler every party decides in the same dense
 // tick, and the completion trigger must cut the flush at the event where
 // the per-envelope loop stops, leaving identical traces and stats.
-func TestShardMidTickCompletion(t *testing.T) {
+func TestBatchMidTickCompletion(t *testing.T) {
 	for _, n := range []int{8, 12, 16} {
 		mut := func(cfg *Config) {
 			cfg.N = n
@@ -260,14 +272,14 @@ func TestShardMidTickCompletion(t *testing.T) {
 	}
 }
 
-// TestShardRecycledNetworkEquivalence pins Reset's recycling of the batched
+// TestBatchRecycledNetworkEquivalence pins Reset's recycling of the batched
 // tick scratch: a network that just finished a dense batched run (under a
 // different shape, scheduler, and crash plan) and is Reset must reproduce a
 // fresh network's run exactly — pend list, staging, delivery triggers, and
 // payload arena all rewound. The recycled runs alternate between
 // production and the reference, so Reset also swaps the event queue both
 // ways.
-func TestShardRecycledNetworkEquivalence(t *testing.T) {
+func TestBatchRecycledNetworkEquivalence(t *testing.T) {
 	net, err := New(Config{N: 16, Scheduler: rngSched{max: 4}, Seed: 5,
 		Crashes: []CrashPlan{{Party: 2, AfterSends: 30}}})
 	if err != nil {
@@ -289,7 +301,7 @@ func TestShardRecycledNetworkEquivalence(t *testing.T) {
 		}
 		var trace []batchRecord
 		net.SetObserver(func(now Time, env Envelope) {
-			trace = append(trace, batchRecord{Now: now, From: env.From, To: env.To, Seq: env.Seq, Len: len(env.Data)})
+			trace = append(trace, recordOf(now, env))
 		})
 		for i := 0; i < cfg.N; i++ {
 			if err := net.SetProcess(PartyID(i), &chattyProc{need: 40}); err != nil {
@@ -308,6 +320,22 @@ type rngSched struct{ max int64 }
 
 func (s rngSched) Fate(_ *Envelope, rng *rand.Rand) Fate {
 	return Fate{Delay: 1 + Time(rng.Int63n(s.max))}
+}
+
+// lossySched draws delays from the shared rng, drops every seventh send and
+// duplicates every fifth one three ticks after its primary copy, in the
+// manner of dupToOne but on every recipient.
+type lossySched struct{}
+
+func (lossySched) Fate(env *Envelope, rng *rand.Rand) Fate {
+	f := Fate{Delay: 1 + Time(rng.Int63n(4))}
+	switch {
+	case env.Seq%7 == 0:
+		f.Drop = true
+	case env.Seq%5 == 0:
+		f.DupExtra = 3
+	}
+	return f
 }
 
 // fromSched gives each sender a different deterministic delay, spreading a
@@ -506,9 +534,9 @@ func TestFlushPendingOrder(t *testing.T) {
 		if len(net.pend) != 0 {
 			t.Fatalf("round %d: %d ops left pending", round, len(net.pend))
 		}
-		var got []event
+		var got []tickEntry
 		for net.queue.Len() > 0 {
-			got = net.queue.PopTick(got)
+			got, _ = net.queue.PopTick(got)
 		}
 		i := 0
 		for _, op := range want {
@@ -516,24 +544,26 @@ func TestFlushPendingOrder(t *testing.T) {
 				continue
 			}
 			if i == len(got) {
-				t.Fatalf("round %d: %d events flushed, want more", round, len(got))
+				t.Fatalf("round %d: %d entries flushed, want more", round, len(got))
 			}
 			ev := got[i]
 			// Every op has its own payload handle or timer tag, so ref
-			// identifies the op.
-			same := ev.n == op.n && ev.ref == op.ref && PartyID(ev.from) == op.from
+			// identifies the op; a message's sender and length come from
+			// the header the flush wrote.
+			same := ev.ref == op.ref && ev.timer() == (op.n < 0)
 			if op.n < 0 {
-				same = same && PartyID(ev.to) == op.from
+				same = same && ev.party() == op.from
 			} else {
-				same = same && PartyID(ev.to) == op.to
+				from, data := net.arena.message(ev.ref)
+				same = same && ev.party() == op.to && from == op.from && len(data) == int(op.n)
 			}
 			if !same {
-				t.Fatalf("round %d: flushed event %d is %+v, want op %+v", round, i, ev, op)
+				t.Fatalf("round %d: flushed entry %d is %+v, want op %+v", round, i, ev, op)
 			}
 			i++
 		}
 		if i != len(got) {
-			t.Fatalf("round %d: %d events flushed, want %d", round, len(got), i)
+			t.Fatalf("round %d: %d entries flushed, want %d", round, len(got), i)
 		}
 	}
 }

@@ -3,25 +3,27 @@ package sim
 import "math/bits"
 
 // calendarQueue is the simulator's default event core: a timing wheel of
-// one-tick buckets over the near future and an overflow min-heap for events
-// beyond the wheel horizon. Each bucket is a chain of fixed-size event
-// chunks: Push writes the event once into the tail chunk of its bucket, and
-// PopTick appends each chunk of the tick to the caller's buffer with one
-// bulk copy before returning the chunks to a free list. Both paths walk
-// memory sequentially, and a fixed chunk size fits any bucket, so recycled
-// chunks serve sparse and dense ticks alike. Push and PopTick are amortized
-// O(1) per event, versus the binary heap's O(log M) — the difference is the
-// dominant cost of large-n sweeps, where M (messages in flight) grows with n².
+// one-tick buckets over the near future and an overflow min-heap for entries
+// beyond the wheel horizon. Each bucket is a chain of fixed-size chunks of
+// 16-byte tickEntry copies: Push writes the entry once into the tail chunk
+// of its bucket, and PopTick appends each chunk of the tick to the caller's
+// buffer with one bulk copy before returning the chunks to a free list.
+// Both paths walk memory sequentially, and a fixed chunk size fits any
+// bucket, so recycled chunks serve sparse and dense ticks alike. Push and
+// PopTick are amortized O(1) per entry, versus the binary heap's O(log M) —
+// the difference is the dominant cost of large-n sweeps, where M (messages
+// in flight) grows with n².
 //
 // Ordering invariant. Deliveries must happen in strict (at, Seq) order,
 // and Seq is assigned monotonically at push time, so a bucket's FIFO chain
-// is Seq-ordered as long as events enter it in push order. Far-future
-// events take a detour through the overflow heap; they are migrated into
-// the wheel the moment their tick enters the wheel window (drainOverflow
-// runs after every window advance, before control returns to the pusher),
-// so a direct push can never slot in underneath an older overflow event.
-// The overflow heap itself pops in (at, Seq) order, keeping migration
-// appends sorted too.
+// is Seq-ordered as long as entries enter it in push order: a bucket gives
+// an entry's tick and its position gives Seq order, so buckets store
+// neither. Far-future entries take a detour through the overflow heap,
+// which keeps both; they are migrated into the wheel the moment their tick
+// enters the wheel window (drainOverflow runs after every window advance,
+// before control returns to the pusher), so a direct push can never slot
+// in underneath an older overflow entry. The overflow heap itself pops in
+// (at, Seq) order, keeping migration appends sorted too.
 const (
 	wheelBits = 11
 	// wheelSize is the wheel horizon in ticks. The standard schedulers
@@ -31,13 +33,13 @@ const (
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
 
-	// chunkEvents is the bucket chunk capacity (6 KB of 48-byte events).
-	chunkEvents = 128
+	// chunkEvents is the bucket chunk capacity (4 KB of 16-byte entries).
+	chunkEvents = 256
 )
 
 // calChunk is one link of a bucket chain: ev[:n] in push order.
 type calChunk struct {
-	ev   [chunkEvents]event
+	ev   [chunkEvents]tickEntry
 	n    int
 	next *calChunk
 }
@@ -63,7 +65,7 @@ func newCalendarQueue() *calendarQueue { return &calendarQueue{} }
 // Len implements eventQueue.
 func (q *calendarQueue) Len() int { return q.inWheel + q.overflow.Len() }
 
-// release empties a bucket's chain onto the free list. Events hold no
+// release empties a bucket's chain onto the free list. Entries hold no
 // pointers, so the chunks are reused without clearing.
 func (q *calendarQueue) release(b *calBucket) {
 	for c := b.head; c != nil; {
@@ -77,7 +79,7 @@ func (q *calendarQueue) release(b *calBucket) {
 
 // Reset implements eventQueue: it empties the wheel and overflow heap and
 // rewinds the window to tick zero, keeping every chunk on the free list for
-// the next run. Cost is O(events still pending), not O(chunks): only the
+// the next run. Cost is O(entries still pending), not O(chunks): only the
 // occupied buckets — found through the occupancy bitmap — are released, so
 // a context recycled from a large-n run resets in constant time for small-n
 // runs. Which chunk backs which bucket is invisible to delivery order, so a
@@ -99,17 +101,18 @@ func (q *calendarQueue) Reset() {
 }
 
 // Push implements eventQueue.
-func (q *calendarQueue) Push(e event) {
-	if e.at >= q.base+wheelSize {
-		q.overflow.Push(e)
+func (q *calendarQueue) Push(at Time, seq uint64, e tickEntry) {
+	if at >= q.base+wheelSize {
+		q.overflow.Push(at, seq, e)
 		return
 	}
-	q.insert(&e)
+	q.insert(at, e)
 }
 
-// insert appends *e to its wheel bucket. e.at must lie inside the window.
-func (q *calendarQueue) insert(e *event) {
-	slot := int(e.at) & wheelMask
+// insert appends e to the wheel bucket of tick at, which must lie inside
+// the window.
+func (q *calendarQueue) insert(at Time, e tickEntry) {
+	slot := int(at) & wheelMask
 	b := &q.wheel[slot]
 	c := b.tail
 	if c == nil || c.n == chunkEvents {
@@ -128,18 +131,18 @@ func (q *calendarQueue) insert(e *event) {
 		}
 		b.tail = c
 	}
-	c.ev[c.n] = *e
+	c.ev[c.n] = e
 	c.n++
 	q.inWheel++
 }
 
-// drainOverflow migrates every overflow event whose tick has entered the
+// drainOverflow migrates every overflow entry whose tick has entered the
 // wheel window. Called after every base advance, so bucket chains stay
 // Seq-ordered (see the ordering invariant above).
 func (q *calendarQueue) drainOverflow() {
 	for q.overflow.Len() > 0 && q.overflow.items[0].at < q.base+wheelSize {
-		e := q.overflow.Pop()
-		q.insert(&e)
+		it := q.overflow.Pop()
+		q.insert(it.at, it.e)
 	}
 }
 
@@ -161,10 +164,10 @@ func (q *calendarQueue) nextTick() Time {
 }
 
 // PopTick implements eventQueue.
-func (q *calendarQueue) PopTick(buf []event) []event {
+func (q *calendarQueue) PopTick(buf []tickEntry) ([]tickEntry, Time) {
 	if q.inWheel == 0 {
 		if q.overflow.Len() == 0 {
-			return buf
+			return buf, 0
 		}
 		// Wheel is empty: jump the window to the overflow minimum.
 		q.base = q.overflow.items[0].at
@@ -172,7 +175,7 @@ func (q *calendarQueue) PopTick(buf []event) []event {
 	}
 	t := q.nextTick()
 	q.base = t
-	// The window just advanced; pull newly eligible far-future events in
+	// The window just advanced; pull newly eligible far-future entries in
 	// before any post-delivery push can reach their buckets. None of them
 	// can land on tick t itself (they were beyond the previous horizon,
 	// and t is inside it).
@@ -185,5 +188,5 @@ func (q *calendarQueue) PopTick(buf []event) []event {
 	}
 	q.release(b)
 	q.occupied[slot>>6] &^= 1 << uint(slot&63)
-	return buf
+	return buf, t
 }

@@ -8,12 +8,13 @@ import (
 // drainCompare pops both queues tick by tick and asserts identical batches.
 func drainCompare(t *testing.T, h, c eventQueue) {
 	t.Helper()
-	var hb, cb []event
+	var hb, cb []tickEntry
 	for h.Len() > 0 || c.Len() > 0 {
-		hb = h.PopTick(hb[:0])
-		cb = c.PopTick(cb[:0])
-		if len(hb) != len(cb) {
-			t.Fatalf("batch size mismatch: heap %d, calendar %d", len(hb), len(cb))
+		var ht, ct Time
+		hb, ht = h.PopTick(hb[:0])
+		cb, ct = c.PopTick(cb[:0])
+		if len(hb) != len(cb) || ht != ct {
+			t.Fatalf("batch mismatch: heap %d at %d, calendar %d at %d", len(hb), ht, len(cb), ct)
 		}
 		for i := range hb {
 			if hb[i] != cb[i] {
@@ -26,7 +27,9 @@ func drainCompare(t *testing.T, h, c eventQueue) {
 // TestCalendarMatchesHeapRandom drives both cores with the same random
 // push/pop schedule — delays from 1 tick to past the wheel horizon (so the
 // overflow heap and its migration path are exercised) — and asserts
-// identical (at, Seq) pop orders, every event field intact.
+// identical (at, Seq) pop orders, every entry field intact. Each entry's ref
+// is its Seq, so the pops are also checked against the tick and the Seq
+// order they were pushed with.
 func TestCalendarMatchesHeapRandom(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -34,6 +37,7 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 		c := eventQueue(newCalendarQueue())
 		now := Time(0)
 		seq := uint64(0)
+		due := make(map[uint64]Time)
 		budget := 4000 // total pushes per seed, so the drain terminates
 		push := func(k int) {
 			if k > budget {
@@ -53,26 +57,30 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 					delay = 1 + Time(rng.Int63n(int64(MaxDelayCap))) // worst case
 				}
 				seq++
-				e := event{at: now + delay, seq: seq, sent: now, ref: rng.Uint64(),
-					from: int32(seq % 7), to: int32(seq % 5), n: int32(seq%9) - 1}
-				h.Push(e)
-				c.Push(e)
+				due[seq] = now + delay
+				e := tickEntry{ref: seq, to: int32(rng.Intn(11)) - 5}
+				h.Push(now+delay, seq, e)
+				c.Push(now+delay, seq, e)
 			}
 		}
 		push(64)
-		var hb, cb []event
+		var hb, cb []tickEntry
 		for h.Len() > 0 {
-			hb = h.PopTick(hb[:0])
-			cb = c.PopTick(cb[:0])
-			if len(hb) != len(cb) {
-				t.Fatalf("seed %d: batch size mismatch: heap %d, calendar %d", seed, len(hb), len(cb))
+			var ht, ct Time
+			hb, ht = h.PopTick(hb[:0])
+			cb, ct = c.PopTick(cb[:0])
+			if len(hb) != len(cb) || ht != ct {
+				t.Fatalf("seed %d: batch mismatch: heap %d at %d, calendar %d at %d", seed, len(hb), ht, len(cb), ct)
 			}
 			for i := range hb {
 				if hb[i] != cb[i] {
 					t.Fatalf("seed %d: batch[%d]: heap %+v, calendar %+v", seed, i, hb[i], cb[i])
 				}
+				if due[hb[i].ref] != ht || (i > 0 && hb[i].ref <= hb[i-1].ref) {
+					t.Fatalf("seed %d: batch[%d] (seq %d, due %d) popped at %d out of Seq order", seed, i, hb[i].ref, due[hb[i].ref], ht)
+				}
 			}
-			now = hb[0].at
+			now = ht
 			if rng.Intn(3) > 0 {
 				push(rng.Intn(16)) // interleave pushes, as deliveries do
 			}
@@ -83,21 +91,21 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 	}
 }
 
-// TestCalendarSameTickFIFO pins the per-bucket FIFO: many events on one
+// TestCalendarSameTickFIFO pins the per-bucket FIFO: many entries on one
 // tick must pop as a single batch in send-sequence order.
 func TestCalendarSameTickFIFO(t *testing.T) {
 	q := newCalendarQueue()
 	const k = 100
 	for i := 1; i <= k; i++ {
-		q.Push(event{at: 7, seq: uint64(i)})
+		q.Push(7, uint64(i), tickEntry{ref: uint64(i)})
 	}
-	batch := q.PopTick(nil)
-	if len(batch) != k {
-		t.Fatalf("got batch of %d, want %d", len(batch), k)
+	batch, at := q.PopTick(nil)
+	if len(batch) != k || at != 7 {
+		t.Fatalf("got batch of %d at %d, want %d at 7", len(batch), at, k)
 	}
 	for i, e := range batch {
-		if e.seq != uint64(i+1) {
-			t.Fatalf("batch[%d] has seq %d, want %d", i, e.seq, i+1)
+		if e.ref != uint64(i+1) {
+			t.Fatalf("batch[%d] has seq %d, want %d", i, e.ref, i+1)
 		}
 	}
 	if q.Len() != 0 {
@@ -132,14 +140,13 @@ func TestCalendarChunksRecycle(t *testing.T) {
 		// spread changing per wave so buckets land on different slots.
 		for i := 0; i < 600; i++ {
 			seq++
-			q.Push(event{at: now + 1 + Time(i%(2+wave%7)), seq: seq})
+			q.Push(now+1+Time(i%(2+wave%7)), seq, tickEntry{ref: seq})
 		}
 		live, _ := chunkCounts(q)
 		highWater = max(highWater, live)
-		var buf []event
+		var buf []tickEntry
 		for q.Len() > 0 {
-			buf = q.PopTick(buf[:0])
-			now = buf[0].at
+			buf, now = q.PopTick(buf[:0])
 		}
 		live, free := chunkCounts(q)
 		if live != 0 {
@@ -153,18 +160,18 @@ func TestCalendarChunksRecycle(t *testing.T) {
 
 // TestCalendarMultiChunkTickAndMigration pins the chunk boundaries against
 // the heap core: one tick spanning more than three chunks, and overflow
-// events migrating into a bucket whose tail chunk is partly filled.
+// entries migrating into a bucket whose tail chunk is partly filled.
 func TestCalendarMultiChunkTickAndMigration(t *testing.T) {
 	h := eventQueue(&eventHeap{})
 	c := newCalendarQueue()
 	seq := uint64(0)
 	push := func(at Time) {
 		seq++
-		e := event{at: at, seq: seq, ref: seq << 32, from: int32(seq % 3), n: int32(seq % 4)}
-		h.Push(e)
-		c.Push(e)
+		e := tickEntry{ref: seq<<32 | seq, to: int32(seq%5) - 2}
+		h.Push(at, seq, e)
+		c.Push(at, seq, e)
 	}
-	// Far-future events for tick wheelSize+5, pushed first so they are the
+	// Far-future entries for tick wheelSize+5, pushed first so they are the
 	// older ones: they sit in the overflow heap until the window reaches
 	// them, behind nothing.
 	for i := 0; i < chunkEvents/2; i++ {
@@ -181,10 +188,10 @@ func TestCalendarMultiChunkTickAndMigration(t *testing.T) {
 	// are still out of reach. A push at tick 10 makes the next pop advance
 	// the window past wheelSize+5, migrating them into their bucket, whose
 	// tail chunk then takes more direct pushes until it spills over.
-	hb := h.PopTick(nil)
-	cb := c.PopTick(nil)
-	if len(hb) != len(cb) || len(cb) != 3*chunkEvents+chunkEvents/2 {
-		t.Fatalf("dense tick: heap %d, calendar %d events", len(hb), len(cb))
+	hb, ht := h.PopTick(nil)
+	cb, ct := c.PopTick(nil)
+	if len(hb) != len(cb) || len(cb) != 3*chunkEvents+chunkEvents/2 || ht != 3 || ct != 3 {
+		t.Fatalf("dense tick: heap %d at %d, calendar %d entries at %d", len(hb), ht, len(cb), ct)
 	}
 	for i := range hb {
 		if hb[i] != cb[i] {
@@ -195,7 +202,7 @@ func TestCalendarMultiChunkTickAndMigration(t *testing.T) {
 	h.PopTick(nil)
 	c.PopTick(nil)
 	if c.overflow.Len() != 0 {
-		t.Fatalf("overflow holds %d events after the window passed them", c.overflow.Len())
+		t.Fatalf("overflow holds %d entries after the window passed them", c.overflow.Len())
 	}
 	for i := 0; i < chunkEvents; i++ {
 		push(wheelSize + 5)

@@ -8,15 +8,22 @@ import (
 	"unsafe"
 )
 
-// TestEventLayout pins the queued event at 48 bytes with no pointers, and
-// the deferred op without pointers: the queues copy both as plain memory
-// and never clear them, which is only sound while neither holds a
-// reference the garbage collector must see.
+// TestEventLayout pins the queued copy (tickEntry) at 16 bytes, the heap
+// item at 32 and the send header in the payload arena at 24, and checks
+// that the entry, the heap item and the deferred op hold no pointers: the
+// queues copy all three as plain memory and never clear them, which is only
+// sound while none holds a reference the garbage collector must see.
 func TestEventLayout(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 48 {
-		t.Errorf("unsafe.Sizeof(event{}) = %d, want 48", got)
+	if got := unsafe.Sizeof(tickEntry{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(tickEntry{}) = %d, want 16", got)
 	}
-	for _, typ := range []reflect.Type{reflect.TypeOf(event{}), reflect.TypeOf(pendingOp{})} {
+	if got := unsafe.Sizeof(heapItem{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(heapItem{}) = %d, want 32", got)
+	}
+	if headerSize != 24 {
+		t.Errorf("headerSize = %d, want 24", headerSize)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(tickEntry{}), reflect.TypeOf(heapItem{}), reflect.TypeOf(pendingOp{})} {
 		if path, ok := pointerField(typ); ok {
 			t.Errorf("%s holds a pointer at %s", typ, path)
 		}
@@ -63,13 +70,22 @@ func (s dupToOne) Fate(env *Envelope, _ *rand.Rand) Fate {
 	if env.To != 1 {
 		return f
 	}
-	if !isPayload(env.Data, s.script[env.Seq-1]) {
+	if !isPayload(env.Data, sentTo1(s.script, env.Seq)) {
 		*s.bad++
 	}
 	if env.Seq%5 == 0 {
 		f.DupExtra = 3
 	}
 	return f
+}
+
+// sentTo1 returns the payload party 0 sent party 1 under seq: script entry
+// seq-1, or the empty multicast that follows the script.
+func sentTo1(script [][]byte, seq uint64) []byte {
+	if seq <= uint64(len(script)) {
+		return script[seq-1]
+	}
+	return nil
 }
 
 // isPayload reports whether got carries the bytes of the sent payload want,
@@ -89,9 +105,10 @@ func recordDelivery(data []byte) handleDelivery {
 }
 
 // handleProc is the payload-handle test's process. Party 0 sends the script
-// to party 1 at Init and sets a timer; party 1 echoes every delivery back,
-// so the echoes go through the deferred-op flush on batched ticks. Each
-// party decides once it has seen everything it expects.
+// to party 1 at Init, then multicasts an empty payload and sets a timer;
+// party 1 echoes every delivery back, so the echoes go through the
+// deferred-op flush on batched ticks. Each party decides once it has seen
+// everything it expects.
 type handleProc struct {
 	api     API
 	script  [][]byte
@@ -109,6 +126,7 @@ func (p *handleProc) Init(api API) {
 	for _, b := range p.script {
 		api.Send(1, b)
 	}
+	api.Multicast(nil)
 	api.SetTimer(3, handleTag)
 }
 
@@ -160,12 +178,15 @@ func handleScript() [][]byte {
 	return script
 }
 
-// TestPayloadHandlesDelivered sends payloads through the arena handles on
-// both configurations and on a recycled network: payloads spanning block
-// turnovers, one larger than a block, zero-length ones (which must arrive
-// as nil), duplicates under a dup fate (both copies carry the sent bytes),
-// echoes scheduled through the deferred flush, and a timer tag with its
-// high bits set, which must come back unchanged.
+// TestPayloadHandlesDelivered sends payloads through the arena's send
+// headers on both configurations and on a recycled network: headers and
+// payloads spanning block turnovers, beside one payload larger than a
+// block, zero-length ones (header-only arena entries, which must arrive as
+// nil), an empty multicast whose two copies share one header-only entry,
+// duplicates under a dup fate (both copies carry the sent bytes, Seq and
+// Sent), echoes scheduled through the deferred flush, and a timer on party
+// 0 (queued as to = ^0 = -1) whose tag has its high bits set, which must
+// come back to party 0 unchanged.
 func TestPayloadHandlesDelivered(t *testing.T) {
 	script := handleScript()
 	dups := 0
@@ -174,6 +195,11 @@ func TestPayloadHandlesDelivered(t *testing.T) {
 			dups++
 		}
 	}
+	// Party 0's Init sends the script under Seqs 1..len(script), then the
+	// empty multicast: Seq mcast to itself and mcast+1 to party 1.
+	mcast := uint64(len(script) + 1)
+	recvN := len(script) + 1 + dups // the script, the multicast copy, the duplicates
+	sendN := recvN + 1              // their echoes and party 0's own multicast copy
 	var net *Network
 	for _, reference := range []bool{true, false, false} {
 		label := map[bool]string{true: "reference", false: "production"}[reference]
@@ -187,8 +213,8 @@ func TestPayloadHandlesDelivered(t *testing.T) {
 		} else if err := net.Reset(cfg); err != nil {
 			t.Fatal(err)
 		}
-		sender := &handleProc{script: script, want: len(script) + dups}
-		recv := &handleProc{want: len(script) + dups}
+		sender := &handleProc{script: script, want: sendN}
+		recv := &handleProc{want: recvN}
 		if err := net.SetProcess(0, sender); err != nil {
 			t.Fatal(err)
 		}
@@ -196,12 +222,23 @@ func TestPayloadHandlesDelivered(t *testing.T) {
 			t.Fatal(err)
 		}
 		copies := make(map[uint64]int)
-		net.SetObserver(func(_ Time, env Envelope) {
+		net.SetObserver(func(now Time, env Envelope) {
 			if env.To != 1 {
+				// Every send to party 0 is its own multicast copy, sent at
+				// Init, or an echo, sent 2 ticks before it arrives.
+				if env.Seq == mcast && (env.From != 0 || env.Sent != 0 || env.Data != nil) {
+					t.Errorf("%s: party 0's multicast copy arrived as %+v", label, env)
+				}
+				if env.Seq != mcast && (env.From != 1 || env.Sent != now-2) {
+					t.Errorf("%s: echo seq %d from %d sent at %d arrived at %d", label, env.Seq, env.From, env.Sent, now)
+				}
 				return
 			}
 			copies[env.Seq]++
-			if want := script[env.Seq-1]; !isPayload(env.Data, want) {
+			if env.From != 0 || env.Sent != 0 {
+				t.Errorf("%s: seq %d to party 1 is from %d, sent at %d; want from 0 at 0", label, env.Seq, env.From, env.Sent)
+			}
+			if want := sentTo1(script, env.Seq); !isPayload(env.Data, want) {
 				t.Errorf("%s: observer's seq %d payload (%d bytes, nil %v) differs from the %d bytes sent",
 					label, env.Seq, len(env.Data), env.Data == nil, len(want))
 			}
@@ -216,8 +253,8 @@ func TestPayloadHandlesDelivered(t *testing.T) {
 		if !reference && recv.batches == 0 {
 			t.Errorf("%s: the receiver never got a DeliverBatch call", label)
 		}
-		if res.Stats.MessagesDuped != dups || res.Stats.MessagesDelivered != 2*(len(script)+dups) {
-			t.Errorf("%s: stats %+v, want %d dups and %d deliveries", label, res.Stats, dups, 2*(len(script)+dups))
+		if res.Stats.MessagesDuped != dups || res.Stats.MessagesDelivered != recvN+sendN {
+			t.Errorf("%s: stats %+v, want %d dups and %d deliveries", label, res.Stats, dups, recvN+sendN)
 		}
 		for seq := uint64(1); seq <= uint64(len(script)); seq++ {
 			want := 1
@@ -228,16 +265,26 @@ func TestPayloadHandlesDelivered(t *testing.T) {
 				t.Errorf("%s: seq %d delivered %d times, want %d", label, seq, copies[seq], want)
 			}
 		}
-		// Party 1 gets the script in Seq order, then the duplicates; party 0
-		// gets the echoes in the order party 1 sent them.
+		if copies[mcast+1] != 1 || len(copies) != len(script)+1 {
+			t.Errorf("%s: party 1 got %d copies of the multicast (seq %d) and %d Seqs, want 1 and %d",
+				label, copies[mcast+1], mcast+1, len(copies), len(script)+1)
+		}
+		// Party 1 gets the script in Seq order, then the multicast, then the
+		// duplicates; party 0 gets its own multicast copy, then the echoes in
+		// the order party 1 sent them.
 		var want []handleDelivery
 		for _, b := range script {
 			want = append(want, recordDelivery(b))
 		}
+		want = append(want, recordDelivery(nil))
 		for i := 4; i < len(script); i += 5 {
 			want = append(want, recordDelivery(script[i]))
 		}
-		for _, got := range [][]handleDelivery{recv.got, sender.got} {
+		for k, got := range [][]handleDelivery{recv.got, sender.got} {
+			want := want
+			if k == 1 {
+				want = append([]handleDelivery{recordDelivery(nil)}, want...)
+			}
 			if len(got) != len(want) {
 				t.Fatalf("%s: %d deliveries, want %d", label, len(got), len(want))
 			}
@@ -248,8 +295,9 @@ func TestPayloadHandlesDelivered(t *testing.T) {
 				}
 			}
 		}
-		if len(sender.tags) != 1 || sender.tags[0] != handleTag {
-			t.Errorf("%s: timer tags %#x, want [%#x]", label, sender.tags, uint64(handleTag))
+		if len(sender.tags) != 1 || sender.tags[0] != handleTag || len(recv.tags) != 0 {
+			t.Errorf("%s: timer tags %#x on party 0 and %#x on party 1, want [%#x] and none",
+				label, sender.tags, recv.tags, uint64(handleTag))
 		}
 	}
 }

@@ -1,21 +1,31 @@
 package sim
 
-// event is a scheduled delivery or timer expiry: 48 bytes and no pointers,
-// so the queues copy events as plain memory and never clear them. A message
-// holds its payload as an arena handle (ref, with length n; see
-// payloadArena.bytes); a timer holds its tag in ref and has n == -1.
-type event struct {
-	at   Time
-	seq  uint64 // global send sequence number (the (at, seq) tiebreak)
-	sent Time
-	ref  uint64
-	from int32
-	to   int32
-	n    int32
+// tickEntry is one queued in-flight copy: 16 bytes and no pointers, so the
+// queues copy entries as plain memory and never clear them. A message copy
+// names its send's header in the payload arena (ref; see payloadArena) and
+// its recipient (to >= 0): sender, Seq, Sent and payload come from the
+// header, which every copy of a multicast and every duplicate shares. A
+// timer expiry carries its tag in ref and its party as to = ^party (party 0
+// is -1); nothing observes a timer's Seq or Sent.
+type tickEntry struct {
+	ref uint64
+	to  int32
 }
 
-// timer reports whether the event is a timer expiry.
-func (e *event) timer() bool { return e.n < 0 }
+// timer reports whether the entry is a timer expiry.
+func (e *tickEntry) timer() bool { return e.to < 0 }
+
+// party returns the recipient of a message or the party of a timer:
+// to ^ (to >> 31) is to when to >= 0 and ^to otherwise, without a branch.
+func (e *tickEntry) party() PartyID { return PartyID(e.to ^ e.to>>31) }
+
+// heapItem is a tickEntry with its delivery tick and send sequence number,
+// the (at, seq) key the heap orders by: 32 bytes.
+type heapItem struct {
+	at  Time
+	seq uint64
+	e   tickEntry
+}
 
 // eventHeap is a binary min-heap ordered by (delivery time, send sequence).
 // The sequence tiebreak makes executions fully deterministic for a given
@@ -26,22 +36,22 @@ func (e *event) timer() bool { return e.n < 0 }
 // the calendar queue in calendar.go replaces it in production and is
 // pinned trace-equivalent by the equivalence tests.
 type eventHeap struct {
-	items []event
+	items []heapItem
 }
 
 var _ eventQueue = (*eventHeap)(nil)
 
-// PopTick implements eventQueue: it pops every event at the earliest
+// PopTick implements eventQueue: it pops every entry at the earliest
 // pending tick, in Seq order (the heap's tiebreak).
-func (h *eventHeap) PopTick(buf []event) []event {
+func (h *eventHeap) PopTick(buf []tickEntry) ([]tickEntry, Time) {
 	if len(h.items) == 0 {
-		return buf
+		return buf, 0
 	}
 	t := h.items[0].at
 	for len(h.items) > 0 && h.items[0].at == t {
-		buf = append(buf, h.Pop())
+		buf = append(buf, h.Pop().e)
 	}
-	return buf
+	return buf, t
 }
 
 func (h *eventHeap) Len() int { return len(h.items) }
@@ -51,16 +61,16 @@ func (h *eventHeap) Len() int { return len(h.items) }
 func (h *eventHeap) Reset() { h.items = h.items[:0] }
 
 func (h *eventHeap) less(i, j int) bool {
-	a, b := &h.items[i], &h.items[j] // pointers: an event copy costs more than the compare
+	a, b := &h.items[i], &h.items[j] // pointers: an item copy costs more than the compare
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// Push inserts an event.
-func (h *eventHeap) Push(e event) {
-	h.items = append(h.items, e)
+// Push implements eventQueue.
+func (h *eventHeap) Push(at Time, seq uint64, e tickEntry) {
+	h.items = append(h.items, heapItem{at: at, seq: seq, e: e})
 	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -72,9 +82,9 @@ func (h *eventHeap) Push(e event) {
 	}
 }
 
-// Pop removes and returns the earliest event. It must not be called on an
+// Pop removes and returns the earliest item. It must not be called on an
 // empty heap.
-func (h *eventHeap) Pop() event {
+func (h *eventHeap) Pop() heapItem {
 	top := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -116,9 +117,9 @@ type Network struct {
 	parties    []*partyState // the run's parties: allParties[:cfg.N]
 	allParties []*partyState // every party record ever built, for recycling
 	queue      eventQueue
-	batch      []event    // reusable same-tick delivery batch (Run loop)
-	env        Envelope   // scratch envelope every send fills for the scheduler
-	rng        *rand.Rand // the scheduler's source, over src
+	batch      []tickEntry // reusable same-tick delivery batch (Run loop)
+	env        Envelope    // scratch envelope every send fills for the scheduler
+	rng        *rand.Rand  // the scheduler's source, over src
 	src        lazySource
 	now        Time
 	seq        uint64
@@ -139,7 +140,7 @@ type Network struct {
 	decidedAt  []Time
 
 	// Batched tick delivery state (see batch.go): per-destination staging
-	// of the tick's event indices, the staged destinations in first-
+	// of the tick's entry indices, the staged destinations in first-
 	// appearance (Seq) order, the deferred send/timer ops, and the trigger
 	// index of every delivery (for the tick-end observer replay and
 	// completion repair).
@@ -148,7 +149,7 @@ type Network struct {
 	pend      []pendingOp
 	delivTrig []int32
 	deferOps  bool
-	// curTrig is the trigger index of the tick event being processed;
+	// curTrig is the trigger index of the tick entry being processed;
 	// decideTrig is the largest trigger that produced an honest decision
 	// this tick (-1 if none).
 	curTrig    int32
@@ -182,17 +183,28 @@ type Network struct {
 // arenaBlock is the payload arena's allocation granularity.
 const arenaBlock = 1 << 16
 
+// headerSize is the size of the send header in front of every arena
+// payload: seq0 (uint64), sent (Time), from (int32) and the payload length
+// (int32), little-endian.
+const headerSize = 24
+
 // payloadArena is a recycled block arena for message payloads: Send and
 // Multicast snapshot the caller's bytes into the current block, so protocols
-// encode into reusable scratch buffers and a multicast's n envelopes share
-// one copy. A payload slice is valid only while its envelope is in flight
-// (until the delivery callback returns): exhausted blocks are kept and
-// recycled by reset, so memory is bounded by the peak per-run payload volume
-// rather than churned per run.
+// encode into reusable scratch buffers and a multicast's n copies share
+// one snapshot. A payload slice is valid only while its envelope is in
+// flight (until the delivery callback returns): exhausted blocks are kept
+// and recycled by reset, so memory is bounded by the peak per-run payload
+// volume rather than churned per run.
 //
-// Events name a payload by a handle, blk<<32 | off, and its length, so they
-// hold no pointers. Blocks never move before reset, so a handle stays valid
-// exactly as long as the slice snapshot returned with it.
+// Each snapshot is a 24-byte send header followed by the payload, padded
+// to 8 bytes. The header holds what a send's copies share: the sender, the
+// payload length, the send tick (Sent) and seq0, the Seq of the copy to
+// party 0, so that the copy to party to has Seq seq0+to. scheduleSend
+// writes it once per send, with its first copy; a multicast's other copies
+// and every duplicate share it. A queued tickEntry names the header by
+// its handle, blk<<32 | off, so it holds no pointer. Blocks never move
+// before reset, so a handle stays valid exactly as long as the slice
+// snapshot returned with it.
 type payloadArena struct {
 	blocks [][]byte
 	cur    []byte // blocks[blk], the block currently being carved
@@ -200,33 +212,69 @@ type payloadArena struct {
 	off    int    // write offset into cur
 }
 
-// snapshot copies data into the arena and returns the full-slice copy with
-// its handle (nil and 0 for an empty payload). The copy is capacity-clipped
-// so appends can never bleed into a neighboring payload. The in-block fast
-// path is kept small enough to inline into Send/Multicast; block turnover is
-// outlined in nextBlock.
+// snapshot reserves a send header, copies data in behind it, and returns
+// the full-slice copy of the payload (nil for an empty payload, which
+// still gets a header) with the header's handle. The copy is
+// capacity-clipped so appends can never bleed into the next snapshot.
+// Block turnover is outlined in nextBlock, off the in-block fast path.
 func (a *payloadArena) snapshot(data []byte) ([]byte, uint64) {
-	if len(data) == 0 {
-		return nil, 0
-	}
-	if a.off+len(data) > len(a.cur) {
-		a.nextBlock(len(data))
+	need := headerSize + (len(data)+7)&^7
+	if a.off+need > len(a.cur) {
+		a.nextBlock(need)
 	}
 	ref := uint64(a.blk)<<32 | uint64(a.off)
-	buf := a.cur[a.off : a.off+len(data) : a.off+len(data)]
-	a.off += len(data)
-	copy(buf, data)
+	var buf []byte
+	if len(data) > 0 {
+		p := a.off + headerSize
+		buf = a.cur[p : p+len(data) : p+len(data)]
+		copy(buf, data)
+	}
+	a.off += need
 	return buf, ref
 }
 
-// bytes rebuilds the capacity-clipped payload slice of handle ref and
-// length n; a payload of length zero is nil.
-func (a *payloadArena) bytes(ref uint64, n int32) []byte {
+// setHeader writes the send header of handle ref.
+func (a *payloadArena) setHeader(ref, seq0 uint64, sent Time, from PartyID, n int) {
+	off := uint32(ref)
+	h := a.blocks[ref>>32][off : off+headerSize]
+	binary.LittleEndian.PutUint64(h, seq0)
+	binary.LittleEndian.PutUint64(h[8:], uint64(sent))
+	binary.LittleEndian.PutUint32(h[16:], uint32(from))
+	binary.LittleEndian.PutUint32(h[20:], uint32(n))
+}
+
+// message returns the sender and payload of the send header ref names; a
+// payload of length zero is nil.
+func (a *payloadArena) message(ref uint64) (PartyID, []byte) {
+	b := a.blocks[ref>>32]
+	off := uint32(ref)
+	h := b[off : off+headerSize]
+	from := PartyID(int32(binary.LittleEndian.Uint32(h[16:])))
+	n := binary.LittleEndian.Uint32(h[20:])
+	if n == 0 {
+		return from, nil
+	}
+	p := off + headerSize
+	return from, b[p : p+n : p+n]
+}
+
+// header returns the whole send header ref names: seq0, Sent, the sender
+// and the payload.
+func (a *payloadArena) header(ref uint64) (seq0 uint64, sent Time, from PartyID, data []byte) {
+	off := uint32(ref)
+	h := a.blocks[ref>>32][off : off+headerSize]
+	from, data = a.message(ref)
+	return binary.LittleEndian.Uint64(h), Time(binary.LittleEndian.Uint64(h[8:])), from, data
+}
+
+// payload rebuilds the capacity-clipped payload slice of handle ref and
+// length n before its header is written; a payload of length zero is nil.
+func (a *payloadArena) payload(ref uint64, n int32) []byte {
 	if n <= 0 {
 		return nil
 	}
-	off, end := uint32(ref), uint32(ref)+uint32(n)
-	return a.blocks[ref>>32][off:end:end]
+	p, end := uint32(ref)+headerSize, uint32(ref)+headerSize+uint32(n)
+	return a.blocks[ref>>32][p:end:end]
 }
 
 // nextBlock advances cur to the next pooled block that fits need bytes,
@@ -283,12 +331,12 @@ func (p *partyState) Rand() *rand.Rand { return p.rng }
 
 func (p *partyState) Send(to PartyID, data []byte) {
 	buf, ref := p.net.arena.snapshot(data)
-	p.net.send(p, to, buf, ref)
+	p.net.send(p, to, buf, ref, true)
 }
 
 func (p *partyState) Multicast(data []byte) {
-	// One snapshot shared by all n envelopes: the sender may reuse its
-	// buffer immediately, and the n recipients alias a single copy.
+	// One snapshot shared by all n copies: the sender may reuse its buffer
+	// immediately, and the n recipients alias a single payload and header.
 	n := p.net
 	buf, ref := n.arena.snapshot(data)
 	if n.deferOps {
@@ -323,7 +371,7 @@ func (p *partyState) Multicast(data []byte) {
 		return
 	}
 	for to := 0; to < n.cfg.N; to++ {
-		n.send(p, PartyID(to), buf, ref)
+		n.send(p, PartyID(to), buf, ref, to == 0)
 	}
 }
 
@@ -525,7 +573,9 @@ func (n *Network) Party(id PartyID) Process {
 // Now exposes the current virtual time (used by observers and tests).
 func (n *Network) Now() Time { return n.now }
 
-func (n *Network) send(from *partyState, to PartyID, data []byte, ref uint64) {
+// send settles a send's crash budget and stats and schedules it, or defers
+// it during a batched tick; first is scheduleSend's.
+func (n *Network) send(from *partyState, to PartyID, data []byte, ref uint64, first bool) {
 	id := from.id
 	if n.crashed[id] {
 		return
@@ -545,13 +595,13 @@ func (n *Network) send(from *partyState, to PartyID, data []byte, ref uint64) {
 		n.stats.HonestBytesSent += len(data)
 	}
 	if n.deferOps {
-		// Batched tick in progress: record the send tagged with the event
+		// Batched tick in progress: record the send tagged with the entry
 		// being processed; Seq assignment and the delay draw happen in
 		// trigger order at the tick-end flush (see batch.go).
 		n.pend = append(n.pend, pendingOp{ref: ref, n: int32(len(data)), from: id, to: to, trig: n.curTrig})
 		return
 	}
-	n.scheduleSend(id, to, data, ref)
+	n.scheduleSend(id, to, data, ref, first)
 }
 
 // Run executes the simulation until every honest party has decided, the
@@ -609,7 +659,7 @@ func (n *Network) runInto(res *Result) error {
 }
 
 // runLoop is the one run loop. It drains the queue one virtual-time tick at
-// a time: PopTick hands over every event of the earliest tick in one batch
+// a time: PopTick hands over every entry of the earliest tick in one batch
 // (delays are >= 1, so deliveries can never append to the tick in flight).
 // A tick runs through one of two bodies, observably identical (batch.go):
 // runTickUnbatched, the per-envelope body in (at, Seq) order, and
@@ -635,8 +685,7 @@ func (n *Network) runLoop(budget int) error {
 			err = ErrStalled
 			break
 		}
-		batch = n.queue.PopTick(batch[:0])
-		n.now = batch[0].at
+		batch, n.now = n.queue.PopTick(batch[:0])
 		if n.restartsPending() {
 			if err = n.fireRestarts(); err != nil {
 				break

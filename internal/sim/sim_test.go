@@ -454,7 +454,7 @@ func TestHeapOrdering(t *testing.T) {
 	var h eventHeap
 	times := []Time{9, 3, 7, 3, 1, 8, 1}
 	for i, at := range times {
-		h.Push(event{at: at, seq: uint64(i)})
+		h.Push(at, uint64(i), tickEntry{ref: uint64(i)})
 	}
 	var got []Time
 	var seqs []uint64
