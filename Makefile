@@ -1,17 +1,14 @@
 # Developer entry points. `make check` is the tier-1 gate (gofmt + build +
-# vet + tests); `make bench` refreshes the current BENCH_*.json performance
-# snapshot at the repo root and `make bench-compare` diffs it against the
-# previous one; `make race` exercises the parallel experiment engine and
-# the goroutine runtime under the race detector;
+# vet + tests; the tests include cmd/aabench's TestTablesPinned, which pins
+# every E-table at seeds 1); `make race` exercises the parallel experiment
+# engine and the goroutine runtime under the race detector;
 # `make benchmark-check` compiles and smoke-runs the repository benchmark
 # (benchmark/, a module of its own that `make check` does not see), and
 # `make pairs` runs it in alternating pairs against a parent commit.
 
 GO ?= go
-BENCH_OLD ?= BENCH_7.json
-BENCH_NEW ?= BENCH_8.json
 
-.PHONY: pairs check vet race fuzz-relnet fuzz-parse fuzz-incident fuzz-wire fuzz-checkpoint benchmark-check bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
+.PHONY: pairs check vet race fuzz-relnet fuzz-parse fuzz-incident fuzz-wire fuzz-checkpoint benchmark-check benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
 
 # check fails first on any file gofmt would rewrite, listing them.
 check:
@@ -106,30 +103,6 @@ pairs:
 	PARENT='$(PARENT)' WORKLOADS='$(WORKLOADS)' PAIRS='$(PAIRS)' RUN_SECONDS='$(SECONDS)' \
 		SEED='$(SEED)' ROUND='$(ROUND)' OUT='$(OUT)' bash scripts/pairs.sh
 
-# bench regenerates the committed benchmark snapshot. Seeds are kept small
-# so the refresh stays in the tens of seconds; the snapshot records the
-# seed count so trajectories compare like with like.
-bench:
-	$(GO) run ./cmd/aabench -seeds 2 -json $(BENCH_NEW)
-
-# bench-compare prints the per-experiment and per-micro delta table between
-# the previous snapshot and the current one, regressions highlighted.
-bench-compare:
-	$(GO) run ./cmd/aabench -compare $(BENCH_OLD) $(BENCH_NEW)
-
-# bench-smoke is the CI regression gate: a reduced-seed snapshot (no micro
-# benches, which need a quiet machine) compared against the committed
-# BENCH_SMOKE.json. Wall-clock deltas are advisory; any msgs/bytes-per-run
-# drift makes the compare exit non-zero — correctness regressions surface
-# on the PR, not after merge. Refresh the committed file with
-# `make bench-smoke-refresh` after an intentional behavior change.
-bench-smoke:
-	$(GO) run ./cmd/aabench -seeds 1 -micro=false -json /tmp/bench-smoke.json
-	$(GO) run ./cmd/aabench -compare BENCH_SMOKE.json /tmp/bench-smoke.json
-
-bench-smoke-refresh:
-	$(GO) run ./cmd/aabench -seeds 1 -micro=false -json BENCH_SMOKE.json
-
 # e12-smoke exercises the n=512 scale axis (batched tick delivery + SoA
 # party state) on every PR: a reduced scenario slice at n=512 on the crash
 # protocol, ~3M messages per run, asserting full invariant success.
@@ -139,7 +112,8 @@ e12-smoke:
 # e12-xl exercises the n=1024 scale axis: the reduced E12-XL slice
 # (E12XLSizes([]int{1024})), ~10M messages per fault-free run, asserting
 # full invariant success.
-# The full n=4096 sweep lives in the committed BENCH snapshot (aabench -xl).
+# The full n=4096 sweep is aabench -xl; BENCH_8.json keeps its E12XL
+# entry as frozen history, and aabench -xl re-renders the sweep.
 e12-xl:
 	E12_XL_SMOKE=1 $(GO) test -run TestE12XL1024Smoke -v -timeout 30m ./internal/harness/
 

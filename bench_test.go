@@ -195,15 +195,15 @@ func BenchmarkRunWitnessAA(b *testing.B) {
 
 // BenchmarkRBCRound measures n concurrent reliable broadcasts among n=16
 // parties delivered to completion. The body lives in internal/microbench
-// (shared with cmd/aabench's -json snapshot as "rbc/round").
+// (shared with the repository benchmark's probes as "rbc/round").
 func BenchmarkRBCRound(b *testing.B) {
 	microbench.RBCRound(b)
 }
 
 // benchFuncs is the approximation-function inventory the micro-benchmarks
 // sweep, on a quorum-sized multiset. The benchmark bodies live in
-// internal/microbench, shared with cmd/aabench's -json snapshot so the two
-// measurements can never drift apart.
+// internal/microbench, shared with the repository benchmark's probes so
+// the two measurements can never drift apart.
 func benchFuncs() []multiset.Func {
 	return []multiset.Func{
 		multiset.MidExtremes{Trim: 8},
@@ -250,7 +250,7 @@ func BenchmarkContractionSearch(b *testing.B) {
 }
 
 // BenchmarkSimLoop measures the raw simulator event loop. The body lives
-// in internal/microbench (shared with cmd/aabench's -json snapshot as
+// in internal/microbench (shared with the repository benchmark's probes as
 // "simloop/calendar").
 func BenchmarkSimLoop(b *testing.B) {
 	microbench.SimLoop(b)
@@ -258,22 +258,22 @@ func BenchmarkSimLoop(b *testing.B) {
 
 // BenchmarkScenarioE12 measures one representative E12 unit: a full
 // crash-protocol run at n=64 under the "splitviews+crash" scenario
-// (shared with the snapshot as "scenario/e12").
+// (the body lives in internal/microbench).
 func BenchmarkScenarioE12(b *testing.B) {
 	microbench.ScenarioE12(b)
 }
 
 // BenchmarkRunReused measures a full crash-protocol run on a warm recycled
 // harness.RunContext — the zero-steady-state-allocation engine path
-// (shared with the snapshot as "harness/run-reused").
+// (shared with the repository benchmark's probes as "harness/run-reused").
 func BenchmarkRunReused(b *testing.B) {
 	microbench.RunReused(b)
 }
 
 // BenchmarkLiveRun measures one whole crash-protocol run at n=32 on the
 // goroutine runtime with 200 µs injected jitter, reporting ns/msg and
-// allocs/msg next to the per-run figures (shared with the snapshot as
-// "livenet/run-n32").
+// allocs/msg next to the per-run figures (the body lives in
+// internal/microbench).
 func BenchmarkLiveRun(b *testing.B) {
 	microbench.LiveRun(b)
 }

@@ -1,11 +1,85 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
+
+// tableHash folds one rendered table and the engine counters its runs
+// added into one FNV-1a hash.
+func tableHash(rendered []byte, runs harness.EngineStats) uint64 {
+	h := fnv.New64a()
+	h.Write(rendered)
+	fmt.Fprintf(h, "%+v\n", runs)
+	return h.Sum64()
+}
+
+// TestTablesPinned pins every table `aabench -seeds 1` prints, E1–E15, on
+// a production engine at 1 and at 8 workers: each table's rendered text
+// and the runs, messages and bytes its experiment put through the engine.
+// A change that moves a value, a decision, a spread or the traffic of any
+// experiment fails here, naming each table that moved with its new hash
+// and text; a change that means to move them updates the constants below.
+func TestTablesPinned(t *testing.T) {
+	// Recorded against the aabench that still carried -json and -compare.
+	want := map[string]uint64{
+		"E1":  0xcb0a33f897c0e9c1,
+		"E2":  0xdadfa05980b12ff8,
+		"E3":  0x950eb765d2d88f2b,
+		"E4":  0xce3f267bb5f55032,
+		"E5":  0x6c3f44faed9872c7,
+		"E6":  0xd59eb5c014127a8c,
+		"E7":  0x9e5860c0344aff63,
+		"E8":  0xf9fb68931a47d589,
+		"E9":  0x00074bf4e2c0f59d,
+		"E10": 0xe13c6151f904dd26,
+		"E11": 0xfd89a83491dbec28,
+		"E12": 0x79a54c3fc6dae0ac,
+		"E13": 0xaa036f9478ab6551,
+		"E14": 0x15d478cae50cd86d,
+		"E15": 0xf715f48fb4a2b188,
+	}
+	for _, workers := range []int{1, 8} {
+		e := &harness.Engine{Workers: workers}
+		var seen []string
+		for _, exp := range experiments(e, 1, false) {
+			before := e.Stats()
+			tbl, err := exp.Run()
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, exp.ID, err)
+			}
+			var buf bytes.Buffer
+			if err := tbl.Render(&buf); err != nil {
+				t.Fatal(err)
+			}
+			after := e.Stats()
+			got := tableHash(buf.Bytes(), harness.EngineStats{
+				Runs:              after.Runs - before.Runs,
+				MessagesSent:      after.MessagesSent - before.MessagesSent,
+				MessagesDelivered: after.MessagesDelivered - before.MessagesDelivered,
+				BytesSent:         after.BytesSent - before.BytesSent,
+			})
+			seen = append(seen, exp.ID)
+			if got != want[exp.ID] {
+				t.Errorf("%s moved at workers=%d: hash %#x, pinned %#x; it renders:\n%s",
+					exp.ID, workers, got, want[exp.ID], buf.String())
+			}
+		}
+		for id := range want {
+			if !slices.Contains(seen, id) {
+				t.Errorf("workers=%d: pinned table %s was not rendered", workers, id)
+			}
+		}
+	}
+}
 
 func TestRunSingleExperimentWithCSV(t *testing.T) {
 	dir := t.TempDir()
@@ -24,211 +98,6 @@ func TestRunSingleExperimentWithCSV(t *testing.T) {
 	// Experiments not selected must not have been written.
 	if _, err := os.Stat(filepath.Join(dir, "e6.csv")); !os.IsNotExist(err) {
 		t.Error("unselected experiment written")
-	}
-}
-
-func TestCompareSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	oldSnap := `{"schema":"aabench/v1","go":"go1.24.0","gomaxprocs":1,"parallelism":1,"seeds":2,
-		"experiments":[{"id":"E4","title":"t","wall_ns":10,"runs":2,"ns_per_run":1000,"msgs_per_run":50,"bytes_per_run":800},
-		               {"id":"E5","title":"t","wall_ns":10,"runs":2,"ns_per_run":1000,"msgs_per_run":50,"bytes_per_run":800}],
-		"micro":[{"name":"rbc/handle","ns_op":100,"allocs_op":20,"bytes_op":0},
-		         {"name":"wire/zeroalloc","ns_op":2,"allocs_op":0,"bytes_op":0}]}`
-	newSnap := `{"schema":"aabench/v1","go":"go1.24.0","gomaxprocs":1,"parallelism":1,"seeds":2,
-		"experiments":[{"id":"E4","title":"t","wall_ns":10,"runs":2,"ns_per_run":2000,"msgs_per_run":50,"bytes_per_run":800}],
-		"micro":[{"name":"rbc/handle","ns_op":40,"allocs_op":2,"bytes_op":0},
-		         {"name":"rbc/fresh","ns_op":1,"allocs_op":0,"bytes_op":0},
-		         {"name":"wire/zeroalloc","ns_op":2,"allocs_op":3,"bytes_op":0}]}`
-	for path, body := range map[string]string{oldPath: oldSnap, newPath: newSnap} {
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var sb strings.Builder
-	// The old snapshot's E5 is missing from the new one: a coverage loss is
-	// a hole in the drift gate, so compare must both render the "removed"
-	// row and return the drift error.
-	err := compare(&sb, oldPath, newPath)
-	if err == nil {
-		t.Fatal("removed experiment accepted as drift-free")
-	}
-	if !strings.Contains(err.Error(), "E5 removed") {
-		t.Fatalf("drift error %q does not name the removed experiment", err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"E4", "+100.0% REGRESSION", // experiment slowdown flagged
-		"E5", "removed", // dropped experiment surfaced
-		"rbc/handle", "-60.0%", "-90.0%", // micro improvement, no flag
-		"rbc/fresh", "new", // added micro
-		"0->3 REGRESSION", // allocations reappearing on a zero-alloc path
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("compare output missing %q in:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "-60.0% REGRESSION") {
-		t.Error("improvement flagged as regression")
-	}
-	// The CLI entry point accepts the flag form (and surfaces the same
-	// removed-experiment drift verdict).
-	if err := run([]string{"-compare", oldPath, newPath}); err == nil {
-		t.Error("CLI compare accepted a removed experiment as drift-free")
-	}
-	if err := run([]string{"-compare", oldPath}); err == nil {
-		t.Error("missing second snapshot accepted")
-	}
-	// Unknown schema is rejected.
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"nope"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-compare", oldPath, bad}); err == nil {
-		t.Error("unknown schema accepted")
-	}
-}
-
-// TestCompareFlagsTrafficDrift pins the correctness contract of -compare:
-// msgs/bytes-per-run deltas are a hard error (non-zero exit), while pure
-// wall-clock regressions remain advisory.
-func TestCompareFlagsTrafficDrift(t *testing.T) {
-	dir := t.TempDir()
-	base := `{"schema":"aabench/v1","go":"go1.24.0","gomaxprocs":1,"parallelism":1,"seeds":2,
-		"experiments":[{"id":"E4","title":"t","wall_ns":10,"runs":2,"ns_per_run":1000,"msgs_per_run":50,"bytes_per_run":800}],
-		"micro":[]}`
-	cases := []struct {
-		name    string
-		newSnap string
-		wantErr string
-	}{
-		{
-			// Slower but byte-identical traffic: advisory only.
-			name: "slowdown-only",
-			newSnap: `{"schema":"aabench/v1","go":"go1.24.0","gomaxprocs":1,"parallelism":1,"seeds":2,
-				"experiments":[{"id":"E4","title":"t","wall_ns":10,"runs":2,"ns_per_run":9000,"msgs_per_run":50,"bytes_per_run":800}],
-				"micro":[]}`,
-		},
-		{
-			name: "msgs-drift",
-			newSnap: `{"schema":"aabench/v1","go":"go1.24.0","gomaxprocs":1,"parallelism":1,"seeds":2,
-				"experiments":[{"id":"E4","title":"t","wall_ns":10,"runs":2,"ns_per_run":1000,"msgs_per_run":51,"bytes_per_run":800}],
-				"micro":[]}`,
-			wantErr: "msgs/run",
-		},
-		{
-			name: "bytes-drift",
-			newSnap: `{"schema":"aabench/v1","go":"go1.24.0","gomaxprocs":1,"parallelism":1,"seeds":2,
-				"experiments":[{"id":"E4","title":"t","wall_ns":10,"runs":2,"ns_per_run":1000,"msgs_per_run":50,"bytes_per_run":0}],
-				"micro":[]}`,
-			wantErr: "bytes/run",
-		},
-		{
-			// An experiment only the new snapshot measures is unpinned until
-			// the committed baseline is refreshed — drift, symmetrically
-			// with removal.
-			name: "new-experiment",
-			newSnap: `{"schema":"aabench/v1","go":"go1.24.0","gomaxprocs":1,"parallelism":1,"seeds":2,
-				"experiments":[{"id":"E4","title":"t","wall_ns":10,"runs":2,"ns_per_run":1000,"msgs_per_run":50,"bytes_per_run":800},
-				               {"id":"E13","title":"t","wall_ns":10,"runs":2,"ns_per_run":1000,"msgs_per_run":50,"bytes_per_run":800}],
-				"micro":[]}`,
-			wantErr: "E13 only in new snapshot",
-		},
-		{
-			// Doubling every spec scales msgs and runs together, leaving the
-			// per-run ratios untouched — the run count itself must be gated.
-			name: "runs-drift",
-			newSnap: `{"schema":"aabench/v1","go":"go1.24.0","gomaxprocs":1,"parallelism":1,"seeds":2,
-				"experiments":[{"id":"E4","title":"t","wall_ns":10,"runs":4,"ns_per_run":1000,"msgs_per_run":50,"bytes_per_run":800}],
-				"micro":[]}`,
-			wantErr: "runs 2 -> 4",
-		},
-	}
-	oldPath := filepath.Join(dir, "old.json")
-	if err := os.WriteFile(oldPath, []byte(base), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			newPath := filepath.Join(dir, c.name+".json")
-			if err := os.WriteFile(newPath, []byte(c.newSnap), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			var sb strings.Builder
-			err := compare(&sb, oldPath, newPath)
-			if c.wantErr == "" {
-				if err != nil {
-					t.Fatalf("advisory-only delta rejected: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("traffic drift accepted; output:\n%s", sb.String())
-			}
-			if !strings.Contains(err.Error(), "correctness drift") || !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("drift error %q does not name the drifted ratio %q", err, c.wantErr)
-			}
-			// The delta tables must still have been rendered before the
-			// verdict, so the operator sees what moved.
-			if !strings.Contains(sb.String(), "E4") {
-				t.Error("compare error suppressed the delta table")
-			}
-		})
-	}
-}
-
-// TestReadCommittedSnapshots pins that the committed baselines still load:
-// they carry keys the schema no longer has (the retired "shards" field),
-// which decoding must ignore.
-func TestReadCommittedSnapshots(t *testing.T) {
-	for _, name := range []string{"BENCH_8.json", "BENCH_SMOKE.json"} {
-		path := filepath.Join("..", "..", name)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(raw), `"shards"`) {
-			t.Errorf("%s no longer carries a \"shards\" key; this test no longer covers it", name)
-		}
-		s, err := readSnapshot(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(s.Experiments) == 0 {
-			t.Errorf("%s: no experiments decoded", name)
-		}
-	}
-}
-
-func TestRunJSONSnapshot(t *testing.T) {
-	// Stub the micro-benchmark runner: testing.Benchmark calibrates for
-	// about a second per case, which this shape check does not need.
-	orig := microBenchRunner
-	microBenchRunner = func() []microBench {
-		return []microBench{{Name: "stub/micro", NsOp: 1, AllocsOp: 0, BytesOp: 0}}
-	}
-	defer func() { microBenchRunner = orig }()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	if err := run([]string{"-seeds", "1", "-only", "E3", "-parallel", "2", "-json", path}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(data)
-	for _, want := range []string{
-		`"schema": "aabench/v1"`,
-		`"id": "E3"`,
-		`"msgs_per_run"`,
-		`"stub/micro"`,
-		`"allocs_op"`,
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("snapshot missing %s", want)
-		}
 	}
 }
 

@@ -143,7 +143,7 @@
 // stack surfaces with the episode name and the exact send where the
 // execution first forked.
 //
-// PERF.md records the measured before/after numbers; the BENCH_*.json
-// snapshots at the repo root (written by cmd/aabench -json, refreshed via
-// `make bench`) carry the performance trajectory across PRs.
+// PERF.md records the measured before/after numbers; the
+// BENCH_<n>_pairs.jsonl files at the repo root (written by `make pairs`)
+// carry the performance trajectory across PRs.
 package repro

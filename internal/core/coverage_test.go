@@ -105,6 +105,20 @@ func TestDefaultFuncUnknownProtocol(t *testing.T) {
 	}
 }
 
+// TestMaxTInvertsMinN checks that MaxT is MinN's inverse: at every n, the
+// bound it returns fits and one more fault does not.
+func TestMaxTInvertsMinN(t *testing.T) {
+	for p := ProtoCrash; p <= ProtoSync; p++ {
+		for n := 1; n <= 200; n++ {
+			mt := MaxT(p, n)
+			if !(MinN(p, mt) <= n && n < MinN(p, mt+1)) {
+				t.Errorf("%s n=%d: MaxT=%d, MinN(%d)=%d, MinN(%d)=%d",
+					p, n, mt, mt, MinN(p, mt), mt+1, MinN(p, mt+1))
+			}
+		}
+	}
+}
+
 func TestAsyncAAFailPath(t *testing.T) {
 	// Force an internal error by corrupting the function after
 	// construction (simulates an invariant break) and verify the protocol

@@ -177,6 +177,16 @@ func MinN(proto Protocol, t int) int {
 	}
 }
 
+// MaxT returns the largest fault bound the protocol supports at n parties:
+// the largest t with MinN(proto, t) <= n, or 0 when no t fits.
+func MaxT(proto Protocol, n int) int {
+	t := 0
+	for MinN(proto, t+1) <= n {
+		t++
+	}
+	return t
+}
+
 // Validate checks the parameters, including the protocol's resilience
 // requirement and that the quorum is large enough for the approximation
 // function.

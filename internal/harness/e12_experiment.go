@@ -86,7 +86,7 @@ func E12LargeNSizes(e *Engine, sizes []int) (*trace.Table, error) {
 // E12XL is the extra-large-n slice: n ∈ {1024, 4096}. It is not part of the
 // default Experiments() registry — a single n=4096 run pushes ~170M
 // messages, far past the CI and equivalence-matrix budgets — and is reached
-// through aabench -xl (the committed BENCH snapshots carry its rows) and
+// through aabench -xl (BENCH_8.json keeps a frozen entry for it) and
 // the reduced `make e12-xl` CI slice, which runs E12XLSizes([]int{1024}).
 func E12XL(e *Engine) (*trace.Table, error) {
 	return E12XLSizes(e, []int{1024, 4096})

@@ -218,7 +218,7 @@ func E1Resilience(e *Engine, seeds int) (*trace.Table, error) {
 	for i, c := range cases {
 		p, out := params[i], outs[i]
 		tbl.AddRow(p.Protocol.String(), trace.I(c.n), trace.I(c.t), trace.I(c.t),
-			trace.Sprintf("t<=%d", (c.n-1)/faultDivisor(c.proto)), trace.B(out.allOK),
+			trace.Sprintf("t<=%d", core.MaxT(c.proto, c.n)), trace.B(out.allOK),
 			trace.B(out.allOK), trace.B(out.allOK), "at bound: all invariants hold")
 
 		// One past the bound.
@@ -234,17 +234,6 @@ func E1Resilience(e *Engine, seeds int) (*trace.Table, error) {
 		trace.B(o5.rep.RunErr == nil), trace.B(o5.rep.ValidityOK), trace.B(o5.rep.AgreementOK),
 		"equivocation stalls contraction at classical resilience")
 	return tbl, nil
-}
-
-func faultDivisor(p core.Protocol) int {
-	switch p {
-	case core.ProtoCrash:
-		return 2
-	case core.ProtoByzTrim:
-		return 7
-	default:
-		return 3
-	}
 }
 
 // overloadSpec builds the spec that injects t+1 faults against a protocol
@@ -429,7 +418,7 @@ func E4MessagesFor(e *Engine, cases []E4Case) (*trace.Table, error) {
 	var rounds []int
 	for _, c := range cases {
 		for _, n := range c.Sizes {
-			t := maxT(c.Proto, n)
+			t := core.MaxT(c.Proto, n)
 			p := core.Params{Protocol: c.Proto, N: n, T: t, Eps: 1e-3, Lo: 0, Hi: 1}
 			r, err := p.FixedRounds()
 			if err != nil {
@@ -456,18 +445,6 @@ func E4MessagesFor(e *Engine, cases []E4Case) (*trace.Table, error) {
 			trace.I(rep.Result.Stats.BytesSent), trace.B(rep.OK()))
 	}
 	return tbl, nil
-}
-
-// maxT returns the largest fault bound a protocol supports at a given n.
-func maxT(p core.Protocol, n int) int {
-	switch p {
-	case core.ProtoCrash:
-		return (n - 1) / 2
-	case core.ProtoByzTrim:
-		return (n - 1) / 7
-	default:
-		return (n - 1) / 3
-	}
 }
 
 // --- E5: trajectories ---
@@ -571,7 +548,7 @@ func E6ScalingFor(e *Engine, protos []core.Protocol, sizes []int) (*trace.Table,
 	var specs []Spec
 	for _, proto := range protos {
 		for _, n := range sizes {
-			t := maxT(proto, n)
+			t := core.MaxT(proto, n)
 			p := core.Params{Protocol: proto, N: n, T: t, Eps: 1e-3, Lo: 0, Hi: 1}
 			spec, err := SpecFrom(p, LinearInputs(n, 0, 1), scenario.Spec{Sched: "random", N: n, T: t}, 13)
 			if err != nil {

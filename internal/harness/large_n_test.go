@@ -15,7 +15,7 @@ import (
 // delivery + SoA work unlocks: a reduced scenario slice (one benign and
 // two adversarial schedulers, fault-free and crash-storm) at n=512 on the
 // crash protocol, asserting full invariant success. It runs from the CI
-// bench-smoke job (make e12-smoke); locally it is opt-in via
+// scale job (make e12-smoke); locally it is opt-in via
 // E12_LARGE_SMOKE=1 because a single run pushes ~3M messages.
 func TestE12LargeN512Smoke(t *testing.T) {
 	if os.Getenv("E12_LARGE_SMOKE") == "" {
@@ -53,7 +53,7 @@ func TestE12LargeN512Smoke(t *testing.T) {
 }
 
 // TestE12XL1024Smoke exercises the n=1024 scale axis: the reduced E12-XL
-// slice with full invariant success. It runs from the CI bench-smoke job
+// slice with full invariant success. It runs from the CI scale job
 // (make e12-xl); locally it is opt-in via E12_XL_SMOKE=1 because a single
 // fault-free n=1024 run pushes ~10M messages. The rows run one at a time,
 // and each logs its peak HeapInuse, sampled by a goroutine beside the run.

@@ -1,7 +1,7 @@
 // Package microbench holds the substrate micro-benchmark bodies shared by
-// the root benchmark suite (bench_test.go) and cmd/aabench's -json
-// snapshot, so `go test -bench` and the BENCH_*.json trajectory can never
-// silently measure different code or parameters.
+// the root benchmark suite (bench_test.go) and the repository benchmark's
+// layer probes (benchmark/probes.go), so `go test -bench` and a probe can
+// never silently measure different code or parameters.
 package microbench
 
 import (
@@ -21,8 +21,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Case is one named micro-benchmark, keyed by its snapshot identifier
-// (micro[*].name in BENCH_*.json).
+// Case is one named micro-benchmark, keyed by the name the repository
+// benchmark's probes look it up by.
 type Case struct {
 	Name string
 	Fn   func(b *testing.B)
@@ -38,7 +38,8 @@ func SortedInput() []float64 {
 	return sorted
 }
 
-// Cases returns the snapshot micro-benchmark inventory, in snapshot order.
+// Cases returns the cases benchmark/probes.go looks up by name. The
+// bodies it leaves out are reached through bench_test.go only.
 func Cases() []Case {
 	return []Case{
 		{"multiset/apply-sorted/midextremes", func(b *testing.B) {
@@ -47,15 +48,10 @@ func Cases() []Case {
 		{"multiset/apply-sorted/selectdouble", func(b *testing.B) {
 			ApplySorted(b, multiset.SelectDouble{Trim: 8, K: 4})
 		}},
-		{"multiset/contraction-search", ContractionSearch},
 		{"wire/value-roundtrip", WireRoundtrip},
-		{"wire/value-append-reuse", WireAppendReuse},
 		{"rbc/round", RBCRound},
-		// benchmark/ looks this case up by name (sim.storm_ns_per_event).
 		{"simloop/calendar", SimLoop},
-		{"scenario/e12", ScenarioE12},
 		{"harness/run-reused", RunReused},
-		{"livenet/run-n32", LiveRun},
 	}
 }
 
@@ -177,9 +173,9 @@ func ScenarioE12(b *testing.B) {
 
 // RunReused measures one full crash-protocol run (n=10 t=4, splitviews
 // scheduler with a crash storm) on a warm recycled harness.RunContext —
-// the form every engine run takes since the run-context recycling PR. Its
-// allocs_op in the snapshot is the steady-state pin: ~0 after warm-up
-// (the reused-report path; TestRunReusedAllocs asserts exactly 0).
+// the form every engine run takes since the run-context recycling PR.
+// After warm-up it allocates nothing (the reused-report path;
+// TestRunReusedAllocs asserts exactly 0).
 func RunReused(b *testing.B) {
 	scen := scenario.MustParse("splitviews+crash/n=10,t=4")
 	p := core.Params{Protocol: core.ProtoCrash, N: 10, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}

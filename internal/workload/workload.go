@@ -22,8 +22,8 @@
 // of (Spec, seed, horizon): arrival times are drawn first from one seeded
 // stream, then per-request service and cohort draws follow in arrival
 // order, so the same spec and seed always produce byte-identical request
-// sequences — the property the deterministic overload sweep (E15) and the
-// bench-smoke drift gate ride on.
+// sequences — the property the deterministic overload sweep (E15) and its
+// pin in cmd/aabench's TestTablesPinned ride on.
 //
 // Arrival processes:
 //
