@@ -48,7 +48,7 @@ fuzz-parse:
 
 # fuzz-incident runs the native fuzz target for the incident bundle decoder
 # (FuzzDecode, seeded with the committed corpus): no panic, every error
-# wraps a sentinel, and every bundle that decodes round-trips through
+# wraps a frame sentinel, and every bundle that decodes round-trips through
 # Encode. The corpus bundles run to 100 KB, so minimizing a new input is
 # capped at 5 s to leave the budget for fuzzing. Findings land under
 # internal/incident/testdata/fuzz/FuzzDecode/; commit them with the fix.
@@ -66,8 +66,9 @@ fuzz-wire:
 # fuzz-checkpoint runs the native fuzz target for snapshot restore
 # (FuzzRestore, seeded with core's snapshot round-trip states, the CRC
 # re-sealed over every fuzzed body): Restore never panics on AsyncAA,
-# SyncAA or WitnessAA, every error wraps checkpoint.ErrMalformed or
-# ErrVersion, and snapshot -> restore -> snapshot reaches a fixed point.
+# SyncAA or WitnessAA, every error wraps frame.ErrMalformed or
+# frame.ErrVersion, and snapshot -> restore -> snapshot reaches a fixed
+# point.
 # Findings land under internal/core/testdata/fuzz/FuzzRestore/; commit
 # them with the fix.
 fuzz-checkpoint:
@@ -159,6 +160,8 @@ serve-soak:
 	SERVE_SOAK=1 $(GO) test -race -run TestServeSoak -count=1 -v -timeout 5m ./internal/serve/
 
 # benchmem runs the substrate micro-benchmarks with allocation accounting,
-# the numbers PERF.md tracks.
+# the numbers PERF.md tracks, then the warm snapshot -> restore round trip
+# (BenchmarkSnapshotRestore, 0 allocs/op).
 benchmem:
 	$(GO) test -run '^$$' -bench 'BenchmarkApproxFuncs|BenchmarkContractionSearch|BenchmarkWire|BenchmarkSimLoop|BenchmarkScenarioE12|BenchmarkRunReused|BenchmarkLiveRun' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRestore' -benchmem ./internal/core/

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"repro/aa"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/incident"
 	"repro/internal/scenario"
@@ -103,18 +104,20 @@ func run(args []string, w io.Writer) error {
 	cfg := aa.Config{
 		N: *n, T: *t, Epsilon: *eps, Lo: *lo, Hi: *hi, Adaptive: *adaptive,
 	}
-	switch *model {
-	case "crash":
+	proto, err := core.ParseProtocol(*model)
+	if err != nil {
+		return err
+	}
+	switch proto {
+	case core.ProtoCrash:
 		cfg.Model = aa.ModelCrash
-	case "trim":
+	case core.ProtoByzTrim:
 		cfg.Model = aa.ModelByzantineTrim
-	case "witness":
+	case core.ProtoWitness:
 		cfg.Model = aa.ModelByzantineWitness
-	case "sync":
+	case core.ProtoSync:
 		cfg.Model = aa.ModelSynchronous
 		cfg.SyncRoundTicks = 20
-	default:
-		return fmt.Errorf("unknown model %q", *model)
 	}
 
 	inputs, err := parseInputs(*inputsFlag, *n, *lo, *hi)

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/incident"
+	"repro/internal/frame"
 	"repro/internal/scenario"
 )
 
@@ -176,7 +176,7 @@ func TestReplayDetectsTampering(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = run([]string{"-replay", path}, io.Discard)
-	if !errors.Is(err, incident.ErrMalformed) {
+	if !errors.Is(err, frame.ErrMalformed) {
 		t.Fatalf("tampered bundle: got %v, want ErrMalformed", err)
 	}
 }

@@ -47,21 +47,6 @@ func main() {
 	}
 }
 
-func protoFromModel(m string) (core.Protocol, error) {
-	switch m {
-	case "crash":
-		return core.ProtoCrash, nil
-	case "trim":
-		return core.ProtoByzTrim, nil
-	case "witness":
-		return core.ProtoWitness, nil
-	case "sync":
-		return core.ProtoSync, nil
-	default:
-		return 0, fmt.Errorf("unknown model %q (crash | trim | witness | sync)", m)
-	}
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("aaserve", flag.ContinueOnError)
 	workloadFlag := fs.String("workload", "poisson:40+lognormal:4:0.5",
@@ -112,7 +97,7 @@ func run(args []string) error {
 	}
 	w = w.Scale(*mult)
 
-	proto, err := protoFromModel(*model)
+	proto, err := core.ParseProtocol(*model)
 	if err != nil {
 		return err
 	}

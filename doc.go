@@ -74,9 +74,9 @@
 // # Crash recovery
 //
 // Every protocol party is a core.Snapshotter: Snapshot serializes its
-// complete round state into a versioned internal/checkpoint envelope
-// (magic, version, body, CRC — about 110 bytes for a mid-round crash
-// party at n=9), Restore rolls the party back to exactly those bytes
+// complete round state into a versioned internal/frame envelope (magic,
+// version, body, CRC — about 110 bytes for a mid-round crash party at
+// n=9; incident bundles use the same envelope and field reader), Restore rolls the party back to exactly those bytes
 // with typed rejection of corrupt, truncated, or cross-shape snapshots,
 // and Rejoin re-announces the current round so peers catch the party
 // up. The scenario axes "recover:k:down:lag" and "amnesia:k:down" drive

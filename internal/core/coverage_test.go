@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -115,6 +116,28 @@ func TestMaxTInvertsMinN(t *testing.T) {
 				t.Errorf("%s n=%d: MaxT=%d, MinN(%d)=%d, MinN(%d)=%d",
 					p, n, mt, mt, MinN(p, mt), mt+1, MinN(p, mt+1))
 			}
+		}
+	}
+}
+
+// TestProtocolTokens pins the token vocabulary: it is what committed
+// incident bundles and the CLIs' -model flags spell, so it must not move.
+func TestProtocolTokens(t *testing.T) {
+	want := map[Protocol]string{ProtoCrash: "crash", ProtoByzTrim: "trim", ProtoWitness: "witness", ProtoSync: "sync"}
+	for p, tok := range want {
+		if got := p.Token(); got != tok {
+			t.Errorf("%s.Token() = %q, want %q", p, got, tok)
+		}
+		if back, err := ParseProtocol(tok); err != nil || back != p {
+			t.Errorf("ParseProtocol(%q) = %v, %v", tok, back, err)
+		}
+	}
+	if tok := Protocol(42).Token(); tok != "" {
+		t.Errorf("unknown protocol has token %q", tok)
+	}
+	for _, tok := range []string{"", "paxos", "crash-aa", "Crash"} {
+		if _, err := ParseProtocol(tok); !errors.Is(err, ErrBadParams) {
+			t.Errorf("ParseProtocol(%q): %v", tok, err)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/checkpoint"
+	"repro/internal/frame"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -58,9 +58,9 @@ func fuzzParty(t testing.TB, kind uint8) Snapshotter {
 
 // FuzzRestore restores arbitrary snapshot bodies into each protocol
 // party, seeded with the states the snapshot round-trip tests take. The
-// target re-seals the CRC over the fuzzed body, so inputs reach the
-// payload decoders instead of stopping at the checksum. The oracle: no
-// panic; every error wraps checkpoint.ErrMalformed or ErrVersion; and a
+// target re-seals each fuzzed body with snapFormat.Seal, so inputs reach
+// the payload decoders instead of stopping at the checksum. The oracle:
+// no panic; every error wraps frame.ErrMalformed or frame.ErrVersion; and a
 // restore that succeeds reaches a fixed point, in that the snapshot it
 // leaves restores, onto a fresh party and onto the same one, to a
 // byte-identical snapshot. `make fuzz-checkpoint` runs it; findings land
@@ -105,10 +105,10 @@ func FuzzRestore(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
 		p := fuzzParty(t, kind)
-		err := p.Restore(checkpoint.Seal(append([]byte(nil), body...)))
+		err := p.Restore(snapFormat.Seal(append([]byte(nil), body...)))
 		if err != nil {
-			if !errors.Is(err, checkpoint.ErrMalformed) && !errors.Is(err, checkpoint.ErrVersion) {
-				t.Fatalf("restore error wraps no checkpoint sentinel: %v", err)
+			if !errors.Is(err, frame.ErrMalformed) && !errors.Is(err, frame.ErrVersion) {
+				t.Fatalf("restore error wraps no frame sentinel: %v", err)
 			}
 			return
 		}

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/multiset"
 	"repro/internal/sim"
@@ -67,6 +68,31 @@ func (p Protocol) String() string {
 	default:
 		return fmt.Sprintf("protocol(%d)", int(p))
 	}
+}
+
+// protoTokens are the protocols' short names, indexed by Protocol.
+var protoTokens = [...]string{ProtoCrash: "crash", ProtoByzTrim: "trim", ProtoWitness: "witness", ProtoSync: "sync"}
+
+// Token returns p's short name, the vocabulary of the CLIs' -model flags
+// and of incident bundles: "crash", "trim", "witness" or "sync".
+// ParseProtocol inverts it. A p outside the family has no token and
+// returns "".
+func (p Protocol) Token() string {
+	if p < ProtoCrash || p > ProtoSync {
+		return ""
+	}
+	return protoTokens[p]
+}
+
+// ParseProtocol returns the protocol whose Token is tok. The error for an
+// unknown tok wraps ErrBadParams and lists every token.
+func ParseProtocol(tok string) (Protocol, error) {
+	for p := ProtoCrash; p <= ProtoSync; p++ {
+		if protoTokens[p] == tok {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: unknown protocol %q (%s)", ErrBadParams, tok, strings.Join(protoTokens[ProtoCrash:], " | "))
 }
 
 // Sentinel errors.

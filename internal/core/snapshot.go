@@ -5,14 +5,14 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/checkpoint"
+	"repro/internal/frame"
 	"repro/internal/wire"
 )
 
 // Snapshotter is the crash-recovery surface every protocol party
 // implements next to its Reset(): Snapshot serializes the party's full
 // volatile state (round buckets, seen bitsets, witness ring, RBC slabs)
-// into the versioned internal/checkpoint format, Restore replaces the
+// into an internal/frame envelope (snapFormat), Restore replaces the
 // party's state with a previously taken snapshot of the same shape, and
 // Rejoin re-announces the party's current position after a restart so
 // peers (and the party's own quorums) can make progress again — the
@@ -25,7 +25,7 @@ import (
 // with the identical shape (the snapshot carries n/t/mode for validation);
 // it never touches the party's API wiring, so it is safe mid-run. Every
 // error Restore returns, a shape mismatch included, wraps
-// checkpoint.ErrMalformed or checkpoint.ErrVersion (FuzzRestore pins it).
+// frame.ErrMalformed or frame.ErrVersion (FuzzRestore pins it).
 type Snapshotter interface {
 	Snapshot(buf []byte) ([]byte, error)
 	Restore(data []byte) error
@@ -38,6 +38,11 @@ var (
 	_ Snapshotter = (*WitnessAA)(nil)
 )
 
+// snapFormat is the snapshot's frame: magic "AACP", version 1, CRC over
+// header and body. Incident bundles record digests of whole snapshots
+// (frame.Digest), so every byte of this envelope is fixed.
+var snapFormat = frame.Format{Magic: "AACP", Version: 1, SealHeader: true}
+
 // maxSnapBuckets caps the bucket count a snapshot may declare (ring plus
 // Byzantine spill; real executions stay far below).
 const maxSnapBuckets = 1 << 16
@@ -45,10 +50,10 @@ const maxSnapBuckets = 1 << 16
 // appendSparseF64 encodes a seen-bitset plus the value slot of every set
 // bit, in ascending origin order.
 func appendSparseF64(buf []byte, seen []uint64, vals []float64) []byte {
-	buf = checkpoint.AppendWords(buf, seen)
+	buf = frame.AppendWords(buf, seen)
 	for wi, word := range seen {
 		for word != 0 {
-			buf = checkpoint.AppendF64(buf, vals[wi<<6+bits.TrailingZeros64(word)])
+			buf = frame.AppendF64(buf, vals[wi<<6+bits.TrailingZeros64(word)])
 			word &= word - 1
 		}
 	}
@@ -57,7 +62,7 @@ func appendSparseF64(buf []byte, seen []uint64, vals []float64) []byte {
 
 // readSparseF64 decodes appendSparseF64's encoding into seen and vals
 // (shapes must match the writing party's) and returns the set-bit count.
-func readSparseF64(d *checkpoint.Dec, seen []uint64, vals []float64) (int, error) {
+func readSparseF64(d *frame.Dec, seen []uint64, vals []float64) (int, error) {
 	d.Words(seen)
 	if err := d.Err(); err != nil {
 		return 0, err
@@ -67,7 +72,7 @@ func readSparseF64(d *checkpoint.Dec, seen []uint64, vals []float64) (int, error
 		for word != 0 {
 			idx := wi<<6 + bits.TrailingZeros64(word)
 			if idx >= len(vals) {
-				return 0, fmt.Errorf("%w: snapshot origin %d out of range %d", checkpoint.ErrMalformed, idx, len(vals))
+				return 0, fmt.Errorf("%w: snapshot origin %d out of range %d", frame.ErrMalformed, idx, len(vals))
 			}
 			vals[idx] = d.F64()
 			cnt++
@@ -81,20 +86,20 @@ func readSparseF64(d *checkpoint.Dec, seen []uint64, vals []float64) (int, error
 
 // Snapshot implements Snapshotter: the adaptive INIT/DECIDED stores, the
 // round ring and spill buckets, and the protocol position, appended to buf
-// in the checkpoint format.
+// in the snapshot format.
 func (a *AsyncAA) Snapshot(buf []byte) ([]byte, error) {
-	buf = checkpoint.Begin(buf)
-	buf = checkpoint.AppendUvarint(buf, uint64(a.p.N))
-	buf = checkpoint.AppendUvarint(buf, uint64(a.p.T))
-	buf = checkpoint.AppendBool(buf, a.p.Adaptive)
-	buf = checkpoint.AppendF64(buf, a.input)
-	buf = checkpoint.AppendF64(buf, a.v)
-	buf = checkpoint.AppendUvarint(buf, uint64(a.round))
-	buf = checkpoint.AppendUvarint(buf, uint64(a.horizon))
-	buf = checkpoint.AppendBool(buf, a.started)
-	buf = checkpoint.AppendBool(buf, a.decided)
-	buf = checkpoint.AppendF64(buf, a.initLo)
-	buf = checkpoint.AppendF64(buf, a.initHi)
+	buf = snapFormat.Begin(buf, snapFormat.Version)
+	buf = frame.AppendUvarint(buf, uint64(a.p.N))
+	buf = frame.AppendUvarint(buf, uint64(a.p.T))
+	buf = frame.AppendBool(buf, a.p.Adaptive)
+	buf = frame.AppendF64(buf, a.input)
+	buf = frame.AppendF64(buf, a.v)
+	buf = frame.AppendUvarint(buf, uint64(a.round))
+	buf = frame.AppendUvarint(buf, uint64(a.horizon))
+	buf = frame.AppendBool(buf, a.started)
+	buf = frame.AppendBool(buf, a.decided)
+	buf = frame.AppendF64(buf, a.initLo)
+	buf = frame.AppendF64(buf, a.initHi)
 	buf = appendSparseF64(buf, a.initSeen, a.initVals)
 	buf = appendSparseF64(buf, a.frozenSeen, a.frozenVals)
 	// Buckets in ascending round order — ring slots are walked for their
@@ -110,20 +115,20 @@ func (a *AsyncAA) Snapshot(buf []byte) ([]byte, error) {
 		a.snapRounds = append(a.snapRounds, r)
 	}
 	slices.Sort(a.snapRounds) // allocation-free, unlike sort.Slice's closure
-	buf = checkpoint.AppendUvarint(buf, uint64(len(a.snapRounds)))
+	buf = frame.AppendUvarint(buf, uint64(len(a.snapRounds)))
 	for _, r := range a.snapRounds {
 		b := a.bucket(r, false)
-		buf = checkpoint.AppendUvarint(buf, uint64(r))
+		buf = frame.AppendUvarint(buf, uint64(r))
 		buf = appendSparseF64(buf, b.seen, b.vals)
 	}
-	return checkpoint.Seal(buf), nil
+	return snapFormat.Seal(buf), nil
 }
 
 // Restore implements Snapshotter. The party keeps its configuration and
 // API wiring; every volatile field is replaced by the snapshot's state,
 // with current buckets recycled through the free list first.
 func (a *AsyncAA) Restore(data []byte) error {
-	d, err := checkpoint.Open(data)
+	d, _, err := snapFormat.Open(data)
 	if err != nil {
 		return err
 	}
@@ -133,7 +138,7 @@ func (a *AsyncAA) Restore(data []byte) error {
 	}
 	if int(n) != a.p.N || int(t) != a.p.T || adaptive != a.p.Adaptive {
 		return fmt.Errorf("%w: snapshot shape n=%d t=%d adaptive=%v does not match party n=%d t=%d adaptive=%v",
-			checkpoint.ErrMalformed, n, t, adaptive, a.p.N, a.p.T, a.p.Adaptive)
+			frame.ErrMalformed, n, t, adaptive, a.p.N, a.p.T, a.p.Adaptive)
 	}
 	// Drop the current volatile state exactly as a same-shape Reset does.
 	a.recycle()
@@ -154,7 +159,7 @@ func (a *AsyncAA) Restore(data []byte) error {
 	}
 	nb := d.Uvarint()
 	if nb > maxSnapBuckets {
-		return fmt.Errorf("%w: snapshot declares %d round buckets", checkpoint.ErrMalformed, nb)
+		return fmt.Errorf("%w: snapshot declares %d round buckets", frame.ErrMalformed, nb)
 	}
 	for i := uint64(0); i < nb; i++ {
 		r := uint32(d.Uvarint())
@@ -198,33 +203,33 @@ func (a *AsyncAA) Rejoin() {
 
 // Snapshot implements Snapshotter.
 func (s *SyncAA) Snapshot(buf []byte) ([]byte, error) {
-	buf = checkpoint.Begin(buf)
-	buf = checkpoint.AppendUvarint(buf, uint64(s.p.N))
-	buf = checkpoint.AppendUvarint(buf, uint64(s.p.T))
-	buf = checkpoint.AppendF64(buf, s.v)
-	buf = checkpoint.AppendUvarint(buf, uint64(s.round))
-	buf = checkpoint.AppendUvarint(buf, uint64(s.horizon))
-	buf = checkpoint.AppendBool(buf, s.decided)
+	buf = snapFormat.Begin(buf, snapFormat.Version)
+	buf = frame.AppendUvarint(buf, uint64(s.p.N))
+	buf = frame.AppendUvarint(buf, uint64(s.p.T))
+	buf = frame.AppendF64(buf, s.v)
+	buf = frame.AppendUvarint(buf, uint64(s.round))
+	buf = frame.AppendUvarint(buf, uint64(s.horizon))
+	buf = frame.AppendBool(buf, s.decided)
 	count := 0
 	for _, b := range s.rounds {
 		if b != nil {
 			count++
 		}
 	}
-	buf = checkpoint.AppendUvarint(buf, uint64(count))
+	buf = frame.AppendUvarint(buf, uint64(count))
 	for r, b := range s.rounds {
 		if b != nil {
-			buf = checkpoint.AppendUvarint(buf, uint64(r))
+			buf = frame.AppendUvarint(buf, uint64(r))
 			buf = appendSparseF64(buf, b.seen, b.vals)
 		}
 	}
-	return checkpoint.Seal(buf), nil
+	return snapFormat.Seal(buf), nil
 }
 
 // Restore implements Snapshotter. The fixed horizon is part of the shape:
 // a snapshot from a differently configured run is rejected.
 func (s *SyncAA) Restore(data []byte) error {
-	d, err := checkpoint.Open(data)
+	d, _, err := snapFormat.Open(data)
 	if err != nil {
 		return err
 	}
@@ -234,7 +239,7 @@ func (s *SyncAA) Restore(data []byte) error {
 	}
 	if int(n) != s.p.N || int(t) != s.p.T {
 		return fmt.Errorf("%w: snapshot shape n=%d t=%d does not match party n=%d t=%d",
-			checkpoint.ErrMalformed, n, t, s.p.N, s.p.T)
+			frame.ErrMalformed, n, t, s.p.N, s.p.T)
 	}
 	v := d.F64()
 	round := uint32(d.Uvarint())
@@ -244,7 +249,7 @@ func (s *SyncAA) Restore(data []byte) error {
 		return err
 	}
 	if horizon != s.horizon {
-		return fmt.Errorf("%w: snapshot horizon %d, party horizon %d", checkpoint.ErrMalformed, horizon, s.horizon)
+		return fmt.Errorf("%w: snapshot horizon %d, party horizon %d", frame.ErrMalformed, horizon, s.horizon)
 	}
 	for i, b := range s.rounds {
 		if b != nil {
@@ -256,7 +261,7 @@ func (s *SyncAA) Restore(data []byte) error {
 	s.v, s.round, s.decided = v, round, decided
 	count := d.Uvarint()
 	if count > uint64(len(s.rounds)) {
-		return fmt.Errorf("%w: snapshot declares %d round buckets for horizon %d", checkpoint.ErrMalformed, count, horizon)
+		return fmt.Errorf("%w: snapshot declares %d round buckets for horizon %d", frame.ErrMalformed, count, horizon)
 	}
 	for i := uint64(0); i < count; i++ {
 		r := d.Uvarint()
@@ -264,7 +269,7 @@ func (s *SyncAA) Restore(data []byte) error {
 			return d.Err()
 		}
 		if r >= uint64(len(s.rounds)) {
-			return fmt.Errorf("%w: snapshot round %d beyond horizon %d", checkpoint.ErrMalformed, r, horizon)
+			return fmt.Errorf("%w: snapshot round %d beyond horizon %d", frame.ErrMalformed, r, horizon)
 		}
 		var b *roundBucket
 		if k := len(s.freeBuckets); k > 0 {
@@ -308,36 +313,36 @@ func (s *SyncAA) Rejoin() {
 // delivered/satisfied bitsets, pending report masks) plus the underlying
 // RBC broadcaster's slabs.
 func (w *WitnessAA) Snapshot(buf []byte) ([]byte, error) {
-	buf = checkpoint.Begin(buf)
-	buf = checkpoint.AppendUvarint(buf, uint64(w.p.N))
-	buf = checkpoint.AppendUvarint(buf, uint64(w.p.T))
-	buf = checkpoint.AppendF64(buf, w.v)
-	buf = checkpoint.AppendUvarint(buf, uint64(w.round))
-	buf = checkpoint.AppendUvarint(buf, uint64(w.horizon))
-	buf = checkpoint.AppendBool(buf, w.decided)
+	buf = snapFormat.Begin(buf, snapFormat.Version)
+	buf = frame.AppendUvarint(buf, uint64(w.p.N))
+	buf = frame.AppendUvarint(buf, uint64(w.p.T))
+	buf = frame.AppendF64(buf, w.v)
+	buf = frame.AppendUvarint(buf, uint64(w.round))
+	buf = frame.AppendUvarint(buf, uint64(w.horizon))
+	buf = frame.AppendBool(buf, w.decided)
 	count := 0
 	for i := range w.rounds {
 		if w.rounds[i].arr != nil || w.rounds[i].sentRep {
 			count++
 		}
 	}
-	buf = checkpoint.AppendUvarint(buf, uint64(count))
+	buf = frame.AppendUvarint(buf, uint64(count))
 	for r := range w.rounds {
 		rr := &w.rounds[r]
 		if rr.arr == nil && !rr.sentRep {
 			continue
 		}
-		buf = checkpoint.AppendUvarint(buf, uint64(r))
-		buf = checkpoint.AppendBool(buf, rr.sentRep)
-		buf = checkpoint.AppendBool(buf, rr.arr != nil)
+		buf = frame.AppendUvarint(buf, uint64(r))
+		buf = frame.AppendBool(buf, rr.sentRep)
+		buf = frame.AppendBool(buf, rr.arr != nil)
 		if a := rr.arr; a != nil {
 			buf = appendSparseF64(buf, a.have, a.vals)
-			buf = checkpoint.AppendWords(buf, a.sat)
-			buf = checkpoint.AppendWords(buf, a.pendActive)
+			buf = frame.AppendWords(buf, a.sat)
+			buf = frame.AppendWords(buf, a.pendActive)
 			for wi, word := range a.pendActive {
 				for word != 0 {
 					f := wi<<6 + bits.TrailingZeros64(word)
-					buf = checkpoint.AppendWords(buf, a.pendMask[f*w.words:(f+1)*w.words])
+					buf = frame.AppendWords(buf, a.pendMask[f*w.words:(f+1)*w.words])
 					word &= word - 1
 				}
 			}
@@ -346,13 +351,13 @@ func (w *WitnessAA) Snapshot(buf []byte) ([]byte, error) {
 	if w.bcast != nil {
 		buf = w.bcast.AppendState(buf)
 	}
-	return checkpoint.Seal(buf), nil
+	return snapFormat.Seal(buf), nil
 }
 
 // Restore implements Snapshotter. The broadcaster is reset through its
 // normal recycling path and refilled from the snapshot's slab records.
 func (w *WitnessAA) Restore(data []byte) error {
-	d, err := checkpoint.Open(data)
+	d, _, err := snapFormat.Open(data)
 	if err != nil {
 		return err
 	}
@@ -362,7 +367,7 @@ func (w *WitnessAA) Restore(data []byte) error {
 	}
 	if int(n) != w.p.N || int(t) != w.p.T {
 		return fmt.Errorf("%w: snapshot shape n=%d t=%d does not match party n=%d t=%d",
-			checkpoint.ErrMalformed, n, t, w.p.N, w.p.T)
+			frame.ErrMalformed, n, t, w.p.N, w.p.T)
 	}
 	v := d.F64()
 	round := uint32(d.Uvarint())
@@ -372,7 +377,7 @@ func (w *WitnessAA) Restore(data []byte) error {
 		return err
 	}
 	if horizon != w.horizon {
-		return fmt.Errorf("%w: snapshot horizon %d, party horizon %d", checkpoint.ErrMalformed, horizon, w.horizon)
+		return fmt.Errorf("%w: snapshot horizon %d, party horizon %d", frame.ErrMalformed, horizon, w.horizon)
 	}
 	for i := range w.rounds {
 		if a := w.rounds[i].arr; a != nil {
@@ -383,7 +388,7 @@ func (w *WitnessAA) Restore(data []byte) error {
 	w.v, w.round, w.decided = v, round, decided
 	count := d.Uvarint()
 	if count > uint64(len(w.rounds)) {
-		return fmt.Errorf("%w: snapshot declares %d witness rounds for horizon %d", checkpoint.ErrMalformed, count, horizon)
+		return fmt.Errorf("%w: snapshot declares %d witness rounds for horizon %d", frame.ErrMalformed, count, horizon)
 	}
 	for i := uint64(0); i < count; i++ {
 		if err := w.restoreRound(&d); err != nil {
@@ -402,13 +407,13 @@ func (w *WitnessAA) Restore(data []byte) error {
 	return d.Done()
 }
 
-func (w *WitnessAA) restoreRound(d *checkpoint.Dec) error {
+func (w *WitnessAA) restoreRound(d *frame.Dec) error {
 	r := d.Uvarint()
 	if d.Err() != nil {
 		return d.Err()
 	}
 	if r >= uint64(len(w.rounds)) {
-		return fmt.Errorf("%w: snapshot witness round %d beyond horizon %d", checkpoint.ErrMalformed, r, w.horizon)
+		return fmt.Errorf("%w: snapshot witness round %d beyond horizon %d", frame.ErrMalformed, r, w.horizon)
 	}
 	rr := &w.rounds[r]
 	rr.sentRep = d.Bool()
@@ -437,7 +442,7 @@ func (w *WitnessAA) restoreRound(d *checkpoint.Dec) error {
 		for word != 0 {
 			f := wi<<6 + bits.TrailingZeros64(word)
 			if f >= w.p.N {
-				return fmt.Errorf("%w: pending reporter %d out of range", checkpoint.ErrMalformed, f)
+				return fmt.Errorf("%w: pending reporter %d out of range", frame.ErrMalformed, f)
 			}
 			d.Words(a.pendMask[f*w.words : (f+1)*w.words])
 			word &= word - 1

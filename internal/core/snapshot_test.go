@@ -5,7 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/checkpoint"
+	"repro/internal/frame"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -122,13 +122,13 @@ func TestAsyncSnapshotShapeMismatchRejected(t *testing.T) {
 	if err := p7.Restore(s); err == nil {
 		t.Error("cross-shape restore accepted")
 	}
-	// Corruption and truncation are rejected with checkpoint sentinels.
+	// Corruption and truncation are rejected with frame sentinels.
 	bad := append([]byte(nil), s...)
 	bad[len(bad)/2] ^= 0x10
-	if err := p5.Restore(bad); !errors.Is(err, checkpoint.ErrMalformed) {
+	if err := p5.Restore(bad); !errors.Is(err, frame.ErrMalformed) {
 		t.Errorf("corrupt snapshot: %v", err)
 	}
-	if err := p5.Restore(s[:len(s)-3]); !errors.Is(err, checkpoint.ErrMalformed) {
+	if err := p5.Restore(s[:len(s)-3]); !errors.Is(err, frame.ErrMalformed) {
 		t.Errorf("truncated snapshot: %v", err)
 	}
 }

@@ -112,7 +112,7 @@ func TestRecoveryEquivalenceAcrossModes(t *testing.T) {
 }
 
 // TestRecoveryRunReusedAllocs extends the zero-alloc warm-run contract to
-// recovery runs: the checkpoint codec appends into the network's recycled
+// recovery runs: the snapshot frame codec appends into the network's recycled
 // per-plan snapshot buffers, the restore pulls round state from the
 // protocol free lists, and the digest log reuses the report's slice, so a
 // warm recovery run allocates nothing.

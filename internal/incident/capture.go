@@ -143,10 +143,6 @@ func Capture(b *Bundle) (*harness.Report, error) {
 // which become the bundle's overrides. Capture the returned bundle to
 // fill in its trace and digest.
 func FromFuzz(v harness.FuzzViolation, name string) (*Bundle, error) {
-	tok, err := ProtoToken(v.Proto)
-	if err != nil {
-		return nil, err
-	}
 	scen := v.Scenario
 	if scen == "" {
 		scen = scenario.Spec{Sched: v.SchedToken, N: v.N, T: v.T}.String()
@@ -154,7 +150,7 @@ func FromFuzz(v harness.FuzzViolation, name string) (*Bundle, error) {
 	b := &Bundle{
 		Name:      name,
 		Scenario:  scen,
-		Protocol:  tok,
+		Protocol:  v.Proto.Token(),
 		Adaptive:  v.Adaptive,
 		Reliable:  v.Reliable,
 		Eps:       v.Eps,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/sim"
 )
@@ -13,7 +14,7 @@ func testBundle() *Bundle {
 	return &Bundle{
 		Name:     "capture-test",
 		Scenario: "random/n=7,t=2",
-		Protocol: ProtoCrash,
+		Protocol: core.ProtoCrash.Token(),
 		Eps:      1e-3,
 		Lo:       0,
 		Hi:       1,
@@ -142,7 +143,7 @@ func TestCaptureByzantineScenario(t *testing.T) {
 	b := &Bundle{
 		Name:     "byz-test",
 		Scenario: "skew/n=15,t=2",
-		Protocol: ProtoTrim,
+		Protocol: core.ProtoByzTrim.Token(),
 		Eps:      1e-2,
 		Lo:       0,
 		Hi:       1,

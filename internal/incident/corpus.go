@@ -1,6 +1,9 @@
 package incident
 
-import "repro/internal/harness"
+import (
+	"repro/internal/core"
+	"repro/internal/harness"
+)
 
 // Episodes returns the committed incident corpus as un-captured bundle
 // configurations: six named adversarial episodes chosen to pin the
@@ -22,7 +25,7 @@ func Episodes() []*Bundle {
 			// or quorum assembly shows up as a decision shift here first.
 			Name:     "near-miss-validity",
 			Scenario: "splitviews+extreme/n=15,t=2",
-			Protocol: ProtoTrim,
+			Protocol: core.ProtoByzTrim.Token(),
 			Eps:      1e-2,
 			Lo:       0,
 			Hi:       1,
@@ -36,7 +39,7 @@ func Episodes() []*Bundle {
 			// round-horizon piggybacking.
 			Name:     "adaptive-horizon-spam",
 			Scenario: "skew+spam/n=15,t=2",
-			Protocol: ProtoTrim,
+			Protocol: core.ProtoByzTrim.Token(),
 			Adaptive: true,
 			Eps:      1e-2,
 			Lo:       0,
@@ -51,7 +54,7 @@ func Episodes() []*Bundle {
 			// reference loop).
 			Name:      "budget-abort-mid-tick",
 			Scenario:  "random/n=32,t=5",
-			Protocol:  ProtoCrash,
+			Protocol:  core.ProtoCrash.Token(),
 			Eps:       1e-3,
 			Lo:        0,
 			Hi:        1,
@@ -66,7 +69,7 @@ func Episodes() []*Bundle {
 			// delivery.
 			Name:     "mid-tick-completion",
 			Scenario: "sync/n=24,t=3",
-			Protocol: ProtoCrash,
+			Protocol: core.ProtoCrash.Token(),
 			Eps:      1e-2,
 			Lo:       0,
 			Hi:       1,
@@ -79,7 +82,7 @@ func Episodes() []*Bundle {
 			// unit of progress, and the heaviest quorum-boundary traffic.
 			Name:     "worst-case-contraction",
 			Scenario: "splitviews/n=16,t=7",
-			Protocol: ProtoCrash,
+			Protocol: core.ProtoCrash.Token(),
 			Eps:      1e-2,
 			Lo:       0,
 			Hi:       1,
@@ -92,7 +95,7 @@ func Episodes() []*Bundle {
 			// partitioned schedule, trim protocol at its resilience floor.
 			Name:     "crash-equivocate-large-n",
 			Scenario: "partition+crash+equivocate/n=36,t=5",
-			Protocol: ProtoTrim,
+			Protocol: core.ProtoByzTrim.Token(),
 			Eps:      1e-1,
 			Lo:       0,
 			Hi:       1,
@@ -108,7 +111,7 @@ func Episodes() []*Bundle {
 			// shifts the delivery hash here first.
 			Name:      "loss-heavy-convergence",
 			Scenario:  "random+loss:0.1+dup:0.05/n=16,t=3",
-			Protocol:  ProtoCrash,
+			Protocol:  core.ProtoCrash.Token(),
 			Eps:       1e-2,
 			Lo:        0,
 			Hi:        1,
@@ -126,7 +129,7 @@ func Episodes() []*Bundle {
 			// not incidental.
 			Name:      "regional-outage-flap",
 			Scenario:  "random+flap:60+outage:4:50:100/n=16,t=3",
-			Protocol:  ProtoCrash,
+			Protocol:  core.ProtoCrash.Token(),
 			Eps:       1e-2,
 			Lo:        0,
 			Hi:        1,
@@ -144,7 +147,7 @@ func Episodes() []*Bundle {
 			// hash here first.
 			Name:      "rollback-rejoin-reconverge",
 			Scenario:  "random+recover:2:50:30/n=9,t=2",
-			Protocol:  ProtoCrash,
+			Protocol:  core.ProtoCrash.Token(),
 			Adaptive:  true,
 			Eps:       1e-3,
 			Lo:        0,
@@ -162,7 +165,7 @@ func Episodes() []*Bundle {
 			// between restart darkness windows and the retransmit schedule.
 			Name:      "amnesia-restart-catchup",
 			Scenario:  "random+amnesia:2:1+loss:0.05/n=12,t=3",
-			Protocol:  ProtoCrash,
+			Protocol:  core.ProtoCrash.Token(),
 			Eps:       1e-2,
 			Lo:        0,
 			Hi:        1,

@@ -1,6 +1,7 @@
 package incident
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -132,6 +133,34 @@ func TestCorpusEpisodeNamesUnique(t *testing.T) {
 		seen[ep.Name] = true
 		if err := ep.Validate(); err != nil {
 			t.Errorf("episode %s invalid before capture: %v", ep.Name, err)
+		}
+	}
+}
+
+// TestCorpusReencodesByteIdentical pins the bundle format's bytes: every
+// committed bundle must decode and encode back to exactly its own file.
+// The replay matrix checks what a bundle means; this checks how it is
+// written, so a codec rewrite that shifts one byte fails here.
+func TestCorpusReencodesByteIdentical(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join(corpusDir(), "*"+BundleExt))
+	if err != nil || len(paths) != len(Episodes()) {
+		t.Fatalf("found %d corpus bundles for %d episodes (err %v)", len(paths), len(Episodes()), err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		enc, err := Encode(b)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Errorf("%s: re-encodes to %d bytes that differ from the file's %d", filepath.Base(path), len(enc), len(data))
 		}
 	}
 }

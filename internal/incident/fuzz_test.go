@@ -3,28 +3,29 @@ package incident
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/frame"
 )
 
-// reframe rewraps data's payload with a matching CRC trailer, so a fuzzed
-// mutation reaches the field decoder instead of stopping at the checksum.
-// It returns nil for input too short to carry a header and trailer.
+// reframe re-seals data with bundleFormat's CRC in place of its trailer, so
+// a fuzzed mutation reaches the field decoder instead of stopping at the
+// checksum. It returns nil for input too short to carry a header and
+// trailer.
 func reframe(data []byte) []byte {
 	if len(data) < 6+4 {
 		return nil
 	}
-	out := append([]byte(nil), data[:len(data)-4]...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[6:]))
+	return bundleFormat.Seal(append([]byte(nil), data[:len(data)-4]...))
 }
 
 // FuzzDecode feeds Decode arbitrary bytes, seeded with the committed
 // corpus and the codec tests' bundle. Decode must never panic, every error
-// must wrap ErrMalformed (which ErrTruncated and ErrCorrupt wrap) or
-// ErrVersion, and a bundle that decodes must re-encode and decode back to
+// must wrap frame.ErrMalformed (which ErrTruncated and ErrCorrupt wrap) or
+// frame.ErrVersion, and a bundle that decodes must re-encode and decode back to
 // an equal bundle. Each input is decoded as given and once more with its
 // checksum repaired. `make fuzz-incident` runs it; findings land under
 // testdata/fuzz/FuzzDecode/.
@@ -63,7 +64,7 @@ func FuzzDecode(f *testing.F) {
 func checkDecode(t *testing.T, data []byte) {
 	b, err := Decode(data)
 	if err != nil {
-		if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrVersion) {
+		if !errors.Is(err, frame.ErrMalformed) && !errors.Is(err, frame.ErrVersion) {
 			t.Fatalf("Decode error %v wraps no sentinel", err)
 		}
 		return

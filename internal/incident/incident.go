@@ -26,13 +26,14 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/harness"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
 // Version is the current bundle format version. Decode accepts versions 1
-// through 3 and rejects anything else with ErrVersion; the format is
+// through 3 and rejects anything else with frame.ErrVersion; the format is
 // append-only within a version. Version 2 appends the network-fate record
 // (dropped and duplicated send sequences, the reliable-transport flag, and
 // the drop/dup counters in the digest); version 3 appends the checkpoint
@@ -48,64 +49,11 @@ const versionFated uint16 = 2
 // versionRecover is the first version carrying the checkpoint record.
 const versionRecover uint16 = 3
 
-// Sentinel errors.
-var (
-	// ErrMalformed indicates a structurally invalid bundle: bad magic,
-	// impossible lengths, trailing garbage, or semantic contradictions
-	// (e.g. inputs not matching the scenario's n). Truncation and checksum
-	// failures wrap it.
-	ErrMalformed = errors.New("incident: malformed bundle")
-	// ErrTruncated wraps ErrMalformed: the bundle ends mid-field.
-	ErrTruncated = fmt.Errorf("%w: truncated", ErrMalformed)
-	// ErrCorrupt wraps ErrMalformed: the payload checksum does not match.
-	ErrCorrupt = fmt.Errorf("%w: checksum mismatch", ErrMalformed)
-	// ErrVersion indicates a well-formed header with an unsupported format
-	// version — the reader is too old or too new for the bundle.
-	ErrVersion = errors.New("incident: unsupported bundle version")
-	// ErrDivergence indicates a replayed execution that does not match the
-	// bundle's recorded digest.
-	ErrDivergence = errors.New("incident: replay diverged from recorded digest")
-)
-
-// Protocol tokens, matching aarun's -model flag vocabulary.
-const (
-	ProtoCrash   = "crash"
-	ProtoTrim    = "trim"
-	ProtoWitness = "witness"
-	ProtoSync    = "sync"
-)
-
-// ProtoToken renders a core.Protocol as its bundle token.
-func ProtoToken(p core.Protocol) (string, error) {
-	switch p {
-	case core.ProtoCrash:
-		return ProtoCrash, nil
-	case core.ProtoByzTrim:
-		return ProtoTrim, nil
-	case core.ProtoWitness:
-		return ProtoWitness, nil
-	case core.ProtoSync:
-		return ProtoSync, nil
-	default:
-		return "", fmt.Errorf("incident: unknown protocol %v", p)
-	}
-}
-
-// protoFromToken is the inverse of ProtoToken.
-func protoFromToken(tok string) (core.Protocol, error) {
-	switch tok {
-	case ProtoCrash:
-		return core.ProtoCrash, nil
-	case ProtoTrim:
-		return core.ProtoByzTrim, nil
-	case ProtoWitness:
-		return core.ProtoWitness, nil
-	case ProtoSync:
-		return core.ProtoSync, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown protocol token %q", ErrMalformed, tok)
-	}
-}
+// ErrDivergence indicates a replayed execution that does not match the
+// bundle's recorded digest. Decode and Validate errors wrap the
+// internal/frame sentinels: frame.ErrMalformed (frame.ErrTruncated and
+// frame.ErrCorrupt wrap it) or frame.ErrVersion.
+var ErrDivergence = errors.New("incident: replay diverged from recorded digest")
 
 // Decision is one party's recorded output.
 type Decision struct {
@@ -178,7 +126,7 @@ type Bundle struct {
 	// Scenario is the canonical scenario.Spec string with explicit n and t,
 	// e.g. "splitviews/n=16,t=7" or "skew+spam/n=15,t=2".
 	Scenario string
-	// Protocol is the protocol token (see ProtoToken).
+	// Protocol is the protocol token (see core.Protocol.Token).
 	Protocol string
 	// Adaptive selects adaptive termination.
 	Adaptive bool
@@ -267,60 +215,60 @@ func (b *Bundle) Validate() error {
 		return err
 	}
 	if len(b.Inputs) != p.N {
-		return fmt.Errorf("%w: %d inputs for n=%d", ErrMalformed, len(b.Inputs), p.N)
+		return fmt.Errorf("%w: %d inputs for n=%d", frame.ErrMalformed, len(b.Inputs), p.N)
 	}
 	// Runs take finite inputs and decide finite values; a NaN, which equals
 	// nothing, not even itself, would also make the bundle undiffable.
 	if math.IsNaN(b.Lo) || math.IsNaN(b.Hi) {
-		return fmt.Errorf("%w: range [%v, %v]", ErrMalformed, b.Lo, b.Hi)
+		return fmt.Errorf("%w: range [%v, %v]", frame.ErrMalformed, b.Lo, b.Hi)
 	}
 	for i, v := range b.Inputs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: input %d is %v", ErrMalformed, i, v)
+			return fmt.Errorf("%w: input %d is %v", frame.ErrMalformed, i, v)
 		}
 	}
 	for _, dec := range b.Digest.Decisions {
 		if math.IsNaN(dec.Value) || math.IsInf(dec.Value, 0) {
-			return fmt.Errorf("%w: party %d decided %v", ErrMalformed, dec.Party, dec.Value)
+			return fmt.Errorf("%w: party %d decided %v", frame.ErrMalformed, dec.Party, dec.Value)
 		}
 	}
 	if err := b.overrides().Check(scen, p.N, p.T); err != nil {
-		return fmt.Errorf("%w: %v", ErrMalformed, err)
+		return fmt.Errorf("%w: %v", frame.ErrMalformed, err)
 	}
 	if len(b.SendSums) != len(b.Delays) {
-		return fmt.Errorf("%w: %d send sums for %d delays", ErrMalformed, len(b.SendSums), len(b.Delays))
+		return fmt.Errorf("%w: %d send sums for %d delays", frame.ErrMalformed, len(b.SendSums), len(b.Delays))
 	}
 	for seq, d := range b.Delays {
 		if d < 0 || d > sim.MaxDelayCap {
-			return fmt.Errorf("%w: delay %d at seq %d outside [0,%d]", ErrMalformed, d, seq, sim.MaxDelayCap)
+			return fmt.Errorf("%w: delay %d at seq %d outside [0,%d]", frame.ErrMalformed, d, seq, sim.MaxDelayCap)
 		}
 	}
 	for i, seq := range b.Drops {
 		if i > 0 && seq <= b.Drops[i-1] {
-			return fmt.Errorf("%w: drop seqs not strictly ascending at index %d", ErrMalformed, i)
+			return fmt.Errorf("%w: drop seqs not strictly ascending at index %d", frame.ErrMalformed, i)
 		}
 		if seq >= uint64(len(b.Delays)) || b.Delays[seq] == 0 {
-			return fmt.Errorf("%w: dropped seq %d has no recorded send", ErrMalformed, seq)
+			return fmt.Errorf("%w: dropped seq %d has no recorded send", frame.ErrMalformed, seq)
 		}
 	}
 	for i, dup := range b.Dups {
 		if i > 0 && dup.Seq <= b.Dups[i-1].Seq {
-			return fmt.Errorf("%w: dup seqs not strictly ascending at index %d", ErrMalformed, i)
+			return fmt.Errorf("%w: dup seqs not strictly ascending at index %d", frame.ErrMalformed, i)
 		}
 		if dup.Seq >= uint64(len(b.Delays)) || b.Delays[dup.Seq] == 0 {
-			return fmt.Errorf("%w: duplicated seq %d has no recorded send", ErrMalformed, dup.Seq)
+			return fmt.Errorf("%w: duplicated seq %d has no recorded send", frame.ErrMalformed, dup.Seq)
 		}
 		if dup.Extra < 1 || dup.Extra > sim.MaxDelayCap {
-			return fmt.Errorf("%w: dup extra delay %d at seq %d outside [1,%d]", ErrMalformed, dup.Extra, dup.Seq, sim.MaxDelayCap)
+			return fmt.Errorf("%w: dup extra delay %d at seq %d outside [1,%d]", frame.ErrMalformed, dup.Extra, dup.Seq, sim.MaxDelayCap)
 		}
 	}
 	for i, ck := range b.Checkpoints {
 		if ck == 0 {
-			return fmt.Errorf("%w: zero checkpoint digest at index %d", ErrMalformed, i)
+			return fmt.Errorf("%w: zero checkpoint digest at index %d", frame.ErrMalformed, i)
 		}
 	}
 	if b.MaxEvents < 0 {
-		return fmt.Errorf("%w: negative event budget", ErrMalformed)
+		return fmt.Errorf("%w: negative event budget", frame.ErrMalformed)
 	}
 	return nil
 }
@@ -329,14 +277,14 @@ func (b *Bundle) Validate() error {
 func (b *Bundle) resolveConfig() (scenario.Spec, core.Params, error) {
 	scen, err := scenario.Parse(b.Scenario)
 	if err != nil {
-		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: scenario: %v", ErrMalformed, err)
+		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: scenario: %v", frame.ErrMalformed, err)
 	}
 	if scen.T == scenario.TUnset {
-		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: scenario %q must carry an explicit t", ErrMalformed, b.Scenario)
+		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: scenario %q must carry an explicit t", frame.ErrMalformed, b.Scenario)
 	}
-	proto, err := protoFromToken(b.Protocol)
+	proto, err := core.ParseProtocol(b.Protocol)
 	if err != nil {
-		return scenario.Spec{}, core.Params{}, err
+		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: %v", frame.ErrMalformed, err)
 	}
 	p := core.Params{
 		Protocol:      proto,
@@ -350,7 +298,7 @@ func (b *Bundle) resolveConfig() (scenario.Spec, core.Params, error) {
 		RoundDuration: b.SyncRoundTicks,
 	}
 	if err := p.Validate(); err != nil {
-		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: params: %v", ErrMalformed, err)
+		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: params: %v", frame.ErrMalformed, err)
 	}
 	return scen, p, nil
 }
@@ -372,7 +320,7 @@ func (b *Bundle) spec() (harness.Spec, error) {
 	}
 	spec, err := harness.Lower(p, b.Inputs, scen, b.Seed, b.overrides())
 	if err != nil {
-		return harness.Spec{}, fmt.Errorf("%w: lower: %v", ErrMalformed, err)
+		return harness.Spec{}, fmt.Errorf("%w: lower: %v", frame.ErrMalformed, err)
 	}
 	spec.MaxEvents = b.MaxEvents
 	spec.Reliable = b.Reliable

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/harness"
 )
 
@@ -17,7 +19,7 @@ func recoveryBundle() *Bundle {
 	return &Bundle{
 		Name:      "recovery-capture-test",
 		Scenario:  "random+recover:2:50:30/n=9,t=2",
-		Protocol:  ProtoCrash,
+		Protocol:  core.ProtoCrash.Token(),
 		Adaptive:  true,
 		Eps:       1e-3,
 		Lo:        0,
@@ -107,7 +109,7 @@ func TestRecoveryBundleValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Checkpoints[1] = 0
-	if err := b.Validate(); !errors.Is(err, ErrMalformed) {
+	if err := b.Validate(); !errors.Is(err, frame.ErrMalformed) {
 		t.Fatalf("zero checkpoint digest accepted: %v", err)
 	}
 }

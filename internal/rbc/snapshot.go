@@ -5,7 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/checkpoint"
+	"repro/internal/frame"
 )
 
 // maxSnapRounds caps the round count a snapshot may declare, so a damaged
@@ -24,16 +24,16 @@ const (
 
 // AppendState appends the broadcaster's full volatile state — every round
 // slab, instance flag, vote tally, and seen bitset — to buf using the
-// checkpoint field primitives, and returns the extended slice. Rounds are
+// internal/frame field writers, and returns the extended slice. Rounds are
 // emitted in ascending round order so identical state always produces
 // identical bytes (checkpoint digests are compared across replays).
 func (b *Broadcaster) AppendState(buf []byte) []byte {
-	buf = checkpoint.AppendUvarint(buf, uint64(b.n))
-	buf = checkpoint.AppendUvarint(buf, uint64(b.t))
-	buf = checkpoint.AppendUvarint(buf, uint64(b.maxRound))
+	buf = frame.AppendUvarint(buf, uint64(b.n))
+	buf = frame.AppendUvarint(buf, uint64(b.t))
+	buf = frame.AppendUvarint(buf, uint64(b.maxRound))
 	count := 0
 	b.eachRound(func(uint32, *roundState) { count++ })
-	buf = checkpoint.AppendUvarint(buf, uint64(count))
+	buf = frame.AppendUvarint(buf, uint64(count))
 	b.eachRound(func(r uint32, rs *roundState) {
 		buf = b.appendRound(buf, r, rs)
 	})
@@ -61,12 +61,12 @@ func (b *Broadcaster) eachRound(fn func(uint32, *roundState)) {
 }
 
 func (b *Broadcaster) appendRound(buf []byte, r uint32, rs *roundState) []byte {
-	buf = checkpoint.AppendUvarint(buf, uint64(r))
-	buf = checkpoint.AppendInt(buf, rs.active)
-	buf = checkpoint.AppendInt(buf, rs.complete)
-	buf = checkpoint.AppendBool(buf, rs.doomed)
-	buf = checkpoint.AppendBool(buf, rs.freed)
-	buf = checkpoint.AppendBool(buf, rs.inst != nil)
+	buf = frame.AppendUvarint(buf, uint64(r))
+	buf = frame.AppendVarint(buf, int64(rs.active))
+	buf = frame.AppendVarint(buf, int64(rs.complete))
+	buf = frame.AppendBool(buf, rs.doomed)
+	buf = frame.AppendBool(buf, rs.freed)
+	buf = frame.AppendBool(buf, rs.inst != nil)
 	if rs.inst == nil {
 		return buf
 	}
@@ -88,9 +88,9 @@ func (b *Broadcaster) appendRound(buf []byte, r uint32, rs *roundState) []byte {
 		if st.delivered {
 			flags |= snapDelivered
 		}
-		buf = checkpoint.AppendUvarint(buf, flags)
+		buf = frame.AppendUvarint(buf, flags)
 		if st.delivered {
-			buf = checkpoint.AppendF64(buf, st.deliveredAs)
+			buf = frame.AppendF64(buf, st.deliveredAs)
 		}
 		buf = appendTally(buf, &st.echo)
 		buf = appendTally(buf, &st.ready)
@@ -99,11 +99,11 @@ func (b *Broadcaster) appendRound(buf []byte, r uint32, rs *roundState) []byte {
 }
 
 func appendTally(buf []byte, t *tally) []byte {
-	buf = checkpoint.AppendWords(buf, t.seen)
-	buf = checkpoint.AppendUvarint(buf, uint64(len(t.votes)))
+	buf = frame.AppendWords(buf, t.seen)
+	buf = frame.AppendUvarint(buf, uint64(len(t.votes)))
 	for _, v := range t.votes {
-		buf = checkpoint.AppendF64(buf, v.val)
-		buf = checkpoint.AppendInt(buf, int(v.count))
+		buf = frame.AppendF64(buf, v.val)
+		buf = frame.AppendVarint(buf, int64(v.count))
 	}
 	return buf
 }
@@ -113,18 +113,18 @@ func appendTally(buf []byte, t *tally) []byte {
 // the identical shape — n, t, and round cap are validated against the
 // record. Round slabs are re-materialized through the normal free-pool
 // path, so a warm restore performs no allocation.
-func (b *Broadcaster) RestoreState(d *checkpoint.Dec) error {
+func (b *Broadcaster) RestoreState(d *frame.Dec) error {
 	n, t, maxRound := d.Uvarint(), d.Uvarint(), d.Uvarint()
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if int(n) != b.n || int(t) != b.t || uint32(maxRound) != b.maxRound {
 		return fmt.Errorf("%w: rbc snapshot shape n=%d t=%d max=%d, broadcaster n=%d t=%d max=%d",
-			checkpoint.ErrMalformed, n, t, maxRound, b.n, b.t, b.maxRound)
+			frame.ErrMalformed, n, t, maxRound, b.n, b.t, b.maxRound)
 	}
 	count := d.Uvarint()
 	if count > maxSnapRounds {
-		return fmt.Errorf("%w: rbc snapshot declares %d rounds", checkpoint.ErrMalformed, count)
+		return fmt.Errorf("%w: rbc snapshot declares %d rounds", frame.ErrMalformed, count)
 	}
 	for i := uint64(0); i < count; i++ {
 		if err := b.restoreRound(d); err != nil {
@@ -134,17 +134,17 @@ func (b *Broadcaster) RestoreState(d *checkpoint.Dec) error {
 	return d.Err()
 }
 
-func (b *Broadcaster) restoreRound(d *checkpoint.Dec) error {
+func (b *Broadcaster) restoreRound(d *frame.Dec) error {
 	r := d.Uvarint()
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if r == 0 || (b.maxRound > 0 && uint32(r) > b.maxRound) || r > maxSnapRounds {
-		return fmt.Errorf("%w: rbc snapshot round %d outside cap %d", checkpoint.ErrMalformed, r, b.maxRound)
+		return fmt.Errorf("%w: rbc snapshot round %d outside cap %d", frame.ErrMalformed, r, b.maxRound)
 	}
 	rs := b.round(uint32(r))
-	rs.active = d.Int()
-	rs.complete = d.Int()
+	rs.active = int(d.Varint())
+	rs.complete = int(d.Varint())
 	rs.doomed = d.Bool()
 	rs.freed = d.Bool()
 	materialized := d.Bool()
@@ -152,7 +152,7 @@ func (b *Broadcaster) restoreRound(d *checkpoint.Dec) error {
 		return err
 	}
 	if rs.active < 0 || rs.active > b.n || rs.complete < 0 || rs.complete > b.n {
-		return fmt.Errorf("%w: rbc snapshot round %d counters out of range", checkpoint.ErrMalformed, r)
+		return fmt.Errorf("%w: rbc snapshot round %d counters out of range", frame.ErrMalformed, r)
 	}
 	if !materialized {
 		return nil
@@ -182,21 +182,21 @@ func (b *Broadcaster) restoreRound(d *checkpoint.Dec) error {
 	return d.Err()
 }
 
-func restoreTally(d *checkpoint.Dec, t *tally, n int) error {
+func restoreTally(d *frame.Dec, t *tally, n int) error {
 	d.Words(t.seen)
 	nv := d.Uvarint()
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if int(nv) > n {
-		return fmt.Errorf("%w: %d distinct vote values for %d parties", checkpoint.ErrMalformed, nv, n)
+		return fmt.Errorf("%w: %d distinct vote values for %d parties", frame.ErrMalformed, nv, n)
 	}
 	t.votes = t.votes[:0]
 	for i := uint64(0); i < nv; i++ {
 		val := d.F64()
-		count := d.Int()
+		count := int(d.Varint())
 		if count < 0 || count > n {
-			return fmt.Errorf("%w: vote count %d out of range", checkpoint.ErrMalformed, count)
+			return fmt.Errorf("%w: vote count %d out of range", frame.ErrMalformed, count)
 		}
 		t.votes = append(t.votes, vote{val: val, count: int32(count)})
 	}
@@ -211,7 +211,7 @@ func restoreTally(d *checkpoint.Dec, t *tally, n int) error {
 		total += int(v.count)
 	}
 	if seen != total {
-		return fmt.Errorf("%w: tally bitset has %d senders, votes total %d", checkpoint.ErrMalformed, seen, total)
+		return fmt.Errorf("%w: tally bitset has %d senders, votes total %d", frame.ErrMalformed, seen, total)
 	}
 	return nil
 }

@@ -39,11 +39,7 @@ func WriteArtifacts(dir string, sum *Summary, cfg Config, w io.Writer) int {
 		return 0
 	}
 	cfg = cfg.withDefaults()
-	tok, err := incident.ProtoToken(cfg.params().Protocol)
-	if err != nil {
-		fmt.Fprintf(w, "serve: artifacts: %v\n", err)
-		return 0
-	}
+	tok := cfg.params().Protocol.Token()
 	var made bool
 	written := 0
 	for _, ro := range sum.Outcomes {

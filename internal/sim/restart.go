@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/checkpoint"
+	"repro/internal/frame"
 )
 
 // RestartPlan schedules a crash-recovery episode for one party: a state
@@ -150,7 +150,7 @@ func (n *Network) fireRestart(a restartAction) error {
 			return fmt.Errorf("sim: checkpoint party %d at t=%d: %w", a.party, n.now, err)
 		}
 		n.planSnaps[a.plan] = buf
-		n.ckptDigests = append(n.ckptDigests, checkpoint.Digest(buf))
+		n.ckptDigests = append(n.ckptDigests, frame.Digest(buf))
 	case restartDown:
 		// The crash wipes any decision newer than the checkpoint; the
 		// party is pending again until it re-decides after the rejoin.

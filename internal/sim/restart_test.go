@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/checkpoint"
+	"repro/internal/frame"
 )
 
 // rollProc is a minimal checkpointable process: it sums received bytes and
@@ -28,18 +28,21 @@ func (p *rollProc) Deliver(from PartyID, data []byte) {
 	}
 }
 
+// rollFormat frames rollProc's snapshots.
+var rollFormat = frame.Format{Magic: "ROLL", Version: 1, SealHeader: true}
+
 func (p *rollProc) Snapshot(buf []byte) ([]byte, error) {
-	buf = checkpoint.Begin(buf)
-	buf = checkpoint.AppendInt(buf, p.sum)
-	return checkpoint.Seal(buf), nil
+	buf = rollFormat.Begin(buf, rollFormat.Version)
+	buf = frame.AppendVarint(buf, int64(p.sum))
+	return rollFormat.Seal(buf), nil
 }
 
 func (p *rollProc) Restore(data []byte) error {
-	d, err := checkpoint.Open(data)
+	d, _, err := rollFormat.Open(data)
 	if err != nil {
 		return err
 	}
-	p.sum = d.Int()
+	p.sum = int(d.Varint())
 	return d.Done()
 }
 
