@@ -19,7 +19,7 @@ check:
 	$(GO) test ./...
 
 # race's -run alternatives must each match a test: one that matches nothing
-# passes silently. Check with `go test -list` after renaming a test.
+# passes silently. TestMakeRaceRunPatterns (makefile_test.go) checks this.
 # TestProductionMatchesReference runs a reference and a production engine
 # concurrently, sharing the run-context pool. internal/serve's wall-clock
 # loop runs each instance attempt in a goroutine of its own.

@@ -99,9 +99,27 @@ type Config struct {
 	SyncRoundTicks int64
 }
 
+// protocols maps each Model to its core protocol: the one mapping behind
+// params and MinN.
+var protocols = [...]core.Protocol{
+	ModelCrash:            core.ProtoCrash,
+	ModelByzantineTrim:    core.ProtoByzTrim,
+	ModelByzantineWitness: core.ProtoWitness,
+	ModelSynchronous:      core.ProtoSync,
+}
+
+func (m Model) protocol() (core.Protocol, error) {
+	if m < ModelCrash || m > ModelSynchronous {
+		return 0, fmt.Errorf("%w: %d", ErrUnknownModel, int(m))
+	}
+	return protocols[m], nil
+}
+
 // params converts the public configuration to the internal one.
 func (c Config) params() (core.Params, error) {
+	proto, err := c.Model.protocol()
 	p := core.Params{
+		Protocol:      proto,
 		N:             c.N,
 		T:             c.T,
 		Eps:           c.Epsilon,
@@ -111,17 +129,8 @@ func (c Config) params() (core.Params, error) {
 		ExtraRounds:   c.ExtraRounds,
 		RoundDuration: sim.Time(c.SyncRoundTicks),
 	}
-	switch c.Model {
-	case ModelCrash:
-		p.Protocol = core.ProtoCrash
-	case ModelByzantineTrim:
-		p.Protocol = core.ProtoByzTrim
-	case ModelByzantineWitness:
-		p.Protocol = core.ProtoWitness
-	case ModelSynchronous:
-		p.Protocol = core.ProtoSync
-	default:
-		return p, fmt.Errorf("%w: %d", ErrUnknownModel, int(c.Model))
+	if err != nil {
+		return p, err
 	}
 	if p.Protocol == core.ProtoSync && p.RoundDuration == 0 {
 		p.RoundDuration = 20
@@ -150,18 +159,11 @@ func (c Config) Rounds() (int, error) {
 
 // MinN returns the smallest n supporting fault bound t under a model.
 func MinN(m Model, t int) (int, error) {
-	switch m {
-	case ModelCrash:
-		return core.MinN(core.ProtoCrash, t), nil
-	case ModelByzantineTrim:
-		return core.MinN(core.ProtoByzTrim, t), nil
-	case ModelByzantineWitness:
-		return core.MinN(core.ProtoWitness, t), nil
-	case ModelSynchronous:
-		return core.MinN(core.ProtoSync, t), nil
-	default:
-		return 0, fmt.Errorf("%w: %d", ErrUnknownModel, int(m))
+	proto, err := m.protocol()
+	if err != nil {
+		return 0, err
 	}
+	return core.MinN(proto, t), nil
 }
 
 // NewProcess builds the protocol state machine for one party with the given
@@ -173,12 +175,5 @@ func NewProcess(c Config, input float64) (sim.Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch p.Protocol {
-	case core.ProtoCrash, core.ProtoByzTrim:
-		return core.NewAsyncAA(p, input)
-	case core.ProtoWitness:
-		return core.NewWitnessAA(p, input)
-	default:
-		return core.NewSyncAA(p, input)
-	}
+	return core.NewProcess(p, input)
 }

@@ -332,6 +332,9 @@ func TestRunLivePartialOutcomeOnTimeout(t *testing.T) {
 	if !errors.Is(out.Err, err) && out.Err == nil {
 		t.Error("partial outcome does not carry the error")
 	}
+	if len(out.Values) < cfg.N && out.Valid {
+		t.Errorf("%d of %d parties decided, yet the outcome reads valid", len(out.Values), cfg.N)
+	}
 }
 
 func TestModelString(t *testing.T) {

@@ -2,9 +2,9 @@ package aa
 
 import (
 	"context"
-	"math"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/livenet"
 	"repro/internal/sim"
 )
@@ -66,28 +66,9 @@ func RunLive(ctx context.Context, c Config, inputs []float64, opts LiveOptions) 
 	if res == nil {
 		return nil, err
 	}
-	out := &Outcome{
-		Values:      make(map[int]float64, len(res.Decisions)),
-		Messages:    int(res.Messages),
-		Dropped:     int(res.Dropped),
-		Duped:       int(res.Duped),
-		Retransmits: int(res.Transport.Retransmits),
-		Err:         err,
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range inputs {
-		lo, hi = math.Min(lo, v), math.Max(hi, v)
-	}
-	olo, ohi := math.Inf(1), math.Inf(-1)
-	for id, v := range res.Decisions {
-		out.Values[int(id)] = v
-		olo, ohi = math.Min(olo, v), math.Max(ohi, v)
-	}
-	if len(res.Decisions) > 0 {
-		out.Spread = ohi - olo
-		tol := 1e-9 * math.Max(1, math.Max(math.Abs(lo), math.Abs(hi)))
-		out.Valid = olo >= lo-tol && ohi <= hi+tol
-		out.Agreed = out.Spread <= c.Epsilon+tol
-	}
+	out := outcome(harness.JudgeLive(inputs, res.Decisions, c.Epsilon), res.Decisions)
+	out.Messages, out.Dropped, out.Duped = int(res.Messages), int(res.Dropped), int(res.Duped)
+	out.Retransmits = int(res.Transport.Retransmits)
+	out.Err = err
 	return out, err
 }

@@ -18,8 +18,11 @@ type Outcome struct {
 	Spread float64
 	// Agreed reports Spread <= Epsilon.
 	Agreed bool
-	// Valid reports every non-faulty output inside the non-Byzantine
-	// input hull.
+	// Valid reports that every non-faulty party decided, inside the hull
+	// [lo, hi] of the non-Byzantine inputs; a non-faulty party that never
+	// decided (a stalled or timed-out run) makes it false. Valid and
+	// Agreed both allow the one float slack 1e-9·max(1, |lo|, |hi|), the
+	// same for simulated, vector and live runs.
 	Valid bool
 	// Rounds is the asynchronous round complexity of the execution (time
 	// of last output over maximum honest delay); zero for live runs.
@@ -239,24 +242,24 @@ func Simulate(c Config, inputs []float64, opts ...SimOption) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{
-		Values:   make(map[int]float64, len(rep.Result.Decisions)),
-		Spread:   rep.FinalSpread,
-		Agreed:   rep.AgreementOK,
-		Valid:    rep.ValidityOK,
-		Rounds:   rep.Result.Rounds(),
-		Messages: rep.Result.Stats.MessagesSent,
-		Bytes:    rep.Result.Stats.BytesSent,
-		Dropped:  int(rep.Result.Stats.MessagesDropped),
-		Duped:    int(rep.Result.Stats.MessagesDuped),
-	}
+	out := outcome(rep.Verdict, rep.Result.Decisions)
+	out.Rounds = rep.Result.Rounds()
+	out.Messages, out.Bytes = rep.Result.Stats.MessagesSent, rep.Result.Stats.BytesSent
+	out.Dropped, out.Duped = int(rep.Result.Stats.MessagesDropped), int(rep.Result.Stats.MessagesDuped)
 	out.Retransmits = int(rep.Transport.Retransmits)
 	out.Err = rep.RunErr
 	if out.Err == nil && len(rep.ProtoErrs) > 0 {
 		out.Err = rep.ProtoErrs[0]
 	}
-	for id, v := range rep.Result.Decisions {
-		out.Values[int(id)] = v
-	}
 	return out, nil
+}
+
+// outcome carries a run's verdict and decisions into an Outcome.
+func outcome(v harness.Verdict, decisions map[sim.PartyID]float64) *Outcome {
+	out := &Outcome{Values: make(map[int]float64, len(decisions)),
+		Spread: v.FinalSpread, Agreed: v.AgreementOK, Valid: v.ValidityOK}
+	for id, y := range decisions {
+		out.Values[int(id)] = y
+	}
+	return out
 }

@@ -103,18 +103,16 @@ func Fuzz(trials int, seed int64) (*FuzzResult, error) {
 func randomSpec(rng *rand.Rand) (Spec, Overrides, bool, string, error) {
 	protos := []core.Protocol{core.ProtoCrash, core.ProtoCrash, core.ProtoByzTrim, core.ProtoWitness}
 	proto := protos[rng.Intn(len(protos))]
-	var n, t int
+	var t, slack int
 	switch proto {
 	case core.ProtoCrash:
-		t = 1 + rng.Intn(4)
-		n = 2*t + 1 + rng.Intn(4)
+		t, slack = 1+rng.Intn(4), 4
 	case core.ProtoByzTrim:
-		t = 1 + rng.Intn(2)
-		n = 7*t + 1 + rng.Intn(3)
+		t, slack = 1+rng.Intn(2), 3
 	default:
-		t = 1 + rng.Intn(3)
-		n = 3*t + 1 + rng.Intn(3)
+		t, slack = 1+rng.Intn(3), 3
 	}
+	n := core.MinN(proto, t) + rng.Intn(slack)
 	adaptive := proto == core.ProtoCrash && rng.Intn(4) == 0
 	lo := -100 + 200*rng.Float64()
 	hi := lo + 200*rng.Float64() + 1e-6
@@ -275,20 +273,17 @@ func randomRunnableScenario(rng *rand.Rand) (core.Params, scenario.Spec, bool) {
 	crashKinds := []string{"crash", "crashinit"}
 
 	var p core.Params
-	var faultPool []string
+	faultPool := append(append([]string{}, byz...), crashKinds...)
 	switch rng.Intn(3) {
 	case 0: // crash protocol: crash kinds only
-		t := 1 + rng.Intn(3)
-		p = core.Params{Protocol: core.ProtoCrash, N: 2*t + 1 + rng.Intn(3), T: t}
+		p = core.Params{Protocol: core.ProtoCrash, T: 1 + rng.Intn(3)}
 		faultPool = crashKinds
 	case 1: // trim protocol: any fault kind
-		p = core.Params{Protocol: core.ProtoByzTrim, N: 8 + rng.Intn(3), T: 1}
-		faultPool = append(append([]string{}, byz...), crashKinds...)
+		p = core.Params{Protocol: core.ProtoByzTrim, T: 1}
 	default: // witness protocol: any fault kind
-		t := 1 + rng.Intn(2)
-		p = core.Params{Protocol: core.ProtoWitness, N: 3*t + 1 + rng.Intn(3), T: t}
-		faultPool = append(append([]string{}, byz...), crashKinds...)
+		p = core.Params{Protocol: core.ProtoWitness, T: 1 + rng.Intn(2)}
 	}
+	p.N = core.MinN(p.Protocol, p.T) + rng.Intn(3)
 	p.Eps = []float64{1e-1, 1e-2, 1e-3}[rng.Intn(3)]
 	p.Lo, p.Hi = 0, 1
 

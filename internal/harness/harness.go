@@ -1,7 +1,13 @@
 // Package harness assembles protocols, scenarios, and input generators
-// into runnable experiments, checks the agreement/validity invariants
-// after every run, and implements the experiment drivers (E1–E13 in
-// DESIGN.md) behind cmd/aabench and the root benchmark suite.
+// into runnable experiments, judges every run, and implements the
+// experiment drivers (E1–E13 in DESIGN.md) behind cmd/aabench and the root
+// benchmark suite.
+//
+// There is one run verdict, Judge: validity (every judged output inside
+// the hull of the non-Byzantine inputs) and ε-agreement, with one float
+// slack. Simulated runs (Report.check), vector runs (RunVector, once per
+// coordinate) and live runs (aa.RunLive and the serving tier's live
+// backend, through JudgeLive) all go through it.
 //
 // Adversary wiring is declarative: drivers enumerate scenario.Spec values
 // (internal/scenario) and lower them to executable Specs with SpecFrom;
@@ -88,16 +94,8 @@ type Report struct {
 	RunErr error
 	// ProtoErrs collects internal protocol errors per party.
 	ProtoErrs []error
-	// HullLo and HullHi bound the non-Byzantine inputs: the validity hull.
-	HullLo, HullHi float64
-	// InitialSpread is the diameter of the non-faulty inputs.
-	InitialSpread float64
-	// FinalSpread is the diameter of the non-faulty outputs.
-	FinalSpread float64
-	// ValidityOK reports whether every honest output is inside the hull.
-	ValidityOK bool
-	// AgreementOK reports whether FinalSpread <= eps (with float slack).
-	AgreementOK bool
+	// Verdict judges the non-faulty parties (Result.Honest).
+	Verdict
 	// Trajectory holds diameter samples if requested.
 	Trajectory []TrajPoint
 	// Transport aggregates the reliable-transport counters (retransmits,
@@ -241,56 +239,68 @@ func Lower(p core.Params, inputs []float64, scen scenario.Spec, seed int64, o Ov
 	return spec, nil
 }
 
-// check fills the invariant verdicts. It is allocation-free: the spreads
-// are single min/max passes (matching multiset.Spread and the sorted-
-// decisions diameter exactly), part of the recycled hot path's zero-alloc
-// steady-state budget.
+// check fills the run's verdict.
 func (r *Report) check(spec Spec) {
-	p := spec.Params
-	// Validity hull: inputs of every non-Byzantine party. Crashed parties
-	// never lie, so their inputs legitimately enter the computation.
-	r.HullLo, r.HullHi = math.Inf(1), math.Inf(-1)
-	for i := 0; i < p.N; i++ {
-		if _, isByz := spec.Byz[sim.PartyID(i)]; isByz {
-			continue
-		}
-		v := spec.Inputs[i]
-		r.HullLo = math.Min(r.HullLo, v)
-		r.HullHi = math.Max(r.HullHi, v)
-	}
-	r.InitialSpread = 0
-	var inLo, inHi float64
-	for k, id := range r.Result.Honest {
-		v := spec.Inputs[id]
-		if k == 0 {
-			inLo, inHi = v, v
-		} else {
-			if v < inLo {
-				inLo = v
-			}
-			if v > inHi {
-				inHi = v
-			}
-		}
-	}
-	if len(r.Result.Honest) > 0 {
-		r.InitialSpread = inHi - inLo
-	}
-	r.FinalSpread = r.Result.HonestSpread()
+	r.Verdict = Judge(spec.Inputs, spec.Byz, r.Result.Honest, r.Result.Decisions, spec.Params.Eps)
+}
 
-	tol := 1e-9 * math.Max(1, math.Max(math.Abs(r.HullLo), math.Abs(r.HullHi)))
-	r.ValidityOK = true
-	for _, id := range r.Result.Honest {
-		y, ok := r.Result.Decisions[id]
-		if !ok {
-			r.ValidityOK = false
-			continue
-		}
-		if y < r.HullLo-tol || y > r.HullHi+tol {
-			r.ValidityOK = false
+// Verdict is one run judged against the paper's two guarantees.
+type Verdict struct {
+	// HullLo and HullHi bound the non-Byzantine inputs: the validity hull.
+	HullLo, HullHi float64
+	// InitialSpread and FinalSpread are the diameters of the judged
+	// parties' inputs and outputs (FinalSpread is 0 below two outputs).
+	InitialSpread, FinalSpread float64
+	// ValidityOK reports that every judged party decided inside the hull.
+	ValidityOK bool
+	// AgreementOK reports FinalSpread <= ε.
+	AgreementOK bool
+}
+
+// Judge is the one verdict of every simulated, vector and live run.
+// inputs holds one input per party; the hull leaves out only the Byzantine
+// inputs (a crashed party never lied). judged lists the fault-free parties
+// held to the guarantees; one that has no output fails validity. Both
+// checks allow the float slack 1e-9·max(1, |HullLo|, |HullHi|). Judge
+// allocates nothing: the recycled run path calls it once per run.
+func Judge(inputs []float64, byz map[sim.PartyID]fault.Behavior, judged []sim.PartyID, outputs map[sim.PartyID]float64, eps float64) Verdict {
+	v := Verdict{HullLo: math.Inf(1), HullHi: math.Inf(-1), ValidityOK: true}
+	for i, x := range inputs {
+		if _, isByz := byz[sim.PartyID(i)]; !isByz {
+			v.HullLo, v.HullHi = min(v.HullLo, x), max(v.HullHi, x)
 		}
 	}
-	r.AgreementOK = r.FinalSpread <= p.Eps+tol
+	tol := 1e-9 * max(1, math.Abs(v.HullLo), math.Abs(v.HullHi))
+	inLo, inHi, outLo, outHi := math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)
+	decided := 0
+	for _, id := range judged {
+		inLo, inHi = min(inLo, inputs[id]), max(inHi, inputs[id])
+		y, ok := outputs[id]
+		if !ok || y < v.HullLo-tol || y > v.HullHi+tol {
+			v.ValidityOK = false
+		}
+		if ok {
+			outLo, outHi = min(outLo, y), max(outHi, y)
+			decided++
+		}
+	}
+	if len(judged) > 0 {
+		v.InitialSpread = inHi - inLo
+	}
+	if decided > 1 {
+		v.FinalSpread = outHi - outLo
+	}
+	v.AgreementOK = v.FinalSpread <= eps+tol
+	return v
+}
+
+// JudgeLive judges a live run, in which every party is fault-free.
+func JudgeLive(inputs []float64, outputs map[sim.PartyID]float64, eps float64) Verdict {
+	judged := make([]sim.PartyID, len(inputs))
+	for i := range judged {
+		judged[i] = sim.PartyID(i)
+	}
+	return Judge(inputs, nil, judged, outputs, eps)
 }
 
 // behaviorEnv derives what Byzantine behaviors are told about the run.

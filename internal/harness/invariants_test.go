@@ -290,15 +290,15 @@ func TestReportFailureStrings(t *testing.T) {
 	if rep.Failure() == "" || rep.OK() {
 		t.Error("proto error not reported")
 	}
-	rep = &Report{Result: &sim.Result{}, ValidityOK: false, AgreementOK: true}
+	rep = &Report{Result: &sim.Result{}, Verdict: Verdict{ValidityOK: false, AgreementOK: true}}
 	if rep.Failure() == "" || rep.OK() {
 		t.Error("validity failure not reported")
 	}
-	rep = &Report{Result: &sim.Result{}, ValidityOK: true, AgreementOK: false}
+	rep = &Report{Result: &sim.Result{}, Verdict: Verdict{ValidityOK: true, AgreementOK: false}}
 	if rep.Failure() == "" || rep.OK() {
 		t.Error("agreement failure not reported")
 	}
-	rep = &Report{Result: &sim.Result{}, ValidityOK: true, AgreementOK: true}
+	rep = &Report{Result: &sim.Result{}, Verdict: Verdict{ValidityOK: true, AgreementOK: true}}
 	if rep.Failure() != "ok" || !rep.OK() {
 		t.Error("success not reported as ok")
 	}

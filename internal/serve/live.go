@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -142,12 +141,11 @@ func (c *wallClock) liveAttempt(s *server, p *pending) verdict {
 	inputs := harness.UniformInputs(s.cfg.N, s.cfg.Lo, s.cfg.Hi, p.seed)
 	procs := make([]sim.Process, s.cfg.N)
 	for i := range procs {
-		proc, err := newParty(s.cfg, inputs[i])
-		if err != nil {
+		var err error
+		if procs[i], err = core.NewProcess(s.cfg.params(), inputs[i]); err != nil {
 			v.err = fmt.Errorf("serve: request %d: %w", p.req.ID, err)
 			return v
 		}
-		procs[i] = proc
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
@@ -169,35 +167,8 @@ func (c *wallClock) liveAttempt(s *server, p *pending) verdict {
 	if err != nil {
 		v.partial = res != nil && len(res.Decisions) > 0
 	} else {
-		v.ok = liveDecisionsOK(res, s.cfg)
+		j := harness.JudgeLive(inputs, res.Decisions, s.cfg.Eps)
+		v.ok = j.ValidityOK && j.AgreementOK
 	}
 	return v
-}
-
-// newParty builds one protocol party for the live backend.
-func newParty(cfg Config, input float64) (sim.Process, error) {
-	p := cfg.params()
-	switch p.Protocol {
-	case core.ProtoCrash, core.ProtoByzTrim:
-		return core.NewAsyncAA(p, input)
-	case core.ProtoWitness:
-		return core.NewWitnessAA(p, input)
-	default:
-		return core.NewSyncAA(p, input)
-	}
-}
-
-// liveDecisionsOK checks epsilon-agreement and validity over a live run's
-// decisions.
-func liveDecisionsOK(res *livenet.Result, cfg Config) bool {
-	if len(res.Decisions) == 0 {
-		return false
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range res.Decisions {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	tol := 1e-9 * math.Max(1, math.Max(math.Abs(cfg.Lo), math.Abs(cfg.Hi)))
-	return hi-lo <= cfg.Eps+tol && lo >= cfg.Lo-tol && hi <= cfg.Hi+tol
 }

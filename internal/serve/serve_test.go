@@ -6,12 +6,15 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/incident"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -394,6 +397,41 @@ func TestLiveAttemptPastDeadlineNotCounted(t *testing.T) {
 	s.report(v)
 	if s.sum.Instances != 0 || s.sum.InstanceMsgs != 0 {
 		t.Fatalf("attempt that never ran counted: %d instances, %d msgs", s.sum.Instances, s.sum.InstanceMsgs)
+	}
+}
+
+// TestLiveVerdictUsesDrawnInputs: the live backend judges an attempt's
+// outputs against the hull of the inputs it drew, not against the
+// promised range [Lo, Hi]. Outputs that agree and lie inside [Lo, Hi] but
+// above every drawn input are not decided (a range check accepts them); a
+// real attempt on the same seed still is.
+func TestLiveVerdictUsesDrawnInputs(t *testing.T) {
+	cfg := testConfig()
+	const seed = 11
+	inputs := harness.UniformInputs(cfg.N, cfg.Lo, cfg.Hi, seed) // liveAttempt's draw
+	above := (slices.Max(inputs) + cfg.Hi) / 2
+	if above <= slices.Max(inputs)+1 || above >= cfg.Hi {
+		t.Fatalf("seed %d leaves no room above the drawn inputs %v", seed, inputs)
+	}
+	decisions := map[sim.PartyID]float64{}
+	for i := range inputs {
+		decisions[sim.PartyID(i)] = above
+	}
+	if v := harness.JudgeLive(inputs, decisions, cfg.Eps); v.ValidityOK || !v.AgreementOK {
+		t.Errorf("outputs at %v outside the drawn hull [%v, %v]: valid=%v agreed=%v",
+			above, v.HullLo, v.HullHi, v.ValidityOK, v.AgreementOK)
+	}
+
+	w := workload.MustParse("poisson:30+lognormal:3:0.3+cohort:web:1:300:1")
+	s, err := newServer(w, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &wallClock{lc: LiveConfig{Backend: BackendLive, TickDur: time.Millisecond, MaxJitter: -1},
+		begin: time.Now()}
+	p := &pending{req: workload.Request{Deadline: 10_000, Service: 20}, attempt: 1, seed: seed}
+	if v := c.liveAttempt(s, p); !v.ran || !v.ok || v.err != nil {
+		t.Fatalf("real live attempt not decided: %+v", v)
 	}
 }
 

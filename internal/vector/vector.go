@@ -82,15 +82,13 @@ func New(p Params, input []float64) (*AA, error) {
 	return a, nil
 }
 
+// newScalar builds one coordinate's scalar party; only the asynchronous
+// protocols compose (the lock-step baseline needs timers).
 func newScalar(p core.Params, input float64) (sim.Process, error) {
-	switch p.Protocol {
-	case core.ProtoCrash, core.ProtoByzTrim:
-		return core.NewAsyncAA(p, input)
-	case core.ProtoWitness:
-		return core.NewWitnessAA(p, input)
-	default:
+	if p.Protocol == core.ProtoSync {
 		return nil, fmt.Errorf("%w: vector agreement supports the asynchronous protocols", core.ErrBadParams)
 	}
+	return core.NewProcess(p, input)
 }
 
 // childAPI exposes the parent channel to one coordinate's scalar instance,
