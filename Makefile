@@ -65,8 +65,8 @@ fuzz-wire:
 
 # fuzz-checkpoint runs the native fuzz target for snapshot restore
 # (FuzzRestore, seeded with core's snapshot round-trip states, the CRC
-# re-sealed over every fuzzed body): Restore never panics on AsyncAA,
-# SyncAA or WitnessAA, every error wraps frame.ErrMalformed or
+# re-sealed over every fuzzed body): Restore never panics on AsyncAA or
+# WitnessAA, every error wraps frame.ErrMalformed or
 # frame.ErrVersion, and snapshot -> restore -> snapshot reaches a fixed
 # point.
 # Findings land under internal/core/testdata/fuzz/FuzzRestore/; commit

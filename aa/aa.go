@@ -12,8 +12,6 @@
 //     resilience via reliable broadcast and the witness technique; cubic
 //     message complexity.
 //
-// plus ModelSynchronous, a lock-step baseline for comparison.
-//
 // Use Simulate to run a protocol on the deterministic discrete-event
 // simulator under a chosen adversary, or RunLive to run it on a real
 // goroutine-per-party runtime with per-party mailboxes.
@@ -50,8 +48,6 @@ const (
 	// ModelByzantineWitness tolerates t < n/3 Byzantine faults with O(n³)
 	// messages per round.
 	ModelByzantineWitness
-	// ModelSynchronous is the lock-step baseline, t < n/3.
-	ModelSynchronous
 )
 
 // String implements fmt.Stringer.
@@ -63,8 +59,6 @@ func (m Model) String() string {
 		return "byzantine-trim"
 	case ModelByzantineWitness:
 		return "byzantine-witness"
-	case ModelSynchronous:
-		return "synchronous"
 	default:
 		return fmt.Sprintf("model(%d)", int(m))
 	}
@@ -94,9 +88,6 @@ type Config struct {
 	Adaptive bool
 	// ExtraRounds adds safety rounds beyond the computed budget.
 	ExtraRounds int
-	// SyncRoundTicks is the lock-step round length for ModelSynchronous,
-	// in simulator ticks. It must be at least the maximum network delay.
-	SyncRoundTicks int64
 }
 
 // protocols maps each Model to its core protocol: the one mapping behind
@@ -105,11 +96,10 @@ var protocols = [...]core.Protocol{
 	ModelCrash:            core.ProtoCrash,
 	ModelByzantineTrim:    core.ProtoByzTrim,
 	ModelByzantineWitness: core.ProtoWitness,
-	ModelSynchronous:      core.ProtoSync,
 }
 
 func (m Model) protocol() (core.Protocol, error) {
-	if m < ModelCrash || m > ModelSynchronous {
+	if m < ModelCrash || int(m) >= len(protocols) {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownModel, int(m))
 	}
 	return protocols[m], nil
@@ -119,21 +109,17 @@ func (m Model) protocol() (core.Protocol, error) {
 func (c Config) params() (core.Params, error) {
 	proto, err := c.Model.protocol()
 	p := core.Params{
-		Protocol:      proto,
-		N:             c.N,
-		T:             c.T,
-		Eps:           c.Epsilon,
-		Lo:            c.Lo,
-		Hi:            c.Hi,
-		Adaptive:      c.Adaptive,
-		ExtraRounds:   c.ExtraRounds,
-		RoundDuration: sim.Time(c.SyncRoundTicks),
+		Protocol:    proto,
+		N:           c.N,
+		T:           c.T,
+		Eps:         c.Epsilon,
+		Lo:          c.Lo,
+		Hi:          c.Hi,
+		Adaptive:    c.Adaptive,
+		ExtraRounds: c.ExtraRounds,
 	}
 	if err != nil {
 		return p, err
-	}
-	if p.Protocol == core.ProtoSync && p.RoundDuration == 0 {
-		p.RoundDuration = 20
 	}
 	return p, p.Validate()
 }

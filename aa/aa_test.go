@@ -51,7 +51,6 @@ func TestMinN(t *testing.T) {
 		{ModelByzantineTrim, 2, 15},
 		{ModelByzantineWitness, 1, 4},
 		{ModelByzantineWitness, 3, 10},
-		{ModelSynchronous, 2, 7},
 	}
 	for _, c := range cases {
 		got, err := MinN(c.model, c.t)
@@ -88,13 +87,14 @@ func TestConfigRounds(t *testing.T) {
 
 func TestSimulateEveryModel(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		sched string
 	}{
-		{"crash", Config{Model: ModelCrash, N: 7, T: 3, Epsilon: 1e-3, Lo: 0, Hi: 10}},
-		{"byz-trim", Config{Model: ModelByzantineTrim, N: 8, T: 1, Epsilon: 1e-3, Lo: 0, Hi: 10}},
-		{"byz-witness", Config{Model: ModelByzantineWitness, N: 7, T: 2, Epsilon: 1e-3, Lo: 0, Hi: 10}},
-		{"synchronous", Config{Model: ModelSynchronous, N: 7, T: 2, Epsilon: 1e-3, Lo: 0, Hi: 10, SyncRoundTicks: 20}},
+		{"crash", Config{Model: ModelCrash, N: 7, T: 3, Epsilon: 1e-3, Lo: 0, Hi: 10}, SchedRandom},
+		{"byz-trim", Config{Model: ModelByzantineTrim, N: 8, T: 1, Epsilon: 1e-3, Lo: 0, Hi: 10}, SchedRandom},
+		{"byz-witness", Config{Model: ModelByzantineWitness, N: 7, T: 2, Epsilon: 1e-3, Lo: 0, Hi: 10}, SchedRandom},
+		{"synchronous", Config{Model: ModelCrash, N: 7, T: 3, Epsilon: 1e-3, Lo: 0, Hi: 10}, SchedSynchronous},
 	}
 	for _, c := range cases {
 		c := c
@@ -103,11 +103,7 @@ func TestSimulateEveryModel(t *testing.T) {
 			for i := range inputs {
 				inputs[i] = 10 * float64(i) / float64(c.cfg.N-1)
 			}
-			sched := SchedRandom
-			if c.cfg.Model == ModelSynchronous {
-				sched = SchedSynchronous
-			}
-			out, err := Simulate(c.cfg, inputs, WithSeed(3), WithScheduler(sched))
+			out, err := Simulate(c.cfg, inputs, WithSeed(3), WithScheduler(c.sched))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -342,7 +338,6 @@ func TestModelString(t *testing.T) {
 		ModelCrash:            "crash",
 		ModelByzantineTrim:    "byzantine-trim",
 		ModelByzantineWitness: "byzantine-witness",
-		ModelSynchronous:      "synchronous",
 		Model(42):             "model(42)",
 	} {
 		if got := m.String(); got != want {

@@ -30,9 +30,8 @@ func (o *VectorOutcome) OK() bool { return o.Err == nil && o.Agreed && o.Valid }
 // SimulateVector runs d-dimensional approximate agreement (coordinate-wise
 // composition; see internal/vector for the exact guarantees — per-
 // coordinate ε-agreement and box validity). The configuration's Lo and Hi
-// must bound every coordinate of every honest input, and the model must be
-// asynchronous. inputs[i] is party i's point; all points must have equal
-// dimension.
+// must bound every coordinate of every honest input. inputs[i] is party
+// i's point; all points must have equal dimension.
 func SimulateVector(c Config, inputs [][]float64, opts ...SimOption) (*VectorOutcome, error) {
 	base, err := c.params()
 	if err != nil {

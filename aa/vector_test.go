@@ -1,6 +1,7 @@
 package aa
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -92,10 +93,10 @@ func TestSimulateVectorValidation(t *testing.T) {
 	if _, err := SimulateVector(cfg, ragged); err == nil {
 		t.Error("ragged dimensions accepted")
 	}
-	sync := cfg
-	sync.Model = ModelSynchronous
-	if _, err := SimulateVector(sync, ok); err == nil {
-		t.Error("synchronous vector accepted")
+	unknown := cfg
+	unknown.Model = Model(42)
+	if _, err := SimulateVector(unknown, ok); !errors.Is(err, ErrUnknownModel) {
+		t.Errorf("unknown model: got %v, want ErrUnknownModel", err)
 	}
 	if _, err := SimulateVector(cfg, ok, WithCrash(0, 1), WithCrash(1, 1)); err == nil {
 		t.Error("overfaulted vector spec accepted")

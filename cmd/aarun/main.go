@@ -60,7 +60,7 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("aarun", flag.ContinueOnError)
-	model := fs.String("model", "crash", "crash | trim | witness | sync")
+	model := fs.String("model", "crash", "crash | trim | witness")
 	n := fs.Int("n", 7, "number of parties")
 	t := fs.Int("t", 2, "fault bound")
 	eps := fs.Float64("eps", 1e-3, "agreement precision")
@@ -115,9 +115,6 @@ func run(args []string, w io.Writer) error {
 		cfg.Model = aa.ModelByzantineTrim
 	case core.ProtoWitness:
 		cfg.Model = aa.ModelByzantineWitness
-	case core.ProtoSync:
-		cfg.Model = aa.ModelSynchronous
-		cfg.SyncRoundTicks = 20
 	}
 
 	inputs, err := parseInputs(*inputsFlag, *n, *lo, *hi)
@@ -163,19 +160,18 @@ func run(args []string, w io.Writer) error {
 	}
 	if *record != "" {
 		return doRecord(w, *record, &incident.Bundle{
-			Name:           strings.TrimSuffix(filepath.Base(*record), incident.BundleExt),
-			Scenario:       scen.String(),
-			Protocol:       *model,
-			Adaptive:       cfg.Adaptive,
-			Eps:            cfg.Epsilon,
-			Lo:             cfg.Lo,
-			Hi:             cfg.Hi,
-			SyncRoundTicks: sim.Time(cfg.SyncRoundTicks),
-			Seed:           *seed,
-			Inputs:         inputs,
-			Crashes:        over.Crashes,
-			Byz:            over.Byz,
-			Reliable:       *reliable,
+			Name:     strings.TrimSuffix(filepath.Base(*record), incident.BundleExt),
+			Scenario: scen.String(),
+			Protocol: *model,
+			Adaptive: cfg.Adaptive,
+			Eps:      cfg.Epsilon,
+			Lo:       cfg.Lo,
+			Hi:       cfg.Hi,
+			Seed:     *seed,
+			Inputs:   inputs,
+			Crashes:  over.Crashes,
+			Byz:      over.Byz,
+			Reliable: *reliable,
 		}, cfg)
 	}
 

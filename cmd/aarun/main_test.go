@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/scenario"
 )
@@ -82,8 +83,8 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run([]string{"-model", "trim", "-n", "8", "-t", "1"}, io.Discard); err != nil {
 		t.Fatalf("trim run: %v", err)
 	}
-	if err := run([]string{"-model", "sync", "-n", "7", "-t", "2", "-sched", "sync"}, io.Discard); err != nil {
-		t.Fatalf("sync run: %v", err)
+	if err := run([]string{"-model", "crash", "-n", "7", "-t", "2", "-sched", "sync"}, io.Discard); err != nil {
+		t.Fatalf("lock-step scheduler run: %v", err)
 	}
 }
 
@@ -110,6 +111,9 @@ func TestRunScenario(t *testing.T) {
 func TestRunRejects(t *testing.T) {
 	if err := run([]string{"-model", "warp"}, io.Discard); err == nil {
 		t.Error("unknown model accepted")
+	}
+	if err := run([]string{"-model", "sync"}, io.Discard); !errors.Is(err, core.ErrBadParams) {
+		t.Errorf("-model sync: %v, want core.ErrBadParams", err)
 	}
 	if err := run([]string{"-model", "crash", "-n", "4", "-t", "2"}, io.Discard); err == nil {
 		t.Error("bad resilience accepted")

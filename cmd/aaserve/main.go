@@ -56,7 +56,7 @@ func run(args []string) error {
 	mode := fs.String("mode", "virtual", "virtual | sim | live")
 	horizon := fs.Int64("horizon", 4000, "virtual-mode workload horizon in ticks")
 	requests := fs.Int("requests", 32, "sim/live-mode request count")
-	model := fs.String("model", "crash", "crash | trim | witness | sync")
+	model := fs.String("model", "crash", "crash | trim | witness")
 	n := fs.Int("n", 10, "parties per instance")
 	t := fs.Int("t", 3, "fault bound per instance")
 	eps := fs.Float64("eps", 1e-3, "agreement precision")

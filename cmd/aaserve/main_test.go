@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"io"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // runCaptured runs aaserve with args and returns what it printed.
@@ -66,6 +69,13 @@ func TestRunRejects(t *testing.T) {
 	} {
 		if out, err := runCaptured(t, args...); err == nil {
 			t.Errorf("%v accepted; printed:\n%s", args, out)
+		}
+	}
+	// "sync" names no protocol, so -model sync fails in every mode.
+	for _, mode := range []string{"virtual", "sim", "live"} {
+		if _, err := runCaptured(t, "-mode", mode, "-model", "sync"); !errors.Is(err, core.ErrBadParams) ||
+			!strings.Contains(err.Error(), "unknown protocol") {
+			t.Errorf("-mode %s -model sync: %v, want an unknown-protocol error", mode, err)
 		}
 	}
 }

@@ -9,9 +9,7 @@ func NewProcess(p Params, input float64) (sim.Process, error) {
 	switch p.Protocol {
 	case ProtoCrash, ProtoByzTrim:
 		return NewAsyncAA(p, input)
-	case ProtoWitness:
+	default: // WitnessAA's Reset rejects anything but ProtoWitness
 		return NewWitnessAA(p, input)
-	default:
-		return NewSyncAA(p, input)
 	}
 }

@@ -17,7 +17,6 @@ type fakeAPI struct {
 	id       sim.PartyID
 	n        int
 	sent     []sentMsg
-	timers   []fakeTimer
 	decided  bool
 	decision float64
 	rng      *rand.Rand
@@ -26,11 +25,6 @@ type fakeAPI struct {
 type sentMsg struct {
 	to   sim.PartyID // -1 for multicast
 	data []byte
-}
-
-type fakeTimer struct {
-	delay sim.Time
-	tag   uint64
 }
 
 var _ sim.API = (*fakeAPI)(nil)
@@ -53,9 +47,8 @@ func (f *fakeAPI) Multicast(data []byte) {
 	f.sent = append(f.sent, sentMsg{to: -1, data: append([]byte(nil), data...)})
 }
 
-func (f *fakeAPI) SetTimer(delay sim.Time, tag uint64) {
-	f.timers = append(f.timers, fakeTimer{delay: delay, tag: tag})
-}
+// SetTimer is a no-op: the protocols are timer-free.
+func (f *fakeAPI) SetTimer(sim.Time, uint64) {}
 
 func (f *fakeAPI) Decide(v float64) {
 	if !f.decided {
@@ -142,15 +135,6 @@ func TestParamsValidate(t *testing.T) {
 	if err := pb.Validate(); err != nil {
 		t.Errorf("AllowBelowBound did not bypass resilience: %v", err)
 	}
-	// Sync needs a round duration.
-	ps := Params{Protocol: ProtoSync, N: 4, T: 1, Eps: 0.1, Lo: 0, Hi: 1}
-	if err := ps.Validate(); !errors.Is(err, ErrBadParams) {
-		t.Errorf("sync without RoundDuration: %v", err)
-	}
-	ps.RoundDuration = 10
-	if err := ps.Validate(); err != nil {
-		t.Errorf("sync with RoundDuration rejected: %v", err)
-	}
 	// Adaptive mode does not need a range.
 	pa := Params{Protocol: ProtoCrash, N: 5, T: 2, Eps: 0.1, Adaptive: true,
 		Lo: math.NaN(), Hi: math.NaN()}
@@ -184,7 +168,6 @@ func TestProtocolString(t *testing.T) {
 		ProtoCrash:   "crash-aa",
 		ProtoByzTrim: "byztrim-aa",
 		ProtoWitness: "witness-aa",
-		ProtoSync:    "sync-aa",
 		Protocol(42): "protocol(42)",
 	} {
 		if got := proto.String(); got != want {
@@ -379,57 +362,6 @@ func TestAsyncAAFrozenDecidedValues(t *testing.T) {
 	}
 	if v, _ := a.Estimate(); v != 0.5 {
 		t.Fatalf("estimate = %v, want midpoint 0.5", v)
-	}
-}
-
-func TestSyncAAFlow(t *testing.T) {
-	p := Params{Protocol: ProtoSync, N: 4, T: 1, Eps: 0.25, Lo: 0, Hi: 1,
-		RoundDuration: 10, Gamma: 0.5} // 2 rounds
-	s, err := NewSyncAA(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	api := newFakeAPI(0, 4)
-	s.Init(api)
-	if len(api.timers) != 1 || api.timers[0].delay != 10 {
-		t.Fatalf("timers = %+v", api.timers)
-	}
-	// Deliver all four round-1 values, then fire the boundary.
-	vals := []float64{0, 0.2, 0.8, 1}
-	for i, v := range vals {
-		s.Deliver(sim.PartyID(i), wire.MarshalValue(wire.Value{Round: 1, Value: v}))
-	}
-	s.OnTimer(1)
-	if s.err != nil {
-		t.Fatal(s.err)
-	}
-	// MidExtremes trim 1: core {0.2, 0.8} -> 0.5.
-	if v, _ := s.Estimate(); v != 0.5 {
-		t.Fatalf("estimate after round 1 = %v", v)
-	}
-	// Round 2 with everyone at 0.5 decides.
-	for i := 0; i < 4; i++ {
-		s.Deliver(sim.PartyID(i), wire.MarshalValue(wire.Value{Round: 2, Value: 0.5}))
-	}
-	s.OnTimer(2)
-	if !api.decided || api.decision != 0.5 {
-		t.Fatalf("decided=%v decision=%v", api.decided, api.decision)
-	}
-}
-
-func TestSyncAASynchronyViolation(t *testing.T) {
-	p := Params{Protocol: ProtoSync, N: 4, T: 1, Eps: 0.25, Lo: 0, Hi: 1, RoundDuration: 10}
-	s, err := NewSyncAA(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	api := newFakeAPI(0, 4)
-	s.Init(api)
-	// Only one value arrives before the boundary: below MinInputs(3).
-	s.Deliver(0, wire.MarshalValue(wire.Value{Round: 1, Value: 0}))
-	s.OnTimer(1)
-	if s.Err() == nil {
-		t.Fatal("synchrony violation not reported")
 	}
 }
 

@@ -3,49 +3,11 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/wire"
 )
-
-func TestNewSyncAARejects(t *testing.T) {
-	good := Params{Protocol: ProtoSync, N: 4, T: 1, Eps: 0.25, Lo: 0, Hi: 1, RoundDuration: 10}
-	if _, err := NewSyncAA(good, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	wrongProto := good
-	wrongProto.Protocol = ProtoCrash
-	if _, err := NewSyncAA(wrongProto, 0.5); err == nil {
-		t.Error("wrong protocol accepted")
-	}
-	if _, err := NewSyncAA(good, math.NaN()); err == nil {
-		t.Error("NaN input accepted")
-	}
-	if _, err := NewSyncAA(good, 5); err == nil {
-		t.Error("out-of-range input accepted")
-	}
-	bad := good
-	bad.RoundDuration = 0
-	if _, err := NewSyncAA(bad, 0.5); err == nil {
-		t.Error("missing round duration accepted")
-	}
-}
-
-func TestSyncAAImmediateDecision(t *testing.T) {
-	p := Params{Protocol: ProtoSync, N: 4, T: 1, Eps: 10, Lo: 0, Hi: 1, RoundDuration: 10}
-	s, err := NewSyncAA(p, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	api := newFakeAPI(0, 4)
-	s.Init(api)
-	if !api.decided || api.decision != 0.5 {
-		t.Fatalf("pre-converged sync did not decide: %v %v", api.decided, api.decision)
-	}
-	if len(api.timers) != 0 {
-		t.Error("timers set despite immediate decision")
-	}
-}
 
 func TestWitnessAAImmediateDecision(t *testing.T) {
 	p := Params{Protocol: ProtoWitness, N: 4, T: 1, Eps: 10, Lo: 0, Hi: 1}
@@ -109,7 +71,7 @@ func TestDefaultFuncUnknownProtocol(t *testing.T) {
 // TestMaxTInvertsMinN checks that MaxT is MinN's inverse: at every n, the
 // bound it returns fits and one more fault does not.
 func TestMaxTInvertsMinN(t *testing.T) {
-	for p := ProtoCrash; p <= ProtoSync; p++ {
+	for p := ProtoCrash; int(p) < len(protoTokens); p++ {
 		for n := 1; n <= 200; n++ {
 			mt := MaxT(p, n)
 			if !(MinN(p, mt) <= n && n < MinN(p, mt+1)) {
@@ -123,8 +85,12 @@ func TestMaxTInvertsMinN(t *testing.T) {
 // TestProtocolTokens pins the token vocabulary: it is what committed
 // incident bundles and the CLIs' -model flags spell, so it must not move.
 func TestProtocolTokens(t *testing.T) {
-	want := map[Protocol]string{ProtoCrash: "crash", ProtoByzTrim: "trim", ProtoWitness: "witness", ProtoSync: "sync"}
-	for p, tok := range want {
+	want := [...]string{ProtoCrash: "crash", ProtoByzTrim: "trim", ProtoWitness: "witness"}
+	if len(want) != len(protoTokens) {
+		t.Fatalf("family has %d protocols, test pins %d", len(protoTokens)-1, len(want)-1)
+	}
+	for p := ProtoCrash; int(p) < len(want); p++ {
+		tok := want[p]
 		if got := p.Token(); got != tok {
 			t.Errorf("%s.Token() = %q, want %q", p, got, tok)
 		}
@@ -135,9 +101,12 @@ func TestProtocolTokens(t *testing.T) {
 	if tok := Protocol(42).Token(); tok != "" {
 		t.Errorf("unknown protocol has token %q", tok)
 	}
-	for _, tok := range []string{"", "paxos", "crash-aa", "Crash"} {
-		if _, err := ParseProtocol(tok); !errors.Is(err, ErrBadParams) {
+	for _, tok := range []string{"", "paxos", "sync", "crash-aa", "Crash"} {
+		_, err := ParseProtocol(tok)
+		if !errors.Is(err, ErrBadParams) {
 			t.Errorf("ParseProtocol(%q): %v", tok, err)
+		} else if !strings.Contains(err.Error(), "(crash | trim | witness)") {
+			t.Errorf("ParseProtocol(%q) error does not list the tokens: %v", tok, err)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // fuzzParties build the fresh, initialised parties FuzzRestore restores
-// into, indexed by the input's kind byte: crash AsyncAA, adaptive AsyncAA,
-// SyncAA and WitnessAA, in the shapes of the snapshot round-trip tests.
+// into, indexed by the input's kind byte: crash AsyncAA, adaptive AsyncAA
+// and WitnessAA, in the shapes of the snapshot round-trip tests.
 var fuzzParties = []func() (Snapshotter, error){
 	func() (Snapshotter, error) {
 		p, err := NewAsyncAA(crashParams(5, 2), 0.5)
@@ -27,13 +27,6 @@ var fuzzParties = []func() (Snapshotter, error){
 		p, err := NewAsyncAA(par, 0.5)
 		if err == nil {
 			p.Init(newFakeAPI(0, 7))
-		}
-		return p, err
-	},
-	func() (Snapshotter, error) {
-		p, err := NewSyncAA(Params{Protocol: ProtoSync, N: 5, T: 1, Eps: 0.25, Lo: 0, Hi: 1, RoundDuration: 10}, 0.5)
-		if err == nil {
-			p.Init(newFakeAPI(0, 5))
 		}
 		return p, err
 	},
@@ -89,19 +82,13 @@ func FuzzRestore(f *testing.F) {
 	ad.Deliver(3, wire.MarshalDecided(wire.Decided{Value: 0.4}))
 	f.Add(uint8(1), body(ad))
 
-	s := fuzzParty(f, 2).(*SyncAA)
-	for i, v := range []float64{0.5, 0.1, 0.9, 0.3} {
-		s.Deliver(sim.PartyID(i), wire.MarshalValue(wire.Value{Round: 1, Value: v}))
-	}
-	f.Add(uint8(2), body(s))
-	s.OnTimer(1)
-	f.Add(uint8(2), body(s))
-
+	// One witness execution (320 deliveries) seeded at five depths: after
+	// 10, 40, 120 and 240 deliveries, and at quiescence.
 	bus := newWitBus(f, 4, 1)
-	bus.pump(40)
-	f.Add(uint8(3), body(bus.procs[0]))
-	bus.pump(1 << 20)
-	f.Add(uint8(3), body(bus.procs[0]))
+	for _, steps := range []int{10, 30, 80, 120, 1 << 20} {
+		bus.pump(steps)
+		f.Add(uint8(2), body(bus.procs[0]))
+	}
 
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
 		p := fuzzParty(t, kind)

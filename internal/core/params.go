@@ -4,7 +4,7 @@
 // collects a quorum of n−t round-tagged values, and applies an approximation
 // function to contract the diameter of the honest values geometrically.
 //
-// Four protocols are provided:
+// Three protocols are provided:
 //
 //   - CrashAA (ProtoCrash): crash faults, n ≥ 2t+1. With the default
 //     mid-extremes function the diameter provably halves per asynchronous
@@ -22,8 +22,6 @@
 //   - WitnessAA (ProtoWitness): Byzantine faults at the optimal resilience
 //     n ≥ 3t+1, built from reliable broadcast plus the witness technique;
 //     per-round halving is again provable (see internal/rbc and witness.go).
-//   - SyncAA (ProtoSync): the lock-step synchronous baseline, used to
-//     quantify what asynchrony costs.
 package core
 
 import (
@@ -33,7 +31,6 @@ import (
 	"strings"
 
 	"repro/internal/multiset"
-	"repro/internal/sim"
 )
 
 // Protocol selects a member of the protocol family.
@@ -50,8 +47,6 @@ const (
 	// ProtoWitness is the asynchronous Byzantine protocol with reliable
 	// broadcast and the witness technique (optimal resilience n ≥ 3t+1).
 	ProtoWitness
-	// ProtoSync is the lock-step synchronous baseline (n ≥ 3t+1).
-	ProtoSync
 )
 
 // String implements fmt.Stringer.
@@ -63,22 +58,20 @@ func (p Protocol) String() string {
 		return "byztrim-aa"
 	case ProtoWitness:
 		return "witness-aa"
-	case ProtoSync:
-		return "sync-aa"
 	default:
 		return fmt.Sprintf("protocol(%d)", int(p))
 	}
 }
 
 // protoTokens are the protocols' short names, indexed by Protocol.
-var protoTokens = [...]string{ProtoCrash: "crash", ProtoByzTrim: "trim", ProtoWitness: "witness", ProtoSync: "sync"}
+var protoTokens = [...]string{ProtoCrash: "crash", ProtoByzTrim: "trim", ProtoWitness: "witness"}
 
 // Token returns p's short name, the vocabulary of the CLIs' -model flags
-// and of incident bundles: "crash", "trim", "witness" or "sync".
+// and of incident bundles: "crash", "trim" or "witness".
 // ParseProtocol inverts it. A p outside the family has no token and
 // returns "".
 func (p Protocol) Token() string {
-	if p < ProtoCrash || p > ProtoSync {
+	if p < ProtoCrash || int(p) >= len(protoTokens) {
 		return ""
 	}
 	return protoTokens[p]
@@ -87,7 +80,7 @@ func (p Protocol) Token() string {
 // ParseProtocol returns the protocol whose Token is tok. The error for an
 // unknown tok wraps ErrBadParams and lists every token.
 func ParseProtocol(tok string) (Protocol, error) {
-	for p := ProtoCrash; p <= ProtoSync; p++ {
+	for p := ProtoCrash; int(p) < len(protoTokens); p++ {
 		if protoTokens[p] == tok {
 			return p, nil
 		}
@@ -127,10 +120,6 @@ type Params struct {
 	ExtraRounds int
 	// Func overrides the approximation function; nil selects the default.
 	Func multiset.Func
-	// RoundDuration is the lock-step round length for ProtoSync; it must
-	// be at least the scheduler's maximum delay for the baseline to be
-	// meaningful. Ignored by the asynchronous protocols.
-	RoundDuration sim.Time
 	// AllowBelowBound skips the resilience check. It exists only so the
 	// experiments can demonstrate what breaks below the proven bound
 	// (e.g. the trim protocol at the classical n = 5t+1); production
@@ -142,25 +131,17 @@ type Params struct {
 // for each round.
 func (p *Params) Quorum() int { return p.N - p.T }
 
-// DefaultGamma returns the contraction budget used when Params.Gamma is 0.
-// The three asynchronous protocols have proven per-round halving with their
-// default functions; the synchronous baseline uses a conservative 0.75
-// budget and the experiments report the contraction actually measured.
-func (p *Params) DefaultGamma() float64 {
-	switch p.Protocol {
-	case ProtoCrash, ProtoByzTrim, ProtoWitness:
-		return 0.5
-	default:
-		return 0.75
-	}
-}
+// defaultGamma is the contraction budget used when Params.Gamma is 0: all
+// three protocols have proven per-round halving with their default
+// functions.
+const defaultGamma = 0.5
 
 // gamma resolves the effective contraction budget.
 func (p *Params) gamma() float64 {
 	if p.Gamma != 0 {
 		return p.Gamma
 	}
-	return p.DefaultGamma()
+	return defaultGamma
 }
 
 // DefaultFunc returns the approximation function used when Params.Func is
@@ -172,8 +153,6 @@ func (p *Params) DefaultFunc() multiset.Func {
 	case ProtoByzTrim:
 		return multiset.MidExtremes{Trim: 2 * p.T}
 	case ProtoWitness:
-		return multiset.MidExtremes{Trim: p.T}
-	case ProtoSync:
 		return multiset.MidExtremes{Trim: p.T}
 	default:
 		return nil
@@ -196,7 +175,7 @@ func MinN(proto Protocol, t int) int {
 		return 2*t + 1
 	case ProtoByzTrim:
 		return 7*t + 1
-	case ProtoWitness, ProtoSync:
+	case ProtoWitness:
 		return 3*t + 1
 	default:
 		return math.MaxInt
@@ -220,7 +199,7 @@ func (p *Params) Validate() error {
 	if p.N < 1 || p.T < 0 {
 		return fmt.Errorf("%w: n=%d t=%d", ErrBadParams, p.N, p.T)
 	}
-	if p.Protocol < ProtoCrash || p.Protocol > ProtoSync {
+	if p.Protocol < ProtoCrash || int(p.Protocol) >= len(protoTokens) {
 		return fmt.Errorf("%w: unknown protocol %d", ErrBadParams, int(p.Protocol))
 	}
 	if minN := MinN(p.Protocol, p.T); !p.AllowBelowBound && p.N < minN {
@@ -230,7 +209,7 @@ func (p *Params) Validate() error {
 	if !(p.Eps > 0) || math.IsInf(p.Eps, 0) {
 		return fmt.Errorf("%w: eps = %v", ErrBadParams, p.Eps)
 	}
-	if !p.Adaptive || p.Protocol == ProtoSync {
+	if !p.Adaptive {
 		if math.IsNaN(p.Lo) || math.IsNaN(p.Hi) || math.IsInf(p.Lo, 0) || math.IsInf(p.Hi, 0) || p.Hi < p.Lo {
 			return fmt.Errorf("%w: range [%v, %v]", ErrBadParams, p.Lo, p.Hi)
 		}
@@ -245,19 +224,9 @@ func (p *Params) Validate() error {
 	if fn == nil {
 		return fmt.Errorf("%w: no approximation function", ErrBadParams)
 	}
-	minIn := fn.MinInputs()
-	viewSize := p.Quorum()
-	if p.Protocol == ProtoSync {
-		// A synchronous view can shrink to n−t when t parties crash or
-		// stay silent; the function must still accept it.
-		viewSize = p.N - p.T
-	}
-	if viewSize < minIn {
+	if q, minIn := p.Quorum(), fn.MinInputs(); q < minIn {
 		return fmt.Errorf("%w: quorum %d below %s minimum %d",
-			ErrBadParams, viewSize, fn.Name(), minIn)
-	}
-	if p.Protocol == ProtoSync && p.RoundDuration < 1 {
-		return fmt.Errorf("%w: sync protocol needs RoundDuration >= 1", ErrBadParams)
+			ErrBadParams, q, fn.Name(), minIn)
 	}
 	return nil
 }

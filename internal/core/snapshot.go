@@ -34,7 +34,6 @@ type Snapshotter interface {
 
 var (
 	_ Snapshotter = (*AsyncAA)(nil)
-	_ Snapshotter = (*SyncAA)(nil)
 	_ Snapshotter = (*WitnessAA)(nil)
 )
 
@@ -197,114 +196,6 @@ func (a *AsyncAA) Rejoin() {
 		a.wireBuf = wire.AppendInit(a.wireBuf[:0], wire.Init{Value: a.input})
 		a.api.Multicast(a.wireBuf)
 	}
-}
-
-// --- SyncAA ---
-
-// Snapshot implements Snapshotter.
-func (s *SyncAA) Snapshot(buf []byte) ([]byte, error) {
-	buf = snapFormat.Begin(buf, snapFormat.Version)
-	buf = frame.AppendUvarint(buf, uint64(s.p.N))
-	buf = frame.AppendUvarint(buf, uint64(s.p.T))
-	buf = frame.AppendF64(buf, s.v)
-	buf = frame.AppendUvarint(buf, uint64(s.round))
-	buf = frame.AppendUvarint(buf, uint64(s.horizon))
-	buf = frame.AppendBool(buf, s.decided)
-	count := 0
-	for _, b := range s.rounds {
-		if b != nil {
-			count++
-		}
-	}
-	buf = frame.AppendUvarint(buf, uint64(count))
-	for r, b := range s.rounds {
-		if b != nil {
-			buf = frame.AppendUvarint(buf, uint64(r))
-			buf = appendSparseF64(buf, b.seen, b.vals)
-		}
-	}
-	return snapFormat.Seal(buf), nil
-}
-
-// Restore implements Snapshotter. The fixed horizon is part of the shape:
-// a snapshot from a differently configured run is rejected.
-func (s *SyncAA) Restore(data []byte) error {
-	d, _, err := snapFormat.Open(data)
-	if err != nil {
-		return err
-	}
-	n, t := d.Uvarint(), d.Uvarint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if int(n) != s.p.N || int(t) != s.p.T {
-		return fmt.Errorf("%w: snapshot shape n=%d t=%d does not match party n=%d t=%d",
-			frame.ErrMalformed, n, t, s.p.N, s.p.T)
-	}
-	v := d.F64()
-	round := uint32(d.Uvarint())
-	horizon := uint32(d.Uvarint())
-	decided := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if horizon != s.horizon {
-		return fmt.Errorf("%w: snapshot horizon %d, party horizon %d", frame.ErrMalformed, horizon, s.horizon)
-	}
-	for i, b := range s.rounds {
-		if b != nil {
-			b.clear()
-			s.freeBuckets = append(s.freeBuckets, b)
-			s.rounds[i] = nil
-		}
-	}
-	s.v, s.round, s.decided = v, round, decided
-	count := d.Uvarint()
-	if count > uint64(len(s.rounds)) {
-		return fmt.Errorf("%w: snapshot declares %d round buckets for horizon %d", frame.ErrMalformed, count, horizon)
-	}
-	for i := uint64(0); i < count; i++ {
-		r := d.Uvarint()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if r >= uint64(len(s.rounds)) {
-			return fmt.Errorf("%w: snapshot round %d beyond horizon %d", frame.ErrMalformed, r, horizon)
-		}
-		var b *roundBucket
-		if k := len(s.freeBuckets); k > 0 {
-			b = s.freeBuckets[k-1]
-			s.freeBuckets[k-1] = nil
-			s.freeBuckets = s.freeBuckets[:k-1]
-		} else {
-			b = newRoundBucket(s.p.N)
-		}
-		b.round = uint32(r)
-		s.rounds[r] = b
-		if b.cnt, err = readSparseF64(&d, b.seen, b.vals); err != nil {
-			return err
-		}
-	}
-	return d.Done()
-}
-
-// Rejoin implements Snapshotter: restart the current round's multicast and
-// timer. The synchronous baseline's guarantees still rest on the synchrony
-// assumption — a recovery window longer than the round pace shows up as
-// the usual lost-synchrony Err, which is the honest outcome.
-func (s *SyncAA) Rejoin() {
-	if s.err != nil || s.api == nil {
-		return
-	}
-	if s.decided {
-		// Re-register the withdrawn decision; both runtimes dedup.
-		s.api.Decide(s.v)
-		return
-	}
-	if s.round == 0 {
-		return
-	}
-	s.beginRound()
 }
 
 // --- WitnessAA ---

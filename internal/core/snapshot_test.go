@@ -133,40 +133,6 @@ func TestAsyncSnapshotShapeMismatchRejected(t *testing.T) {
 	}
 }
 
-func TestSyncSnapshotRoundTrip(t *testing.T) {
-	par := Params{Protocol: ProtoSync, N: 5, T: 1, Eps: 0.25, Lo: 0, Hi: 1, RoundDuration: 10}
-	p, err := NewSyncAA(par, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	api := newFakeAPI(0, 5)
-	p.Init(api)
-	vals := []float64{0.5, 0.1, 0.9, 0.3}
-	for i, v := range vals {
-		p.Deliver(sim.PartyID(i), wire.MarshalValue(wire.Value{Round: 1, Value: v}))
-	}
-	a := snap(t, p)
-	if !bytes.Equal(snap(t, p), a) {
-		t.Fatal("same state produced different snapshots")
-	}
-	// Round boundary, then rollback + replay equivalence.
-	p.OnTimer(1)
-	b1 := snap(t, p)
-	if err := p.Restore(a); err != nil {
-		t.Fatal(err)
-	}
-	p.OnTimer(1)
-	if !bytes.Equal(snap(t, p), b1) {
-		t.Fatal("rollback + replayed timer diverged")
-	}
-	// Rejoin re-arms the current round: one multicast + one timer.
-	sent, timers := len(api.sent), len(api.timers)
-	p.Rejoin()
-	if len(api.sent) != sent+1 || len(api.timers) != timers+1 {
-		t.Errorf("rejoin: %d sends, %d timers added", len(api.sent)-sent, len(api.timers)-timers)
-	}
-}
-
 // witBus is a loopback network for witness parties: every Send is queued
 // and delivered FIFO, so a deterministic prefix of a real execution can be
 // paused mid-round for snapshotting.
@@ -325,9 +291,6 @@ func TestRejoinReannouncesDecision(t *testing.T) {
 	}{
 		{"async", func() (Snapshotter, error) {
 			return NewAsyncAA(wide(crashParams(3, 1)), 0.5)
-		}},
-		{"sync", func() (Snapshotter, error) {
-			return NewSyncAA(wide(Params{Protocol: ProtoSync, N: 4, T: 1, Eps: 0.25, Lo: 0, Hi: 1, RoundDuration: 10}), 0.5)
 		}},
 		{"witness", func() (Snapshotter, error) {
 			return NewWitnessAA(wide(Params{Protocol: ProtoWitness, N: 4, T: 1, Eps: 0.25, Lo: 0, Hi: 1}), 0.5)

@@ -48,7 +48,6 @@ type RunContext struct {
 	net    *sim.Network
 	asyncs []*core.AsyncAA
 	wits   []*core.WitnessAA
-	syncs  []*core.SyncAA
 	// est collects the estimator-capable honest parties of the current
 	// run, for trajectory sampling (diameter only — identity irrelevant).
 	est []sim.Estimator
@@ -119,14 +118,6 @@ func (c *RunContext) party(p core.Params, i int, input float64) (sim.Process, er
 			return nil, err
 		}
 		return c.wits[i], nil
-	case core.ProtoSync:
-		for len(c.syncs) <= i {
-			c.syncs = append(c.syncs, new(core.SyncAA))
-		}
-		if err := c.syncs[i].Reset(p, input); err != nil {
-			return nil, err
-		}
-		return c.syncs[i], nil
 	default:
 		return nil, fmt.Errorf("harness: unknown protocol %v", p.Protocol)
 	}

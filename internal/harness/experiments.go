@@ -71,9 +71,6 @@ func newSweepJob(p core.Params, inputs []float64, seeds int, faultKeys ...string
 	}
 	j := &sweepJob{rounds: rounds}
 	for _, scen := range scenario.Suite(p.N, p.T, faultKeys...) {
-		if p.Protocol == core.ProtoSync && scen.Sched != "sync" {
-			continue // the baseline is only defined under synchrony
-		}
 		for seed := int64(0); seed < int64(seeds); seed++ {
 			spec, err := SpecFrom(p, inputs, scen, seed*7919+1)
 			if err != nil {

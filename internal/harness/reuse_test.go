@@ -300,7 +300,7 @@ func TestRunContextSurvivesShapeChanges(t *testing.T) {
 		{core.Params{Protocol: core.ProtoWitness, N: 7, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "splitviews/n=7,t=2"},
 		{core.Params{Protocol: core.ProtoCrash, N: 17, T: 8, Eps: 1e-3, Lo: 0, Hi: 1}, "skew+crash/n=17,t=8"},
 		{core.Params{Protocol: core.ProtoWitness, N: 13, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "partition+equivocate/n=13,t=4"},
-		{core.Params{Protocol: core.ProtoSync, N: 9, T: 2, Eps: 1e-3, Lo: 0, Hi: 1, RoundDuration: 10}, "sync:5/n=9,t=2"},
+		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "sync:5/n=9,t=2"},
 		{core.Params{Protocol: core.ProtoByzTrim, N: 15, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "staggered+extreme/n=15,t=2"},
 	}
 	ctx := NewRunContext()

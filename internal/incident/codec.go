@@ -62,7 +62,9 @@ func Encode(b *Bundle) ([]byte, error) {
 	out = frame.AppendF64(out, b.Lo)
 	out = frame.AppendF64(out, b.Hi)
 	out = frame.AppendUvarint(out, uint64(b.ExtraRounds))
-	out = frame.AppendUvarint(out, uint64(b.SyncRoundTicks))
+	// A retired slot (the removed lock-step protocol's round length),
+	// kept so the format needs no version bump; Decode requires 0.
+	out = frame.AppendUvarint(out, 0)
 	out = frame.AppendVarint(out, b.Seed)
 	out = frame.AppendUvarint(out, uint64(b.MaxEvents))
 	out = frame.AppendUvarint(out, uint64(len(b.Inputs)))
@@ -172,7 +174,9 @@ func Decode(data []byte) (*Bundle, error) {
 	b.Lo = d.F64()
 	b.Hi = d.F64()
 	b.ExtraRounds = intField(&d, "extra rounds")
-	b.SyncRoundTicks = timeField(&d, "sync round ticks")
+	if v := d.Uvarint(); v != 0 {
+		d.Fail(fmt.Errorf("%w: retired slot holds %d, want 0", frame.ErrMalformed, v))
+	}
 	b.Seed = d.Varint()
 	b.MaxEvents = intField(&d, "event budget")
 	if n := d.Count(maxInputs, "input"); n > 0 {

@@ -147,6 +147,35 @@ func TestDecodeRejectsHugeCounts(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsRetiredSlot pins the slot after ExtraRounds, once the
+// removed lock-step protocol's round length: Encode writes 0 there and
+// Decode rejects anything else, so every bundle still has one encoding.
+func TestDecodeRejectsRetiredSlot(t *testing.T) {
+	b := sampleBundle()
+	data, err := Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := bundleFormat.Begin(nil, 1)
+	prefix = frame.AppendStr(prefix, b.Name)
+	prefix = frame.AppendStr(prefix, b.Scenario)
+	prefix = frame.AppendStr(prefix, b.Protocol)
+	prefix = append(prefix, 0)
+	prefix = frame.AppendF64(prefix, b.Eps)
+	prefix = frame.AppendF64(prefix, b.Lo)
+	prefix = frame.AppendF64(prefix, b.Hi)
+	prefix = frame.AppendUvarint(prefix, uint64(b.ExtraRounds))
+	at := len(prefix)
+	if data[at] != 0 {
+		t.Fatalf("Encode wrote %#x in the retired slot, want 0", data[at])
+	}
+	body := append([]byte(nil), data[:len(data)-4]...)
+	body[at] = 1
+	if _, err := Decode(bundleFormat.Seal(body)); !errors.Is(err, frame.ErrMalformed) {
+		t.Fatalf("retired slot set to 1: got %v, want frame.ErrMalformed", err)
+	}
+}
+
 func TestDecodeRejectsVersionSkew(t *testing.T) {
 	data, err := Encode(sampleBundle())
 	if err != nil {
@@ -169,6 +198,7 @@ func TestDecodeRejectsSemanticNonsense(t *testing.T) {
 		mutate func(*Bundle)
 	}{
 		{"unknown protocol", func(b *Bundle) { b.Protocol = "paxos" }},
+		{"unknown protocol sync", func(b *Bundle) { b.Protocol = "sync" }},
 		{"unparseable scenario", func(b *Bundle) { b.Scenario = "n=???" }},
 		{"scenario without t", func(b *Bundle) { b.Scenario = "random/n=5" }},
 		{"inputs vs n", func(b *Bundle) { b.Inputs = b.Inputs[:3] }},

@@ -134,8 +134,6 @@ type Bundle struct {
 	Eps, Lo, Hi float64
 	// ExtraRounds adds round-budget slack.
 	ExtraRounds int
-	// SyncRoundTicks is the lock-step round length (sync protocol only).
-	SyncRoundTicks sim.Time
 	// Seed drives all run randomness.
 	Seed int64
 	// MaxEvents overrides the simulator event budget; 0 means default.
@@ -287,15 +285,14 @@ func (b *Bundle) resolveConfig() (scenario.Spec, core.Params, error) {
 		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: %v", frame.ErrMalformed, err)
 	}
 	p := core.Params{
-		Protocol:      proto,
-		N:             scen.N,
-		T:             scen.T,
-		Eps:           b.Eps,
-		Lo:            b.Lo,
-		Hi:            b.Hi,
-		Adaptive:      b.Adaptive,
-		ExtraRounds:   b.ExtraRounds,
-		RoundDuration: b.SyncRoundTicks,
+		Protocol:    proto,
+		N:           scen.N,
+		T:           scen.T,
+		Eps:         b.Eps,
+		Lo:          b.Lo,
+		Hi:          b.Hi,
+		Adaptive:    b.Adaptive,
+		ExtraRounds: b.ExtraRounds,
 	}
 	if err := p.Validate(); err != nil {
 		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: params: %v", frame.ErrMalformed, err)

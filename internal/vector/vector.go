@@ -73,22 +73,13 @@ func New(p Params, input []float64) (*AA, error) {
 		pending:  p.Dim,
 	}
 	for d := 0; d < p.Dim; d++ {
-		child, err := newScalar(p.Base, input[d])
+		child, err := core.NewProcess(p.Base, input[d])
 		if err != nil {
 			return nil, fmt.Errorf("vector: coordinate %d: %w", d, err)
 		}
 		a.children[d] = child
 	}
 	return a, nil
-}
-
-// newScalar builds one coordinate's scalar party; only the asynchronous
-// protocols compose (the lock-step baseline needs timers).
-func newScalar(p core.Params, input float64) (sim.Process, error) {
-	if p.Protocol == core.ProtoSync {
-		return nil, fmt.Errorf("%w: vector agreement supports the asynchronous protocols", core.ErrBadParams)
-	}
-	return core.NewProcess(p, input)
 }
 
 // childAPI exposes the parent channel to one coordinate's scalar instance,

@@ -83,11 +83,6 @@ func TestVectorValidate(t *testing.T) {
 	if _, err := New(p, []float64{1}); err == nil {
 		t.Error("wrong input dimension accepted")
 	}
-	sp := Params{Base: core.Params{Protocol: core.ProtoSync, N: 4, T: 1, Eps: 0.1,
-		Lo: 0, Hi: 1, RoundDuration: 5}, Dim: 2}
-	if _, err := New(sp, []float64{0, 0}); err == nil {
-		t.Error("synchronous base accepted for vector agreement")
-	}
 }
 
 func TestVectorCrashAgreement2D(t *testing.T) {
