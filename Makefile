@@ -30,9 +30,9 @@ race:
 
 # fuzz-relnet runs the native fuzz target for relnet's frame parser and
 # link windows (FuzzDeliver: arbitrary frames from arbitrary senders,
-# interleaved with sends and retransmit timers). A failing input is saved
-# under internal/relnet/testdata/fuzz/FuzzDeliver/, where plain `go test`
-# replays it from then on; commit it with the fix.
+# interleaved with sends, multicasts and retransmit timers). A failing
+# input is saved under internal/relnet/testdata/fuzz/FuzzDeliver/, where
+# plain `go test` replays it from then on; commit it with the fix.
 FUZZTIME ?= 30s
 fuzz-relnet:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeliver$$' -fuzztime $(FUZZTIME) ./internal/relnet/
@@ -89,9 +89,11 @@ benchmark-check:
 # PAIRS alternating pairs (odd pairs run the parent first, each pair has a
 # seed of its own), SECONDS per run, on the comma-separated WORKLOADS. It
 # appends one JSON line per run to OUT and prints, per workload and
-# end-to-end metric, the median per-pair ratio (working tree / parent) and
-# the pairs in which the working tree read lower. The parent is exported
-# with git archive and built under .bench_build/. Needs jq. Example:
+# metric, the parent's quartiles, both medians, the median per-pair ratio
+# (working tree / parent), the pairs the working tree won and a verdict
+# (gain, worse or -); it exits 1 on a worse row or a failed op. The parent
+# is exported with git archive and built under .bench_build/. Needs jq.
+# Example:
 #   make pairs PARENT=HEAD~1 WORKLOADS=sim-scale,sim-lossy OUT=BENCH_36_pairs.jsonl
 PARENT ?=
 WORKLOADS ?= sim-scale,sim-witness,sim-lossy,sweep-small,live,serve

@@ -11,7 +11,9 @@ import (
 
 // Fuzz input grammar: a sequence of ops, each led by one byte.
 //   - 1xxxxxxx: fire pending retransmit timer number xxxxxxx (mod count);
-//   - 01xxxxxx: the inner process sends one byte to party xxxxxx mod n;
+//   - 01xxxxxx: the inner process sends a two-byte payload (the op and a
+//     send counter) to party xxxxxx mod n, or multicasts it when xxxxxx
+//     is 63;
 //   - 00xxxxxx: deliver a frame from party xxxxxx mod n; the next byte is
 //     its length, then the frame bytes (cut short at the end of input).
 const fuzzParties = 4
@@ -21,13 +23,17 @@ func fuzzDeliverOp(from byte, frame []byte) []byte {
 }
 
 // FuzzDeliver feeds arbitrary frame sequences from arbitrary senders,
-// interleaved with sends and retransmit timers, into a wrapper around a
-// recording process. It checks that nothing panics; that the first data
-// frame for each (sender, seq) hands its payload to the inner process and
-// every later one is suppressed, so no payload arrives twice; that acks
-// reach nobody and every other frame passes through raw; and that the
-// receive rings stay within their cap and the send rings within twice
-// the sends on their link.
+// interleaved with sends, multicasts and retransmit timers, into a wrapper
+// around a recording process. It checks that nothing panics; that the
+// first data frame for each (sender, seq) hands its payload to the inner
+// process and every later one is suppressed, so no payload arrives twice;
+// that acks reach nobody and every other frame passes through raw; that
+// every data frame sent, first copy or retransmit, carries the payload
+// the inner process sent with that (destination, seq), so no payload slot
+// is reused while a packet still names it; that the receive rings stay
+// within their cap and the send rings within twice the sends on their
+// link; and that each payload slot's refs count the live packets naming
+// it, with exactly the unnamed slots on the free list.
 func FuzzDeliver(f *testing.F) {
 	var seed []byte
 	seed = append(seed, 0x41, 0x41, 0x42)
@@ -59,6 +65,20 @@ func FuzzDeliver(f *testing.F) {
 
 	f.Add([]byte{0x41, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80})
 
+	seed = []byte{0x7f, 0x42, 0x7f}
+	for from := byte(0); from < fuzzParties; from++ {
+		seed = append(seed, fuzzDeliverOp(from, ackFrame(1))...)
+	}
+	seed = append(seed, 0x80, 0x80, 0x80, 0x80, 0x7f, 0x81, 0x82)
+	f.Add(seed)
+
+	// A multicast's packet to party 0 retires (acked, then its timer)
+	// while the other three are live; a send follows, then the packet to
+	// party 1 retransmits.
+	seed = append([]byte{0x7f}, fuzzDeliverOp(0, ackFrame(1))...)
+	seed = append(seed, 0x80, 0x41, 0x80, 0x7f, 0x80, 0x80)
+	f.Add(seed)
+
 	f.Fuzz(func(t *testing.T, in []byte) {
 		inner := &countProc{}
 		p := Wrap(inner)
@@ -66,6 +86,17 @@ func FuzzDeliver(f *testing.F) {
 		p.Init(api)
 		seen := map[[2]uint64]bool{}
 		sent := make([]int, fuzzParties)
+		payloads := map[[2]uint64][]byte{} // (to, seq) -> what the inner process sent
+		checked, sends := 0, 0
+		checkSent := func() {
+			for ; checked < len(api.sends); checked++ {
+				frame, to := api.frame(checked), api.sends[checked].to
+				kind, seq, n := parseFrame(frame)
+				if want := payloads[[2]uint64{uint64(to), seq}]; kind == frameData && !bytes.Equal(frame[1+n:], want) {
+					t.Fatalf("data frame %x to %d carries %x, want %x", frame, to, frame[1+n:], want)
+				}
+			}
+		}
 		dataFrames := 0
 		for len(in) > 0 {
 			op := in[0]
@@ -78,11 +109,25 @@ func FuzzDeliver(f *testing.F) {
 					api.timers = slices.Delete(api.timers, i, i+1)
 					p.OnTimer(tag)
 				}
+				checkSent()
 				continue
 			case op&0x40 != 0:
-				to := op % fuzzParties
-				sent[to]++
-				p.Send(sim.PartyID(to), []byte{op})
+				sends++
+				payload := []byte{op, byte(sends)}
+				lo, hi := int(op%fuzzParties), int(op%fuzzParties)+1
+				if op&0x3f == 0x3f {
+					lo, hi = 0, fuzzParties
+				}
+				for to := lo; to < hi; to++ {
+					sent[to]++
+					payloads[[2]uint64{uint64(to), uint64(sent[to])}] = payload
+				}
+				if hi-lo > 1 {
+					p.Multicast(payload)
+				} else {
+					p.Send(sim.PartyID(lo), payload)
+				}
+				checkSent()
 				continue
 			}
 			from := sim.PartyID(op % fuzzParties)
@@ -95,6 +140,7 @@ func FuzzDeliver(f *testing.F) {
 
 			before := inner.got
 			p.Deliver(from, frame)
+			checkSent()
 			got := inner.got - before
 			kind, seq, n := parseFrame(frame)
 			switch kind {
@@ -130,6 +176,7 @@ func FuzzDeliver(f *testing.F) {
 				t.Fatalf("destination %d: send ring %d slots after %d sends", to, len(l.ring), sent[to])
 			}
 		}
+		checkSlots(t, p)
 	})
 }
 

@@ -12,10 +12,14 @@
 // drops or duplicates it. Frames from senders that do not speak the
 // framing (Byzantine raw traffic) pass through untouched.
 //
-// Link state is dense, indexed by party: a send ring of packet slots per
-// destination, a watermark plus a bitset ring above it per source, and
-// retransmit timer tags that name their packet. No map is touched per
-// frame; only seqs implausibly far above a watermark go to a spill set.
+// Link state is dense, indexed by party: a send ring of 16-byte packet
+// slots per destination, a watermark plus a bitset ring above it per
+// source, and retransmit timer tags that name their packet. No map is
+// touched per frame; only seqs implausibly far above a watermark go to a
+// spill set. Outbound payloads live apart from the rings, in a table of
+// reference-counted payload slots: a Send stores its payload once, and a
+// Multicast stores it once for all n of its packets, not once per
+// destination.
 //
 // The wrapper is runtime-agnostic: it uses only the sim.API surface
 // (Send, SetTimer, Rand), so the same code runs under the deterministic
@@ -83,12 +87,22 @@ type Stats struct {
 }
 
 // packet is one slot of a send ring: an outbound payload awaiting its
-// ack and its retransmit timer, or a retired slot (seq 0).
+// ack and its retransmit timer, or a retired slot (seq 0). It holds no
+// pointer: its payload is the slot pay of Proc.pays, which it shares with
+// the rest of its multicast.
 type packet struct {
-	seq     uint64
-	payload []byte // owned copy; the buffer is reused run to run
-	tries   int
-	acked   bool
+	seq   uint64
+	pay   int32
+	tries uint8
+	acked bool
+}
+
+// payload is one outbound payload and the number of live packets that
+// name it. A slot whose refs reach 0 goes on the free list; its buffer
+// is reused, run to run.
+type payload struct {
+	buf  []byte
+	refs int32
 }
 
 // sndLink is the per-destination send window: seqs (1-based) up to base
@@ -115,8 +129,10 @@ type Proc struct {
 	inner sim.Process
 	api   sim.API
 
-	snd []sndLink // per destination
-	rcv []rcvLink // per source
+	snd  []sndLink // per destination
+	rcv  []rcvLink // per source
+	pays []payload // outbound payloads, named by packet.pay
+	free []int32   // slots of pays with no live packet
 
 	buf   []byte // frame scratch (Send paths)
 	stats Stats
@@ -137,8 +153,8 @@ func Wrap(inner sim.Process) *Proc {
 }
 
 // Reset re-arms the wrapper around a (possibly different) inner process,
-// recycling its link windows, payload buffers, and scratch — the pool-
-// friendly contract harness run contexts rely on.
+// recycling its link windows, payload slots and their buffers, and scratch
+// — the pool-friendly contract harness run contexts rely on.
 func (p *Proc) Reset(inner sim.Process) {
 	p.inner = inner
 	p.api = nil
@@ -155,6 +171,7 @@ func (p *Proc) Reset(inner sim.Process) {
 		clear(p.rcv[i].spill)
 	}
 	p.rcv = p.rcv[:0]
+	p.pays, p.free = p.pays[:0], p.free[:0]
 	p.stats = Stats{}
 }
 
@@ -190,9 +207,14 @@ func (p *Proc) outstanding(to sim.PartyID, seq uint64) (*sndLink, *packet) {
 	return l, nil
 }
 
-// retire frees pk's slot and moves base past every retired seq.
-func (l *sndLink) retire(pk *packet) {
+// retire frees pk's ring slot, drops its reference to its payload slot,
+// and moves base past every retired seq.
+func (p *Proc) retire(l *sndLink, pk *packet) {
 	pk.seq = 0
+	pl := &p.pays[pk.pay]
+	if pl.refs--; pl.refs == 0 {
+		p.free = append(p.free, pk.pay)
+	}
 	mask := uint64(len(l.ring) - 1)
 	for l.base < l.next && l.ring[(l.base+1)&mask].seq == 0 {
 		l.base++
@@ -200,17 +222,15 @@ func (l *sndLink) retire(pk *packet) {
 }
 
 // grow doubles a full send ring: each live seq moves from slot i to i or
-// i+len(old), and retired slots keep their payload buffers at i.
+// i+len(old). Retired slots own nothing, so they are not copied.
 func (l *sndLink) grow() {
 	old := l.ring
 	l.ring = make([]packet, max(minSendRing, 2*len(old)))
 	mask := uint64(len(l.ring) - 1)
-	for i, pk := range old {
-		j := uint64(i)
+	for _, pk := range old {
 		if pk.seq != 0 {
-			j = pk.seq & mask
+			l.ring[pk.seq&mask] = pk
 		}
-		l.ring[j] = pk
 	}
 }
 
@@ -336,10 +356,10 @@ func (p *Proc) OnTimer(tag uint64) {
 	switch {
 	case pk == nil:
 	case pk.acked:
-		l.retire(pk)
+		p.retire(l, pk)
 	case pk.tries > maxRetries:
 		p.stats.GiveUps++
-		l.retire(pk)
+		p.retire(l, pk)
 	default:
 		p.stats.Retransmits++
 		p.sendFrame(to, pk)
@@ -351,7 +371,7 @@ func (p *Proc) OnTimer(tag uint64) {
 func (p *Proc) sendFrame(to sim.PartyID, pk *packet) {
 	p.buf = append(p.buf[:0], frameData)
 	p.buf = binary.AppendUvarint(p.buf, pk.seq)
-	p.buf = append(p.buf, pk.payload...)
+	p.buf = append(p.buf, p.pays[pk.pay].buf...)
 	p.api.Send(to, p.buf)
 
 	rto := baseRTO << pk.tries
@@ -377,31 +397,54 @@ func (p *Proc) Decide(value float64) { p.api.Decide(value) }
 // SetTimer implements sim.API, passing inner-process timers through.
 func (p *Proc) SetTimer(delay sim.Time, tag uint64) { p.api.SetTimer(delay, tag) }
 
-// Send implements sim.API: frame the payload with the link's next seq,
-// record it for retransmission, and transmit the first copy.
+// Send implements sim.API: store the payload, frame it with the link's
+// next seq, record it for retransmission, and transmit the first copy.
 func (p *Proc) Send(to sim.PartyID, data []byte) {
+	p.send(to, p.store(data, 1))
+}
+
+// Multicast implements sim.API. Frames carry per-link sequence numbers,
+// so a multicast expands into per-destination sends (same order as the
+// simulator's own expansion: ascending party ID), all naming one payload
+// slot.
+func (p *Proc) Multicast(data []byte) {
+	n := p.api.N()
+	pay := p.store(data, int32(n))
+	for to := 0; to < n; to++ {
+		p.send(sim.PartyID(to), pay)
+	}
+}
+
+// store copies data into a free payload slot that refs packets will name.
+// A new slot extends pays within its capacity first, so the slots Reset
+// truncated come back with their buffers.
+func (p *Proc) store(data []byte, refs int32) int32 {
+	var i int32
+	if k := len(p.free); k > 0 {
+		i, p.free = p.free[k-1], p.free[:k-1]
+	} else {
+		i = int32(len(p.pays))
+		p.pays = slices.Grow(p.pays, 1)[:i+1]
+	}
+	pl := &p.pays[i]
+	pl.buf = append(pl.buf[:0], data...)
+	pl.refs = refs
+	return i
+}
+
+// send records a packet naming payload slot pay on the link to `to` and
+// transmits its first copy.
+func (p *Proc) send(to sim.PartyID, pay int32) {
 	l := link(&p.snd, to)
 	if l.next-l.base == uint64(len(l.ring)) {
 		l.grow()
 	}
 	l.next++
 	pk := &l.ring[l.next&uint64(len(l.ring)-1)]
-	pk.seq = l.next
-	pk.payload = append(pk.payload[:0], data...)
-	pk.tries = 0
-	pk.acked = false
+	*pk = packet{seq: l.next, pay: pay}
 
 	p.stats.DataSent++
 	p.sendFrame(to, pk)
-}
-
-// Multicast implements sim.API. Frames carry per-link sequence numbers,
-// so a multicast expands into per-destination sends (same order as the
-// simulator's own expansion: ascending party ID).
-func (p *Proc) Multicast(data []byte) {
-	for to := 0; to < p.api.N(); to++ {
-		p.Send(sim.PartyID(to), data)
-	}
 }
 
 // --- protocol-state passthrough for the harness ---

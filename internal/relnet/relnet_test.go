@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -143,29 +144,35 @@ func TestRawPassthrough(t *testing.T) {
 }
 
 // TestResetRecycles pins the pooling contract: a reset wrapper carries no
-// link state into its next run.
+// link state into its next run, and keeps the storage of its links and
+// payload slots.
 func TestResetRecycles(t *testing.T) {
 	a := &chatterProc{}
 	p := Wrap(a)
 	api := &tapeAPI{n: 2}
 	p.Init(api)
 	p.Send(1, []byte{9, 9})
+	p.Multicast([]byte{8, 8})
 	p.Deliver(1, dataFrame(1, 7))
 	p.Deliver(1, dataFrame(3, 7))
-	if l := p.snd[1]; l.next != 1 || l.base != 0 || l.ring[1].seq != 1 {
+	if l := p.snd[1]; l.next != 2 || l.base != 0 || l.ring[1].seq != 1 {
 		t.Fatalf("send not tracked: next=%d base=%d slot seq=%d", l.next, l.base, l.ring[1].seq)
 	}
 	if l := p.rcv[1]; l.watermark != 1 || l.bits[0] != 1<<3 {
 		t.Fatalf("receive not tracked: watermark=%d bits=%b", l.watermark, l.bits[0])
 	}
-	ring, bits := p.snd[1].ring, p.rcv[1].bits
+	if len(p.pays) != 2 || p.pays[0].refs != 1 || p.pays[1].refs != 2 {
+		t.Fatalf("payload slots not tracked: %+v", p.pays)
+	}
+	ring, bits, pays := p.snd[1].ring, p.rcv[1].bits, p.pays
 	b := &chatterProc{}
 	p.Reset(b)
 	if p.Inner() != b {
 		t.Fatal("Reset did not swap the inner process")
 	}
-	if len(p.snd) != 0 || len(p.rcv) != 0 || p.stats != (Stats{}) {
-		t.Fatalf("Reset leaked state: snd=%d rcv=%d stats=%+v", len(p.snd), len(p.rcv), p.stats)
+	if len(p.snd) != 0 || len(p.rcv) != 0 || len(p.pays) != 0 || len(p.free) != 0 || p.stats != (Stats{}) {
+		t.Fatalf("Reset leaked state: snd=%d rcv=%d pays=%d free=%d stats=%+v",
+			len(p.snd), len(p.rcv), len(p.pays), len(p.free), p.stats)
 	}
 	// The truncated links come back zeroed, with their storage.
 	p.Init(api)
@@ -184,6 +191,101 @@ func TestResetRecycles(t *testing.T) {
 	if rcv.bits[0] != 0 {
 		t.Fatalf("recycled bitset not cleared: %b", rcv.bits[0])
 	}
+	// The truncated payload slots come back with their buffers.
+	p.Send(1, []byte{6})
+	p.Multicast([]byte{5})
+	for i, pl := range p.pays {
+		if &pl.buf[0] != &pays[i].buf[0] || pl.refs != pays[i].refs {
+			t.Fatalf("payload slot %d not recycled: %+v, was %+v", i, pl, pays[i])
+		}
+	}
+}
+
+// TestPacketLayout pins a send ring slot at 16 bytes: its payload lives
+// in a shared slot it names by index, not in a buffer of its own.
+func TestPacketLayout(t *testing.T) {
+	if got := unsafe.Sizeof(packet{}); got != 16 {
+		t.Fatalf("packet is %d bytes, want 16", got)
+	}
+}
+
+// checkSlots asserts the payload table against the send rings: each
+// slot's refs is the number of live packets that name it, and the free
+// list holds exactly the slots with none, once each.
+func checkSlots(t *testing.T, p *Proc) {
+	t.Helper()
+	named := make([]int32, len(p.pays))
+	for _, l := range p.snd {
+		for _, pk := range l.ring {
+			if pk.seq != 0 {
+				named[pk.pay]++
+			}
+		}
+	}
+	free := make([]bool, len(p.pays))
+	for _, i := range p.free {
+		if free[i] {
+			t.Fatalf("slot %d is on the free list twice: %v", i, p.free)
+		}
+		free[i] = true
+	}
+	for i, pl := range p.pays {
+		if pl.refs != named[i] || free[i] != (pl.refs == 0) {
+			t.Fatalf("slot %d: refs %d, named by %d live packets, free %v", i, pl.refs, named[i], free[i])
+		}
+	}
+}
+
+// TestMulticastSharesOnePayload pins the payload slot lifecycle: a
+// multicast stores its payload once, in one slot every one of its n
+// packets names, and the slot goes back on the free list only when the
+// last of them retires — acked and then timed out, or given up on. The
+// next multicast reuses the freed slot and its buffer.
+func TestMulticastSharesOnePayload(t *testing.T) {
+	const n = 4
+	for _, acked := range []bool{true, false} {
+		t.Run(fmt.Sprintf("acked=%v", acked), func(t *testing.T) {
+			p := Wrap(&countProc{})
+			api := &tapeAPI{n: n}
+			p.Init(api)
+			p.Multicast([]byte{7, 7, 7})
+			if len(p.pays) != 1 || p.pays[0].refs != n || len(p.free) != 0 {
+				t.Fatalf("multicast to %d: slots %+v, free %v; want one slot with refs %d", n, p.pays, p.free, n)
+			}
+			for to := sim.PartyID(0); to < n; to++ {
+				if _, pk := p.outstanding(to, 1); pk == nil || pk.pay != 0 {
+					t.Fatalf("packet to %d does not name slot 0: %+v", to, pk)
+				}
+				if acked {
+					p.Deliver(to, ackFrame(1))
+				}
+			}
+			buf := p.pays[0].buf
+			for retired := 0; len(api.timers) > 0; {
+				tag := api.timers[0]
+				api.timers = api.timers[1:]
+				p.OnTimer(tag)
+				if _, pk := p.outstanding(sim.PartyID(tag>>seqBits&0xff), 1); pk == nil {
+					retired++
+				}
+				checkSlots(t, p)
+				if want := int32(n - retired); p.pays[0].refs != want {
+					t.Fatalf("%d of %d packets retired, refs %d", retired, n, p.pays[0].refs)
+				}
+			}
+			if st := p.TransportStats(); acked != (st.GiveUps == 0) || !acked && st.GiveUps != n {
+				t.Fatalf("acked=%v: %+v", acked, st)
+			}
+			if len(p.free) != 1 || p.free[0] != 0 {
+				t.Fatalf("retired slot not freed: free %v, slots %+v", p.free, p.pays)
+			}
+			p.Multicast([]byte{8})
+			if len(p.pays) != 1 || p.pays[0].refs != n || &p.pays[0].buf[0] != &buf[0] {
+				t.Fatalf("next multicast did not reuse the freed slot's buffer: %+v", p.pays)
+			}
+			checkSlots(t, p)
+		})
+	}
 }
 
 // dataFrame builds the data frame a wrapper sends for (seq, payload...).
@@ -196,15 +298,26 @@ func ackFrame(seq uint64) []byte {
 	return binary.AppendUvarint([]byte{frameAck}, seq)
 }
 
-// tapeAPI satisfies sim.API for direct wrapper unit tests. It counts the
-// frames sent and keeps the armed timer tags, in order, for the test to
-// fire (or not) by hand.
+// tapeAPI satisfies sim.API for direct wrapper unit tests. It keeps the
+// frames sent, with their bytes back to back in one reused tape, and the
+// armed timer tags, in order, for the test to fire (or not) by hand.
 type tapeAPI struct {
 	n      int
 	rng    *rand.Rand
-	sends  int
+	sends  []sentFrame
+	tape   []byte
 	timers []uint64
 }
+
+// sentFrame is one frame on a tapeAPI: its destination and its bytes'
+// span of the tape.
+type sentFrame struct {
+	to       sim.PartyID
+	off, end int
+}
+
+// frame returns the bytes of the i-th frame sent.
+func (a *tapeAPI) frame(i int) []byte { return a.tape[a.sends[i].off:a.sends[i].end] }
 
 func (a *tapeAPI) ID() sim.PartyID { return 0 }
 func (a *tapeAPI) N() int          { return a.n }
@@ -214,11 +327,14 @@ func (a *tapeAPI) Rand() *rand.Rand {
 	}
 	return a.rng
 }
-func (a *tapeAPI) Send(sim.PartyID, []byte)           { a.sends++ }
+func (a *tapeAPI) Send(to sim.PartyID, data []byte) {
+	a.tape = append(a.tape, data...)
+	a.sends = append(a.sends, sentFrame{to, len(a.tape) - len(data), len(a.tape)})
+}
 func (a *tapeAPI) Multicast([]byte)                   {}
 func (a *tapeAPI) SetTimer(_ sim.Time, tag uint64)    { a.timers = append(a.timers, tag) }
 func (a *tapeAPI) Decide(float64)                     {}
-func (a *tapeAPI) reset()                             { a.sends, a.timers = 0, a.timers[:0] }
+func (a *tapeAPI) reset()                             { a.sends, a.tape, a.timers = a.sends[:0], a.tape[:0], a.timers[:0] }
 func retransmitTag(to sim.PartyID, seq uint64) uint64 { return timerTagBit | uint64(to)<<seqBits | seq }
 
 // countProc is an inner process that counts what reaches it and keeps
@@ -248,8 +364,8 @@ func TestForgedAckIgnored(t *testing.T) {
 		t.Fatalf("forged ack touched the outstanding packet: %+v", pk)
 	}
 	p.OnTimer(api.timers[0])
-	if st := p.TransportStats(); st.Retransmits != 1 || st.GiveUps != 0 || api.sends != 2 {
-		t.Fatalf("timer after forged acks: %+v, %d frames sent; want one retransmit", st, api.sends)
+	if st := p.TransportStats(); st.Retransmits != 1 || st.GiveUps != 0 || len(api.sends) != 2 {
+		t.Fatalf("timer after forged acks: %+v, %d frames sent; want one retransmit", st, len(api.sends))
 	}
 	if p.snd[1].next != 1 || len(p.snd) != 2 {
 		t.Fatalf("forged acks changed the send links: next=%d links=%d", p.snd[1].next, len(p.snd))
@@ -378,17 +494,21 @@ func TestSendRingOutOfOrderRetirement(t *testing.T) {
 }
 
 // TestWarmCycleAllocs pins the recycled wrapper at zero allocations: a
-// Reset followed by sends, received data, acks and retransmit timers
-// reuses the rings, bitsets, payload buffers and frame scratch.
+// Reset followed by sends, multicasts, received data, acks and retransmit
+// timers reuses the rings, bitsets, payload slots and frame scratch.
 func TestWarmCycleAllocs(t *testing.T) {
 	inner := &countProc{}
 	p := Wrap(inner)
 	api := &tapeAPI{n: 4}
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	const rounds = 12
-	var data, acks [rounds + 1][]byte
+	var data [rounds + 1][]byte
+	var acks [2*rounds + 1][]byte // each round sends twice on every link
+	for seq := range acks {
+		acks[seq] = ackFrame(uint64(seq))
+	}
 	for seq := range data {
-		data[seq], acks[seq] = dataFrame(uint64(seq), payload...), ackFrame(uint64(seq))
+		data[seq] = dataFrame(uint64(seq), payload...)
 	}
 	cycle := func() {
 		p.Reset(inner)
@@ -399,6 +519,7 @@ func TestWarmCycleAllocs(t *testing.T) {
 				p.Send(to, payload)
 				p.Deliver(to, data[rounds+1-round]) // newest first
 			}
+			p.Multicast(payload)
 		}
 		for i, tag := range api.timers {
 			if i%3 != 0 {
@@ -411,7 +532,7 @@ func TestWarmCycleAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(50, cycle); got != 0 {
 		t.Fatalf("warm Reset/send/ack/timer cycle allocates %.1f times, want 0", got)
 	}
-	if inner.got != 48 || p.stats.Retransmits == 0 {
+	if inner.got != 48 || p.stats.Retransmits == 0 || p.stats.DataSent != 2*48 {
 		t.Fatalf("cycle did not exercise delivery and retransmission: got %d, %+v", inner.got, p.stats)
 	}
 }
