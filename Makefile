@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: pairs check vet race fuzz-relnet fuzz-parse fuzz-incident fuzz-wire fuzz-checkpoint benchmark-check benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
+.PHONY: pairs check vet race fuzz-relnet fuzz-parse fuzz-incident fuzz-wire fuzz-rng fuzz-checkpoint benchmark-check benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
 
 # check fails first on any file gofmt would rewrite, listing them.
 check:
@@ -62,6 +62,13 @@ fuzz-incident:
 # internal/wire/testdata/fuzz/FuzzUnmarshal/; commit them with the fix.
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/wire/
+
+# fuzz-rng runs the native fuzz target for the seeded random source
+# (FuzzSeed: an arbitrary seed and draw count): internal/rng's stream
+# equals math/rand's for that seed, draw for draw. Findings land under
+# internal/rng/testdata/fuzz/FuzzSeed/; commit them with the fix.
+fuzz-rng:
+	$(GO) test -run '^$$' -fuzz '^FuzzSeed$$' -fuzztime $(FUZZTIME) ./internal/rng/
 
 # fuzz-checkpoint runs the native fuzz target for snapshot restore
 # (FuzzRestore, seeded with core's snapshot round-trip states, the CRC

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -64,7 +65,7 @@ type FuzzResult struct {
 // Adaptive-mode ε-agreement is conditional by design (DESIGN.md), so
 // adaptive trials assert only liveness and validity.
 func Fuzz(trials int, seed int64) (*FuzzResult, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rng.New(seed))
 	res := &FuzzResult{ByProtocol: map[string]int{}}
 	var rounds, messages []float64
 	for i := 0; i < trials; i++ {
@@ -226,7 +227,7 @@ func FuzzScenarios(trials int, seed int64) (*ScenarioFuzzResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rng := rand.New(rand.NewSource(seed ^ 0x5CE9A410))
+	rng := rand.New(rng.New(seed ^ 0x5CE9A410))
 	for i := 0; i < trials/4; i++ {
 		p, scen, reliable := randomRunnableScenario(rng)
 		spec, err := SpecFrom(p, LinearInputs(p.N, p.Lo, p.Hi), scen, rng.Int63())

@@ -27,13 +27,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/relnet"
+	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -381,20 +380,16 @@ func BimodalInputs(n int, lo, hi float64) []float64 {
 	return out
 }
 
-// inputRngPool recycles UniformInputs' sources: reseeding a pooled source
-// yields the stream a fresh one would, without allocating the ~5 KB
-// rngSource on every call.
-var inputRngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
-// UniformInputs draws n inputs uniformly from [lo, hi].
+// UniformInputs draws n inputs uniformly from [lo, hi]: the Float64 stream
+// of math/rand's NewSource(seed). Its source lives on the stack, so the
+// output slice is the one allocation.
 func UniformInputs(n int, lo, hi float64, seed int64) []float64 {
-	rng := inputRngPool.Get().(*rand.Rand)
-	rng.Seed(seed)
+	var src rng.Source
+	src.Seed(seed)
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = lo + rng.Float64()*(hi-lo)
+		out[i] = lo + src.Float64()*(hi-lo)
 	}
-	inputRngPool.Put(rng)
 	return out
 }
 

@@ -342,18 +342,18 @@ func TestInputGenerators(t *testing.T) {
 	}
 }
 
-// TestUniformInputsPooledSource pins that UniformInputs' pooled, reseeded
-// source draws exactly what a freshly built source draws, interleaving
-// seeds and sizes so every call reseeds a source a different call left
-// mid-stream, and that the output slice is its only allocation.
-func TestUniformInputsPooledSource(t *testing.T) {
-	for _, seed := range []int64{0, 1, 7, -3, 2025, 1 << 40} {
+// TestUniformInputsMatchesMathRand pins that UniformInputs draws exactly
+// the Float64 stream of a math/rand source built from the same seed, and
+// that its stack-held source leaves the output slice as its only
+// allocation.
+func TestUniformInputsMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7, -3, 2025, 1 << 40, 1<<31 - 1, -(1<<31 - 1), 1<<31 - 2} {
 		for _, n := range []int{1, 8, 13, 100} {
 			rng := rand.New(rand.NewSource(seed))
 			got := UniformInputs(n, -2, 6, seed)
 			for i, v := range got {
 				if want := -2 + rng.Float64()*8; v != want {
-					t.Fatalf("seed %d n %d: input %d = %v, want the fresh source's %v", seed, n, i, v, want)
+					t.Fatalf("seed %d n %d: input %d = %v, want math/rand's %v", seed, n, i, v, want)
 				}
 			}
 		}

@@ -242,8 +242,10 @@ func (n *network) dark(id sim.PartyID, t time.Duration) bool {
 }
 
 // splitmix is the per-party random source behind sim.API.Rand(): eight
-// bytes of state and no seeding pass, against math/rand's 4.9 KB
-// lagged-Fibonacci source that takes ~13 µs to seed, once per party per run.
+// bytes of state and no seeding pass, against the 4.9 KB lagged-Fibonacci
+// register of rng.Source (math/rand's stream), which takes about 3 µs to
+// seed once per party per run (BenchmarkSeed in internal/rng; math/rand's
+// own seeding takes about 12 µs).
 type splitmix struct{ s uint64 }
 
 var _ rand.Source64 = (*splitmix)(nil)

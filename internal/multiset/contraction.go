@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"repro/internal/rng"
 )
 
 // ViewModel describes how an asynchronous adversary can shape two parties'
@@ -88,7 +90,7 @@ func WorstContraction(f Func, vm ViewModel, trials int, seed int64) (Contraction
 		f:          f,
 		vm:         vm,
 		m:          m,
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        rand.New(rng.New(seed)),
 		pool:       make([]float64, poolSize),
 		sortedPool: make([]float64, poolSize),
 		u:          make([]float64, 0, m),

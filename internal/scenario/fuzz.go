@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+
+	"repro/internal/rng"
 )
 
 // FuzzStats summarizes one registry fuzz campaign.
@@ -87,7 +89,7 @@ func Random(rng *rand.Rand) Spec {
 // never panics — not even on raw garbage. It returns an error on the first
 // contract violation.
 func Fuzz(trials int, seed int64) (*FuzzStats, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rng.New(seed))
 	stats := &FuzzStats{}
 	for i := 0; i < trials; i++ {
 		stats.Trials++

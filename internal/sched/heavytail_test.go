@@ -70,3 +70,23 @@ func TestHeavyTailProtocolRun(t *testing.T) {
 		t.Errorf("spread %v", s)
 	}
 }
+
+// fixedSource returns the same Int63 on every draw.
+type fixedSource int64
+
+func (s fixedSource) Int63() int64 { return int64(s) }
+func (fixedSource) Seed(int64)     {}
+
+// TestHeavyTailClampsHugeSamples draws u = 0.001 at α = 0.1, a sample of
+// base·10³⁰, far past 2⁶³: the delay is Cap, not Base.
+func TestHeavyTailClampsHugeSamples(t *testing.T) {
+	h := &HeavyTail{Base: 2, Alpha: 0.1, Cap: 500}
+	u := 0.001
+	rng := rand.New(fixedSource(u * (1 << 63)))
+	if got := rng.Float64(); got != u {
+		t.Fatalf("fixed source draws u = %v, want %v", got, u)
+	}
+	if d := delay(h, 0, 1, rng); d != h.Cap {
+		t.Errorf("delay %d at u = 0.001, α = 0.1; want Cap %d", d, h.Cap)
+	}
+}

@@ -201,14 +201,13 @@ func (h *HeavyTail) Fate(_ *sim.Envelope, rng *rand.Rand) sim.Fate {
 	if u <= 0 {
 		u = 1e-12
 	}
-	d := sim.Time(float64(base) * math.Pow(1/u, 1/alpha))
-	if d < base {
-		d = base
+	// Clamp to Cap before converting: a sample past 2⁶³ would convert to
+	// an undefined (on amd64, the most negative) Time.
+	f := float64(base) * math.Pow(1/u, 1/alpha)
+	if f >= float64(capd) {
+		return sim.Fate{Delay: capd}
 	}
-	if d > capd {
-		d = capd
-	}
-	return sim.Fate{Delay: d}
+	return sim.Fate{Delay: max(sim.Time(f), base)}
 }
 
 // Named couples a scheduler with a label for experiment tables.

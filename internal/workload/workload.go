@@ -58,6 +58,8 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+
+	"repro/internal/rng"
 )
 
 // ArrivalKind enumerates the arrival processes.
@@ -617,8 +619,8 @@ func (s Spec) generate(seed int64, horizon int64, limit int) []Request {
 	// Two independent deterministic streams: arrivals first, then the
 	// per-request draws in arrival order. Splitting the streams keeps a
 	// latency-model change from perturbing arrival times.
-	arrivalRng := rand.New(rand.NewSource(seed ^ 0x41525256)) // "ARRV"
-	drawRng := rand.New(rand.NewSource(seed ^ 0x44524157))    // "DRAW"
+	arrivalRng := rand.New(rng.New(seed ^ 0x41525256)) // "ARRV"
+	drawRng := rand.New(rng.New(seed ^ 0x44524157))    // "DRAW"
 	times := s.arrivals(arrivalRng, horizon, limit)
 	lat := s.EffectiveLatency()
 	cohorts := s.EffectiveCohorts()
