@@ -40,8 +40,9 @@ fuzz-relnet:
 # fuzz-parse runs the native fuzz targets for the two spec parsers
 # (scenario.Parse and workload.Parse, both FuzzParse), FUZZTIME each: no
 # panic, and every spec that parses renders to a String() that parses back
-# to the same rendering. Findings land under each package's
-# testdata/fuzz/FuzzParse/; commit them with the fix.
+# to the same rendering; a scenario spec that parses must also pass
+# Validate, and Resolve when its t is explicit. Findings land under each
+# package's testdata/fuzz/FuzzParse/; commit them with the fix.
 fuzz-parse:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/workload/

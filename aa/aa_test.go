@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -343,5 +344,36 @@ func TestModelString(t *testing.T) {
 		if got := m.String(); got != want {
 			t.Errorf("Model(%d).String() = %q, want %q", int(m), got, want)
 		}
+	}
+}
+
+// TestSimulateWitnessDefaultBudget pins that the default event budget
+// follows the run's shape: a fault-free witness run at (n, t) = (64, 9)
+// sends about 9 M messages, more than sim's flat default allows, through
+// both Simulate and a one-dimensional SimulateVector.
+func TestSimulateWitnessDefaultBudget(t *testing.T) {
+	cfg := Config{Model: ModelByzantineWitness, N: 64, T: 9, Epsilon: 1e-3, Lo: 0, Hi: 100}
+	inputs := make([]float64, cfg.N)
+	points := make([][]float64, cfg.N)
+	for i := range inputs {
+		inputs[i] = 100 * float64(i) / float64(cfg.N-1)
+		points[i] = []float64{inputs[i]}
+	}
+	out, err := Simulate(cfg, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.OK() {
+		t.Fatalf("outcome not OK: spread=%v valid=%v err=%v", out.Spread, out.Valid, out.Err)
+	}
+	if out.Messages <= sim.DefaultMaxEvents {
+		t.Errorf("%d messages: the run no longer exceeds sim's default budget", out.Messages)
+	}
+	vout, err := SimulateVector(cfg, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vout.OK() {
+		t.Fatalf("vector outcome not OK: err=%v", vout.Err)
 	}
 }

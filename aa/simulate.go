@@ -146,7 +146,8 @@ func WithByzantine(party int, behavior string) SimOption {
 	}
 }
 
-// WithMaxEvents overrides the simulator's runaway-execution budget.
+// WithMaxEvents overrides the runaway-execution budget, which by default
+// grows with the run's size and round count.
 func WithMaxEvents(n int) SimOption {
 	return func(s *simSettings) error {
 		s.maxEvents = n

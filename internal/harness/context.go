@@ -166,6 +166,22 @@ func (c *RunContext) byzProc(b fault.Behavior, env fault.Env) sim.Process {
 	return b.New(env)
 }
 
+// eventBudget is the event budget of a run whose Spec.MaxEvents is 0: four
+// times the deliveries of its rounds, never below sim.DefaultMaxEvents. A
+// round delivers n² messages, 2n³ for witness (an echo and a ready from
+// every party for every party's broadcast), and three times that under the
+// reliable transport (acks and retransmits).
+func eventBudget(p core.Params, rounds int, reliable bool) int {
+	perRound := p.N * p.N
+	if p.Protocol == core.ProtoWitness {
+		perRound = 2 * p.N * p.N * p.N
+	}
+	if reliable {
+		perRound *= 3
+	}
+	return max(sim.DefaultMaxEvents, 4*rounds*perRound)
+}
+
 // run executes spec into rep, recycling the context's simulator and party
 // state. rep's storage (Result maps, ProtoErrs, Trajectory) is reused when
 // already allocated and (re)allocated when not, so the same body serves
@@ -190,6 +206,9 @@ func (c *RunContext) run(spec Spec, rep *Report) error {
 		Restarts:  spec.Restarts,
 		MaxEvents: spec.MaxEvents,
 		Reference: c.reference,
+	}
+	if cfg.MaxEvents == 0 {
+		cfg.MaxEvents = eventBudget(p, env.Rounds, spec.Reliable)
 	}
 	// Park the previous run's Byzantine processes in the pool before
 	// clearing the map (the start-of-run point also covers error returns,
@@ -302,12 +321,7 @@ func (c *RunContext) run(spec Spec, rep *Report) error {
 	rep.Checkpoints = append(rep.Checkpoints[:0], net.CheckpointDigests()...)
 	rep.Transport = relnet.Stats{}
 	for _, w := range c.rel[:c.relUsed] {
-		s := w.TransportStats()
-		rep.Transport.DataSent += s.DataSent
-		rep.Transport.Retransmits += s.Retransmits
-		rep.Transport.AcksSent += s.AcksSent
-		rep.Transport.DupsSuppressed += s.DupsSuppressed
-		rep.Transport.GiveUps += s.GiveUps
+		rep.Transport.Add(w.TransportStats())
 	}
 	rep.check(spec)
 	return nil

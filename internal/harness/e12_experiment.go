@@ -54,7 +54,6 @@ func E12LargeNSizes(e *Engine, sizes []int) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec.MaxEvents = 20_000_000
 		rows = append(rows, row{scen: scen, proto: p.Protocol})
 		specs = append(specs, spec)
 	}
@@ -64,7 +63,6 @@ func E12LargeNSizes(e *Engine, sizes []int) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec.MaxEvents = 20_000_000
 		rows = append(rows, row{scen: scen, proto: p.Protocol})
 		specs = append(specs, spec)
 	}
@@ -122,9 +120,6 @@ func e12XLSpecs(sizes []int) ([]scenario.Spec, []Spec, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// ~170M messages for one fault-free n=4096 run; the budget scales
-		// with the largest size requested.
-		spec.MaxEvents = 400_000_000
 		rows = append(rows, scen)
 		specs = append(specs, spec)
 	}

@@ -64,7 +64,6 @@ func E13Resilience(e *Engine) (*trace.Table, error) {
 				return nil, err
 			}
 			spec.Reliable = reliable
-			spec.MaxEvents = 20_000_000
 			rows = append(rows, row{scen: scen, reliable: reliable})
 			specs = append(specs, spec)
 		}

@@ -66,7 +66,6 @@ func E14Recovery(e *Engine) (*trace.Table, error) {
 				return nil, err
 			}
 			spec.Reliable = reliable
-			spec.MaxEvents = 20_000_000
 			rows = append(rows, row{scen: scen, reliable: reliable})
 			specs = append(specs, spec)
 		}

@@ -215,7 +215,7 @@ func E1Resilience(e *Engine, seeds int) (*trace.Table, error) {
 	for i, c := range cases {
 		p, out := params[i], outs[i]
 		tbl.AddRow(p.Protocol.String(), trace.I(c.n), trace.I(c.t), trace.I(c.t),
-			trace.Sprintf("t<=%d", core.MaxT(c.proto, c.n)), trace.B(out.allOK),
+			fmt.Sprintf("t<=%d", core.MaxT(c.proto, c.n)), trace.B(out.allOK),
 			trace.B(out.allOK), trace.B(out.allOK), "at bound: all invariants hold")
 
 		// One past the bound.
@@ -551,7 +551,6 @@ func E6ScalingFor(e *Engine, protos []core.Protocol, sizes []int) (*trace.Table,
 			if err != nil {
 				return nil, err
 			}
-			spec.MaxEvents = 20_000_000
 			specs = append(specs, spec)
 		}
 	}

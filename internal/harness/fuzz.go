@@ -237,14 +237,6 @@ func FuzzScenarios(trials int, seed int64) (*ScenarioFuzzResult, error) {
 			return res, fmt.Errorf("scenario %s failed to lower: %w", scen, err)
 		}
 		spec.Reliable = reliable
-		for _, f := range scen.Faults {
-			if scenario.IsNetFault(f) || scenario.IsRestartFault(f) {
-				// Lossy and recovery axes trade messages for retransmissions;
-				// give the run the same headroom the E13 resilience sweep uses.
-				spec.MaxEvents = 20_000_000
-				break
-			}
-		}
 		rep, err := Run(spec)
 		if err != nil {
 			return res, fmt.Errorf("scenario %s failed to run: %w", scen, err)

@@ -66,7 +66,8 @@ type Spec struct {
 	// end-of-tick state; the callback sequence itself is identical to the
 	// reference configuration's.
 	Observer func(now sim.Time, env sim.Envelope)
-	// MaxEvents overrides the simulator's default event budget.
+	// MaxEvents is the run's event budget; 0 derives one from the run's
+	// shape (rounds, n, protocol, transport).
 	MaxEvents int
 	// Reliable wraps every honest party in the ack/retransmit transport
 	// (internal/relnet): payloads are framed, retransmitted with backoff
@@ -178,7 +179,7 @@ func (o Overrides) Check(scen scenario.Spec, n, t int) error {
 		return nil
 	}
 	for _, f := range scen.Faults {
-		if !scenario.IsNetFault(f) && !scenario.IsRestartFault(f) {
+		if !scenario.SlotFree(f) {
 			return fmt.Errorf("harness: scenario %q carries party-fault tokens alongside explicit fault overrides", scen)
 		}
 	}

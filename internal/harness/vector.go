@@ -51,6 +51,10 @@ func (e *Engine) RunVector(spec Spec, points [][]float64) (*VectorReport, error)
 	if err := vp.Validate(); err != nil {
 		return nil, err
 	}
+	rounds, err := p.FixedRounds()
+	if err != nil {
+		return nil, err
+	}
 	cfg := sim.Config{
 		N:         p.N,
 		Scheduler: spec.Scheduler.Scheduler,
@@ -59,11 +63,10 @@ func (e *Engine) RunVector(spec Spec, points [][]float64) (*VectorReport, error)
 		MaxEvents: spec.MaxEvents,
 		Reference: e.Reference,
 	}
+	if cfg.MaxEvents == 0 {
+		cfg.MaxEvents = eventBudget(p, rounds*dim, false)
+	}
 	if len(spec.Byz) > 0 {
-		rounds, err := p.FixedRounds()
-		if err != nil {
-			return nil, err
-		}
 		env := fault.Env{N: p.N, Rounds: rounds * dim, Lo: p.Lo, Hi: p.Hi}
 		cfg.Byzantine = make(map[sim.PartyID]sim.Process, len(spec.Byz))
 		for id, b := range spec.Byz {

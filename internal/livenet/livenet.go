@@ -619,11 +619,7 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 		degraded := shed > 0
 		if rel != nil {
 			ts := rel[i].TransportStats()
-			res.Transport.DataSent += ts.DataSent
-			res.Transport.Retransmits += ts.Retransmits
-			res.Transport.AcksSent += ts.AcksSent
-			res.Transport.DupsSuppressed += ts.DupsSuppressed
-			res.Transport.GiveUps += ts.GiveUps
+			res.Transport.Add(ts)
 			// A give-up abandoned a frame for good on one of this party's
 			// outbound links; that is health-relevant degradation even when
 			// the run converged anyway.

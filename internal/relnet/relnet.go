@@ -86,6 +86,15 @@ type Stats struct {
 	GiveUps int64
 }
 
+// Add adds o's counters to s.
+func (s *Stats) Add(o Stats) {
+	s.DataSent += o.DataSent
+	s.Retransmits += o.Retransmits
+	s.AcksSent += o.AcksSent
+	s.DupsSuppressed += o.DupsSuppressed
+	s.GiveUps += o.GiveUps
+}
+
 // packet is one slot of a send ring: an outbound payload awaiting its
 // ack and its retransmit timer, or a retired slot (seq 0). It holds no
 // pointer: its payload is the slot pay of Proc.pays, which it shares with

@@ -91,10 +91,7 @@ func TestExactlyOnceUnderLossAndDup(t *testing.T) {
 			var total Stats
 			for i, w := range wrapped {
 				st := w.TransportStats()
-				total.DataSent += st.DataSent
-				total.Retransmits += st.Retransmits
-				total.DupsSuppressed += st.DupsSuppressed
-				total.GiveUps += st.GiveUps
+				total.Add(st)
 				if st.DataSent != int64(k*n) {
 					t.Errorf("party %d sent %d data frames, want %d", i, st.DataSent, k*n)
 				}

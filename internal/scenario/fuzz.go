@@ -33,15 +33,25 @@ func Random(rng *rand.Rand) Spec {
 	if rng.Intn(8) > 0 {
 		s.T = rng.Intn(12) - 1 // sometimes == -1 (TUnset) or >= N: both paths
 	}
-	kinds := FaultNames()
+	// Each list is in sorted key order, which fixes every draw below.
+	var party, nets, restarts []string
+	for _, name := range sortedKeys(faults) {
+		switch k := faults[name]; {
+		case k.Net != nil:
+			nets = append(nets, name)
+		case k.Restart != nil:
+			restarts = append(restarts, name)
+		default:
+			party = append(party, name)
+		}
+	}
 	for k := rng.Intn(4); k > 0; k-- {
-		s.Faults = append(s.Faults, kinds[rng.Intn(len(kinds))])
+		s.Faults = append(s.Faults, party[rng.Intn(len(party))])
 	}
 	// Network-fault axes ride the same "+" list; arguments range from
 	// plausible through boundary-invalid (p=0, k=0, negative windows) to
 	// raw garbage, because rejection at spec time is the contract.
 	if rng.Intn(3) == 0 {
-		nets := NetFaultNames()
 		tok := nets[rng.Intn(len(nets))]
 		switch rng.Intn(3) {
 		case 0:
@@ -65,7 +75,7 @@ func Random(rng *rand.Rand) Spec {
 	// invalid compositions above (party faults + recover, multiple
 	// restart tokens across draws) — spec-time rejection is the contract.
 	if rng.Intn(4) == 0 {
-		tok := RestartFaultNames()[rng.Intn(len(restartFaults))]
+		tok := restarts[rng.Intn(len(restarts))]
 		switch rng.Intn(3) {
 		case 0:
 			// Bare token: registry defaults.

@@ -3,8 +3,9 @@ package scenario
 import "testing"
 
 // FuzzParse feeds arbitrary strings to Parse, seeded from the parse table
-// tests. Nothing may panic, and any input that parses must render to a
-// canonical String() that parses again to the same rendering. A failing
+// tests. Nothing may panic, and any input that parses must pass Validate,
+// resolve when its t is explicit, and render to a canonical String() that
+// parses again to the same rendering. A failing
 // input is saved under testdata/fuzz/FuzzParse/, where plain `go test`
 // replays it from then on. Run with `make fuzz-parse`.
 func FuzzParse(f *testing.F) {
@@ -27,6 +28,14 @@ func FuzzParse(f *testing.F) {
 		s, err := Parse(raw)
 		if err != nil {
 			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("Parse(%q) accepted a spec Validate rejects: %v", raw, err)
+		}
+		if s.T != TUnset {
+			if _, err := s.Resolve(); err != nil {
+				t.Fatalf("Parse(%q) accepted a spec Resolve rejects: %v", raw, err)
+			}
 		}
 		canon := s.String()
 		again, err := Parse(canon)

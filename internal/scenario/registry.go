@@ -25,88 +25,46 @@ var ErrBadWindow = errors.New("scenario: fault window outside simulable range")
 // non-empty one, so typos fail at spec time.
 type SchedulerBuilder func(n, t int, arg string) (sim.Scheduler, error)
 
-// FaultKind is one registered fault: either a Byzantine behavior (Behavior
-// non-nil) or a crash schedule (Crash non-nil). Exactly one is set.
+// FaultKind is one entry of the fault table. Exactly one field is set.
+// Behavior and Crash are party faults: each fills a fault slot and takes
+// no ":<arg>" suffix. Net and Restart are slot-free axes: they degrade the
+// transport or roll a party back, not replace its protocol, and read the
+// token's ":<value>" suffix as arg ("" when absent).
 type FaultKind struct {
 	// Behavior replaces the party with an adversarial process.
 	Behavior fault.Behavior
 	// Crash builds the crash plan for fault slot `slot` of t in an n-party
 	// run (slots are parties 0..t-1).
 	Crash func(n, t, slot int) sim.CrashPlan
+	// Net wraps a run's scheduler with one network-fault axis (loss, dup,
+	// outage, flap).
+	Net func(n, t int, arg string, inner sim.Scheduler) (sim.Scheduler, error)
+	// Restart resolves a crash-recovery axis (recover, amnesia) into the
+	// run's restart plans; see restart.go.
+	Restart func(n, t int, arg string) ([]sim.RestartPlan, error)
 }
 
-// NetFaultBuilder wraps a run's scheduler with one network-fault axis
-// (loss, dup, outage, flap) for an n-party run with fault bound t. arg is
-// the token's ":<value>" suffix ("" when absent). Unlike FaultKind, a
-// network fault occupies no fault slot: it degrades the transport, not a
-// party's protocol state.
-type NetFaultBuilder func(n, t int, arg string, inner sim.Scheduler) (sim.Scheduler, error)
+// slotFree reports whether the kind occupies no fault slot.
+func (k FaultKind) slotFree() bool { return k.Net != nil || k.Restart != nil }
 
-var (
-	schedulers = map[string]SchedulerBuilder{}
-	faults     = map[string]FaultKind{}
-	netFaults  = map[string]NetFaultBuilder{}
-)
-
-// specMetachars are the bytes the spec grammar reserves; a registered name
-// containing one would break the documented String → Parse round trip.
-const specMetachars = "+/:,= \t\n"
-
-// RegisterScheduler adds a scheduler to the registry. It panics on a
-// duplicate, empty, or grammar-breaking name; registration happens at
-// init time.
-func RegisterScheduler(name string, b SchedulerBuilder) {
-	if name == "" || b == nil {
-		panic("scenario: RegisterScheduler: empty name or nil builder")
+// lookup resolves a fault token (a table key with an optional ":<arg>"
+// suffix) to its kind and argument. Party faults take no argument, so a
+// suffixed party token such as "crash:3" is unknown.
+func lookup(tok string) (k FaultKind, arg string, ok bool) {
+	name, arg, hasArg := strings.Cut(tok, ":")
+	k, ok = faults[name]
+	if hasArg && !k.slotFree() {
+		return FaultKind{}, "", false
 	}
-	if strings.ContainsAny(name, specMetachars) {
-		panic(fmt.Sprintf("scenario: scheduler name %q contains spec grammar characters (%q)", name, specMetachars))
-	}
-	if _, dup := schedulers[name]; dup {
-		panic("scenario: duplicate scheduler " + name)
-	}
-	schedulers[name] = b
+	return k, arg, ok
 }
 
-// RegisterFault adds a fault kind to the registry. Exactly one of Behavior
-// and Crash must be set.
-func RegisterFault(name string, k FaultKind) {
-	if name == "" || (k.Behavior == nil) == (k.Crash == nil) {
-		panic("scenario: RegisterFault: need exactly one of Behavior/Crash for " + name)
-	}
-	if strings.ContainsAny(name, specMetachars) {
-		panic(fmt.Sprintf("scenario: fault name %q contains spec grammar characters (%q)", name, specMetachars))
-	}
-	if _, dup := faults[name]; dup {
-		panic("scenario: duplicate fault " + name)
-	}
-	faults[name] = k
-}
-
-// RegisterNetFault adds a network-fault axis to the registry. Its name
-// must not collide with a party fault: both appear in the same "+" list.
-func RegisterNetFault(name string, b NetFaultBuilder) {
-	if name == "" || b == nil {
-		panic("scenario: RegisterNetFault: empty name or nil builder")
-	}
-	if strings.ContainsAny(name, specMetachars) {
-		panic(fmt.Sprintf("scenario: net fault name %q contains spec grammar characters (%q)", name, specMetachars))
-	}
-	if _, dup := netFaults[name]; dup {
-		panic("scenario: duplicate net fault " + name)
-	}
-	if _, dup := faults[name]; dup {
-		panic("scenario: net fault " + name + " collides with a party fault")
-	}
-	netFaults[name] = b
-}
-
-// IsNetFault reports whether a fault token (base name, or name:arg) names
-// a registered network-fault axis.
-func IsNetFault(token string) bool {
-	base, _, _ := strings.Cut(token, ":")
-	_, ok := netFaults[base]
-	return ok
+// SlotFree reports whether a fault token (base name, or name:arg) names a
+// network-fault or crash-recovery axis, neither of which occupies a fault
+// slot.
+func SlotFree(token string) bool {
+	k, _, ok := lookup(token)
+	return ok && k.slotFree()
 }
 
 // Fault looks up a registered fault kind by name. Consumers outside the
@@ -131,29 +89,12 @@ func CheckScheduler(token string) error {
 }
 
 // SchedulerNames returns every registered scheduler key, sorted.
-func SchedulerNames() []string {
-	out := make([]string, 0, len(schedulers))
-	for name := range schedulers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func SchedulerNames() []string { return sortedKeys(schedulers) }
 
-// FaultNames returns every registered fault key, sorted.
-func FaultNames() []string {
-	out := make([]string, 0, len(faults))
-	for name := range faults {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NetFaultNames returns every registered network-fault key, sorted.
-func NetFaultNames() []string {
-	out := make([]string, 0, len(netFaults))
-	for name := range netFaults {
+// sortedKeys returns a table's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for name := range m {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -232,113 +173,118 @@ func firstT(t int) []sim.PartyID {
 // and the fuzzers all name these entries, and TestRegistryDefaults pins
 // the defaults. Optional ":<arg>" suffixes expose the one knob each
 // scheduler has (e.g. "sync:5" is lock-step with delay 5).
-func init() {
-	RegisterScheduler("sync", func(_, _ int, arg string) (sim.Scheduler, error) {
+var schedulers = map[string]SchedulerBuilder{
+	"sync": func(_, _ int, arg string) (sim.Scheduler, error) {
 		d, err := timeArg(arg, 10)
 		if err != nil {
 			return nil, err
 		}
 		return sched.NewSynchronous(d), nil
-	})
-	RegisterScheduler("random", func(_, _ int, arg string) (sim.Scheduler, error) {
+	},
+	"random": func(_, _ int, arg string) (sim.Scheduler, error) {
 		max, err := timeArg(arg, 10)
 		if err != nil {
 			return nil, err
 		}
 		return &sched.UniformRandom{Min: 1, Max: max}, nil
-	})
-	RegisterScheduler("skew", func(_, t int, arg string) (sim.Scheduler, error) {
+	},
+	"skew": func(_, t int, arg string) (sim.Scheduler, error) {
 		slow, err := timeArg(arg, 10)
 		if err != nil {
 			return nil, err
 		}
 		return sched.NewSkew(firstT(t), 1, slow), nil
-	})
-	RegisterScheduler("partition", func(n, _ int, arg string) (sim.Scheduler, error) {
+	},
+	"partition": func(n, _ int, arg string) (sim.Scheduler, error) {
 		across, err := timeArg(arg, 10)
 		if err != nil {
 			return nil, err
 		}
 		return &sched.Partition{Boundary: sim.PartyID(n / 2), Within: 1, Across: across}, nil
-	})
-	RegisterScheduler("splitviews", func(n, _ int, arg string) (sim.Scheduler, error) {
+	},
+	"splitviews": func(n, _ int, arg string) (sim.Scheduler, error) {
 		slow, err := timeArg(arg, 10)
 		if err != nil {
 			return nil, err
 		}
 		return &sched.SplitViews{Boundary: sim.PartyID(n / 2), Fast: 1, Slow: slow}, nil
-	})
-	RegisterScheduler("staggered", func(_, _ int, arg string) (sim.Scheduler, error) {
+	},
+	"staggered": func(_, _ int, arg string) (sim.Scheduler, error) {
 		step, err := timeArg(arg, 2)
 		if err != nil {
 			return nil, err
 		}
 		return &sched.Staggered{Base: 1, Step: step}, nil
-	})
-	RegisterScheduler("heavytail", func(_, _ int, arg string) (sim.Scheduler, error) {
+	},
+	"heavytail": func(_, _ int, arg string) (sim.Scheduler, error) {
 		alpha, err := floatArg(arg, 1.5)
 		if err != nil {
 			return nil, err
 		}
 		return &sched.HeavyTail{Base: 1, Alpha: alpha, Cap: 400}, nil
-	})
+	},
 	// unordered/fifo are the E11 channel-model pair: the same benign
 	// scheduler, bare and wrapped with per-link FIFO ordering. FIFO is
 	// stateful, which is why builders return fresh instances per run.
-	RegisterScheduler("unordered", func(_, _ int, arg string) (sim.Scheduler, error) {
+	"unordered": func(_, _ int, arg string) (sim.Scheduler, error) {
 		if err := noArg("unordered", arg); err != nil {
 			return nil, err
 		}
 		return &sched.UniformRandom{Min: 1, Max: 25}, nil
-	})
-	RegisterScheduler("fifo", func(_, _ int, arg string) (sim.Scheduler, error) {
+	},
+	"fifo": func(_, _ int, arg string) (sim.Scheduler, error) {
 		if err := noArg("fifo", arg); err != nil {
 			return nil, err
 		}
 		return sched.NewFIFO(&sched.UniformRandom{Min: 1, Max: 25}), nil
-	})
+	},
+}
 
+// faults is the one fault table: party faults, network axes and
+// crash-recovery axes share the spec's "+" list, so they share one key
+// space, and a duplicate name is a compile error.
+var faults = map[string]FaultKind{
 	// "crash" is the standard staggered mid-multicast schedule (harness
 	// maxCrashes): early slots die mid-INIT-multicast, later ones survive
 	// longer. "crashinit" kills every slot just past its INIT multicast —
 	// the overload demonstration's schedule.
-	RegisterFault("crash", FaultKind{Crash: func(n, _, slot int) sim.CrashPlan {
+	"crash": {Crash: func(n, _, slot int) sim.CrashPlan {
 		return sim.CrashPlan{Party: sim.PartyID(slot), AfterSends: n/2 + slot*n*2}
-	}})
-	RegisterFault("crashinit", FaultKind{Crash: func(n, _, slot int) sim.CrashPlan {
+	}},
+	"crashinit": {Crash: func(n, _, slot int) sim.CrashPlan {
 		return sim.CrashPlan{Party: sim.PartyID(slot), AfterSends: n + slot}
-	}})
+	}},
 	// Every Byzantine kind is range-relative, reading the run's true
 	// promised range through fault.Env at instantiation (extreme pushes 100
 	// range-widths past the high end, whatever the range).
-	RegisterFault("silent", FaultKind{Behavior: fault.Silent{}})
-	RegisterFault("extreme", FaultKind{Behavior: fault.ExtremeRel{Scale: 100}})
-	RegisterFault("equivocate", FaultKind{Behavior: fault.Equivocate{Stretch: 2}})
-	RegisterFault("spam", FaultKind{Behavior: fault.Spam{}})
-	RegisterFault("amplifier", FaultKind{Behavior: fault.Amplifier{Push: 1}})
+	"silent":     {Behavior: fault.Silent{}},
+	"extreme":    {Behavior: fault.ExtremeRel{Scale: 100}},
+	"equivocate": {Behavior: fault.Equivocate{Stretch: 2}},
+	"spam":       {Behavior: fault.Spam{}},
+	"amplifier":  {Behavior: fault.Amplifier{Push: 1}},
 
 	// The lossy-network axes. These wrap the spec's scheduler (they occupy
 	// no fault slots) and compose in token order: in "random+loss:0.05+dup:0.1"
 	// the base delay is drawn first, then loss rolls, then dup — the fixed
 	// rng-draw order the determinism contract (sim.Scheduler) requires.
-	RegisterNetFault("loss", func(_, _ int, arg string, inner sim.Scheduler) (sim.Scheduler, error) {
+	"loss": {Net: func(_, _ int, arg string, inner sim.Scheduler) (sim.Scheduler, error) {
 		p, err := probArg(arg, 0.05)
 		if err != nil {
 			return nil, err
 		}
 		return &sched.Loss{Inner: inner, P: p}, nil
-	})
-	RegisterNetFault("dup", func(_, _ int, arg string, inner sim.Scheduler) (sim.Scheduler, error) {
+	}},
+	"dup": {Net: func(_, _ int, arg string, inner sim.Scheduler) (sim.Scheduler, error) {
 		p, err := probArg(arg, 0.05)
 		if err != nil {
 			return nil, err
 		}
 		return &sched.Dup{Inner: inner, P: p, MaxExtra: 20}, nil
-	})
+	}},
 	// "outage[:k:start:len]" blacks out the LAST k parties (a region
 	// disjoint from the fault slots at 0..t-1, so outages stack with
 	// crash/byz compositions) for the window [start, start+len).
-	RegisterNetFault("outage", func(n, _ int, arg string, inner sim.Scheduler) (sim.Scheduler, error) {
+	"outage": {Net: func(n, _ int, arg string, inner sim.Scheduler) (sim.Scheduler, error) {
 		k, start, length := max(1, n/4), sim.Time(50), sim.Time(100)
 		if arg != "" {
 			parts := strings.Split(arg, ":")
@@ -366,11 +312,11 @@ func init() {
 			Start: start,
 			Len:   length,
 		}, nil
-	})
+	}},
 	// "flap[:len]" takes each fault slot (parties 0..t-1) dark for one
 	// len-tick window apiece, staggered in time; the party resumes with
 	// its pre-outage state, unlike a sim.CrashPlan crash.
-	RegisterNetFault("flap", func(_, t int, arg string, inner sim.Scheduler) (sim.Scheduler, error) {
+	"flap": {Net: func(_, t int, arg string, inner sim.Scheduler) (sim.Scheduler, error) {
 		length := sim.Time(60)
 		if arg != "" {
 			v, err := strconv.ParseInt(arg, 10, 64)
@@ -380,5 +326,9 @@ func init() {
 			length = sim.Time(v)
 		}
 		return &fault.Flap{Inner: inner, Slots: t, Base: 40, Stagger: 60, Len: length}, nil
-	})
+	}},
+	// The crash-recovery axes (restart.go): "recover:k:down:lag" and its
+	// zero-checkpoint form "amnesia:k:down".
+	"recover": {Restart: buildRecover("recover", false)},
+	"amnesia": {Restart: buildRecover("amnesia", true)},
 }

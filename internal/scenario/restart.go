@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -25,65 +24,6 @@ import (
 // transport's give-up horizon (relnet baseRTO backoff) has retries left
 // when the party comes back.
 const restartDarkLen sim.Time = 64
-
-// RestartFaultBuilder resolves one restart token into concrete restart
-// plans for an n-party run with fault bound t. arg is the token's
-// ":<value>" suffix ("" when absent).
-type RestartFaultBuilder func(n, t int, arg string) ([]sim.RestartPlan, error)
-
-var restartFaults = map[string]RestartFaultBuilder{}
-
-// RegisterRestartFault adds a crash-recovery axis to the registry. Its
-// name shares the "+" list with party and network faults, so it must not
-// collide with either.
-func RegisterRestartFault(name string, b RestartFaultBuilder) {
-	if name == "" || b == nil {
-		panic("scenario: RegisterRestartFault: empty name or nil builder")
-	}
-	if strings.ContainsAny(name, specMetachars) {
-		panic(fmt.Sprintf("scenario: restart fault name %q contains spec grammar characters (%q)", name, specMetachars))
-	}
-	if _, dup := restartFaults[name]; dup {
-		panic("scenario: duplicate restart fault " + name)
-	}
-	if _, dup := faults[name]; dup {
-		panic("scenario: restart fault " + name + " collides with a party fault")
-	}
-	if _, dup := netFaults[name]; dup {
-		panic("scenario: restart fault " + name + " collides with a net fault")
-	}
-	restartFaults[name] = b
-}
-
-// IsRestartFault reports whether a fault token (base name, or name:arg)
-// names a registered crash-recovery axis.
-func IsRestartFault(token string) bool {
-	base, _, _ := strings.Cut(token, ":")
-	_, ok := restartFaults[base]
-	return ok
-}
-
-// RestartFaultNames returns every registered restart-fault key, sorted.
-func RestartFaultNames() []string {
-	out := make([]string, 0, len(restartFaults))
-	for name := range restartFaults {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// restartPlans resolves every restart token in the spec (at most one by
-// validateShape) into its concrete plans.
-func (s Spec) restartPlans(t int) ([]sim.RestartPlan, error) {
-	for _, f := range s.Faults {
-		base, narg, _ := strings.Cut(f, ":")
-		if build, ok := restartFaults[base]; ok {
-			return build(s.N, t, narg)
-		}
-	}
-	return nil, nil
-}
 
 // darknessFor wraps the scheduler with the outage window implied by a
 // restart axis: every planned party is dark from its crash to its rejoin.
@@ -112,7 +52,7 @@ func darknessFor(inner sim.Scheduler, plans []sim.RestartPlan) sim.Scheduler {
 // buildRecover parses "k:down:lag" (or "k:down" in amnesia form, which
 // always recovers from the zero checkpoint) and lays the plans over the
 // last k fault slots.
-func buildRecover(name string, amnesia bool) RestartFaultBuilder {
+func buildRecover(name string, amnesia bool) func(n, t int, arg string) ([]sim.RestartPlan, error) {
 	return func(n, t int, arg string) ([]sim.RestartPlan, error) {
 		if t < 1 {
 			return nil, fmt.Errorf("scenario: %s needs at least one fault slot (t >= 1)", name)
@@ -162,9 +102,4 @@ func buildRecover(name string, amnesia bool) RestartFaultBuilder {
 		}
 		return plans, nil
 	}
-}
-
-func init() {
-	RegisterRestartFault("recover", buildRecover("recover", false))
-	RegisterRestartFault("amnesia", buildRecover("amnesia", true))
 }

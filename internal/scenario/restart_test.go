@@ -140,21 +140,25 @@ func TestWindowValidation(t *testing.T) {
 	}
 }
 
-func TestIsRestartFault(t *testing.T) {
+// TestSlotFree pins which tokens occupy no fault slot: the network and
+// crash-recovery axes, bare or with an argument. A party fault with a
+// suffix is no token at all.
+func TestSlotFree(t *testing.T) {
 	for tok, want := range map[string]bool{
 		"recover":           true,
 		"recover:1:400:100": true,
 		"amnesia":           true,
 		"amnesia:1:250":     true,
-		"outage":            false,
+		"outage":            true,
+		"loss:0.05":         true,
+		"flap:60":           true,
 		"crash":             false,
-		"loss:0.05":         false,
+		"crash:3":           false,
+		"equivocate":        false,
+		"gremlin":           false,
 	} {
-		if got := IsRestartFault(tok); got != want {
-			t.Errorf("IsRestartFault(%q) = %v, want %v", tok, got, want)
+		if got := SlotFree(tok); got != want {
+			t.Errorf("SlotFree(%q) = %v, want %v", tok, got, want)
 		}
-	}
-	if !reflect.DeepEqual(RestartFaultNames(), []string{"amnesia", "recover"}) {
-		t.Errorf("RestartFaultNames() = %v", RestartFaultNames())
 	}
 }

@@ -31,8 +31,8 @@
 // scheduler rng (never wall clock), so lossy runs capture and replay
 // bit-for-bit like every other scenario (see internal/incident).
 //
-// The registry (registry.go) maps scheduler and fault names to factories
-// and is extensible via RegisterScheduler / RegisterFault; the built-ins
+// The registry (registry.go) is two map literals, schedulers and faults,
+// from token names to factories, so a new kind is one entry; the built-ins
 // reproduce the historical experiment parameterizations exactly, which is
 // how the E1–E11 tables stayed byte-identical across the conversion.
 package scenario
@@ -158,20 +158,15 @@ func Parse(raw string) (Spec, error) {
 	}
 	// Registry membership, token by token, before any shape checks: a typo
 	// should name its token, not fall through to a slot-count complaint.
-	name, arg := s.schedKey()
+	name, _ := s.schedKey()
 	if _, ok := schedulers[name]; !ok {
 		return Spec{}, tokenErrf(raw, 1, offs[0], parts[0],
 			fmt.Errorf("unknown scheduler %q (have %s)", name, strings.Join(SchedulerNames(), ", ")))
 	}
 	for i, f := range s.Faults {
-		if IsNetFault(f) || IsRestartFault(f) {
-			continue
-		}
-		if _, ok := faults[f]; !ok {
+		if _, _, ok := lookup(f); !ok {
 			return Spec{}, tokenErrf(raw, i+2, offs[i+1], parts[i+1],
-				fmt.Errorf("unknown fault %q (have %s; net faults: %s; restart faults: %s)",
-					f, strings.Join(FaultNames(), ", "), strings.Join(NetFaultNames(), ", "),
-					strings.Join(RestartFaultNames(), ", ")))
+				fmt.Errorf("unknown fault %q (have %s)", f, strings.Join(sortedKeys(faults), ", ")))
 		}
 	}
 	// Cross-token shape checks (fault slots vs t, restart composition, run
@@ -179,28 +174,14 @@ func Parse(raw string) (Spec, error) {
 	if err := s.validateShape(); err != nil {
 		return Spec{}, err
 	}
-	// Probe each token's factory individually so ":<arg>" problems carry
-	// their token position. The probe uses a safe t on TUnset specs, as
-	// Validate does.
+	// Build the spec so ":<arg>" problems carry their token position. The
+	// probe uses a safe t on TUnset specs, as Validate does.
 	t := s.T
 	if t == TUnset {
 		t = 0
 	}
-	base, err := schedulers[name](s.N, t, arg)
-	if err != nil {
-		return Spec{}, tokenErrf(raw, 1, offs[0], parts[0], err)
-	}
-	for i, f := range s.Faults {
-		fb, narg, _ := strings.Cut(f, ":")
-		if build, ok := netFaults[fb]; ok {
-			if _, err := build(s.N, t, narg, base); err != nil {
-				return Spec{}, tokenErrf(raw, i+2, offs[i+1], parts[i+1], err)
-			}
-		} else if build, ok := restartFaults[fb]; ok {
-			if _, err := build(s.N, t, narg); err != nil {
-				return Spec{}, tokenErrf(raw, i+2, offs[i+1], parts[i+1], err)
-			}
-		}
+	if _, _, tok, err := s.build(t); err != nil {
+		return Spec{}, tokenErrf(raw, tok+1, offs[tok], parts[tok], err)
 	}
 	return s, nil
 }
@@ -221,16 +202,15 @@ func (s Spec) schedKey() (name, arg string) {
 }
 
 // partyFaults returns the fault tokens that occupy fault slots — every
-// token that is not a registered network-fault or restart axis. When no
-// slot-free tokens are present the spec's own slice is returned without
-// allocating.
+// token that is not a network-fault or restart axis. When no slot-free
+// tokens are present the spec's own slice is returned without allocating.
 func (s Spec) partyFaults() []string {
 	for i, f := range s.Faults {
-		if IsNetFault(f) || IsRestartFault(f) {
+		if SlotFree(f) {
 			out := make([]string, 0, len(s.Faults)-1)
 			out = append(out, s.Faults[:i]...)
 			for _, g := range s.Faults[i+1:] {
-				if !IsNetFault(g) && !IsRestartFault(g) {
+				if !SlotFree(g) {
 					out = append(out, g)
 				}
 			}
@@ -240,8 +220,8 @@ func (s Spec) partyFaults() []string {
 	return s.Faults
 }
 
-// validateShape checks everything except the scheduler and net-fault
-// arguments: registry membership and the run shape.
+// validateShape checks everything except the ":<arg>" suffixes: registry
+// membership and the run shape.
 func (s Spec) validateShape() error {
 	name, _ := s.schedKey()
 	if _, ok := schedulers[name]; !ok {
@@ -259,19 +239,15 @@ func (s Spec) validateShape() error {
 	// with t unset).
 	party, restarts := 0, 0
 	for _, f := range s.Faults {
-		if IsNetFault(f) {
-			continue // the ":<arg>" suffix is validated when the wrapper builds
-		}
-		if IsRestartFault(f) {
+		k, _, ok := lookup(f)
+		switch {
+		case !ok:
+			return fmt.Errorf("scenario: unknown fault %q (have %s)", f, strings.Join(sortedKeys(faults), ", "))
+		case k.Restart != nil:
 			restarts++
-			continue
+		case !k.slotFree():
+			party++
 		}
-		if _, ok := faults[f]; !ok {
-			return fmt.Errorf("scenario: unknown fault %q (have %s; net faults: %s; restart faults: %s)",
-				f, strings.Join(FaultNames(), ", "), strings.Join(NetFaultNames(), ", "),
-				strings.Join(RestartFaultNames(), ", "))
-		}
-		party++
 	}
 	if restarts > 1 {
 		return fmt.Errorf("scenario: %s: at most one restart axis per spec", s.Sched)
@@ -304,38 +280,35 @@ func (s Spec) validateShape() error {
 	return nil
 }
 
-// buildScheduler instantiates the spec's scheduler with the given fault
-// bound, validating the ":<arg>" suffixes in the process. Network-fault
-// tokens wrap the base scheduler in token order (the first listed is the
-// innermost layer), fixing the per-send rng draw order the determinism
-// contract requires.
-func (s Spec) buildScheduler(t int) (sched.Named, error) {
+// build instantiates the spec's scheduler with the given fault bound,
+// validating the ":<arg>" suffixes in the process, and resolves its
+// restart plans. Network-fault tokens wrap the base scheduler in token
+// order (the first listed is the innermost layer), fixing the per-send rng
+// draw order the determinism contract requires. On error, tok names the
+// token at fault: 0 for the scheduler, i+1 for Faults[i].
+func (s Spec) build(t int) (named sched.Named, plans []sim.RestartPlan, tok int, err error) {
 	name, arg := s.schedKey()
 	scheduler, err := schedulers[name](s.N, t, arg)
 	if err != nil {
-		return sched.Named{}, err
+		return sched.Named{}, nil, 0, err
 	}
-	for _, f := range s.Faults {
-		base, narg, _ := strings.Cut(f, ":")
-		if build, ok := netFaults[base]; ok {
-			scheduler, err = build(s.N, t, narg, scheduler)
-			if err != nil {
-				return sched.Named{}, err
-			}
-			continue
-		}
-		if build, ok := restartFaults[base]; ok {
+	for i, f := range s.Faults {
+		k, karg, _ := lookup(f)
+		switch {
+		case k.Net != nil:
+			scheduler, err = k.Net(s.N, t, karg, scheduler)
+		case k.Restart != nil:
 			// A restart axis darkens the downed parties' traffic for the
-			// crash window (the state rollback itself rides Resolve's
-			// sim.RestartPlans; see restart.go).
-			plans, perr := build(s.N, t, narg)
-			if perr != nil {
-				return sched.Named{}, perr
+			// crash window; the state rollback rides the plans (restart.go).
+			if plans, err = k.Restart(s.N, t, karg); err == nil {
+				scheduler = darknessFor(scheduler, plans)
 			}
-			scheduler = darknessFor(scheduler, plans)
+		}
+		if err != nil {
+			return sched.Named{}, nil, i + 1, err
 		}
 	}
-	return sched.Named{Name: s.Sched, Scheduler: scheduler}, nil
+	return sched.Named{Name: s.Sched, Scheduler: scheduler}, plans, 0, nil
 }
 
 // Validate checks the spec against the registry and the run shape, so that
@@ -351,7 +324,7 @@ func (s Spec) Validate() error {
 	if t == TUnset {
 		t = 0
 	}
-	_, err := s.buildScheduler(t)
+	_, _, _, err := s.build(t)
 	return err
 }
 
@@ -378,15 +351,11 @@ func (s Spec) Resolve() (*Resolved, error) {
 	if err := s.validateShape(); err != nil {
 		return nil, err
 	}
-	named, err := s.buildScheduler(s.T)
+	named, plans, _, err := s.build(s.T)
 	if err != nil {
 		return nil, err
 	}
-	res := &Resolved{Scheduler: named}
-	res.Restarts, err = s.restartPlans(s.T)
-	if err != nil {
-		return nil, err
-	}
+	res := &Resolved{Scheduler: named, Restarts: plans}
 	// Network-fault tokens live inside the scheduler wrapper stack built
 	// above; only party faults fill the cyclic slot assignment.
 	pf := s.partyFaults()

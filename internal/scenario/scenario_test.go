@@ -274,41 +274,39 @@ func TestFuzzRegistry(t *testing.T) {
 	}
 }
 
-// TestRegisterRejectsGrammarNames pins that extension registrants cannot
-// break the String → Parse round trip with metacharacter names.
+// TestRegisterRejectsGrammarNames pins that no registry key contains a byte
+// the spec grammar reserves, which would break the String → Parse round trip.
 func TestRegisterRejectsGrammarNames(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("registering %q did not panic", name)
-			}
-		}()
-		fn()
-	}
-	for _, name := range []string{"crash+burn", "net/slow", "sync:x", "a,b", "a=b", "two words"} {
-		name := name
-		mustPanic(name, func() {
-			RegisterScheduler(name, func(_, _ int, _ string) (sim.Scheduler, error) { return nil, nil })
-		})
-		mustPanic(name, func() {
-			RegisterFault(name, FaultKind{Behavior: fault.Silent{}})
-		})
+	const specMetachars = "+/:,= \t\n"
+	for _, name := range append(SchedulerNames(), sortedKeys(faults)...) {
+		if name == "" || strings.ContainsAny(name, specMetachars) {
+			t.Errorf("registry key %q is empty or contains spec grammar characters (%q)", name, specMetachars)
+		}
 	}
 }
 
+// TestRegistryNames pins the tables' keys: the suites name registered
+// entries, and every fault entry sets exactly one of its four fields.
 func TestRegistryNames(t *testing.T) {
 	for _, name := range SuiteSchedulers() {
 		if _, ok := schedulers[name]; !ok {
 			t.Errorf("suite scheduler %q unregistered", name)
 		}
 	}
-	for _, name := range ByzSuite() {
+	for _, name := range append(ByzSuite(), "crash", "crashinit") {
 		if _, ok := faults[name]; !ok {
-			t.Errorf("byz suite fault %q unregistered", name)
+			t.Errorf("fault %q unregistered", name)
 		}
 	}
-	if !strings.Contains(strings.Join(FaultNames(), ","), "crashinit") {
-		t.Error("crashinit unregistered")
+	for name, k := range faults {
+		set := 0
+		for _, on := range []bool{k.Behavior != nil, k.Crash != nil, k.Net != nil, k.Restart != nil} {
+			if on {
+				set++
+			}
+		}
+		if set != 1 {
+			t.Errorf("fault %q sets %d of Behavior/Crash/Net/Restart, want 1", name, set)
+		}
 	}
 }

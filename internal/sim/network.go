@@ -176,8 +176,6 @@ type Network struct {
 
 	// observer, when non-nil, is invoked after every delivery.
 	observer func(now Time, env Envelope)
-
-	defaultMaxEvents int
 }
 
 // arenaBlock is the payload arena's allocation granularity.
@@ -424,7 +422,7 @@ func partySeed(seed int64, i int) int64 {
 // New builds a network from the configuration. Processes for honest parties
 // must be attached with SetProcess before Run.
 func New(cfg Config) (*Network, error) {
-	n := &Network{defaultMaxEvents: 5_000_000}
+	n := &Network{}
 	if err := n.Reset(cfg); err != nil {
 		return nil, err
 	}
@@ -651,7 +649,7 @@ func (n *Network) runInto(res *Result) error {
 	}
 	budget := n.cfg.MaxEvents
 	if budget <= 0 {
-		budget = n.defaultMaxEvents
+		budget = DefaultMaxEvents
 	}
 	err := n.runLoop(budget)
 	n.resultInto(res)

@@ -145,7 +145,7 @@ type Config struct {
 	// Restarting parties must be distinct from crash and Byzantine parties
 	// and their processes must support checkpointing (core.Snapshotter).
 	Restarts []RestartPlan
-	// MaxEvents aborts runaway executions; 0 means a generous default.
+	// MaxEvents aborts runaway executions; 0 means DefaultMaxEvents.
 	MaxEvents int
 	// Reference selects the reference configuration: a binary-heap event
 	// queue and per-envelope delivery of every tick, instead of production's
@@ -158,6 +158,9 @@ type Config struct {
 	// The reference exists only to be compared against production.
 	Reference bool
 }
+
+// DefaultMaxEvents is the event budget of a run whose MaxEvents is 0.
+const DefaultMaxEvents = 5_000_000
 
 // Sentinel errors returned by Run.
 var (

@@ -5,7 +5,6 @@
 package trace
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -128,7 +127,3 @@ func Ratio(a, b float64) string {
 	}
 	return F(a / b)
 }
-
-// Sprintf is fmt.Sprintf re-exported so callers of this package do not need
-// a second fmt import just for cells.
-func Sprintf(format string, args ...any) string { return fmt.Sprintf(format, args...) }

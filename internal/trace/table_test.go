@@ -96,7 +96,4 @@ func TestFormatters(t *testing.T) {
 	if Ratio(1, 2) != "0.5000" {
 		t.Errorf("Ratio(1,2) = %q", Ratio(1, 2))
 	}
-	if Sprintf("%d-%s", 1, "a") != "1-a" {
-		t.Error("Sprintf")
-	}
 }
