@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: pairs check vet race fuzz-relnet fuzz-parse fuzz-incident fuzz-wire fuzz-rng fuzz-checkpoint benchmark-check benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
+.PHONY: pairs check vet race fuzz-relnet fuzz-parse fuzz-incident fuzz-wire fuzz-rng fuzz-checkpoint fuzz-protocols benchmark-check benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
 
 # check fails first on any file gofmt would rewrite, listing them.
 check:
@@ -81,6 +81,15 @@ fuzz-rng:
 # them with the fix.
 fuzz-checkpoint:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime $(FUZZTIME) ./internal/core/
+
+# fuzz-protocols runs the adversarial search of cmd/aafuzz at seed SEED
+# (the variable `make pairs` also uses): 5000 protocol-fuzzer trials and
+# 5000 scenario compositions, asserting liveness, validity and
+# eps-agreement on every run. A violation exits non-zero and leaves its
+# recipe as an incident bundle under fuzz-artifacts/, with the
+# `aarun -replay` line that reproduces it. CI passes a fresh seed per run.
+fuzz-protocols:
+	$(GO) run ./cmd/aafuzz -trials 5000 -scenario-trials 5000 -seed $(SEED) -artifacts fuzz-artifacts
 
 # benchmark-check keeps the frozen benchmark honest on every PR: its own
 # tests (metric selection, seam transparency, golden statistics,

@@ -116,18 +116,14 @@ func writeArtifacts(w io.Writer, dir, kind string, failures []harness.FuzzViolat
 	}
 }
 
-// writeArtifact captures one violation into dir and returns the bundle
-// path.
+// writeArtifact captures one violation's recipe into dir and returns the
+// bundle path.
 func writeArtifact(dir, kind string, v harness.FuzzViolation) (string, error) {
-	name := fmt.Sprintf("%s-trial-%d", kind, v.Trial)
-	b, err := incident.FromFuzz(v, name)
-	if err != nil {
-		return "", err
-	}
+	b := &incident.Bundle{Name: fmt.Sprintf("%s-trial-%d", kind, v.Trial), Recipe: v.Recipe}
 	if _, err := incident.Capture(b); err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, name+incident.BundleExt)
+	path := filepath.Join(dir, b.Name+incident.BundleExt)
 	if err := incident.Save(b, path); err != nil {
 		return "", err
 	}

@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
 	"io"
+	"reflect"
 	"regexp"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/incident"
+	"repro/internal/sim"
 )
 
 func TestRunSmallBudget(t *testing.T) {
@@ -48,50 +51,77 @@ func TestRunUnknownFlag(t *testing.T) {
 	}
 }
 
-// TestArtifactFromForcedFailure pins the failure-artifact path: a violation
-// record for a run that dies on the event budget must produce a loadable
-// incident bundle whose replay reproduces the same failed execution.
-// (A healthy tree yields no organic violations, so the failure is forced
-// through a starved event budget — the same record/capture/save path a
-// real violation takes.)
+// TestArtifactFromForcedFailure pins the failure-artifact path for both
+// fuzzers' recipe forms: a violation whose run dies on the event budget
+// must produce a loadable incident bundle whose replay reproduces the same
+// failed execution. The protocol-fuzzer form names its scheduler with a
+// fault-free scenario and carries explicit fault overrides; the
+// scenario-fuzzer form carries party-fault tokens and a network axis in the
+// scenario and runs on the reliable transport. (A healthy tree yields no
+// organic violations, so the failure is forced through a starved event
+// budget — the same record/capture/save path a real violation takes.)
 func TestArtifactFromForcedFailure(t *testing.T) {
-	dir := t.TempDir()
-	v := harness.FuzzViolation{
-		Trial:      7,
-		Desc:       "forced event-budget failure",
-		Proto:      core.ProtoCrash,
-		N:          7,
-		T:          2,
-		Eps:        1e-3,
-		Lo:         0,
-		Hi:         1,
-		SchedToken: "random",
-		Seed:       99,
-		MaxEvents:  60,
-		Inputs:     harness.LinearInputs(7, 0, 1),
+	cases := []struct {
+		kind string
+		v    harness.FuzzViolation
+	}{
+		{"fuzz", harness.FuzzViolation{
+			Trial: 7,
+			Desc:  "forced event-budget failure",
+			Recipe: harness.Recipe{
+				Scenario:  "random/n=7,t=2",
+				Protocol:  core.ProtoCrash.Token(),
+				Eps:       1e-3,
+				Lo:        0,
+				Hi:        1,
+				Seed:      99,
+				MaxEvents: 60,
+				Inputs:    harness.LinearInputs(7, 0, 1),
+				Overrides: harness.Overrides{Crashes: []sim.CrashPlan{{Party: 1, AfterSends: 9}}},
+			},
+		}},
+		{"scenario", harness.FuzzViolation{
+			Trial: 3,
+			Desc:  "forced event-budget failure on a lossy composition",
+			Recipe: harness.Recipe{
+				Scenario:  "skew+equivocate+spam+loss:0.05/n=10,t=3",
+				Protocol:  core.ProtoWitness.Token(),
+				Eps:       1e-2,
+				Lo:        0,
+				Hi:        1,
+				Seed:      4242,
+				MaxEvents: 400,
+				Inputs:    harness.LinearInputs(10, 0, 1),
+				Reliable:  true,
+			},
+		}},
 	}
-	path, err := writeArtifact(dir, "fuzz", v)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	b, err := incident.Load(path)
-	if err != nil {
-		t.Fatalf("artifact not loadable: %v", err)
-	}
-	if b.Name != "fuzz-trial-7" || b.Digest.RunErr != incident.RunEventBudget {
-		t.Fatalf("artifact %q has run verdict %d", b.Name, b.Digest.RunErr)
-	}
-	if _, div, err := incident.Replay(b); err != nil || div != nil {
-		t.Fatalf("artifact replay: div=%v err=%v", div, err)
+	for _, tc := range cases {
+		path, err := writeArtifact(t.TempDir(), tc.kind, tc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		b, err := incident.Load(path)
+		if err != nil {
+			t.Fatalf("%s: artifact not loadable: %v", tc.kind, err)
+		}
+		if want := fmt.Sprintf("%s-trial-%d", tc.kind, tc.v.Trial); b.Name != want || b.Digest.RunErr != incident.RunEventBudget {
+			t.Fatalf("%s: artifact %q has run verdict %d", tc.kind, b.Name, b.Digest.RunErr)
+		}
+		if !reflect.DeepEqual(b.Recipe, tc.v.Recipe) {
+			t.Fatalf("%s: bundle recipe %+v, violation recipe %+v", tc.kind, b.Recipe, tc.v.Recipe)
+		}
+		if _, div, err := incident.Replay(b); err != nil || div != nil {
+			t.Fatalf("%s: artifact replay: div=%v err=%v", tc.kind, div, err)
+		}
 	}
 }
 
 // TestWriteArtifactsBestEffort pins that artifact emission never panics on
-// an unwritable directory or a record that does not lower.
+// an unwritable directory or a recipe that does not lower.
 func TestWriteArtifactsBestEffort(t *testing.T) {
 	writeArtifacts(io.Discard, "", "fuzz", []harness.FuzzViolation{{Trial: 1}})
 	writeArtifacts(io.Discard, t.TempDir(), "fuzz", []harness.FuzzViolation{{
-		Trial: 2, Desc: "unresolvable", SchedToken: "warpdrive", N: 5, T: 1,
+		Trial: 2, Desc: "unresolvable", Recipe: harness.Recipe{Scenario: "warpdrive/n=5,t=1"},
 	}})
 }

@@ -101,28 +101,19 @@ func run(args []string, w io.Writer) error {
 		scen = scen.WithT(*t)
 		*t = scen.T
 	}
-	cfg := aa.Config{
-		N: *n, T: *t, Epsilon: *eps, Lo: *lo, Hi: *hi, Adaptive: *adaptive,
-	}
 	proto, err := core.ParseProtocol(*model)
 	if err != nil {
 		return err
 	}
-	switch proto {
-	case core.ProtoCrash:
-		cfg.Model = aa.ModelCrash
-	case core.ProtoByzTrim:
-		cfg.Model = aa.ModelByzantineTrim
-	case core.ProtoWitness:
-		cfg.Model = aa.ModelByzantineWitness
-	}
-
 	inputs, err := parseInputs(*inputsFlag, *n, *lo, *hi)
 	if err != nil {
 		return err
 	}
 
 	if *live {
+		cfg := aa.Config{
+			Model: liveModels[proto], N: *n, T: *t, Epsilon: *eps, Lo: *lo, Hi: *hi, Adaptive: *adaptive,
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
 		out, err := aa.RunLive(ctx, cfg, inputs, aa.LiveOptions{
@@ -131,69 +122,59 @@ func run(args []string, w io.Writer) error {
 			Dup:      *dup,
 			Reliable: *reliable,
 		})
-		if err != nil {
+		if out != nil {
 			// A timeout still reports the partial progress before failing.
-			if out != nil {
-				printOutcome(w, out, cfg)
-			}
-			return err
+			printOutcome(w, out, *eps)
 		}
-		printOutcome(w, out, cfg)
-		return nil
+		return err
 	}
 
-	// One lowered adversary for plain and recorded runs alike: the scenario
-	// with t made explicit, or a fault-free scenario named by -sched with
+	// One recipe for plain and recorded runs alike: the scenario with t
+	// made explicit, or a fault-free scenario named by -sched with
 	// -crash/-byz as explicit overrides.
-	var over harness.Overrides
+	r := harness.Recipe{
+		Protocol: proto.Token(), Adaptive: *adaptive, Eps: *eps, Lo: *lo, Hi: *hi,
+		Seed: *seed, Inputs: inputs, Reliable: *reliable,
+	}
 	if *scenarioFlag == "" {
 		if err := scenario.CheckScheduler(*schedName); err != nil {
 			return err
 		}
 		scen = scenario.Spec{Sched: *schedName, N: *n, T: *t}
-		if over.Crashes, err = parseCrashes(*crashFlag); err != nil {
+		if r.Overrides.Crashes, err = parseCrashes(*crashFlag); err != nil {
 			return err
 		}
-		if over.Byz, err = parseByz(*byzFlag); err != nil {
+		if r.Overrides.Byz, err = parseByz(*byzFlag); err != nil {
 			return err
 		}
 	}
+	r.Scenario = scen.String()
 	if *record != "" {
 		return doRecord(w, *record, &incident.Bundle{
-			Name:     strings.TrimSuffix(filepath.Base(*record), incident.BundleExt),
-			Scenario: scen.String(),
-			Protocol: *model,
-			Adaptive: cfg.Adaptive,
-			Eps:      cfg.Epsilon,
-			Lo:       cfg.Lo,
-			Hi:       cfg.Hi,
-			Seed:     *seed,
-			Inputs:   inputs,
-			Crashes:  over.Crashes,
-			Byz:      over.Byz,
-			Reliable: *reliable,
-		}, cfg)
+			Name:   strings.TrimSuffix(filepath.Base(*record), incident.BundleExt),
+			Recipe: r,
+		})
 	}
-
-	opts := []aa.SimOption{aa.WithSeed(*seed), aa.WithScenario(scen.String())}
-	if *reliable {
-		opts = append(opts, aa.WithReliable())
-	}
-	for _, c := range over.Crashes {
-		opts = append(opts, aa.WithCrash(int(c.Party), c.AfterSends))
-	}
-	for _, z := range over.Byz {
-		opts = append(opts, aa.WithByzantine(int(z.Party), z.Name))
-	}
-	out, err := aa.Simulate(cfg, inputs, opts...)
+	spec, err := r.Lower()
 	if err != nil {
 		return err
 	}
-	printOutcome(w, out, cfg)
-	if !out.OK() {
-		return fmt.Errorf("run failed: agreed=%v valid=%v err=%v", out.Agreed, out.Valid, out.Err)
+	rep, err := harness.Run(spec)
+	if err != nil {
+		return err
+	}
+	printOutcome(w, outcomeFromReport(rep), *eps)
+	if !rep.OK() {
+		return fmt.Errorf("run failed: %s", rep.Failure())
 	}
 	return nil
+}
+
+// liveModels maps a protocol to the aa model that runs it live.
+var liveModels = map[core.Protocol]aa.Model{
+	core.ProtoCrash:   aa.ModelCrash,
+	core.ProtoByzTrim: aa.ModelByzantineTrim,
+	core.ProtoWitness: aa.ModelByzantineWitness,
 }
 
 func parseInputs(s string, n int, lo, hi float64) ([]float64, error) {
@@ -257,8 +238,9 @@ func parseByz(s string) ([]harness.ByzRef, error) {
 	return out, nil
 }
 
-// doRecord captures the run b describes into an incident bundle at path.
-func doRecord(w io.Writer, path string, b *incident.Bundle, cfg aa.Config) error {
+// doRecord captures the run b's recipe names into an incident bundle at
+// path.
+func doRecord(w io.Writer, path string, b *incident.Bundle) error {
 	rep, err := incident.Capture(b)
 	if err != nil {
 		return err
@@ -266,7 +248,7 @@ func doRecord(w io.Writer, path string, b *incident.Bundle, cfg aa.Config) error
 	if err := incident.Save(b, path); err != nil {
 		return err
 	}
-	printOutcome(w, outcomeFromReport(rep), cfg)
+	printOutcome(w, outcomeFromReport(rep), b.Eps)
 	fmt.Fprintf(w, "recorded  %s (%d sends, %s)\n", path, len(b.Delays), b.Scenario)
 	fmt.Fprintf(w, "replay    aarun -replay %s\n", path)
 	if !rep.OK() {
@@ -287,7 +269,7 @@ func doReplay(w io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	printOutcome(w, outcomeFromReport(rep), aa.Config{Epsilon: b.Eps})
+	printOutcome(w, outcomeFromReport(rep), b.Eps)
 	if div != nil {
 		return div.Error()
 	}
@@ -295,7 +277,8 @@ func doReplay(w io.Writer, path string) error {
 	return nil
 }
 
-// outcomeFromReport adapts a harness report for printOutcome.
+// outcomeFromReport adapts a harness report for printOutcome: plain,
+// recorded and replayed runs all print through it.
 func outcomeFromReport(rep *harness.Report) *aa.Outcome {
 	out := &aa.Outcome{
 		Values:      make(map[int]float64, len(rep.Result.Decisions)),
@@ -319,7 +302,7 @@ func outcomeFromReport(rep *harness.Report) *aa.Outcome {
 	return out
 }
 
-func printOutcome(w io.Writer, out *aa.Outcome, cfg aa.Config) {
+func printOutcome(w io.Writer, out *aa.Outcome, eps float64) {
 	ids := make([]int, 0, len(out.Values))
 	for id := range out.Values {
 		ids = append(ids, id)
@@ -328,7 +311,7 @@ func printOutcome(w io.Writer, out *aa.Outcome, cfg aa.Config) {
 	for _, id := range ids {
 		fmt.Fprintf(w, "party %2d -> %.9g\n", id, out.Values[id])
 	}
-	fmt.Fprintf(w, "spread    %.3g (eps %.3g)\n", out.Spread, cfg.Epsilon)
+	fmt.Fprintf(w, "spread    %.3g (eps %.3g)\n", out.Spread, eps)
 	fmt.Fprintf(w, "agreed    %v\n", out.Agreed)
 	fmt.Fprintf(w, "valid     %v\n", out.Valid)
 	if out.Rounds > 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/multiset"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -75,7 +76,7 @@ func TestByzTrimSurvivesRoundFlood(t *testing.T) {
 			t.Errorf("party %d output %v outside honest hull [0,1]", i, y)
 		}
 	}
-	if s := res.HonestSpread(); s > 1e-3 {
+	if s := multiset.Spread(res.HonestDecisions()); s > 1e-3 {
 		t.Errorf("spread %v", s)
 	}
 }
@@ -146,7 +147,7 @@ func TestByzTrimEquivocationAtProvenBound(t *testing.T) {
 			t.Fatalf("party %d: %v", i, err)
 		}
 	}
-	if s := res.HonestSpread(); s > 1e-3 {
+	if s := multiset.Spread(res.HonestDecisions()); s > 1e-3 {
 		t.Errorf("equivocation at 7t+1 prevented convergence: spread %v", s)
 	}
 }

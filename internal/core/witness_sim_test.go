@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/multiset"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -173,7 +174,7 @@ func assertWitnessOutcome(t *testing.T, res *sim.Result, procs []*WitnessAA,
 			t.Errorf("party %d output %v outside hull [%v, %v]", i, y, lo, hi)
 		}
 	}
-	if s := res.HonestSpread(); s > eps+1e-9 {
+	if s := multiset.Spread(res.HonestDecisions()); s > eps+1e-9 {
 		t.Errorf("spread %v > eps", s)
 	}
 }

@@ -13,32 +13,17 @@ import (
 	"repro/internal/trace"
 )
 
-// FuzzViolation is the structured record of one failed trial: everything
-// needed to rebuild the execution (cmd/aafuzz turns these into incident
-// bundles, the repro artifacts). Either Scenario is a full scenario string
-// (scenario-layer trials), or SchedToken names the scheduler and
-// Crashes/Byz carry the explicit fault assignments (protocol-fuzzer trials,
-// whose random crash timings are not expressible as registry fault kinds).
-// Both forms are faithful: the fuzzer draws every scheduler and behavior
-// by registry name and lowers it with Lower, and heavytail trials carry
-// their alpha in the token ("heavytail:<alpha>").
+// FuzzViolation is the structured record of one failed trial: the recipe
+// of the run that failed (cmd/aafuzz captures it as an incident bundle,
+// the repro artifact). Protocol-fuzzer recipes name their scheduler with
+// a fault-free scenario and carry the random crash timings and Byzantine
+// assignments as overrides, which registry fault kinds cannot express;
+// scenario-fuzzer recipes carry the whole composition in the scenario.
 type FuzzViolation struct {
-	Trial      int
-	Desc       string
-	Failure    string
-	Proto      core.Protocol
-	N, T       int
-	Eps        float64
-	Lo, Hi     float64
-	Adaptive   bool
-	Reliable   bool
-	SchedToken string
-	Scenario   string
-	Seed       int64
-	MaxEvents  int
-	Inputs     []float64
-	Crashes    []sim.CrashPlan
-	Byz        []ByzRef
+	Trial   int
+	Desc    string
+	Failure string
+	Recipe  Recipe
 }
 
 // FuzzResult summarizes a randomized adversarial search.
@@ -69,7 +54,8 @@ func Fuzz(trials int, seed int64) (*FuzzResult, error) {
 	res := &FuzzResult{ByProtocol: map[string]int{}}
 	var rounds, messages []float64
 	for i := 0; i < trials; i++ {
-		spec, o, adaptive, desc, err := randomSpec(rng)
+		r, desc := randomRecipe(rng)
+		spec, err := r.Lower()
 		if err != nil {
 			return res, fmt.Errorf("fuzz trial %d (%s): %w", i, desc, err)
 		}
@@ -85,13 +71,13 @@ func Fuzz(trials int, seed int64) (*FuzzResult, error) {
 		if rep.RunErr != nil || len(rep.ProtoErrs) > 0 || !rep.ValidityOK {
 			bad = true
 		}
-		if !adaptive && !rep.AgreementOK {
+		if !r.Adaptive && !rep.AgreementOK {
 			bad = true
 		}
 		if bad {
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("trial %d: %s: %s", i, desc, rep.Failure()))
-			res.Failures = append(res.Failures, violationFrom(i, desc, rep, spec, o))
+			res.Failures = append(res.Failures, FuzzViolation{Trial: i, Desc: desc, Failure: rep.Failure(), Recipe: r})
 		}
 	}
 	res.Rounds = trace.Summarize(rounds)
@@ -99,9 +85,9 @@ func Fuzz(trials int, seed int64) (*FuzzResult, error) {
 	return res, nil
 }
 
-// randomSpec draws one legal adversarial configuration and lowers it
-// through the scenario registry, returning the fault overrides it drew.
-func randomSpec(rng *rand.Rand) (Spec, Overrides, bool, string, error) {
+// randomRecipe draws one legal adversarial configuration, named by the
+// scenario registry, with a one-line description.
+func randomRecipe(rng *rand.Rand) (Recipe, string) {
 	protos := []core.Protocol{core.ProtoCrash, core.ProtoCrash, core.ProtoByzTrim, core.ProtoWitness}
 	proto := protos[rng.Intn(len(protos))]
 	var t, slack int
@@ -117,15 +103,7 @@ func randomSpec(rng *rand.Rand) (Spec, Overrides, bool, string, error) {
 	adaptive := proto == core.ProtoCrash && rng.Intn(4) == 0
 	lo := -100 + 200*rng.Float64()
 	hi := lo + 200*rng.Float64() + 1e-6
-	p := core.Params{
-		Protocol: proto,
-		N:        n,
-		T:        t,
-		Eps:      []float64{1e-1, 1e-2, 1e-3}[rng.Intn(3)],
-		Lo:       lo,
-		Hi:       hi,
-		Adaptive: adaptive,
-	}
+	eps := []float64{1e-1, 1e-2, 1e-3}[rng.Intn(3)]
 
 	var inputs []float64
 	inputKind := rng.Intn(4)
@@ -169,33 +147,18 @@ func randomSpec(rng *rand.Rand) (Spec, Overrides, bool, string, error) {
 		}
 	}
 	desc := fmt.Sprintf("%s n=%d t=%d eps=%g adaptive=%v sched=%s inputs=%d faults=[%s] seed=%d",
-		p.Protocol, n, t, p.Eps, adaptive, tok, inputKind, strings.Join(faults, ","), seed)
-	spec, err := Lower(p, inputs, scenario.Spec{Sched: tok, N: n, T: t}, seed, o)
-	return spec, o, adaptive, desc, err
-}
-
-// violationFrom snapshots a failed trial's full configuration: the lowered
-// spec plus the overrides it was lowered with.
-func violationFrom(trial int, desc string, rep *Report, spec Spec, o Overrides) FuzzViolation {
-	return FuzzViolation{
-		Trial:      trial,
-		Desc:       desc,
-		Failure:    rep.Failure(),
-		Proto:      spec.Params.Protocol,
-		N:          spec.Params.N,
-		T:          spec.Params.T,
-		Eps:        spec.Params.Eps,
-		Lo:         spec.Params.Lo,
-		Hi:         spec.Params.Hi,
-		Adaptive:   spec.Params.Adaptive,
-		Reliable:   spec.Reliable,
-		SchedToken: spec.Scheduler.Name,
-		Seed:       spec.Seed,
-		MaxEvents:  spec.MaxEvents,
-		Inputs:     append([]float64(nil), spec.Inputs...),
-		Crashes:    append([]sim.CrashPlan(nil), o.Crashes...),
-		Byz:        append([]ByzRef(nil), o.Byz...),
-	}
+		proto, n, t, eps, adaptive, tok, inputKind, strings.Join(faults, ","), seed)
+	return Recipe{
+		Scenario:  scenario.Spec{Sched: tok, N: n, T: t}.String(),
+		Protocol:  proto.Token(),
+		Adaptive:  adaptive,
+		Eps:       eps,
+		Lo:        lo,
+		Hi:        hi,
+		Seed:      seed,
+		Inputs:    inputs,
+		Overrides: o,
+	}, desc
 }
 
 // ScenarioFuzzResult summarizes a scenario-layer fuzz campaign: the
@@ -210,7 +173,7 @@ type ScenarioFuzzResult struct {
 	Runs       int
 	Violations []string
 	// Failures carries the structured form of Violations, index-aligned;
-	// each record's Scenario field is the full spec string.
+	// each recipe's scenario is the full composition.
 	Failures []FuzzViolation
 }
 
@@ -230,13 +193,22 @@ func FuzzScenarios(trials int, seed int64) (*ScenarioFuzzResult, error) {
 	rng := rand.New(rng.New(seed ^ 0x5CE9A410))
 	for i := 0; i < trials/4; i++ {
 		p, scen, reliable := randomRunnableScenario(rng)
-		spec, err := SpecFrom(p, LinearInputs(p.N, p.Lo, p.Hi), scen, rng.Int63())
+		r := Recipe{
+			Scenario: scen.String(),
+			Protocol: p.Protocol.Token(),
+			Eps:      p.Eps,
+			Lo:       p.Lo,
+			Hi:       p.Hi,
+			Seed:     rng.Int63(),
+			Inputs:   LinearInputs(p.N, p.Lo, p.Hi),
+			Reliable: reliable,
+		}
+		spec, err := r.Lower()
 		if err != nil {
 			// A composition that passed scenario.Validate must lower
 			// cleanly; anything else is a registry/harness contract break.
 			return res, fmt.Errorf("scenario %s failed to lower: %w", scen, err)
 		}
-		spec.Reliable = reliable
 		rep, err := Run(spec)
 		if err != nil {
 			return res, fmt.Errorf("scenario %s failed to run: %w", scen, err)
@@ -244,11 +216,8 @@ func FuzzScenarios(trials int, seed int64) (*ScenarioFuzzResult, error) {
 		res.Runs++
 		if !rep.OK() {
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("scenario %s seed=%d: %s", scen, spec.Seed, rep.Failure()))
-			v := violationFrom(i, scen.String(), rep, spec, Overrides{})
-			v.Scenario = scen.WithT(p.T).String()
-			v.SchedToken = ""
-			res.Failures = append(res.Failures, v)
+				fmt.Sprintf("scenario %s seed=%d: %s", scen, r.Seed, rep.Failure()))
+			res.Failures = append(res.Failures, FuzzViolation{Trial: i, Desc: scen.String(), Failure: rep.Failure(), Recipe: r})
 		}
 	}
 	return res, nil

@@ -12,7 +12,10 @@
 // Adversary wiring is declarative: drivers enumerate scenario.Spec values
 // (internal/scenario) and lower them to executable Specs with SpecFrom;
 // the scenario registry owns every scheduler parameterization, crash
-// schedule, and Byzantine behavior the drivers used to hand-roll.
+// schedule, and Byzantine behavior the drivers used to hand-roll. A single
+// run named in that vocabulary is a Recipe: aafuzz's violations, aaserve's
+// failure artifacts, aarun's runs and recordings and the incident corpus
+// all write one, and Recipe.Lower is the one way from a recipe to a Spec.
 //
 // Experiments run on an Engine (pool.go), which every driver takes as its
 // first argument: drivers enumerate their independent simulation runs as
@@ -27,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -160,8 +162,8 @@ type ByzRef struct {
 }
 
 // Overrides are explicit fault assignments that replace a scenario's
-// party-fault derivation: aa's WithCrash/WithByzantine (aarun's -crash and
-// -byz) and the protocol fuzzer's random crash timings, which registry
+// party-fault derivation: aa's WithCrash/WithByzantine, aarun's -crash and
+// -byz, and the protocol fuzzer's random crash timings, which registry
 // fault kinds cannot express.
 type Overrides struct {
 	Crashes []sim.CrashPlan
@@ -218,7 +220,7 @@ func (o Overrides) Check(scen scenario.Spec, n, t int) error {
 
 // Lower is SpecFrom followed by the overrides: when o is non-empty it
 // replaces the scenario's crash plans and Byzantine assignments. Every
-// adversary the CLIs, aa and the incident corpus build goes through here.
+// adversary aa and Recipe.Lower build goes through here.
 func Lower(p core.Params, inputs []float64, scen scenario.Spec, seed int64, o Overrides) (Spec, error) {
 	if err := o.Check(scen, p.N, p.T); err != nil {
 		return Spec{}, err
@@ -236,6 +238,72 @@ func Lower(p core.Params, inputs []float64, scen scenario.Spec, seed int64, o Ov
 			spec.Byz[z.Party] = kind.Behavior
 		}
 	}
+	return spec, nil
+}
+
+// Recipe names one run in the scenario registry's vocabulary. It is what
+// every failing-run producer writes (aafuzz, aaserve -artifacts, aarun
+// -record and the incident corpus, whose bundles embed it) and what aarun
+// runs; Lower is the one way from a recipe to an executable Spec.
+type Recipe struct {
+	// Scenario is the canonical scenario.Spec string with explicit n and
+	// t, e.g. "splitviews/n=16,t=7" or "skew+spam/n=15,t=2".
+	Scenario string
+	// Protocol is the protocol token (see core.Protocol.Token).
+	Protocol string
+	// Adaptive selects adaptive termination.
+	Adaptive bool
+	// Eps, Lo, Hi are the precision and promised input range.
+	Eps, Lo, Hi float64
+	// ExtraRounds adds round-budget slack.
+	ExtraRounds int
+	// Seed drives all run randomness.
+	Seed int64
+	// MaxEvents is the event budget; 0 derives one from the run's shape.
+	MaxEvents int
+	// Inputs holds one input per party.
+	Inputs []float64
+	// Overrides, when non-empty, replace the scenario's party faults (the
+	// protocol fuzzer's random crash timings, aarun's -crash and -byz); the
+	// scenario string must then carry no party-fault tokens.
+	Overrides Overrides
+	// Reliable wraps honest parties in the ack/retransmit transport.
+	Reliable bool
+}
+
+// Lower turns the recipe into an executable Spec: it parses the scenario
+// (which must carry an explicit t) and the protocol token, validates the
+// parameters and the overrides, and lowers through Lower with the recipe's
+// budget and transport.
+func (r Recipe) Lower() (Spec, error) {
+	scen, err := scenario.Parse(r.Scenario)
+	if err != nil {
+		return Spec{}, err
+	}
+	if scen.T == scenario.TUnset {
+		return Spec{}, fmt.Errorf("harness: scenario %q must carry an explicit t", r.Scenario)
+	}
+	proto, err := core.ParseProtocol(r.Protocol)
+	if err != nil {
+		return Spec{}, err
+	}
+	p := core.Params{
+		Protocol: proto, N: scen.N, T: scen.T,
+		Eps: r.Eps, Lo: r.Lo, Hi: r.Hi,
+		Adaptive: r.Adaptive, ExtraRounds: r.ExtraRounds,
+	}
+	if err := p.Validate(); err != nil {
+		return Spec{}, err
+	}
+	if r.MaxEvents < 0 {
+		return Spec{}, fmt.Errorf("harness: negative event budget %d", r.MaxEvents)
+	}
+	spec, err := Lower(p, r.Inputs, scen, r.Seed, r.Overrides)
+	if err != nil {
+		return Spec{}, err
+	}
+	spec.MaxEvents = r.MaxEvents
+	spec.Reliable = r.Reliable
 	return spec, nil
 }
 
@@ -404,12 +472,5 @@ func OutlierInputs(n int, lo, hi float64) []float64 {
 	if n > 0 {
 		out[0] = lo
 	}
-	return out
-}
-
-// SortedCopy is a convenience for tests.
-func SortedCopy(v []float64) []float64 {
-	out := append([]float64(nil), v...)
-	sort.Float64s(out)
 	return out
 }

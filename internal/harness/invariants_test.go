@@ -336,10 +336,6 @@ func TestInputGenerators(t *testing.T) {
 			t.Fatal("UniformInputs not deterministic per seed")
 		}
 	}
-	sc := SortedCopy([]float64{3, 1, 2})
-	if sc[0] != 1 || sc[2] != 3 {
-		t.Errorf("SortedCopy = %v", sc)
-	}
 }
 
 // TestUniformInputsMatchesMathRand pins that UniformInputs draws exactly

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/harness"
-	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -106,17 +105,16 @@ func (p *captureProbe) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
 	return f
 }
 
-// Capture executes the run a bundle describes and fills in its trace
-// (Delays, SendSums) and Digest. The bundle's config fields (Scenario,
-// Protocol, Seed, Inputs, fault overrides, ...) must already be set; any
-// prior trace content is replaced. The run's own report is returned so
+// Capture executes the run a bundle's recipe names and fills in its trace
+// (Delays, SendSums, Drops, Dups, Checkpoints) and Digest. The recipe must
+// already be set; any prior trace content is replaced. The run's own report is returned so
 // callers can print or inspect the outcome.
 //
 // Note that Capture resolves Byzantine names through the scenario registry,
 // and the captured run is the one the bundle will replay — the whole loop
 // is self-consistent by construction.
 func Capture(b *Bundle) (*harness.Report, error) {
-	spec, err := b.spec()
+	spec, err := b.checkedSpec()
 	if err != nil {
 		return nil, err
 	}
@@ -135,37 +133,6 @@ func Capture(b *Bundle) (*harness.Report, error) {
 	b.Checkpoints = append([]uint64(nil), rep.Checkpoints...)
 	b.Digest = digestOf(rep, dig.deliveries, dig.hash)
 	return rep, nil
-}
-
-// FromFuzz builds an un-captured bundle from a fuzzer violation record.
-// Scenario-layer violations carry a full scenario string; protocol-fuzzer
-// violations carry a scheduler token plus explicit fault assignments,
-// which become the bundle's overrides. Capture the returned bundle to
-// fill in its trace and digest.
-func FromFuzz(v harness.FuzzViolation, name string) (*Bundle, error) {
-	scen := v.Scenario
-	if scen == "" {
-		scen = scenario.Spec{Sched: v.SchedToken, N: v.N, T: v.T}.String()
-	}
-	b := &Bundle{
-		Name:      name,
-		Scenario:  scen,
-		Protocol:  v.Proto.Token(),
-		Adaptive:  v.Adaptive,
-		Reliable:  v.Reliable,
-		Eps:       v.Eps,
-		Lo:        v.Lo,
-		Hi:        v.Hi,
-		Seed:      v.Seed,
-		MaxEvents: v.MaxEvents,
-		Inputs:    append([]float64(nil), v.Inputs...),
-		Crashes:   append([]sim.CrashPlan(nil), v.Crashes...),
-		Byz:       append([]harness.ByzRef(nil), v.Byz...),
-	}
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("incident: violation %q does not lower to a bundle: %w", v.Desc, err)
-	}
-	return b, nil
 }
 
 // NoDivergentSend is Divergence.FirstBadSend's value when every recorded
@@ -268,7 +235,7 @@ type Prepared struct {
 // by the recorded delay log (with send verification) and the observer by a
 // fresh digester.
 func Prepare(b *Bundle) (*Prepared, error) {
-	spec, err := b.spec()
+	spec, err := b.checkedSpec()
 	if err != nil {
 		return nil, err
 	}

@@ -12,15 +12,19 @@ import (
 // testBundle returns an un-captured bundle config for a small crash run.
 func testBundle() *Bundle {
 	return &Bundle{
-		Name:     "capture-test",
-		Scenario: "random/n=7,t=2",
-		Protocol: core.ProtoCrash.Token(),
-		Eps:      1e-3,
-		Lo:       0,
-		Hi:       1,
-		Seed:     424242,
-		Inputs:   harness.LinearInputs(7, 0, 1),
-		Crashes:  []sim.CrashPlan{{Party: 0, AfterSends: 10}},
+		Name: "capture-test",
+		Recipe: harness.Recipe{
+			Scenario: "random/n=7,t=2",
+			Protocol: core.ProtoCrash.Token(),
+			Eps:      1e-3,
+			Lo:       0,
+			Hi:       1,
+			Seed:     424242,
+			Inputs:   harness.LinearInputs(7, 0, 1),
+			Overrides: harness.Overrides{
+				Crashes: []sim.CrashPlan{{Party: 0, AfterSends: 10}},
+			},
+		},
 	}
 }
 
@@ -141,15 +145,19 @@ func TestReplayDetectsMutatedDigest(t *testing.T) {
 // TestCaptureByzantineScenario exercises the explicit-Byz override path.
 func TestCaptureByzantineScenario(t *testing.T) {
 	b := &Bundle{
-		Name:     "byz-test",
-		Scenario: "skew/n=15,t=2",
-		Protocol: core.ProtoByzTrim.Token(),
-		Eps:      1e-2,
-		Lo:       0,
-		Hi:       1,
-		Seed:     7,
-		Inputs:   harness.LinearInputs(15, 0, 1),
-		Byz:      []harness.ByzRef{{Party: 0, Name: "equivocate"}, {Party: 1, Name: "spam"}},
+		Name: "byz-test",
+		Recipe: harness.Recipe{
+			Scenario: "skew/n=15,t=2",
+			Protocol: core.ProtoByzTrim.Token(),
+			Eps:      1e-2,
+			Lo:       0,
+			Hi:       1,
+			Seed:     7,
+			Inputs:   harness.LinearInputs(15, 0, 1),
+			Overrides: harness.Overrides{
+				Byz: []harness.ByzRef{{Party: 0, Name: "equivocate"}, {Party: 1, Name: "spam"}},
+			},
+		},
 	}
 	rep, err := Capture(b)
 	if err != nil {

@@ -71,13 +71,13 @@ func Encode(b *Bundle) ([]byte, error) {
 	for _, v := range b.Inputs {
 		out = frame.AppendF64(out, v)
 	}
-	out = frame.AppendUvarint(out, uint64(len(b.Crashes)))
-	for _, c := range b.Crashes {
+	out = frame.AppendUvarint(out, uint64(len(b.Overrides.Crashes)))
+	for _, c := range b.Overrides.Crashes {
 		out = frame.AppendUvarint(out, uint64(c.Party))
 		out = frame.AppendUvarint(out, uint64(c.AfterSends))
 	}
-	out = frame.AppendUvarint(out, uint64(len(b.Byz)))
-	for _, z := range b.Byz {
+	out = frame.AppendUvarint(out, uint64(len(b.Overrides.Byz)))
+	for _, z := range b.Overrides.Byz {
 		out = frame.AppendUvarint(out, uint64(z.Party))
 		out = frame.AppendStr(out, z.Name)
 	}
@@ -186,18 +186,18 @@ func Decode(data []byte) (*Bundle, error) {
 		}
 	}
 	if n := d.Count(maxFaults, "crash"); n > 0 {
-		b.Crashes = make([]sim.CrashPlan, n)
-		for i := range b.Crashes {
-			b.Crashes[i] = sim.CrashPlan{
+		b.Overrides.Crashes = make([]sim.CrashPlan, n)
+		for i := range b.Overrides.Crashes {
+			b.Overrides.Crashes[i] = sim.CrashPlan{
 				Party:      sim.PartyID(intField(&d, "crash party")),
 				AfterSends: intField(&d, "crash send budget"),
 			}
 		}
 	}
 	if n := d.Count(maxFaults, "byzantine"); n > 0 {
-		b.Byz = make([]harness.ByzRef, n)
-		for i := range b.Byz {
-			b.Byz[i] = harness.ByzRef{Party: sim.PartyID(intField(&d, "byzantine party")), Name: d.Str(maxStringLen)}
+		b.Overrides.Byz = make([]harness.ByzRef, n)
+		for i := range b.Overrides.Byz {
+			b.Overrides.Byz[i] = harness.ByzRef{Party: sim.PartyID(intField(&d, "byzantine party")), Name: d.Str(maxStringLen)}
 		}
 	}
 	if n := d.Count(maxSends, "delay"); n > 0 {

@@ -16,20 +16,24 @@ import (
 // sampleBundle is a small but fully populated bundle for codec tests.
 func sampleBundle() *Bundle {
 	return &Bundle{
-		Name:        "sample",
-		Scenario:    "random/n=5,t=2",
-		Protocol:    core.ProtoCrash.Token(),
-		Eps:         1e-3,
-		Lo:          0,
-		Hi:          1,
-		ExtraRounds: 1,
-		Seed:        -12345,
-		MaxEvents:   5000,
-		Inputs:      []float64{0, 0.25, 0.5, 0.75, 1},
-		Crashes:     []sim.CrashPlan{{Party: 0, AfterSends: 7}},
-		Byz:         nil,
-		Delays:      []sim.Time{3, 1, 0, 9, 2},
-		SendSums:    []uint32{11, 22, 0, 44, 55},
+		Name: "sample",
+		Recipe: harness.Recipe{
+			Scenario:    "random/n=5,t=2",
+			Protocol:    core.ProtoCrash.Token(),
+			Eps:         1e-3,
+			Lo:          0,
+			Hi:          1,
+			ExtraRounds: 1,
+			Seed:        -12345,
+			MaxEvents:   5000,
+			Inputs:      []float64{0, 0.25, 0.5, 0.75, 1},
+			Overrides: harness.Overrides{
+				Crashes: []sim.CrashPlan{{Party: 0, AfterSends: 7}},
+				Byz:     nil,
+			},
+		},
+		Delays:   []sim.Time{3, 1, 0, 9, 2},
+		SendSums: []uint32{11, 22, 0, 44, 55},
 		Digest: Digest{
 			Decisions:         []Decision{{Party: 1, Value: 0.5, At: 40}, {Party: 2, Value: 0.5, At: 41}},
 			FinishTime:        41,
@@ -202,15 +206,15 @@ func TestDecodeRejectsSemanticNonsense(t *testing.T) {
 		{"unparseable scenario", func(b *Bundle) { b.Scenario = "n=???" }},
 		{"scenario without t", func(b *Bundle) { b.Scenario = "random/n=5" }},
 		{"inputs vs n", func(b *Bundle) { b.Inputs = b.Inputs[:3] }},
-		{"crash party out of range", func(b *Bundle) { b.Crashes[0].Party = 99 }},
+		{"crash party out of range", func(b *Bundle) { b.Overrides.Crashes[0].Party = 99 }},
 		{"duplicate fault", func(b *Bundle) {
-			b.Crashes = append(b.Crashes, sim.CrashPlan{Party: 0, AfterSends: 1})
+			b.Overrides.Crashes = append(b.Overrides.Crashes, sim.CrashPlan{Party: 0, AfterSends: 1})
 		}},
 		{"faults exceed t", func(b *Bundle) {
-			b.Crashes = append(b.Crashes,
+			b.Overrides.Crashes = append(b.Overrides.Crashes,
 				sim.CrashPlan{Party: 1, AfterSends: 1}, sim.CrashPlan{Party: 2, AfterSends: 1})
 		}},
-		{"unknown behavior", func(b *Bundle) { b.Byz = []harness.ByzRef{{Party: 1, Name: "gremlin"}} }},
+		{"unknown behavior", func(b *Bundle) { b.Overrides.Byz = []harness.ByzRef{{Party: 1, Name: "gremlin"}} }},
 		{"fault tokens plus overrides", func(b *Bundle) { b.Scenario = "random+crash/n=5,t=2" }},
 		{"sums/delays length skew", func(b *Bundle) { b.SendSums = b.SendSums[:2] }},
 		{"delay above cap", func(b *Bundle) { b.Delays[0] = sim.MaxDelayCap + 1 }},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/harness"
@@ -133,6 +134,22 @@ func TestCorpusEpisodeNamesUnique(t *testing.T) {
 		seen[ep.Name] = true
 		if err := ep.Validate(); err != nil {
 			t.Errorf("episode %s invalid before capture: %v", ep.Name, err)
+		}
+	}
+}
+
+// TestCorpusMatchesEpisodes pins that the episode definitions describe the
+// committed bundles: each episode's recipe equals the recipe decoded from
+// its file. An edit to corpus.go that was never re-captured fails here,
+// naming the episode, instead of at the next regeneration.
+func TestCorpusMatchesEpisodes(t *testing.T) {
+	for _, ep := range Episodes() {
+		b, err := Load(filepath.Join(corpusDir(), ep.Name+BundleExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ep.Recipe, b.Recipe) {
+			t.Errorf("%s: episode recipe\n  %+v\ndiffers from the committed bundle's\n  %+v", ep.Name, ep.Recipe, b.Recipe)
 		}
 	}
 }

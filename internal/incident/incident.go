@@ -6,9 +6,11 @@
 // execution's observable outcome (decisions, timing, message accounting,
 // and the full delivery sequence hash).
 //
-// A bundle is captured with Capture (wired into `aarun -record` and the
-// aafuzz failure-artifact path), which records the fates through a probe
-// wrapping the run's scheduler; it is persisted with Save/Load, and
+// A bundle embeds the harness.Recipe of its run, the one run description
+// that all four producers write: `aafuzz -artifacts`, `aaserve
+// -artifacts`, `aarun -record` and the corpus episodes (corpus.go). It is
+// captured with Capture, which records the fates through a probe wrapping
+// the run's scheduler; it is persisted with Save/Load, and
 // re-executed with Replay, which drives the run through a replay probe
 // that hands back the recorded fates and diffs every observable against
 // the recorded digest. The two probes are the repository's one
@@ -25,10 +27,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/harness"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -114,38 +114,16 @@ func runErrCode(err error) uint8 {
 	}
 }
 
-// Bundle is one replayable incident. The Scenario string is authoritative
-// for n, t, and the delivery schedule; Crashes/Byz, when non-empty, replace
-// the scenario's fault derivation (the fuzzer's random crash timings are
-// not expressible as registry fault kinds), in which case the scenario
-// string must carry no fault tokens.
+// Bundle is one replayable incident: a harness.Recipe, the run it names,
+// plus the recorded trace of that run and a digest of its outcome. The
+// recipe's scenario string is authoritative for n, t, and the delivery
+// schedule; its overrides, when non-empty, replace the scenario's party
+// faults.
 type Bundle struct {
 	// Name labels the incident (the testdata corpus uses episode names;
 	// the fuzzer uses "fuzz-trial-<i>").
 	Name string
-	// Scenario is the canonical scenario.Spec string with explicit n and t,
-	// e.g. "splitviews/n=16,t=7" or "skew+spam/n=15,t=2".
-	Scenario string
-	// Protocol is the protocol token (see core.Protocol.Token).
-	Protocol string
-	// Adaptive selects adaptive termination.
-	Adaptive bool
-	// Eps, Lo, Hi are the precision and promised input range.
-	Eps, Lo, Hi float64
-	// ExtraRounds adds round-budget slack.
-	ExtraRounds int
-	// Seed drives all run randomness.
-	Seed int64
-	// MaxEvents overrides the simulator event budget; 0 means default.
-	MaxEvents int
-	// Inputs holds one input per party.
-	Inputs []float64
-	// Crashes, when non-empty, is an explicit crash plan overriding the
-	// scenario's fault tokens.
-	Crashes []sim.CrashPlan
-	// Byz, when non-empty, is an explicit Byzantine assignment (by registry
-	// behavior name) overriding the scenario's fault tokens.
-	Byz []harness.ByzRef
+	harness.Recipe
 	// Delays is the recorded per-send delivery delay, clamped to
 	// [1, sim.MaxDelayCap], dense by send sequence. Zero entries mean
 	// "unrecorded".
@@ -162,9 +140,6 @@ type Bundle struct {
 	// ascending by sequence, each with the recorded extra delay of the
 	// second copy.
 	Dups []Dup
-	// Reliable records that the run wrapped honest parties in the
-	// ack/retransmit transport (harness.Spec.Reliable).
-	Reliable bool
 	// Checkpoints holds one content digest per crash-recovery snapshot the
 	// run's restart plans took, in firing order (harness.Report.Checkpoints).
 	// The restart plans themselves are re-derived from the scenario string's
@@ -204,16 +179,33 @@ const (
 	maxSends     = 1 << 26
 )
 
-// Validate checks semantic soundness: the scenario parses with explicit n
-// and t, the protocol parameters are runnable, fault overrides are in
-// range and resolvable, and the trace arrays are mutually consistent.
+// Validate checks semantic soundness: the recipe lowers (the scenario
+// parses with explicit n and t, the protocol parameters are runnable,
+// fault overrides are in range and resolvable), its inputs are n finite
+// values, and the trace arrays are mutually consistent. Every error wraps
+// frame.ErrMalformed.
 func (b *Bundle) Validate() error {
-	scen, p, err := b.resolveConfig()
+	_, err := b.checkedSpec()
+	return err
+}
+
+// checkedSpec validates the bundle and returns its lowered recipe.
+func (b *Bundle) checkedSpec() (harness.Spec, error) {
+	spec, err := b.Lower()
 	if err != nil {
-		return err
+		return harness.Spec{}, fmt.Errorf("%w: %v", frame.ErrMalformed, err)
 	}
-	if len(b.Inputs) != p.N {
-		return fmt.Errorf("%w: %d inputs for n=%d", frame.ErrMalformed, len(b.Inputs), p.N)
+	if err := b.checkTrace(spec.Params.N); err != nil {
+		return harness.Spec{}, err
+	}
+	return spec, nil
+}
+
+// checkTrace checks the inputs of an n-party run, the recorded decisions
+// and the trace arrays.
+func (b *Bundle) checkTrace(n int) error {
+	if len(b.Inputs) != n {
+		return fmt.Errorf("%w: %d inputs for n=%d", frame.ErrMalformed, len(b.Inputs), n)
 	}
 	// Runs take finite inputs and decide finite values; a NaN, which equals
 	// nothing, not even itself, would also make the bundle undiffable.
@@ -229,9 +221,6 @@ func (b *Bundle) Validate() error {
 		if math.IsNaN(dec.Value) || math.IsInf(dec.Value, 0) {
 			return fmt.Errorf("%w: party %d decided %v", frame.ErrMalformed, dec.Party, dec.Value)
 		}
-	}
-	if err := b.overrides().Check(scen, p.N, p.T); err != nil {
-		return fmt.Errorf("%w: %v", frame.ErrMalformed, err)
 	}
 	if len(b.SendSums) != len(b.Delays) {
 		return fmt.Errorf("%w: %d send sums for %d delays", frame.ErrMalformed, len(b.SendSums), len(b.Delays))
@@ -265,63 +254,7 @@ func (b *Bundle) Validate() error {
 			return fmt.Errorf("%w: zero checkpoint digest at index %d", frame.ErrMalformed, i)
 		}
 	}
-	if b.MaxEvents < 0 {
-		return fmt.Errorf("%w: negative event budget", frame.ErrMalformed)
-	}
 	return nil
-}
-
-// resolveConfig parses the scenario and assembles protocol parameters.
-func (b *Bundle) resolveConfig() (scenario.Spec, core.Params, error) {
-	scen, err := scenario.Parse(b.Scenario)
-	if err != nil {
-		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: scenario: %v", frame.ErrMalformed, err)
-	}
-	if scen.T == scenario.TUnset {
-		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: scenario %q must carry an explicit t", frame.ErrMalformed, b.Scenario)
-	}
-	proto, err := core.ParseProtocol(b.Protocol)
-	if err != nil {
-		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: %v", frame.ErrMalformed, err)
-	}
-	p := core.Params{
-		Protocol:    proto,
-		N:           scen.N,
-		T:           scen.T,
-		Eps:         b.Eps,
-		Lo:          b.Lo,
-		Hi:          b.Hi,
-		Adaptive:    b.Adaptive,
-		ExtraRounds: b.ExtraRounds,
-	}
-	if err := p.Validate(); err != nil {
-		return scenario.Spec{}, core.Params{}, fmt.Errorf("%w: params: %v", frame.ErrMalformed, err)
-	}
-	return scen, p, nil
-}
-
-// overrides returns the bundle's explicit fault assignments.
-func (b *Bundle) overrides() harness.Overrides {
-	return harness.Overrides{Crashes: b.Crashes, Byz: b.Byz}
-}
-
-// spec lowers the bundle to an executable harness.Spec. Explicit fault
-// overrides replace the scenario-derived assignments.
-func (b *Bundle) spec() (harness.Spec, error) {
-	if err := b.Validate(); err != nil {
-		return harness.Spec{}, err
-	}
-	scen, p, err := b.resolveConfig()
-	if err != nil {
-		return harness.Spec{}, err
-	}
-	spec, err := harness.Lower(p, b.Inputs, scen, b.Seed, b.overrides())
-	if err != nil {
-		return harness.Spec{}, fmt.Errorf("%w: lower: %v", frame.ErrMalformed, err)
-	}
-	spec.MaxEvents = b.MaxEvents
-	spec.Reliable = b.Reliable
-	return spec, nil
 }
 
 // digestOf summarizes a finished run plus the delivery trace the digester

@@ -17,17 +17,19 @@ import (
 // the adaptive DECIDED re-announce over the reliable transport.
 func recoveryBundle() *Bundle {
 	return &Bundle{
-		Name:      "recovery-capture-test",
-		Scenario:  "random+recover:2:50:30/n=9,t=2",
-		Protocol:  core.ProtoCrash.Token(),
-		Adaptive:  true,
-		Eps:       1e-3,
-		Lo:        0,
-		Hi:        1,
-		Seed:      7,
-		MaxEvents: 20_000_000,
-		Reliable:  true,
-		Inputs:    harness.LinearInputs(9, 0, 1),
+		Name: "recovery-capture-test",
+		Recipe: harness.Recipe{
+			Scenario:  "random+recover:2:50:30/n=9,t=2",
+			Protocol:  core.ProtoCrash.Token(),
+			Adaptive:  true,
+			Eps:       1e-3,
+			Lo:        0,
+			Hi:        1,
+			Seed:      7,
+			MaxEvents: 20_000_000,
+			Reliable:  true,
+			Inputs:    harness.LinearInputs(9, 0, 1),
+		},
 	}
 }
 

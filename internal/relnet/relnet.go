@@ -407,8 +407,13 @@ func (p *Proc) Decide(value float64) { p.api.Decide(value) }
 func (p *Proc) SetTimer(delay sim.Time, tag uint64) { p.api.SetTimer(delay, tag) }
 
 // Send implements sim.API: store the payload, frame it with the link's
-// next seq, record it for retransmission, and transmit the first copy.
+// next seq, record it for retransmission, and transmit the first copy. A
+// send to a party outside [0, N) is dropped, as the simulator and livenet
+// drop it.
 func (p *Proc) Send(to sim.PartyID, data []byte) {
+	if to < 0 || int(to) >= p.api.N() {
+		return
+	}
 	p.send(to, p.store(data, 1))
 }
 

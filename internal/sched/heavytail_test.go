@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/multiset"
 	"repro/internal/sim"
 )
 
@@ -66,7 +67,7 @@ func TestHeavyTailProtocolRun(t *testing.T) {
 	if len(res.Decisions) != 5 {
 		t.Fatalf("decisions %v", res.Decisions)
 	}
-	if s := res.HonestSpread(); s > 1e-4 {
+	if s := multiset.Spread(res.HonestDecisions()); s > 1e-4 {
 		t.Errorf("spread %v", s)
 	}
 }

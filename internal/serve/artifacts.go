@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/harness"
 	"repro/internal/incident"
 )
 
@@ -39,7 +38,6 @@ func WriteArtifacts(dir string, sum *Summary, cfg Config, w io.Writer) int {
 		return 0
 	}
 	cfg = cfg.withDefaults()
-	tok := cfg.params().Protocol.Token()
 	var made bool
 	written := 0
 	for _, ro := range sum.Outcomes {
@@ -57,7 +55,7 @@ func WriteArtifacts(dir string, sum *Summary, cfg Config, w io.Writer) int {
 			}
 			made = true
 		}
-		path, err := writeArtifact(dir, tok, cfg, ro)
+		path, err := writeArtifact(dir, cfg, ro)
 		if err != nil {
 			fmt.Fprintf(w, "serve: artifact for request %d: %v\n", ro.ID, err)
 			continue
@@ -69,24 +67,14 @@ func WriteArtifacts(dir string, sum *Summary, cfg Config, w io.Writer) int {
 	return written
 }
 
-// writeArtifact captures one failed request as a bundle and returns its
-// path. The bundle re-derives the instance's inputs from the recorded seed
-// — the same derivation the engine used at dispatch — so the simulated
-// repro is the exact instance the envelope saw (live-backend failures
-// replay as their deterministic simulated twin).
-func writeArtifact(dir, protoTok string, cfg Config, ro RequestOutcome) (string, error) {
+// writeArtifact captures one failed request's last attempt as a bundle
+// and returns its path. The recipe is Config.instance's, the one the
+// attempt ran, so the simulated repro is the exact instance the envelope
+// saw (live-backend failures replay as their deterministic simulated twin).
+func writeArtifact(dir string, cfg Config, ro RequestOutcome) (string, error) {
 	b := &incident.Bundle{
-		Name:      fmt.Sprintf("serve-req-%d-%s", ro.ID, ro.Outcome),
-		Scenario:  ro.Scenario,
-		Protocol:  protoTok,
-		Adaptive:  cfg.Adaptive,
-		Eps:       cfg.Eps,
-		Lo:        cfg.Lo,
-		Hi:        cfg.Hi,
-		Seed:      ro.Seed,
-		MaxEvents: cfg.MaxEvents,
-		Inputs:    harness.UniformInputs(cfg.N, cfg.Lo, cfg.Hi, ro.Seed),
-		Reliable:  cfg.Reliable,
+		Name:   fmt.Sprintf("serve-req-%d-%s", ro.ID, ro.Outcome),
+		Recipe: cfg.instance(ro.Scenario, ro.Seed),
 	}
 	if _, err := incident.Capture(b); err != nil {
 		return "", err

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -128,6 +127,19 @@ func composeScenario(cfg Config, kind workload.WindowKind, inWindow bool) string
 	return fmt.Sprintf("%s/n=%d,t=%d", base, cfg.N, cfg.T)
 }
 
+// instance derives the run one attempt executes from the config, the
+// attempt's composed scenario and its seed, which also draws the inputs.
+// simAttempt lowers it, liveAttempt runs its inputs on livenet, and
+// WriteArtifacts captures it, so a bundle replays the instance the
+// envelope saw.
+func (c Config) instance(scen string, seed int64) harness.Recipe {
+	return harness.Recipe{
+		Scenario: scen, Protocol: c.Protocol.Token(), Adaptive: c.Adaptive,
+		Eps: c.Eps, Lo: c.Lo, Hi: c.Hi, Seed: seed, MaxEvents: c.MaxEvents,
+		Inputs: harness.UniformInputs(c.N, c.Lo, c.Hi, seed), Reliable: c.Reliable,
+	}
+}
+
 // attemptSeed derives the instance seed for one attempt of one request.
 func attemptSeed(cfg Config, req workload.Request, attempt int) int64 {
 	return cfg.Seed ^ req.Seed ^ (int64(attempt)+1)*-0x61c8864680b583eb
@@ -215,7 +227,7 @@ type server struct {
 	cfg Config
 	// scens[i+1] is the composed scenario of requests arriving in
 	// disturbance window i, scens[0] that of every other request.
-	scens   []variant
+	scens   []string
 	env     *envelope
 	q       reqQueue
 	sum     Summary
@@ -224,12 +236,6 @@ type server struct {
 	free    int       // idle workers
 	running []verdict // reported attempts, each holding a worker until due
 	err     error
-}
-
-// variant is one composed instance scenario, by name and resolved.
-type variant struct {
-	name string
-	spec scenario.Spec
 }
 
 // verdict is one instance attempt's result; its worker stays busy until
@@ -254,16 +260,12 @@ type clock interface {
 	start(s *server, p *pending, now int64)
 }
 
-// newServer validates the configuration and resolves every scenario the
-// workload can demand, so a bad base scenario fails before the first
-// request.
+// newServer validates the configuration by lowering an instance of every
+// scenario the workload can demand, so a bad config or base scenario fails
+// before the first request.
 func newServer(w workload.Spec, cfg Config, opts Options) (*server, error) {
 	cfg = cfg.withDefaults()
 	opts = opts.withDefaults()
-	p := cfg.params()
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: config: %w", err)
-	}
 	s := &server{cfg: cfg, env: newEnvelope(opts, len(w.EffectiveCohorts())), free: opts.Workers}
 	for i := -1; i < len(w.Windows); i++ {
 		var kind workload.WindowKind
@@ -271,11 +273,10 @@ func newServer(w workload.Spec, cfg Config, opts Options) (*server, error) {
 			kind = w.Windows[i].Kind
 		}
 		name := composeScenario(cfg, kind, i >= 0)
-		spec, err := scenario.Parse(name)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
+		if _, err := cfg.instance(name, cfg.Seed).Lower(); err != nil {
+			return nil, fmt.Errorf("serve: config: %w", err)
 		}
-		s.scens = append(s.scens, variant{name, spec})
+		s.scens = append(s.scens, name)
 	}
 	return s, nil
 }
@@ -413,7 +414,7 @@ func (s *server) dispatch(c clock, now int64) {
 			continue
 		}
 		p.attempt++
-		p.scenario = s.scens[p.req.Window+1].name
+		p.scenario = s.scens[p.req.Window+1]
 		p.seed = attemptSeed(s.cfg, p.req, p.attempt)
 		s.free--
 		c.start(s, p, now)
@@ -447,14 +448,11 @@ func (s *server) finish(p *pending, o Outcome, now int64, partial, tripped bool)
 // due at now+Service whatever the run took.
 func (s *server) simAttempt(p *pending, now int64) verdict {
 	v := verdict{p: p, due: now + p.req.Service}
-	inputs := harness.UniformInputs(s.cfg.N, s.cfg.Lo, s.cfg.Hi, p.seed)
-	spec, err := harness.SpecFrom(s.cfg.params(), inputs, s.scens[p.req.Window+1].spec, p.seed)
+	spec, err := s.cfg.instance(p.scenario, p.seed).Lower()
 	if err != nil {
 		v.err = fmt.Errorf("serve: request %d: %w", p.req.ID, err)
 		return v
 	}
-	spec.MaxEvents = s.cfg.MaxEvents
-	spec.Reliable = s.cfg.Reliable
 	rep, err := harness.Run(spec)
 	if err != nil {
 		v.err = fmt.Errorf("serve: request %d: %w", p.req.ID, err)

@@ -138,7 +138,7 @@ func (c *wallClock) liveAttempt(s *server, p *pending) verdict {
 		v.due = c.ticks()
 		return v
 	}
-	inputs := harness.UniformInputs(s.cfg.N, s.cfg.Lo, s.cfg.Hi, p.seed)
+	inputs := s.cfg.instance(p.scenario, p.seed).Inputs
 	procs := make([]sim.Process, s.cfg.N)
 	for i := range procs {
 		var err error

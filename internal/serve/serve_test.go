@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -275,7 +276,18 @@ func TestWriteArtifacts(t *testing.T) {
 	if n > maxArtifacts {
 		t.Fatalf("artifact cap not enforced: %d", n)
 	}
-	// Every bundle must load, validate, and carry the outage scenario.
+	last := map[string]RequestOutcome{}
+	for _, ro := range sum.Outcomes {
+		last[fmt.Sprintf("serve-req-%d-%s", ro.ID, ro.Outcome)] = ro
+	}
+	s, err := newServer(w, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every bundle must load, validate, carry the outage scenario, and
+	// replay a run that fails the way the request's last attempt did: the
+	// attempt, re-run, sends as many messages and fails the same way, with
+	// decisions exactly when the outcome is marked partial.
 	for _, ent := range ents {
 		b, err := incident.Load(filepath.Join(dir, ent.Name()))
 		if err != nil {
@@ -289,6 +301,23 @@ func TestWriteArtifacts(t *testing.T) {
 		}
 		if len(b.Inputs) != 10 {
 			t.Fatalf("bundle %s has %d inputs", ent.Name(), len(b.Inputs))
+		}
+		ro, ok := last[b.Name]
+		if !ok {
+			t.Fatalf("bundle %s names no request outcome", b.Name)
+		}
+		rep, div, err := incident.Replay(b)
+		if err != nil || div != nil {
+			t.Fatalf("replay %s: div=%v err=%v", b.Name, div, err)
+		}
+		v := s.simAttempt(&pending{req: workload.Request{ID: ro.ID}, scenario: ro.Scenario, seed: ro.Seed}, 0)
+		if v.err != nil || v.partial != ro.Partial {
+			t.Fatalf("%s: re-run attempt %+v, request partial=%v", b.Name, v, ro.Partial)
+		}
+		partial := !rep.OK() && len(rep.Result.Decisions) > 0
+		if rep.OK() != v.ok || partial != v.partial || b.Digest.MessagesSent != v.msgs {
+			t.Errorf("%s: bundle run ok=%v partial=%v msgs=%d, last attempt ok=%v partial=%v msgs=%d (%s)",
+				b.Name, rep.OK(), partial, b.Digest.MessagesSent, v.ok, v.partial, v.msgs, rep.Failure())
 		}
 	}
 }

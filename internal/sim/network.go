@@ -71,35 +71,6 @@ func (r *Result) HonestDecisions() []float64 {
 	return out
 }
 
-// HonestSpread returns the diameter of the honest decisions (0 when fewer
-// than two parties decided). It is allocation-free: the harness calls it
-// once per run on the recycled hot path.
-func (r *Result) HonestSpread() float64 {
-	var lo, hi float64
-	count := 0
-	for _, p := range r.Honest {
-		v, ok := r.Decisions[p]
-		if !ok {
-			continue
-		}
-		if count == 0 {
-			lo, hi = v, v
-		} else {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		count++
-	}
-	if count < 2 {
-		return 0
-	}
-	return hi - lo
-}
-
 // Network is the discrete-event simulator. Create one with New, attach
 // processes with SetProcess for every honest party, then call Run.
 //
@@ -327,7 +298,12 @@ func (p *partyState) ID() PartyID      { return p.id }
 func (p *partyState) N() int           { return p.net.cfg.N }
 func (p *partyState) Rand() *rand.Rand { return p.rng }
 
+// Send drops a send to a party outside [0, N) before it is counted,
+// sequenced or charged to a crash budget, as livenet does.
 func (p *partyState) Send(to PartyID, data []byte) {
+	if to < 0 || int(to) >= p.net.cfg.N {
+		return
+	}
 	buf, ref := p.net.arena.snapshot(data)
 	p.net.send(p, to, buf, ref, true)
 }

@@ -238,6 +238,3 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
-
-// NumFaulty returns the number of parties with any fault assignment.
-func (c *Config) NumFaulty() int { return len(c.Crashes) + len(c.Byzantine) }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"repro/internal/multiset"
 )
 
 // constDelay is a trivial scheduler for tests.
@@ -82,9 +84,6 @@ func TestConfigValidate(t *testing.T) {
 		Byzantine: map[PartyID]Process{1: &echoProc{}}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
-	}
-	if got := good.NumFaulty(); got != 2 {
-		t.Errorf("NumFaulty = %d, want 2", got)
 	}
 }
 
@@ -410,12 +409,12 @@ func TestHonestSpreadAndDecisions(t *testing.T) {
 	if len(d) != 3 || d[0] != 1 || d[2] != 5 {
 		t.Errorf("HonestDecisions = %v", d)
 	}
-	if s := res.HonestSpread(); s != 4 {
-		t.Errorf("HonestSpread = %v, want 4", s)
+	if s := multiset.Spread(d); s != 4 {
+		t.Errorf("honest spread = %v, want 4", s)
 	}
 	empty := &Result{Decisions: map[PartyID]float64{}, Honest: []PartyID{0}}
-	if s := empty.HonestSpread(); s != 0 {
-		t.Errorf("empty spread = %v, want 0", s)
+	if d := empty.HonestDecisions(); len(d) != 0 || multiset.Spread(d) != 0 {
+		t.Errorf("empty honest decisions %v", d)
 	}
 }
 
