@@ -21,10 +21,12 @@ check:
 # race's -run alternatives must each match a test: one that matches nothing
 # passes silently. TestMakeRaceRunPatterns (makefile_test.go) checks this.
 # TestProductionMatchesReference runs a reference and a production engine
-# concurrently, sharing the run-context pool. internal/serve's wall-clock
-# loop runs each instance attempt in a goroutine of its own.
+# concurrently, sharing the run-context pool. TestRecipeLiveTokens runs
+# Recipe.Live's runs, Byzantine processes among them, on livenet
+# goroutines. internal/serve's wall-clock loop runs each instance attempt
+# in a goroutine of its own.
 race:
-	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestProductionMatchesReference' ./internal/harness/
+	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestProductionMatchesReference|TestRecipeLiveTokens' ./internal/harness/
 	$(GO) test -race ./internal/livenet/
 	$(GO) test -race ./internal/serve/
 
@@ -33,9 +35,15 @@ race:
 # interleaved with sends, multicasts and retransmit timers). A failing
 # input is saved under internal/relnet/testdata/fuzz/FuzzDeliver/, where
 # plain `go test` replays it from then on; commit it with the fix.
+#
+# FUZZTIME is each native target's budget. FUZZMINTIME caps how long the
+# fuzzer minimizes one new interesting input (go test's default is 60 s,
+# and a minimizing worker runs nothing else), so that a short run spends
+# its budget executing inputs. Every native fuzz-* target takes it.
 FUZZTIME ?= 30s
+FUZZMINTIME ?= 1s
 fuzz-relnet:
-	$(GO) test -run '^$$' -fuzz '^FuzzDeliver$$' -fuzztime $(FUZZTIME) ./internal/relnet/
+	$(GO) test -run '^$$' -fuzz '^FuzzDeliver$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/relnet/
 
 # fuzz-parse runs the native fuzz targets for the two spec parsers
 # (scenario.Parse and workload.Parse, both FuzzParse), FUZZTIME each: no
@@ -44,17 +52,16 @@ fuzz-relnet:
 # Validate, and Resolve when its t is explicit. Findings land under each
 # package's testdata/fuzz/FuzzParse/; commit them with the fix.
 fuzz-parse:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/scenario/
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/workload/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/workload/
 
 # fuzz-incident runs the native fuzz target for the incident bundle decoder
 # (FuzzDecode, seeded with the committed corpus): no panic, every error
 # wraps a frame sentinel, and every bundle that decodes round-trips through
-# Encode. The corpus bundles run to 100 KB, so minimizing a new input is
-# capped at 5 s to leave the budget for fuzzing. Findings land under
-# internal/incident/testdata/fuzz/FuzzDecode/; commit them with the fix.
+# Encode. Findings land under internal/incident/testdata/fuzz/FuzzDecode/;
+# commit them with the fix.
 fuzz-incident:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/incident/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/incident/
 
 # fuzz-wire runs the native fuzz target for the protocol message decoders
 # (FuzzUnmarshal, seeded with wire's table tests): Peek and every Unmarshal*
@@ -62,14 +69,14 @@ fuzz-incident:
 # decodes re-encodes to the bytes it came from. Findings land under
 # internal/wire/testdata/fuzz/FuzzUnmarshal/; commit them with the fix.
 fuzz-wire:
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/wire/
 
 # fuzz-rng runs the native fuzz target for the seeded random source
 # (FuzzSeed: an arbitrary seed and draw count): internal/rng's stream
 # equals math/rand's for that seed, draw for draw. Findings land under
 # internal/rng/testdata/fuzz/FuzzSeed/; commit them with the fix.
 fuzz-rng:
-	$(GO) test -run '^$$' -fuzz '^FuzzSeed$$' -fuzztime $(FUZZTIME) ./internal/rng/
+	$(GO) test -run '^$$' -fuzz '^FuzzSeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/rng/
 
 # fuzz-checkpoint runs the native fuzz target for snapshot restore
 # (FuzzRestore, seeded with core's snapshot round-trip states, the CRC
@@ -80,7 +87,7 @@ fuzz-rng:
 # Findings land under internal/core/testdata/fuzz/FuzzRestore/; commit
 # them with the fix.
 fuzz-checkpoint:
-	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/core/
 
 # fuzz-protocols runs the adversarial search of cmd/aafuzz at seed SEED
 # (the variable `make pairs` also uses): 5000 protocol-fuzzer trials and

@@ -16,15 +16,16 @@
 // simulator under a chosen adversary, or RunLive to run it on a real
 // goroutine-per-party runtime with per-party mailboxes.
 //
-// Both runtimes can degrade the network — per-send Bernoulli loss and
-// duplication, regional outages, and flapping parties (scenario axes
-// "loss:P"/"dup:P"/"outage:k:start:len"/"flap:len" under Simulate,
-// LiveOptions fields under RunLive) — and both can wrap every party in an
-// ack/retransmit reliable transport (WithReliable / LiveOptions.Reliable)
-// that heals the damage by retransmission. The Outcome's Dropped, Duped,
-// and Retransmits counters report what the network did; a live timeout
-// returns the partial Outcome alongside the error instead of discarding
-// the progress.
+// Both runtimes run the same kind of run description (a harness recipe)
+// and can degrade the network: Simulate takes loss, duplication, regional
+// outages and flapping parties as scenario axes
+// ("loss:P"/"dup:P"/"outage:k:start:len"/"flap:len"); RunLive takes the
+// same loss and duplication axes (LiveOptions.Loss/Dup) plus wall-clock
+// flap windows, and fails on, rather than ignores, any scenario token the
+// live runtime cannot run. Both can wrap every party in an ack/retransmit
+// transport (WithReliable / LiveOptions.Reliable) that heals the damage.
+// The Outcome's Dropped, Duped, and Retransmits counters report what the
+// network did; a live timeout returns the partial Outcome with the error.
 package aa
 
 import (

@@ -208,11 +208,7 @@ func TestFlagOptionsLowerToRegistry(t *testing.T) {
 		for _, byz := range scenario.ByzSuite() {
 			raw := fmt.Sprintf("%s+%s/n=10,t=3", sched, byz)
 			flags := []SimOption{WithScheduler(sched), WithByzantine(0, byz), WithByzantine(1, byz), WithByzantine(2, byz)}
-			s, err := newSettings(flags)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.lower(cfg, p, inputs)
+			got, err := lower(cfg, inputs, flags)
 			if err != nil {
 				t.Fatalf("%s: %v", raw, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -76,16 +75,12 @@ const (
 	ByzAmplifier  = "amplifier"
 )
 
-// simSettings records what the options name: a registry scheduler token
-// (or a whole scenario) plus explicit fault overrides. lower turns it into
-// the run.
+// simSettings is what the options name: the run's recipe, less its
+// scenario, plus a registry scheduler token or a whole scenario.
 type simSettings struct {
-	seed      int64
+	harness.Recipe
 	scheduler string
-	overrides harness.Overrides
-	maxEvents int
 	scenario  *scenario.Spec
-	reliable  bool
 }
 
 // SimOption customizes Simulate.
@@ -94,7 +89,7 @@ type SimOption func(*simSettings) error
 // WithSeed fixes the run's randomness (default 1).
 func WithSeed(seed int64) SimOption {
 	return func(s *simSettings) error {
-		s.seed = seed
+		s.Seed = seed
 		return nil
 	}
 }
@@ -118,7 +113,7 @@ func WithScheduler(name string) SimOption {
 // truncate one part-way).
 func WithCrash(party, afterSends int) SimOption {
 	return func(s *simSettings) error {
-		s.overrides.Crashes = append(s.overrides.Crashes, sim.CrashPlan{
+		s.Overrides.Crashes = append(s.Overrides.Crashes, sim.CrashPlan{
 			Party:      sim.PartyID(party),
 			AfterSends: afterSends,
 		})
@@ -131,17 +126,14 @@ func WithCrash(party, afterSends int) SimOption {
 // assignment to the same party replaces an earlier one.
 func WithByzantine(party int, behavior string) SimOption {
 	return func(s *simSettings) error {
-		if kind, ok := scenario.Fault(behavior); !ok || kind.Behavior == nil {
-			return fmt.Errorf("aa: unknown byzantine behavior %q", behavior)
-		}
 		ref := harness.ByzRef{Party: sim.PartyID(party), Name: behavior}
-		for i, z := range s.overrides.Byz {
+		for i, z := range s.Overrides.Byz {
 			if z.Party == ref.Party {
-				s.overrides.Byz[i] = ref
+				s.Overrides.Byz[i] = ref
 				return nil
 			}
 		}
-		s.overrides.Byz = append(s.overrides.Byz, ref)
+		s.Overrides.Byz = append(s.Overrides.Byz, ref)
 		return nil
 	}
 }
@@ -150,7 +142,7 @@ func WithByzantine(party int, behavior string) SimOption {
 // grows with the run's size and round count.
 func WithMaxEvents(n int) SimOption {
 	return func(s *simSettings) error {
-		s.maxEvents = n
+		s.MaxEvents = n
 		return nil
 	}
 }
@@ -162,7 +154,7 @@ func WithMaxEvents(n int) SimOption {
 // raw transport; without those axes it only adds framing overhead.
 func WithReliable() SimOption {
 	return func(s *simSettings) error {
-		s.reliable = true
+		s.Reliable = true
 		return nil
 	}
 }
@@ -170,8 +162,9 @@ func WithReliable() SimOption {
 // WithScenario configures the adversary from a declarative scenario spec
 // string — scheduler, crash plans, and Byzantine assignments in one value,
 // e.g. "skew+equivocate/n=64,t=9" (see internal/scenario for the registry
-// and grammar). The spec's n must match the config's N; a spec that omits
-// t inherits the protocol's fault bound. It replaces WithScheduler.
+// and grammar). The spec's n, and its t if it names one, must match the
+// config's N and T; a spec that omits t inherits T. It replaces
+// WithScheduler.
 // WithCrash and WithByzantine still apply on top as explicit overrides,
 // which the spec may combine only with network and restart axes.
 func WithScenario(raw string) SimOption {
@@ -185,35 +178,38 @@ func WithScenario(raw string) SimOption {
 	}
 }
 
-// newSettings applies the options over the defaults.
-func newSettings(opts []SimOption) (*simSettings, error) {
-	s := &simSettings{seed: 1, scheduler: SchedRandom}
-	for _, opt := range opts {
-		if err := opt(s); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+// recipe describes a run of c on inputs as a harness.Recipe, with no
+// scenario, seed or transport yet.
+func (c Config) recipe(inputs []float64) (harness.Recipe, error) {
+	proto, err := c.Model.protocol()
+	return harness.Recipe{
+		Protocol: proto.Token(), Adaptive: c.Adaptive, Eps: c.Epsilon, Lo: c.Lo, Hi: c.Hi,
+		ExtraRounds: c.ExtraRounds, Inputs: inputs,
+	}, err
 }
 
-// lower turns the options into an executable spec: the WithScenario spec,
-// or the WithScheduler token at (N, T), through harness.Lower with the
-// explicit overrides — the one lowering every run the CLIs build takes.
-func (s *simSettings) lower(c Config, p core.Params, inputs []float64) (harness.Spec, error) {
-	scen := scenario.Spec{Sched: s.scheduler, N: c.N, T: c.T}
-	if s.scenario != nil {
-		if s.scenario.N != c.N {
-			return harness.Spec{}, fmt.Errorf("aa: scenario is for n=%d but config has N=%d", s.scenario.N, c.N)
-		}
-		scen = *s.scenario
-	}
-	spec, err := harness.Lower(p, inputs, scen, s.seed, s.overrides)
+// lower applies the options over the defaults (seed 1, the random
+// scheduler) to c's recipe and lowers it at the WithScenario spec, or at
+// the WithScheduler token at (N, T).
+func lower(c Config, inputs []float64, opts []SimOption) (harness.Spec, error) {
+	r, err := c.recipe(inputs)
 	if err != nil {
 		return harness.Spec{}, err
 	}
-	spec.MaxEvents = s.maxEvents
-	spec.Reliable = s.reliable
-	return spec, nil
+	s := &simSettings{Recipe: r, scheduler: SchedRandom}
+	s.Seed = 1
+	for _, opt := range opts {
+		if err := opt(s); err != nil {
+			return harness.Spec{}, err
+		}
+	}
+	scen := scenario.Spec{Sched: s.scheduler, N: c.N, T: c.T}
+	if s.scenario != nil {
+		if scen = s.scenario.WithT(c.T); scen.N != c.N || scen.T != c.T {
+			return harness.Spec{}, fmt.Errorf("aa: scenario is for n=%d, t=%d but config has N=%d, T=%d", scen.N, scen.T, c.N, c.T)
+		}
+	}
+	return s.LowerAt(scen)
 }
 
 // Simulate runs one execution on the deterministic discrete-event simulator
@@ -227,15 +223,7 @@ func (s *simSettings) lower(c Config, p core.Params, inputs []float64) (harness.
 // fresh construction — the outcome is a pure function of the Config,
 // inputs, and options.
 func Simulate(c Config, inputs []float64, opts ...SimOption) (*Outcome, error) {
-	p, err := c.params()
-	if err != nil {
-		return nil, err
-	}
-	settings, err := newSettings(opts)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := settings.lower(c, p, inputs)
+	spec, err := lower(c, inputs, opts)
 	if err != nil {
 		return nil, err
 	}

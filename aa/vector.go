@@ -33,15 +33,7 @@ func (o *VectorOutcome) OK() bool { return o.Err == nil && o.Agreed && o.Valid }
 // must bound every coordinate of every honest input. inputs[i] is party
 // i's point; all points must have equal dimension.
 func SimulateVector(c Config, inputs [][]float64, opts ...SimOption) (*VectorOutcome, error) {
-	base, err := c.params()
-	if err != nil {
-		return nil, err
-	}
-	settings, err := newSettings(opts)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := settings.lower(c, base, nil)
+	spec, err := lower(c, nil, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@
 //	aarun -model crash -n 7 -t 3 -inputs 1,2,3,4,5,6,7 -eps 0.01
 //	aarun -model witness -n 10 -t 3 -sched splitviews -byz 0:equivocate,1:extreme
 //	aarun -model crash -n 5 -t 2 -live
+//	aarun -model witness -n 7 -t 2 -live -byz 0:extreme
 //
 // -scenario runs a declarative scenario spec (internal/scenario): one
 // string names the scheduler, the fault composition, and the run shape,
@@ -15,11 +16,13 @@
 //	aarun -model trim -scenario "skew+equivocate/n=64,t=9"
 //
 // The lossy-network axes compose the same way, and -reliable wraps every
-// party in the ack/retransmit transport that survives them (on the live
-// runtime, -loss/-dup inject wall-clock loss directly):
+// party in the ack/retransmit transport that survives them:
 //
 //	aarun -model crash -scenario "random+loss:0.05+dup:0.1/n=16,t=3" -reliable
-//	aarun -model crash -n 5 -t 2 -live -loss 0.1 -reliable
+//	aarun -model crash -live -scenario "random+loss:0.1/n=5,t=2" -reliable
+//
+// -live runs the same recipe on the goroutine runtime, and fails, naming
+// it, on any scheduler, fault or -crash plan that runtime cannot run.
 //
 // -record FILE captures the run as a replayable incident bundle: the
 // scenario, seed, every per-send delivery delay, and a digest of the
@@ -44,9 +47,9 @@ import (
 	"time"
 
 	"repro/aa"
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/incident"
+	"repro/internal/livenet"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -76,8 +79,6 @@ func run(args []string, w io.Writer) error {
 	reliable := fs.Bool("reliable", false, "wrap parties in the ack/retransmit transport (survives loss/outage/flap)")
 	live := fs.Bool("live", false, "run on the goroutine runtime instead of the simulator")
 	timeout := fs.Duration("timeout", 30*time.Second, "live-run timeout")
-	loss := fs.Float64("loss", 0, "live-run per-send drop probability in [0,1)")
-	dup := fs.Float64("dup", 0, "live-run per-send duplication probability in [0,1)")
 	record := fs.String("record", "", "capture the run into an incident bundle FILE (simulator only)")
 	replayFlag := fs.String("replay", "", "replay an incident bundle FILE and diff against its recorded digest (other flags ignored)")
 	if err := fs.Parse(args); err != nil {
@@ -101,39 +102,16 @@ func run(args []string, w io.Writer) error {
 		scen = scen.WithT(*t)
 		*t = scen.T
 	}
-	proto, err := core.ParseProtocol(*model)
-	if err != nil {
-		return err
-	}
 	inputs, err := parseInputs(*inputsFlag, *n, *lo, *hi)
 	if err != nil {
 		return err
 	}
 
-	if *live {
-		cfg := aa.Config{
-			Model: liveModels[proto], N: *n, T: *t, Epsilon: *eps, Lo: *lo, Hi: *hi, Adaptive: *adaptive,
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		out, err := aa.RunLive(ctx, cfg, inputs, aa.LiveOptions{
-			Seed:     *seed,
-			Loss:     *loss,
-			Dup:      *dup,
-			Reliable: *reliable,
-		})
-		if out != nil {
-			// A timeout still reports the partial progress before failing.
-			printOutcome(w, out, *eps)
-		}
-		return err
-	}
-
-	// One recipe for plain and recorded runs alike: the scenario with t
-	// made explicit, or a fault-free scenario named by -sched with
+	// One recipe for plain, recorded and live runs alike: the scenario
+	// with t made explicit, or a fault-free scenario named by -sched with
 	// -crash/-byz as explicit overrides.
 	r := harness.Recipe{
-		Protocol: proto.Token(), Adaptive: *adaptive, Eps: *eps, Lo: *lo, Hi: *hi,
+		Protocol: *model, Adaptive: *adaptive, Eps: *eps, Lo: *lo, Hi: *hi,
 		Seed: *seed, Inputs: inputs, Reliable: *reliable,
 	}
 	if *scenarioFlag == "" {
@@ -155,6 +133,9 @@ func run(args []string, w io.Writer) error {
 			Recipe: r,
 		})
 	}
+	if *live {
+		return runLive(w, r, *timeout)
+	}
 	spec, err := r.Lower()
 	if err != nil {
 		return err
@@ -168,13 +149,6 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("run failed: %s", rep.Failure())
 	}
 	return nil
-}
-
-// liveModels maps a protocol to the aa model that runs it live.
-var liveModels = map[core.Protocol]aa.Model{
-	core.ProtoCrash:   aa.ModelCrash,
-	core.ProtoByzTrim: aa.ModelByzantineTrim,
-	core.ProtoWitness: aa.ModelByzantineWitness,
 }
 
 func parseInputs(s string, n int, lo, hi float64) ([]float64, error) {
@@ -277,27 +251,51 @@ func doReplay(w io.Writer, path string) error {
 	return nil
 }
 
+// runLive runs the recipe on the goroutine runtime, which fails on any
+// token it cannot run.
+func runLive(w io.Writer, r harness.Recipe, timeout time.Duration) error {
+	procs, opts, byz, judged, err := r.Live()
+	if err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	res, err := livenet.Run(ctx, procs, opts)
+	if res == nil {
+		return err
+	}
+	// A timeout still reports the partial progress before failing.
+	out := outcome(harness.Judge(r.Inputs, byz, judged, res.Decisions, r.Eps), res.Decisions)
+	out.Messages, out.Dropped, out.Duped = int(res.Messages), int(res.Dropped), int(res.Duped)
+	out.Retransmits, out.Err = int(res.Transport.Retransmits), err
+	printOutcome(w, out, r.Eps)
+	if err == nil && !out.OK() {
+		return fmt.Errorf("run failed: valid %v, agreed %v (spread %.3g)", out.Valid, out.Agreed, out.Spread)
+	}
+	return err
+}
+
 // outcomeFromReport adapts a harness report for printOutcome: plain,
 // recorded and replayed runs all print through it.
 func outcomeFromReport(rep *harness.Report) *aa.Outcome {
-	out := &aa.Outcome{
-		Values:      make(map[int]float64, len(rep.Result.Decisions)),
-		Spread:      rep.FinalSpread,
-		Agreed:      rep.AgreementOK,
-		Valid:       rep.ValidityOK,
-		Rounds:      rep.Result.Rounds(),
-		Messages:    rep.Result.Stats.MessagesSent,
-		Bytes:       rep.Result.Stats.BytesSent,
-		Dropped:     int(rep.Result.Stats.MessagesDropped),
-		Duped:       int(rep.Result.Stats.MessagesDuped),
-		Retransmits: int(rep.Transport.Retransmits),
-		Err:         rep.RunErr,
-	}
+	out := outcome(rep.Verdict, rep.Result.Decisions)
+	out.Rounds = rep.Result.Rounds()
+	out.Messages, out.Bytes = rep.Result.Stats.MessagesSent, rep.Result.Stats.BytesSent
+	out.Dropped, out.Duped = int(rep.Result.Stats.MessagesDropped), int(rep.Result.Stats.MessagesDuped)
+	out.Retransmits, out.Err = int(rep.Transport.Retransmits), rep.RunErr
 	if out.Err == nil && len(rep.ProtoErrs) > 0 {
 		out.Err = rep.ProtoErrs[0]
 	}
-	for id, v := range rep.Result.Decisions {
-		out.Values[int(id)] = v
+	return out
+}
+
+// outcome carries a run's verdict and decisions into an aa.Outcome; the
+// caller fills in the counters.
+func outcome(v harness.Verdict, decisions map[sim.PartyID]float64) *aa.Outcome {
+	out := &aa.Outcome{Values: make(map[int]float64, len(decisions)),
+		Spread: v.FinalSpread, Agreed: v.AgreementOK, Valid: v.ValidityOK}
+	for id, y := range decisions {
+		out.Values[int(id)] = y
 	}
 	return out
 }

@@ -215,3 +215,43 @@ func TestRecordMatchesPlainRun(t *testing.T) {
 		}
 	}
 }
+
+// TestRunLiveRunsTheRecipe: -live runs the recipe the simulator would run,
+// and fails on what the goroutine runtime cannot run instead of dropping
+// it. A crash plan under a splitviews scheduler is refused, naming the
+// scheduler; a Byzantine party runs and is left out of the verdict; the
+// scenario's loss axis drops messages.
+func TestRunLiveRunsTheRecipe(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-model", "crash", "-n", "5", "-t", "2", "-live", "-crash", "0:0,1:0", "-sched", "splitviews"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "splitviews") && !strings.Contains(err.Error(), "crash") {
+		t.Errorf("-live -crash -sched splitviews: %v, want an error naming splitviews or crash; printed:\n%s", err, out.String())
+	}
+	if err := run([]string{"-model", "crash", "-n", "5", "-t", "2", "-live", "-crash", "0:0"}, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "crash") {
+		t.Errorf("-live -crash: %v, want an error naming crash", err)
+	}
+
+	out.Reset()
+	if err := run([]string{"-model", "witness", "-n", "7", "-t", "2", "-live", "-byz", "0:extreme"}, &out); err != nil {
+		t.Fatalf("-live -byz 0:extreme: %v; printed:\n%s", err, out.String())
+	}
+	// Party 0 never decides, so judging it would fail validity.
+	if strings.Contains(out.String(), "party  0 ->") || !strings.Contains(out.String(), "valid     true") {
+		t.Errorf("-live -byz 0:extreme: the Byzantine party was judged:\n%s", out.String())
+	}
+
+	out.Reset()
+	if err := run([]string{"-model", "crash", "-live", "-scenario", "random+loss:0.2/n=5,t=2", "-reliable"}, &out); err != nil {
+		t.Fatalf("-live lossy scenario: %v; printed:\n%s", err, out.String())
+	}
+	var dropped, duped int
+	for _, line := range strings.Split(out.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "lossy %d dropped, %d duplicated", &dropped, &duped); err == nil {
+			break
+		}
+	}
+	if dropped == 0 {
+		t.Errorf("-live random+loss:0.2 dropped nothing:\n%s", out.String())
+	}
+}

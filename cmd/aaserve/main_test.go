@@ -79,3 +79,34 @@ func TestRunRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestRunLossIsAScenarioAxis: loss is the scenario's "loss:P" axis in
+// every mode. The -loss and -dup flags, which only the live mode read, are
+// gone, and -mode sim applies -scenario's loss: at 50% raw loss the
+// instances send fewer messages than on a lossless network.
+func TestRunLossIsAScenarioAxis(t *testing.T) {
+	for _, flag := range []string{"-loss", "-dup"} {
+		if _, err := runCaptured(t, "-mode", "sim", flag, "0.5"); err == nil {
+			t.Errorf("%s accepted", flag)
+		}
+	}
+	msgs := map[string]float64{}
+	for _, scen := range []string{"random", "random+loss:0.5"} {
+		out, err := runCaptured(t, "-mode", "sim", "-n", "5", "-t", "1", "-requests", "8", "-scenario", scen, "-csv")
+		if err != nil {
+			t.Fatalf("-scenario %s: %v", scen, err)
+		}
+		rows, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+		if err != nil || len(rows) != 2 {
+			t.Fatalf("-scenario %s: summary is not a header and one row (%v):\n%s", scen, err, out)
+		}
+		for i, name := range rows[0] {
+			if name == "msgs/inst" {
+				msgs[scen], _ = strconv.ParseFloat(rows[1][i], 64)
+			}
+		}
+	}
+	if msgs["random"] == 0 || msgs["random+loss:0.5"] >= msgs["random"] {
+		t.Errorf("msgs/inst %v under 50%% loss, %v without", msgs["random+loss:0.5"], msgs["random"])
+	}
+}

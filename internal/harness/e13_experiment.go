@@ -50,48 +50,42 @@ func E13Resilience(e *Engine) (*trace.Table, error) {
 		scenario.MustParse("random+outage:4:50:100/n=16,t=3"),
 	)
 
-	type row struct {
-		scen     scenario.Spec
-		reliable bool
-	}
-	rows := make([]row, 0, 2*len(scens))
-	specs := make([]Spec, 0, 2*len(scens))
-	for _, scen := range scens {
-		p := core.Params{Protocol: core.ProtoCrash, N: n, T: t, Eps: 1e-3, Lo: 0, Hi: 100}
-		for _, reliable := range []bool{false, true} {
-			spec, err := SpecFrom(p, BimodalInputs(n, 0, 100), scen, 17)
-			if err != nil {
-				return nil, err
-			}
-			spec.Reliable = reliable
-			rows = append(rows, row{scen: scen, reliable: reliable})
-			specs = append(specs, spec)
-		}
-	}
-
-	reps, err := e.RunAllLabeled(specs, func(i int) string {
-		tr := "raw"
-		if rows[i].reliable {
-			tr = "rel"
-		}
-		return fmt.Sprintf("E13 %s %s", rows[i].scen, tr)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range rows {
-		rep := reps[i]
-		transport := "raw"
-		if r.reliable {
-			transport = "reliable"
-		}
-		tbl.AddRow(r.scen.String(), transport,
+	p := core.Params{Protocol: core.ProtoCrash, N: n, T: t, Eps: 1e-3, Lo: 0, Hi: 100}
+	err := runTransportPairs(e, "E13", p, scens, func(scen scenario.Spec, transport string, rep *Report) {
+		tbl.AddRow(scen.String(), transport,
 			trace.I(len(rep.Result.Decisions)), trace.B(rep.OK()), e13Verdict(rep),
 			trace.I(rep.Result.Stats.MessagesDropped), trace.I(rep.Result.Stats.MessagesDuped),
 			trace.I(int(rep.Transport.Retransmits)), trace.I(int(rep.Transport.GiveUps)),
 			trace.I(rep.Result.Stats.MessagesSent))
+	})
+	return tbl, err
+}
+
+// runTransportPairs runs every scenario twice on p over bimodal inputs on
+// [0, 100] at seed 17, on the raw and then on the reliable transport, and
+// hands each report to row in that order with its transport's name.
+func runTransportPairs(e *Engine, id string, p core.Params, scens []scenario.Spec, row func(scenario.Spec, string, *Report)) error {
+	specs := make([]Spec, 0, 2*len(scens))
+	for _, scen := range scens {
+		for _, reliable := range []bool{false, true} {
+			spec, err := SpecFrom(p, BimodalInputs(p.N, 0, 100), scen, 17)
+			if err != nil {
+				return err
+			}
+			spec.Reliable = reliable
+			specs = append(specs, spec)
+		}
 	}
-	return tbl, nil
+	reps, err := e.RunAllLabeled(specs, func(i int) string {
+		return fmt.Sprintf("%s %s %s", id, scens[i/2], [2]string{"raw", "rel"}[i%2])
+	})
+	if err != nil {
+		return err
+	}
+	for i, rep := range reps {
+		row(scens[i/2], [2]string{"raw", "reliable"}[i%2], rep)
+	}
+	return nil
 }
 
 // e13Verdict compresses a report's outcome into one table token. A

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -51,47 +49,13 @@ func E14Recovery(e *Engine) (*trace.Table, error) {
 		}
 	}
 
-	type row struct {
-		scen     scenario.Spec
-		reliable bool
-	}
-	rows := make([]row, 0, 2*len(scens))
-	specs := make([]Spec, 0, 2*len(scens))
-	for _, scen := range scens {
-		p := core.Params{Protocol: core.ProtoCrash, N: n, T: t, Eps: 1e-3, Lo: 0, Hi: 100,
-			Adaptive: true}
-		for _, reliable := range []bool{false, true} {
-			spec, err := SpecFrom(p, BimodalInputs(n, 0, 100), scen, 17)
-			if err != nil {
-				return nil, err
-			}
-			spec.Reliable = reliable
-			rows = append(rows, row{scen: scen, reliable: reliable})
-			specs = append(specs, spec)
-		}
-	}
-
-	reps, err := e.RunAllLabeled(specs, func(i int) string {
-		tr := "raw"
-		if rows[i].reliable {
-			tr = "rel"
-		}
-		return fmt.Sprintf("E14 %s %s", rows[i].scen, tr)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range rows {
-		rep := reps[i]
-		transport := "raw"
-		if r.reliable {
-			transport = "reliable"
-		}
-		tbl.AddRow(r.scen.String(), transport,
+	p := core.Params{Protocol: core.ProtoCrash, N: n, T: t, Eps: 1e-3, Lo: 0, Hi: 100, Adaptive: true}
+	err := runTransportPairs(e, "E14", p, scens, func(scen scenario.Spec, transport string, rep *Report) {
+		tbl.AddRow(scen.String(), transport,
 			trace.I(len(rep.Result.Decisions)), trace.B(rep.OK()), e13Verdict(rep),
 			trace.I(len(rep.Checkpoints)),
 			trace.I(int(rep.Transport.Retransmits)), trace.I(int(rep.Transport.GiveUps)),
 			trace.I(rep.Result.Stats.MessagesSent))
-	}
-	return tbl, nil
+	})
+	return tbl, err
 }

@@ -6,8 +6,8 @@
 // There is one run verdict, Judge: validity (every judged output inside
 // the hull of the non-Byzantine inputs) and ε-agreement, with one float
 // slack. Simulated runs (Report.check), vector runs (RunVector, once per
-// coordinate) and live runs (aa.RunLive and the serving tier's live
-// backend, through JudgeLive) all go through it.
+// coordinate) and live runs (through the Jury that Recipe.Live returns)
+// all go through it.
 //
 // Adversary wiring is declarative: drivers enumerate scenario.Spec values
 // (internal/scenario) and lower them to executable Specs with SpecFrom;
@@ -15,7 +15,9 @@
 // schedule, and Byzantine behavior the drivers used to hand-roll. A single
 // run named in that vocabulary is a Recipe: aafuzz's violations, aaserve's
 // failure artifacts, aarun's runs and recordings and the incident corpus
-// all write one, and Recipe.Lower is the one way from a recipe to a Spec.
+// all write one, and aa builds one. Recipe.Lower (LowerAt, for a parsed
+// scenario) turns a recipe into a simulator Spec, and Recipe.Live into a
+// goroutine-runtime run, naming any token that runtime cannot run.
 //
 // Experiments run on an Engine (pool.go), which every driver takes as its
 // first argument: drivers enumerate their independent simulation runs as
@@ -170,21 +172,20 @@ type Overrides struct {
 	Byz     []ByzRef
 }
 
-// Check validates overrides against the scenario they ride on, for an
-// n-party run with fault bound t: parties in range and assigned at most
-// once, crash budgets non-negative, at most t faults, Byzantine names that
-// the registry knows as behaviors, and no party-fault tokens in scen.
-// Network and restart axes compose freely with overrides (a party overlap
-// with a restart plan is caught by sim.Config at run time).
-func (o Overrides) Check(scen scenario.Spec, n, t int) error {
-	if len(o.Crashes) == 0 && len(o.Byz) == 0 {
-		return nil
-	}
+// apply replaces the crash plans and Byzantine assignments that lowering
+// scen gave spec with the overrides, once they pass their checks: no
+// party-fault tokens in scen, at most t faults, parties in range and
+// assigned at most once, crash budgets non-negative, and Byzantine names
+// the registry knows as behaviors. Network and restart axes compose freely
+// with overrides (a party overlap with a restart plan is caught by
+// sim.Config at run time).
+func (o Overrides) apply(spec *Spec, scen scenario.Spec) error {
 	for _, f := range scen.Faults {
 		if !scenario.SlotFree(f) {
 			return fmt.Errorf("harness: scenario %q carries party-fault tokens alongside explicit fault overrides", scen)
 		}
 	}
+	n, t := spec.Params.N, spec.Params.T
 	if len(o.Crashes)+len(o.Byz) > t {
 		return fmt.Errorf("harness: %d explicit faults exceed t=%d", len(o.Crashes)+len(o.Byz), t)
 	}
@@ -207,44 +208,28 @@ func (o Overrides) Check(scen scenario.Spec, n, t int) error {
 			return fmt.Errorf("harness: crash party %d has negative send budget", c.Party)
 		}
 	}
+	spec.Crashes, spec.Byz = append([]sim.CrashPlan(nil), o.Crashes...), nil
 	for _, z := range o.Byz {
 		if err := claim("byzantine", z.Party); err != nil {
 			return err
 		}
-		if kind, ok := scenario.Fault(z.Name); !ok || kind.Behavior == nil {
+		kind, ok := scenario.Fault(z.Name)
+		if !ok || kind.Behavior == nil {
 			return fmt.Errorf("harness: unknown byzantine behavior %q", z.Name)
 		}
+		if spec.Byz == nil {
+			spec.Byz = make(map[sim.PartyID]fault.Behavior, len(o.Byz))
+		}
+		spec.Byz[z.Party] = kind.Behavior
 	}
 	return nil
 }
 
-// Lower is SpecFrom followed by the overrides: when o is non-empty it
-// replaces the scenario's crash plans and Byzantine assignments. Every
-// adversary aa and Recipe.Lower build goes through here.
-func Lower(p core.Params, inputs []float64, scen scenario.Spec, seed int64, o Overrides) (Spec, error) {
-	if err := o.Check(scen, p.N, p.T); err != nil {
-		return Spec{}, err
-	}
-	spec, err := SpecFrom(p, inputs, scen, seed)
-	if err != nil || (len(o.Crashes) == 0 && len(o.Byz) == 0) {
-		return spec, err
-	}
-	spec.Crashes = append([]sim.CrashPlan(nil), o.Crashes...)
-	spec.Byz = nil
-	if len(o.Byz) > 0 {
-		spec.Byz = make(map[sim.PartyID]fault.Behavior, len(o.Byz))
-		for _, z := range o.Byz {
-			kind, _ := scenario.Fault(z.Name)
-			spec.Byz[z.Party] = kind.Behavior
-		}
-	}
-	return spec, nil
-}
-
 // Recipe names one run in the scenario registry's vocabulary. It is what
 // every failing-run producer writes (aafuzz, aaserve -artifacts, aarun
-// -record and the incident corpus, whose bundles embed it) and what aarun
-// runs; Lower is the one way from a recipe to an executable Spec.
+// -record and the incident corpus, whose bundles embed it) and what aa,
+// aarun and serve run: Lower turns it into a simulator Spec, Live into a
+// goroutine-runtime run.
 type Recipe struct {
 	// Scenario is the canonical scenario.Spec string with explicit n and
 	// t, e.g. "splitviews/n=16,t=7" or "skew+spam/n=15,t=2".
@@ -272,16 +257,22 @@ type Recipe struct {
 }
 
 // Lower turns the recipe into an executable Spec: it parses the scenario
-// (which must carry an explicit t) and the protocol token, validates the
-// parameters and the overrides, and lowers through Lower with the recipe's
-// budget and transport.
+// and lowers it with LowerAt.
 func (r Recipe) Lower() (Spec, error) {
 	scen, err := scenario.Parse(r.Scenario)
 	if err != nil {
 		return Spec{}, err
 	}
+	return r.LowerAt(scen)
+}
+
+// LowerAt lowers the recipe at scen, which its caller has already parsed
+// (aa.Simulate parses its WithScenario spec once), in place of
+// r.Scenario. scen must carry an explicit t. Non-empty overrides replace
+// the scenario's crash plans and Byzantine assignments.
+func (r Recipe) LowerAt(scen scenario.Spec) (Spec, error) {
 	if scen.T == scenario.TUnset {
-		return Spec{}, fmt.Errorf("harness: scenario %q must carry an explicit t", r.Scenario)
+		return Spec{}, fmt.Errorf("harness: scenario %q must carry an explicit t", scen)
 	}
 	proto, err := core.ParseProtocol(r.Protocol)
 	if err != nil {
@@ -298,12 +289,17 @@ func (r Recipe) Lower() (Spec, error) {
 	if r.MaxEvents < 0 {
 		return Spec{}, fmt.Errorf("harness: negative event budget %d", r.MaxEvents)
 	}
-	spec, err := Lower(p, r.Inputs, scen, r.Seed, r.Overrides)
+	spec, err := SpecFrom(p, r.Inputs, scen, r.Seed)
 	if err != nil {
 		return Spec{}, err
 	}
 	spec.MaxEvents = r.MaxEvents
 	spec.Reliable = r.Reliable
+	if o := r.Overrides; len(o.Crashes)+len(o.Byz) > 0 {
+		if err := o.apply(&spec, scen); err != nil {
+			return Spec{}, err
+		}
+	}
 	return spec, nil
 }
 
@@ -360,15 +356,6 @@ func Judge(inputs []float64, byz map[sim.PartyID]fault.Behavior, judged []sim.Pa
 	}
 	v.AgreementOK = v.FinalSpread <= eps+tol
 	return v
-}
-
-// JudgeLive judges a live run, in which every party is fault-free.
-func JudgeLive(inputs []float64, outputs map[sim.PartyID]float64, eps float64) Verdict {
-	judged := make([]sim.PartyID, len(inputs))
-	for i := range judged {
-		judged[i] = sim.PartyID(i)
-	}
-	return Judge(inputs, nil, judged, outputs, eps)
 }
 
 // behaviorEnv derives what Byzantine behaviors are told about the run.

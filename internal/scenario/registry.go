@@ -91,6 +91,9 @@ func CheckScheduler(token string) error {
 // SchedulerNames returns every registered scheduler key, sorted.
 func SchedulerNames() []string { return sortedKeys(schedulers) }
 
+// FaultNames returns every registered fault key, sorted.
+func FaultNames() []string { return sortedKeys(faults) }
+
 // sortedKeys returns a table's keys in sorted order.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))

@@ -103,13 +103,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) params() core.Params {
-	return core.Params{
-		Protocol: c.Protocol, N: c.N, T: c.T,
-		Eps: c.Eps, Lo: c.Lo, Hi: c.Hi, Adaptive: c.Adaptive,
-	}
-}
-
 // composeScenario splices a disturbance-window axis into the base scenario
 // and pins explicit n and t (the form incident bundles require).
 func composeScenario(cfg Config, kind workload.WindowKind, inWindow bool) string {
@@ -129,7 +122,7 @@ func composeScenario(cfg Config, kind workload.WindowKind, inWindow bool) string
 
 // instance derives the run one attempt executes from the config, the
 // attempt's composed scenario and its seed, which also draws the inputs.
-// simAttempt lowers it, liveAttempt runs its inputs on livenet, and
+// simAttempt lowers it, liveAttempt runs it through Recipe.Live, and
 // WriteArtifacts captures it, so a bundle replays the instance the
 // envelope saw.
 func (c Config) instance(scen string, seed int64) harness.Recipe {

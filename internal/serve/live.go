@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/livenet"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -37,13 +35,12 @@ type LiveConfig struct {
 	// Requests bounds the run: the first Requests of the stream are served
 	// (GenerateN), regardless of horizon.
 	Requests int
-	// Live-backend injection, mirroring livenet.Options.
+	// Live-backend wall-clock options, layered on what each instance's
+	// recipe fixes (Config.Scenario's loss and dup, Config.Reliable).
 	MaxJitter   time.Duration
 	ProtoTick   time.Duration
-	Loss, Dup   float64
 	FlapParties int
 	Restarts    int
-	Reliable    bool
 }
 
 // ServeLive drives the workload through the envelope in wall-clock time,
@@ -52,11 +49,20 @@ type LiveConfig struct {
 // sleeps between passes on one reusable timer set to the next arrival,
 // backoff gate or due attempt. Each attempt runs in a goroutine of its own
 // and reports back on a channel. The returned Summary satisfies the same
-// accounting identity as Simulate's.
+// accounting identity as Simulate's. On BackendLive every composed
+// scenario must be one the live runtime runs (Recipe.Live), or ServeLive
+// fails before the first request.
 func ServeLive(w workload.Spec, cfg Config, opts Options, lc LiveConfig) (*Summary, error) {
 	s, err := newServer(w, cfg, opts)
 	if err != nil {
 		return nil, err
+	}
+	if lc.Backend == BackendLive {
+		for _, name := range s.scens {
+			if _, _, _, _, err := s.cfg.instance(name, s.cfg.Seed).Live(); err != nil {
+				return nil, fmt.Errorf("serve: config: %w", err)
+			}
+		}
 	}
 	if lc.TickDur <= 0 {
 		lc.TickDur = time.Millisecond
@@ -138,27 +144,17 @@ func (c *wallClock) liveAttempt(s *server, p *pending) verdict {
 		v.due = c.ticks()
 		return v
 	}
-	inputs := s.cfg.instance(p.scenario, p.seed).Inputs
-	procs := make([]sim.Process, s.cfg.N)
-	for i := range procs {
-		var err error
-		if procs[i], err = core.NewProcess(s.cfg.params(), inputs[i]); err != nil {
-			v.err = fmt.Errorf("serve: request %d: %w", p.req.ID, err)
-			return v
-		}
+	r := s.cfg.instance(p.scenario, p.seed)
+	procs, opts, byz, judged, err := r.Live()
+	if err != nil {
+		v.err = fmt.Errorf("serve: request %d: %w", p.req.ID, err)
+		return v
 	}
+	opts.MaxJitter, opts.Tick = c.lc.MaxJitter, c.lc.ProtoTick
+	opts.FlapParties, opts.RestartParties = c.lc.FlapParties, c.lc.Restarts
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
-	res, err := livenet.Run(ctx, procs, livenet.Options{
-		MaxJitter:      c.lc.MaxJitter,
-		Tick:           c.lc.ProtoTick,
-		Seed:           p.seed,
-		Loss:           c.lc.Loss,
-		Dup:            c.lc.Dup,
-		FlapParties:    c.lc.FlapParties,
-		RestartParties: c.lc.Restarts,
-		Reliable:       c.lc.Reliable,
-	})
+	res, err := livenet.Run(ctx, procs, opts)
 	v.due = c.ticks()
 	v.ran = true
 	if res != nil {
@@ -167,7 +163,7 @@ func (c *wallClock) liveAttempt(s *server, p *pending) verdict {
 	if err != nil {
 		v.partial = res != nil && len(res.Decisions) > 0
 	} else {
-		j := harness.JudgeLive(inputs, res.Decisions, s.cfg.Eps)
+		j := harness.Judge(r.Inputs, byz, judged, res.Decisions, r.Eps)
 		v.ok = j.ValidityOK && j.AgreementOK
 	}
 	return v

@@ -430,14 +430,24 @@ func TestLiveAttemptPastDeadlineNotCounted(t *testing.T) {
 }
 
 // TestLiveVerdictUsesDrawnInputs: the live backend judges an attempt's
-// outputs against the hull of the inputs it drew, not against the
+// outputs against the hull of the inputs its recipe drew, not against the
 // promised range [Lo, Hi]. Outputs that agree and lie inside [Lo, Hi] but
 // above every drawn input are not decided (a range check accepts them); a
 // real attempt on the same seed still is.
 func TestLiveVerdictUsesDrawnInputs(t *testing.T) {
 	cfg := testConfig()
 	const seed = 11
-	inputs := harness.UniformInputs(cfg.N, cfg.Lo, cfg.Hi, seed) // liveAttempt's draw
+	w := workload.MustParse("poisson:30+lognormal:3:0.3+cohort:web:1:300:1")
+	s, err := newServer(w, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := s.cfg.instance(s.scens[0], seed) // liveAttempt's recipe
+	_, _, byz, judged, err := r.Live()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := r.Inputs
 	above := (slices.Max(inputs) + cfg.Hi) / 2
 	if above <= slices.Max(inputs)+1 || above >= cfg.Hi {
 		t.Fatalf("seed %d leaves no room above the drawn inputs %v", seed, inputs)
@@ -446,27 +456,68 @@ func TestLiveVerdictUsesDrawnInputs(t *testing.T) {
 	for i := range inputs {
 		decisions[sim.PartyID(i)] = above
 	}
-	if v := harness.JudgeLive(inputs, decisions, cfg.Eps); v.ValidityOK || !v.AgreementOK {
+	if v := harness.Judge(inputs, byz, judged, decisions, cfg.Eps); v.ValidityOK || !v.AgreementOK {
 		t.Errorf("outputs at %v outside the drawn hull [%v, %v]: valid=%v agreed=%v",
 			above, v.HullLo, v.HullHi, v.ValidityOK, v.AgreementOK)
 	}
 
-	w := workload.MustParse("poisson:30+lognormal:3:0.3+cohort:web:1:300:1")
-	s, err := newServer(w, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := &wallClock{lc: LiveConfig{Backend: BackendLive, TickDur: time.Millisecond, MaxJitter: -1},
 		begin: time.Now()}
-	p := &pending{req: workload.Request{Deadline: 10_000, Service: 20}, attempt: 1, seed: seed}
+	p := &pending{req: workload.Request{Deadline: 10_000, Service: 20}, attempt: 1, seed: seed, scenario: s.scens[0]}
 	if v := c.liveAttempt(s, p); !v.ran || !v.ok || v.err != nil {
 		t.Fatalf("real live attempt not decided: %+v", v)
 	}
 }
 
+// TestServeLiveRejectsWhatLiveCannotRun: on the live backend, a workload
+// whose flapstorm window splices a flap axis into the instance scenario
+// fails before the first request, naming the axis; the simulated backend
+// runs the same workload.
+func TestServeLiveRejectsWhatLiveCannotRun(t *testing.T) {
+	w := workload.MustParse("poisson:30+lognormal:3:0.3+cohort:web:1:300:1+flapstorm:0:100")
+	lc := LiveConfig{Backend: BackendLive, TickDur: 200 * time.Microsecond, Requests: 4}
+	_, err := ServeLive(w, testConfig(), Options{Workers: 2, QueueDepth: 8}, lc)
+	if err == nil || !strings.Contains(err.Error(), "serve: config:") || !strings.Contains(err.Error(), `"flap`) {
+		t.Fatalf("flapstorm window on the live backend: %v, want a config error naming flap", err)
+	}
+	lc.Backend = BackendSim
+	if _, err := ServeLive(w, testConfig(), Options{Workers: 2, QueueDepth: 8}, lc); err != nil {
+		t.Fatalf("flapstorm window on the simulated backend: %v", err)
+	}
+}
+
+// TestServeLiveSimBackendLoss: the base scenario's loss axis reaches the
+// simulated backend's instances. At 50% raw loss no instance decides, and
+// the instances send far fewer messages than on a lossless network.
+func TestServeLiveSimBackendLoss(t *testing.T) {
+	w := workload.MustParse("poisson:30+lognormal:3:0.3+cohort:web:1:300:1")
+	msgs := map[string]float64{}
+	for _, scen := range []string{"random", "random+loss:0.5"} {
+		cfg := testConfig()
+		cfg.Scenario = scen
+		sum, err := ServeLive(w, cfg, Options{Workers: 4, QueueDepth: 16}, LiveConfig{
+			Backend: BackendSim, TickDur: 200 * time.Microsecond, Requests: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Instances == 0 {
+			t.Fatalf("%s: no instance ran: %+v", scen, sum.Counters)
+		}
+		msgs[scen] = sum.MsgsPerInstance()
+		if scen != "random" && sum.Decided != 0 {
+			t.Errorf("%s: %d requests decided on a raw network losing half its sends", scen, sum.Decided)
+		}
+	}
+	if msgs["random+loss:0.5"] >= msgs["random"]/2 {
+		t.Errorf("msgs/instance %v under 50%% loss, %v without: the loss axis is not applied", msgs["random+loss:0.5"], msgs["random"])
+	}
+}
+
 // TestServeSoak is the env-gated -race soak arm (`make serve-soak`):
-// heavy-tail arrivals at 2x saturation on the live backend with 10% loss
-// and one flapping party over the reliable transport. It asserts the
+// heavy-tail arrivals at 2x saturation on the live backend with the
+// scenario's 10% loss axis and one flapping party over the reliable
+// transport. It asserts the
 // goodput floor and that every request is accounted — zero unshed drops.
 func TestServeSoak(t *testing.T) {
 	if os.Getenv("SERVE_SOAK") == "" {
@@ -475,14 +526,14 @@ func TestServeSoak(t *testing.T) {
 	w := workload.MustParse("burst:20:8:900+pareto:40:1.5+cohort:web:0.8:600:1+cohort:batch:0.2:1500:0")
 	// 2x the pool's saturation rate for this service model.
 	w = w.Scale(2 * w.SaturationRate(4) / w.Arrival.Rate)
-	cfg := Config{Protocol: core.ProtoCrash, N: 5, T: 1, Eps: 1e-3, Lo: 0, Hi: 100, Seed: 11}
+	cfg := Config{Protocol: core.ProtoCrash, N: 5, T: 1, Eps: 1e-3, Lo: 0, Hi: 100, Seed: 11,
+		Scenario: "random+loss:0.1", Reliable: true}
 	sum, err := ServeLive(w, cfg, Options{
 		Workers: 4, QueueDepth: 16, RetryBudget: 2, RetryBase: 16,
 		BreakerThreshold: 5, BreakerCooldown: 400,
 	}, LiveConfig{
 		Backend: BackendLive, TickDur: time.Millisecond, Requests: 32,
-		Loss: 0.10, FlapParties: 1, Reliable: true,
-		MaxJitter: 500 * time.Microsecond,
+		FlapParties: 1, MaxJitter: 500 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
