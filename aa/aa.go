@@ -18,12 +18,13 @@
 //
 // Both runtimes run the same kind of run description (a harness recipe)
 // and can degrade the network: Simulate takes loss, duplication, regional
-// outages and flapping parties as scenario axes
-// ("loss:P"/"dup:P"/"outage:k:start:len"/"flap:len"); RunLive takes the
-// same loss and duplication axes (LiveOptions.Loss/Dup) plus wall-clock
-// flap windows, and fails on, rather than ignores, any scenario token the
-// live runtime cannot run. Both can wrap every party in an ack/retransmit
-// transport (WithReliable / LiveOptions.Reliable) that heals the damage.
+// outages, flapping parties and crash-recovery restarts as scenario axes
+// ("loss:P"/"dup:P"/"outage:k:start:len"/"flap:len"/"recover:k:down:lag");
+// RunLive takes the same axes in the same spec (LiveOptions.Scenario), its
+// tick windows 1ms long, and fails on, rather than ignores, any scenario
+// token the live runtime cannot run. Both can wrap every honest party in
+// an ack/retransmit transport (WithReliable / LiveOptions.Reliable) that
+// heals the damage.
 // The Outcome's Dropped, Duped, and Retransmits counters report what the
 // network did; a live timeout returns the partial Outcome with the error.
 package aa

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -305,6 +306,30 @@ func TestSimulateReliableSurvivesLoss(t *testing.T) {
 	}
 }
 
+// TestRunLiveScenario: LiveOptions.Scenario runs at the config's shape, so
+// a spec that names its own is an error, as is a token the live runtime
+// cannot run; an outage window on the last party, open from the start,
+// drops sends, and the reliable transport heals it.
+func TestRunLiveScenario(t *testing.T) {
+	cfg := Config{Model: ModelCrash, N: 5, T: 2, Epsilon: 1e-3, Lo: 0, Hi: 1}
+	inputs := []float64{0, 0.25, 0.5, 0.75, 1}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for scen, want := range map[string]string{"random/n=7,t=2": "parameter", "random+crash": `"crash"`} {
+		if _, err := RunLive(ctx, cfg, inputs, LiveOptions{Scenario: scen}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Scenario %q: %v, want an error naming %s", scen, err, want)
+		}
+	}
+	out, err := RunLive(ctx, cfg, inputs, LiveOptions{MaxJitter: 500 * time.Microsecond, Seed: 4,
+		Scenario: "random+outage:1:0:20", Reliable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.OK() || out.Dropped == 0 {
+		t.Errorf("outage run: ok %v, %d dropped", out.OK(), out.Dropped)
+	}
+}
+
 func TestRunLivePartialOutcomeOnTimeout(t *testing.T) {
 	cfg := Config{Model: ModelCrash, N: 5, T: 2, Epsilon: 1e-3, Lo: 0, Hi: 1}
 	inputs := []float64{0, 0.25, 0.5, 0.75, 1}
@@ -312,7 +337,7 @@ func TestRunLivePartialOutcomeOnTimeout(t *testing.T) {
 	defer cancel()
 	// 60% raw loss cannot converge: the timeout must surface the partial
 	// outcome (drop counters, any decisions) alongside the error.
-	out, err := RunLive(ctx, cfg, inputs, LiveOptions{Seed: 9, Loss: 0.6})
+	out, err := RunLive(ctx, cfg, inputs, LiveOptions{Seed: 9, Scenario: "random+loss:0.6"})
 	if err == nil {
 		t.Fatal("expected a timeout error under 60% raw loss")
 	}

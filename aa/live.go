@@ -1,9 +1,9 @@
 package aa
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/harness"
@@ -18,19 +18,14 @@ type LiveOptions struct {
 	MaxJitter time.Duration
 	// Seed drives the jitter randomness.
 	Seed int64
-	// Loss and Dup are the run's "loss:P" and "dup:P" axes: per-send drop
-	// and duplication probabilities in (0, 1), or 0 for none.
-	Loss, Dup float64
-	// FlapParties takes the first FlapParties parties dark for one window
-	// apiece — sends to and from a dark party are dropped — after which
-	// they resume with their state intact. FlapAfter/FlapStagger/FlapLen
-	// shape the windows (defaults 50ms/50ms/100ms).
-	FlapParties int
-	FlapAfter   time.Duration
-	FlapStagger time.Duration
-	FlapLen     time.Duration
-	// Reliable wraps every party in the ack/retransmit transport
-	// (internal/relnet), which heals Loss and FlapParties drops by
+	// Scenario is the run's adversary: the tokens of a WithScenario spec
+	// without its "/params", which are the config's (N, T). It names the
+	// "random" scheduler (the default) and any of the loss, dup, flap,
+	// outage, recover and amnesia axes and the Byzantine tokens, e.g.
+	// "random+loss:0.1+flap". Its windows are in protocol ticks of 1ms.
+	Scenario string
+	// Reliable wraps every honest party in the ack/retransmit transport
+	// (internal/relnet), which heals lost and darkened sends by
 	// retransmission; the raw transport degrades instead.
 	Reliable bool
 }
@@ -40,8 +35,9 @@ type LiveOptions struct {
 // outcome. The context bounds the run; a generous timeout should be used
 // since the runtime is only as fast as its timers.
 //
-// The run is the recipe of the "random" scenario at (N, T), with opts'
-// loss and dup axes, seed and transport; the wall-clock fields go on top.
+// The run is the recipe of opts' scenario at (N, T), seed and transport,
+// lowered as Simulate lowers it; the wall-clock jitter goes on top, and a
+// scenario token the live runtime cannot run is an error naming it.
 //
 // On timeout the returned error wraps the runtime's deadline failure but
 // the Outcome still carries the partial progress — who decided, what was
@@ -52,27 +48,19 @@ func RunLive(ctx context.Context, c Config, inputs []float64, opts LiveOptions) 
 	if err != nil {
 		return nil, err
 	}
-	scen := SchedRandom
-	if opts.Loss > 0 {
-		scen += "+loss:" + strconv.FormatFloat(opts.Loss, 'g', -1, 64)
-	}
-	if opts.Dup > 0 {
-		scen += "+dup:" + strconv.FormatFloat(opts.Dup, 'g', -1, 64)
-	}
-	r.Scenario, r.Seed, r.Reliable = fmt.Sprintf("%s/n=%d,t=%d", scen, c.N, c.T), opts.Seed, opts.Reliable
+	r.Scenario = fmt.Sprintf("%s/n=%d,t=%d", cmp.Or(opts.Scenario, SchedRandom), c.N, c.T)
+	r.Seed, r.Reliable = opts.Seed, opts.Reliable
 	procs, lo, byz, judged, err := r.Live()
 	if err != nil {
 		return nil, err
 	}
 	lo.MaxJitter = opts.MaxJitter
-	lo.FlapParties, lo.FlapAfter, lo.FlapStagger, lo.FlapLen = opts.FlapParties, opts.FlapAfter, opts.FlapStagger, opts.FlapLen
 	res, err := livenet.Run(ctx, procs, lo)
 	if res == nil {
 		return nil, err
 	}
 	out := outcome(harness.Judge(r.Inputs, byz, judged, res.Decisions, r.Eps), res.Decisions)
 	out.Messages, out.Dropped, out.Duped = int(res.Messages), int(res.Dropped), int(res.Duped)
-	out.Retransmits = int(res.Transport.Retransmits)
-	out.Err = err
+	out.Retransmits, out.Err = int(res.Transport.Retransmits), err
 	return out, err
 }

@@ -15,14 +15,18 @@
 //	aarun -model crash -scenario "splitviews+crash/n=64,t=31"
 //	aarun -model trim -scenario "skew+equivocate/n=64,t=9"
 //
-// The lossy-network axes compose the same way, and -reliable wraps every
-// party in the ack/retransmit transport that survives them:
+// The lossy-network and crash-recovery axes compose the same way, and
+// -reliable wraps every honest party in the ack/retransmit transport that
+// survives them:
 //
 //	aarun -model crash -scenario "random+loss:0.05+dup:0.1/n=16,t=3" -reliable
 //	aarun -model crash -live -scenario "random+loss:0.1/n=5,t=2" -reliable
+//	aarun -model crash -adaptive -live -scenario "random+recover:2:10:0/n=9,t=2" -reliable
 //
-// -live runs the same recipe on the goroutine runtime, and fails, naming
-// it, on any scheduler, fault or -crash plan that runtime cannot run.
+// -live runs the same recipe on the goroutine runtime, one protocol tick
+// per millisecond, and prints the parties that completed a restart; it
+// fails, naming it, on any scheduler, crash token or -crash plan that
+// runtime cannot run.
 //
 // -record FILE captures the run as a replayable incident bundle: the
 // scenario, seed, every per-send delivery delay, and a digest of the
@@ -76,7 +80,7 @@ func run(args []string, w io.Writer) error {
 	crashFlag := fs.String("crash", "", "crash plans id:afterSends,id:afterSends,...")
 	byzFlag := fs.String("byz", "", "byzantine assignments id:behavior,... ("+strings.Join(scenario.ByzSuite(), "|")+")")
 	adaptive := fs.Bool("adaptive", false, "adaptive termination (estimate spread at runtime)")
-	reliable := fs.Bool("reliable", false, "wrap parties in the ack/retransmit transport (survives loss/outage/flap)")
+	reliable := fs.Bool("reliable", false, "wrap honest parties in the ack/retransmit transport (survives loss/outage/flap/recover)")
 	live := fs.Bool("live", false, "run on the goroutine runtime instead of the simulator")
 	timeout := fs.Duration("timeout", 30*time.Second, "live-run timeout")
 	record := fs.String("record", "", "capture the run into an incident bundle FILE (simulator only)")
@@ -184,9 +188,11 @@ func parseCrashes(s string) ([]sim.CrashPlan, error) {
 	}
 	var out []sim.CrashPlan
 	for _, part := range strings.Split(s, ",") {
-		var id, after int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d:%d", &id, &after); err != nil {
-			return nil, fmt.Errorf("crash plan %q (want id:afterSends): %w", part, err)
+		idStr, afterStr, ok := strings.Cut(strings.TrimSpace(part), ":")
+		id, err1 := strconv.Atoi(idStr)
+		after, err2 := strconv.Atoi(afterStr)
+		if !ok || err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("crash plan %q (want id:afterSends)", part)
 		}
 		out = append(out, sim.CrashPlan{Party: sim.PartyID(id), AfterSends: after})
 	}
@@ -269,6 +275,9 @@ func runLive(w io.Writer, r harness.Recipe, timeout time.Duration) error {
 	out.Messages, out.Dropped, out.Duped = int(res.Messages), int(res.Dropped), int(res.Duped)
 	out.Retransmits, out.Err = int(res.Transport.Retransmits), err
 	printOutcome(w, out, r.Eps)
+	if len(res.Restarted) > 0 {
+		fmt.Fprintf(w, "restarted %v\n", res.Restarted)
+	}
 	if err == nil && !out.OK() {
 		return fmt.Errorf("run failed: valid %v, agreed %v (spread %.3g)", out.Valid, out.Agreed, out.Spread)
 	}

@@ -49,8 +49,10 @@ func TestParseCrashes(t *testing.T) {
 	if err != nil || len(opts) != 2 {
 		t.Fatalf("opts %v err %v", opts, err)
 	}
-	if _, err := parseCrashes("nope"); err == nil {
-		t.Error("malformed crash accepted")
+	for _, bad := range []string{"nope", "0:3x", "0:3,1:5zzz", "0x:3", "0:", ":3", "0:3:4"} {
+		if _, err := parseCrashes(bad); err == nil || !strings.Contains(err.Error(), "want id:afterSends") {
+			t.Errorf("malformed crash plans %q: %v", bad, err)
+		}
 	}
 	none, err := parseCrashes("")
 	if err != nil || none != nil {
@@ -232,13 +234,26 @@ func TestRunLiveRunsTheRecipe(t *testing.T) {
 		t.Errorf("-live -crash: %v, want an error naming crash", err)
 	}
 
-	out.Reset()
-	if err := run([]string{"-model", "witness", "-n", "7", "-t", "2", "-live", "-byz", "0:extreme"}, &out); err != nil {
-		t.Fatalf("-live -byz 0:extreme: %v; printed:\n%s", err, out.String())
+	// -reliable wraps only the honest parties, so it runs beside -byz.
+	for _, extra := range [][]string{nil, {"-reliable"}} {
+		out.Reset()
+		args := append([]string{"-model", "witness", "-n", "7", "-t", "2", "-live", "-byz", "0:extreme"}, extra...)
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v; printed:\n%s", args, err, out.String())
+		}
+		// Party 0 never decides, so judging it would fail validity.
+		if strings.Contains(out.String(), "party  0 ->") || !strings.Contains(out.String(), "valid     true") {
+			t.Errorf("%v: the Byzantine party was judged:\n%s", args, out.String())
+		}
 	}
-	// Party 0 never decides, so judging it would fail validity.
-	if strings.Contains(out.String(), "party  0 ->") || !strings.Contains(out.String(), "valid     true") {
-		t.Errorf("-live -byz 0:extreme: the Byzantine party was judged:\n%s", out.String())
+
+	// A recover axis kills and rejoins its parties, which the run prints.
+	out.Reset()
+	if err := run([]string{"-model", "crash", "-adaptive", "-live", "-scenario", "random+recover:2:10:0/n=9,t=2", "-reliable"}, &out); err != nil {
+		t.Fatalf("-live recover scenario: %v; printed:\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "restarted [0 1]") {
+		t.Errorf("-live random+recover:2:10:0 printed no restarted parties:\n%s", out.String())
 	}
 
 	out.Reset()

@@ -8,7 +8,7 @@
 //
 //	aaserve -workload "poisson:40+lognormal:4:0.5" -horizon 4000
 //	aaserve -workload "burst:20:16:500+cohort:web:0.7:300:1+cohort:batch:0.3:1200:0" -mult 4 -saturate
-//	aaserve -mode live -requests 32 -scenario "random+loss:0.1" -flap 1 -reliable
+//	aaserve -mode live -requests 32 -scenario "random+loss:0.1+flap" -reliable
 //	aaserve -scenario "random+loss:0.05+dup:0.02" -reliable -artifacts ./failures
 //
 // Modes: "virtual" (default) runs the deterministic virtual-time engine —
@@ -18,8 +18,8 @@
 // request's drawn service time has passed, with no sleep. "live" runs real
 // goroutine parties over internal/livenet until they decide, propagating
 // each request's deadline into the run context. All modes run the same
-// instance recipe, so -scenario's loss and dup apply in each; -flap and
-// -restart add live faults, and live mode fails up front, naming it, on a
+// instance recipe, so -scenario's axes (loss, dup, flap, outage, recover,
+// amnesia) apply in each, and live mode fails up front, naming it, on a
 // scenario token the goroutine runtime cannot run.
 //
 // -saturate rescales the workload's base rate to the worker pool's
@@ -80,8 +80,6 @@ func run(args []string) error {
 	cooldown := fs.Int64("cooldown", 500, "breaker cooldown in ticks before half-open")
 	tick := fs.Duration("tick", time.Millisecond, "sim/live-mode wall duration of one workload tick")
 	jitter := fs.Duration("jitter", 2*time.Millisecond, "live-mode delivery jitter")
-	flap := fs.Int("flap", 0, "live-mode flapping parties")
-	restart := fs.Int("restart", 0, "live-mode crash-recovery parties")
 	artifacts := fs.String("artifacts", "", "directory for failure incident bundles (see aafuzz -artifacts)")
 	csv := fs.Bool("csv", false, "emit the outcome table as CSV")
 	if err := fs.Parse(args); err != nil {
@@ -124,7 +122,7 @@ func run(args []string) error {
 		}
 		sum, err = serve.ServeLive(w, cfg, opts, serve.LiveConfig{
 			Backend: backend, TickDur: *tick, Requests: *requests,
-			MaxJitter: *jitter, FlapParties: *flap, Restarts: *restart,
+			MaxJitter: *jitter,
 		})
 	default:
 		return fmt.Errorf("unknown mode %q (virtual | sim | live)", *mode)

@@ -81,13 +81,14 @@ func TestRunRejects(t *testing.T) {
 }
 
 // TestRunLossIsAScenarioAxis: loss is the scenario's "loss:P" axis in
-// every mode. The -loss and -dup flags, which only the live mode read, are
-// gone, and -mode sim applies -scenario's loss: at 50% raw loss the
+// every mode, as flap and recover are its "flap" and "recover" axes. The
+// -loss, -dup, -flap and -restart flags, which only the live mode read,
+// are gone, and -mode sim applies -scenario's loss: at 50% raw loss the
 // instances send fewer messages than on a lossless network.
 func TestRunLossIsAScenarioAxis(t *testing.T) {
-	for _, flag := range []string{"-loss", "-dup"} {
-		if _, err := runCaptured(t, "-mode", "sim", flag, "0.5"); err == nil {
-			t.Errorf("%s accepted", flag)
+	for _, flag := range []string{"-loss", "-dup", "-flap", "-restart"} {
+		if _, err := runCaptured(t, "-mode", "sim", flag, "1"); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Errorf("%s: %v, want an unknown-flag error", flag, err)
 		}
 	}
 	msgs := map[string]float64{}

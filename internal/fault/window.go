@@ -20,7 +20,9 @@ import (
 // scheduler's delay). Both endpoints of the window are decided from
 // virtual time and the spec's parameters only — no rng draws — so the
 // wrappers are transparent to the scheduler rng stream and deterministic
-// under capture/replay by construction.
+// under capture/replay by construction. Each wrapper exports its darkness
+// predicate as Dark, which the live runtime (internal/livenet) applies
+// with the same rule on its own clock.
 
 // window is one [Start, Start+Len) blackout interval.
 type window struct {
@@ -44,13 +46,15 @@ type Outage struct {
 
 var _ sim.Scheduler = (*Outage)(nil)
 
-func (o *Outage) in(p sim.PartyID) bool { return p >= o.First && p <= o.Last }
+// Dark reports whether party p is inside the blackout at time at.
+func (o *Outage) Dark(p sim.PartyID, at sim.Time) bool {
+	return p >= o.First && p <= o.Last && window{start: o.Start, length: o.Len}.dark(at)
+}
 
 // Fate implements sim.Scheduler.
 func (o *Outage) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
 	f := sim.FateOf(o.Inner, env, rng)
-	w := window{start: o.Start, length: o.Len}
-	if (o.in(env.From) && w.dark(env.Sent)) || (o.in(env.To) && w.dark(env.Sent+f.Delay)) {
+	if o.Dark(env.From, env.Sent) || o.Dark(env.To, env.Sent+f.Delay) {
 		f.Drop = true
 	}
 	return f
@@ -76,13 +80,14 @@ var _ sim.Scheduler = (*Flap)(nil)
 // Fate implements sim.Scheduler.
 func (f *Flap) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
 	fa := sim.FateOf(f.Inner, env, rng)
-	if f.darkAt(env.From, env.Sent) || f.darkAt(env.To, env.Sent+fa.Delay) {
+	if f.Dark(env.From, env.Sent) || f.Dark(env.To, env.Sent+fa.Delay) {
 		fa.Drop = true
 	}
 	return fa
 }
 
-func (f *Flap) darkAt(p sim.PartyID, at sim.Time) bool {
+// Dark reports whether party p is inside its flap window at time at.
+func (f *Flap) Dark(p sim.PartyID, at sim.Time) bool {
 	if p < 0 || int(p) >= f.Slots {
 		return false
 	}

@@ -2,26 +2,36 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/livenet"
+	"repro/internal/relnet"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
+// darkness is a network-fault axis that darkens parties for windows of
+// ticks (fault.Flap, fault.Outage).
+type darkness interface {
+	Dark(sim.PartyID, sim.Time) bool
+}
+
 // Live turns the recipe into a run of the goroutine runtime (livenet): the
-// parties' processes, the options the recipe fixes (Seed, Loss, Dup,
-// Reliable, and WaitFor the honest count), and the Byzantine and judged
-// parties that Judge takes. Callers layer the wall-clock options on top.
-// The "random" scheduler runs as livenet's jitter, "loss:P" and "dup:P" as
-// its Loss and Dup, and Byzantine tokens and Overrides.Byz as their
-// behaviors, outside the hull and the judged set. Any other token is an
-// error naming it (other schedulers, crash plans, outage, flap, recover,
-// amnesia), as is Reliable beside a Byzantine party, because livenet wraps
-// every party. MaxEvents does not apply.
+// parties' processes, the options the recipe fixes (Seed, Loss, Dup, Dark,
+// Restarts, and WaitFor the honest count), and the Byzantine and judged
+// parties that Judge takes. Callers layer the wall-clock options on top;
+// livenet's Tick turns the recipe's ticks into wall time. The "random"
+// scheduler runs as livenet's jitter, "loss:P" and "dup:P" as its Loss and
+// Dup, "flap" and "outage" as its Dark predicate, "recover" and "amnesia"
+// as its Restarts, and Byzantine tokens and Overrides.Byz as their
+// behaviors, outside the hull and the judged set. Reliable wraps the
+// honest parties in relnet, as the simulator does. Any other token is an
+// error naming it (other schedulers and crash plans). MaxEvents does not
+// apply.
 func (r Recipe) Live() (procs []sim.Process, opts livenet.Options, byz map[sim.PartyID]fault.Behavior, judged []sim.PartyID, err error) {
 	scen, err := scenario.Parse(r.Scenario)
 	if err != nil {
@@ -30,11 +40,12 @@ func (r Recipe) Live() (procs []sim.Process, opts livenet.Options, byz map[sim.P
 	if scen.Sched != "random" {
 		return nil, opts, nil, nil, fmt.Errorf("harness: the live runtime cannot run scheduler %q; it runs random as its jitter", scen.Sched)
 	}
+	var dark []darkness
 	for _, tok := range scen.Faults {
 		name, arg, _ := strings.Cut(tok, ":")
 		kind, _ := scenario.Fault(name)
-		if kind.Behavior != nil {
-			continue
+		if kind.Behavior != nil || kind.Restart != nil {
+			continue // the spec's Byzantine parties and restart plans
 		}
 		var axis sim.Scheduler
 		if kind.Net != nil {
@@ -46,6 +57,8 @@ func (r Recipe) Live() (procs []sim.Process, opts livenet.Options, byz map[sim.P
 			opts.Loss = 1 - (1-opts.Loss)*(1-a.P)
 		case *sched.Dup:
 			opts.Dup = 1 - (1-opts.Dup)*(1-a.P)
+		case darkness: // flap, outage
+			dark = append(dark, a)
 		default:
 			return nil, opts, nil, nil, fmt.Errorf("harness: the live runtime cannot run fault %q", tok)
 		}
@@ -55,8 +68,6 @@ func (r Recipe) Live() (procs []sim.Process, opts livenet.Options, byz map[sim.P
 	case err != nil:
 	case len(spec.Crashes) > 0: // the tokens are checked above
 		err = fmt.Errorf("harness: the live runtime cannot run crash plans (Overrides.Crashes)")
-	case r.Reliable && len(spec.Byz) > 0:
-		err = fmt.Errorf("harness: the live runtime cannot run Reliable beside a Byzantine party")
 	case len(r.Inputs) != spec.Params.N:
 		err = fmt.Errorf("harness: %d inputs for %d parties", len(r.Inputs), spec.Params.N)
 	}
@@ -76,8 +87,16 @@ func (r Recipe) Live() (procs []sim.Process, opts livenet.Options, byz map[sim.P
 		if procs[i], err = core.NewProcess(spec.Params, r.Inputs[i]); err != nil {
 			return nil, opts, nil, nil, fmt.Errorf("harness: party %d: %w", i, err)
 		}
+		if r.Reliable {
+			procs[i] = relnet.Wrap(procs[i])
+		}
 		judged = append(judged, sim.PartyID(i))
 	}
-	opts.Seed, opts.Reliable, opts.WaitFor = r.Seed, r.Reliable, len(judged)
+	if len(dark) > 0 {
+		opts.Dark = func(p sim.PartyID, at sim.Time) bool {
+			return slices.ContainsFunc(dark, func(d darkness) bool { return d.Dark(p, at) })
+		}
+	}
+	opts.Seed, opts.Restarts, opts.WaitFor = r.Seed, spec.Restarts, len(judged)
 	return procs, opts, spec.Byz, judged, nil
 }

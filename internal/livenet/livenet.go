@@ -15,13 +15,15 @@
 //
 // The network degrades gracefully rather than wedging: senders never block
 // (a push always lands; a full inbox sheds its oldest data item, counted
-// per party, even while its owner is wedged or down), the
-// loss/dup/flap options inject wall-clock network faults for soak testing,
-// and Reliable routes every send through the ack/retransmit transport
-// (internal/relnet) — the same sublayer the simulator's lossy scenario
-// axes exercise deterministically. When the context expires the partial
-// Result (who decided, who degraded, every transport counter) is returned
-// alongside ErrTimeout instead of being discarded.
+// per party, even while its owner is wedged or down). The fault options are
+// the scenario's own values in protocol ticks, Tick long each: loss and
+// dup probabilities, the darkness predicate of its flap and outage windows,
+// and its restart plans (harness.Recipe.Live lowers a scenario onto them).
+// Processes wrapped in the ack/retransmit transport (internal/relnet) heal
+// the damage and report their counters in Result.Transport. When the
+// context expires the partial Result (who decided, who degraded, every
+// transport counter) is returned alongside ErrTimeout instead of being
+// discarded.
 package livenet
 
 import (
@@ -64,46 +66,20 @@ type Options struct {
 	// copy of the message after additional jitter (counted in
 	// Result.Duped).
 	Dup float64
-	// FlapParties makes parties 0..FlapParties-1 go dark (all their
-	// inbound and outbound traffic dropped) for one staggered wall-clock
-	// window each, then resume with their in-memory state intact — the
-	// live analogue of the simulator's "flap" scenario axis.
-	FlapParties int
-	// FlapAfter is when the first flap window opens (default 50ms).
-	FlapAfter time.Duration
-	// FlapStagger separates consecutive parties' windows (default 50ms).
-	FlapStagger time.Duration
-	// FlapLen is each window's length (default 100ms).
-	FlapLen time.Duration
-	// Reliable wraps every process in the ack/retransmit transport
-	// (internal/relnet), so lost and duplicated frames are retransmitted
-	// and deduplicated exactly as in the simulator's reliable runs.
-	Reliable bool
-	// RestartParties makes parties 0..RestartParties-1 crash and recover
-	// once each under restart supervision: the supervisor checkpoints the
-	// party's state on its owning goroutine, kills it at a staggered
-	// wall-clock instant (its decision is withdrawn, its queued inbox
-	// discarded, all state newer than the checkpoint lost), holds it down
-	// for RestartDown, then restores the checkpoint and rejoins it via the
-	// protocol's catch-up re-announce — the live analogue of the
-	// simulator's "recover" scenario axis. Restart-supervised processes
-	// must support checkpointing (the built-in protocols do).
-	RestartParties int
-	// RestartAfter is when the first kill fires (default 75ms).
-	RestartAfter time.Duration
-	// RestartStagger separates consecutive parties' kills (default 25ms).
-	RestartStagger time.Duration
-	// RestartDown is how long a killed party stays dark before it rejoins
-	// (default 50ms). While down its inbox sheds as usual; everything
-	// queued is discarded at the moment of rejoin, as a real process
-	// restart would lose its socket buffers.
-	RestartDown time.Duration
-	// RestartLag is how long before the kill the checkpoint is taken
-	// (default 0: the checkpoint is taken at the kill instant, so only
-	// in-flight traffic is lost). A positive lag rolls the party back to
-	// genuinely stale state, which only converges when the protocol's
-	// rejoin path can re-learn the gap (adaptive + Reliable).
-	RestartLag time.Duration
+	// Dark is the scenario's flap and outage darkness (fault.Flap.Dark,
+	// fault.Outage.Dark) in protocol ticks: a send is dropped, and counted
+	// in Result.Dropped, when its sender is dark at send time or its
+	// recipient is dark at its due time, as in the simulator. Nil darkens
+	// nothing.
+	Dark func(p sim.PartyID, at sim.Time) bool
+	// Restarts are the scenario's crash-recovery plans in protocol ticks,
+	// checked by sim.CheckRestarts. At Checkpoint (<= 0: the post-Init
+	// state) the party's own goroutine snapshots it; at Down it is killed
+	// and its decision withdrawn; at Rejoin its queued inbox is discarded,
+	// as a real restart loses its socket buffers, the checkpoint restored
+	// and the protocol's catch-up re-announce run. The process must support
+	// checkpointing (the built-in protocols and relnet's wrapper do).
+	Restarts []sim.RestartPlan
 }
 
 // Result of a live run. On ErrTimeout the Result still carries the partial
@@ -119,7 +95,7 @@ type Result struct {
 	Elapsed time.Duration
 	// Messages counts point-to-point sends (including retransmissions).
 	Messages int64
-	// Dropped counts sends the injected loss and flap faults discarded.
+	// Dropped counts sends the injected loss and darkness discarded.
 	Dropped int64
 	// Duped counts injected duplicate deliveries.
 	Duped int64
@@ -136,11 +112,11 @@ type Result struct {
 	// reliable transport; a give-up, though, means a frame was abandoned
 	// for good, so give-up rows deserve scrutiny even in converged runs.
 	Degraded []sim.PartyID
-	// Transport aggregates the ack/retransmit counters across parties
-	// when the run used Options.Reliable; zero otherwise.
+	// Transport aggregates the ack/retransmit counters of the processes
+	// that report them (relnet's wrapper); zero when none does.
 	Transport relnet.Stats
 	// Restarts counts completed kill/rejoin cycles across all parties
-	// under restart supervision.
+	// with a restart plan.
 	Restarts int64
 	// Restarted lists the parties that completed at least one restart
 	// cycle, ascending.
@@ -176,8 +152,6 @@ type network struct {
 	parties []liveAPI
 	ctx     context.Context
 	cancel  context.CancelFunc
-
-	ctls []chan ctlKind // restart supervision; nil without RestartParties
 
 	mu         sync.Mutex
 	decisions  map[sim.PartyID]float64
@@ -229,17 +203,12 @@ func (n *network) fail(err error) {
 }
 
 // now is the run's clock: the monotonic offset from start that every due
-// time and flap window is measured on.
+// time is measured on.
 func (n *network) now() time.Duration { return time.Since(n.start) }
 
-// dark reports whether a party is inside its flap window at clock time t.
-func (n *network) dark(id sim.PartyID, t time.Duration) bool {
-	if int(id) >= n.opts.FlapParties {
-		return false
-	}
-	open := n.opts.FlapAfter + time.Duration(id)*n.opts.FlapStagger
-	return t >= open && t < open+n.opts.FlapLen
-}
+// at is the clock time of protocol tick t, and tick the tick of clock time d.
+func (n *network) at(t sim.Time) time.Duration   { return time.Duration(t) * n.opts.Tick }
+func (n *network) tick(d time.Duration) sim.Time { return sim.Time(d / n.opts.Tick) }
 
 // splitmix is the per-party random source behind sim.API.Rand(): eight
 // bytes of state and no seeding pass, against the 4.9 KB lagged-Fibonacci
@@ -262,12 +231,16 @@ func (r *splitmix) Uint64() uint64 {
 
 // liveAPI is one party's handle on the network. Everything in it is
 // touched only by the party's own goroutine; Run reads the counters after
-// that goroutine has exited.
+// that goroutine has exited. A party with a restart plan has the channel
+// its supervision messages ride and its rejoin tick set before the run
+// starts.
 type liveAPI struct {
-	net *network
-	id  sim.PartyID
-	src splitmix
-	rng *rand.Rand
+	net    *network
+	id     sim.PartyID
+	src    splitmix
+	rng    *rand.Rand
+	ctl    chan ctlKind
+	rejoin sim.Time
 
 	messages, dropped, duped, restarts int64
 }
@@ -286,9 +259,10 @@ func (a *liveAPI) jitter() time.Duration {
 }
 
 // post is one point-to-point send at clock time now: counted, subjected to
-// the loss, flap and dup draws from the sender's rng, and pushed into the
-// recipient's mailbox. The mailbox keeps the slice, so post copies data
-// unless the caller hands it a copy to share; it returns the copy in use.
+// the loss and dup draws from the sender's rng and to the darkness rule,
+// and pushed into the recipient's mailbox. The mailbox keeps the slice, so
+// post copies data unless the caller hands it a copy to share; it returns
+// the copy in use.
 func (a *liveAPI) post(to sim.PartyID, now time.Duration, data, shared []byte) []byte {
 	net := a.net
 	a.messages++
@@ -296,7 +270,8 @@ func (a *liveAPI) post(to sim.PartyID, now time.Duration, data, shared []byte) [
 		a.dropped++
 		return shared
 	}
-	if net.dark(a.id, now) || net.dark(to, now) {
+	due := now + a.jitter()
+	if dark := net.opts.Dark; dark != nil && (dark(a.id, net.tick(now)) || dark(to, net.tick(due))) {
 		a.dropped++
 		return shared
 	}
@@ -309,7 +284,7 @@ func (a *liveAPI) post(to sim.PartyID, now time.Duration, data, shared []byte) [
 	}
 	msg := item{from: a.id, data: shared}
 	box := &net.boxes[to]
-	box.push(now, now+a.jitter(), msg)
+	box.push(now, due, msg)
 	if net.opts.Dup > 0 && a.rng.Float64() < net.opts.Dup {
 		a.duped++
 		box.push(now, now+a.jitter()+a.jitter(), msg)
@@ -359,11 +334,10 @@ func (a *liveAPI) run(p sim.Process) {
 	th, _ := p.(sim.TimerHandler)
 	// A nil ctl channel blocks forever in the select, so parties outside
 	// restart supervision pay nothing for the extra case.
-	var ctl chan ctlKind
+	ctl := a.ctl
 	var sp snapshotter
 	var snap []byte
-	if net.ctls != nil && net.ctls[id] != nil {
-		ctl = net.ctls[id]
+	if ctl != nil {
 		sp = p.(snapshotter)
 		// The post-Init state is the fallback checkpoint: a kill that
 		// outruns its checkpoint message restarts from zero, like the
@@ -388,11 +362,11 @@ func (a *liveAPI) run(p sim.Process) {
 			}
 			snap = b
 		case ctlKill:
-			// Crash: withdraw the decision, go dark for RestartDown (the
-			// inbox sheds behind our back), then restart from the
-			// checkpoint.
+			// Crash: withdraw the decision, stay down until the plan's
+			// rejoin time (the inbox sheds behind our back), then restart
+			// from the checkpoint.
 			net.undecide(id)
-			down := time.NewTimer(net.opts.RestartDown)
+			down := time.NewTimer(net.at(a.rejoin) - net.now())
 			select {
 			case <-done:
 				down.Stop()
@@ -424,6 +398,18 @@ func (a *liveAPI) run(p sim.Process) {
 		}
 	}()
 	for {
+		// A busy party never reaches the blocking select below, so it polls
+		// for supervision before each item: a kill that has fired is taken
+		// before the next delivery, whose ack the restart would forget.
+		if ctl != nil {
+			select {
+			case c := <-ctl:
+				if !control(c) {
+					return
+				}
+			default:
+			}
+		}
 		it, ok, wait := box.next(net.now())
 		if ok {
 			if !it.timer {
@@ -431,21 +417,11 @@ func (a *liveAPI) run(p sim.Process) {
 			} else if th != nil {
 				th.OnTimer(it.tag)
 			}
-			// A busy party never reaches the blocking select below, so it
-			// polls for cancellation and supervision between items.
+			// Likewise for cancellation, between items.
 			select {
 			case <-done:
 				return
 			default:
-			}
-			if ctl != nil {
-				select {
-				case c := <-ctl:
-					if !control(c) {
-						return
-					}
-				default:
-				}
 			}
 			continue
 		}
@@ -495,60 +471,62 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 	if opts.InboxDepth <= 0 {
 		opts.InboxDepth = 4096
 	}
-	if opts.FlapParties > len(procs) {
-		opts.FlapParties = len(procs)
+	if err := sim.CheckRestarts(len(procs), opts.Restarts); err != nil {
+		return nil, err
 	}
-	if opts.FlapAfter <= 0 {
-		opts.FlapAfter = 50 * time.Millisecond
-	}
-	if opts.FlapStagger <= 0 {
-		opts.FlapStagger = 50 * time.Millisecond
-	}
-	if opts.FlapLen <= 0 {
-		opts.FlapLen = 100 * time.Millisecond
-	}
-	if opts.RestartParties > len(procs) {
-		opts.RestartParties = len(procs)
-	}
-	if opts.RestartAfter <= 0 {
-		opts.RestartAfter = 75 * time.Millisecond
-	}
-	if opts.RestartStagger <= 0 {
-		opts.RestartStagger = 25 * time.Millisecond
-	}
-	if opts.RestartDown <= 0 {
-		opts.RestartDown = 50 * time.Millisecond
-	}
-	for i := 0; i < opts.RestartParties; i++ {
-		if _, ok := procs[i].(snapshotter); !ok {
-			return nil, fmt.Errorf("livenet: party %d process %T does not support checkpoint restart", i, procs[i])
+	for _, rp := range opts.Restarts {
+		if _, ok := procs[rp.Party].(snapshotter); !ok {
+			return nil, fmt.Errorf("livenet: party %d process %T does not support checkpoint restart", rp.Party, procs[rp.Party])
 		}
-	}
-
-	var rel []*relnet.Proc
-	if opts.Reliable {
-		rel = make([]*relnet.Proc, len(procs))
-		wrapped := make([]sim.Process, len(procs))
-		for i, p := range procs {
-			rel[i] = relnet.Wrap(p)
-			wrapped[i] = rel[i]
-		}
-		procs = wrapped
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	net := newNetwork(len(procs), opts)
 	net.ctx, net.cancel = runCtx, cancel
-	if opts.RestartParties > 0 {
-		net.ctls = make([]chan ctlKind, len(procs))
-		for i := 0; i < opts.RestartParties; i++ {
-			// Room for a checkpoint and a kill with the party still busy.
-			net.ctls[i] = make(chan ctlKind, 4)
-		}
+	for _, rp := range opts.Restarts {
+		a := &net.parties[rp.Party]
+		// Room for a checkpoint and a kill with the party still busy.
+		a.ctl, a.rejoin = make(chan ctlKind, 2), rp.Rejoin
 	}
 
 	net.start = time.Now()
+	// Restart supervision: checkpoint and kill messages land on the party's
+	// control channel and are processed on its owning goroutine, so no
+	// snapshot ever observes torn protocol state. The timers are set on the
+	// run's clock before any party starts, which could otherwise hold this
+	// goroutine off the CPU and make every window late.
+	var timers []*time.Timer
+	defer func() {
+		for _, t := range timers {
+			t.Stop()
+		}
+	}()
+	for _, rp := range opts.Restarts {
+		ctl := net.parties[rp.Party].ctl
+		fire := func(t sim.Time, cs ...ctlKind) {
+			timers = append(timers, time.AfterFunc(net.at(t)-net.now(), func() {
+				for _, c := range cs {
+					select {
+					case ctl <- c:
+					case <-runCtx.Done():
+					}
+				}
+			}))
+		}
+		switch {
+		case rp.Checkpoint <= 0: // the post-Init snapshot stands
+			fire(rp.Down, ctlKill)
+		case rp.Checkpoint < rp.Down:
+			fire(rp.Checkpoint, ctlCheckpoint)
+			fire(rp.Down, ctlKill)
+		default:
+			// A checkpoint at the kill instant loses only in-flight
+			// traffic; both messages ride one timer to keep their order.
+			fire(rp.Down, ctlCheckpoint, ctlKill)
+		}
+	}
+
 	var wg sync.WaitGroup
 	for i, proc := range procs {
 		wg.Add(1)
@@ -556,33 +534,6 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 			defer wg.Done()
 			net.parties[i].run(proc)
 		}()
-	}
-
-	// Restart supervision: checkpoint and kill messages land on the party's
-	// control channel and are processed on its owning goroutine, so no
-	// snapshot ever observes torn protocol state.
-	for i := 0; i < opts.RestartParties; i++ {
-		ctl := net.ctls[i]
-		sendCtl := func(c ctlKind) {
-			select {
-			case ctl <- c:
-			case <-runCtx.Done():
-			}
-		}
-		killAt := opts.RestartAfter + time.Duration(i)*opts.RestartStagger
-		if opts.RestartLag > 0 {
-			ckptAt := killAt - opts.RestartLag
-			if ckptAt < 0 {
-				ckptAt = 0
-			}
-			time.AfterFunc(ckptAt, func() { sendCtl(ctlCheckpoint) })
-			time.AfterFunc(killAt, func() { sendCtl(ctlKill) })
-		} else {
-			// Lag zero: checkpoint at the kill instant, so only in-flight
-			// traffic is lost. Both messages ride one timer to keep their
-			// order.
-			time.AfterFunc(killAt, func() { sendCtl(ctlCheckpoint); sendCtl(ctlKill) })
-		}
 	}
 
 	var err error
@@ -617,8 +568,8 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 		shed := net.boxes[i].shed
 		res.Shed += shed
 		degraded := shed > 0
-		if rel != nil {
-			ts := rel[i].TransportStats()
+		if tp, ok := procs[i].(interface{ TransportStats() relnet.Stats }); ok {
+			ts := tp.TransportStats()
 			res.Transport.Add(ts)
 			// A give-up abandoned a frame for good on one of this party's
 			// outbound links; that is health-relevant degradation even when

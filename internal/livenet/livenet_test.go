@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/relnet"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -21,6 +24,14 @@ func crashProcs(t *testing.T, n, faults int, inputs []float64) []sim.Process {
 			t.Fatal(err)
 		}
 		procs[i] = proc
+	}
+	return procs
+}
+
+// reliable wraps every process in the ack/retransmit transport.
+func reliable(procs []sim.Process) []sim.Process {
+	for i, p := range procs {
+		procs[i] = relnet.Wrap(p)
 	}
 	return procs
 }
@@ -219,19 +230,18 @@ func TestLiveRestartSupervision(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = float64(i) / float64(n-1)
 	}
-	procs := crashProcs(t, n, faults, inputs)
+	procs := reliable(crashProcs(t, n, faults, inputs))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := Run(ctx, procs, Options{
-		MaxJitter:      2 * time.Millisecond,
-		Tick:           time.Millisecond,
-		Seed:           21,
-		Loss:           0.05,
-		Reliable:       true,
-		RestartParties: 2,
-		RestartAfter:   15 * time.Millisecond,
-		RestartStagger: 10 * time.Millisecond,
-		RestartDown:    20 * time.Millisecond,
+		MaxJitter: 2 * time.Millisecond,
+		Tick:      time.Millisecond,
+		Seed:      21,
+		Loss:      0.05,
+		Restarts: []sim.RestartPlan{
+			{Party: 0, Checkpoint: 15, Down: 15, Rejoin: 35},
+			{Party: 1, Checkpoint: 25, Down: 25, Rejoin: 45},
+		},
 	})
 	if err != nil {
 		t.Fatalf("restart run did not converge: %v (decided %d, undecided %v, restarts %d)",
@@ -269,8 +279,80 @@ func TestLiveRestartRequiresSnapshotter(t *testing.T) {
 	// A process without checkpoint support cannot be restart-supervised;
 	// the run must refuse up front, not fail mid-restart.
 	procs := []sim.Process{stuckProc{}, stuckProc{}}
-	if _, err := Run(context.Background(), procs, Options{RestartParties: 1}); err == nil {
+	plan := []sim.RestartPlan{{Party: 0, Down: 1, Rejoin: 2}}
+	if _, err := Run(context.Background(), procs, Options{Restarts: plan}); err == nil {
 		t.Error("snapshot-less process accepted under restart supervision")
+	}
+}
+
+// TestLiveRestartPlanCheckMatchesSimulator: livenet checks restart plans
+// with the simulator's own check, so a bad plan fails before the run with
+// the message sim.Config.Validate gives.
+func TestLiveRestartPlanCheckMatchesSimulator(t *testing.T) {
+	const n = 3
+	for name, plans := range map[string][]sim.RestartPlan{
+		"party out of range":     {{Party: n, Down: 5, Rejoin: 9}},
+		"down before checkpoint": {{Party: 1, Checkpoint: 6, Down: 5, Rejoin: 9}},
+		"down at zero":           {{Party: 1, Down: 0, Rejoin: 9}},
+		"rejoin not after down":  {{Party: 1, Down: 5, Rejoin: 5}},
+		"two plans one party":    {{Party: 1, Down: 5, Rejoin: 9}, {Party: 1, Down: 20, Rejoin: 30}},
+	} {
+		cfg := sim.Config{N: n, Scheduler: &sched.UniformRandom{Min: 1, Max: 2}, Restarts: plans}
+		want := cfg.Validate()
+		if want == nil {
+			t.Fatalf("%s: the simulator accepts %v", name, plans)
+		}
+		procs := crashProcs(t, n, 1, []float64{0, 0.5, 1})
+		if _, err := Run(context.Background(), procs, Options{Restarts: plans}); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: livenet error %v, want the simulator's %q", name, err, want)
+		}
+	}
+}
+
+// TestDarkDropsBySendAndDueTime drives post on a network with no goroutines
+// and no wall clock: party 1 is dark from tick 10 on, one tick per
+// millisecond. A send from it while it is dark is dropped; a send to it is
+// dropped exactly when its jittered due time falls in the window, though
+// it was sent before the window opened; and a multicast outside the window
+// still allocates only its one shared copy, as on a network with no Dark.
+func TestDarkDropsBySendAndDueTime(t *testing.T) {
+	dark := func(p sim.PartyID, at sim.Time) bool { return p == 1 && at >= 10 }
+	net := newNetwork(3, Options{MaxJitter: 2 * time.Millisecond, Tick: time.Millisecond, InboxDepth: 4096, Seed: 5, Dark: dark})
+	payload := make([]byte, 14)
+
+	from1 := &net.parties[1]
+	from1.post(0, 10*time.Millisecond, payload, nil)
+	if from1.dropped != 1 {
+		t.Fatalf("a send from a dark party: %d dropped, want 1", from1.dropped)
+	}
+	if _, ok, wait := net.boxes[0].next(time.Hour); ok || wait >= 0 {
+		t.Fatal("a send from a dark party reached its recipient")
+	}
+
+	// Sent at 9ms with up to 2ms of jitter: a message due at 10ms or later
+	// lands in the window and is dropped; the rest land before it opens.
+	const sends = 200
+	from0 := &net.parties[0]
+	for range sends {
+		from0.post(1, 9*time.Millisecond, payload, nil)
+	}
+	landed := 0
+	for {
+		if _, ok, _ := net.boxes[1].next(10*time.Millisecond - 1); !ok {
+			break
+		}
+		landed++
+	}
+	if _, ok, wait := net.boxes[1].next(time.Hour); ok || wait >= 0 {
+		t.Error("a send due inside the recipient's window was delivered")
+	}
+	if from0.dropped == 0 || landed == 0 || int(from0.dropped)+landed != sends {
+		t.Errorf("%d sends due around the window opening: %d dropped, %d landed before it", sends, from0.dropped, landed)
+	}
+
+	multicast := &net.parties[2]
+	if allocs := multicastAllocs(net, multicast, 0); allocs != 1 {
+		t.Errorf("warm Multicast outside every window: %v allocs, want 1 (the shared copy)", allocs)
 	}
 }
 
@@ -281,19 +363,15 @@ func TestLiveFlapShedRetransmitSurvival(t *testing.T) {
 	// keep their cadence and re-deliver until every party converges.
 	const n, faults = 5, 1
 	inputs := []float64{0, 0.25, 0.5, 0.75, 1}
-	procs := crashProcs(t, n, faults, inputs)
+	procs := reliable(crashProcs(t, n, faults, inputs))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := Run(ctx, procs, Options{
-		MaxJitter:   500 * time.Microsecond,
-		Tick:        time.Millisecond,
-		Seed:        17,
-		InboxDepth:  1,
-		FlapParties: 2,
-		FlapAfter:   10 * time.Millisecond,
-		FlapStagger: 15 * time.Millisecond,
-		FlapLen:     25 * time.Millisecond,
-		Reliable:    true,
+		MaxJitter:  500 * time.Microsecond,
+		Tick:       time.Millisecond,
+		Seed:       17,
+		InboxDepth: 1,
+		Dark:       (&fault.Flap{Slots: 2, Base: 10, Stagger: 15, Len: 25}).Dark,
 	})
 	if err != nil {
 		t.Fatalf("flap+shed run did not converge: %v (decided %d, shed %d, retransmits %d)",
@@ -325,18 +403,15 @@ func TestLiveFlapShedRetransmitSurvival(t *testing.T) {
 func TestLiveShedTimeoutRestartInterplay(t *testing.T) {
 	const n, faults = 5, 1
 	inputs := []float64{0, 0.25, 0.5, 0.75, 1}
-	procs := crashProcs(t, n, faults, inputs)
+	procs := reliable(crashProcs(t, n, faults, inputs))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	res, err := Run(ctx, procs, Options{
-		MaxJitter:      500 * time.Microsecond,
-		Tick:           time.Millisecond,
-		Seed:           29,
-		InboxDepth:     1,
-		Reliable:       true,
-		RestartParties: 1,
-		RestartAfter:   15 * time.Millisecond,
-		RestartDown:    20 * time.Millisecond,
+		MaxJitter:  500 * time.Microsecond,
+		Tick:       time.Millisecond,
+		Seed:       29,
+		InboxDepth: 1,
+		Restarts:   []sim.RestartPlan{{Party: 0, Checkpoint: 15, Down: 15, Rejoin: 35}},
 	})
 	if err != nil {
 		t.Fatalf("shed+timeout+restart run did not converge: %v (decided %d, shed %d, sendTimeouts %d, restarts %d)",
@@ -384,20 +459,19 @@ func TestRecoverySoak(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = float64(i) / float64(n-1)
 	}
-	procs := crashProcs(t, n, faults, inputs)
+	procs := reliable(crashProcs(t, n, faults, inputs))
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Second)
 	defer cancel()
 	res, err := Run(ctx, procs, Options{
-		MaxJitter:      500 * time.Microsecond,
-		Tick:           500 * time.Microsecond,
-		Seed:           13,
-		InboxDepth:     256,
-		Loss:           0.1,
-		Reliable:       true,
-		RestartParties: 2,
-		RestartAfter:   15 * time.Millisecond,
-		RestartStagger: 10 * time.Millisecond,
-		RestartDown:    25 * time.Millisecond,
+		MaxJitter:  500 * time.Microsecond,
+		Tick:       500 * time.Microsecond,
+		Seed:       13,
+		InboxDepth: 256,
+		Loss:       0.1,
+		Restarts: []sim.RestartPlan{
+			{Party: 0, Checkpoint: 30, Down: 30, Rejoin: 80},
+			{Party: 1, Checkpoint: 50, Down: 50, Rejoin: 100},
+		},
 	})
 	if err != nil {
 		t.Fatalf("recovery soak did not converge: %v (decided %d, undecided %v, restarts %d, retransmits %d)",
@@ -444,21 +518,17 @@ func TestLivenetSoak(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = float64(i) / float64(n-1)
 	}
-	procs := crashProcs(t, n, faults, inputs)
+	procs := reliable(crashProcs(t, n, faults, inputs))
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Second)
 	defer cancel()
 	res, err := Run(ctx, procs, Options{
-		MaxJitter:   500 * time.Microsecond,
-		Tick:        500 * time.Microsecond,
-		Seed:        11,
-		InboxDepth:  256,
-		Loss:        0.1,
-		Dup:         0.05,
-		FlapParties: 2,
-		FlapAfter:   20 * time.Millisecond,
-		FlapStagger: 30 * time.Millisecond,
-		FlapLen:     40 * time.Millisecond,
-		Reliable:    true,
+		MaxJitter:  500 * time.Microsecond,
+		Tick:       500 * time.Microsecond,
+		Seed:       11,
+		InboxDepth: 256,
+		Loss:       0.1,
+		Dup:        0.05,
+		Dark:       (&fault.Flap{Slots: 2, Base: 40, Stagger: 60, Len: 80}).Dark,
 	})
 	if err != nil {
 		t.Fatalf("soak did not converge: %v (decided %d, undecided %v, dropped %d, retransmits %d)",
@@ -500,8 +570,20 @@ func TestLivenetSoak(t *testing.T) {
 func TestMulticastAllocatesOneSharedCopy(t *testing.T) {
 	const n = 32
 	net := newNetwork(n, Options{MaxJitter: 200 * time.Microsecond, InboxDepth: 4096, Seed: 5})
-	net.start = time.Now()
 	api := &net.parties[0]
+	if allocs := multicastAllocs(net, api, 0); allocs != 1 {
+		t.Errorf("warm %d-way Multicast: %v allocs, want 1 (the shared copy)", n, allocs)
+	}
+	// One warming round, one more inside AllocsPerRun, then its 100.
+	if want := int64(102 * n); api.messages != want {
+		t.Errorf("counted %d sends, want %d", api.messages, want)
+	}
+}
+
+// multicastAllocs multicasts a payload from api with the run's clock at
+// now, drains every mailbox, and returns the warm allocations per round.
+func multicastAllocs(net *network, api *liveAPI, now time.Duration) float64 {
+	net.start = time.Now().Add(-now)
 	payload := make([]byte, 14)
 	round := func() {
 		api.Multicast(payload)
@@ -514,13 +596,7 @@ func TestMulticastAllocatesOneSharedCopy(t *testing.T) {
 		}
 	}
 	round()
-	if allocs := testing.AllocsPerRun(100, round); allocs != 1 {
-		t.Errorf("warm %d-way Multicast: %v allocs, want 1 (the shared copy)", n, allocs)
-	}
-	// One warming round here, one more inside AllocsPerRun, then its 100.
-	if want := int64(102 * n); api.messages != want {
-		t.Errorf("counted %d sends, want %d", api.messages, want)
-	}
+	return testing.AllocsPerRun(100, round)
 }
 
 // TestLiveRunAllocBudget pins a whole crash-protocol run at n=32 — about

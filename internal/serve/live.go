@@ -36,11 +36,11 @@ type LiveConfig struct {
 	// (GenerateN), regardless of horizon.
 	Requests int
 	// Live-backend wall-clock options, layered on what each instance's
-	// recipe fixes (Config.Scenario's loss and dup, Config.Reliable).
-	MaxJitter   time.Duration
-	ProtoTick   time.Duration
-	FlapParties int
-	Restarts    int
+	// recipe fixes (Config.Scenario's axes, Config.Reliable): the delivery
+	// jitter, and the wall duration of one protocol tick, which scales the
+	// scenario's flap, outage and restart windows (livenet.Options.Tick).
+	MaxJitter time.Duration
+	ProtoTick time.Duration
 }
 
 // ServeLive drives the workload through the envelope in wall-clock time,
@@ -151,7 +151,6 @@ func (c *wallClock) liveAttempt(s *server, p *pending) verdict {
 		return v
 	}
 	opts.MaxJitter, opts.Tick = c.lc.MaxJitter, c.lc.ProtoTick
-	opts.FlapParties, opts.RestartParties = c.lc.FlapParties, c.lc.Restarts
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
 	res, err := livenet.Run(ctx, procs, opts)

@@ -469,20 +469,30 @@ func TestLiveVerdictUsesDrawnInputs(t *testing.T) {
 	}
 }
 
-// TestServeLiveRejectsWhatLiveCannotRun: on the live backend, a workload
+// TestServeLiveRejectsWhatLiveCannotRun: on the live backend, an instance
+// scenario with a crash token fails before the first request, naming the
+// token; the simulated backend runs the same configuration. A workload
 // whose flapstorm window splices a flap axis into the instance scenario
-// fails before the first request, naming the axis; the simulated backend
-// runs the same workload.
+// runs on both.
 func TestServeLiveRejectsWhatLiveCannotRun(t *testing.T) {
-	w := workload.MustParse("poisson:30+lognormal:3:0.3+cohort:web:1:300:1+flapstorm:0:100")
+	w := workload.MustParse("poisson:30+lognormal:3:0.3+cohort:web:1:300:1")
+	cfg := testConfig()
+	cfg.Scenario = "random+crash"
 	lc := LiveConfig{Backend: BackendLive, TickDur: 200 * time.Microsecond, Requests: 4}
-	_, err := ServeLive(w, testConfig(), Options{Workers: 2, QueueDepth: 8}, lc)
-	if err == nil || !strings.Contains(err.Error(), "serve: config:") || !strings.Contains(err.Error(), `"flap`) {
-		t.Fatalf("flapstorm window on the live backend: %v, want a config error naming flap", err)
+	_, err := ServeLive(w, cfg, Options{Workers: 2, QueueDepth: 8}, lc)
+	if err == nil || !strings.Contains(err.Error(), "serve: config:") || !strings.Contains(err.Error(), `"crash"`) {
+		t.Fatalf("crash token on the live backend: %v, want a config error naming crash", err)
 	}
 	lc.Backend = BackendSim
-	if _, err := ServeLive(w, testConfig(), Options{Workers: 2, QueueDepth: 8}, lc); err != nil {
-		t.Fatalf("flapstorm window on the simulated backend: %v", err)
+	if _, err := ServeLive(w, cfg, Options{Workers: 2, QueueDepth: 8}, lc); err != nil {
+		t.Fatalf("crash token on the simulated backend: %v", err)
+	}
+	flapstorm := workload.MustParse("poisson:30+lognormal:3:0.3+cohort:web:1:300:1+flapstorm:0:100")
+	for _, b := range []Backend{BackendSim, BackendLive} {
+		lc.Backend = b
+		if _, err := ServeLive(flapstorm, testConfig(), Options{Workers: 2, QueueDepth: 8}, lc); err != nil {
+			t.Fatalf("flapstorm window on backend %d: %v", b, err)
+		}
 	}
 }
 
@@ -516,8 +526,8 @@ func TestServeLiveSimBackendLoss(t *testing.T) {
 
 // TestServeSoak is the env-gated -race soak arm (`make serve-soak`):
 // heavy-tail arrivals at 2x saturation on the live backend with the
-// scenario's 10% loss axis and one flapping party over the reliable
-// transport. It asserts the
+// scenario's 10% loss axis and its flap axis (one flapping party at t=1)
+// over the reliable transport. It asserts the
 // goodput floor and that every request is accounted — zero unshed drops.
 func TestServeSoak(t *testing.T) {
 	if os.Getenv("SERVE_SOAK") == "" {
@@ -527,13 +537,13 @@ func TestServeSoak(t *testing.T) {
 	// 2x the pool's saturation rate for this service model.
 	w = w.Scale(2 * w.SaturationRate(4) / w.Arrival.Rate)
 	cfg := Config{Protocol: core.ProtoCrash, N: 5, T: 1, Eps: 1e-3, Lo: 0, Hi: 100, Seed: 11,
-		Scenario: "random+loss:0.1", Reliable: true}
+		Scenario: "random+loss:0.1+flap", Reliable: true}
 	sum, err := ServeLive(w, cfg, Options{
 		Workers: 4, QueueDepth: 16, RetryBudget: 2, RetryBase: 16,
 		BreakerThreshold: 5, BreakerCooldown: 400,
 	}, LiveConfig{
 		Backend: BackendLive, TickDur: time.Millisecond, Requests: 32,
-		FlapParties: 1, MaxJitter: 500 * time.Microsecond,
+		MaxJitter: 500 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

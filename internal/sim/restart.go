@@ -33,6 +33,29 @@ type RestartPlan struct {
 	Rejoin Time
 }
 
+// CheckRestarts is the one check of an n-party run's restart plans, in the
+// simulator (Config.Validate) and the live runtime alike: each party in
+// range, Down >= max(1, Checkpoint), Rejoin > Down, one plan per party.
+func CheckRestarts(n int, plans []RestartPlan) error {
+	for i, rp := range plans {
+		if rp.Party < 0 || int(rp.Party) >= n {
+			return fmt.Errorf("sim: restart party %d out of range [0,%d)", rp.Party, n)
+		}
+		if rp.Down < 1 || rp.Down < rp.Checkpoint {
+			return fmt.Errorf("sim: restart party %d: down time %d before max(1, checkpoint %d)", rp.Party, rp.Down, rp.Checkpoint)
+		}
+		if rp.Rejoin <= rp.Down {
+			return fmt.Errorf("sim: restart party %d: rejoin %d not after down %d", rp.Party, rp.Rejoin, rp.Down)
+		}
+		for _, prev := range plans[:i] {
+			if prev.Party == rp.Party {
+				return fmt.Errorf("sim: party %d assigned two restart plans", rp.Party)
+			}
+		}
+	}
+	return nil
+}
+
 // snapshotter is the process extension restart plans require. It is the
 // structural mirror of core.Snapshotter (core imports sim, so sim cannot
 // name the exported interface); process wrappers forward it to keep the

@@ -197,21 +197,10 @@ func (c *Config) Validate() error {
 			}
 		}
 	}
-	for i, rp := range c.Restarts {
-		if rp.Party < 0 || int(rp.Party) >= c.N {
-			return fmt.Errorf("sim: config: restart party %d out of range [0,%d)", rp.Party, c.N)
-		}
-		if rp.Down < 1 || rp.Down < rp.Checkpoint {
-			return fmt.Errorf("sim: config: restart party %d: down time %d before checkpoint %d", rp.Party, rp.Down, rp.Checkpoint)
-		}
-		if rp.Rejoin <= rp.Down {
-			return fmt.Errorf("sim: config: restart party %d: rejoin %d not after down %d", rp.Party, rp.Rejoin, rp.Down)
-		}
-		for _, prev := range c.Restarts[:i] {
-			if prev.Party == rp.Party {
-				return fmt.Errorf("sim: config: party %d assigned two restart plans", rp.Party)
-			}
-		}
+	if err := CheckRestarts(c.N, c.Restarts); err != nil {
+		return err
+	}
+	for _, rp := range c.Restarts {
 		for _, cr := range c.Crashes {
 			if cr.Party == rp.Party {
 				return fmt.Errorf("sim: config: party %d assigned two faults", rp.Party)
