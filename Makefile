@@ -111,7 +111,9 @@ benchmark-check:
 
 # pairs runs the repository benchmark on PARENT and on the working tree in
 # PAIRS alternating pairs (odd pairs run the parent first, each pair has a
-# seed of its own), SECONDS per run, on the comma-separated WORKLOADS. It
+# seed of its own), SECONDS per run, on the comma-separated WORKLOADS.
+# An unrecorded run of the same workload precedes each pair, so that both
+# recorded runs follow a run like their own (scripts/pairs.sh says why). It
 # appends one JSON line per run to OUT and prints, per workload and
 # metric, the parent's quartiles, both medians, the median per-pair ratio
 # (working tree / parent), the pairs the working tree won and a verdict

@@ -7,15 +7,20 @@
 //
 // Each party's process is driven by a single goroutine, so process
 // implementations need no internal locking (the same single-threaded
-// contract the simulator provides). A send pushes the message, stamped
-// with its jittered due time, into the recipient's mailbox (mailbox.go);
-// the recipient's goroutine sleeps on one reusable timer until the earliest
-// due time and takes what has landed. Timer callbacks ride the same
-// mailbox, are handed over before data, and are never shed.
+// contract the simulator provides). A send inserts the message, stamped
+// with its jittered due time, into the recipient's mailbox (mailbox.go)
+// and does nothing else. The recipient's goroutine takes a batch: under
+// one lock hold and one clock reading it lands everything due and hands
+// it over in a buffer of its own, then delivers the buffer item by item
+// without the lock or the clock, and with nothing due it sleeps on one
+// reusable timer until the earliest due time. Timer callbacks ride the
+// same mailbox, come first in a batch, and are never shed.
 //
-// The network degrades gracefully rather than wedging: senders never block
-// (a push always lands; a full inbox sheds its oldest data item, counted
-// per party, even while its owner is wedged or down). The fault options are
+// The network degrades gracefully rather than wedging: senders never block.
+// A take hands over at most InboxDepth data items, shedding the oldest
+// beyond them, and a push into a mailbox that already holds more than
+// InboxDepth items lands and sheds the same way, so shedding (counted per
+// party) goes on while the owner is wedged or down. The fault options are
 // the scenario's own values in protocol ticks, Tick long each: loss and
 // dup probabilities, the darkness predicate of its flap and outage windows,
 // and its restart plans (harness.Recipe.Live lowers a scenario onto them).
@@ -54,10 +59,10 @@ type Options struct {
 	// WaitFor is how many parties must decide before the run completes
 	// (default: all).
 	WaitFor int
-	// InboxDepth bounds how many delivered data messages may wait for a
-	// party (default 4096; the buffer grows on demand up to it). When the
-	// inbox is full the oldest waiting message is shed (counted in
-	// Result.Shed) so that senders never block.
+	// InboxDepth bounds how many landed data messages may wait in a
+	// party's mailbox, and how many one batch hands over (default 4096;
+	// the buffers grow on demand). Beyond it the oldest landed message is
+	// shed (counted in Result.Shed) so that senders never block.
 	InboxDepth int
 	// Loss is the per-send probability that the network silently drops
 	// the message (counted in Result.Dropped).
@@ -172,10 +177,15 @@ func newNetwork(n int, opts Options) *network {
 		want:      opts.WaitFor,
 		doneCh:    make(chan struct{}),
 	}
+	// Every party multicasts to every party once a round, and the parties
+	// drift up to about a round apart, so a mailbox holds under two
+	// rounds of traffic: its buffers and the party's batch start there.
+	room := min(2*n, opts.InboxDepth)
 	for i := range net.boxes {
-		net.boxes[i].init(opts.InboxDepth)
+		net.boxes[i].init(opts.InboxDepth, room)
 		a := &net.parties[i]
 		a.net, a.id = net, sim.PartyID(i)
+		a.batch = make([]uint32, 0, room)
 		a.src.Seed(opts.Seed ^ (int64(i+1) * 0x5851F42D4C957F2D))
 		a.rng = rand.New(&a.src)
 	}
@@ -233,7 +243,7 @@ func (r *splitmix) Uint64() uint64 {
 // touched only by the party's own goroutine; Run reads the counters after
 // that goroutine has exited. A party with a restart plan has the channel
 // its supervision messages ride and its rejoin tick set before the run
-// starts.
+// starts. batch is the buffer of slots its mailbox's takes fill.
 type liveAPI struct {
 	net    *network
 	id     sim.PartyID
@@ -241,6 +251,7 @@ type liveAPI struct {
 	rng    *rand.Rand
 	ctl    chan ctlKind
 	rejoin sim.Time
+	batch  []uint32
 
 	messages, dropped, duped, restarts int64
 }
@@ -350,6 +361,10 @@ func (a *liveAPI) run(p sim.Process) {
 		}
 		snap = b
 	}
+	// rest holds the slots the current batch has yet to deliver, and
+	// items is the slab they index, as its take returned it.
+	var rest []uint32
+	var items []item
 	// control handles one supervision message; false means the party is done.
 	control := func(c ctlKind) bool {
 		switch c {
@@ -374,10 +389,11 @@ func (a *liveAPI) run(p sim.Process) {
 			case <-down.C:
 			}
 			// The dead process's socket buffers are gone: discard every
-			// message that landed while it was down. Timer callbacks
-			// survive (stale tags are ignored by their handlers), so
-			// retransmit schedules keep their cadence across the restart.
-			box.crash(net.now())
+			// message that landed while it was down, and the rest of the
+			// batch it was killed in. Timer callbacks survive (stale tags
+			// are ignored by their handlers), so retransmit schedules keep
+			// their cadence across the restart.
+			rest = box.crash(net.now(), rest)
 			if err := sp.Restore(snap); err != nil {
 				net.fail(fmt.Errorf("livenet: party %d restore: %w", id, err))
 				net.cancel()
@@ -389,8 +405,8 @@ func (a *liveAPI) run(p sim.Process) {
 		return true
 	}
 
-	// One timer per party, re-armed for the earliest due time whenever the
-	// party runs out of landed work.
+	// One timer per party, re-armed for the earliest due time whenever a
+	// take finds nothing landed.
 	var sleep *time.Timer
 	defer func() {
 		if sleep != nil {
@@ -410,8 +426,9 @@ func (a *liveAPI) run(p sim.Process) {
 			default:
 			}
 		}
-		it, ok, wait := box.next(net.now())
-		if ok {
+		if len(rest) > 0 {
+			it := &items[rest[0]]
+			rest = rest[1:]
 			if !it.timer {
 				p.Deliver(it.from, it.data)
 			} else if th != nil {
@@ -423,6 +440,11 @@ func (a *liveAPI) run(p sim.Process) {
 				return
 			default:
 			}
+			continue
+		}
+		var wait time.Duration
+		a.batch, items, wait = box.take(net.now(), a.batch)
+		if rest = a.batch; len(rest) > 0 {
 			continue
 		}
 		var due <-chan time.Time

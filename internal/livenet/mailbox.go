@@ -16,113 +16,132 @@ type item struct {
 	timer bool
 }
 
-// pending is an item in flight: it lands once the run's clock (an offset
-// from network.start) reaches due. seq breaks ties in push order.
-type pending struct {
-	due time.Duration
-	seq uint64
-	item
+// key is an item in flight: slot names it in the mailbox's slab, and it
+// lands once the run's clock (an offset from network.start) reaches due.
+// seq breaks ties in push order. Sixteen bytes, so the heap sifts keys, not
+// items.
+type key struct {
+	due  time.Duration
+	seq  uint32
+	slot uint32
 }
 
-// ring is a FIFO of landed items that grows on demand. With max > 0 it
-// holds at most max items and a push into a full ring drops the oldest.
+// before orders keys by (due, seq). seq is compared modulo 2^32, which is
+// exact while fewer than 2^31 pushes separate two items in flight.
+func (k key) before(o key) bool {
+	return k.due < o.due || (k.due == o.due && int32(k.seq-o.seq) < 0)
+}
+
+// ring is a FIFO of slab slots that grows on demand. It holds at most max
+// slots; a push into a full ring drops the oldest.
 type ring struct {
-	buf     []item
+	buf     []uint32
 	head, n int
 	max     int
 }
 
-// push appends it and reports whether the oldest item was dropped for it.
-func (r *ring) push(it item) (shed bool) {
+// push appends s and reports the oldest slot if it was dropped for it.
+func (r *ring) push(s uint32) (dropped uint32, shed bool) {
 	if r.n == len(r.buf) {
-		if r.max > 0 && r.n == r.max {
-			r.buf[r.head] = item{}
-			r.head = (r.head + 1) % len(r.buf)
-			r.n--
-			shed = true
+		if r.n == r.max {
+			dropped, shed = r.pop()
 		} else {
-			grown := 2 * len(r.buf)
-			if grown == 0 {
-				grown = 16
-			}
-			if r.max > 0 && grown > r.max {
-				grown = r.max
-			}
-			buf := make([]item, grown)
-			for i := 0; i < r.n; i++ {
-				buf[i] = r.buf[(r.head+i)%len(r.buf)]
-			}
+			grown := min(max(2*len(r.buf), 16), r.max)
+			buf := make([]uint32, grown)
+			copy(buf, r.buf[r.head:])
+			copy(buf[len(r.buf)-r.head:], r.buf[:r.head])
 			r.buf, r.head = buf, 0
 		}
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = it
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = s
 	r.n++
-	return shed
+	return dropped, shed
 }
 
-func (r *ring) pop() (item, bool) {
+// pop removes the oldest slot; ok is false when the ring is empty.
+func (r *ring) pop() (s uint32, ok bool) {
 	if r.n == 0 {
-		return item{}, false
+		return 0, false
 	}
-	it := r.buf[r.head]
-	r.buf[r.head] = item{} // release the payload
-	r.head = (r.head + 1) % len(r.buf)
+	s = r.buf[r.head]
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
 	r.n--
-	return it, true
+	return s, true
 }
 
-func (r *ring) clear() {
-	for r.n > 0 {
-		r.pop()
-	}
-}
-
-// mailbox is everything addressed to one party: what is still in flight
-// (a min-heap by due time) and what has landed and waits for the party's
-// loop. Senders push under the recipient's lock and never block; the one
-// owner takes. Whoever holds the lock lands what has come due, so a
-// wedged or killed owner's mailbox keeps shedding behind its back and the
-// landed data stays bounded by the ring's depth.
+// mailbox is everything addressed to one party: what is still in flight (a
+// min-heap of keys by due time) and what has landed and waits for the
+// party's loop. Every item sits in one slab slot from its push until the
+// owner's take after the one that handed it over, or until it is shed or
+// a crash discards it.
+//
+// Senders only insert, under the recipient's lock, and never block. The
+// one owner takes a whole batch per lock hold: everything due at one clock
+// reading, timers first, as slots it reads from the slab. A push lands
+// what is due, shedding data beyond the depth, only when the mailbox
+// already holds more than depth items, so a wedged or killed owner's
+// mailbox keeps shedding behind its back and its memory stays bounded.
 type mailbox struct {
 	mu    sync.Mutex
-	heap  []pending // in flight, min by (due, seq)
-	seq   uint64
-	ready ring  // landed data; a full ring sheds its oldest
-	fired ring  // landed timers; unbounded, never shed
-	shed  int64 // data items dropped from a full ready ring
+	slab  []item   // every item held, in flight, landed or in the owner's batch
+	free  uint32   // 1 + the first unused slab slot, 0 if none; item.tag links the rest
+	heap  []key    // in flight, min by (due, seq)
+	seq   uint32   // the last push's
+	ready ring     // landed data; a full ring sheds its oldest
+	fired []uint32 // landed timers, in landing order; never shed
+	shed  int64    // data items dropped from a full ready ring
 	// wake holds at most one token: "the heap minimum moved earlier than
 	// the owner may be sleeping for".
 	wake chan struct{}
 }
 
-// init readies a zero mailbox whose ready ring holds at most depth items.
-func (m *mailbox) init(depth int) {
+// init readies a zero mailbox that holds at most depth landed data items,
+// with room for room items before its buffers grow.
+func (m *mailbox) init(depth, room int) {
+	m.slab = make([]item, 0, room)
+	m.heap = make([]key, 0, room)
+	m.ready.buf = make([]uint32, room)
 	m.ready.max = depth
 	m.wake = make(chan struct{}, 1)
 }
 
-func (m *mailbox) less(i, j int) bool {
-	a, b := &m.heap[i], &m.heap[j]
-	return a.due < b.due || (a.due == b.due && a.seq < b.seq)
-}
-
-// push puts it in flight until due, lands whatever is due at now, and
-// signals the owner if it became the earliest thing in flight (the owner
-// may be asleep until the previous minimum, or with no deadline at all).
+// push puts it in flight until due and signals the owner if it became the
+// earliest thing in flight (the owner may be asleep until the previous
+// minimum, or with no deadline at all). If the mailbox then holds more
+// than its depth, it lands what is due at now.
 func (m *mailbox) push(now, due time.Duration, it item) {
 	m.mu.Lock()
+	s := m.free - 1
+	if m.free == 0 {
+		s = uint32(len(m.slab))
+		m.slab = append(m.slab, it)
+	} else {
+		m.free = uint32(m.slab[s].tag)
+		m.slab[s] = it
+	}
 	m.seq++
-	m.heap = append(m.heap, pending{due: due, seq: m.seq, item: it})
-	i := len(m.heap) - 1
+	k := key{due: due, seq: m.seq, slot: s}
+	i := len(m.heap)
+	h := append(m.heap, k)
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !m.less(i, parent) {
+		if !k.before(h[parent]) {
 			break
 		}
-		m.heap[i], m.heap[parent] = m.heap[parent], m.heap[i]
+		h[i] = h[parent]
 		i = parent
 	}
-	m.land(now)
+	h[i] = k
+	m.heap = h
+	if len(m.heap)+m.ready.n+len(m.fired) > m.ready.max {
+		m.land(now)
+	}
 	m.mu.Unlock()
 	if i == 0 {
 		select {
@@ -132,27 +151,41 @@ func (m *mailbox) push(now, due time.Duration, it item) {
 	}
 }
 
-// pop removes the heap minimum. Callers hold mu and have checked that the
-// heap is not empty.
-func (m *mailbox) pop() item {
-	it := m.heap[0].item
-	last := len(m.heap) - 1
-	m.heap[0] = m.heap[last]
-	m.heap[last] = pending{}
-	m.heap = m.heap[:last]
-	for i := 0; ; {
-		least := i
-		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
-			if m.less(c, least) {
-				least = c
-			}
+// pop removes the heap minimum and returns its slot. Callers hold mu and
+// have checked that the heap is not empty.
+func (m *mailbox) pop() uint32 {
+	h := m.heap
+	s := h[0].slot
+	last := len(h) - 1
+	k := h[last]
+	h = h[:last]
+	m.heap = h
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
 		}
-		if least == i {
-			return it
+		if r := c + 1; r < last && h[r].before(h[c]) {
+			c = r
 		}
-		m.heap[i], m.heap[least] = m.heap[least], m.heap[i]
-		i = least
+		if !h[c].before(k) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
+	if i < last {
+		h[i] = k
+	}
+	return s
+}
+
+// release empties slot s, dropping its payload, for the next push.
+// Callers hold mu.
+func (m *mailbox) release(s uint32) {
+	m.slab[s] = item{tag: uint64(m.free)}
+	m.free = s + 1
 }
 
 // land moves everything due at now out of the heap, in (due, seq) order:
@@ -160,41 +193,68 @@ func (m *mailbox) pop() item {
 // hold mu.
 func (m *mailbox) land(now time.Duration) {
 	for len(m.heap) > 0 && m.heap[0].due <= now {
-		it := m.pop()
-		if it.timer {
-			m.fired.push(it)
-		} else if m.ready.push(it) {
+		s := m.pop()
+		if m.slab[s].timer {
+			m.fired = append(m.fired, s)
+		} else if old, shed := m.ready.push(s); shed {
+			m.release(old)
 			m.shed++
 		}
 	}
 }
 
-// next is the owner's step: land what is due at now and take the oldest
-// landed item, timers before data. With nothing landed it reports how long
-// until the earliest item in flight is due; sleep < 0 means nothing is in
-// flight.
-func (m *mailbox) next(now time.Duration) (it item, ok bool, sleep time.Duration) {
+// take is the owner's step. b is the owner's previous batch, delivered or
+// dropped: its slots are freed. Then, under one lock hold, take lands
+// everything due at now and moves every landed slot into b, which it
+// reuses: fired timers first, then data in (due, seq) order, at most depth
+// of it. The owner reads a batch's items from the returned slab without
+// the lock. That is safe because its slots are freed only by its next
+// take: no push writes a slot that is not free, and a push that outgrows
+// the slab copies it to a new array and leaves the owner's view intact.
+// sleep is how long until the earliest item still in flight is due;
+// sleep < 0 means nothing is in flight.
+func (m *mailbox) take(now time.Duration, b []uint32) (batch []uint32, slab []item, sleep time.Duration) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, s := range b {
+		m.release(s)
+	}
+	m.land(now)
+	b = append(b[:0], m.fired...)
+	m.fired = m.fired[:0]
+	for {
+		s, ok := m.ready.pop()
+		if !ok {
+			break
+		}
+		b = append(b, s)
+	}
+	if len(m.heap) == 0 {
+		return b, m.slab, -1
+	}
+	return b, m.slab, m.heap[0].due - now
+}
+
+// crash is what a killed party's restart does to its mailbox and to rest,
+// the undelivered remainder of its current batch: landed data (the dead
+// process's socket buffers) is discarded, uncounted; fired timers, rest's
+// timers and everything still in flight survive. It returns what is left
+// of rest, the timers a batch holds first; the dropped slots are freed
+// with the rest of the batch by the next take.
+func (m *mailbox) crash(now time.Duration, rest []uint32) []uint32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.land(now)
-	if it, ok = m.fired.pop(); !ok {
-		it, ok = m.ready.pop()
+	for {
+		s, ok := m.ready.pop()
+		if !ok {
+			break
+		}
+		m.release(s)
 	}
-	if ok {
-		return it, true, 0
+	timers := 0
+	for timers < len(rest) && m.slab[rest[timers]].timer {
+		timers++
 	}
-	if len(m.heap) == 0 {
-		return item{}, false, -1
-	}
-	return item{}, false, m.heap[0].due - now
-}
-
-// crash is what a killed party's restart does to its mailbox: the landed
-// data (the dead process's socket buffers) is discarded, uncounted; fired
-// timers and everything still in flight survive.
-func (m *mailbox) crash(now time.Duration) {
-	m.mu.Lock()
-	m.land(now)
-	m.ready.clear()
-	m.mu.Unlock()
+	return rest[:timers]
 }

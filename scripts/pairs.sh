@@ -13,9 +13,15 @@
 # The parent is exported with git archive into PARENT_DIR and built there,
 # with a .bench_build/ of its own. Pair p runs every workload with seed
 # SEED+p-1 on both sides; odd pairs run the parent first, even pairs the
-# working tree. A line has the fields round, side ("parent" or "cur"),
-# pair, seed, first, workload, trace and result (the benchmark's JSON
-# output). The summary covers the lines of OUT with this ROUND label;
+# working tree. Before each workload's pair the side that runs second runs
+# that workload once, unrecorded, and in the first pair the side that runs
+# first does too, before it: without these runs the first run of a pair
+# followed a run of another workload (or its own build) and the second a
+# run of its own, and serve read 11-39 % lower ns_per_msg on the second
+# side in every pair (BENCH_49_pairs.jsonl). With them every recorded run
+# follows a run of the same workload on the other tree. A line has the fields round, side
+# ("parent" or "cur"), pair, seed, first, workload, trace and result (the
+# benchmark's JSON output). The summary covers the lines of OUT with this ROUND label;
 # PAIRS=0 prints it for an existing file without running anything.
 # Run it on a quiet machine: anything else on the CPUs lands in the pairs.
 #
@@ -55,13 +61,19 @@ if ((pairs > 0)) && [ "$(cat "$pdir/.pairs-ref" 2>/dev/null)" != "$sha" ]; then
 	echo "$sha" >"$pdir/.pairs-ref"
 fi
 
-# run SIDE PAIR SEED FIRST WORKLOAD appends one run's line to OUT.
-run() {
+# bench SIDE SEED WORKLOAD runs the benchmark once on SIDE and prints its
+# JSON line.
+bench() {
 	local dir=$root
 	[ "$1" = parent ] && dir=$pdir
-	local res
-	res=$(cd "$dir" && bash benchmark/run.sh --workload "$5" --seed "$3" \
+	(cd "$dir" && bash benchmark/run.sh --workload "$3" --seed "$2" \
 		--seconds "$secs" --trace "$trace" | tail -n 1)
+}
+
+# run SIDE PAIR SEED FIRST WORKLOAD appends one run's line to OUT.
+run() {
+	local res
+	res=$(bench "$1" "$3" "$5")
 	jq -cn --arg round "$round" --arg side "$1" --argjson pair "$2" \
 		--argjson seed "$3" --arg first "$4" --arg workload "$5" \
 		--argjson trace "$trace" --argjson result "$res" \
@@ -76,6 +88,8 @@ for ((p = 1; p <= pairs; p++)); do
 	first=parent second=cur
 	if ((p % 2 == 0)); then first=cur second=parent; fi
 	for w in "${wls[@]}"; do
+		if ((p == 1)); then bench "$first" "$seed" "$w" >/dev/null; fi
+		bench "$second" "$seed" "$w" >/dev/null
 		run "$first" "$p" "$seed" "$first" "$w"
 		run "$second" "$p" "$seed" "$first" "$w"
 	done
