@@ -23,10 +23,12 @@ check:
 # TestProductionMatchesReference runs a reference and a production engine
 # concurrently, sharing the run-context pool. TestRecipeLiveTokens runs
 # Recipe.Live's runs, Byzantine processes among them, on livenet
-# goroutines. internal/serve's wall-clock loop runs each instance attempt
-# in a goroutine of its own.
+# goroutines. TestRunLivePooledShapes runs Recipe.RunLive back to back on
+# changing shapes, on pooled run contexts and livenet networks.
+# internal/serve's wall-clock loop runs each instance attempt in a
+# goroutine of its own.
 race:
-	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestProductionMatchesReference|TestRecipeLiveTokens' ./internal/harness/
+	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestProductionMatchesReference|TestRecipeLiveTokens|TestRunLivePooledShapes' ./internal/harness/
 	$(GO) test -race ./internal/livenet/
 	$(GO) test -race ./internal/serve/
 

@@ -275,6 +275,37 @@ func TestRunLive(t *testing.T) {
 	}
 }
 
+// TestRunLiveReusedAllocs pins the pooled live path: after one warm-up
+// run has filled the run-context and network pools, a crash run at n=32
+// (about 10 240 messages, the benchmark's live op) stays at or under 150
+// allocations, where building its parties and network afresh cost about
+// 2 200. A per-message allocation, or a party, mailbox or timer built per
+// run again, fails here.
+func TestRunLiveReusedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool drops pooled values at random, so warm runs rebuild parties")
+	}
+	const budget = 150
+	cfg := Config{Model: ModelCrash, N: 32, T: 10, Epsilon: 1e-3, Lo: 0, Hi: 1}
+	inputs := harness.UniformInputs(cfg.N, 0, 1, 17)
+	var seed int64
+	run := func() {
+		seed++
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		out, err := RunLive(ctx, cfg, inputs, LiveOptions{MaxJitter: 200 * time.Microsecond, Seed: seed})
+		if err != nil || !out.OK() {
+			t.Fatalf("seed %d: %v, outcome %+v", seed, err, out)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs > budget {
+		t.Errorf("warm n=%d RunLive: %v allocs, budget %d", cfg.N, allocs, budget)
+	} else {
+		t.Logf("warm n=%d RunLive: %v allocs", cfg.N, allocs)
+	}
+}
+
 func TestSimulateReliableSurvivesLoss(t *testing.T) {
 	// The raw transport stalls under sustained loss; WithReliable heals it
 	// by retransmission — the E13 resilience claim through the public API.

@@ -5,9 +5,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"repro/internal/harness"
-	"repro/internal/livenet"
 )
 
 // LiveOptions tunes RunLive.
@@ -50,16 +47,11 @@ func RunLive(ctx context.Context, c Config, inputs []float64, opts LiveOptions) 
 	}
 	r.Scenario = fmt.Sprintf("%s/n=%d,t=%d", cmp.Or(opts.Scenario, SchedRandom), c.N, c.T)
 	r.Seed, r.Reliable = opts.Seed, opts.Reliable
-	procs, lo, byz, judged, err := r.Live()
-	if err != nil {
-		return nil, err
-	}
-	lo.MaxJitter = opts.MaxJitter
-	res, err := livenet.Run(ctx, procs, lo)
+	res, v, err := r.RunLive(ctx, opts.MaxJitter, 0)
 	if res == nil {
 		return nil, err
 	}
-	out := outcome(harness.Judge(r.Inputs, byz, judged, res.Decisions, r.Eps), res.Decisions)
+	out := outcome(v, res.Decisions)
 	out.Messages, out.Dropped, out.Duped = int(res.Messages), int(res.Dropped), int(res.Duped)
 	out.Retransmits, out.Err = int(res.Transport.Retransmits), err
 	return out, err

@@ -53,7 +53,6 @@ import (
 	"repro/aa"
 	"repro/internal/harness"
 	"repro/internal/incident"
-	"repro/internal/livenet"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -260,18 +259,14 @@ func doReplay(w io.Writer, path string) error {
 // runLive runs the recipe on the goroutine runtime, which fails on any
 // token it cannot run.
 func runLive(w io.Writer, r harness.Recipe, timeout time.Duration) error {
-	procs, opts, byz, judged, err := r.Live()
-	if err != nil {
-		return err
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	res, err := livenet.Run(ctx, procs, opts)
+	res, v, err := r.RunLive(ctx, 0, 0)
 	if res == nil {
 		return err
 	}
 	// A timeout still reports the partial progress before failing.
-	out := outcome(harness.Judge(r.Inputs, byz, judged, res.Decisions, r.Eps), res.Decisions)
+	out := outcome(v, res.Decisions)
 	out.Messages, out.Dropped, out.Duped = int(res.Messages), int(res.Dropped), int(res.Duped)
 	out.Retransmits, out.Err = int(res.Transport.Retransmits), err
 	printOutcome(w, out, r.Eps)

@@ -56,6 +56,8 @@ type RunContext struct {
 	// how many the current run attached, for the post-run stats sweep.
 	rel     []*relnet.Proc
 	relUsed int
+	// live holds a live run's processes (liveProcs).
+	live []sim.Process
 
 	// Observer state for trajectory/trace runs. obsFn caches the observer
 	// closure (one bound-method value per context, not one per run); the
@@ -142,6 +144,25 @@ func (c *RunContext) observe(now sim.Time, env sim.Envelope) {
 	}
 }
 
+// honest returns the context's recycled party i for a run of p, reset for
+// input and, when reliable, wrapped in the context's next pooled
+// ack/retransmit transport. The wrapper forwards Estimate/Err to the
+// protocol underneath, so trajectory sampling and the protocol-error sweep
+// see through it. Errors are exactly those of party.
+func (c *RunContext) honest(p core.Params, i int, input float64, reliable bool) (sim.Process, error) {
+	proc, err := c.party(p, i, input)
+	if err != nil || !reliable {
+		return proc, err
+	}
+	if len(c.rel) == c.relUsed {
+		c.rel = append(c.rel, relnet.Wrap(proc))
+	} else {
+		c.rel[c.relUsed].Reset(proc)
+	}
+	c.relUsed++
+	return c.rel[c.relUsed-1], nil
+}
+
 // maxByzPool bounds the Byzantine process pool; every built-in behavior
 // renews, so the pool normally stabilizes at the largest cohort size.
 const maxByzPool = 64
@@ -164,6 +185,34 @@ func (c *RunContext) byzProc(b fault.Behavior, env fault.Env) sim.Process {
 		}
 	}
 	return b.New(env)
+}
+
+// renewByz parks the previous run's Byzantine processes in the pool and
+// builds this run's, one per entry of byz, into c.byz. Parking at the start
+// of a run also covers a previous run that returned an error, which skips
+// any end-of-run cleanup. The processes are small concrete records
+// (scratch buffers plus parameters), so keeping them warm does not pin a
+// run graph the way the pre-pooling process closures did.
+func (c *RunContext) renewByz(byz map[sim.PartyID]fault.Behavior, env fault.Env) {
+	if len(c.byz) > 0 {
+		for _, proc := range c.byz {
+			// The cap bounds the pool when behaviors don't implement
+			// fault.Renewer (their parked processes would never be drawn
+			// again): beyond it, references are simply dropped to the GC.
+			if len(c.byzPool) < maxByzPool {
+				c.byzPool = append(c.byzPool, proc)
+			}
+		}
+		clear(c.byz)
+	}
+	if len(byz) > 0 {
+		if c.byz == nil {
+			c.byz = make(map[sim.PartyID]sim.Process, len(byz))
+		}
+		for id, b := range byz {
+			c.byz[id] = c.byzProc(b, env)
+		}
+	}
 }
 
 // eventBudget is the event budget of a run whose Spec.MaxEvents is 0: four
@@ -210,29 +259,8 @@ func (c *RunContext) run(spec Spec, rep *Report) error {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = eventBudget(p, env.Rounds, spec.Reliable)
 	}
-	// Park the previous run's Byzantine processes in the pool before
-	// clearing the map (the start-of-run point also covers error returns,
-	// which skip any end-of-run cleanup). The processes are small concrete
-	// records (scratch buffers plus parameters), so keeping them warm does
-	// not pin a run graph the way the pre-pooling process closures did.
-	if len(c.byz) > 0 {
-		for _, proc := range c.byz {
-			// The cap bounds the pool when behaviors don't implement
-			// fault.Renewer (their parked processes would never be drawn
-			// again): beyond it, references are simply dropped to the GC.
-			if len(c.byzPool) < maxByzPool {
-				c.byzPool = append(c.byzPool, proc)
-			}
-		}
-		clear(c.byz)
-	}
+	c.renewByz(spec.Byz, env)
 	if len(spec.Byz) > 0 {
-		if c.byz == nil {
-			c.byz = make(map[sim.PartyID]sim.Process, len(spec.Byz))
-		}
-		for id, b := range spec.Byz {
-			c.byz[id] = c.byzProc(b, env)
-		}
 		cfg.Byzantine = c.byz
 	}
 	if c.net == nil {
@@ -252,22 +280,9 @@ func (c *RunContext) run(spec Spec, rep *Report) error {
 		if _, isByz := spec.Byz[id]; isByz {
 			continue
 		}
-		proc, err := c.party(p, i, spec.Inputs[i])
+		proc, err := c.honest(p, i, spec.Inputs[i], spec.Reliable)
 		if err != nil {
 			return fmt.Errorf("harness: party %d: %w", i, err)
-		}
-		if spec.Reliable {
-			// Wrap the honest party in the ack/retransmit transport. The
-			// wrapper forwards Estimate/Err to the protocol underneath, so
-			// trajectory sampling and the protocol-error sweep below see
-			// through it.
-			if len(c.rel) == c.relUsed {
-				c.rel = append(c.rel, relnet.Wrap(proc))
-			} else {
-				c.rel[c.relUsed].Reset(proc)
-			}
-			proc = c.rel[c.relUsed]
-			c.relUsed++
 		}
 		if err := net.SetProcess(id, proc); err != nil {
 			return err

@@ -6,8 +6,7 @@
 // There is one run verdict, Judge: validity (every judged output inside
 // the hull of the non-Byzantine inputs) and ε-agreement, with one float
 // slack. Simulated runs (Report.check), vector runs (RunVector, once per
-// coordinate) and live runs (through the Jury that Recipe.Live returns)
-// all go through it.
+// coordinate) and live runs (Recipe.RunLive) all go through it.
 //
 // Adversary wiring is declarative: drivers enumerate scenario.Spec values
 // (internal/scenario) and lower them to executable Specs with SpecFrom;
@@ -16,8 +15,9 @@
 // run named in that vocabulary is a Recipe: aafuzz's violations, aaserve's
 // failure artifacts, aarun's runs and recordings and the incident corpus
 // all write one, and aa builds one. Recipe.Lower (LowerAt, for a parsed
-// scenario) turns a recipe into a simulator Spec, and Recipe.Live into a
-// goroutine-runtime run, naming any token that runtime cannot run.
+// scenario) turns a recipe into a simulator Spec, and Recipe.LowerLive
+// into a goroutine-runtime run, naming any token that runtime cannot run;
+// Recipe.RunLive runs that on parties from the run-context pool.
 //
 // Experiments run on an Engine (pool.go), which every driver takes as its
 // first argument: drivers enumerate their independent simulation runs as

@@ -140,3 +140,40 @@ func TestRecipeLiveTokens(t *testing.T) {
 		})
 	}
 }
+
+// TestRunLivePooledShapes runs the pooled live runner back to back on
+// changing shapes, so that each run after the first draws a run context
+// and a livenet network that a different shape used last: protocol, n,
+// transport, Byzantine cohort and restart plans all change, and the last
+// run repeats the first. Every run must be valid and agreed. The restart
+// case checkpoints at its kill (lag 0): a party restarted from a stale
+// checkpoint can stall (ROADMAP item 17).
+func TestRunLivePooledShapes(t *testing.T) {
+	shapes := []struct {
+		scenario, proto    string
+		reliable, adaptive bool
+	}{
+		{scenario: "random/n=32,t=10", proto: "crash"},
+		{scenario: "random+loss:0.1/n=10,t=3", proto: "crash", reliable: true},
+		{scenario: "random+equivocate/n=4,t=1", proto: "witness"},
+		{scenario: "random+recover:1:20:0/n=9,t=2", proto: "crash", reliable: true, adaptive: true},
+		{scenario: "random/n=32,t=10", proto: "crash"},
+	}
+	for i, s := range shapes {
+		scen, err := scenario.Parse(s.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := Recipe{Scenario: s.scenario, Protocol: s.proto, Eps: 1e-3, Lo: 0, Hi: 1, Seed: int64(i + 1),
+			Inputs: UniformInputs(scen.N, 0, 1, int64(i+1)), Reliable: s.reliable, Adaptive: s.adaptive}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		res, v, err := r.RunLive(ctx, 200*time.Microsecond, 10*time.Microsecond)
+		cancel()
+		if err != nil {
+			t.Fatalf("run %d (%s %s): %v", i, s.proto, s.scenario, err)
+		}
+		if !v.ValidityOK || !v.AgreementOK {
+			t.Errorf("run %d (%s %s): verdict %+v on decisions %v", i, s.proto, s.scenario, v, res.Decisions)
+		}
+	}
+}

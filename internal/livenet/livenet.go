@@ -23,12 +23,23 @@
 // party) goes on while the owner is wedged or down. The fault options are
 // the scenario's own values in protocol ticks, Tick long each: loss and
 // dup probabilities, the darkness predicate of its flap and outage windows,
-// and its restart plans (harness.Recipe.Live lowers a scenario onto them).
+// and its restart plans (harness.Recipe.LowerLive lowers a scenario onto
+// them).
 // Processes wrapped in the ack/retransmit transport (internal/relnet) heal
 // the damage and report their counters in Result.Transport. When the
 // context expires the partial Result (who decided, who degraded, every
 // transport counter) is returned alongside ErrTimeout instead of being
 // discarded.
+//
+// Run recycles its network: the mailboxes' slabs, heaps and rings, the
+// parties' handles, batches, random sources and sleep timers come from a
+// package pool and are reset by capacity, and each party carves the
+// payload copies it sends from an append-only chunk of its own. A pooled
+// network keeps its buffers' high-water capacity until the GC empties the
+// pool. Whatever a goroutine of a finished run could still reach (the run's
+// context, its done channel, the restart plans' control channels and
+// timers) is made per run, and a network goes back to the pool only after
+// every party goroutine has exited.
 package livenet
 
 import (
@@ -61,8 +72,10 @@ type Options struct {
 	WaitFor int
 	// InboxDepth bounds how many landed data messages may wait in a
 	// party's mailbox, and how many one batch hands over (default 4096;
-	// the buffers grow on demand). Beyond it the oldest landed message is
-	// shed (counted in Result.Shed) so that senders never block.
+	// the buffers grow on demand, and a pooled network keeps their
+	// high-water capacity until the GC empties the pool). Beyond it the
+	// oldest landed message is shed (counted in Result.Shed) so that
+	// senders never block.
 	InboxDepth int
 	// Loss is the per-send probability that the network silently drops
 	// the message (counted in Result.Dropped).
@@ -162,21 +175,41 @@ type network struct {
 	decisions  map[sim.PartyID]float64
 	want       int
 	doneCh     chan struct{}
-	doneOnce   sync.Once
+	done       bool // doneCh is closed
 	restartErr error
 }
 
-// newNetwork builds the mailboxes and party handles of an n-party run; opts
-// has its defaults filled in. The run's clock starts when start is set.
+// netPool recycles networks across runs, sizes and goroutines; the GC may
+// drop a pooled network with its buffers.
+var netPool = sync.Pool{New: func() any { return new(network) }}
+
+// newNetwork readies a pooled network for an n-party run; opts has its
+// defaults filled in. The run's clock starts when start is set.
 func newNetwork(n int, opts Options) *network {
-	net := &network{
-		opts:      opts,
-		boxes:     make([]mailbox, n),
-		parties:   make([]liveAPI, n),
-		decisions: make(map[sim.PartyID]float64, n),
-		want:      opts.WaitFor,
-		doneCh:    make(chan struct{}),
+	net := netPool.Get().(*network)
+	net.reset(n, opts)
+	return net
+}
+
+// reset readies the network, fresh or used by a finished run, for an
+// n-party run: a run on a reset network is indistinguishable from one on a
+// fresh network. Buffers are resliced when their capacity suffices and
+// allocated when it does not; the done channel is always new, since only
+// the finished run's goroutines could have closed it.
+func (net *network) reset(n int, opts Options) {
+	net.opts, net.want, net.restartErr = opts, opts.WaitFor, nil
+	net.doneCh, net.done = make(chan struct{}), false
+	if net.decisions == nil {
+		net.decisions = make(map[sim.PartyID]float64, n)
 	}
+	clear(net.decisions)
+	if cap(net.boxes) < n {
+		net.boxes = make([]mailbox, n)
+		// A handle's rng points at its src, so handles are never copied
+		// to a new array: a grown network starts with fresh ones.
+		net.parties = make([]liveAPI, n)
+	}
+	net.boxes, net.parties = net.boxes[:n], net.parties[:n]
 	// Every party multicasts to every party once a round, and the parties
 	// drift up to about a round apart, so a mailbox holds under two
 	// rounds of traffic: its buffers and the party's batch start there.
@@ -185,11 +218,27 @@ func newNetwork(n int, opts Options) *network {
 		net.boxes[i].init(opts.InboxDepth, room)
 		a := &net.parties[i]
 		a.net, a.id = net, sim.PartyID(i)
-		a.batch = make([]uint32, 0, room)
-		a.src.Seed(opts.Seed ^ (int64(i+1) * 0x5851F42D4C957F2D))
-		a.rng = rand.New(&a.src)
+		a.ctl, a.rejoin = nil, 0
+		a.messages, a.dropped, a.duped, a.restarts = 0, 0, 0, 0
+		if cap(a.batch) < room {
+			a.batch = make([]uint32, 0, room)
+		}
+		a.batch = a.batch[:0]
+		if a.rng == nil {
+			a.rng = rand.New(&a.src)
+		}
+		// Seeding the Rand, not only its source, also drops any bytes
+		// buffered by an earlier run's Read.
+		a.rng.Seed(opts.Seed ^ (int64(i+1) * 0x5851F42D4C957F2D))
 	}
-	return net
+}
+
+// release returns the network to the pool once every party goroutine of
+// its run has exited, dropping what would pin the caller's run: its
+// context and the options' closures.
+func (net *network) release() {
+	net.opts, net.ctx, net.cancel = Options{}, nil, nil
+	netPool.Put(net)
 }
 
 // undecide withdraws a killed party's decision so its rejoin must re-earn
@@ -239,11 +288,18 @@ func (r *splitmix) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// chunkSize is the size of the chunks a party carves its payload copies
+// from; a larger payload gets an allocation of its own.
+const chunkSize = 4096
+
 // liveAPI is one party's handle on the network. Everything in it is
 // touched only by the party's own goroutine; Run reads the counters after
 // that goroutine has exited. A party with a restart plan has the channel
 // its supervision messages ride and its rejoin tick set before the run
-// starts. batch is the buffer of slots its mailbox's takes fill.
+// starts. batch is the buffer of slots its mailbox's takes fill, sleep the
+// timer its loop sleeps on, and chunk what is left of the chunk its
+// payload copies are carved from; all three outlive the run with the
+// pooled network.
 type liveAPI struct {
 	net    *network
 	id     sim.PartyID
@@ -252,6 +308,8 @@ type liveAPI struct {
 	ctl    chan ctlKind
 	rejoin sim.Time
 	batch  []uint32
+	sleep  *time.Timer
+	chunk  []byte
 
 	messages, dropped, duped, restarts int64
 }
@@ -267,6 +325,24 @@ func (a *liveAPI) jitter() time.Duration {
 		return 0
 	}
 	return time.Duration(a.rng.Int63n(int64(a.net.opts.MaxJitter)))
+}
+
+// copyOf returns a copy of data carved from the party's chunk. The chunk
+// is append-only: bytes once handed out are never written again, by this
+// run or a later one, so a delivered payload stays valid for as long as
+// anything holds it, and a copy's capacity ends with it, so appending to
+// it cannot reach its neighbour's bytes.
+func (a *liveAPI) copyOf(data []byte) []byte {
+	n := len(data)
+	if n > chunkSize {
+		return append([]byte(nil), data...)
+	}
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.chunk = make([]byte, 0, chunkSize)
+	}
+	at := len(a.chunk)
+	a.chunk = append(a.chunk, data...)
+	return a.chunk[at : at+n : at+n]
 }
 
 // post is one point-to-point send at clock time now: counted, subjected to
@@ -290,8 +366,7 @@ func (a *liveAPI) post(to sim.PartyID, now time.Duration, data, shared []byte) [
 		// Copy so the sender may reuse its buffer after the send returns.
 		// Every delivery of it — to each recipient of a multicast, and an
 		// injected duplicate — shares the copy: deliveries are read-only.
-		shared = make([]byte, len(data))
-		copy(shared, data)
+		shared = a.copyOf(data)
 	}
 	msg := item{from: a.id, data: shared}
 	box := &net.boxes[to]
@@ -331,8 +406,9 @@ func (a *liveAPI) Decide(value float64) {
 		return
 	}
 	net.decisions[a.id] = value
-	if len(net.decisions) >= net.want {
-		net.doneOnce.Do(func() { close(net.doneCh) })
+	if len(net.decisions) >= net.want && !net.done {
+		close(net.doneCh)
+		net.done = true
 	}
 }
 
@@ -405,12 +481,15 @@ func (a *liveAPI) run(p sim.Process) {
 		return true
 	}
 
-	// One timer per party, re-armed for the earliest due time whenever a
-	// take finds nothing landed.
-	var sleep *time.Timer
+	// One timer per party, kept with the pooled network and re-armed for
+	// the earliest due time whenever a take finds nothing landed. Reusing
+	// it across runs relies on the timer semantics of go 1.23 and later,
+	// which this module's go 1.24 selects: after Stop or Reset returns, its
+	// channel never delivers a tick of the earlier setting, so no run wakes
+	// on a deadline of the run before.
 	defer func() {
-		if sleep != nil {
-			sleep.Stop()
+		if a.sleep != nil {
+			a.sleep.Stop()
 		}
 	}()
 	for {
@@ -449,12 +528,12 @@ func (a *liveAPI) run(p sim.Process) {
 		}
 		var due <-chan time.Time
 		if wait >= 0 {
-			if sleep == nil {
-				sleep = time.NewTimer(wait)
+			if a.sleep == nil {
+				a.sleep = time.NewTimer(wait)
 			} else {
-				sleep.Reset(wait)
+				a.sleep.Reset(wait)
 			}
-			due = sleep.C
+			due = a.sleep.C
 		}
 		select {
 		case <-done:
@@ -506,6 +585,9 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 	defer cancel()
 	net := newNetwork(len(procs), opts)
 	net.ctx, net.cancel = runCtx, cancel
+	// Every path from here waits for the party goroutines (wg.Wait below)
+	// before this runs.
+	defer net.release()
 	for _, rp := range opts.Restarts {
 		a := &net.parties[rp.Party]
 		// Room for a checkpoint and a kill with the party still busy.

@@ -101,14 +101,35 @@ type mailbox struct {
 	wake chan struct{}
 }
 
-// init readies a zero mailbox that holds at most depth landed data items,
-// with room for room items before its buffers grow.
+// init readies a mailbox, zero or left over from a finished run, to hold
+// at most depth landed data items, with room for room items before its
+// buffers grow. A used mailbox keeps its buffers where their capacity
+// suffices, and is emptied: nothing in flight, landed or shed, no wake
+// token, and no slab slot referencing a payload. Its owner must have
+// exited: init takes no lock.
 func (m *mailbox) init(depth, room int) {
-	m.slab = make([]item, 0, room)
-	m.heap = make([]key, 0, room)
-	m.ready.buf = make([]uint32, room)
-	m.ready.max = depth
-	m.wake = make(chan struct{}, 1)
+	clear(m.slab)
+	m.slab, m.free = m.slab[:0], 0
+	if cap(m.slab) < room {
+		m.slab = make([]item, 0, room)
+	}
+	m.heap, m.seq = m.heap[:0], 0
+	if cap(m.heap) < room {
+		m.heap = make([]key, 0, room)
+	}
+	// The ring sheds only once full, so it never holds more than depth.
+	if cap(m.ready.buf) < room {
+		m.ready.buf = make([]uint32, room)
+	}
+	m.ready = ring{buf: m.ready.buf[:min(cap(m.ready.buf), depth)], max: depth}
+	m.fired, m.shed = m.fired[:0], 0
+	if m.wake == nil {
+		m.wake = make(chan struct{}, 1)
+	}
+	select {
+	case <-m.wake:
+	default:
+	}
 }
 
 // push puts it in flight until due and signals the owner if it became the

@@ -404,3 +404,51 @@ func TestMailboxConservesItemsUnderConcurrentPushes(t *testing.T) {
 		record()
 	}
 }
+
+// TestMailboxInitEmptiesAUsedMailbox: a pooled network re-inits the
+// mailboxes of a finished run. One left with items in flight, data landed
+// and in its owner's batch, fired timers, a pending wake token and shed
+// data comes back empty: a take finds nothing and nothing in flight, no
+// shed is counted, no wake token is pending, and no slab slot still
+// references a payload (a pooled network pins no finished run's traffic).
+func TestMailboxInitEmptiesAUsedMailbox(t *testing.T) {
+	m := newTestMailbox(2)
+	m.push(0, tick, msg('a'))
+	m.push(0, tick, msg('b'))
+	if got, _ := m.next(tick); got != "ab" {
+		t.Fatalf("first batch %q, want %q", got, "ab")
+	}
+	// Past the depth, so the pushes land: a fired timer, and three data
+	// items for a ring of two.
+	m.push(10*tick, 2*tick, item{tag: 1, timer: true})
+	for _, name := range []byte("cde") {
+		m.push(10*tick, 3*tick, msg(name))
+	}
+	m.push(10*tick, time.Hour, msg('f'))
+	if m.shed == 0 || len(m.fired) == 0 || m.ready.n == 0 || len(m.heap) == 0 || len(m.wake) == 0 || len(m.batch) == 0 {
+		t.Fatalf("not dirty enough: shed %d, fired %d, landed %d, in flight %d, wake %d, batch %d",
+			m.shed, len(m.fired), m.ready.n, len(m.heap), len(m.wake), len(m.batch))
+	}
+
+	m.init(2, 4)
+	if batch, _, sleep := m.take(time.Hour, nil); len(batch) > 0 || sleep != -1 {
+		t.Errorf("after init: took %d items, sleep %v; want none and -1", len(batch), sleep)
+	}
+	if m.shed != 0 {
+		t.Errorf("after init: shed %d, want 0", m.shed)
+	}
+	if signalled(m) {
+		t.Error("after init: a wake token is pending")
+	}
+	for s, it := range m.mailbox.slab[:cap(m.mailbox.slab)] {
+		if it.data != nil {
+			t.Errorf("after init: slab slot %d still references payload %q", s, it.data)
+		}
+	}
+	// And it works as a fresh one does.
+	m.batch = m.batch[:0]
+	m.push(0, tick, msg('g'))
+	if got := drain(m, tick); got != "g" {
+		t.Errorf("after init: got %q, want %q", got, "g")
+	}
+}

@@ -56,8 +56,9 @@ func Cases() []Case {
 }
 
 // LiveRun measures one whole run on the goroutine runtime: crash protocol,
-// n=32 t=10, every message held for a uniform draw from [0, 200 µs), party
-// construction included (livenet has no recycled form). A run is ~10 240
+// n=32 t=10, every message held for a uniform draw from [0, 200 µs), with
+// fresh parties built for every run (livenet.Run recycles its own network;
+// harness.Recipe.RunLive also recycles the parties). A run is ~10 240
 // messages, so besides ns/op and allocs/op it reports ns/msg and
 // allocs/msg — the units the simulator rows are quoted in. ns/msg is wall
 // time: at this size the run is processor-bound, but a round can never

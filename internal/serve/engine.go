@@ -122,7 +122,7 @@ func composeScenario(cfg Config, kind workload.WindowKind, inWindow bool) string
 
 // instance derives the run one attempt executes from the config, the
 // attempt's composed scenario and its seed, which also draws the inputs.
-// simAttempt lowers it, liveAttempt runs it through Recipe.Live, and
+// simAttempt lowers it, liveAttempt runs it through Recipe.RunLive, and
 // WriteArtifacts captures it, so a bundle replays the instance the
 // envelope saw.
 func (c Config) instance(scen string, seed int64) harness.Recipe {

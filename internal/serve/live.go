@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/harness"
-	"repro/internal/livenet"
 	"repro/internal/workload"
 )
 
@@ -50,8 +48,8 @@ type LiveConfig struct {
 // backoff gate or due attempt. Each attempt runs in a goroutine of its own
 // and reports back on a channel. The returned Summary satisfies the same
 // accounting identity as Simulate's. On BackendLive every composed
-// scenario must be one the live runtime runs (Recipe.Live), or ServeLive
-// fails before the first request.
+// scenario must be one the live runtime runs (Recipe.LowerLive), or
+// ServeLive fails before the first request.
 func ServeLive(w workload.Spec, cfg Config, opts Options, lc LiveConfig) (*Summary, error) {
 	s, err := newServer(w, cfg, opts)
 	if err != nil {
@@ -59,7 +57,7 @@ func ServeLive(w workload.Spec, cfg Config, opts Options, lc LiveConfig) (*Summa
 	}
 	if lc.Backend == BackendLive {
 		for _, name := range s.scens {
-			if _, _, _, _, err := s.cfg.instance(name, s.cfg.Seed).Live(); err != nil {
+			if _, _, _, err := s.cfg.instance(name, s.cfg.Seed).LowerLive(); err != nil {
 				return nil, fmt.Errorf("serve: config: %w", err)
 			}
 		}
@@ -133,10 +131,10 @@ func (c *wallClock) start(s *server, p *pending, now int64) {
 	}()
 }
 
-// liveAttempt runs p's instance as real goroutine parties over livenet,
-// propagating the request deadline into the run context. The attempt is
-// due when the run returns; one whose deadline has already passed starts
-// nothing.
+// liveAttempt runs p's instance as real goroutine parties over livenet
+// (Recipe.RunLive), propagating the request deadline into the run context.
+// The attempt is due when the run returns; one whose deadline has already
+// passed starts nothing, and one whose run cannot start is an error.
 func (c *wallClock) liveAttempt(s *server, p *pending) verdict {
 	v := verdict{p: p}
 	deadline := c.at(p.absDeadline())
@@ -144,25 +142,19 @@ func (c *wallClock) liveAttempt(s *server, p *pending) verdict {
 		v.due = c.ticks()
 		return v
 	}
-	r := s.cfg.instance(p.scenario, p.seed)
-	procs, opts, byz, judged, err := r.Live()
-	if err != nil {
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	res, j, err := s.cfg.instance(p.scenario, p.seed).RunLive(ctx, c.lc.MaxJitter, c.lc.ProtoTick)
+	if res == nil {
 		v.err = fmt.Errorf("serve: request %d: %w", p.req.ID, err)
 		return v
 	}
-	opts.MaxJitter, opts.Tick = c.lc.MaxJitter, c.lc.ProtoTick
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	res, err := livenet.Run(ctx, procs, opts)
 	v.due = c.ticks()
 	v.ran = true
-	if res != nil {
-		v.msgs = res.Messages
-	}
+	v.msgs = res.Messages
 	if err != nil {
-		v.partial = res != nil && len(res.Decisions) > 0
+		v.partial = len(res.Decisions) > 0
 	} else {
-		j := harness.Judge(r.Inputs, byz, judged, res.Decisions, r.Eps)
 		v.ok = j.ValidityOK && j.AgreementOK
 	}
 	return v

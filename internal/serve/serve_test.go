@@ -443,10 +443,11 @@ func TestLiveVerdictUsesDrawnInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := s.cfg.instance(s.scens[0], seed) // liveAttempt's recipe
-	_, _, byz, judged, err := r.Live()
+	spec, _, judged, err := r.LowerLive()
 	if err != nil {
 		t.Fatal(err)
 	}
+	byz := spec.Byz
 	inputs := r.Inputs
 	above := (slices.Max(inputs) + cfg.Hi) / 2
 	if above <= slices.Max(inputs)+1 || above >= cfg.Hi {
