@@ -22,15 +22,18 @@ check:
 # passes silently. TestMakeRaceRunPatterns (makefile_test.go) checks this.
 # TestProductionMatchesReference runs a reference and a production engine
 # concurrently, sharing the run-context pool. TestRecipeLiveTokens runs
-# Recipe.Live's runs, Byzantine processes among them, on livenet
-# goroutines. TestRunLivePooledShapes runs Recipe.RunLive back to back on
+# every registry token LowerLive accepts, Byzantine processes and every
+# scheduler among them, on livenet goroutines that share the run's
+# scheduler. TestRunLivePooledShapes runs Recipe.RunLive back to back on
 # changing shapes, on pooled run contexts and livenet networks.
 # internal/serve's wall-clock loop runs each instance attempt in a
-# goroutine of its own.
+# goroutine of its own. TestFIFOConcurrentSenders calls the one stateful
+# scheduler, fifo, from a goroutine per sender, as livenet does.
 race:
 	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestProductionMatchesReference|TestRecipeLiveTokens|TestRunLivePooledShapes' ./internal/harness/
 	$(GO) test -race ./internal/livenet/
 	$(GO) test -race ./internal/serve/
+	$(GO) test -race -run 'TestFIFOConcurrentSenders' ./internal/sched/
 
 # fuzz-relnet runs the native fuzz target for relnet's frame parser and
 # link windows (FuzzDeliver: arbitrary frames from arbitrary senders,

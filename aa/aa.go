@@ -20,11 +20,11 @@
 // and can degrade the network: Simulate takes loss, duplication, regional
 // outages, flapping parties and crash-recovery restarts as scenario axes
 // ("loss:P"/"dup:P"/"outage:k:start:len"/"flap:len"/"recover:k:down:lag");
-// RunLive takes the same axes in the same spec (LiveOptions.Scenario), its
-// tick windows 1ms long, and fails on, rather than ignores, any scenario
-// token the live runtime cannot run. Both can wrap every honest party in
-// an ack/retransmit transport (WithReliable / LiveOptions.Reliable) that
-// heals the damage.
+// RunLive takes the same schedulers and axes in the same spec
+// (LiveOptions.Scenario), its ticks 1ms long, and fails on, rather than
+// ignores, the tokens the live runtime cannot run (crash plans and
+// "random:ARG"). Both can wrap every honest party in an ack/retransmit
+// transport (WithReliable / LiveOptions.Reliable) that heals the damage.
 // The Outcome's Dropped, Duped, and Retransmits counters report what the
 // network did; a live timeout returns the partial Outcome with the error.
 package aa

@@ -13,13 +13,15 @@ type LiveOptions struct {
 	// for a uniform draw from [0, MaxJitter). Zero selects the 2ms
 	// default; a negative value injects no delay at all.
 	MaxJitter time.Duration
-	// Seed drives the jitter randomness.
+	// Seed drives the jitter and the scenario's randomness.
 	Seed int64
 	// Scenario is the run's adversary: the tokens of a WithScenario spec
-	// without its "/params", which are the config's (N, T). It names the
-	// "random" scheduler (the default) and any of the loss, dup, flap,
-	// outage, recover and amnesia axes and the Byzantine tokens, e.g.
-	// "random+loss:0.1+flap". Its windows are in protocol ticks of 1ms.
+	// without its "/params", which are the config's (N, T). It names any
+	// registry scheduler but "random:ARG", with "random" (the default)
+	// running as the jitter alone, and any of the loss, dup, flap, outage,
+	// recover and amnesia axes and the Byzantine tokens, e.g.
+	// "splitviews+loss:0.1+flap". Its delays and windows are in protocol
+	// ticks of 1ms, on top of the jitter.
 	Scenario string
 	// Reliable wraps every honest party in the ack/retransmit transport
 	// (internal/relnet), which heals lost and darkened sends by

@@ -24,9 +24,11 @@
 //	aarun -model crash -adaptive -live -scenario "random+recover:2:10:0/n=9,t=2" -reliable
 //
 // -live runs the same recipe on the goroutine runtime, one protocol tick
-// per millisecond, and prints the parties that completed a restart; it
-// fails, naming it, on any scheduler, crash token or -crash plan that
-// runtime cannot run.
+// per millisecond, and prints the parties that completed a restart. The
+// scenario's scheduler decides every send's fate there as in the
+// simulator, random running as the runtime's jitter; it fails, naming it,
+// on random:ARG, a crash token or a -crash plan, which that runtime
+// cannot run.
 //
 // -record FILE captures the run as a replayable incident bundle: the
 // scenario, seed, every per-send delivery delay, and a digest of the

@@ -18,9 +18,10 @@
 // request's drawn service time has passed, with no sleep. "live" runs real
 // goroutine parties over internal/livenet until they decide, propagating
 // each request's deadline into the run context. All modes run the same
-// instance recipe, so -scenario's axes (loss, dup, flap, outage, recover,
-// amnesia) apply in each, and live mode fails up front, naming it, on a
-// scenario token the goroutine runtime cannot run.
+// instance recipe, so -scenario's scheduler and axes (loss, dup, flap,
+// outage, recover, amnesia) apply in each; live mode runs random as its
+// -jitter, and fails up front, naming it, on what the goroutine runtime
+// cannot run: random:ARG and crash tokens.
 //
 // -saturate rescales the workload's base rate to the worker pool's
 // analytic saturation rate before applying -mult, so "-mult 4 -saturate"

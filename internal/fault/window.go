@@ -20,9 +20,7 @@ import (
 // scheduler's delay). Both endpoints of the window are decided from
 // virtual time and the spec's parameters only — no rng draws — so the
 // wrappers are transparent to the scheduler rng stream and deterministic
-// under capture/replay by construction. Each wrapper exports its darkness
-// predicate as Dark, which the live runtime (internal/livenet) applies
-// with the same rule on its own clock.
+// under capture/replay by construction.
 
 // window is one [Start, Start+Len) blackout interval.
 type window struct {
@@ -46,15 +44,15 @@ type Outage struct {
 
 var _ sim.Scheduler = (*Outage)(nil)
 
-// Dark reports whether party p is inside the blackout at time at.
-func (o *Outage) Dark(p sim.PartyID, at sim.Time) bool {
+// dark reports whether party p is inside the blackout at time at.
+func (o *Outage) dark(p sim.PartyID, at sim.Time) bool {
 	return p >= o.First && p <= o.Last && window{start: o.Start, length: o.Len}.dark(at)
 }
 
 // Fate implements sim.Scheduler.
 func (o *Outage) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
 	f := sim.FateOf(o.Inner, env, rng)
-	if o.Dark(env.From, env.Sent) || o.Dark(env.To, env.Sent+f.Delay) {
+	if o.dark(env.From, env.Sent) || o.dark(env.To, env.Sent+f.Delay) {
 		f.Drop = true
 	}
 	return f
@@ -80,14 +78,14 @@ var _ sim.Scheduler = (*Flap)(nil)
 // Fate implements sim.Scheduler.
 func (f *Flap) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
 	fa := sim.FateOf(f.Inner, env, rng)
-	if f.Dark(env.From, env.Sent) || f.Dark(env.To, env.Sent+fa.Delay) {
+	if f.dark(env.From, env.Sent) || f.dark(env.To, env.Sent+fa.Delay) {
 		fa.Drop = true
 	}
 	return fa
 }
 
-// Dark reports whether party p is inside its flap window at time at.
-func (f *Flap) Dark(p sim.PartyID, at sim.Time) bool {
+// dark reports whether party p is inside its flap window at time at.
+func (f *Flap) dark(p sim.PartyID, at sim.Time) bool {
 	if p < 0 || int(p) >= f.Slots {
 		return false
 	}

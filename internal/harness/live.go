@@ -3,70 +3,53 @@ package harness
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/livenet"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
-
-// darkness is a network-fault axis that darkens parties for windows of
-// ticks (fault.Flap, fault.Outage).
-type darkness interface {
-	Dark(sim.PartyID, sim.Time) bool
-}
 
 // LowerLive lowers the recipe for the goroutine runtime (livenet) without
 // building a process: the simulator spec its parties are built from (its
 // Params, Inputs, Byz and Reliable), the options the recipe fixes (Seed,
-// Loss, Dup, Dark, Restarts, and WaitFor the honest count), and the
-// judged parties, the honest ones that Judge holds to the guarantees.
-// Callers layer the wall-clock options on top; livenet's Tick turns the
-// recipe's ticks into wall time. The "random" scheduler runs as livenet's
-// jitter, "loss:P" and "dup:P" as its Loss and Dup, "flap" and "outage" as
-// its Dark predicate, "recover" and "amnesia" as its Restarts, and
-// Byzantine tokens and Overrides.Byz as their behaviors, outside the hull
-// and the judged set. Reliable wraps the honest parties in relnet, as the
-// simulator does. Any other token is an error naming it (other schedulers
-// and crash plans). MaxEvents does not apply.
+// Sched, Restarts, and WaitFor the honest count), and the judged parties,
+// the honest ones that Judge holds to the guarantees. Callers layer the
+// wall-clock options on top; livenet's Tick turns the recipe's ticks into
+// wall time. Sched is the spec's scheduler, so every scheduler and network
+// axis runs as it does in the simulator, except that the base token
+// "random" lowers as "sync:1", a unit delay, because livenet's jitter is
+// the benign random delay; "recover" and "amnesia" also run as livenet's
+// Restarts, and Byzantine tokens and Overrides.Byz as their behaviors,
+// outside the hull and the judged set. Reliable wraps the honest parties in
+// relnet, as the simulator does. "random:ARG" and crash plans ("crash",
+// "crashinit", Overrides.Crashes) are errors naming them. MaxEvents does
+// not apply.
 func (r Recipe) LowerLive() (spec Spec, opts livenet.Options, judged []sim.PartyID, err error) {
 	scen, err := scenario.Parse(r.Scenario)
 	if err != nil {
 		return spec, opts, nil, err
 	}
-	if scen.Sched != "random" {
+	if strings.HasPrefix(scen.Sched, "random:") {
 		return spec, opts, nil, fmt.Errorf("harness: the live runtime cannot run scheduler %q; it runs random as its jitter", scen.Sched)
 	}
-	var dark []darkness
 	for _, tok := range scen.Faults {
-		name, arg, _ := strings.Cut(tok, ":")
-		kind, _ := scenario.Fault(name)
-		if kind.Behavior != nil || kind.Restart != nil {
-			continue // the spec's Byzantine parties and restart plans
-		}
-		var axis sim.Scheduler
-		if kind.Net != nil {
-			axis, _ = kind.Net(scen.N, scen.T, arg, nil) // Parse has checked arg
-		}
-		// Repeated axes compose as the simulator's layers do.
-		switch a := axis.(type) {
-		case *sched.Loss:
-			opts.Loss = 1 - (1-opts.Loss)*(1-a.P)
-		case *sched.Dup:
-			opts.Dup = 1 - (1-opts.Dup)*(1-a.P)
-		case darkness: // flap, outage
-			dark = append(dark, a)
-		default:
+		if kind, _ := scenario.Fault(tok); kind.Crash != nil {
 			return spec, opts, nil, fmt.Errorf("harness: the live runtime cannot run fault %q", tok)
 		}
 	}
-	spec, err = r.LowerAt(scen)
+	live := scen
+	if scen.Sched == "random" {
+		live.Sched = "sync:1"
+	}
+	spec, err = r.LowerAt(live)
 	switch {
 	case err != nil:
+		// Name the recipe's own scenario in the error, not its live form:
+		// the two differ only in a base scheduler that always builds, so
+		// they fail alike.
+		_, err = r.LowerAt(scen)
 	case len(spec.Crashes) > 0: // the tokens are checked above
 		err = fmt.Errorf("harness: the live runtime cannot run crash plans (Overrides.Crashes)")
 	case len(r.Inputs) != spec.Params.N:
@@ -83,27 +66,8 @@ func (r Recipe) LowerLive() (spec Spec, opts livenet.Options, judged []sim.Party
 			judged = append(judged, sim.PartyID(i))
 		}
 	}
-	if len(dark) > 0 {
-		opts.Dark = func(p sim.PartyID, at sim.Time) bool {
-			return slices.ContainsFunc(dark, func(d darkness) bool { return d.Dark(p, at) })
-		}
-	}
-	opts.Seed, opts.Restarts, opts.WaitFor = r.Seed, spec.Restarts, len(judged)
+	opts.Seed, opts.Sched, opts.Restarts, opts.WaitFor = r.Seed, spec.Scheduler.Scheduler, spec.Restarts, len(judged)
 	return spec, opts, judged, nil
-}
-
-// Live is LowerLive with the parties' processes built, on a fresh run
-// context, as RunLive builds them on a pooled one; it returns the spec's
-// Byzantine behaviors, which Judge takes, in its place.
-func (r Recipe) Live() (procs []sim.Process, opts livenet.Options, byz map[sim.PartyID]fault.Behavior, judged []sim.PartyID, err error) {
-	spec, opts, judged, err := r.LowerLive()
-	if err == nil {
-		procs, err = NewRunContext().liveProcs(spec)
-	}
-	if err != nil {
-		return nil, opts, nil, nil, err
-	}
-	return procs, opts, spec.Byz, judged, nil
 }
 
 // RunLive runs the recipe once on the goroutine runtime and judges the

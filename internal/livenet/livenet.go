@@ -20,11 +20,11 @@
 // A take hands over at most InboxDepth data items, shedding the oldest
 // beyond them, and a push into a mailbox that already holds more than
 // InboxDepth items lands and sheds the same way, so shedding (counted per
-// party) goes on while the owner is wedged or down. The fault options are
-// the scenario's own values in protocol ticks, Tick long each: loss and
-// dup probabilities, the darkness predicate of its flap and outage windows,
-// and its restart plans (harness.Recipe.LowerLive lowers a scenario onto
-// them).
+// party) goes on while the owner is wedged or down. Faults are the
+// scenario's own, in protocol ticks, Tick long each: one scheduler, the
+// simulator's contract (sim.Scheduler), decides every send's drop, extra
+// delay and duplicate, and restart plans roll parties back
+// (harness.Recipe.LowerLive lowers a scenario onto both).
 // Processes wrapped in the ack/retransmit transport (internal/relnet) heal
 // the damage and report their counters in Result.Transport. When the
 // context expires the partial Result (who decided, who degraded, every
@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"repro/internal/relnet"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -64,8 +65,8 @@ type Options struct {
 	// Tick converts protocol timer ticks (sim.Time) to wall time
 	// (default 1ms per tick).
 	Tick time.Duration
-	// Seed drives jitter and fault-injection randomness (per-party seeded
-	// sources, drawn only on the owning goroutine).
+	// Seed drives the jitter and the scheduler's randomness (per-party
+	// seeded sources, drawn only on the owning goroutine).
 	Seed int64
 	// WaitFor is how many parties must decide before the run completes
 	// (default: all).
@@ -77,19 +78,18 @@ type Options struct {
 	// oldest landed message is shed (counted in Result.Shed) so that
 	// senders never block.
 	InboxDepth int
-	// Loss is the per-send probability that the network silently drops
-	// the message (counted in Result.Dropped).
-	Loss float64
-	// Dup is the per-send probability that the network delivers a second
-	// copy of the message after additional jitter (counted in
-	// Result.Duped).
-	Dup float64
-	// Dark is the scenario's flap and outage darkness (fault.Flap.Dark,
-	// fault.Outage.Dark) in protocol ticks: a send is dropped, and counted
-	// in Result.Dropped, when its sender is dark at send time or its
-	// recipient is dark at its due time, as in the simulator. Nil darkens
-	// nothing.
-	Dark func(p sim.PartyID, at sim.Time) bool
+	// Sched decides each send's fate, as in the simulator, with the send
+	// tick (the run's clock in Ticks) as the envelope's Sent and the
+	// sender's random source as its rng; it is called concurrently for
+	// sends from different senders. A dropped send is counted in
+	// Result.Dropped. Any other send is due after its jitter plus Delay-1
+	// ticks, so a unit delay adds nothing to the jitter, and a DupExtra
+	// above zero delivers a copy DupExtra ticks after it, counted in
+	// Result.Duped. The jitter is independent noise on top of the
+	// scheduler's delays, so a per-link order a scheduler promises (fifo)
+	// holds live only with the jitter off (MaxJitter < 0). Nil selects a
+	// unit delay: the jitter alone.
+	Sched sim.Scheduler
 	// Restarts are the scenario's crash-recovery plans in protocol ticks,
 	// checked by sim.CheckRestarts. At Checkpoint (<= 0: the post-Init
 	// state) the party's own goroutine snapshots it; at Down it is killed
@@ -113,9 +113,9 @@ type Result struct {
 	Elapsed time.Duration
 	// Messages counts point-to-point sends (including retransmissions).
 	Messages int64
-	// Dropped counts sends the injected loss and darkness discarded.
+	// Dropped counts sends the scheduler dropped.
 	Dropped int64
-	// Duped counts injected duplicate deliveries.
+	// Duped counts the scheduler's duplicate deliveries.
 	Duped int64
 	// Shed counts data items discarded from full inboxes to keep senders
 	// unblocked.
@@ -179,13 +179,32 @@ type network struct {
 	restartErr error
 }
 
+// unitDelay is the scheduler of a run that names none: every send is due
+// after its jitter alone.
+var unitDelay = sched.NewSynchronous(1)
+
 // netPool recycles networks across runs, sizes and goroutines; the GC may
 // drop a pooled network with its buffers.
 var netPool = sync.Pool{New: func() any { return new(network) }}
 
-// newNetwork readies a pooled network for an n-party run; opts has its
-// defaults filled in. The run's clock starts when start is set.
+// newNetwork readies a pooled network for an n-party run on opts, with
+// their defaults filled in. The run's clock starts when start is set.
 func newNetwork(n int, opts Options) *network {
+	if opts.MaxJitter == 0 {
+		opts.MaxJitter = 2 * time.Millisecond
+	}
+	if opts.Tick == 0 {
+		opts.Tick = time.Millisecond
+	}
+	if opts.WaitFor <= 0 || opts.WaitFor > n {
+		opts.WaitFor = n
+	}
+	if opts.InboxDepth <= 0 {
+		opts.InboxDepth = 4096
+	}
+	if opts.Sched == nil {
+		opts.Sched = unitDelay
+	}
 	net := netPool.Get().(*network)
 	net.reset(n, opts)
 	return net
@@ -218,6 +237,7 @@ func (net *network) reset(n int, opts Options) {
 		net.boxes[i].init(opts.InboxDepth, room)
 		a := &net.parties[i]
 		a.net, a.id = net, sim.PartyID(i)
+		a.env = sim.Envelope{From: a.id}
 		a.ctl, a.rejoin = nil, 0
 		a.messages, a.dropped, a.duped, a.restarts = 0, 0, 0, 0
 		if cap(a.batch) < room {
@@ -234,8 +254,8 @@ func (net *network) reset(n int, opts Options) {
 }
 
 // release returns the network to the pool once every party goroutine of
-// its run has exited, dropping what would pin the caller's run: its
-// context and the options' closures.
+// its run has exited, dropping the run's context and scheduler, which
+// would pin the caller's run.
 func (net *network) release() {
 	net.opts, net.ctx, net.cancel = Options{}, nil, nil
 	netPool.Put(net)
@@ -296,15 +316,16 @@ const chunkSize = 4096
 // touched only by the party's own goroutine; Run reads the counters after
 // that goroutine has exited. A party with a restart plan has the channel
 // its supervision messages ride and its rejoin tick set before the run
-// starts. batch is the buffer of slots its mailbox's takes fill, sleep the
-// timer its loop sleeps on, and chunk what is left of the chunk its
-// payload copies are carved from; all three outlive the run with the
-// pooled network.
+// starts. env is the envelope its sends are handed to the scheduler in,
+// batch the buffer of slots its mailbox's takes fill, sleep the timer its
+// loop sleeps on, and chunk what is left of the chunk its payload copies
+// are carved from; all four outlive the run with the pooled network.
 type liveAPI struct {
 	net    *network
 	id     sim.PartyID
 	src    splitmix
 	rng    *rand.Rand
+	env    sim.Envelope
 	ctl    chan ctlKind
 	rejoin sim.Time
 	batch  []uint32
@@ -345,23 +366,22 @@ func (a *liveAPI) copyOf(data []byte) []byte {
 	return a.chunk[at : at+n : at+n]
 }
 
-// post is one point-to-point send at clock time now: counted, subjected to
-// the loss and dup draws from the sender's rng and to the darkness rule,
-// and pushed into the recipient's mailbox. The mailbox keeps the slice, so
-// post copies data unless the caller hands it a copy to share; it returns
-// the copy in use.
+// post is one point-to-point send at clock time now: counted, given its
+// fate by the scheduler on the sender's envelope and rng, and unless
+// dropped pushed into the recipient's mailbox, due after the jitter plus
+// the fate's delay beyond one tick. The mailbox keeps the slice, so post
+// copies data unless the caller hands it a copy to share; it returns the
+// copy in use.
 func (a *liveAPI) post(to sim.PartyID, now time.Duration, data, shared []byte) []byte {
 	net := a.net
 	a.messages++
-	if net.opts.Loss > 0 && a.rng.Float64() < net.opts.Loss {
+	a.env.To, a.env.Data, a.env.Sent = to, data, net.tick(now)
+	f := sim.FateOf(net.opts.Sched, &a.env, a.rng)
+	if f.Drop {
 		a.dropped++
 		return shared
 	}
-	due := now + a.jitter()
-	if dark := net.opts.Dark; dark != nil && (dark(a.id, net.tick(now)) || dark(to, net.tick(due))) {
-		a.dropped++
-		return shared
-	}
+	due := now + a.jitter() + net.at(f.Delay-1)
 	if shared == nil {
 		// Copy so the sender may reuse its buffer after the send returns.
 		// Every delivery of it — to each recipient of a multicast, and an
@@ -371,9 +391,9 @@ func (a *liveAPI) post(to sim.PartyID, now time.Duration, data, shared []byte) [
 	msg := item{from: a.id, data: shared}
 	box := &net.boxes[to]
 	box.push(now, due, msg)
-	if net.opts.Dup > 0 && a.rng.Float64() < net.opts.Dup {
+	if f.DupExtra > 0 {
 		a.duped++
-		box.push(now, now+a.jitter()+a.jitter(), msg)
+		box.push(now, due+net.at(f.DupExtra), msg)
 	}
 	return shared
 }
@@ -559,18 +579,6 @@ func Run(ctx context.Context, procs []sim.Process, opts Options) (*Result, error
 		if p == nil {
 			return nil, fmt.Errorf("livenet: nil process at index %d", i)
 		}
-	}
-	if opts.MaxJitter == 0 {
-		opts.MaxJitter = 2 * time.Millisecond
-	}
-	if opts.Tick == 0 {
-		opts.Tick = time.Millisecond
-	}
-	if opts.WaitFor <= 0 || opts.WaitFor > len(procs) {
-		opts.WaitFor = len(procs)
-	}
-	if opts.InboxDepth <= 0 {
-		opts.InboxDepth = 4096
 	}
 	if err := sim.CheckRestarts(len(procs), opts.Restarts); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
@@ -28,6 +29,13 @@ func crashProcs(t *testing.T, n, faults int, inputs []float64) []sim.Process {
 	}
 	return procs
 }
+
+// unit is the unit-delay scheduler: the jitter is every send's whole delay.
+var unit = sched.NewSynchronous(1)
+
+// lossy drops each send with probability p and delays the rest by the
+// jitter alone.
+func lossy(p float64) sim.Scheduler { return &sched.Loss{Inner: unit, P: p} }
 
 // reliable wraps every process in the ack/retransmit transport.
 func reliable(procs []sim.Process) []sim.Process {
@@ -150,7 +158,7 @@ func TestLivePartialResultOnTimeout(t *testing.T) {
 	procs := crashProcs(t, 5, 2, inputs)
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	res, err := Run(ctx, procs, Options{Loss: 0.6, Seed: 9})
+	res, err := Run(ctx, procs, Options{Sched: lossy(0.6), Seed: 9})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -238,7 +246,7 @@ func TestLiveRestartSupervision(t *testing.T) {
 		MaxJitter: 2 * time.Millisecond,
 		Tick:      time.Millisecond,
 		Seed:      21,
-		Loss:      0.05,
+		Sched:     lossy(0.05),
 		Restarts: []sim.RestartPlan{
 			{Party: 0, Checkpoint: 15, Down: 15, Rejoin: 35},
 			{Party: 1, Checkpoint: 25, Down: 25, Rejoin: 45},
@@ -311,15 +319,16 @@ func TestLiveRestartPlanCheckMatchesSimulator(t *testing.T) {
 }
 
 // TestDarkDropsBySendAndDueTime drives post on a network with no goroutines
-// and no wall clock: party 1 is dark from tick 10 on, one tick per
-// millisecond. A send from it while it is dark is dropped; a send to it is
-// dropped exactly when its jittered due time falls in the window, though
-// it was sent before the window opened; and multicasts outside the window
-// allocate only the chunks their shared copies are carved from, as on a
-// network with no Dark.
+// and no wall clock under an outage that darkens party 1 from tick 10 on,
+// one tick per millisecond, over delays of 1 to 3 ticks. A send from party
+// 1 while it is dark is dropped; a send to it from tick 8, before the
+// window opens, is dropped exactly when the window is open at its send
+// tick plus its delay, and lands before the window opens otherwise; and
+// multicasts outside the window allocate only the chunks their shared
+// copies are carved from, as on a network with no outage.
 func TestDarkDropsBySendAndDueTime(t *testing.T) {
-	dark := func(p sim.PartyID, at sim.Time) bool { return p == 1 && at >= 10 }
-	net := newNetwork(3, Options{MaxJitter: 2 * time.Millisecond, Tick: time.Millisecond, InboxDepth: 4096, Seed: 5, Dark: dark})
+	outage := &fault.Outage{Inner: &sched.UniformRandom{Min: 1, Max: 3}, First: 1, Last: 1, Start: 10, Len: sim.MaxDelayCap}
+	net := newNetwork(3, Options{MaxJitter: 2 * time.Millisecond, Tick: time.Millisecond, Seed: 5, Sched: outage})
 	payload := make([]byte, 14)
 
 	from1 := &net.parties[1]
@@ -331,25 +340,56 @@ func TestDarkDropsBySendAndDueTime(t *testing.T) {
 		t.Fatal("a send from a dark party reached its recipient")
 	}
 
-	// Sent at 9ms with up to 2ms of jitter: a message due at 10ms or later
-	// lands in the window and is dropped; the rest land before it opens.
+	// Sent at tick 8: a delay of 1 arrives at tick 9, before the window,
+	// and is due within the 2ms of jitter; a delay of 2 or 3 arrives in
+	// the window and is dropped.
 	const sends = 200
 	from0 := &net.parties[0]
 	for range sends {
-		from0.post(1, 9*time.Millisecond, payload, nil)
+		from0.post(1, 8*time.Millisecond, payload, nil)
 	}
 	batch, _, _ := net.boxes[1].take(10*time.Millisecond-1, nil)
 	landed := len(batch)
 	if batch, _, wait := net.boxes[1].take(time.Hour, batch); len(batch) > 0 || wait >= 0 {
-		t.Error("a send due inside the recipient's window was delivered")
+		t.Error("a send arriving inside the recipient's window was delivered")
 	}
 	if from0.dropped == 0 || landed == 0 || int(from0.dropped)+landed != sends {
-		t.Errorf("%d sends due around the window opening: %d dropped, %d landed before it", sends, from0.dropped, landed)
+		t.Errorf("%d sends arriving around the window opening: %d dropped, %d landed before it", sends, from0.dropped, landed)
 	}
 
 	multicast := &net.parties[2]
 	if allocs, most := multicastAllocs(net, multicast, 0, multicasts), chunkAllocs(multicasts); allocs > most {
 		t.Errorf("%d warm Multicasts outside every window: %v allocs, want at most %v (their chunks)", multicasts, allocs, most)
+	}
+}
+
+// fixed gives every send the same fate.
+type fixed sim.Fate
+
+func (f fixed) Fate(*sim.Envelope, *rand.Rand) sim.Fate { return sim.Fate(f) }
+
+// TestFateDelayAndDupInTicks drives post with no jitter and a scheduler
+// whose every fate is a delay of 4 ticks and a duplicate 3 ticks after
+// it, at 1ms a tick: nothing is due before the delay beyond one tick has
+// passed, and the copy not before 3 ticks after its primary.
+func TestFateDelayAndDupInTicks(t *testing.T) {
+	const d, k, tick, now = 4, 3, time.Millisecond, 5 * time.Millisecond
+	net := newNetwork(2, Options{MaxJitter: -1, Tick: tick, Seed: 5, Sched: fixed{Delay: d, DupExtra: k}})
+	a := &net.parties[0]
+	a.post(1, now, []byte{7}, nil)
+	if a.messages != 1 || a.dropped != 0 || a.duped != 1 {
+		t.Fatalf("%d sent, %d dropped, %d duped; want 1, 0, 1", a.messages, a.dropped, a.duped)
+	}
+	primary := now + (d-1)*tick
+	box := &net.boxes[1]
+	if batch, _, wait := box.take(primary-1, nil); len(batch) > 0 || wait != 1 {
+		t.Fatalf("before the delay: %d taken, next due in %v; want none, due in 1ns", len(batch), wait)
+	}
+	if batch, _, _ := box.take(primary+k*tick-1, nil); len(batch) != 1 {
+		t.Fatalf("from the primary's due time on: %d taken, want the primary alone", len(batch))
+	}
+	if batch, items, _ := box.take(primary+k*tick, nil); len(batch) != 1 || items[batch[0]].data[0] != 7 {
+		t.Fatalf("%d ticks after the primary: %d taken, want its copy", k, len(batch))
 	}
 }
 
@@ -368,7 +408,7 @@ func TestLiveFlapShedRetransmitSurvival(t *testing.T) {
 		Tick:       time.Millisecond,
 		Seed:       17,
 		InboxDepth: 1,
-		Dark:       (&fault.Flap{Slots: 2, Base: 10, Stagger: 15, Len: 25}).Dark,
+		Sched:      &fault.Flap{Inner: unit, Slots: 2, Base: 10, Stagger: 15, Len: 25},
 	})
 	if err != nil {
 		t.Fatalf("flap+shed run did not converge: %v (decided %d, shed %d, retransmits %d)",
@@ -464,7 +504,7 @@ func TestRecoverySoak(t *testing.T) {
 		Tick:       500 * time.Microsecond,
 		Seed:       13,
 		InboxDepth: 256,
-		Loss:       0.1,
+		Sched:      lossy(0.1),
 		Restarts: []sim.RestartPlan{
 			{Party: 0, Checkpoint: 30, Down: 30, Rejoin: 80},
 			{Party: 1, Checkpoint: 50, Down: 50, Rejoin: 100},
@@ -523,9 +563,12 @@ func TestLivenetSoak(t *testing.T) {
 		Tick:       500 * time.Microsecond,
 		Seed:       11,
 		InboxDepth: 256,
-		Loss:       0.1,
-		Dup:        0.05,
-		Dark:       (&fault.Flap{Slots: 2, Base: 40, Stagger: 60, Len: 80}).Dark,
+		// A duplicate lags its primary by 1 or 2 ticks: up to 1 ms, twice
+		// the jitter bound.
+		Sched: &fault.Flap{
+			Inner: &sched.Dup{Inner: lossy(0.1), P: 0.05, MaxExtra: 2},
+			Slots: 2, Base: 40, Stagger: 60, Len: 80,
+		},
 	})
 	if err != nil {
 		t.Fatalf("soak did not converge: %v (decided %d, undecided %v, dropped %d, retransmits %d)",

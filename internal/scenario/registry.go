@@ -235,11 +235,11 @@ var schedulers = map[string]SchedulerBuilder{
 		}
 		return &sched.UniformRandom{Min: 1, Max: 25}, nil
 	},
-	"fifo": func(_, _ int, arg string) (sim.Scheduler, error) {
+	"fifo": func(n, _ int, arg string) (sim.Scheduler, error) {
 		if err := noArg("fifo", arg); err != nil {
 			return nil, err
 		}
-		return sched.NewFIFO(&sched.UniformRandom{Min: 1, Max: 25}), nil
+		return sched.NewFIFO(&sched.UniformRandom{Min: 1, Max: 25}, n), nil
 	},
 }
 

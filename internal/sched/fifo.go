@@ -13,22 +13,22 @@ import (
 // (round tags make reordering harmless), and running the suite both ways
 // is how that claim is checked.
 //
-// FIFO is stateful and must not be shared across concurrent simulations.
+// FIFO's state is per sender, so its Fate may run concurrently for sends
+// from different senders (the live runtime's parties), but one FIFO must
+// not be shared across runs.
 type FIFO struct {
 	inner sim.Scheduler
-	// lastAt tracks the latest scheduled delivery time per (from, to).
-	lastAt map[linkKey]sim.Time
-}
-
-type linkKey struct {
-	from, to sim.PartyID
+	// lastAt[from][to] is the latest scheduled delivery time on the link,
+	// zero before its first delivery. A row is made and written only by
+	// its sender's sends.
+	lastAt [][]sim.Time
 }
 
 var _ sim.Scheduler = (*FIFO)(nil)
 
-// NewFIFO wraps inner with per-link ordering.
-func NewFIFO(inner sim.Scheduler) *FIFO {
-	return &FIFO{inner: inner, lastAt: make(map[linkKey]sim.Time)}
+// NewFIFO wraps inner with per-link ordering for an n-party run.
+func NewFIFO(inner sim.Scheduler, n int) *FIFO {
+	return &FIFO{inner: inner, lastAt: make([][]sim.Time, n)}
 }
 
 // Fate implements sim.Scheduler. The inner fate passes through, so FIFO
@@ -39,12 +39,18 @@ func (f *FIFO) Fate(env *sim.Envelope, rng *rand.Rand) sim.Fate {
 	if fa.Drop {
 		return fa
 	}
-	key := linkKey{from: env.From, to: env.To}
+	row := f.lastAt[env.From]
+	if row == nil {
+		row = make([]sim.Time, len(f.lastAt))
+		f.lastAt[env.From] = row
+	}
+	// A delivery is due at Sent + Delay >= 1, so a zero entry never
+	// holds back the link.
 	at := env.Sent + fa.Delay
-	if last, ok := f.lastAt[key]; ok && at <= last {
+	if last := row[env.To]; at <= last {
 		at = last + 1
 		fa.Delay = at - env.Sent
 	}
-	f.lastAt[key] = at
+	row[env.To] = at
 	return fa
 }

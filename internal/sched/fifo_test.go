@@ -2,7 +2,9 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/multiset"
@@ -34,7 +36,7 @@ func (s *scripted) Fate(*sim.Envelope, *rand.Rand) sim.Fate {
 }
 
 func TestFIFOOrdersPerLink(t *testing.T) {
-	f := NewFIFO(&reversing{})
+	f := NewFIFO(&reversing{}, 3)
 	var lastAt sim.Time
 	for i := 0; i < 50; i++ {
 		at := delay(f, 1, 2, nil)
@@ -46,7 +48,7 @@ func TestFIFOOrdersPerLink(t *testing.T) {
 }
 
 func TestFIFOIndependentLinks(t *testing.T) {
-	f := NewFIFO(NewSynchronous(10))
+	f := NewFIFO(NewSynchronous(10), 4)
 	// Different links are not serialized against each other.
 	d1 := delay(f, 1, 2, nil)
 	d2 := delay(f, 1, 3, nil)
@@ -61,6 +63,40 @@ func TestFIFOIndependentLinks(t *testing.T) {
 	}
 }
 
+// TestFIFOConcurrentSenders calls one FIFO's Fate from n goroutines, one
+// per sender and each with its own rng, as the live runtime's parties do.
+// Every link gets one send a tick and inner delays up to 25 ticks, so
+// without FIFO its deliveries would reorder; with it each link's
+// deliveries stay in send order.
+func TestFIFOConcurrentSenders(t *testing.T) {
+	const n, sends = 8, 400
+	f := NewFIFO(&UniformRandom{Min: 1, Max: 25}, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for from := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(from + 1)))
+			env := sim.Envelope{From: sim.PartyID(from)}
+			last := make([]sim.Time, n)
+			for i := range sends {
+				env.To, env.Sent = sim.PartyID(i%n), sim.Time(i/n)
+				at := env.Sent + sim.FateOf(f, &env, rng).Delay
+				if at <= last[env.To] {
+					errs[from] = fmt.Errorf("link %d->%d: send %d due at %d, not after %d", from, env.To, i, at, last[env.To])
+					return
+				}
+				last[env.To] = at
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFIFODropDoesNotHoldLink pins that FIFO passes its inner scheduler's
 // drop and dup verdicts through, and that a dropped send, which never
 // arrives, does not push later sends on its link back.
@@ -68,7 +104,7 @@ func TestFIFODropDoesNotHoldLink(t *testing.T) {
 	f := NewFIFO(&scripted{fates: []sim.Fate{
 		{Delay: 100, Drop: true},
 		{Delay: 5, DupExtra: 3},
-	}})
+	}}, 3)
 	env := &sim.Envelope{From: 1, To: 2}
 	if got := f.Fate(env, nil); !got.Drop {
 		t.Fatalf("first send: fate %+v, want the inner drop", got)
@@ -89,7 +125,7 @@ func (g greeter) Deliver(sim.PartyID, []byte) { *g.got++ }
 // every send is dropped and counted, and nothing is delivered.
 func TestFIFOKeepsInnerLoss(t *testing.T) {
 	const n = 4
-	scheduler := NewFIFO(&Loss{Inner: &UniformRandom{Min: 1, Max: 25}, P: 1})
+	scheduler := NewFIFO(&Loss{Inner: &UniformRandom{Min: 1, Max: 25}, P: 1}, n)
 	net, err := sim.New(sim.Config{N: n, Scheduler: scheduler, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +150,7 @@ func TestFIFOKeepsInnerLoss(t *testing.T) {
 // satisfy every invariant.
 func TestProtocolsAgnosticToFIFO(t *testing.T) {
 	raw := buildRun(t, &UniformRandom{Min: 1, Max: 30}, 5)
-	fifo := buildRun(t, NewFIFO(&UniformRandom{Min: 1, Max: 30}), 5)
+	fifo := buildRun(t, NewFIFO(&UniformRandom{Min: 1, Max: 30}, 5), 5)
 	for _, res := range []*sim.Result{raw, fifo} {
 		if len(res.Decisions) != 5 {
 			t.Fatalf("decisions %v", res.Decisions)

@@ -36,7 +36,7 @@ type LiveConfig struct {
 	// Live-backend wall-clock options, layered on what each instance's
 	// recipe fixes (Config.Scenario's axes, Config.Reliable): the delivery
 	// jitter, and the wall duration of one protocol tick, which scales the
-	// scenario's flap, outage and restart windows (livenet.Options.Tick).
+	// scenario's delays, windows and restart plans (livenet.Options.Tick).
 	MaxJitter time.Duration
 	ProtoTick time.Duration
 }

@@ -474,7 +474,7 @@ func TestLiveVerdictUsesDrawnInputs(t *testing.T) {
 // scenario with a crash token fails before the first request, naming the
 // token; the simulated backend runs the same configuration. A workload
 // whose flapstorm window splices a flap axis into the instance scenario
-// runs on both.
+// runs on both, and a splitviews base scenario runs, and decides, live.
 func TestServeLiveRejectsWhatLiveCannotRun(t *testing.T) {
 	w := workload.MustParse("poisson:30+lognormal:3:0.3+cohort:web:1:300:1")
 	cfg := testConfig()
@@ -494,6 +494,13 @@ func TestServeLiveRejectsWhatLiveCannotRun(t *testing.T) {
 		if _, err := ServeLive(flapstorm, testConfig(), Options{Workers: 2, QueueDepth: 8}, lc); err != nil {
 			t.Fatalf("flapstorm window on backend %d: %v", b, err)
 		}
+	}
+	cfg = testConfig()
+	cfg.Scenario = "splitviews"
+	lc = LiveConfig{Backend: BackendLive, TickDur: 200 * time.Microsecond, ProtoTick: 50 * time.Microsecond, Requests: 4}
+	sum, err := ServeLive(w, cfg, Options{Workers: 2, QueueDepth: 8}, lc)
+	if err != nil || sum.Decided == 0 {
+		t.Fatalf("splitviews on the live backend: %v, summary %+v; want decided instances", err, sum)
 	}
 }
 

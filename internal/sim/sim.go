@@ -35,12 +35,17 @@ type Envelope struct {
 	From PartyID
 	To   PartyID
 	// Data is the wire-encoded payload; its length is the bit-complexity
-	// unit. It aliases the simulator's recycled payload arena: it is valid
-	// during the delivery (and observer) callback only, and must be copied
-	// by anything that retains it past the callback.
+	// unit. It aliases the simulator's recycled payload arena, or in the
+	// live runtime's Fate call the sender's own buffer: it is valid during
+	// the delivery (observer, Fate) callback only, and must be copied by
+	// anything that retains it past the callback.
 	Data []byte
-	Sent Time   // virtual time at which the sender issued the message
-	Seq  uint64 // global send sequence number (deterministic tiebreak)
+	// Sent is the virtual time at which the sender issued the message; in
+	// the live runtime, the tick of its wall-clock send time.
+	Sent Time
+	// Seq is the global send sequence number (deterministic tiebreak); the
+	// live runtime leaves it zero.
+	Seq uint64
 }
 
 // API is the interface a Process uses to interact with the network. It is
@@ -107,12 +112,16 @@ type Estimator interface {
 // (innermost base delay first, then each wrapper in composition order), so
 // that capture/replay and both engine configurations observe identical
 // streams. The source is seeded on its first draw of a run, so a scheduler
-// that never draws costs no seeding.
+// that never draws costs no seeding. The live runtime (internal/livenet)
+// calls one scheduler from every sender's goroutine, each with its own rng:
+// Fate may run concurrently for sends from different senders, so any state
+// must be per sender.
 type Scheduler interface {
 	// Fate returns the decision for the send env, whose Sent field is the
-	// send time. The network fills and reuses one Envelope for every send:
-	// the pointer is valid only during the call. The network clamps the
-	// returned Delay to [1, MaxDelayCap] to preserve eventual delivery.
+	// send time. The simulator fills and reuses one Envelope for every
+	// send, and the live runtime one per sender: the pointer is valid only
+	// during the call. The network clamps the returned Delay to
+	// [1, MaxDelayCap] to preserve eventual delivery.
 	Fate(env *Envelope, rng *rand.Rand) Fate
 }
 
